@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures (one bench per
-// artifact; see DESIGN.md's experiment index) plus ablations of the design
-// choices DESIGN.md calls out. Run with:
+// artifact; the experiment index is in the README, "Reproducing the paper:
+// experiments and substitutions") plus ablations of the paper's design
+// choices, listed in the same section. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -231,7 +232,7 @@ func BenchmarkTable1Exponents(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md "Design choices") ------------------------------------
+// --- Ablations (README, "Reproducing the paper") --------------------------------
 
 // Dynamic query-centric buckets (DB-LSH) vs fixed grid buckets (FB-LSH) at
 // identical K, L, t — the paper's Section VI-B1 comparison.

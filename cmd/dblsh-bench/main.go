@@ -8,8 +8,9 @@
 // fig9 (alias fig10), all.
 //
 // Flags select the dataset profile set and the workload size; the defaults
-// match the paper's settings at the scaled-down cardinalities documented in
-// DESIGN.md. Example:
+// match the paper's settings at the scaled-down cardinalities of
+// internal/dataset's profiles (README, "Reproducing the paper: experiments
+// and substitutions"). Example:
 //
 //	dblsh-bench -profiles small table4
 //	dblsh-bench -k 50 fig8

@@ -23,9 +23,8 @@
 //	    -concurrency 8 -write-fraction 0.1 -k 10
 //
 // With -cpuinfo the tool skips the workload entirely and prints the LOCAL
-// process's kernel selection and detected CPU features as JSON — the hook
-// scripts/bench.sh uses to stamp benchmark artifacts with the hardware
-// they ran on.
+// process's kernel selection and detected CPU features as JSON, for
+// stamping a measurement with the hardware it ran on.
 package main
 
 import (

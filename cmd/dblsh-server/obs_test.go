@@ -77,6 +77,7 @@ func TestMetricsExposition(t *testing.T) {
 		`dblsh_query_nodes_visited_count 1`,
 		`dblsh_query_frontier_size_count 1`,
 		`dblsh_wal_appends_total 20`,
+		`dblsh_shard_insert_seconds_count 20`, // one write-lock hold per add
 		`dblsh_checkpoint_seconds_count`,
 		`dblsh_wal_fsync_seconds_bucket`,
 		`dblsh_admission_inflight`,

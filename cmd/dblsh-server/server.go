@@ -504,20 +504,26 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.idx.Add(req.Vector)
 	if err != nil {
-		// Only a rejected vector is the client's fault. A durable-write
-		// failure is a server-side fault (nothing was applied — retrying is
-		// safe), and a closed index means the server is shutting down.
-		switch {
-		case errors.Is(err, dblsh.ErrClosed):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, dblsh.ErrDurability):
-			httpError(w, http.StatusInternalServerError, err.Error())
-		default:
-			httpError(w, http.StatusBadRequest, err.Error())
-		}
+		httpError(w, addErrorStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, addResponse{ID: id})
+}
+
+// addErrorStatus maps an Index.Add error to an HTTP status. Only a rejected
+// vector (wrong dimension, NaN/Inf coordinate, a metric's ingest contract)
+// is the client's fault. A durable-write failure is a server-side fault
+// (nothing was applied — retrying is safe), and a closed index means the
+// server is shutting down.
+func addErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, dblsh.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, dblsh.ErrDurability):
+		return http.StatusInternalServerError
+	default:
+		return http.StatusBadRequest
+	}
 }
 
 type deleteRequest struct {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -319,6 +321,37 @@ func TestAddEndpoint(t *testing.T) {
 	decode(t, r2, &sr)
 	if len(sr.Results) != 1 || sr.Results[0].ID != ar.ID || sr.Results[0].Dist != 0 {
 		t.Fatalf("added vector not found: %+v", sr.Results)
+	}
+}
+
+// TestAddRejectsNonFinite: JSON has no spelling for NaN or Inf, and a number
+// that overflows float32 fails to decode — whichever layer refuses, POST
+// /vectors answers 400 and the index is untouched.
+func TestAddRejectsNonFinite(t *testing.T) {
+	ts, idx := testServer(t)
+	before := idx.Len()
+	for _, coord := range []string{"NaN", "Infinity", "-Infinity", `"NaN"`, "1e39", "-1e39", "1e999"} {
+		body := `{"vector":[` + coord + strings.Repeat(",0", idx.Dim()-1) + `]}`
+		resp, err := http.Post(ts.URL+"/vectors", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("coordinate %s: status %d, want 400", coord, resp.StatusCode)
+		}
+	}
+	if idx.Len() != before {
+		t.Fatalf("rejected vectors changed Len %d → %d", before, idx.Len())
+	}
+	// The library's own refusal maps to 400 as well (not 500): drive the
+	// handler's error path with a vector only Go can spell.
+	v := make([]float32, idx.Dim())
+	v[0] = float32(math.Inf(1))
+	if _, err := idx.Add(v); err == nil {
+		t.Fatal("Index.Add accepted +Inf")
+	} else if rec := addErrorStatus(err); rec != http.StatusBadRequest {
+		t.Fatalf("non-finite Add error maps to %d, want 400", rec)
 	}
 }
 

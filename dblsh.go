@@ -286,7 +286,8 @@ func New(data [][]float32, opts Options) (*Index, error) {
 // row-major in flat. Under the default Euclidean metric with one shard the
 // slice is used directly without copying, and the caller must not mutate it
 // while the index is alive; sharded or non-Euclidean indexes copy (and
-// transform) the data into internal layouts. len(flat) must equal n*dim.
+// transform) the data into internal layouts. len(flat) must equal n*dim, and
+// every value must be finite: NaN or ±Inf anywhere is an error.
 func NewFromFlat(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if n <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("dblsh: invalid shape %d×%d", n, dim)
@@ -294,7 +295,37 @@ func NewFromFlat(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if len(flat) != n*dim {
 		return nil, fmt.Errorf("dblsh: flat data has %d values, want %d×%d = %d", len(flat), n, dim, n*dim)
 	}
+	// x·0 is 0 for a finite x and NaN for NaN and ±Inf, so the dot kernel
+	// against a zero row vets a whole row at SIMD speed (a third of the
+	// scalar scan's time over a 40k × 960 corpus); only a row that fails is
+	// scanned for the coordinate to name.
+	zero := make([]float32, dim)
+	for r := 0; r < n; r++ {
+		row := flat[r*dim : (r+1)*dim]
+		if vec.Dot(row, zero) != 0 {
+			i := firstNonFinite(row)
+			return nil, fmt.Errorf("dblsh: row %d: %w", r, nonFiniteError(i, row[i]))
+		}
+	}
 	return newIndex(flat, n, dim, opts)
+}
+
+// firstNonFinite returns the position of the first NaN or ±Inf in v, or -1.
+// The index fails closed on such input under every metric: a NaN coordinate
+// projects to NaN keys, which no ordering the R*-trees keep (leaf sort
+// order, rectangle containment, the insertion path's ≥ 0 overlap terms)
+// survives, and on a durable index it would be logged and replayed forever.
+func firstNonFinite(v []float32) int {
+	for i, x := range v {
+		if x-x != 0 { // finite values are the ones whose self-difference is 0
+			return i
+		}
+	}
+	return -1
+}
+
+func nonFiniteError(coord int, x float32) error {
+	return fmt.Errorf("dblsh: coordinate %d is %v; vectors must be finite", coord, x)
 }
 
 // newIndex validates opts and builds an index over n ≥ 0 rows. It is
@@ -510,9 +541,11 @@ func (idx *Index) IndexSizeBytes() int64 { return idx.set.IndexSizeBytes() }
 // and never reused. Add is safe to call concurrently with searches and
 // other mutations: it write-locks only the shard the new vector routes to,
 // so on a sharded index the other shards keep answering. Searchers created
-// before an Add remain valid. Under a non-Euclidean metric the vector must
-// satisfy the metric's ingest contract (nonzero under Cosine, ‖v‖ within
-// the norm bound under InnerProduct) or an error is returned.
+// before an Add remain valid. A vector with a NaN or infinite coordinate is
+// rejected with an error under every metric, before anything is logged or
+// applied. Under a non-Euclidean metric the vector must also satisfy the
+// metric's ingest contract (nonzero under Cosine, ‖v‖ within the norm bound
+// under InnerProduct) or an error is returned.
 //
 // On a durable index (see Open) the mutation is write-ahead: the op log
 // record is appended — and, under SyncAlways, fsynced — before the vector
@@ -522,6 +555,9 @@ func (idx *Index) IndexSizeBytes() int64 { return idx.set.IndexSizeBytes() }
 func (idx *Index) Add(v []float32) (int, error) {
 	if len(v) != idx.dim {
 		return 0, fmt.Errorf("dblsh: vector dim %d, index dim %d", len(v), idx.dim)
+	}
+	if i := firstNonFinite(v); i >= 0 {
+		return 0, nonFiniteError(i, v[i])
 	}
 	row := v
 	if idx.met.Kind() != metric.Euclidean {

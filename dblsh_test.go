@@ -217,3 +217,60 @@ func TestRecallEndToEnd(t *testing.T) {
 		t.Fatalf("end-to-end recall %v too low", recall)
 	}
 }
+
+// TestNonFiniteInputRejected: NaN and ±Inf coordinates are refused at the
+// library boundary under every metric — at build time and by Add, where on a
+// durable index the refusal must come before the op log sees the vector.
+func TestNonFiniteInputRejected(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	data, _ := clusteredData(300, 8, 21)
+	for _, m := range []Metric{Euclidean, Cosine, InnerProduct} {
+		opts := Options{Metric: m, Seed: 21}
+		for _, bad := range []float32{nan, inf, -inf} {
+			flat := make([]float32, 0, len(data)*8)
+			for _, row := range data {
+				flat = append(flat, row...)
+			}
+			flat[5*8+3] = bad
+			if _, err := NewFromFlat(flat, len(data), 8, opts); err == nil {
+				t.Fatalf("%v: NewFromFlat accepted a %v coordinate", m, bad)
+			}
+		}
+
+		mem, err := New(data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		dur := mustOpen(t, dir, Options{Dim: 8, Metric: m, Seed: 21, NormBound: mem.Params().NormBound})
+		if _, err := dur.Add(data[0]); err != nil {
+			t.Fatal(err)
+		}
+		logged, _ := dur.Durability()
+		for _, idx := range []*Index{mem, dur} {
+			before := idx.Len()
+			for _, bad := range []float32{nan, inf, -inf} {
+				v := append([]float32(nil), data[1]...)
+				v[7] = bad
+				if _, err := idx.Add(v); err == nil {
+					t.Fatalf("%v: Add accepted a %v coordinate", m, bad)
+				}
+			}
+			if idx.Len() != before {
+				t.Fatalf("%v: rejected adds changed Len %d → %d", m, before, idx.Len())
+			}
+		}
+		if after, _ := dur.Durability(); after.LogBytes != logged.LogBytes || after.OpsSinceCheckpoint != logged.OpsSinceCheckpoint {
+			t.Fatalf("%v: a rejected add reached the op log: %+v → %+v", m, logged, after)
+		}
+		if err := dur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Nothing unreplayable was logged: the store reopens to one vector.
+		re := mustOpen(t, dir, Options{})
+		if re.Len() != 1 {
+			t.Fatalf("%v: reopened with %d vectors, want 1", m, re.Len())
+		}
+		re.Close()
+	}
+}

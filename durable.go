@@ -37,6 +37,7 @@ package dblsh
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -231,6 +232,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	replayed, replaySegments, replayTorn := 0, 0, 0
+	replayStart := time.Now()
 	for _, p := range olds {
 		// A torn tail here is the unsynced end of a segment orphaned by a
 		// crash mid-checkpoint: the lost records were never acknowledged
@@ -258,6 +260,14 @@ func Open(dir string, opts Options) (*Index, error) {
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("dblsh: replay %s: %w", walPath, err)
+	}
+	if replayed > 0 {
+		// Replay is the restart cost an operator waits out: a replayed add
+		// is a full index insert, so the rate is the write path's.
+		took := time.Since(replayStart)
+		slog.Info("dblsh: replayed op log", "dir", dir, "records", replayed,
+			"segments", replaySegments, "torn_segments", replayTorn,
+			"seconds", took.Seconds(), "records_per_s", float64(replayed)/took.Seconds())
 	}
 	// Truncate the torn tail (if any) so new frames append after the last
 	// intact record.

@@ -3,9 +3,11 @@ package dblsh
 import (
 	"bytes"
 	"errors"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -519,5 +521,37 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{Metric: Cosine}); err == nil {
 		t.Fatal("Metric mismatch with the stored checkpoint must fail")
+	}
+}
+
+// TestOpenLogsReplay: an Open that replays the op log says how many records
+// it re-applied and at what rate — the restart cost — and an Open with
+// nothing to replay stays quiet.
+func TestOpenLogsReplay(t *testing.T) {
+	var buf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	defer slog.SetDefault(prev)
+
+	dir := t.TempDir()
+	idx := mustOpen(t, dir, Options{Dim: 6, Seed: 3})
+	for _, v := range randVecs(7, 6, 3) {
+		if _, err := idx.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Open of a fresh directory logged: %s", buf.String())
+	}
+	re := mustOpen(t, dir, Options{})
+	defer re.Close()
+	line := buf.String()
+	for _, want := range []string{"replayed op log", "records=7", "segments=1", "records_per_s="} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("replay log line %q lacks %q", line, want)
+		}
 	}
 }

@@ -4,8 +4,8 @@
 //
 // Indexing: project the dataset into an m-dimensional space with m 2-stable
 // projections (m ≈ 15 in the PM-LSH paper) and index the projected points
-// with a metric tree (PM-tree in the paper; a ball tree here — see DESIGN.md
-// for the substitution).
+// with a metric tree (PM-tree in the paper; a ball tree here — see the
+// README, "Reproducing the paper: experiments and substitutions").
 //
 // Query: stream the projected-space nearest neighbors of the projected
 // query in ascending order and verify each in the original space, stopping

@@ -9,7 +9,7 @@
 // distances are much smaller than query-to-random-point distances — so the
 // relative behaviour of the algorithms (who wins, where curves cross) is
 // preserved even though absolute numbers differ from the paper's testbed.
-// See DESIGN.md ("Substitutions").
+// See the README ("Reproducing the paper: experiments and substitutions").
 package dataset
 
 import (

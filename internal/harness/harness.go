@@ -1,9 +1,10 @@
 // Package harness runs the paper's experiments end to end: it builds every
 // algorithm on a dataset profile, replays the query workload, and renders
 // the same rows and series the paper's Tables and Figures report. One
-// exported runner exists per experiment id (see DESIGN.md's experiment
-// index); the dblsh-bench command and the repository-level benchmarks are
-// thin wrappers over these runners.
+// exported runner exists per experiment id (indexed in the README,
+// "Reproducing the paper: experiments and substitutions"); the dblsh-bench
+// command and the repository-level benchmarks are thin wrappers over these
+// runners.
 package harness
 
 import (

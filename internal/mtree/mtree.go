@@ -3,8 +3,9 @@
 // PM-LSH baseline: PM-LSH indexes the m-dimensional projected points with a
 // PM-tree and answers c-ANN by streaming projected-space nearest neighbors
 // and verifying them in the original space. This package provides the same
-// incremental nearest-neighbor code path; see DESIGN.md for the
-// PM-tree → ball-tree substitution rationale.
+// incremental nearest-neighbor code path; the PM-tree → ball-tree
+// substitution is noted in the README ("Reproducing the paper: experiments
+// and substitutions").
 package mtree
 
 import (

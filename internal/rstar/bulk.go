@@ -100,6 +100,12 @@ func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
 	}
 }
 
+func (t *Tree) sortIDsByAxis(ids []int32, axis int) {
+	sort.Slice(ids, func(a, b int) bool {
+		return t.point(ids[a])[axis] < t.point(ids[b])[axis]
+	})
+}
+
 // packUpward builds internal levels over the given nodes until one root
 // remains, grouping nodes by STR on their centre points.
 func (t *Tree) packUpward(nodes []*node) *node {

@@ -1,0 +1,230 @@
+package rstar
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"dblsh/internal/vec"
+)
+
+// digest is a structural fingerprint of the tree: a depth-first walk hashing
+// every node's level, MBR bits, entry count, and — for leaves — the sort
+// axis and the ids in stored order. Children are walked in stored order, so
+// two trees share a digest only if they are the same tree node for node.
+func (t *Tree) digest() string {
+	h := sha256.New()
+	var buf [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		put(uint32(n.level))
+		for _, v := range n.rect.Min {
+			put(math.Float32bits(v))
+		}
+		for _, v := range n.rect.Max {
+			put(math.Float32bits(v))
+		}
+		put(uint32(n.entryCount()))
+		if n.leaf {
+			put(uint32(n.sortAxis))
+			for _, id := range n.ids {
+				put(uint32(id))
+			}
+			return
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// gridMatrix draws points on a coarse integer grid and repeats every point
+// three times, so sort keys tie, rectangles degenerate and whole entries
+// coincide — the cases where an unstable sort's permutation and a
+// tie-breaking comparison decide the tree.
+func gridMatrix(n, d int, seed int64) *vec.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := vec.NewMatrix(n, d)
+	for i := 0; i < n; i++ {
+		if i%3 != 0 {
+			copy(m.Row(i), m.Row(i-1))
+			continue
+		}
+		for j := 0; j < d; j++ {
+			m.Row(i)[j] = float32(rng.Intn(7))
+		}
+	}
+	return m
+}
+
+// identityScripts are the seeded build scripts whose resulting trees are
+// pinned by goldenDigests. bulk rows are STR-packed, the rest inserted in
+// row order.
+var identityScripts = []struct {
+	name string
+	data func() *vec.Matrix
+	bulk int
+	opts Options
+}{
+	{"empty/M4", func() *vec.Matrix { return randomMatrix(2000, 3, 101) }, 0, Options{MaxEntries: 4}},
+	{"empty/M8", func() *vec.Matrix { return randomMatrix(3000, 4, 102) }, 0, Options{MaxEntries: 8}},
+	{"empty/M32", func() *vec.Matrix { return randomMatrix(6000, 10, 103) }, 0, Options{}},
+	{"bulk/M4/quant", func() *vec.Matrix { return randomMatrix(3000, 3, 104) }, 1500, Options{MaxEntries: 4, Quantize: true}},
+	{"bulk/M8/quant", func() *vec.Matrix { return randomMatrix(5000, 5, 105) }, 3000, Options{MaxEntries: 8, Quantize: true}},
+	{"bulk/M32/quant", func() *vec.Matrix { return randomMatrix(22000, 10, 106) }, 20000, Options{Quantize: true}},
+	{"grid/empty/M4", func() *vec.Matrix { return gridMatrix(1500, 2, 107) }, 0, Options{MaxEntries: 4}},
+	{"grid/empty/M8", func() *vec.Matrix { return gridMatrix(2400, 3, 108) }, 0, Options{MaxEntries: 8}},
+	{"grid/bulk/M32/quant", func() *vec.Matrix { return gridMatrix(9000, 6, 109) }, 6000, Options{Quantize: true}},
+}
+
+// goldenDigests were recorded at the commit before the insert path was
+// rewritten (PR 12's parent) and must never change: the rewrite's contract
+// is that it builds the same tree, node for node.
+var goldenDigests = map[string]string{
+	"empty/M4":            "88ee0bf76c2904fcfdfae2dd9d918a15a58ad37e248e5123aab9028ca15dbdf6",
+	"empty/M8":            "3f33be693dc3156b9aeaa61621964b279ef2a6c7e055d05e1f5552efb3b34c72",
+	"empty/M32":           "be82040a79508b303a76c6e34fde12c8373d52f559a8d2b1ef33f3fd2ca094aa",
+	"bulk/M4/quant":       "2d82f3d3b1cd8dac3d8073fd1c2c9c600d4e17a41af3d08fba625f6959f44263",
+	"bulk/M8/quant":       "8a77d702858813c3773aacebd14b02645e48e0f5934e12561d85ac0c18ded9d0",
+	"bulk/M32/quant":      "9bc4784e378e3e533b301ac0dd2d29f706645adf34540bfc032b4dfc21cf3d1a",
+	"grid/empty/M4":       "56eac9fd02f1d189989dae9592ce7f1d0a7094961d1f45007740a6f893aad8da",
+	"grid/empty/M8":       "137ba96dccd2e389264e05f21162abaac29519e3d433c68ba948af6dd46ba084",
+	"grid/bulk/M32/quant": "217a308af103f4349ea8f929764ae7d5950f594c6d7988b00043861ec024a01e",
+}
+
+func TestTreeIdentityGolden(t *testing.T) {
+	for _, sc := range identityScripts {
+		data := sc.data()
+		ids := make([]int, sc.bulk)
+		for i := range ids {
+			ids[i] = i
+		}
+		tr := BulkLoadIDs(data, ids, sc.opts)
+		for i := sc.bulk; i < data.Rows(); i++ {
+			tr.Insert(i)
+		}
+		if msg := tr.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: invariant violated: %s", sc.name, msg)
+		}
+		if sc.opts.MaxEntries != 0 && tr.Height() < 5 {
+			t.Fatalf("%s: height %d does not exercise internal splits", sc.name, tr.Height())
+		}
+		got := tr.digest()
+		if want := goldenDigests[sc.name]; got != want {
+			t.Errorf("%s: digest %s, want %s (height %d)", sc.name, got, want, tr.Height())
+		}
+	}
+}
+
+// oracleOverlapEnlargement is the textbook formulation bestChild's bounded
+// sum must agree with: the full sum over all siblings, through materialised
+// rectangles.
+func oracleOverlapEnlargement(children []*node, i int, r Rect) float64 {
+	enlarged := children[i].rect.Enlarged(r)
+	var delta float64
+	for j, c := range children {
+		if j == i {
+			continue
+		}
+		delta += enlarged.OverlapArea(c.rect) - children[i].rect.OverlapArea(c.rect)
+	}
+	return delta
+}
+
+// oracleBestChild is ChooseSubtree over leaves with every candidate's
+// overlap enlargement summed to the end.
+func oracleBestChild(children []*node, r Rect) *node {
+	enlargement := func(c *node) float64 { return c.rect.Enlarged(r).Area() - c.rect.Area() }
+	best := children[0]
+	bestOverlap := oracleOverlapEnlargement(children, 0, r)
+	bestEnl, bestArea := enlargement(best), best.rect.Area()
+	for i := 1; i < len(children); i++ {
+		c := children[i]
+		ov := oracleOverlapEnlargement(children, i, r)
+		if ov > bestOverlap {
+			continue
+		}
+		enl, area := enlargement(c), c.rect.Area()
+		if ov < bestOverlap || enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestOverlap, bestEnl, bestArea = c, ov, enl, area
+		}
+	}
+	return best
+}
+
+func TestBestChildMatchesUnboundedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 4000; trial++ {
+		dim := 1 + rng.Intn(10)
+		// Odd trials live on a coarse grid: coincident faces, zero-volume
+		// and duplicate rectangles, points on corners.
+		coord := func() float32 { return float32(rng.NormFloat64() * 10) }
+		if trial%2 == 1 {
+			coord = func() float32 { return float32(rng.Intn(5)) }
+		}
+		randRect := func(point bool) Rect {
+			r := newRect(dim)
+			for d := 0; d < dim; d++ {
+				a, b := coord(), coord()
+				if point {
+					b = a
+				}
+				r.Min[d], r.Max[d] = min(a, b), max(a, b)
+			}
+			return r
+		}
+		parent := &node{level: 1}
+		for n := 2 + rng.Intn(32); n > 0; n-- {
+			c := &node{leaf: true, rect: randRect(rng.Intn(8) == 0)}
+			if k := len(parent.children); k > 0 && rng.Intn(6) == 0 {
+				c.rect = parent.children[rng.Intn(k)].rect.clone()
+			}
+			parent.children = append(parent.children, c)
+		}
+		tr := New(vec.NewMatrix(0, dim), Options{})
+		tr.scr() // bestChild runs beneath Insert, which creates the scratch
+		r := randRect(trial%4 != 3)
+		if got, want := tr.bestChild(parent, r), oracleBestChild(parent.children, r); got != want {
+			t.Fatalf("trial %d (dim %d, %d children): bounded ChooseSubtree picked a different child",
+				trial, dim, len(parent.children))
+		}
+	}
+}
+
+// TestSortPairsMatchesSortSlice pins what the same-tree guarantee borrows
+// from the standard library: sorting extracted pairs with slices.SortFunc
+// permutes them exactly as sort.Slice permutes the entries themselves,
+// equal keys included.
+func TestSortPairsMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(90)
+		spread := 1 + rng.Intn(12) // few distinct keys: many ties
+		keys := make([]float32, n)
+		ids := make([]int32, n)
+		pairs := make([]sortPair, n)
+		for i := range keys {
+			keys[i] = float32(rng.Intn(spread))
+			ids[i] = int32(i)
+			pairs[i] = sortPair{float64(keys[i]), int32(i)}
+		}
+		sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] < keys[ids[b]] })
+		slices.SortFunc(pairs, byKey)
+		for i := range ids {
+			if pairs[i].idx != ids[i] {
+				t.Fatalf("trial %d (n=%d): permutations diverge at %d", trial, n, i)
+			}
+		}
+	}
+}

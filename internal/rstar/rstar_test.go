@@ -396,12 +396,59 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 	}
 }
 
+// bulkThenInsert returns a Quantize-on tree STR-packed over the first base
+// rows of data, the rest left for Insert — the production shape: a shard's
+// trees are bulk-loaded at build and compaction time and grow by Insert in
+// between.
+func bulkThenInsert(data *vec.Matrix, base int) *Tree {
+	ids := make([]int, base)
+	for i := range ids {
+		ids[i] = i
+	}
+	return BulkLoadIDs(data, ids, Options{Quantize: true})
+}
+
+// BenchmarkInsert times Insert into a bulk-loaded 100k×10 tree. Every 2 000
+// inserts the tree is re-packed off the clock, so ns/op is the cost of the
+// first inserts after a bulk load (each lands in a full leaf: forced
+// reinsertion, then splits) whatever b.N is.
 func BenchmarkInsert(b *testing.B) {
-	data := randomMatrix(100_000, 10, 1)
-	tr := New(data, Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N && i < data.Rows(); i++ {
-		tr.Insert(i)
+	const base, extra = 100_000, 2_000
+	data := randomMatrix(base+extra, 10, 1)
+	b.ReportAllocs()
+	var tr *Tree
+	for i := 0; i < b.N; i++ {
+		if i%extra == 0 {
+			b.StopTimer()
+			tr = bulkThenInsert(data, base)
+			b.StartTimer()
+		}
+		tr.Insert(base + i%extra)
+	}
+}
+
+// TestInsertAllocCeiling pins the allocation removal: once the per-tree
+// scratch exists, an Insert allocates only for nodes it creates and leaf
+// slices it grows — 2–3 per insert here, where the old path made ~660. The
+// ceiling also holds under -race, where append growth is not extended in
+// place.
+func TestInsertAllocCeiling(t *testing.T) {
+	const base, warm, runs = 20_000, 100, 400
+	data := randomMatrix(base+warm+runs+1, 10, 2)
+	tr := bulkThenInsert(data, base)
+	next := base
+	for ; next < base+warm; next++ {
+		tr.Insert(next)
+	}
+	avg := testing.AllocsPerRun(runs, func() {
+		tr.Insert(next)
+		next++
+	})
+	if avg > 20 {
+		t.Fatalf("Insert after bulk load: %.1f allocs/op, ceiling 20", avg)
+	}
+	if msg := tr.CheckInvariants(); msg != "" {
+		t.Fatalf("invariant violated: %s", msg)
 	}
 }
 

@@ -1,6 +1,6 @@
 package rstar
 
-import "sort"
+import "slices"
 
 // performSplit splits an overflowing node using the R*-tree topological
 // split: choose the split axis by minimum total margin over all candidate
@@ -14,130 +14,186 @@ func (t *Tree) performSplit(n *node) *node {
 	return t.splitInternal(n)
 }
 
-// splitCandidate is one way of cutting a sorted entry sequence in two.
-type splitCandidate struct {
-	axis     int
-	useUpper bool // sort by upper face instead of lower (internal nodes)
-	cut      int  // first group is entries[:cut]
-	overlap  float64
-	area     float64
+// splitScratch is chooseSplit's working memory, sized once for M+1 entries.
+type splitScratch struct {
+	lo, hi   []float32 // flat copies of an internal node's child rectangles
+	run      Rect      // the MBR a sweep is growing
+	prefix   []float32 // MBR of pairs[:cut] for every candidate cut, Min then Max
+	pre, suf []float64 // per cut: margin of the first / second group
+	ov, area []float64 // per cut: overlap and combined area of the groups
 }
 
-func (t *Tree) splitLeaf(n *node) *node {
-	m := t.opts.MinEntries
-	ids := n.ids
-	total := len(ids)
+func newSplitScratch(dim, total int) splitScratch {
+	return splitScratch{
+		lo:     make([]float32, total*dim),
+		hi:     make([]float32, total*dim),
+		run:    newRect(dim),
+		prefix: make([]float32, (total+1)*2*dim),
+		pre:    make([]float64, total+1),
+		suf:    make([]float64, total+1),
+		ov:     make([]float64, total+1),
+		area:   make([]float64, total+1),
+	}
+}
 
-	bestAxis := -1
+// chooseSplit decides the R* split of total entries whose rectangles are
+// lo[e·dim:(e+1)·dim] … hi[e·dim:(e+1)·dim] for e in stored order. faces is
+// 1 for points (lo aliases hi, one sort per axis) and 2 for rectangles
+// (sorted by lower, then by upper face). It returns the entries in split
+// order as t.scratch.pairs and the cut: the first group is pairs[:cut].
+//
+// Each candidate order is swept once from either end with a running MBR, so
+// the two group rectangles of every cut cost O(dim) instead of a rebuild;
+// min and max are exact, so the rectangles — and the margins, overlaps and
+// areas computed from them, in the same order as ever — are bit-identical
+// to rebuilt ones. The sorts run in the original sequence (each axis and
+// face from the order the previous one left, the winner once more at the
+// end), because an unstable sort's placement of equal keys depends on its
+// input order and decides which entry falls on which side of a cut.
+func (t *Tree) chooseSplit(lo, hi []float32, total, faces int) ([]sortPair, int) {
+	s := t.scratch
+	sp := &s.split
+	m := t.opts.MinEntries
+
+	pairs := s.pairs[:0]
+	for e := 0; e < total; e++ {
+		pairs = append(pairs, sortPair{idx: int32(e)})
+	}
+	s.pairs = pairs
+
+	bestAxis, bestFace := -1, lo
 	var bestMargin float64
-	// Choose axis: minimize the sum of margins over all distributions.
 	for axis := 0; axis < t.dim; axis++ {
-		t.sortIDsByAxis(ids, axis)
-		margin := 0.0
-		for cut := m; cut <= total-m; cut++ {
-			r1 := t.rectOfIDs(ids[:cut])
-			r2 := t.rectOfIDs(ids[cut:])
-			margin += r1.Margin() + r2.Margin()
-		}
-		if bestAxis == -1 || margin < bestMargin {
-			bestAxis, bestMargin = axis, margin
+		face := lo
+		for f := 0; f < faces; f++ {
+			t.sortByFace(pairs, face, axis)
+			t.sweep(pairs, lo, hi, false)
+			margin := 0.0
+			for cut := m; cut <= total-m; cut++ {
+				margin += sp.pre[cut] + sp.suf[cut]
+			}
+			if bestAxis == -1 || margin < bestMargin {
+				bestAxis, bestFace, bestMargin = axis, face, margin
+			}
+			face = hi
 		}
 	}
 
-	// Choose index on the best axis: minimize overlap, ties by area.
-	t.sortIDsByAxis(ids, bestAxis)
+	t.sortByFace(pairs, bestFace, bestAxis)
+	t.sweep(pairs, lo, hi, true)
 	bestCut := -1
 	var bestOverlap, bestArea float64
 	for cut := m; cut <= total-m; cut++ {
-		r1 := t.rectOfIDs(ids[:cut])
-		r2 := t.rectOfIDs(ids[cut:])
-		ov := r1.OverlapArea(r2)
-		area := r1.Area() + r2.Area()
+		ov, area := sp.ov[cut], sp.area[cut]
 		if bestCut == -1 || ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
 			bestCut, bestOverlap, bestArea = cut, ov, area
 		}
 	}
+	return pairs, bestCut
+}
 
-	siblingIDs := append([]int32(nil), ids[bestCut:]...)
-	n.ids = ids[:bestCut]
+// sortByFace sorts pairs by the entries' coordinate on one face and axis.
+func (t *Tree) sortByFace(pairs []sortPair, face []float32, axis int) {
+	for k := range pairs {
+		pairs[k].key = float64(face[int(pairs[k].idx)*t.dim+axis])
+	}
+	slices.SortFunc(pairs, byKey)
+}
+
+// sweep fills the per-cut tables for the current order of pairs: pre and suf
+// (group margins) when choosing the axis, ov and area when choosing the cut.
+func (t *Tree) sweep(pairs []sortPair, lo, hi []float32, chooseCut bool) {
+	sp := &t.scratch.split
+	dim, m, total := t.dim, t.opts.MinEntries, len(pairs)
+	run := sp.run
+	entry := func(k int) Rect {
+		off := int(pairs[k].idx) * dim
+		return Rect{Min: lo[off : off+dim], Max: hi[off : off+dim]}
+	}
+	prefixAt := func(cut int) Rect {
+		b := sp.prefix[cut*2*dim : (cut+1)*2*dim]
+		return Rect{Min: b[:dim], Max: b[dim:]}
+	}
+
+	// Forward: run is the MBR of pairs[:k].
+	run.set(entry(0))
+	for k := 1; k <= total-m; k++ {
+		if k >= m {
+			if chooseCut {
+				p := prefixAt(k)
+				p.set(run)
+			} else {
+				sp.pre[k] = run.Margin()
+			}
+		}
+		run.ExpandInPlace(entry(k))
+	}
+	// Backward: run is the MBR of pairs[k:].
+	run.set(entry(total - 1))
+	for k := total - 1; k >= m; k-- {
+		if k <= total-m {
+			if chooseCut {
+				p := prefixAt(k)
+				sp.ov[k] = p.OverlapArea(run)
+				sp.area[k] = p.Area() + run.Area()
+			} else {
+				sp.suf[k] = run.Margin()
+			}
+		}
+		run.ExpandInPlace(entry(k - 1))
+	}
+}
+
+func (t *Tree) splitLeaf(n *node) *node {
+	total := len(n.ids)
+	// A leaf's entries are points: both faces are its coordinate mirror.
+	pairs, cut := t.chooseSplit(n.coords, n.coords, total, 1)
+	for k, e := range pairs {
+		pairs[k].idx = n.ids[e.idx] // position → id, before n.ids is rewritten
+	}
+	// The sibling will see inserts of its own; give it room for M+1 entries
+	// so they do not reallocate.
+	room := t.opts.MaxEntries + 1
+	sibling := &node{
+		leaf:   true,
+		ids:    make([]int32, 0, room),
+		coords: make([]float32, 0, room*t.dim),
+		keys:   make([]float32, 0, room),
+	}
+	n.ids = n.ids[:0]
+	for _, e := range pairs[:cut] {
+		n.ids = append(n.ids, e.idx)
+	}
+	for _, e := range pairs[cut:] {
+		sibling.ids = append(sibling.ids, e.idx)
+	}
 	t.recomputeLeafRect(n)
 	t.finalizeLeaf(n)
-	sibling := &node{leaf: true, level: 0, ids: siblingIDs}
 	t.recomputeLeafRect(sibling)
 	t.finalizeLeaf(sibling)
 	return sibling
 }
 
 func (t *Tree) splitInternal(n *node) *node {
-	m := t.opts.MinEntries
-	children := n.children
-	total := len(children)
-
-	bestAxis, bestUpper := -1, false
-	var bestMargin float64
-	for axis := 0; axis < t.dim; axis++ {
-		for _, upper := range []bool{false, true} {
-			sortNodesByAxis(children, axis, upper)
-			margin := 0.0
-			for cut := m; cut <= total-m; cut++ {
-				r1 := rectOfNodes(children[:cut])
-				r2 := rectOfNodes(children[cut:])
-				margin += r1.Margin() + r2.Margin()
-			}
-			if bestAxis == -1 || margin < bestMargin {
-				bestAxis, bestUpper, bestMargin = axis, upper, margin
-			}
-		}
+	total := len(n.children)
+	s := t.scratch
+	sp := &s.split
+	for e, c := range n.children {
+		copy(sp.lo[e*t.dim:], c.rect.Min)
+		copy(sp.hi[e*t.dim:], c.rect.Max)
 	}
+	pairs, cut := t.chooseSplit(sp.lo, sp.hi, total, 2)
 
-	sortNodesByAxis(children, bestAxis, bestUpper)
-	bestCut := -1
-	var bestOverlap, bestArea float64
-	for cut := m; cut <= total-m; cut++ {
-		r1 := rectOfNodes(children[:cut])
-		r2 := rectOfNodes(children[cut:])
-		ov := r1.OverlapArea(r2)
-		area := r1.Area() + r2.Area()
-		if bestCut == -1 || ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
-			bestCut, bestOverlap, bestArea = cut, ov, area
-		}
+	s.nodes = s.nodes[:0]
+	for _, e := range pairs {
+		s.nodes = append(s.nodes, n.children[e.idx])
 	}
-
-	siblingChildren := append([]*node(nil), children[bestCut:]...)
-	n.children = children[:bestCut]
+	sibling := &node{
+		level:    n.level,
+		children: append(make([]*node, 0, t.opts.MaxEntries+1), s.nodes[cut:]...),
+	}
+	n.children = append(n.children[:0], s.nodes[:cut]...)
 	recomputeRect(n)
-	sibling := &node{leaf: false, level: n.level, children: siblingChildren}
 	recomputeRect(sibling)
 	return sibling
-}
-
-func (t *Tree) sortIDsByAxis(ids []int32, axis int) {
-	sort.Slice(ids, func(a, b int) bool {
-		return t.point(ids[a])[axis] < t.point(ids[b])[axis]
-	})
-}
-
-func sortNodesByAxis(ns []*node, axis int, upper bool) {
-	sort.Slice(ns, func(a, b int) bool {
-		if upper {
-			return ns[a].rect.Max[axis] < ns[b].rect.Max[axis]
-		}
-		return ns[a].rect.Min[axis] < ns[b].rect.Min[axis]
-	})
-}
-
-func (t *Tree) rectOfIDs(ids []int32) Rect {
-	r := PointRect(t.point(ids[0]))
-	for _, id := range ids[1:] {
-		r.ExpandPoint(t.point(id))
-	}
-	return r
-}
-
-func rectOfNodes(ns []*node) Rect {
-	r := ns[0].rect.clone()
-	for _, c := range ns[1:] {
-		r.ExpandInPlace(c.rect)
-	}
-	return r
 }

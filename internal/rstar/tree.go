@@ -3,7 +3,7 @@ package rstar
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dblsh/internal/vec"
 )
@@ -120,9 +120,80 @@ type Tree struct {
 	// went stale and must be re-armed (see Cursor.Synced).
 	version uint64
 
-	// reinsertedAtLevel tracks which levels already did a forced reinsert
-	// during the current insertion (R* performs at most one per level).
-	reinsertedAtLevel map[int]bool
+	// reinserted has bit l set once level l did its forced reinsert during
+	// the current Insert (R* performs at most one per level; a tree over
+	// int32 ids is far shallower than 64 levels).
+	reinserted uint64
+
+	// scratch holds every buffer the mutation path works in, so that an
+	// Insert allocates only for nodes it creates and slices it grows.
+	// Created on first use; never shared with queries.
+	scratch *insertScratch
+}
+
+// insertScratch is the mutation path's working memory. One descent, sort, sweep
+// or eviction is in flight per buffer at any time — insertion recurses
+// (forced reinsertion re-enters insertPoint/insertSubtree), but every
+// caller is done with path, pairs, grown and center before it recurses, and
+// the eviction lists are a stack (evictedNodes) or written once per Insert
+// (evictedIDs, by the single leaf-level reinsertion).
+type insertScratch struct {
+	path         []*node    // root-to-target path of the latest descent
+	pairs        []sortPair // the entry sequence being sorted
+	grown        Rect       // bestChild: a candidate enlarged by the new entry
+	center       []float32  // forceReinsert: centre of the overflowing node
+	evictedIDs   []int32
+	evictedNodes []*node
+	nodes        []*node // regrouped children
+	split        splitScratch
+}
+
+// scr returns the scratch, creating it on first use. Insert and
+// finalizeLeaf (which bulk loading reaches without an Insert) call it;
+// everything beneath them reads t.scratch directly.
+func (t *Tree) scr() *insertScratch {
+	if t.scratch == nil {
+		t.scratch = &insertScratch{
+			grown:  newRect(t.dim),
+			center: make([]float32, t.dim),
+			split:  newSplitScratch(t.dim, t.opts.MaxEntries+1),
+		}
+	}
+	return t.scratch
+}
+
+// sortPair is one entry of a sequence being sorted: its sort key and which
+// entry it is. Sorting extracted pairs instead of the entries themselves
+// keeps the comparator free of pointer chasing and of sort.Slice's
+// reflection swapper.
+type sortPair struct {
+	key float64 // float32 keys widen exactly, so comparisons are unchanged
+	idx int32
+}
+
+// byKey orders pairs by key alone. slices.SortFunc and sort.Slice are
+// instances of one pdqsort template that consults only "less", so sorting
+// pairs under byKey applies the very permutation sort.Slice applied to the
+// entries under "key[a] < key[b]" — including which of several equal keys
+// lands where, which decides group membership at a split cut and eviction
+// at a distance tie (TestSortPairsMatchesSortSlice pins this).
+func byKey(a, b sortPair) int {
+	if a.key < b.key {
+		return -1
+	}
+	if a.key > b.key {
+		return 1
+	}
+	return 0
+}
+
+// byKeyThenIdx is a total order (idx values are distinct), so any correct
+// sort yields the same sequence.
+func byKeyThenIdx(a, b sortPair) int {
+	if c := byKey(a, b); c != 0 {
+		return c
+	}
+	return int(a.idx) - int(b.idx)
 }
 
 // New creates an empty R*-tree over data's rows. No rows are indexed yet;
@@ -135,12 +206,8 @@ func New(data *vec.Matrix, opts Options) *Tree {
 		data: data,
 		opts: opts.withDefaults(),
 		dim:  data.Dim(),
-		root: &node{leaf: true, rect: emptyRect(data.Dim())},
+		root: &node{leaf: true, rect: newRect(data.Dim())},
 	}
-}
-
-func emptyRect(dim int) Rect {
-	return Rect{Min: make([]float32, dim), Max: make([]float32, dim)}
 }
 
 // Size returns the number of indexed points.
@@ -159,13 +226,35 @@ func (t *Tree) Bounds() Rect { return t.root.rect.clone() }
 // point returns the coordinates of entry id.
 func (t *Tree) point(id int32) []float32 { return t.data.Row(int(id)) }
 
-// Insert indexes row id of the data matrix using R* insertion with forced
-// reinsertion.
+// Insert indexes row id of the data matrix using R* insertion (Beckmann et
+// al.): ChooseSubtree by least overlap enlargement above the leaves and
+// least area enlargement higher up, forced reinsertion of the 30 % of
+// entries farthest from the centre on a level's first overflow, the
+// topological split afterwards.
+//
+// Cost model: one descent is O(M²·dim) at worst at the leaf-parent level
+// (bounded, see bestChild), and an Insert is rarely one descent. STR
+// packing leaves every leaf full, so the first Insert that touches a packed
+// leaf overflows it and force-reinserts ⌊0.3·(M+1)+½⌋ = 10 of its entries
+// (M = 32); each is a further descent that usually lands in another full
+// leaf, which — level 0 having had its reinsertion — splits. An Insert
+// into a freshly packed tree is therefore ~11 descents and a few splits;
+// the cost falls as inserts loosen the leaves. Steady state allocates only
+// for the nodes a split creates and the slices of a leaf grown past its
+// packed capacity.
+//
+// Same-tree guarantee: every comparison the algorithm makes — chosen child,
+// evicted entries and their order, split axis, face and cut, tie-breaks
+// included — is decided on bit-identical values in the original order, so
+// the tree is the one the straightforward O(M²·dim)-per-step formulation
+// builds, node for node (TestTreeIdentityGolden). The guarantee assumes
+// finite coordinates whose rectangle volumes do not overflow float64.
 func (t *Tree) Insert(id int) {
 	if id < 0 || id >= t.data.Rows() {
 		panic(fmt.Sprintf("rstar: insert id %d out of range [0,%d)", id, t.data.Rows()))
 	}
-	t.reinsertedAtLevel = map[int]bool{}
+	t.reinserted = 0
+	t.scr()
 	t.insertPoint(int32(id))
 	t.size++
 	t.version++
@@ -179,7 +268,7 @@ func (t *Tree) Version() uint64 { return t.version }
 
 func (t *Tree) insertPoint(id int32) {
 	p := t.point(id)
-	r := PointRect(p)
+	r := Rect{Min: p, Max: p} // read-only view of the row; never retained
 	path := t.descend(r, 0)
 	leafN := path[len(path)-1]
 	wasEmpty := len(leafN.ids) == 0
@@ -208,7 +297,10 @@ func (t *Tree) insertPoint(id int32) {
 	leafN.coords = append(leafN.coords, p...)
 	copy(leafN.coords[(pos+1)*t.dim:], leafN.coords[pos*t.dim:len(leafN.coords)-t.dim])
 	copy(leafN.coords[pos*t.dim:(pos+1)*t.dim], p)
-	t.quantizeLeaf(leafN)
+	if len(leafN.ids) <= t.opts.MaxEntries {
+		// An overflowing leaf is refitted by the reinsertion or split below.
+		t.quantizeLeaf(leafN)
+	}
 
 	t.expandPath(path, r, wasEmpty)
 	t.handleOverflow(path)
@@ -230,13 +322,16 @@ func (t *Tree) finalizeLeaf(n *node) {
 		}
 	}
 	n.sortAxis = uint16(axis)
-	sort.Slice(n.ids, func(a, b int) bool {
-		va, vb := t.point(n.ids[a])[axis], t.point(n.ids[b])[axis]
-		if va != vb {
-			return va < vb
-		}
-		return n.ids[a] < n.ids[b]
-	})
+	s := t.scr()
+	pairs := s.pairs[:0]
+	for _, id := range n.ids {
+		pairs = append(pairs, sortPair{float64(t.point(id)[axis]), id})
+	}
+	s.pairs = pairs
+	slices.SortFunc(pairs, byKeyThenIdx)
+	for j, p := range pairs {
+		n.ids[j] = p.idx
+	}
 	t.rebuildLeafCoords(n)
 }
 
@@ -271,7 +366,14 @@ func (t *Tree) quantizeLeaf(n *node) {
 		return
 	}
 	if cap(n.qcoords) < len(n.coords) {
-		n.qcoords = make([]int8, len(n.coords))
+		// Exact for a leaf's first twin (bulk loading builds thousands and
+		// most are never touched again); a twin being outgrown belongs to a
+		// leaf taking inserts, so follow the mirror's amortized capacity.
+		room := len(n.coords)
+		if n.qcoords != nil {
+			room = cap(n.coords)
+		}
+		n.qcoords = make([]int8, len(n.coords), room)
 	}
 	n.qcoords = n.qcoords[:len(n.coords)]
 	if len(n.coords) == 0 {
@@ -349,13 +451,14 @@ func (t *Tree) insertSubtree(sub *node) {
 // descend walks from the root to a node at targetLevel, choosing children by
 // the R* ChooseSubtree criteria, and returns the root-to-target path.
 func (t *Tree) descend(r Rect, targetLevel int) []*node {
+	s := t.scratch
 	n := t.root
-	path := make([]*node, 1, n.level+1)
-	path[0] = n
+	path := append(s.path[:0], n)
 	for n.level > targetLevel {
 		n = t.bestChild(n, r)
 		path = append(path, n)
 	}
+	s.path = path
 	return path
 }
 
@@ -365,7 +468,7 @@ func (t *Tree) descend(r Rect, targetLevel int) []*node {
 func (t *Tree) expandPath(path []*node, r Rect, targetWasEmpty bool) {
 	last := len(path) - 1
 	if targetWasEmpty {
-		path[last].rect = r.clone()
+		path[last].rect.set(r)
 	} else {
 		path[last].rect.ExpandInPlace(r)
 	}
@@ -382,8 +485,8 @@ func (t *Tree) handleOverflow(path []*node) {
 		if n.entryCount() <= t.opts.MaxEntries {
 			return
 		}
-		if n != t.root && !t.reinsertedAtLevel[n.level] {
-			t.reinsertedAtLevel[n.level] = true
+		if bit := uint64(1) << uint(n.level); n != t.root && t.reinserted&bit == 0 {
+			t.reinserted |= bit
 			t.forceReinsert(n, path[:i+1])
 			return
 		}
@@ -405,43 +508,68 @@ func (t *Tree) handleOverflow(path []*node) {
 
 // forceReinsert evicts the entries of n farthest from its centre, tightens
 // the rectangles along the path, and re-inserts the evicted entries from the
-// top (R* forced reinsertion).
+// top (R* forced reinsertion). path is dead once the rectangles are tight;
+// the reinsertions reuse its storage.
 func (t *Tree) forceReinsert(n *node, path []*node) {
 	p := int(float64(t.opts.MaxEntries+1)*reinsertFraction + 0.5)
 	if p < 1 {
 		p = 1
 	}
-	center := n.rect.Center(nil)
-	centerRect := Rect{Min: center, Max: center}
+	s := t.scratch
+	center := n.rect.Center(s.center)
+
+	// Farthest first: ascending on the negated distance is the same
+	// comparison as descending on the distance.
+	pairs := s.pairs[:0]
+	if n.leaf {
+		for j, id := range n.ids {
+			pairs = append(pairs, sortPair{-pointDistSq(center, n.entry(j, t.dim)), id})
+		}
+	} else {
+		centerRect := Rect{Min: center, Max: center}
+		for j, c := range n.children {
+			pairs = append(pairs, sortPair{-c.rect.CenterDistSq(centerRect), int32(j)})
+		}
+	}
+	s.pairs = pairs
+	slices.SortFunc(pairs, byKey)
 
 	if n.leaf {
-		ids := n.ids
-		sort.Slice(ids, func(a, b int) bool {
-			return pointDistSq(center, t.point(ids[a])) > pointDistSq(center, t.point(ids[b]))
-		})
-		evicted := append([]int32(nil), ids[:p]...)
-		n.ids = ids[p:]
+		s.evictedIDs = s.evictedIDs[:0]
+		for _, e := range pairs[:p] {
+			s.evictedIDs = append(s.evictedIDs, e.idx)
+		}
+		n.ids = n.ids[:0]
+		for _, e := range pairs[p:] {
+			n.ids = append(n.ids, e.idx)
+		}
 		t.recomputeLeafRect(n)
 		t.finalizeLeaf(n)
 		tightenPath(path)
 		// Close reinsert: nearest evictions first.
-		for i := len(evicted) - 1; i >= 0; i-- {
-			t.insertPoint(evicted[i])
+		for i := p - 1; i >= 0; i-- {
+			t.insertPoint(s.evictedIDs[i])
 		}
 		return
 	}
 
-	children := n.children
-	sort.Slice(children, func(a, b int) bool {
-		return children[a].rect.CenterDistSq(centerRect) > children[b].rect.CenterDistSq(centerRect)
-	})
-	evicted := append([]*node(nil), children[:p]...)
-	n.children = children[p:]
+	// Reinsertions one level up may evict in turn, so this level's list is
+	// a frame on a stack, addressed by index because the stack may move.
+	base := len(s.evictedNodes)
+	for _, e := range pairs[:p] {
+		s.evictedNodes = append(s.evictedNodes, n.children[e.idx])
+	}
+	s.nodes = s.nodes[:0]
+	for _, e := range pairs[p:] {
+		s.nodes = append(s.nodes, n.children[e.idx])
+	}
+	n.children = append(n.children[:0], s.nodes...)
 	recomputeRect(n)
 	tightenPath(path)
-	for i := len(evicted) - 1; i >= 0; i-- {
-		t.insertSubtree(evicted[i])
+	for i := p - 1; i >= 0; i-- {
+		t.insertSubtree(s.evictedNodes[base+i])
 	}
+	s.evictedNodes = s.evictedNodes[:base]
 }
 
 // tightenPath recomputes the rectangles of the interior nodes on a
@@ -456,7 +584,7 @@ func recomputeRect(n *node) {
 	if n.leaf || len(n.children) == 0 {
 		return
 	}
-	n.rect = n.children[0].rect.clone()
+	n.rect.set(n.children[0].rect)
 	for _, c := range n.children[1:] {
 		n.rect.ExpandInPlace(c.rect)
 	}
@@ -464,10 +592,11 @@ func recomputeRect(n *node) {
 
 func (t *Tree) recomputeLeafRect(n *node) {
 	if len(n.ids) == 0 {
-		n.rect = emptyRect(t.dim)
+		n.rect = newRect(t.dim)
 		return
 	}
-	n.rect = PointRect(t.point(n.ids[0]))
+	p := t.point(n.ids[0])
+	n.rect.set(Rect{Min: p, Max: p})
 	for _, id := range n.ids[1:] {
 		n.rect.ExpandPoint(t.point(id))
 	}
@@ -475,59 +604,74 @@ func (t *Tree) recomputeLeafRect(n *node) {
 
 // bestChild picks the child of n to descend into when inserting rect r.
 // For nodes whose children are leaves, R* minimizes overlap enlargement;
-// higher up it minimizes area enlargement. Ties break by smaller area.
+// higher up it minimizes area enlargement. Ties break by smaller area
+// enlargement, then smaller area.
 func (t *Tree) bestChild(n *node, r Rect) *node {
 	children := n.children
 	if len(children) == 0 {
 		panic("rstar: bestChild on node without children")
 	}
-	if children[0].leaf {
-		best := children[0]
-		bestOverlap := overlapEnlargement(children, 0, r)
-		bestEnl := children[0].rect.EnlargementArea(r)
-		bestArea := children[0].rect.Area()
-		for i := 1; i < len(children); i++ {
-			c := children[i]
-			ov := overlapEnlargement(children, i, r)
-			if ov > bestOverlap {
-				continue
-			}
-			enl := c.rect.EnlargementArea(r)
-			area := c.rect.Area()
-			if ov < bestOverlap ||
-				(enl < bestEnl) ||
-				(enl == bestEnl && area < bestArea) {
-				best, bestOverlap, bestEnl, bestArea = c, ov, enl, area
+	best := children[0]
+	bestEnl, bestArea := best.rect.EnlargementArea(r)
+	if !best.leaf {
+		for _, c := range children[1:] {
+			enl, area := c.rect.EnlargementArea(r)
+			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+				best, bestEnl, bestArea = c, enl, area
 			}
 		}
 		return best
 	}
-	best := children[0]
-	bestEnl := children[0].rect.EnlargementArea(r)
-	bestArea := children[0].rect.Area()
+	grown := t.scratch.grown
+	bestOverlap, _ := overlapEnlargement(children, 0, r, grown, math.Inf(1))
 	for i := 1; i < len(children); i++ {
+		ov, ok := overlapEnlargement(children, i, r, grown, bestOverlap)
+		if !ok {
+			continue
+		}
 		c := children[i]
-		enl := c.rect.EnlargementArea(r)
-		area := c.rect.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = c, enl, area
+		enl, area := c.rect.EnlargementArea(r)
+		if ov < bestOverlap ||
+			(enl < bestEnl) ||
+			(enl == bestEnl && area < bestArea) {
+			best, bestOverlap, bestEnl, bestArea = c, ov, enl, area
 		}
 	}
 	return best
 }
 
 // overlapEnlargement computes how much the overlap between children[i] and
-// its siblings grows if children[i] is enlarged to cover r.
-func overlapEnlargement(children []*node, i int, r Rect) float64 {
-	enlarged := children[i].rect.Enlarged(r)
-	var delta float64
+// its siblings grows if children[i] is enlarged to cover r — as long as the
+// sum stays within bound; ok is false as soon as it exceeds it. Abandoning
+// is exact, not approximate: the enlarged rect contains the original, so on
+// every axis its intersection with a sibling is at least as long, float
+// subtraction, widening and multiplication of non-negative factors are
+// monotone, and every term is therefore ≥ 0 — a partial sum above bound
+// means the full sum is above bound. Sums that are not abandoned add the
+// same terms in the same order as the unbounded loop (skipped terms are
+// exact zeros), so they are bit-identical. grown is scratch for the
+// enlarged rect.
+func overlapEnlargement(children []*node, i int, r Rect, grown Rect, bound float64) (delta float64, ok bool) {
+	own := children[i].rect
+	if own.ContainsRect(r) {
+		return 0, true // nothing grows: every term is x − x
+	}
+	grown.set(own)
+	grown.ExpandInPlace(r)
 	for j, c := range children {
 		if j == i {
 			continue
 		}
-		delta += enlarged.OverlapArea(c.rect) - children[i].rect.OverlapArea(c.rect)
+		after := grown.OverlapArea(c.rect)
+		if after == 0 {
+			continue // the smaller intersection before is empty too
+		}
+		delta += after - own.OverlapArea(c.rect)
+		if delta > bound {
+			return delta, false
+		}
 	}
-	return delta
+	return delta, true
 }
 
 func pointDistSq(a, b []float32) float64 {

@@ -110,9 +110,13 @@ type Set struct {
 	metrics atomic.Pointer[Metrics]
 }
 
-// Metrics reports the set's compaction activity. Fields are optional (obs
-// metric types are nil-safe).
+// Metrics reports the set's compaction and write-path activity. Fields are
+// optional (obs metric types are nil-safe).
 type Metrics struct {
+	// InsertSeconds is how long an Add (or a replayed AddAt) holds its
+	// shard's write lock inside the index insert — the stall it imposes on
+	// that shard's searches.
+	InsertSeconds *obs.Histogram
 	// CompactionRuns counts completed compactions that actually rebuilt a
 	// shard (clean shards short-circuit and are not counted).
 	CompactionRuns *obs.Counter
@@ -120,7 +124,7 @@ type Metrics struct {
 	CompactionSeconds *obs.Histogram
 }
 
-// SetMetrics installs (or replaces) the compaction metrics. Safe to call
+// SetMetrics installs (or replaces) the set's metrics. Safe to call
 // at any time, including while compactions are in flight.
 func (s *Set) SetMetrics(m Metrics) {
 	s.metrics.Store(&m)
@@ -458,18 +462,34 @@ func (s *Set) Add(v []float32) int {
 	stride := len(s.shards)
 	st := s.shards[g%stride]
 	st.mu.Lock()
+	st.insert(g, stride, v, s.metrics.Load())
+	st.mu.Unlock()
+	return g
+}
+
+// insert indexes v in the shard under global id g. Callers hold st.mu for
+// writing, so the time spent in the index insert — L R*-tree insertions —
+// is time every search on this shard waits; m.InsertSeconds records it.
+//
+// dblsh:locked mu
+func (st *state) insert(g, stride int, v []float32, m *Metrics) {
 	if st.localOf == nil && g != len(st.globals)*stride+st.offset {
-		// A concurrent Add with a later id won the lock first: the stripe
-		// pattern is broken for good, switch to the explicit map.
+		// An add with a later id reached the shard first: the stripe pattern
+		// is broken for good, switch to the explicit map.
 		st.materialize()
 	}
+	var start time.Time
+	if m != nil {
+		start = time.Now()
+	}
 	local := st.idx.Insert(v)
+	if m != nil {
+		m.InsertSeconds.Observe(time.Since(start).Seconds())
+	}
 	st.globals = append(st.globals, g)
 	if st.localOf != nil {
 		st.localOf[g] = local
 	}
-	st.mu.Unlock()
-	return g
 }
 
 // AddAt inserts v under the specific global id g, advancing the id
@@ -502,14 +522,7 @@ func (s *Set) AddAt(g int, v []float32) bool {
 	if st.local(g, stride) >= 0 {
 		return false // already resident (live or tombstoned)
 	}
-	if st.localOf == nil && g != len(st.globals)*stride+st.offset {
-		st.materialize()
-	}
-	local := st.idx.Insert(v)
-	st.globals = append(st.globals, g)
-	if st.localOf != nil {
-		st.localOf[g] = local
-	}
+	st.insert(g, stride, v, s.metrics.Load())
 	return true
 }
 

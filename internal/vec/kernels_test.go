@@ -268,10 +268,9 @@ func BenchmarkDistKernels(b *testing.B) {
 		if err := SetKernel(name); err != nil {
 			b.Fatal(err)
 		}
-		// No trailing -<number> in sub-benchmark names: scripts/bench.sh
-		// strips one such suffix (the GOMAXPROCS tag Go appends when
-		// GOMAXPROCS > 1), so a "-128" here would survive on some machines
-		// and vanish on others. Both pairs are dim 128.
+		// No trailing -<number> in sub-benchmark names: tools that strip the
+		// GOMAXPROCS tag Go appends when GOMAXPROCS > 1 would strip a "-128"
+		// here on some machines and not on others. Both pairs are dim 128.
 		b.Run(name+"/dot", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out[0] = Dot(q, hot)

@@ -39,6 +39,9 @@ func (idx *Index) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(idx.set.Shards()) })
 
 	idx.set.SetMetrics(shard.Metrics{
+		InsertSeconds: reg.Histogram("dblsh_shard_insert_seconds",
+			"Time an add holds its shard's write lock inside the index insert (searches on that shard wait this long).",
+			obs.LatencyBuckets()),
 		CompactionRuns: reg.Counter("dblsh_compactions_total",
 			"Completed shard compactions (manual, API and auto-triggered)."),
 		CompactionSeconds: reg.Histogram("dblsh_compaction_seconds",

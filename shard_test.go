@@ -317,16 +317,24 @@ func TestSetCompactFractionOnLoadedIndex(t *testing.T) {
 	if err := loaded.SetCompactFraction(0.4); err != nil {
 		t.Fatal(err)
 	}
-	// Crossing the threshold on a loaded index must now auto-compact.
+	// Crossing the threshold on a loaded index must now auto-compact. The
+	// deletes empty shard 0; those that land while a rebuild runs are
+	// carried over as tombstones, and once the shard has shrunk below the
+	// policy's 256-row floor it is left alone — so a completed compaction is
+	// guaranteed, zero tombstones is not (under -race the rebuild is slow
+	// enough that most deletes overtake it).
 	for g := 0; g < 1200; g += 2 {
 		loaded.Delete(g)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for loaded.Deleted() != 0 {
+	for loaded.ShardStats()[0].Compactions == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("auto-compaction never ran on loaded index; %d tombstones left", loaded.Deleted())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if left := loaded.Deleted(); left >= 600 {
+		t.Fatalf("compaction reclaimed nothing: %d tombstones left", left)
 	}
 }
 

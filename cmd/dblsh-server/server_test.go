@@ -355,6 +355,43 @@ func TestAddRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsNonFinite: the same refusal on the query side. POST
+// /search, /search_batch and /search_radius answer 400 for a coordinate that
+// is not a finite float32, whichever layer refuses it.
+func TestSearchRejectsNonFinite(t *testing.T) {
+	ts, idx := testServer(t)
+	rest := strings.Repeat(",0", idx.Dim()-1)
+	for _, coord := range []string{"NaN", "Infinity", `"NaN"`, "1e39", "-1e39", "1e999"} {
+		for path, body := range map[string]string{
+			"/search":        `{"vector":[` + coord + rest + `],"k":3}`,
+			"/search_batch":  `{"vectors":[[0` + rest + `],[` + coord + rest + `]],"k":3}`,
+			"/search_radius": `{"vector":[` + coord + rest + `],"radius":1}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s coordinate %s: status %d, want 400", path, coord, resp.StatusCode)
+			}
+		}
+	}
+	// The library's own refusal maps to 400 as well: drive the handlers'
+	// error path with a query only Go can spell.
+	q := make([]float32, idx.Dim())
+	q[0] = float32(math.Inf(1))
+	_, err := idx.SearchOpts(q, 3)
+	if err == nil {
+		t.Fatal("Index.SearchOpts accepted +Inf")
+	}
+	rec := httptest.NewRecorder()
+	searchError(rec, err)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("non-finite query error maps to %d, want 400", rec.Code)
+	}
+}
+
 func TestConcurrentSearchAndAdd(t *testing.T) {
 	ts, idx := testServer(t)
 	var wg sync.WaitGroup

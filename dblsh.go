@@ -303,8 +303,7 @@ func NewFromFlat(flat []float32, n, dim int, opts Options) (*Index, error) {
 	for r := 0; r < n; r++ {
 		row := flat[r*dim : (r+1)*dim]
 		if vec.Dot(row, zero) != 0 {
-			i := firstNonFinite(row)
-			return nil, fmt.Errorf("dblsh: row %d: %w", r, nonFiniteError(i, row[i]))
+			return nil, fmt.Errorf("dblsh: row %d: %w", r, checkFinite(row))
 		}
 	}
 	return newIndex(flat, n, dim, opts)
@@ -326,6 +325,14 @@ func firstNonFinite(v []float32) int {
 
 func nonFiniteError(coord int, x float32) error {
 	return fmt.Errorf("dblsh: coordinate %d is %v; vectors must be finite", coord, x)
+}
+
+// checkFinite returns the error for the first NaN or ±Inf in v, if any.
+func checkFinite(v []float32) error {
+	if i := firstNonFinite(v); i >= 0 {
+		return nonFiniteError(i, v[i])
+	}
+	return nil
 }
 
 // newIndex validates opts and builds an index over n ≥ 0 rows. It is
@@ -406,9 +413,10 @@ func (idx *Index) Shards() int { return idx.set.Shards() }
 
 // Search returns the k approximate nearest neighbors of q, sorted by
 // ascending distance. Fewer than k results are returned only when the
-// dataset is smaller than k. It panics if len(q) != Dim() or k <= 0,
-// mirroring slice-indexing semantics for programmer errors. It is
-// SearchOpts with no options.
+// dataset is smaller than k, and none at all for a query with a NaN or
+// infinite coordinate (SearchOpts returns the error). It panics if
+// len(q) != Dim() or k <= 0, mirroring slice-indexing semantics for
+// programmer errors. It is SearchOpts with no options.
 func (idx *Index) Search(q []float32, k int) []Result {
 	out, _ := idx.SearchOpts(q, k)
 	return out
@@ -416,12 +424,11 @@ func (idx *Index) Search(q []float32, k int) []Result {
 
 // SearchOne returns the single approximate nearest neighbor of q.
 func (idx *Index) SearchOne(q []float32) (Result, bool) {
-	var buf []float32
-	nbs, _, _ := idx.set.Search(idx.transformQuery(&buf, q), 1, core.QueryParams{})
-	if len(nbs) == 0 {
+	out, _ := idx.SearchOpts(q, 1)
+	if len(out) == 0 {
 		return Result{}, false
 	}
-	return idx.userResults(q, nbs)[0], true
+	return out[0], true
 }
 
 // Searcher is a reusable per-goroutine query context. For query-heavy loops
@@ -556,8 +563,8 @@ func (idx *Index) Add(v []float32) (int, error) {
 	if len(v) != idx.dim {
 		return 0, fmt.Errorf("dblsh: vector dim %d, index dim %d", len(v), idx.dim)
 	}
-	if i := firstNonFinite(v); i >= 0 {
-		return 0, nonFiniteError(i, v[i])
+	if err := checkFinite(v); err != nil {
+		return 0, err
 	}
 	row := v
 	if idx.met.Kind() != metric.Euclidean {

@@ -1,8 +1,10 @@
 package dblsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -272,5 +274,67 @@ func TestNonFiniteInputRejected(t *testing.T) {
 			t.Fatalf("%v: reopened with %d vectors, want 1", m, re.Len())
 		}
 		re.Close()
+	}
+}
+
+// TestNonFiniteQueryRejected: a query with a NaN or ±Inf coordinate is
+// refused by every query entry point, on a one-shard and on a sharded index,
+// under every metric — an error from the Opts forms, no result from the
+// legacy wrappers — and costs no traversal: the statistics stay untouched.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	data, queries := clusteredData(400, 8, 23)
+	for _, m := range []Metric{Euclidean, Cosine, InnerProduct} {
+		for _, shards := range []int{1, 3} {
+			idx, err := New(data, Options{Metric: m, Seed: 23, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := idx.NewSearcher()
+			for _, bad := range []float32{nan, inf, -inf} {
+				q := append([]float32(nil), queries[0]...)
+				q[5] = bad
+				name := fmt.Sprintf("%v/shards=%d/%v", m, shards, bad)
+				st := Stats{Candidates: -1}
+				if res, err := idx.SearchOpts(q, 3, WithStats(&st)); err == nil || res != nil {
+					t.Fatalf("%s: Index.SearchOpts = %v, %v", name, res, err)
+				} else if !strings.Contains(err.Error(), "coordinate 5") {
+					t.Fatalf("%s: error %q does not name the coordinate", name, err)
+				}
+				if st.Candidates != -1 {
+					t.Fatalf("%s: a refused query wrote statistics: %+v", name, st)
+				}
+				if res, err := s.SearchOpts(q, 3); err == nil || res != nil {
+					t.Fatalf("%s: Searcher.SearchOpts = %v, %v", name, res, err)
+				}
+				if _, ok, err := s.SearchRadiusOpts(q, 1); err == nil || ok {
+					t.Fatalf("%s: SearchRadiusOpts = %v, %v", name, ok, err)
+				}
+				if res, err := idx.SearchBatchOpts([][]float32{queries[1], q}, 3); err == nil || res != nil {
+					t.Fatalf("%s: SearchBatchOpts = %v, %v", name, res, err)
+				} else if !strings.Contains(err.Error(), "query 1") {
+					t.Fatalf("%s: batch error %q does not name the query", name, err)
+				}
+				if res := idx.Search(q, 3); res != nil {
+					t.Fatalf("%s: Index.Search returned %v", name, res)
+				}
+				if res := s.Search(q, 3); res != nil {
+					t.Fatalf("%s: Searcher.Search returned %v", name, res)
+				}
+				if _, ok := idx.SearchOne(q); ok {
+					t.Fatalf("%s: SearchOne found a neighbor", name)
+				}
+				if _, ok := s.SearchRadius(q, 1); ok {
+					t.Fatalf("%s: SearchRadius found a neighbor", name)
+				}
+				if res := idx.SearchBatch([][]float32{q}, 3); res != nil {
+					t.Fatalf("%s: SearchBatch returned %v", name, res)
+				}
+			}
+			// The searcher is unharmed.
+			if res := s.Search(queries[0], 3); len(res) != 3 {
+				t.Fatalf("%v/shards=%d: finite query after the refusals got %d results", m, shards, len(res))
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dblsh
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -66,22 +67,31 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzSearch hardens the public query path against arbitrary (well-shaped)
-// vectors, including extreme values.
+// vectors, including extreme values: a finite query is answered, a query
+// with a NaN or infinite coordinate is refused with an error and no result.
 func FuzzSearch(f *testing.F) {
 	data, _ := clusteredData(200, 4, 92)
 	idx, err := New(data, Options{K: 4, L: 2, T: 10, Seed: 92})
 	if err != nil {
 		f.Fatal(err)
 	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	f.Add(float32(0), float32(0), float32(0), float32(0))
 	f.Add(float32(1e30), float32(-1e30), float32(1e-30), float32(0))
+	f.Add(nan, float32(0), float32(0), float32(0))
+	f.Add(float32(0), float32(0), inf, float32(0))
+	f.Add(float32(1), -inf, float32(1), nan)
 	f.Fuzz(func(t *testing.T, a, b, c, d float32) {
-		if a != a || b != b || c != c || d != d {
-			t.Skip("NaN queries are out of contract")
+		q := []float32{a, b, c, d}
+		res, err := idx.SearchOpts(q, 3)
+		if firstNonFinite(q) >= 0 {
+			if err == nil || res != nil || idx.Search(q, 3) != nil {
+				t.Fatalf("non-finite query %v answered: %v, %v", q, res, err)
+			}
+			return
 		}
-		res := idx.Search([]float32{a, b, c, d}, 3)
-		if len(res) == 0 || len(res) > 3 {
-			t.Fatalf("got %d results", len(res))
+		if err != nil || len(res) == 0 || len(res) > 3 {
+			t.Fatalf("got %d results, err %v", len(res), err)
 		}
 	})
 }

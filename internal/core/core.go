@@ -162,7 +162,6 @@ type Index struct {
 func Build(data *vec.Matrix, cfg Config) *Index {
 	n := data.Rows()
 	cfg = cfg.withDefaults(n)
-	cfg.Tree.Quantize = cfg.quantizeOn()
 	idx := &Index{
 		data:      data,
 		cfg:       cfg,
@@ -267,17 +266,14 @@ func (idx *Index) QuantEnabled() bool { return idx.quant != nil }
 
 // SetQuantize applies a pre-filter setting to a built index — the
 // operational toggle for restore paths, since the setting is not persisted
-// (checkpoints rebuild the mirrors from the restored vectors with the
-// default). Enabling builds the mirrors; disabling drops them and restores
-// the exact single-stage verification path. Must not run concurrently with
+// (checkpoints rebuild the int8 mirror from the restored vectors with the
+// default). Enabling builds the mirror; disabling drops it and restores
+// the exact single-stage verification path. The trees take no part: the
+// setting governs verification only. Must not run concurrently with
 // queries or mutations.
 func (idx *Index) SetQuantize(q string) {
 	idx.cfg.Quantize = q
-	on := idx.cfg.quantizeOn()
-	for _, tr := range idx.trees {
-		tr.SetQuantize(on)
-	}
-	if !on {
+	if !idx.cfg.quantizeOn() {
 		idx.quant = nil
 	} else if idx.quant == nil {
 		idx.quant = vec.NewQuantMatrix(idx.data)

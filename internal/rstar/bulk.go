@@ -138,6 +138,7 @@ func (t *Tree) packLevel(nodes []*node, level int) []*node {
 			parent.children = append(parent.children, nodes[idx])
 		}
 		recomputeRect(parent)
+		t.rebuildBoxes(parent)
 		out = append(out, parent)
 	}
 	return out

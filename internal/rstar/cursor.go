@@ -1,6 +1,10 @@
 package rstar
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dblsh/internal/vec"
+)
 
 // Cursor is a persistent incremental frontier over one tree for one query
 // center. DB-LSH's radius ladder runs the same window query W(G(q), w0·r)
@@ -14,25 +18,35 @@ import "math/bits"
 // for leaves, a bitmask of already-reported entries. Each round walks the
 // list; an item below its threshold costs one float compare, an interior
 // node is entered at most once per query, a reported point is never
-// re-examined (its mask bit skips it), and only the leaves straddling the
-// window boundary are re-scanned — against their cache-contiguous
-// coordinate mirrors, axis-of-last-exclusion first, so a re-test usually
-// costs one compare too.
+// re-examined, and only the leaves straddling the window boundary are
+// re-scanned.
+//
+// A node is tested whole, not entry by entry: entering a leaf is one
+// vec.WindowMask call over its axis-major coordinate block, entering an
+// interior node one vec.BoxMask call over its children's rects, each
+// answering with bitmasks over the entries and, for what the window
+// misses, its distance from the center. That distance, shaved by
+// vec.ShaveGap, is the threshold the leaf or the unreached child parks
+// with. It is a certain lower bound and, on the avx2 kernel row, a
+// near-exact one, so a parked item whose threshold the window has reached
+// is simply entered: a box the window still misses by an ulp yields
+// nothing and parks again. The bound is an accelerator only; everything
+// observable is decided by the kernels' masks.
 //
 // Equivalence with Window: a round at half-width half uses the exact
-// float32 window rectangle WindowRect(center, 2·half) builds — descent
-// prunes by the same Intersects comparisons, membership by the same
-// Contains comparisons — and the frontier list is maintained in
-// depth-first tree order, so a round's emissions stream in exactly the
-// order a Window re-scan over the same rectangle would visit them, except
-// that already-reported points are not re-reported. Callers deduplicate
+// float32 window rectangle WindowRect(center, 2·half) builds, the kernels
+// make the very comparisons Rect.Intersects and Rect.Contains make against
+// it (vec/mask.go), and the frontier list is maintained in depth-first
+// tree order, so a round's emissions stream in exactly the order a Window
+// re-scan over the same rectangle would visit them, except that
+// already-reported points are not re-reported. Callers deduplicate
 // re-reports with a visited set anyway (the re-scan ladder relies on it),
 // so the caller-observable candidate stream of a ladder of rounds is
 // identical to the window re-scan ladder's, point for point and in order —
-// the property the query layer's differential tests pin down. Emission is
-// pull-based and batched (NextBatch), so a caller that stops mid-round
-// pays nothing for the part of the window it never asked for, exactly
-// like an aborted re-scan.
+// the property the query layer's differential tests pin down, under every
+// kernel row. Emission is pull-based and batched (NextBatch), so a caller
+// that stops mid-round pays nothing for the part of the window it never
+// asked for, exactly like an aborted re-scan.
 //
 // A round is: BeginRound(half), then NextBatch until it reports 0 or the
 // caller decides to stop, then EndRound — or Abandon when the query is
@@ -44,11 +58,12 @@ import "math/bits"
 // and ReArm re-seeds the frontier at the root, after which the next round
 // re-reports everything inside its window — including points inserted
 // since the original seed — and the caller's visited set restores
-// incrementality. Cursors are not safe for concurrent use.
+// incrementality. A cursor only reads the tree, so any number may run
+// beside each other; one Cursor is not safe for concurrent use.
 type Cursor struct {
 	t      *Tree
 	center []float32
-	k      int       // len(center)
+	maxAbs float32   // largest |center[d]|, for vec.ShaveGap
 	h      float32   // current round's half-width, as the window rect rounds it
 	wlo    []float32 // current round's window bounds, exactly as WindowRect
 	whi    []float32 // would build them: center[d] ∓ h in float32
@@ -58,34 +73,16 @@ type Cursor struct {
 	stack []frame // in-progress descents of the current round
 	pos   int     // walk position in cur
 
+	// gaps holds vec.BoxMask's per-child distances for the interior frames
+	// on the stack: frame i owns gaps[i·stride:(i+1)·stride]. Children are
+	// walked one at a time with whole descents in between, so a frame's
+	// distances must outlive the kernel call.
+	gaps []float32
+
 	// Emission log of the current round, for Unpop. Valid until the next
 	// BeginRound/Reset/ReArm.
 	emitted  []emitRec
 	returned []int32 // ascending emission ordinals handed back by Unpop
-
-	// Per-entry activation bounds of straddling leaves. When a leaf entry
-	// fails its window test, the failing axis yields a certain lower bound
-	// on the half-width any window needs before the entry can pass
-	// (activationLB); storing it lets later rounds skip the entry with one
-	// contiguous float compare instead of re-running the multi-axis test —
-	// the single hottest saving of the traversal, since a straddling leaf
-	// is revisited once per round and most of its entries activate rounds
-	// later. Blocks of lbStride float32s are handed out by lbAlloc (handle
-	// = 1-based block index; 0 means none) and ride along in cItem/frame;
-	// the arena is reset wholesale on seed, so stale bounds cannot leak
-	// across queries or re-arms.
-	lbArena  []float32
-	lbFree   []int32
-	lbStride int
-
-	// Quantized pre-test scratch: the current round's window bounds and
-	// center mapped into the code space of the straddling leaf being
-	// visited (valid only while that leaf's frame is on top of the stack,
-	// which is exactly when the per-entry loop runs). qlo/qhi are padded
-	// outward by quantGuardCode, so a code outside them is certainly
-	// outside the exact float32 window — the only direction the pre-test
-	// ever decides; everything else falls through to the exact test.
-	qlo, qhi, quc []float32
 
 	version   uint64 // tree version the frontier was seeded against
 	nodes     int    // nodes entered since Reset/ReArm
@@ -95,42 +92,28 @@ type Cursor struct {
 // cItem is one frontier element: a subtree the rounds so far have not
 // exhausted. For leaves, mask bit j set means entry j has been reported.
 // thresh is a certain lower bound on the half-width at which the subtree
-// could surface anything new — the window-rectangle gap of the MBR's last
-// failing axis (dim, where the next test resumes), or the smallest gap
-// over a scanned leaf's unreported entries (dim == k: the MBR is known to
-// be reached, only entries need re-testing). The bound is an accelerator
-// only; everything observable is decided by the genuine window-rectangle
-// comparisons.
+// could surface anything new; zero means "enter it next round".
 type cItem struct {
 	n      *node
 	mask   uint64
 	thresh float32
-	lbs    int32 // per-entry activation-bound block handle (0: none)
-	dim    uint16
 }
 
-// frame is one level of an in-progress descent. Internal nodes walk
-// children by idx. Leaves walk their unreported entries through rem (the
-// complement of mask, consumed bit by bit in ascending — depth-first —
-// order), fold the smallest failing-entry gap into minLB, and remember at
-// pos where in the frontier the leaf parks (or would splice back into).
-// hint is the axis that most recently excluded something here: the next
-// exclusion almost always happens on the same axis, so tests start there
-// and usually exit after one compare. contained records that the window
-// contains the node's whole MBR — every unreported point below is a
-// member with no per-point test at all.
+// frame is one level of an in-progress descent, holding what the node's
+// kernel call answered. A leaf walks rem, its unreported entries inside the
+// window, bit by bit in ascending — depth-first — order, marking them in
+// mask; gap is the distance of the nearest entry left outside. An interior
+// node walks its children by idx: those in reach are entered (as contained,
+// when in inside: every point below is a member with no test at all), the
+// others park. pos is where in the frontier a leaf parks, or would splice
+// back into.
 type frame struct {
-	n         *node
-	idx       int
-	rem       uint64
-	mask      uint64
-	minLB     float32
-	hint      int
-	pos       int32
-	lbs       int32 // leaf's activation-bound block handle (0: none yet)
-	contained bool
-	spanned   bool // leaf sort-axis span already cut out of rem this visit
-	quant     bool // cursor's code-space scratch is valid for this leaf visit
+	n             *node
+	idx           int
+	rem, mask     uint64
+	reach, inside uint64
+	gap           float32
+	pos           int32
 }
 
 // emitRec records one emission: the leaf, the entry's index within it,
@@ -142,8 +125,6 @@ type emitRec struct {
 	idx uint16
 }
 
-const maxFloat32 = 3.4028234663852886e38
-
 // fullMask returns the mask with the low n bits set (n ≤ 64).
 func fullMask(n int) uint64 {
 	if n >= 64 {
@@ -153,59 +134,14 @@ func fullMask(n int) uint64 {
 }
 
 // NewCursor returns an unseeded cursor over t. The cursor requires the
-// tree's node capacity to fit the per-leaf bitmask (MaxEntries ≤ 64, far
+// tree's node capacity to fit the per-node bitmasks (MaxEntries ≤ 64, far
 // above the default of 32). Call Reset with a query center before the
 // first round.
 func NewCursor(t *Tree) *Cursor {
 	if t.opts.MaxEntries > 64 {
 		panic("rstar: cursor requires MaxEntries ≤ 64")
 	}
-	return &Cursor{t: t, lbStride: t.opts.MaxEntries}
-}
-
-// lbAlloc hands out a zeroed per-entry activation-bound block and returns
-// its 1-based handle (0 is "no block"). A zero bound never skips anything,
-// so a fresh block is always sound.
-func (c *Cursor) lbAlloc() int32 {
-	if n := len(c.lbFree); n > 0 {
-		h := c.lbFree[n-1]
-		c.lbFree = c.lbFree[:n-1]
-		blk := c.lbBlock(h)
-		for i := range blk {
-			blk[i] = 0
-		}
-		return h
-	}
-	// Growing by re-slice + explicit clear rather than append(make(...)...):
-	// the compiler's extendslice optimization is off under -race, where the
-	// temporary make would heap-allocate on every call and break the
-	// traversal's zero-alloc guarantee in the race CI job.
-	off := len(c.lbArena)
-	need := off + c.lbStride
-	if cap(c.lbArena) >= need {
-		c.lbArena = c.lbArena[:need]
-		blk := c.lbArena[off:need]
-		for i := range blk {
-			blk[i] = 0
-		}
-	} else {
-		c.lbArena = append(c.lbArena, make([]float32, c.lbStride)...)
-	}
-	return int32(need / c.lbStride)
-}
-
-// lbBlock resolves a handle from lbAlloc to its block.
-func (c *Cursor) lbBlock(h int32) []float32 {
-	off := int(h-1) * c.lbStride
-	return c.lbArena[off : off+c.lbStride : off+c.lbStride]
-}
-
-// lbFreeBlock returns a block to the free list (when its leaf is fully
-// reported and leaves the frontier).
-func (c *Cursor) lbFreeBlock(h int32) {
-	if h != 0 {
-		c.lbFree = append(c.lbFree, h)
-	}
+	return &Cursor{t: t}
 }
 
 // Reset seeds the frontier for a new query center, discarding all prior
@@ -214,7 +150,15 @@ func (c *Cursor) lbFreeBlock(h int32) {
 // queries through a pooled searcher allocate nothing.
 func (c *Cursor) Reset(center []float32) {
 	c.center = append(c.center[:0], center...)
-	c.k = len(center)
+	c.maxAbs = 0
+	for _, v := range center {
+		if v < 0 {
+			v = -v
+		}
+		if v > c.maxAbs {
+			c.maxAbs = v
+		}
+	}
 	c.seed()
 }
 
@@ -229,8 +173,6 @@ func (c *Cursor) seed() {
 	c.nodes = 0
 	c.version = c.t.version
 	c.abandoned = false
-	c.lbArena = c.lbArena[:0]
-	c.lbFree = c.lbFree[:0]
 	if c.t.size == 0 {
 		return
 	}
@@ -277,166 +219,14 @@ func (c *Cursor) NextBatch(buf []int32) int {
 		// The descent stack holds subtrees the walk has entered but not
 		// finished; their remaining items precede everything at cur[pos:].
 		for len(c.stack) > 0 {
-			f := &c.stack[len(c.stack)-1]
+			depth := len(c.stack) - 1
+			f := &c.stack[depth]
 			n := f.n
 			if n.leaf {
-				if !f.contained && !f.spanned && f.rem != 0 {
-					// The leaf's entries are sorted by its sort axis, so the
-					// window test on that axis is a positional span: two
-					// binary searches with the exact membership comparisons
-					// bound the entries that can possibly be inside, and
-					// everything outside certainly fails with no per-entry
-					// work. The nearest out-of-span entry on each side gives
-					// the smallest axis gap of all entries it excludes
-					// (sorted order), so folding just the two boundary gaps
-					// into minLB parks the leaf no later than per-entry
-					// testing would. Out-of-span entries are never reported
-					// (mask stays clear), so a wider round re-tests them.
-					f.spanned = true
-					ax := int(n.sortAxis)
-					wlo, whi := c.wlo[ax], c.whi[ax]
-					keys := n.keys
-					i, j := 0, len(keys)
-					for i < j {
-						h := int(uint(i+j) >> 1)
-						if keys[h] < wlo {
-							i = h + 1
-						} else {
-							j = h
-						}
-					}
-					lo := i
-					j = len(keys)
-					for i < j {
-						h := int(uint(i+j) >> 1)
-						if keys[h] <= whi {
-							i = h + 1
-						} else {
-							j = h
-						}
-					}
-					hi := i
-					if lo > 0 {
-						v := keys[lo-1]
-						if g := activationLB(c.center[ax]-v, v); g < f.minLB {
-							f.minLB = g
-						}
-						f.rem &^= fullMask(lo)
-					}
-					if hi < len(keys) {
-						v := keys[hi]
-						if g := activationLB(v-c.center[ax], v); g < f.minLB {
-							f.minLB = g
-						}
-						f.rem &= fullMask(hi)
-					}
-					if f.rem != 0 && c.t.opts.Quantize && n.qscale > 0 {
-						// Map the window and center into this leaf's code
-						// space once per visit; the per-entry pre-test then
-						// reads only the entry's own int8 code — a quarter
-						// of the coordinate mirror's cache footprint.
-						f.quant = true
-						if cap(c.qlo) < c.k {
-							c.qlo = make([]float32, c.k)
-							c.qhi = make([]float32, c.k)
-							c.quc = make([]float32, c.k)
-						}
-						c.qlo, c.qhi, c.quc = c.qlo[:c.k], c.qhi[:c.k], c.quc[:c.k]
-						inv := 1 / n.qscale
-						for d := 0; d < c.k; d++ {
-							c.qlo[d] = (c.wlo[d]-n.qoff)*inv - quantGuardCode
-							c.qhi[d] = (c.whi[d]-n.qoff)*inv + quantGuardCode
-							c.quc[d] = (c.center[d] - n.qoff) * inv
-						}
-					}
-				}
-				var lbs []float32
-				if f.lbs != 0 {
-					lbs = c.lbBlock(f.lbs)
-				}
 				for f.rem != 0 {
 					j := bits.TrailingZeros64(f.rem)
-					bit := uint64(1) << uint(j)
-					f.rem &^= bit
-					if !f.contained {
-						// An entry that failed in an earlier round recorded a
-						// certain lower bound on the half-width it needs; one
-						// contiguous compare skips it while the window is
-						// still provably short (the bound is per-axis and
-						// round-independent, so it stays valid as the window
-						// grows).
-						if lbs != nil {
-							if lb := lbs[j]; lb > c.h {
-								if lb < f.minLB {
-									f.minLB = lb
-								}
-								continue
-							}
-						}
-						// Quantized certain-exclusion pre-test on the hint
-						// axis: a code outside the guard-padded code-space
-						// window proves the exact float32 test would fail on
-						// the same axis, without touching the float32 row.
-						// The quantized activation bound is weaker than the
-						// exact one (guards shave it), which at worst re-tests
-						// the entry a round early — never a missed emission.
-						if f.quant {
-							d := f.hint
-							if cd := float32(n.qcoords[j*c.k+d]); cd < c.qlo[d] || cd > c.qhi[d] {
-								tc := cd - c.quc[d]
-								if tc < 0 {
-									tc = -tc
-								}
-								lb := quantLB(tc, n.qscale, c.center[d])
-								if lb < f.minLB {
-									f.minLB = lb
-								}
-								if lbs == nil {
-									f.lbs = c.lbAlloc()
-									lbs = c.lbBlock(f.lbs)
-								}
-								if lb > lbs[j] {
-									lbs[j] = lb
-								}
-								continue
-							}
-						}
-						// Window membership, hint axis first, against the
-						// leaf's contiguous coordinate block — the single
-						// hottest loop of the traversal.
-						p := n.coords[j*c.k : j*c.k+c.k]
-						d := f.hint
-						in := true
-						for t := 0; t < c.k; t++ {
-							if v := p[d]; v < c.wlo[d] || v > c.whi[d] {
-								in = false
-								break
-							}
-							d++
-							if d == c.k {
-								d = 0
-							}
-						}
-						if !in {
-							f.hint = d
-							var lb float32
-							if p[d] > c.whi[d] {
-								lb = activationLB(p[d]-c.center[d], p[d])
-							} else {
-								lb = activationLB(c.center[d]-p[d], p[d])
-							}
-							if lb < f.minLB {
-								f.minLB = lb
-							}
-							if lbs == nil {
-								f.lbs = c.lbAlloc()
-								lbs = c.lbBlock(f.lbs)
-							}
-							lbs[j] = lb
-							continue
-						}
-					}
-					f.mask |= bit
+					f.rem &= f.rem - 1
+					f.mask |= 1 << uint(j)
 					c.emitted = append(c.emitted, emitRec{n: n, pos: f.pos, idx: uint16(j)})
 					buf[out] = n.ids[j]
 					out++
@@ -445,32 +235,24 @@ func (c *Cursor) NextBatch(buf []int32) int {
 					}
 				}
 				// Leaf exhausted for this round: drop it once every entry
-				// has been reported, else park it with the smallest gap
-				// its unreported entries need.
+				// has been reported, else park it until the window can reach
+				// the nearest entry still outside.
 				if f.mask != fullMask(len(n.ids)) {
-					c.next = append(c.next, cItem{n: n, thresh: f.minLB, dim: uint16(c.k), mask: f.mask, lbs: f.lbs})
-				} else {
-					c.lbFreeBlock(f.lbs)
+					c.next = append(c.next, cItem{n: n, mask: f.mask, thresh: vec.ShaveGap(f.gap, c.maxAbs)})
 				}
-				c.stack = c.stack[:len(c.stack)-1]
+				c.stack = c.stack[:depth]
 				continue
 			}
 			if f.idx >= len(n.children) {
-				c.stack = c.stack[:len(c.stack)-1]
+				c.stack = c.stack[:depth]
 				continue
 			}
-			ch := n.children[f.idx]
+			i := f.idx
 			f.idx++
-			if f.contained {
-				c.pushFrame(cItem{n: ch}, true)
-				continue
-			}
-			d, lb, in := c.reaches(ch.rect.Min, ch.rect.Max, f.hint)
-			if in {
-				c.pushFrame(cItem{n: ch}, c.contains(ch.rect))
+			if bit := uint64(1) << uint(i); f.reach&bit != 0 {
+				c.enter(cItem{n: n.children[i]}, f.inside&bit != 0)
 			} else {
-				f.hint = int(d)
-				c.next = append(c.next, cItem{n: ch, thresh: lb, dim: d})
+				c.next = append(c.next, c.parked(n.children[i], depth, i))
 			}
 		}
 		if c.pos >= len(c.cur) {
@@ -482,121 +264,41 @@ func (c *Cursor) NextBatch(buf []int32) int {
 			c.next = append(c.next, it) // certainly out of reach: one compare
 			continue
 		}
-		if int(it.dim) < c.k {
-			// The MBR's reach is not yet established: resume its window
-			// test at the last failing axis.
-			d, lb, in := c.reaches(it.n.rect.Min, it.n.rect.Max, int(it.dim))
-			if !in {
-				it.thresh, it.dim = lb, d
-				c.next = append(c.next, it)
-				continue
-			}
-		}
-		c.pushFrame(it, c.contains(it.n.rect))
+		c.enter(it, false)
 	}
 }
 
-// pushFrame enters a subtree: interior nodes walk children, leaves walk
-// their unreported entries.
-func (c *Cursor) pushFrame(it cItem, contained bool) {
+// parked returns the frontier item for child i of the interior frame at
+// depth, which the window does not reach.
+func (c *Cursor) parked(ch *node, depth, i int) cItem {
+	return cItem{n: ch, thresh: vec.ShaveGap(c.gaps[depth*c.t.stride+i], c.maxAbs)}
+}
+
+// enter pushes a frame for a subtree and tests the node whole against the
+// round's window; a contained subtree needs no test. A leaf's test is
+// restricted to its unreported entries.
+func (c *Cursor) enter(it cItem, contained bool) {
 	c.nodes++
-	f := frame{
-		n:         it.n,
-		mask:      it.mask,
-		minLB:     maxFloat32,
-		hint:      int(it.dim) % c.k,
-		pos:       int32(len(c.next)),
-		lbs:       it.lbs,
-		contained: contained,
-	}
-	if it.n.leaf {
-		f.rem = fullMask(len(it.n.ids)) &^ it.mask
+	n := it.n
+	f := frame{n: n, mask: it.mask, pos: int32(len(c.next))}
+	S := c.t.stride
+	switch {
+	case n.leaf:
+		f.rem = fullMask(len(n.ids)) &^ it.mask
+		if !contained {
+			f.rem, f.gap = vec.WindowMask(n.coords, S, len(n.ids), f.rem, c.wlo, c.whi, c.center)
+		}
+	case contained:
+		f.reach = fullMask(len(n.children))
+		f.inside = f.reach
+	default:
+		depth := len(c.stack)
+		if len(c.gaps) < (depth+1)*S {
+			c.gaps = append(c.gaps, make([]float32, (depth+1)*S-len(c.gaps))...)
+		}
+		f.reach, f.inside = vec.BoxMask(n.cmin, n.cmax, S, len(n.children), c.wlo, c.whi, c.center, c.gaps[depth*S:(depth+1)*S])
 	}
 	c.stack = append(c.stack, f)
-}
-
-// reaches reports whether the current round's window reaches the box
-// [lo, hi] on every axis — exactly Rect.Intersects against the round's
-// window rectangle, comparison for comparison (the axes are scanned
-// starting at hint and wrapping, which changes nothing about the
-// conjunction but lets the caller aim at the axis most likely to
-// exclude). On failure it returns the failing axis and a certain lower
-// bound on the half-width any window needs to pass that axis.
-func (c *Cursor) reaches(lo, hi []float32, hint int) (uint16, float32, bool) {
-	d := hint
-	if d >= c.k {
-		d = 0
-	}
-	for j := 0; j < c.k; j++ {
-		if lo[d] > c.whi[d] {
-			return uint16(d), activationLB(lo[d]-c.center[d], lo[d]), false
-		}
-		if hi[d] < c.wlo[d] {
-			return uint16(d), activationLB(c.center[d]-hi[d], hi[d]), false
-		}
-		d++
-		if d == c.k {
-			d = 0
-		}
-	}
-	return uint16(c.k), 0, true
-}
-
-// contains reports whether the current round's window contains the whole
-// rectangle — every point inside it is then a window member by
-// construction, with no per-point test needed.
-func (c *Cursor) contains(r Rect) bool {
-	for d := 0; d < c.k; d++ {
-		if r.Min[d] < c.wlo[d] || r.Max[d] > c.whi[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// activationLB returns a half-width certainly below every h whose window
-// crosses an axis gap of t (computed in float32 between the item bound m
-// and the center): the true crossover is within a couple of ulps of t —
-// one from the gap subtraction, one from the window-bound rounding at the
-// magnitude of m — so shaving two ulps of both scales (plus a denormal
-// guard) is safe. The bound only defers the next real window test; it
-// never decides reachability.
-func activationLB(t, m float32) float32 {
-	if m < 0 {
-		m = -m
-	}
-	const eps = 2.4e-7 // 2 × 2⁻²³
-	g := t - (t+m)*eps - 3e-44
-	if g < 0 {
-		return 0
-	}
-	return g
-}
-
-// quantGuardCode pads the code-space window by the quantized twin's total
-// uncertainty, in code units: quantGuard (0.51) of round-to-nearest error
-// plus 0.01 absorbing the float32 roundings of the window-to-code-space
-// mapping itself, which at the only magnitudes where the comparison can be
-// borderline (|code| ≤ 127) are ~10⁻⁵ code units. A code outside the padded
-// window therefore certainly dequantizes outside the exact window.
-const quantGuardCode = 0.52
-
-// quantLB is activationLB for a gap measured in code units: tc codes of
-// separation between an entry and the center certainly require a half-width
-// of (tc − quantGuardCode)·scale before the entry can enter any window. The
-// wider eps absorbs the extra dequantization and code-space-mapping
-// roundings on top of activationLB's two.
-func quantLB(tc, scale, m float32) float32 {
-	if m < 0 {
-		m = -m
-	}
-	const eps = 1e-6 // ~8 × 2⁻²³
-	g := (tc - quantGuardCode) * scale
-	g = g - (g+m)*eps - 3e-44
-	if g < 0 {
-		return 0
-	}
-	return g
 }
 
 // EndRound closes the current round, whether drained or abandoned early:
@@ -606,22 +308,22 @@ func quantLB(tc, scale, m float32) float32 {
 // discoverable by the next round — exactly the state an aborted window
 // re-scan leaves.
 func (c *Cursor) EndRound() {
-	for i := len(c.stack) - 1; i >= 0; i-- {
-		f := c.stack[i]
+	for depth := len(c.stack) - 1; depth >= 0; depth-- {
+		f := c.stack[depth]
 		if f.n.leaf {
-			// Unexamined entries remain (rem); entries that failed this
-			// round's test stay unreported too. Re-test everything
-			// unreported next round (stored per-entry bounds keep the
-			// re-tests cheap).
+			// Entries inside the window remain unreported (rem): the next
+			// round must enter the leaf whatever its width.
 			if f.mask != fullMask(len(f.n.ids)) {
-				c.next = append(c.next, cItem{n: f.n, dim: uint16(c.k), mask: f.mask, lbs: f.lbs})
-			} else {
-				c.lbFreeBlock(f.lbs)
+				c.next = append(c.next, cItem{n: f.n, mask: f.mask})
 			}
 			continue
 		}
-		for _, ch := range f.n.children[f.idx:] {
-			c.next = append(c.next, cItem{n: ch})
+		for i := f.idx; i < len(f.n.children); i++ {
+			if f.reach>>uint(i)&1 != 0 {
+				c.next = append(c.next, cItem{n: f.n.children[i]})
+			} else {
+				c.next = append(c.next, c.parked(f.n.children[i], depth, i))
+			}
 		}
 	}
 	c.stack = c.stack[:0]
@@ -687,7 +389,7 @@ func (c *Cursor) mergeReturned() {
 			out = append(out, it)
 			prev = p + 1
 		} else {
-			out = append(out, cItem{n: n, dim: uint16(c.k), mask: fullMask(len(n.ids)) &^ clear})
+			out = append(out, cItem{n: n, mask: fullMask(len(n.ids)) &^ clear})
 			prev = p
 		}
 	}
@@ -704,7 +406,8 @@ func (c *Cursor) FrontierLen() int { return len(c.cur) }
 
 // NodesVisited returns the number of node visits since Reset/ReArm.
 // Interior nodes are visited once per query; leaves straddling the window
-// boundary are revisited once per round until every entry is reported.
+// boundary are revisited when the window reaches another of their entries
+// until every entry is reported.
 func (c *Cursor) NodesVisited() int { return c.nodes }
 
 // Exhausted reports whether the frontier is empty: every indexed point

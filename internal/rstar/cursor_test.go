@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,14 @@ import (
 // dimensions, bulk-loaded, plus extra inserted points when insert > 0.
 func cursorTree(t *testing.T, seed int64, n, dim, insert int) (*Tree, *vec.Matrix) {
 	t.Helper()
+	return cursorTreeM(t, seed, n, dim, insert, 0)
+}
+
+// cursorTreeM is cursorTree at node capacity maxEntries (0: the default),
+// checking the structural invariants — the window-test blocks among them —
+// after every single insert.
+func cursorTreeM(t *testing.T, seed int64, n, dim, insert, maxEntries int) (*Tree, *vec.Matrix) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := vec.NewMatrix(n, dim)
 	for i := 0; i < n; i++ {
@@ -19,16 +28,19 @@ func cursorTree(t *testing.T, seed int64, n, dim, insert int) (*Tree, *vec.Matri
 			m.Row(i)[j] = float32(rng.NormFloat64() * 10)
 		}
 	}
-	tr := BulkLoad(m, Options{})
+	tr := BulkLoad(m, Options{MaxEntries: maxEntries})
+	if msg := tr.CheckInvariants(); msg != "" {
+		t.Fatalf("after bulk load: %s", msg)
+	}
 	for i := 0; i < insert; i++ {
 		p := make([]float32, dim)
 		for j := range p {
 			p[j] = float32(rng.NormFloat64() * 10)
 		}
 		tr.Insert(m.Append(p))
-	}
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatalf("invariants: %s", msg)
+		if msg := tr.CheckInvariants(); msg != "" {
+			t.Fatalf("after insert %d: %s", i, msg)
+		}
 	}
 	return tr, m
 }
@@ -64,6 +76,41 @@ func oracleRound(tr *Tree, center []float32, half float64, reported map[int32]bo
 	return out
 }
 
+// checkLadder drives a fresh cursor around center through rounds of
+// half-width half, half·grow, … and requires every round's emissions to
+// equal the window re-scan's unreported members, id for id and in
+// depth-first order. It returns the cursor and the ids reported.
+func checkLadder(t *testing.T, label string, tr *Tree, center []float32, half, grow float64, rounds int) (*Cursor, map[int32]bool) {
+	t.Helper()
+	cur := NewCursor(tr)
+	cur.Reset(center)
+	reported := map[int32]bool{}
+	for round := 0; round < rounds; round++ {
+		want := oracleRound(tr, center, half, reported)
+		got := drainRound(cur, half)
+		if len(got) != len(want) {
+			t.Fatalf("%s round %d: cursor emitted %d, window re-scan %d", label, round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s round %d: emission %d = %d, want %d (order mismatch)", label, round, i, got[i], want[i])
+			}
+			reported[got[i]] = true
+		}
+		half *= grow
+	}
+	return cur, reported
+}
+
+// randomCenter draws a query center at the scale of cursorTree's points.
+func randomCenter(rng *rand.Rand, dim int) []float32 {
+	center := make([]float32, dim)
+	for j := range center {
+		center[j] = float32(rng.NormFloat64() * 10)
+	}
+	return center
+}
+
 // TestCursorLadderMatchesWindowRescan is the rstar-level differential
 // test: across random trees, centers and geometric half-width ladders,
 // every round's cursor emissions must equal the window re-scan's
@@ -71,29 +118,8 @@ func oracleRound(tr *Tree, center []float32, half float64, reported map[int32]bo
 func TestCursorLadderMatchesWindowRescan(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		tr, m := cursorTree(t, seed, 300+int(seed)*50, 4, 0)
-		rng := rand.New(rand.NewSource(seed ^ 0x9e37))
-		center := make([]float32, m.Dim())
-		for j := range center {
-			center[j] = float32(rng.NormFloat64() * 10)
-		}
-		cur := NewCursor(tr)
-		cur.Reset(center)
-		reported := map[int32]bool{}
-		half := 0.5
-		for round := 0; round < 14; round++ {
-			want := oracleRound(tr, center, half, reported)
-			got := drainRound(cur, half)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d round %d: cursor emitted %d, window re-scan %d", seed, round, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d round %d: emission %d = %d, want %d (order mismatch)", seed, round, i, got[i], want[i])
-				}
-				reported[got[i]] = true
-			}
-			half *= 1.5
-		}
+		center := randomCenter(rand.New(rand.NewSource(seed^0x9e37)), m.Dim())
+		cur, reported := checkLadder(t, fmt.Sprintf("seed %d", seed), tr, center, 0.5, 1.5, 14)
 		if !cur.Exhausted() && len(reported) == tr.Size() {
 			t.Fatalf("seed %d: all points reported but frontier not exhausted", seed)
 		}
@@ -106,11 +132,7 @@ func TestCursorLadderMatchesWindowRescan(t *testing.T) {
 func TestCursorUnpopRediscovery(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		tr, m := cursorTree(t, seed, 400, 4, 0)
-		rng := rand.New(rand.NewSource(seed ^ 0x51))
-		center := make([]float32, m.Dim())
-		for j := range center {
-			center[j] = float32(rng.NormFloat64() * 10)
-		}
+		center := randomCenter(rand.New(rand.NewSource(seed^0x51)), m.Dim())
 		cur := NewCursor(tr)
 		cur.Reset(center)
 		reported := map[int32]bool{}
@@ -264,129 +286,122 @@ func TestCursorInsertedTreeEquivalence(t *testing.T) {
 	tr, m := cursorTree(t, 13, 200, 4, 300)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 5; trial++ {
-		center := make([]float32, m.Dim())
-		for j := range center {
-			center[j] = float32(rng.NormFloat64() * 10)
-		}
-		cur := NewCursor(tr)
-		cur.Reset(center)
-		reported := map[int32]bool{}
-		half := 1.0
-		for round := 0; round < 10; round++ {
-			want := oracleRound(tr, center, half, reported)
-			got := drainRound(cur, half)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d round %d: %d vs %d emissions", trial, round, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d round %d: emission %d = %d, want %d", trial, round, i, got[i], want[i])
-				}
-				reported[got[i]] = true
-			}
-			half *= 1.4
-		}
+		checkLadder(t, fmt.Sprintf("trial %d", trial), tr, randomCenter(rng, m.Dim()), 1.0, 1.4, 10)
 	}
 }
 
-// quantTree is cursorTree with the int8 leaf twin enabled.
-func quantTree(t *testing.T, seed int64, n, dim, insert int) (*Tree, *vec.Matrix) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	m := vec.NewMatrix(n, dim)
-	for i := 0; i < n; i++ {
-		for j := 0; j < dim; j++ {
-			m.Row(i)[j] = float32(rng.NormFloat64() * 10)
-		}
-	}
-	tr := BulkLoad(m, Options{Quantize: true})
-	for i := 0; i < insert; i++ {
-		p := make([]float32, dim)
-		for j := range p {
-			p[j] = float32(rng.NormFloat64() * 10)
-		}
-		tr.Insert(m.Append(p))
-	}
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatalf("invariants: %s", msg)
-	}
-	return tr, m
-}
-
-// TestCursorQuantizedLadderEquivalence re-runs the rstar-level differential
-// test with the int8 leaf twin enabled: the quantized certain-exclusion
-// pre-test must leave every round's emission stream identical to the window
-// re-scan's, id for id and in depth-first order — the twin may only skip
-// entries the exact test would also reject.
-func TestCursorQuantizedLadderEquivalence(t *testing.T) {
+// TestCursorLadderEquivalenceAcrossCapacities re-runs the rstar-level
+// differential test on trees that took inserts at node capacities 4, 8 and
+// 32 (one, one and four 8-lane vectors per block, padded and full): every
+// round's emission stream must equal the window re-scan's, id for id and in
+// depth-first order, with the blocks verified after every insert.
+func TestCursorLadderEquivalenceAcrossCapacities(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		tr, m := quantTree(t, seed, 300+int(seed)*50, 4, 120)
-		rng := rand.New(rand.NewSource(seed ^ 0x9e37))
-		center := make([]float32, m.Dim())
-		for j := range center {
-			center[j] = float32(rng.NormFloat64() * 10)
-		}
-		cur := NewCursor(tr)
-		cur.Reset(center)
-		reported := map[int32]bool{}
-		half := 0.5
-		for round := 0; round < 14; round++ {
-			want := oracleRound(tr, center, half, reported)
-			got := drainRound(cur, half)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d round %d: cursor emitted %d, window re-scan %d", seed, round, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d round %d: emission %d = %d, want %d (order mismatch)", seed, round, i, got[i], want[i])
-				}
-				reported[got[i]] = true
-			}
-			half *= 1.5
-		}
+		tr, m := cursorTreeM(t, seed, 300+int(seed)*50, 4, 120, []int{4, 8, 32}[seed%3])
+		center := randomCenter(rand.New(rand.NewSource(seed^0x9e37)), m.Dim())
+		checkLadder(t, fmt.Sprintf("seed %d", seed), tr, center, 0.5, 1.5, 14)
 	}
 }
 
-// TestQuantizedTwinTracksMutation pins the twin's maintenance contract:
-// every leaf mutation (sorted inserts, splits, forced reinsertion,
-// compaction-style rebuilds) must refit the leaf's int8 twin so each code
-// dequantizes to within qscale·quantGuard of its float32 coordinate —
-// the error bound CheckInvariants enforces per element.
-func TestQuantizedTwinTracksMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	m := vec.NewMatrix(150, 6)
-	for i := 0; i < 150; i++ {
-		for j := 0; j < 6; j++ {
-			m.Row(i)[j] = float32(rng.NormFloat64() * 10)
-		}
-	}
-	tr := BulkLoad(m, Options{Quantize: true})
-	for i := 0; i < 600; i++ {
-		p := make([]float32, 6)
-		for j := range p {
-			p[j] = float32(rng.NormFloat64() * 10)
-		}
-		tr.Insert(m.Append(p))
-		if i%40 == 0 {
-			if msg := tr.CheckInvariants(); msg != "" {
-				t.Fatalf("after insert %d: %s", i, msg)
+// TestBlocksTrackMutation pins the window-test blocks' maintenance contract:
+// whatever an Insert does — sorted leaf inserts, leaf and internal splits,
+// forced reinsertion at the leaf level and above, root growth — every leaf
+// block mirrors its entries' matrix rows and every internal block its
+// children's rects, padding +Inf, when the Insert returns. The script must
+// actually reach each of those paths at each capacity.
+func TestBlocksTrackMutation(t *testing.T) {
+	for _, sc := range []struct{ maxEntries, inserts int }{{4, 600}, {8, 600}, {32, 3000}} {
+		rng := rand.New(rand.NewSource(77))
+		m := vec.NewMatrix(150, 6)
+		for i := 0; i < 150; i++ {
+			for j := 0; j < 6; j++ {
+				m.Row(i)[j] = float32(rng.NormFloat64() * 10)
 			}
 		}
+		tr := BulkLoad(m, Options{MaxEntries: sc.maxEntries})
+		if msg := tr.CheckInvariants(); msg != "" {
+			t.Fatalf("M=%d after bulk load: %s", sc.maxEntries, msg)
+		}
+		rootGrowth, internalReinsert := false, false
+		for i := 0; i < sc.inserts; i++ {
+			p := make([]float32, 6)
+			for j := range p {
+				p[j] = float32(rng.NormFloat64() * 10)
+			}
+			before := tr.Height()
+			tr.Insert(m.Append(p))
+			if msg := tr.CheckInvariants(); msg != "" {
+				t.Fatalf("M=%d after insert %d: %s", sc.maxEntries, i, msg)
+			}
+			rootGrowth = rootGrowth || tr.Height() > before
+			internalReinsert = internalReinsert || tr.reinserted&^1 != 0
+		}
+		// A root that grows from an internal node is an internal split.
+		if !rootGrowth || tr.Height() < 3 || !internalReinsert {
+			t.Fatalf("M=%d: script too small: root growth %v, height %d, internal reinsertion %v",
+				sc.maxEntries, rootGrowth, tr.Height(), internalReinsert)
+		}
 	}
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatalf("final: %s", msg)
-	}
-	// Degenerate leaves: identical points give qscale == 0 twins.
+	// Degenerate leaves: identical points, every rect a point, every sort
+	// key a tie.
 	dm := vec.NewMatrix(40, 3)
 	for i := 0; i < 40; i++ {
 		copy(dm.Row(i), []float32{1, 2, 3})
 	}
-	dt := BulkLoad(dm, Options{Quantize: true})
+	dt := BulkLoad(dm, Options{})
 	if msg := dt.CheckInvariants(); msg != "" {
 		t.Fatalf("degenerate: %s", msg)
 	}
 	got := dt.WindowAll(WindowRect([]float32{1, 2, 3}, 0.5))
 	if len(got) != 40 {
 		t.Fatalf("degenerate window: got %d of 40", len(got))
+	}
+}
+
+// BenchmarkCursorLadder times the traversal alone at the production shape: a
+// bulk-loaded 100 000 × 10 tree at the default capacity, one op a whole
+// ladder (half-width ×1.5 per round from well below the nearest neighbour,
+// until a query's share of the candidate budget has streamed out) around a
+// seeded centre, drained through NextBatch with the query layer's 64-id
+// buffer. One sub-benchmark per registered kernel row; ns/node is the
+// figure the benchmark's layer table reports as rstar.ns_per_node, here
+// without the rest of a query around it.
+func BenchmarkCursorLadder(b *testing.B) {
+	const centres, share = 256, 250
+	data := randomMatrix(100_000, 10, 1)
+	tr := BulkLoad(data, Options{})
+	rng := rand.New(rand.NewSource(2))
+	qs := vec.NewMatrix(centres, 10)
+	for i := 0; i < centres; i++ {
+		for j, v := range data.Row(rng.Intn(data.Rows())) {
+			qs.Row(i)[j] = v + float32(rng.NormFloat64())
+		}
+	}
+	defer vec.SetKernel(vec.KernelName())
+	for _, name := range vec.KernelNames() {
+		if err := vec.SetKernel(name); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			cur := NewCursor(tr)
+			buf := make([]int32, 64)
+			nodes := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur.Reset(qs.Row(i % centres))
+				emitted := 0
+				for half := 1.0; emitted < share; half *= 1.5 {
+					cur.BeginRound(half)
+					for m := cur.NextBatch(buf); m > 0; m = cur.NextBatch(buf) {
+						emitted += m
+					}
+					cur.EndRound()
+				}
+				nodes += cur.NodesVisited()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
 	}
 }

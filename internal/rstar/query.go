@@ -28,10 +28,8 @@ func (t *Tree) window(n *node, w Rect, visit func(id int) bool) (int, bool) {
 	nodes := 1
 	if n.leaf {
 		for j, id := range n.ids {
-			if w.Contains(n.entry(j, t.dim)) {
-				if !visit(int(id)) {
-					return nodes, false
-				}
+			if t.entryInside(n, j, w) && !visit(int(id)) {
+				return nodes, false
 			}
 		}
 		return nodes, true
@@ -47,6 +45,19 @@ func (t *Tree) window(n *node, w Rect, visit func(id int) bool) (int, bool) {
 		}
 	}
 	return nodes, true
+}
+
+// entryInside is Rect.Contains for a leaf's j-th entry, read from lane j of
+// the leaf's block. One entry and one comparison at a time on purpose:
+// Window is the oracle the cursor's whole-node kernels are tested against,
+// so it shares none of their code.
+func (t *Tree) entryInside(n *node, j int, w Rect) bool {
+	for d := 0; d < t.dim; d++ {
+		if v := n.coords[d*t.stride+j]; v < w.Min[d] || v > w.Max[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // Covered reports whether the window of half-width half centred at center
@@ -160,7 +171,10 @@ func (t *Tree) NearestVisit(q []float32, visit func(id int, distSq float64) bool
 //   - every non-root node has between MinEntries and MaxEntries entries
 //     (leaves packed by bulk loading may be under-filled only at the tail),
 //   - all leaves are at level 0 and levels decrease by one per step,
-//   - Size() equals the number of leaf entries.
+//   - Size() equals the number of leaf entries,
+//   - every leaf's window-test block mirrors the matrix rows of its ids, in
+//     sort-axis order, and every internal node's blocks mirror its
+//     children's rects, lanes past the entries +Inf.
 //
 // Intended for tests and debugging; it walks the whole tree.
 func (t *Tree) CheckInvariants() string {
@@ -200,53 +214,17 @@ func (t *Tree) CheckInvariants() string {
 			if n.level != 0 {
 				return "leaf not at level 0"
 			}
-			if len(n.coords) != len(n.ids)*t.dim {
-				return "leaf coords mirror out of sync"
-			}
-			for j, id := range n.ids {
-				for d, v := range n.entry(j, t.dim) {
-					if v != t.point(id)[d] {
-						return "leaf coords mirror stale"
-					}
-				}
-			}
 			if int(n.sortAxis) >= t.dim {
 				return "leaf sort axis out of range"
 			}
-			if len(n.keys) != len(n.ids) {
-				return "leaf keys mirror out of sync"
+			if msg := t.checkBlock(n.coords, len(n.ids), func(j, d int) float32 { return t.point(n.ids[j])[d] }); msg != "" {
+				return "leaf block: " + msg
 			}
-			for j := range n.keys {
-				if n.keys[j] != n.coords[j*t.dim+int(n.sortAxis)] {
-					return "leaf keys mirror stale"
-				}
-			}
+			keys := n.coords[int(n.sortAxis)*t.stride:]
 			for j := 1; j < len(n.ids); j++ {
-				ax := int(n.sortAxis)
-				va, vb := n.coords[(j-1)*t.dim+ax], n.coords[j*t.dim+ax]
-				if va > vb || (va == vb && n.ids[j-1] > n.ids[j]) {
+				if keys[j-1] > keys[j] || (keys[j-1] == keys[j] && n.ids[j-1] > n.ids[j]) {
 					return "leaf entries not sorted by sort axis"
 				}
-			}
-			if t.opts.Quantize {
-				if len(n.qcoords) != len(n.coords) {
-					return "leaf quantized twin out of sync"
-				}
-				for i, v := range n.coords {
-					approx := float64(n.qoff) + float64(n.qscale)*float64(n.qcoords[i])
-					tol := float64(n.qscale) * quantGuard
-					if n.qscale == 0 {
-						if float64(v) != float64(n.qoff) {
-							return "leaf quantized twin degenerate but values differ"
-						}
-						continue
-					}
-					if diff := float64(v) - approx; diff > tol || diff < -tol {
-						return "leaf quantized twin outside error bound"
-					}
-				}
-			} else if n.qcoords != nil {
-				return "leaf quantized twin present without Options.Quantize"
 			}
 		} else {
 			if len(n.children) == 0 {
@@ -262,6 +240,12 @@ func (t *Tree) CheckInvariants() string {
 				if msg := check(c, false); msg != "" {
 					return msg
 				}
+			}
+			if msg := t.checkBlock(n.cmin, len(n.children), func(j, d int) float32 { return n.children[j].rect.Min[d] }); msg != "" {
+				return "internal lower-face block: " + msg
+			}
+			if msg := t.checkBlock(n.cmax, len(n.children), func(j, d int) float32 { return n.children[j].rect.Max[d] }); msg != "" {
+				return "internal upper-face block: " + msg
 			}
 		}
 		if !isRoot {
@@ -286,6 +270,31 @@ func (t *Tree) CheckInvariants() string {
 	}
 	if total != t.size {
 		return "size mismatch"
+	}
+	return ""
+}
+
+// checkBlock compares one window-test block of a node holding used entries
+// with what it must mirror: want(j, d) in lane j of row d, +Inf beyond.
+func (t *Tree) checkBlock(block []float32, used int, want func(j, d int) float32) string {
+	if len(block) != t.dim*t.stride {
+		return "wrong size"
+	}
+	if used > t.stride {
+		return "more entries than lanes"
+	}
+	for d := 0; d < t.dim; d++ {
+		row := block[d*t.stride : (d+1)*t.stride]
+		for j, v := range row[:used] {
+			if v != want(j, d) {
+				return "stale lane"
+			}
+		}
+		for _, v := range row[used:] {
+			if v != posInf {
+				return "padding lane is not +Inf"
+			}
+		}
 	}
 	return ""
 }

@@ -8,6 +8,18 @@
 // into a caller-owned row-major matrix of projected coordinates. Dimensions
 // are expected to be small (DB-LSH uses K ≈ 10–12).
 //
+// Nodes are pointer-linked, and each carries what a window query compares
+// against in one fixed axis-major block: a leaf its entries' coordinates, an
+// internal node its children's rectangles, lane j of row d belonging to
+// entry j (node.coords, node.cmin/cmax). The incremental Cursor — the query
+// path DB-LSH's radius ladder runs on — tests a node per call into
+// internal/vec's kernel table over those blocks; Window re-scans the same
+// blocks one entry and one scalar comparison at a time and is the oracle the
+// cursor is tested against. The blocks are part of the tree: every mutation
+// that moves an entry or changes a child's rectangle rewrites the lanes it
+// touched before it returns (CheckInvariants compares them all), and no
+// query ever writes one, so any number of cursors may read a tree at once.
+//
 // Insertion is the textbook R*-tree algorithm and builds the textbook tree,
 // but is written to its cost model rather than to its definition. A bulk
 // load packs leaves full, so the first Insert to touch a packed leaf

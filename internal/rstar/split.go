@@ -16,7 +16,7 @@ func (t *Tree) performSplit(n *node) *node {
 
 // splitScratch is chooseSplit's working memory, sized once for M+1 entries.
 type splitScratch struct {
-	lo, hi   []float32 // flat copies of an internal node's child rectangles
+	lo, hi   []float32 // flat copies of a node's entry rectangles (a leaf's points: lo only)
 	run      Rect      // the MBR a sweep is growing
 	prefix   []float32 // MBR of pairs[:cut] for every candidate cut, Min then Max
 	pre, suf []float64 // per cut: margin of the first / second group
@@ -146,20 +146,19 @@ func (t *Tree) sweep(pairs []sortPair, lo, hi []float32, chooseCut bool) {
 
 func (t *Tree) splitLeaf(n *node) *node {
 	total := len(n.ids)
-	// A leaf's entries are points: both faces are its coordinate mirror.
-	pairs, cut := t.chooseSplit(n.coords, n.coords, total, 1)
+	// A leaf's entries are points, so both faces are one copy of their rows
+	// (the overflowing leaf's own block is an entry short).
+	sp := &t.scratch.split
+	for e, id := range n.ids {
+		copy(sp.lo[e*t.dim:], t.point(id))
+	}
+	pairs, cut := t.chooseSplit(sp.lo, sp.lo, total, 1)
 	for k, e := range pairs {
 		pairs[k].idx = n.ids[e.idx] // position → id, before n.ids is rewritten
 	}
 	// The sibling will see inserts of its own; give it room for M+1 entries
 	// so they do not reallocate.
-	room := t.opts.MaxEntries + 1
-	sibling := &node{
-		leaf:   true,
-		ids:    make([]int32, 0, room),
-		coords: make([]float32, 0, room*t.dim),
-		keys:   make([]float32, 0, room),
-	}
+	sibling := &node{leaf: true, ids: make([]int32, 0, t.opts.MaxEntries+1)}
 	n.ids = n.ids[:0]
 	for _, e := range pairs[:cut] {
 		n.ids = append(n.ids, e.idx)
@@ -195,5 +194,7 @@ func (t *Tree) splitInternal(n *node) *node {
 	n.children = append(n.children[:0], s.nodes[:cut]...)
 	recomputeRect(n)
 	recomputeRect(sibling)
+	t.rebuildBoxes(n)
+	t.rebuildBoxes(sibling)
 	return sibling
 }

@@ -22,14 +22,10 @@ type Options struct {
 	// MinEntries is the minimum fill m (2 ≤ m ≤ M/2). Defaults to 40% of M,
 	// the value recommended in the R*-tree paper.
 	MinEntries int
-	// Quantize maintains an int8 affine-quantized twin of every leaf's
-	// coordinate mirror (node.qcoords), refitted per leaf against its own
-	// value range on every leaf mutation. The cursor uses it as a
-	// certain-exclusion pre-test: an entry whose quantized coordinate is
-	// provably outside the window even after the quantization error bound
-	// is skipped without touching its float32 coordinates, and everything
-	// else falls through to the exact test — the emitted stream is
-	// identical either way.
+	// Quantize is ignored. It switched on an int8 twin of every leaf that
+	// the whole-node window tests replaced; the field survives only because
+	// benchmark/layers.go sets it and a change that claims a gain may not
+	// edit benchmark/. Remove it in the next PR that may.
 	Quantize bool
 }
 
@@ -56,43 +52,26 @@ type node struct {
 	rect     Rect
 	children []*node // internal nodes only
 	ids      []int32 // leaf entries: row indices into the tree's data matrix
-	// coords mirrors the leaf entries' coordinates contiguously (entry j is
-	// coords[j*dim : (j+1)*dim]), so a leaf scan reads ~len(ids)·dim·4
-	// sequential bytes instead of chasing len(ids) random matrix rows —
-	// the traversal's dominant cache cost. Maintained by every leaf
-	// mutation; always non-nil in the sense that len(coords) == len(ids)·dim.
+	// coords is a leaf's window-test block (vec.WindowMask): entry j's
+	// coordinate on axis d is coords[d·stride+j], lanes ≥ len(ids) hold +Inf.
+	// Entries are stored in sort-axis order, the order ids has. The block
+	// has exactly Tree.stride lanes per axis, so a leaf that transiently
+	// overflows (MaxEntries+1 ids, until its reinsertion or split) does not
+	// fit: its block is left as it was and rebuilt by what follows.
 	coords []float32
-	leaf   bool
-	level  int // 0 = leaf
+	// cmin and cmax are an internal node's window-test blocks
+	// (vec.BoxMask): child j's rect on axis d is cmin[d·stride+j] …
+	// cmax[d·stride+j], lanes ≥ len(children) hold +Inf. Every mutation that
+	// changes a child's rect or the child list rewrites the lanes it
+	// touched, under the caller's write lock; queries only read them. Like a
+	// leaf's, the blocks sit out a transient overflow.
+	cmin, cmax []float32
+	leaf       bool
+	level      int // 0 = leaf
 	// sortAxis is the axis the leaf's entries are kept sorted by (ascending,
 	// ties by id) — chosen as the leaf rect's widest axis whenever the id set
-	// is rebuilt wholesale, and preserved by in-place sorted insertion. The
-	// cursor exploits the order to turn the window test on this axis into a
-	// positional span (see Cursor.NextBatch).
+	// is rebuilt wholesale, and preserved by in-place sorted insertion.
 	sortAxis uint16
-	// keys duplicates the sort-axis coordinate of each entry contiguously
-	// (keys[j] == coords[j*dim+sortAxis]), so the span binary search touches
-	// two or three cache lines instead of one strided line per probe.
-	keys []float32
-	// qcoords is the int8 affine-quantized twin of coords (same layout, ¼
-	// the bytes: a whole leaf's codes fit in a couple of cache lines), with
-	// coords[i] ≈ qoff + qscale·qcoords[i] to within qscale/2 plus float
-	// rounding. Present only when Options.Quantize is set; nil otherwise.
-	// Aliasing contract: qcoords never aliases coords or the tree's data
-	// matrix — it is refitted wholesale (quantizeLeaf) by every mutation
-	// that touches coords, so within any span where the tree is unmutated
-	// the twin is consistent with the mirror (CheckInvariants verifies the
-	// error bound). qscale == 0 means the leaf's values span no range (or
-	// the leaf is empty) and the twin carries no information.
-	qcoords []int8
-	qscale  float32
-	qoff    float32
-}
-
-// entry returns the coordinates of the leaf's j-th entry from the
-// cache-contiguous mirror.
-func (n *node) entry(j, dim int) []float32 {
-	return n.coords[j*dim : (j+1)*dim]
 }
 
 func (n *node) entryCount() int {
@@ -114,6 +93,9 @@ type Tree struct {
 	root *node
 	size int
 	dim  int
+	// stride is the lane count of every node's window-test block:
+	// MaxEntries rounded up to a whole number of 8-lane vectors.
+	stride int
 
 	// version counts structural mutations. Cursors pin a traversal snapshot
 	// of the node graph; they compare versions to detect that the snapshot
@@ -202,12 +184,16 @@ func New(data *vec.Matrix, opts Options) *Tree {
 	if data.Dim() < 1 {
 		panic("rstar: data must have at least one dimension")
 	}
-	return &Tree{
-		data: data,
-		opts: opts.withDefaults(),
-		dim:  data.Dim(),
-		root: &node{leaf: true, rect: newRect(data.Dim())},
+	opts = opts.withDefaults()
+	t := &Tree{
+		data:   data,
+		opts:   opts,
+		dim:    data.Dim(),
+		stride: (opts.MaxEntries + 7) &^ 7,
+		root:   &node{leaf: true, rect: newRect(data.Dim())},
 	}
+	t.rebuildLeafBlock(t.root)
+	return t
 }
 
 // Size returns the number of indexed points.
@@ -271,17 +257,19 @@ func (t *Tree) insertPoint(id int32) {
 	r := Rect{Min: p, Max: p} // read-only view of the row; never retained
 	path := t.descend(r, 0)
 	leafN := path[len(path)-1]
-	wasEmpty := len(leafN.ids) == 0
+	n, S := len(leafN.ids), t.stride
 
 	// Insert at the position that keeps the leaf sorted by its sort axis
 	// (ties after equals, then by id — any stable deterministic rule works;
-	// the cursor only needs the stored order to be non-decreasing).
+	// the cursor only needs the stored order to be non-decreasing). The
+	// axis's own row of the block holds the keys.
 	ax := int(leafN.sortAxis)
+	keys := leafN.coords[ax*S : ax*S+n]
 	v := p[ax]
-	i, j := 0, len(leafN.ids)
+	i, j := 0, n
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if w := leafN.keys[h]; w < v || (w == v && leafN.ids[h] < id) {
+		if w := keys[h]; w < v || (w == v && leafN.ids[h] < id) {
 			i = h + 1
 		} else {
 			j = h
@@ -291,26 +279,25 @@ func (t *Tree) insertPoint(id int32) {
 	leafN.ids = append(leafN.ids, 0)
 	copy(leafN.ids[pos+1:], leafN.ids[pos:])
 	leafN.ids[pos] = id
-	leafN.keys = append(leafN.keys, 0)
-	copy(leafN.keys[pos+1:], leafN.keys[pos:])
-	leafN.keys[pos] = v
-	leafN.coords = append(leafN.coords, p...)
-	copy(leafN.coords[(pos+1)*t.dim:], leafN.coords[pos*t.dim:len(leafN.coords)-t.dim])
-	copy(leafN.coords[pos*t.dim:(pos+1)*t.dim], p)
-	if len(leafN.ids) <= t.opts.MaxEntries {
-		// An overflowing leaf is refitted by the reinsertion or split below.
-		t.quantizeLeaf(leafN)
+	// A leaf this entry overflows keeps its block as it was: the
+	// reinsertion or split below rebuilds it.
+	if n < t.opts.MaxEntries {
+		for d, x := range p {
+			row := leafN.coords[d*S : d*S+n+1]
+			copy(row[pos+1:], row[pos:])
+			row[pos] = x
+		}
 	}
 
-	t.expandPath(path, r, wasEmpty)
+	t.expandPath(path, r, n == 0)
 	t.handleOverflow(path)
 }
 
 // finalizeLeaf (re)establishes the leaf scan layout after its id set changed
 // wholesale: the sort axis is re-chosen as the widest axis of the leaf's
 // rect (which callers must have recomputed tightly first), the ids are
-// sorted by that axis (ties by id), and the contiguous coordinate mirror is
-// rebuilt to match.
+// sorted by that axis (ties by id), and the window-test block is rebuilt to
+// match.
 func (t *Tree) finalizeLeaf(n *node) {
 	axis := 0
 	if len(n.ids) > 0 {
@@ -332,111 +319,66 @@ func (t *Tree) finalizeLeaf(n *node) {
 	for j, p := range pairs {
 		n.ids[j] = p.idx
 	}
-	t.rebuildLeafCoords(n)
+	t.rebuildLeafBlock(n)
 }
 
-// rebuildLeafCoords refreshes a leaf's contiguous coordinate mirror after
-// its id set was reordered or cut.
-func (t *Tree) rebuildLeafCoords(n *node) {
-	n.coords = n.coords[:0]
-	n.keys = n.keys[:0]
-	ax := int(n.sortAxis)
-	for _, id := range n.ids {
-		p := t.point(id)
-		n.coords = append(n.coords, p...)
-		n.keys = append(n.keys, p[ax])
+var posInf = float32(math.Inf(1))
+
+// rebuildLeafBlock rewrites a leaf's whole window-test block, padding
+// included, from its id list (at most MaxEntries ids).
+func (t *Tree) rebuildLeafBlock(n *node) {
+	S := t.stride
+	if n.coords == nil {
+		n.coords = make([]float32, t.dim*S)
 	}
-	t.quantizeLeaf(n)
+	for j, id := range n.ids {
+		for d, v := range t.point(id) {
+			n.coords[d*S+j] = v
+		}
+	}
+	padBlock(n.coords, S, len(n.ids))
 }
 
-// quantGuard is the certain error allowance of the leaf twin in code units:
-// 0.5 of nearest-integer rounding plus generous headroom for every float32
-// rounding in the affine map and its consumers. Consumers treat a code as
-// "true value within qscale·quantGuard of its dequantization"; widening the
-// guard only weakens the accelerator, never correctness.
-const quantGuard = 0.51
-
-// quantizeLeaf refits a leaf's int8 twin from its coordinate mirror: one
-// affine map per leaf, fitted to the leaf's own min/max across all axes.
-// Refitting wholesale on every mutation keeps the twin trivially consistent
-// (a leaf holds ≤ MaxEntries+1 entries, so the refit is a few hundred
-// multiply-rounds at most).
-func (t *Tree) quantizeLeaf(n *node) {
-	if !t.opts.Quantize {
-		return
-	}
-	if cap(n.qcoords) < len(n.coords) {
-		// Exact for a leaf's first twin (bulk loading builds thousands and
-		// most are never touched again); a twin being outgrown belongs to a
-		// leaf taking inserts, so follow the mirror's amortized capacity.
-		room := len(n.coords)
-		if n.qcoords != nil {
-			room = cap(n.coords)
+// padBlock sets the lanes from used on, in every row of a block, to +Inf.
+func padBlock(block []float32, stride, used int) {
+	for lo := used; lo < len(block); lo += stride {
+		pad := block[lo : lo+stride-used]
+		for j := range pad {
+			pad[j] = posInf
 		}
-		n.qcoords = make([]int8, len(n.coords), room)
-	}
-	n.qcoords = n.qcoords[:len(n.coords)]
-	if len(n.coords) == 0 {
-		n.qscale, n.qoff = 0, 0
-		return
-	}
-	lo, hi := n.coords[0], n.coords[0]
-	for _, v := range n.coords[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if !(hi > lo) {
-		n.qscale, n.qoff = 0, lo
-		for i := range n.qcoords {
-			n.qcoords[i] = 0
-		}
-		return
-	}
-	scale := (hi - lo) / 254
-	off := lo + (hi-lo)/2
-	n.qscale, n.qoff = scale, off
-	inv := 1 / float64(scale)
-	for i, v := range n.coords {
-		u := math.Round((float64(v) - float64(off)) * inv)
-		if u > 127 {
-			u = 127
-		} else if u < -127 {
-			u = -127
-		}
-		n.qcoords[i] = int8(u)
 	}
 }
 
-// SetQuantize enables or disables the leaf twins on a built tree — the
-// operational toggle for restore paths, since Options.Quantize itself is
-// not persisted. Enabling refits every leaf; disabling drops the twins.
-// Not safe concurrently with queries or mutations; live cursors observe a
-// version bump and re-arm.
-func (t *Tree) SetQuantize(on bool) {
-	if t.opts.Quantize == on {
+// setBox writes child j's rect into n's window-test blocks.
+func (t *Tree) setBox(n *node, j int, r Rect) {
+	for d := 0; d < t.dim; d++ {
+		n.cmin[d*t.stride+j] = r.Min[d]
+		n.cmax[d*t.stride+j] = r.Max[d]
+	}
+}
+
+// syncBox refreshes the lane of parent's blocks that mirrors child's rect.
+func (t *Tree) syncBox(parent, child *node) {
+	t.setBox(parent, slices.Index(parent.children, child), child.rect)
+}
+
+// rebuildBoxes rewrites an internal node's whole window-test blocks, padding
+// included, from its child list. A node that overflows is skipped: the
+// split or reinsertion that follows rebuilds it.
+func (t *Tree) rebuildBoxes(n *node) {
+	if len(n.children) > t.opts.MaxEntries {
 		return
 	}
-	t.opts.Quantize = on
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			if on {
-				t.quantizeLeaf(n)
-			} else {
-				n.qcoords, n.qscale, n.qoff = nil, 0, 0
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+	S := t.stride
+	if n.cmin == nil {
+		buf := make([]float32, 2*t.dim*S)
+		n.cmin, n.cmax = buf[:t.dim*S:t.dim*S], buf[t.dim*S:]
 	}
-	walk(t.root)
-	t.version++
+	for j, c := range n.children {
+		t.setBox(n, j, c.rect)
+	}
+	padBlock(n.cmin, S, len(n.children))
+	padBlock(n.cmax, S, len(n.children))
 }
 
 func (t *Tree) insertSubtree(sub *node) {
@@ -444,6 +386,9 @@ func (t *Tree) insertSubtree(sub *node) {
 	n := path[len(path)-1]
 	wasEmpty := len(n.children) == 0
 	n.children = append(n.children, sub)
+	if len(n.children) <= t.opts.MaxEntries {
+		t.setBox(n, len(n.children)-1, sub.rect)
+	}
 	t.expandPath(path, sub.rect, wasEmpty)
 	t.handleOverflow(path)
 }
@@ -462,9 +407,11 @@ func (t *Tree) descend(r Rect, targetLevel int) []*node {
 	return path
 }
 
-// expandPath grows the rectangles along an insertion path to include r. When
-// the target node was empty before the insert, its rectangle is reset to r
-// rather than expanded (the zero rect of an empty node must not leak in).
+// expandPath grows the rectangles along an insertion path to include r, and
+// with them the lanes that mirror them in their parents' blocks (only the
+// target can be overflowing here, never a parent). When the target node was
+// empty before the insert, its rectangle is reset to r rather than expanded
+// (the zero rect of an empty node must not leak in).
 func (t *Tree) expandPath(path []*node, r Rect, targetWasEmpty bool) {
 	last := len(path) - 1
 	if targetWasEmpty {
@@ -474,6 +421,7 @@ func (t *Tree) expandPath(path []*node, r Rect, targetWasEmpty bool) {
 	}
 	for i := last - 1; i >= 0; i-- {
 		path[i].rect.ExpandInPlace(r)
+		t.syncBox(path[i], path[i+1])
 	}
 }
 
@@ -497,12 +445,16 @@ func (t *Tree) handleOverflow(path []*node) {
 				children: []*node{n, sibling},
 			}
 			recomputeRect(newRoot)
+			t.rebuildBoxes(newRoot)
 			t.root = newRoot
 			return
 		}
+		// The two halves hold what n held, so parent's rect — and its lane
+		// in its own parent — stays as expandPath left it.
 		parent := path[i-1]
 		parent.children = append(parent.children, sibling)
 		recomputeRect(parent)
+		t.rebuildBoxes(parent)
 	}
 }
 
@@ -522,8 +474,8 @@ func (t *Tree) forceReinsert(n *node, path []*node) {
 	// comparison as descending on the distance.
 	pairs := s.pairs[:0]
 	if n.leaf {
-		for j, id := range n.ids {
-			pairs = append(pairs, sortPair{-pointDistSq(center, n.entry(j, t.dim)), id})
+		for _, id := range n.ids {
+			pairs = append(pairs, sortPair{-pointDistSq(center, t.point(id)), id})
 		}
 	} else {
 		centerRect := Rect{Min: center, Max: center}
@@ -545,7 +497,7 @@ func (t *Tree) forceReinsert(n *node, path []*node) {
 		}
 		t.recomputeLeafRect(n)
 		t.finalizeLeaf(n)
-		tightenPath(path)
+		t.tightenPath(path)
 		// Close reinsert: nearest evictions first.
 		for i := p - 1; i >= 0; i-- {
 			t.insertPoint(s.evictedIDs[i])
@@ -565,7 +517,8 @@ func (t *Tree) forceReinsert(n *node, path []*node) {
 	}
 	n.children = append(n.children[:0], s.nodes...)
 	recomputeRect(n)
-	tightenPath(path)
+	t.rebuildBoxes(n)
+	t.tightenPath(path)
 	for i := p - 1; i >= 0; i-- {
 		t.insertSubtree(s.evictedNodes[base+i])
 	}
@@ -573,9 +526,12 @@ func (t *Tree) forceReinsert(n *node, path []*node) {
 }
 
 // tightenPath recomputes the rectangles of the interior nodes on a
-// root-to-target path after entries were removed from the target.
-func tightenPath(path []*node) {
+// root-to-target path after entries were removed from the target (whose own
+// rect the caller has recomputed), refreshing the lane of each rect that
+// shrank in its parent's blocks on the way up.
+func (t *Tree) tightenPath(path []*node) {
 	for i := len(path) - 2; i >= 0; i-- {
+		t.syncBox(path[i], path[i+1])
 		recomputeRect(path[i])
 	}
 }
@@ -707,10 +663,10 @@ func (t *Tree) ComputeStats() Stats {
 		if n.leaf {
 			s.Leaves++
 			s.Entries += len(n.ids)
-			s.BytesApprox += int64(len(n.ids))*4 + int64(len(n.coords))*4 + int64(len(n.keys))*4 + int64(len(n.qcoords))
+			s.BytesApprox += int64(len(n.ids))*4 + int64(len(n.coords))*4
 			return
 		}
-		s.BytesApprox += int64(len(n.children)) * 8
+		s.BytesApprox += int64(len(n.children))*8 + int64(len(n.cmin)+len(n.cmax))*4
 		for _, c := range n.children {
 			walk(c)
 		}

@@ -9,12 +9,13 @@ import (
 
 // Runtime kernel dispatch.
 //
-// The exported hot entry points (Dot, SquaredDist, the bounded sweeps and
-// the quantized pre-filter) route through a process-wide kernel table so
-// the implementation can be selected at startup — automatically from the
-// detected CPU features, overridden by the DBLSH_KERNEL environment
-// variable — or explicitly by SetKernel in tests, benchmarks and the
-// server's -kernel flag. The portable rows are always present:
+// The exported hot entry points (Dot, SquaredDist, the bounded sweeps, the
+// quantized pre-filter and the whole-node window tests of mask.go) route
+// through a process-wide kernel table so the implementation can be selected
+// at startup — automatically from the detected CPU features, overridden by
+// the DBLSH_KERNEL environment variable — or explicitly by SetKernel in
+// tests, benchmarks and the server's -kernel flag. The portable rows are
+// always present:
 //
 //	scalar    straight loops; the oracle every other variant is
 //	          property-tested and fuzzed against
@@ -28,15 +29,20 @@ import (
 // CPU supports them:
 //
 //	avx2      amd64 assembly: VCVTPS2PD widening + VFMADD231PD into four
-//	          256-bit float64 accumulator chains; requires AVX2+FMA with
-//	          OS-saved YMM state (internal/vec/cpu)
+//	          256-bit float64 accumulator chains, and the window tests
+//	          eight entries per compare; requires AVX2+FMA with OS-saved
+//	          YMM state (internal/vec/cpu)
 //	neon      arm64 assembly: Advanced SIMD, always available on arm64
+//
+// The window tests have one portable implementation, shared by every row
+// but avx2 (a NEON version waits until CI can execute arm64).
 //
 // Selection priority is SetKernel (flag/forced) > DBLSH_KERNEL (env) >
 // auto-detect; KernelSource reports which one decided. The variants differ
 // in floating-point summation order, so their results may differ in the
-// last ulps; each is internally deterministic, and all quantized lower
-// bounds remain certain lower bounds under every variant. SetKernel must
+// last ulps; each is internally deterministic, all quantized lower
+// bounds remain certain lower bounds under every variant, and the window
+// tests return identical masks under every variant. SetKernel must
 // not race with running queries: select the kernel before serving
 // traffic.
 
@@ -47,6 +53,8 @@ type kernelImpl struct {
 	squaredDist        func(a, b []float32) float64
 	squaredDistBounded func(a, b []float32, bound float64) float64
 	quantLB            func(u []float64, codes []int8) float64
+	windowMask         func(coords []float32, stride, n int, alive uint64, wlo, whi, center []float32) (uint64, float32)
+	boxMask            func(cmin, cmax []float32, stride, n int, wlo, whi, center, gaps []float32) (uint64, uint64)
 }
 
 // kernelTable is the only place kernel implementations are named: every
@@ -61,6 +69,8 @@ var kernelTable = map[string]kernelImpl{
 		squaredDist:        squaredDistScalar,
 		squaredDistBounded: squaredDistBoundedScalar,
 		quantLB:            quantLBScalar,
+		windowMask:         windowMaskPortable,
+		boxMask:            boxMaskPortable,
 	},
 	"unrolled": {
 		name:               "unrolled",
@@ -68,6 +78,8 @@ var kernelTable = map[string]kernelImpl{
 		squaredDist:        squaredDistUnrolled,
 		squaredDistBounded: squaredDistBounded,
 		quantLB:            quantLBWide,
+		windowMask:         windowMaskPortable,
+		boxMask:            boxMaskPortable,
 	},
 	"wide": {
 		name:               "wide",
@@ -75,6 +87,8 @@ var kernelTable = map[string]kernelImpl{
 		squaredDist:        squaredDistWide,
 		squaredDistBounded: squaredDistBoundedWide,
 		quantLB:            quantLBWide,
+		windowMask:         windowMaskPortable,
+		boxMask:            boxMaskPortable,
 	},
 }
 

@@ -3,10 +3,11 @@ package vec
 import "dblsh/internal/vec/cpu"
 
 // Declarations for the hand-written AVX2/FMA kernels in
-// dist_avx2_amd64.s. Slice arguments must have len(b) >= len(a) (resp.
-// len(codes) >= len(u)): like the pure-Go kernels the asm only reads
-// len(a) components, but unlike them it does not bounds-check, so the
-// caller contract enforced at the public entry points is load-bearing.
+// dist_avx2_amd64.s and mask_avx2_amd64.s. Slice arguments must have
+// len(b) >= len(a) (resp. len(codes) >= len(u)): like the pure-Go kernels
+// the asm only reads len(a) components, but unlike them it does not
+// bounds-check, so the caller contract enforced at the public entry points
+// is load-bearing.
 
 // dotAVX2 is the assembly dot kernel: float32 lanes are widened to
 // float64 before multiplication and fused into four 256-bit accumulator
@@ -42,6 +43,23 @@ func squaredDistBoundedAVX2(a, b []float32, bound float64) float64
 //go:noescape
 func quantLBAVX2(u []float64, codes []int8) float64
 
+// windowMaskAVX2 is the assembly leaf test of mask.go: eight lanes per
+// compare, every axis of every lane (no early exit), so the gap is the full
+// Chebyshev distance. Reads whole vectors of each row without bounds checks;
+// WindowMask enforces the block shape.
+// dblsh:kernelimpl
+//
+//go:noescape
+func windowMaskAVX2(coords []float32, stride, n int, alive uint64, wlo, whi, center []float32) (in uint64, gap float32)
+
+// boxMaskAVX2 is the assembly internal-node test of mask.go, with the same
+// structure and the same caller contract (BoxMask enforces it); it writes
+// whole vectors of gaps.
+// dblsh:kernelimpl
+//
+//go:noescape
+func boxMaskAVX2(cmin, cmax []float32, stride, n int, wlo, whi, center, gaps []float32) (reach, inside uint64)
+
 // registerArchKernels adds the hardware kernel rows this build can run.
 // On amd64 the avx2 row requires AVX2 and FMA with OS-saved YMM state;
 // without them the table keeps only the portable rows and auto-selection
@@ -59,6 +77,8 @@ func registerArchKernels() {
 		squaredDist:        squaredDistAVX2,
 		squaredDistBounded: squaredDistBoundedAVX2,
 		quantLB:            quantLBAVX2,
+		windowMask:         windowMaskAVX2,
+		boxMask:            boxMaskAVX2,
 	}
 	archKernel = "avx2"
 }

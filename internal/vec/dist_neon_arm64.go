@@ -36,7 +36,8 @@ func squaredDistBoundedNEON(a, b []float32, bound float64) float64
 // always registers. The int8 quantized lower bound stays on the pure-Go
 // wide path: sign-extending byte→float64 conversion has no assembler
 // support worth hand-encoding, and the verification sweep is dominated by
-// the float kernels anyway.
+// the float kernels anyway. The whole-node window tests stay on the
+// portable implementation until CI can execute arm64.
 //
 // dblsh:dispatch
 func registerArchKernels() {
@@ -49,6 +50,8 @@ func registerArchKernels() {
 		squaredDist:        squaredDistNEON,
 		squaredDistBounded: squaredDistBoundedNEON,
 		quantLB:            quantLBWide,
+		windowMask:         windowMaskPortable,
+		boxMask:            boxMaskPortable,
 	}
 	archKernel = "neon"
 }

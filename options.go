@@ -186,7 +186,10 @@ func statsFromCore(st core.Stats) Stats {
 }
 
 // SearchOpts is Search with per-query options. The error is non-nil when an
-// option is invalid or the query's context expires; a context error still
+// option is invalid, the query has a NaN or infinite coordinate (refused
+// before anything is hashed: such a query projects to window bounds every
+// comparison against which is false, and every entry of every tree would
+// count as inside) or the query's context expires; a context error still
 // comes with the best results found before cancellation. Like Search, it
 // panics if len(q) != Dim() or k <= 0.
 func (idx *Index) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result, error) {
@@ -196,6 +199,9 @@ func (idx *Index) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result
 	}
 	if set.batchStats != nil {
 		return nil, errBatchStatsScope
+	}
+	if err := checkFinite(q); err != nil {
+		return nil, err
 	}
 	if err := idx.internalMaxRadius(q, &set); err != nil {
 		return nil, err
@@ -217,6 +223,9 @@ func (s *Searcher) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Resul
 	if set.batchStats != nil {
 		return nil, errBatchStatsScope
 	}
+	if err := checkFinite(q); err != nil {
+		return nil, err
+	}
 	if err := s.idx.internalMaxRadius(q, &set); err != nil {
 		return nil, err
 	}
@@ -232,7 +241,8 @@ func (s *Searcher) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Resul
 // ladder-shaping options (WithEarlyStop, WithMaxRadius) are ignored because
 // a fixed-radius query runs a single round. The radius is in the index's
 // metric (Euclidean distance, or cosine distance in [0,2]); under
-// InnerProduct a radius has no meaning and an error is returned.
+// InnerProduct a radius has no meaning and an error is returned, as it is
+// for a query with a NaN or infinite coordinate.
 func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption) (Result, bool, error) {
 	set, err := applySearchOptions(opts)
 	if err != nil {
@@ -240,6 +250,9 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 	}
 	if set.batchStats != nil {
 		return Result{}, false, errBatchStatsScope
+	}
+	if err := checkFinite(q); err != nil {
+		return Result{}, false, err
 	}
 	ir, err := s.idx.met.InternalRadius(q, r)
 	if err != nil {
@@ -259,15 +272,21 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 // SearchBatchOpts is SearchBatch with per-query options applied uniformly to
 // every query in the batch. Queries run in parallel across GOMAXPROCS
 // workers, each with its own Searcher; results[i] corresponds to queries[i].
-// On context expiry the queries already answered keep their results, the
-// rest are nil, and the context's error is returned. It is safe to run
-// concurrently with Add and Delete; shard locks are taken per ladder
-// round, so mutations interleave between rounds and a query may observe
-// vectors added while it runs.
+// A query with a NaN or infinite coordinate fails the whole batch before any
+// query runs. On context expiry the queries already answered keep their
+// results, the rest are nil, and the context's error is returned. It is
+// safe to run concurrently with Add and Delete; shard locks are taken per
+// ladder round, so mutations interleave between rounds and a query may
+// observe vectors added while it runs.
 func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOption) ([][]Result, error) {
 	set, err := applySearchOptions(opts)
 	if err != nil {
 		return nil, err
+	}
+	for i, q := range queries {
+		if err := checkFinite(q); err != nil {
+			return nil, fmt.Errorf("dblsh: query %d: %w", i, err)
+		}
 	}
 	if err := idx.internalMaxRadius(nil, &set); err != nil {
 		return nil, err

@@ -71,13 +71,6 @@ type summary struct {
 	LatencyP95Ms    float64 `json:"latency_p95_ms"`
 	LatencyP99Ms    float64 `json:"latency_p99_ms"`
 	LatencyMaxMs    float64 `json:"latency_max_ms"`
-	// Quantized pre-filter activity summed from the search responses'
-	// stats: how many candidates the int8 pre-filter swept and rejected.
-	// The fraction is pruned/swept (0 when the pre-filter is off or the
-	// adaptive gate kept it closed).
-	QuantPruned         int     `json:"quant_pruned"`
-	QuantSwept          int     `json:"quant_swept"`
-	QuantPrunedFraction float64 `json:"quant_pruned_fraction"`
 	// Intra-query fan-out activity summed from the search responses' stats:
 	// ladder rounds that visited shards concurrently, and the total wall
 	// time of those rounds' slowest shard gathers. Zero against a
@@ -192,7 +185,6 @@ func fetchStats(client *http.Client, addr string, patience time.Duration) (serve
 type workerResult struct {
 	successes, shed, errors int
 	reads, writes           int
-	quantPruned, quantSwept int
 	parallelRounds          int
 	stragglerNs             int64
 	latencies               []time.Duration
@@ -270,19 +262,15 @@ func run(cfg config) (summary, error) {
 					continue
 				}
 				if !isWrite && resp.StatusCode == http.StatusOK {
-					// Fold the response's pre-filter counters into the
-					// run summary; a decode failure only loses the tally.
+					// Fold the response's fan-out counters into the run
+					// summary; a decode failure only loses the tally.
 					var sr struct {
 						Stats struct {
-							QuantPruned    int   `json:"quant_pruned"`
-							QuantSwept     int   `json:"quant_swept"`
 							ParallelRounds int   `json:"parallel_rounds"`
 							StragglerNs    int64 `json:"straggler_ns"`
 						} `json:"stats"`
 					}
 					if err := json.NewDecoder(resp.Body).Decode(&sr); err == nil {
-						res.quantPruned += sr.Stats.QuantPruned
-						res.quantSwept += sr.Stats.QuantSwept
 						res.parallelRounds += sr.Stats.ParallelRounds
 						res.stragglerNs += sr.Stats.StragglerNs
 					}
@@ -323,16 +311,11 @@ func run(cfg config) (summary, error) {
 		sum.Errors += r.errors
 		sum.Reads += r.reads
 		sum.Writes += r.writes
-		sum.QuantPruned += r.quantPruned
-		sum.QuantSwept += r.quantSwept
 		sum.ParallelRounds += r.parallelRounds
 		sum.StragglerNs += r.stragglerNs
 		all = append(all, r.latencies...)
 	}
 	sum.Requests = sum.Successes + sum.Shed + sum.Errors
-	if sum.QuantSwept > 0 {
-		sum.QuantPrunedFraction = float64(sum.QuantPruned) / float64(sum.QuantSwept)
-	}
 	sum.QPS = float64(sum.Successes) / elapsed.Seconds()
 	sum.LatencyMeanMs = ms(mean(all))
 	sum.LatencyP50Ms = ms(percentile(all, 50))

@@ -120,7 +120,6 @@ func main() {
 		shards      = flag.Int("shards", 1, "index shards for the demo corpus (an -index file carries its own layout)")
 		compactFrac = flag.Float64("compact-fraction", 0, "auto-compact a shard when its tombstoned fraction reaches this (0 disables)")
 		metricName  = flag.String("metric", "euclidean", "distance metric for the demo corpus: euclidean, cosine or ip (an -index file carries its own metric)")
-		quantize    = flag.String("quantize", "on", `int8 quantized verification pre-filter: "on" or "off" (results are identical either way; the flag is operational and applies to loaded indexes too)`)
 		parallelism = flag.Int("parallelism", 0, "shards a single query visits concurrently per ladder round: 0 picks min(GOMAXPROCS, shards) per query, 1 forces the sequential path (results are identical either way; operational, applies to loaded indexes too)")
 		kernel      = flag.String("kernel", "", "distance kernel by name (see /stats kernel_names); empty keeps the auto-detected (or DBLSH_KERNEL-selected) kernel. Unlike the env override, an unknown name here is fatal")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
@@ -163,7 +162,7 @@ func main() {
 		sync: syncPolicy, syncEvery: syncEvery, checkpointEvery: *ckptEvery,
 		demoN: *demoN, demoDim: *demoDim, seed: *seed,
 		shards: *shards, compactFrac: *compactFrac, metric: met,
-		quantize: *quantize, parallelism: *parallelism,
+		parallelism: *parallelism,
 	})
 	if err != nil {
 		log.Fatalf("dblsh-server: %v", err)
@@ -253,7 +252,6 @@ type config struct {
 	shards                     int
 	compactFrac                float64
 	metric                     dblsh.Metric
-	quantize                   string
 	parallelism                int
 }
 
@@ -263,7 +261,7 @@ func loadIndex(c config) (*dblsh.Index, error) {
 	}
 	opts := dblsh.Options{
 		Sync: c.sync, SyncEvery: c.syncEvery, CheckpointEvery: c.checkpointEvery,
-		CompactFraction: c.compactFrac, Quantize: c.quantize, Parallelism: c.parallelism,
+		CompactFraction: c.compactFrac, Parallelism: c.parallelism,
 	}
 	// A directory that already holds a checkpoint resumes from it; a fresh
 	// one is seeded (from -index or the demo corpus) and then reopened
@@ -301,13 +299,10 @@ func loadEphemeral(c config) (*dblsh.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", c.indexFile, err)
 		}
-		// The shard layout travels with the file; the compaction policy, the
-		// pre-filter flag and the query fan-out setting are operational and
-		// apply to loaded indexes too.
+		// The shard layout travels with the file; the compaction policy and
+		// the query fan-out setting are operational and apply to loaded
+		// indexes too.
 		if err := idx.SetCompactFraction(c.compactFrac); err != nil {
-			return nil, err
-		}
-		if err := idx.SetQuantize(c.quantize); err != nil {
 			return nil, err
 		}
 		if err := idx.SetParallelism(c.parallelism); err != nil {
@@ -337,6 +332,6 @@ func loadEphemeral(c config) (*dblsh.Index, error) {
 	}
 	return dblsh.NewFromFlat(flat, c.demoN, c.demoDim, dblsh.Options{
 		Seed: c.seed, Shards: c.shards, CompactFraction: c.compactFrac, Metric: c.metric,
-		Quantize: c.quantize, Parallelism: c.parallelism,
+		Parallelism: c.parallelism,
 	})
 }

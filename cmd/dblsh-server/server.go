@@ -148,7 +148,6 @@ type statsResponse struct {
 	T              int              `json:"t"`
 	C              float64          `json:"c"`
 	W0             float64          `json:"w0"`
-	Quantize       string           `json:"quantize"`
 	Parallelism    int              `json:"parallelism"`   // effective per-query shard fan-out
 	Kernel         string           `json:"kernel"`        // active distance kernel
 	KernelSource   string           `json:"kernel_source"` // auto | env | forced
@@ -190,7 +189,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		T:            p.T,
 		C:            p.C,
 		W0:           p.W0,
-		Quantize:     p.Quantize,
 		Parallelism:  s.idx.Parallelism(),
 		Kernel:       vec.KernelName(),
 		KernelSource: vec.KernelSource(),
@@ -287,8 +285,6 @@ type queryStats struct {
 	FinalRadius  float64 `json:"final_radius"`
 	NodesVisited int     `json:"nodes_visited"`
 	FrontierSize int     `json:"frontier_size"`
-	QuantPruned  int     `json:"quant_pruned"`
-	QuantSwept   int     `json:"quant_swept"`
 	// Fan-out activity: rounds that ran shards concurrently and the summed
 	// wall time of each such round's slowest shard. Absent when the query
 	// ran the sequential path.
@@ -316,8 +312,6 @@ func toStats(st dblsh.Stats) *queryStats {
 		FinalRadius:    st.FinalRadius,
 		NodesVisited:   st.NodesVisited,
 		FrontierSize:   st.FrontierSize,
-		QuantPruned:    st.QuantPruned,
-		QuantSwept:     st.QuantSwept,
 		ParallelRounds: st.ParallelRounds,
 		StragglerNs:    st.StragglerNanos,
 	}

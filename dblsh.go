@@ -209,20 +209,6 @@ type Options struct {
 	// Metric == InnerProduct.
 	NormBound float64
 
-	// Quantize controls the int8 quantized pre-filter on the verification
-	// path: "" or "on" (the default) maintains an int8 scalar-quantized
-	// mirror of the dataset (and of every R*-tree leaf) and uses it to
-	// prune candidates through a provable lower bound before any exact
-	// float32 distance work; "off" restores the exact single-stage path.
-	// The pre-filter never changes results — a candidate is pruned only
-	// when its quantized lower bound already exceeds the current k-th best
-	// distance, which the exact kernel would reject too — it only changes
-	// how much float32 work rejection costs. The setting is not persisted:
-	// an index reopened from a durable store uses the Options passed to
-	// Open (default on), and the mirrors are rebuilt from the restored
-	// vectors.
-	Quantize string
-
 	// The fields below configure the durability subsystem and apply only to
 	// indexes opened with Open; New and NewFromFlat build purely in-memory
 	// indexes and ignore them.
@@ -357,11 +343,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if opts.Parallelism < 0 {
 		return nil, fmt.Errorf("dblsh: Parallelism must be non-negative, got %d", opts.Parallelism)
 	}
-	switch opts.Quantize {
-	case "", "on", "off":
-	default:
-		return nil, fmt.Errorf(`dblsh: Quantize must be "on" or "off", got %q`, opts.Quantize)
-	}
 	met, err := buildMetric(opts, flat, n, dim)
 	if err != nil {
 		return nil, err
@@ -383,7 +364,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 		EarlyStopFactor: opts.EarlyStopFactor,
 		Metric:          met.Kind(),
 		MetricNormBound: met.NormBound(),
-		Quantize:        opts.Quantize,
 	})
 	set.SetParallelism(opts.Parallelism)
 	return &Index{set: set, dim: dim, met: met}, nil
@@ -474,16 +454,6 @@ type Stats struct {
 	// ladder never had to touch. (For batch queries the per-query values
 	// are summed, like the other counters.)
 	FrontierSize int
-	// QuantPruned is the number of candidates the int8 quantized
-	// pre-filter rejected before any exact float32 distance work — a
-	// subset of Candidates (pruned rows still consume budget, exactly like
-	// early-abandoned rows). Zero with Options.Quantize "off".
-	QuantPruned int
-	// QuantSwept is QuantPruned's denominator: the candidates the
-	// pre-filter actually examined. The adaptive gate stops sweeping (and
-	// QuantSwept stops growing) while the observed prune rate is too low
-	// to pay for the sweep, so QuantSwept may trail Candidates.
-	QuantSwept int
 	// ParallelRounds counts the ladder rounds (including a final covering
 	// sweep) whose shard visits fanned out concurrently. Zero on a
 	// single-shard index and whenever the query ran with parallelism 1.
@@ -511,8 +481,8 @@ type Params struct {
 	// NormBound is the inner-product reduction's fitted norm bound M; 0
 	// under the other metrics.
 	NormBound float64
-	// Quantize is the effective pre-filter setting, normalized to "on" or
-	// "off".
+	// Quantize is always "off": benchmark/layers.go:93 still reads it. The
+	// next PR allowed to edit benchmark/ removes it.
 	Quantize string
 	// Parallelism is the configured per-query shard fan-out setting
 	// (Options.Parallelism / SetParallelism): 0 means auto
@@ -523,14 +493,10 @@ type Params struct {
 // Params returns the parameters the index was built with.
 func (idx *Index) Params() Params {
 	cfg := idx.set.Params()
-	quant := "on"
-	if cfg.Quantize == "off" {
-		quant = "off"
-	}
 	return Params{
 		C: cfg.C, W0: cfg.W0, K: cfg.K, L: cfg.L, T: cfg.T,
 		Metric: Metric(cfg.Metric), NormBound: cfg.MetricNormBound,
-		Quantize: quant, Parallelism: idx.set.Parallelism(),
+		Quantize: "off", Parallelism: idx.set.Parallelism(),
 	}
 }
 
@@ -659,25 +625,6 @@ func (idx *Index) SetParallelism(n int) error {
 		return fmt.Errorf("dblsh: Parallelism must be non-negative, got %d", n)
 	}
 	idx.set.SetParallelism(n)
-	return nil
-}
-
-// SetQuantize switches the int8 quantized verification pre-filter on or
-// off — see Options.Quantize. Like the compaction threshold it is
-// operational, not persisted: an index loaded with Read starts with the
-// pre-filter on; use this to disable it. Enabling builds the int8 mirrors
-// (one pass over the data), disabling frees them. Results are identical
-// either way. Safe to call under concurrent searches, mutations and
-// compactions: each shard's mirror flips under that shard's write lock,
-// and a compaction racing the change installs the latest setting at swap
-// time.
-func (idx *Index) SetQuantize(setting string) error {
-	switch setting {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf(`dblsh: Quantize must be "on" or "off", got %q`, setting)
-	}
-	idx.set.SetQuantize(setting)
 	return nil
 }
 

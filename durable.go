@@ -346,13 +346,8 @@ func loadOrInitCheckpoint(dir string, opts Options) (idx *Index, lastCkpt time.T
 			return nil, time.Time{}, false, err
 		}
 	}
-	// So is the quantized pre-filter flag: the checkpoint rebuilds the int8
-	// mirrors with the default (on); apply the caller's setting.
-	if opts.Quantize != "" {
-		idx.set.SetQuantize(opts.Quantize)
-	}
-	// And the query fan-out setting (0 is already the auto default a loaded
-	// set starts with).
+	// So is the query fan-out setting (0 is already the auto default a
+	// loaded set starts with).
 	if opts.Parallelism != 0 {
 		if err := idx.SetParallelism(opts.Parallelism); err != nil {
 			return nil, time.Time{}, false, err

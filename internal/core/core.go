@@ -76,19 +76,10 @@ type Config struct {
 	MetricNormBound float64
 	// Tree configures the R*-trees.
 	Tree rstar.Options
-	// Quantize controls the int8 quantized pre-filter of the verification
-	// path: "" or "on" (the default) maintains an int8 mirror of the data
-	// matrix and rejects candidates whose quantized lower bound already
-	// exceeds the current k-th best before any exact distance computation;
-	// "off" restores the exact single-stage path. The pre-filter bound is
-	// a certain lower bound on the exact distance, so the result set is
-	// identical either way (rejected rows report +Inf exactly as the
-	// early-abandon kernel would).
+	// Quantize is ignored: benchmark/layers.go:93 still sets it. The next
+	// PR allowed to edit benchmark/ removes it.
 	Quantize string
 }
-
-// quantizeOn reports whether the quantized pre-filter is enabled.
-func (c Config) quantizeOn() bool { return c.Quantize != "off" }
 
 func (c Config) withDefaults(n int) Config {
 	if c.C <= 1 {
@@ -139,13 +130,6 @@ type Index struct {
 	r0        float64
 	pool      sync.Pool
 
-	// quant is the int8 mirror of data feeding the verification
-	// pre-filter; nil when Config.Quantize is "off". It mirrors the
-	// metric-transformed rows (data is already transformed), so cosine and
-	// inner-product indexes get the pre-filter for free. Not persisted:
-	// checkpoint reload rebuilds it from the restored matrix.
-	quant *vec.QuantMatrix // dblsh:guardedby caller
-
 	// Tombstones: deleted points stay in the trees but are filtered from
 	// query results. Rebuild the index when the deleted fraction grows
 	// large; LSH indexes are cheap to rebuild (bulk loading).
@@ -183,10 +167,6 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 		}(i)
 	}
 	wg.Wait()
-
-	if cfg.quantizeOn() {
-		idx.quant = vec.NewQuantMatrix(data)
-	}
 
 	idx.r0 = cfg.InitialRadius
 	if idx.r0 <= 0 {
@@ -252,32 +232,10 @@ func (idx *Index) Insert(p []float32) int {
 		}
 		idx.trees[i].Insert(id)
 	}
-	if idx.quant != nil {
-		idx.quant.Sync()
-	}
 	if idx.deleted != nil {
 		idx.deleted = append(idx.deleted, false)
 	}
 	return id
-}
-
-// QuantEnabled reports whether the int8 verification pre-filter is active.
-func (idx *Index) QuantEnabled() bool { return idx.quant != nil }
-
-// SetQuantize applies a pre-filter setting to a built index — the
-// operational toggle for restore paths, since the setting is not persisted
-// (checkpoints rebuild the int8 mirror from the restored vectors with the
-// default). Enabling builds the mirror; disabling drops it and restores
-// the exact single-stage verification path. The trees take no part: the
-// setting governs verification only. Must not run concurrently with
-// queries or mutations.
-func (idx *Index) SetQuantize(q string) {
-	idx.cfg.Quantize = q
-	if !idx.cfg.quantizeOn() {
-		idx.quant = nil
-	} else if idx.quant == nil {
-		idx.quant = vec.NewQuantMatrix(idx.data)
-	}
 }
 
 // Delete tombstones a point: it stays in the trees but is excluded from all
@@ -383,16 +341,9 @@ type Stats struct {
 	// the traversal cursors when the query finished — the residual work the
 	// incremental ladder never had to touch. Zero under the re-scan oracle.
 	Frontier int
-	// QuantPruned counts candidates the int8 quantized pre-filter rejected
-	// before any exact float32 work (a subset of Candidates: pruned rows
-	// still consume budget, exactly like early-abandoned rows). Zero when
-	// the pre-filter is off.
-	QuantPruned int
-	// QuantSwept counts candidates the pre-filter actually swept
-	// (QuantPruned's denominator): the adaptive gate stops sweeping — and
-	// QuantSwept stops growing — while the observed prune rate is too low
-	// to pay for the sweep.
-	QuantSwept int
+	// QuantPruned and QuantSwept are always 0: benchmark/layers.go:317-318
+	// still reads them. The next PR allowed to edit benchmark/ removes them.
+	QuantPruned, QuantSwept int
 	// ParallelRounds counts the coordinated ladder rounds that fanned out
 	// across shards concurrently, including the final covering sweep (which
 	// Rounds does not count, so this can reach Rounds+1). Zero on a
@@ -492,22 +443,7 @@ type Searcher struct {
 	visited []uint32
 	epoch   uint32
 	qhash   [][]float32
-	qunits  []float64 // current query in the pre-filter's code units
 	last    Stats
-
-	// Adaptive pre-filter gate. The int8 sweep only pays for itself when
-	// it actually prunes: every swept block updates a hit counter, and
-	// once a full window shows the prune rate below quantGateRate the gate
-	// opens — subsequent blocks skip straight to the exact kernel, with
-	// every quantGateProbe-th block still swept so the gate can close
-	// again when the workload changes (e.g. a looser bound after the heap
-	// refills on a new query). Skipping the sweep never changes results:
-	// the rows it would have pruned are exactly those the bounded kernel
-	// reports as +Inf anyway.
-	quantOff   bool
-	quantBlock int // blocks seen since the gate state last mattered
-	quantSweep int // rows swept in the current window
-	quantHits  int // rows pruned in the current window
 
 	// Candidate block scratch: ids gathered from the traversal, and the
 	// distances the batch kernel writes for them. In cursor mode bmeta runs
@@ -610,7 +546,7 @@ const (
 	verifyBlockHot  = 2
 )
 
-// flushBlock verifies the gathered candidate block with the batched kernels
+// flushBlock verifies the gathered candidate block with the batched kernel
 // and reports the candidates to emit in gather order. worst, when non-nil,
 // bounds the early-abandon kernel: candidates whose exact distance provably
 // exceeds worst() are reported as +Inf — by construction they cannot enter
@@ -633,21 +569,7 @@ func (s *Searcher) flushBlock(q []float32, worst func() float64, emit emitFunc) 
 	if worst != nil {
 		bound = worst()
 	}
-	if s.idx.quant != nil && !math.IsInf(bound, 1) && s.quantGate() {
-		// Two-stage verification: sweep the block's int8 codes first and
-		// only re-rank rows whose quantized lower bound does not already
-		// beat the k-th best. A pruned row reports +Inf — the exact value
-		// the bounded kernel would report, since its true distance provably
-		// exceeds the bound — so the emitted stream is bit-identical to the
-		// single-stage path.
-		pruned := vec.SquaredDistsToBoundedQuant(
-			q, s.qunits, s.idx.data, s.idx.quant, s.bids, bound*bound, dists)
-		s.last.QuantPruned += pruned
-		s.last.QuantSwept += len(s.bids)
-		s.quantNote(len(s.bids), pruned)
-	} else {
-		vec.SquaredDistsToBounded(q, s.idx.data, s.bids, bound*bound, dists)
-	}
+	vec.SquaredDistsToBounded(q, s.idx.data, s.bids, bound*bound, dists)
 	for j := range dists {
 		dists[j] = math.Sqrt(dists[j])
 	}
@@ -666,41 +588,6 @@ func (s *Searcher) flushBlock(q []float32, worst func() float64, emit emitFunc) 
 	s.bids = s.bids[:0]
 	s.bmeta = s.bmeta[:0]
 	return !stop
-}
-
-// Adaptive gate tuning. The sweep reads a quarter of the bandwidth of the
-// exact kernel, but candidate rows are cold — measured cost per swept row
-// is a large fraction of the exact kernel's — so it only breaks even when
-// a substantial fraction of swept rows actually gets pruned. Below that
-// the gate opens and only every quantGateProbe-th block is swept, keeping
-// the measurement alive at negligible cost so the gate can close again on
-// workloads (or query phases) where the bound bites.
-const (
-	quantGateWindow = 256 // rows per measurement window
-	quantGateRate   = 3   // keep sweeping while pruned ≥ swept/quantGateRate
-	quantGateProbe  = 64  // while open, sweep 1 block in quantGateProbe
-)
-
-// quantGate reports whether the next block should run the quantized
-// pre-filter sweep.
-func (s *Searcher) quantGate() bool {
-	if !s.quantOff {
-		return true
-	}
-	s.quantBlock++
-	return s.quantBlock%quantGateProbe == 0
-}
-
-// quantNote records a swept block's outcome and flips the gate when a full
-// window's prune rate crosses the break-even threshold.
-func (s *Searcher) quantNote(swept, pruned int) {
-	s.quantSweep += swept
-	s.quantHits += pruned
-	if s.quantSweep < quantGateWindow {
-		return
-	}
-	s.quantOff = s.quantHits*quantGateRate < s.quantSweep
-	s.quantSweep, s.quantHits = 0, 0
 }
 
 // emitFunc receives one verified candidate block in gather order: ids[j]'s
@@ -938,9 +825,6 @@ func (s *Searcher) Begin(q []float32) {
 	s.freshEpoch()
 	for i := 0; i < s.idx.cfg.L; i++ {
 		s.qhash[i] = s.idx.family.Compound(i).Hash(s.qhash[i][:0], q)
-	}
-	if s.idx.quant != nil {
-		s.qunits = s.idx.quant.QuantizeQueryUnits(q, s.qunits)
 	}
 	if !s.rescan {
 		for i, cur := range s.cursors {
@@ -1198,9 +1082,6 @@ func (s *Searcher) RNearParams(q []float32, r float64, p QueryParams) (vec.Neigh
 	s.freshEpoch()
 	for i := 0; i < idx.cfg.L; i++ {
 		s.qhash[i] = idx.family.Compound(i).Hash(s.qhash[i][:0], q)
-	}
-	if idx.quant != nil {
-		s.qunits = idx.quant.QuantizeQueryUnits(q, s.qunits)
 	}
 
 	t, _ := p.resolve(idx.cfg)

@@ -2,7 +2,7 @@ package rstar
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dblsh/internal/vec"
 )
@@ -24,8 +24,7 @@ func BulkLoad(data *vec.Matrix, opts Options) *Tree {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	leaves := t.packLeaves(ids)
-	t.root = t.packUpward(leaves)
+	t.root = t.packUpward(t.packLeaves(ids))
 	t.size = n
 	return t
 }
@@ -40,17 +39,21 @@ func BulkLoadIDs(data *vec.Matrix, ids []int, opts Options) *Tree {
 	for i, id := range ids {
 		ids32[i] = int32(id)
 	}
-	leaves := t.packLeaves(ids32)
-	t.root = t.packUpward(leaves)
+	t.root = t.packUpward(t.packLeaves(ids32))
 	t.size = len(ids)
 	return t
 }
 
-// packLeaves tiles the id set into leaf nodes with STR.
+// packLeaves tiles the id set into leaf nodes with STR. Every sort of the
+// tiling works in one pair buffer sized for the whole set — the sorts run
+// one after another, each over a sub-range of ids — which is garbage once
+// the leaves are packed. A buffer per sort sorts as fast but makes K times
+// the garbage, and a server's resident set still shows it after loading.
 func (t *Tree) packLeaves(ids []int32) []*node {
 	cap := t.opts.MaxEntries
 	var leaves []*node
-	t.strTile(ids, 0, cap, func(chunk []int32) {
+	pairs := make([]sortPair, len(ids))
+	t.strTile(ids, 0, cap, pairs, func(chunk []int32) {
 		leaf := &node{leaf: true, level: 0, ids: append([]int32(nil), chunk...)}
 		t.recomputeLeafRect(leaf)
 		t.finalizeLeaf(leaf)
@@ -62,7 +65,7 @@ func (t *Tree) packLeaves(ids []int32) []*node {
 // strTile recursively sorts ids by successive axes and partitions them into
 // slabs so that the final chunks have at most chunkSize entries (classic STR:
 // with P pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis).
-func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
+func (t *Tree) strTile(ids []int32, axis, chunkSize int, pairs []sortPair, emit func([]int32)) {
 	if len(ids) <= chunkSize {
 		emit(ids)
 		return
@@ -70,7 +73,7 @@ func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
 	remDims := t.dim - axis
 	if remDims <= 1 {
 		// Last axis: sort and emit fixed-size runs.
-		t.sortIDsByAxis(ids, axis)
+		t.sortIDsByAxis(ids, axis, pairs)
 		for lo := 0; lo < len(ids); lo += chunkSize {
 			hi := lo + chunkSize
 			if hi > len(ids) {
@@ -90,20 +93,30 @@ func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
 	if rem := perSlab % chunkSize; rem != 0 {
 		perSlab += chunkSize - rem
 	}
-	t.sortIDsByAxis(ids, axis)
+	t.sortIDsByAxis(ids, axis, pairs)
 	for lo := 0; lo < len(ids); lo += perSlab {
 		hi := lo + perSlab
 		if hi > len(ids) {
 			hi = len(ids)
 		}
-		t.strTile(ids[lo:hi], axis+1, chunkSize, emit)
+		t.strTile(ids[lo:hi], axis+1, chunkSize, pairs, emit)
 	}
 }
 
-func (t *Tree) sortIDsByAxis(ids []int32, axis int) {
-	sort.Slice(ids, func(a, b int) bool {
-		return t.point(ids[a])[axis] < t.point(ids[b])[axis]
-	})
+// sortIDsByAxis sorts ids by their points' coordinate on axis: it extracts
+// (key, id) pairs into pairs, which must be at least len(ids) long, sorts
+// those as split.go does, and writes the ids back. Under byKey this is the
+// permutation sort.Slice applied to the ids themselves, equal keys
+// included (see byKey), so the tree packed from it is the same tree.
+func (t *Tree) sortIDsByAxis(ids []int32, axis int, pairs []sortPair) {
+	pairs = pairs[:len(ids)]
+	for i, id := range ids {
+		pairs[i] = sortPair{float64(t.point(id)[axis]), id}
+	}
+	slices.SortFunc(pairs, byKey)
+	for i, p := range pairs {
+		ids[i] = p.idx
+	}
 }
 
 // packUpward builds internal levels over the given nodes until one root
@@ -128,7 +141,8 @@ func (t *Tree) packLevel(nodes []*node, level int) []*node {
 		order[i] = i
 	}
 	var groups [][]int
-	t.strTileGeneric(order, centers, 0, cap, func(chunk []int) {
+	pairs := make([]sortPair, len(nodes))
+	t.strTileGeneric(order, centers, 0, cap, pairs, func(chunk []int) {
 		groups = append(groups, append([]int(nil), chunk...))
 	})
 	out := make([]*node, 0, len(groups))
@@ -144,16 +158,14 @@ func (t *Tree) packLevel(nodes []*node, level int) []*node {
 	return out
 }
 
-func (t *Tree) strTileGeneric(order []int, centers [][]float32, axis, chunkSize int, emit func([]int)) {
+func (t *Tree) strTileGeneric(order []int, centers [][]float32, axis, chunkSize int, pairs []sortPair, emit func([]int)) {
 	if len(order) <= chunkSize {
 		emit(order)
 		return
 	}
 	remDims := t.dim - axis
 	if remDims <= 1 {
-		sort.Slice(order, func(a, b int) bool {
-			return centers[order[a]][axis] < centers[order[b]][axis]
-		})
+		sortOrderByAxis(order, centers, axis, pairs)
 		for lo := 0; lo < len(order); lo += chunkSize {
 			hi := lo + chunkSize
 			if hi > len(order) {
@@ -172,14 +184,25 @@ func (t *Tree) strTileGeneric(order []int, centers [][]float32, axis, chunkSize 
 	if rem := perSlab % chunkSize; rem != 0 {
 		perSlab += chunkSize - rem
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return centers[order[a]][axis] < centers[order[b]][axis]
-	})
+	sortOrderByAxis(order, centers, axis, pairs)
 	for lo := 0; lo < len(order); lo += perSlab {
 		hi := lo + perSlab
 		if hi > len(order) {
 			hi = len(order)
 		}
-		t.strTileGeneric(order[lo:hi], centers, axis+1, chunkSize, emit)
+		t.strTileGeneric(order[lo:hi], centers, axis+1, chunkSize, pairs, emit)
+	}
+}
+
+// sortOrderByAxis is sortIDsByAxis for a level's nodes: order holds indices
+// into centers and is sorted by the centre coordinate on axis.
+func sortOrderByAxis(order []int, centers [][]float32, axis int, pairs []sortPair) {
+	pairs = pairs[:len(order)]
+	for i, o := range order {
+		pairs[i] = sortPair{float64(centers[o][axis]), int32(o)}
+	}
+	slices.SortFunc(pairs, byKey)
+	for i, p := range pairs {
+		order[i] = int(p.idx)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -205,17 +206,17 @@ func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 // TestSortPairsMatchesSortSlice pins what the same-tree guarantee borrows
 // from the standard library: sorting extracted pairs with slices.SortFunc
 // permutes them exactly as sort.Slice permutes the entries themselves,
-// equal keys included.
+// equal keys included. The small random cases are the size of a node being
+// split; the large ones are the size of a bulk load's slabs, where pdqsort
+// picks pivots by ninther, partitions runs of equal keys, and on the
+// patterned inputs detects order, reverses, and breaks patterns.
 func TestSortPairsMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 3000; trial++ {
-		n := rng.Intn(90)
-		spread := 1 + rng.Intn(12) // few distinct keys: many ties
-		keys := make([]float32, n)
-		ids := make([]int32, n)
-		pairs := make([]sortPair, n)
+	check := func(name string, keys []float32) {
+		t.Helper()
+		ids := make([]int32, len(keys))
+		pairs := make([]sortPair, len(keys))
 		for i := range keys {
-			keys[i] = float32(rng.Intn(spread))
 			ids[i] = int32(i)
 			pairs[i] = sortPair{float64(keys[i]), int32(i)}
 		}
@@ -223,8 +224,37 @@ func TestSortPairsMatchesSortSlice(t *testing.T) {
 		slices.SortFunc(pairs, byKey)
 		for i := range ids {
 			if pairs[i].idx != ids[i] {
-				t.Fatalf("trial %d (n=%d): permutations diverge at %d", trial, n, i)
+				t.Fatalf("%s (n=%d): permutations diverge at %d", name, len(keys), i)
 			}
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		keys := make([]float32, rng.Intn(90))
+		spread := 1 + rng.Intn(12) // few distinct keys: many ties
+		for i := range keys {
+			keys[i] = float32(rng.Intn(spread))
+		}
+		check(fmt.Sprintf("trial %d", trial), keys)
+	}
+	for _, n := range []int{200, 5000, 50000} {
+		for _, spread := range []int{2, 7, 40, n} {
+			keys := make([]float32, n)
+			for i := range keys {
+				keys[i] = float32(rng.Intn(spread))
+			}
+			check(fmt.Sprintf("random/%d keys", spread), keys)
+			for i := range keys {
+				keys[i] = float32(i % spread)
+			}
+			check(fmt.Sprintf("sawtooth/%d keys", spread), keys)
+			for i := range keys {
+				keys[i] = float32(min(i, n-1-i) * spread / n)
+			}
+			check(fmt.Sprintf("organ pipe/%d keys", spread), keys)
+			for i := range keys {
+				keys[i] = float32((n - i) * spread / n)
+			}
+			check(fmt.Sprintf("descending/%d keys", spread), keys)
 		}
 	}
 }

@@ -24,8 +24,8 @@ type Options struct {
 	MinEntries int
 	// Quantize is ignored. It switched on an int8 twin of every leaf that
 	// the whole-node window tests replaced; the field survives only because
-	// benchmark/layers.go sets it and a change that claims a gain may not
-	// edit benchmark/. Remove it in the next PR that may.
+	// benchmark/layers.go:105 sets it and a change that claims a gain may
+	// not edit benchmark/. Remove it in the next PR that may.
 	Quantize bool
 }
 

@@ -205,71 +205,6 @@ func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 	}
 }
 
-// TestSetQuantizeConcurrentWithCompaction is the regression net for the
-// SetQuantize data race: the override used to write s.cfg.Quantize bare
-// while compaction read the config concurrently. Now the setting lives
-// behind an atomic and compaction re-checks it at swap time, so toggling it
-// under live compactions, mutations and searches must be clean under -race
-// and the last toggle must win.
-func TestSetQuantizeConcurrentWithCompaction(t *testing.T) {
-	const n, d, S = 1200, 8, 2
-	flat, queries := corpus(n, d, 151)
-	s := Build(flat, n, d, S, 0, core.Config{K: 4, L: 2, T: 20, Seed: 151})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // quantize toggler
-		defer wg.Done()
-		for i := 0; i < 60; i++ {
-			if i%2 == 0 {
-				s.SetQuantize("int8")
-			} else {
-				s.SetQuantize("")
-			}
-		}
-		s.SetQuantize("int8")
-	}()
-	wg.Add(1)
-	go func() { // deleter keeps the compactor busy
-		defer wg.Done()
-		for g := 0; g < n; g += 2 {
-			s.Delete(g)
-		}
-	}()
-	wg.Add(1)
-	go func() { // compactor reads the rebuild config the toggler writes
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			for sh := 0; sh < S; sh++ {
-				s.CompactShard(sh)
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // searchers exercise the per-shard mirrors
-		defer wg.Done()
-		sr := s.NewSearcher()
-		for i := 0; i < 200; i++ {
-			if _, err := sr.Search(queries[i%len(queries)], 5, core.QueryParams{Parallelism: S}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	if got := s.Params().Quantize; got != "int8" {
-		t.Fatalf("Params().Quantize = %q after final SetQuantize(\"int8\")", got)
-	}
-	// A compaction after the dust settles must rebuild with the surviving
-	// setting, not the build-time one.
-	s.Delete(1)
-	s.CompactShard(1)
-	if got := s.Params().Quantize; got != "int8" {
-		t.Fatalf("Params().Quantize = %q after post-toggle compaction", got)
-	}
-}
-
 // FuzzParallelLadderEquivalence feeds randomized corpus shapes and query
 // knobs through both ladder paths and requires bit-identical answers. It is
 // the differential fuzzer the CI fuzz-smoke job runs.

@@ -100,10 +100,6 @@ type Set struct {
 	// pool's capacity, which keeps intra-query and inter-query parallelism
 	// from multiplying into oversubscription.
 	workers chan struct{}
-	// quantize, when non-nil, overrides cfg.Quantize: SetQuantize stores
-	// here atomically so compaction's config read races with nothing.
-	quantize atomic.Pointer[string]
-
 	// metrics is the optional compaction observability hook set, swapped
 	// in atomically so SetMetrics is safe while background auto-compaction
 	// is already running.
@@ -343,38 +339,8 @@ func (s *Set) Shards() int { return len(s.shards) }
 // Dim returns the vector dimensionality.
 func (s *Set) Dim() int { return s.dim }
 
-// Params returns the resolved build configuration (base seed), reflecting
-// any operational override applied since the build (SetQuantize).
-func (s *Set) Params() core.Config {
-	c := s.cfg
-	c.Quantize = s.quantizeSetting()
-	return c
-}
-
-// SetQuantize applies a quantized pre-filter setting to every shard and to
-// the configuration future compactions rebuild from. The restore paths use
-// it: the setting is operational, not persisted. Safe to call at any time,
-// including under concurrent searches, mutations and compactions: the
-// shared setting lives behind an atomic (compaction re-reads it at swap
-// time, so a rebuild racing the change still installs the latest setting)
-// and each shard's mirror flips under that shard's write lock.
-func (s *Set) SetQuantize(q string) {
-	s.quantize.Store(&q)
-	for _, st := range s.shards {
-		st.mu.Lock()
-		st.idx.SetQuantize(q)
-		st.mu.Unlock()
-	}
-}
-
-// quantizeSetting returns the effective pre-filter setting: the last
-// SetQuantize override, or the build-time configuration.
-func (s *Set) quantizeSetting() string {
-	if p := s.quantize.Load(); p != nil {
-		return *p
-	}
-	return s.cfg.Quantize
-}
+// Params returns the resolved build configuration (base seed).
+func (s *Set) Params() core.Config { return s.cfg }
 
 // SetParallelism replaces the set-level per-query fan-out setting: 0 lets
 // each query pick min(GOMAXPROCS, shards) (the auto policy), 1 forces the
@@ -628,20 +594,12 @@ func (s *Set) compactState(st *state) int {
 	c := s.cfg
 	c.Seed = st.seed
 	c.InitialRadius = 0 // re-estimate from the compacted content
-	c.Quantize = s.quantizeSetting()
 	fresh := core.Build(live, c)
 
 	// Swap under the write lock, replaying whatever raced the build: rows
 	// appended after the snapshot, and tombstones laid on snapshot rows.
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if q := s.quantizeSetting(); q != c.Quantize {
-		// A SetQuantize raced the rebuild: it already flipped (or is about
-		// to flip, once we release the write lock) the index we are
-		// discarding, so apply the latest setting to the replacement before
-		// it becomes visible.
-		fresh.SetQuantize(q)
-	}
 	for j, ol := range oldLocals {
 		if old.IsDeleted(ol) {
 			fresh.Delete(j)
@@ -797,17 +755,8 @@ type Searcher struct {
 	// WaitGroup barrier is the only synchronization they need.
 	began  []bool        // shard i's searcher saw Begin for this query
 	seenG  map[int]bool  // global-id dedup across a mid-query index swap
-	carry  []carryStats  // per shard: counters of searchers discarded mid-query
+	carry  []int         // per shard: nodes visited by searchers discarded mid-query
 	arenas []gatherArena // per shard: parallel-round gather buffers
-}
-
-// carryStats holds the traversal counters of a core searcher that a
-// mid-query compaction swap discarded, folded into the query's stats. Kept
-// per shard so parallel gathers never write a shared counter.
-type carryStats struct {
-	nodes       int
-	quantPruned int
-	quantSwept  int
 }
 
 // gatherArena is one shard's per-round candidate buffer for the parallel
@@ -832,7 +781,7 @@ func (s *Set) NewSearcher() *Searcher {
 		per:   make([]*core.Searcher, len(s.shards)),
 		seen:  make([]*core.Index, len(s.shards)),
 		began: make([]bool, len(s.shards)),
-		carry: make([]carryStats, len(s.shards)),
+		carry: make([]int, len(s.shards)),
 	}
 }
 
@@ -844,13 +793,10 @@ func (sr *Searcher) searcherFor(i int) *core.Searcher {
 	st := sr.set.shards[i]
 	if sr.seen[i] != st.idx {
 		if sr.began[i] && sr.per[i] != nil {
-			// A swap mid-query discards the old searcher; carry its
-			// traversal and pre-filter counters so the query's stats stay
-			// complete.
-			old := sr.per[i].LastStats()
-			sr.carry[i].nodes += old.NodesVisited
-			sr.carry[i].quantPruned += old.QuantPruned
-			sr.carry[i].quantSwept += old.QuantSwept
+			// A swap mid-query discards the old searcher; carry its node
+			// count (per shard, so parallel gathers never write a shared
+			// counter) so the query's stats stay complete.
+			sr.carry[i] += sr.per[i].LastStats().NodesVisited
 		}
 		sr.per[i] = st.idx.NewSearcher()
 		sr.seen[i] = st.idx
@@ -901,7 +847,7 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 	sr.last = core.Stats{}
 	for i := range sr.began {
 		sr.began[i] = false
-		sr.carry[i] = carryStats{}
+		sr.carry[i] = 0
 	}
 	if sr.seenG == nil {
 		sr.seenG = make(map[int]bool)
@@ -978,21 +924,15 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 	return cand.Results(), nil
 }
 
-// finishTraversalStats folds the per-shard searchers' traversal and
-// pre-filter counters into the merged stats: nodes visited and quantized
-// pre-filter activity across every shard's trees (including searchers a
-// mid-query compaction swap discarded), and the residual frontier size of
-// every cursor the query armed.
+// finishTraversalStats folds the per-shard searchers' traversal counters
+// into the merged stats: nodes visited across every shard's trees
+// (including searchers a mid-query compaction swap discarded), and the
+// residual frontier size of every cursor the query armed.
 func (sr *Searcher) finishTraversalStats() {
 	for i := range sr.set.shards {
-		sr.last.NodesVisited += sr.carry[i].nodes
-		sr.last.QuantPruned += sr.carry[i].quantPruned
-		sr.last.QuantSwept += sr.carry[i].quantSwept
+		sr.last.NodesVisited += sr.carry[i]
 		if sr.began[i] && sr.per[i] != nil {
-			st := sr.per[i].LastStats()
-			sr.last.NodesVisited += st.NodesVisited
-			sr.last.QuantPruned += st.QuantPruned
-			sr.last.QuantSwept += st.QuantSwept
+			sr.last.NodesVisited += sr.per[i].LastStats().NodesVisited
 			sr.last.Frontier += sr.per[i].FrontierLen()
 		}
 	}
@@ -1238,8 +1178,6 @@ func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (ve
 		cst := cs.LastStats()
 		spent := cst.Candidates
 		agg.NodesVisited += cst.NodesVisited
-		agg.QuantPruned += cst.QuantPruned
-		agg.QuantSwept += cst.QuantSwept
 		st.mu.RUnlock()
 		agg.Candidates += spent
 		remaining -= spent

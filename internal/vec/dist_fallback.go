@@ -8,3 +8,7 @@ package vec
 //
 // dblsh:dispatch
 func registerArchKernels() {}
+
+// prefetchLines does nothing on architectures without a prefetch stub: the
+// sweep runs the same kernels on the same rows and waits for each one.
+func prefetchLines(row []float32, lines int) {}

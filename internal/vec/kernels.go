@@ -56,234 +56,24 @@ const abandonStride = 16
 // bound candidate by candidate, and the two must emit bit-identical
 // distances for every row both keep.
 //
-// dblsh:dispatch blessed blocked-sweep dispatch site: the pair/quad sweeps
-// engage on the kernel name (a startup-frozen value), never on the bound
-// or any other per-query runtime value
+// The rows of a block are scattered over the matrix, so the sweep asks for
+// each one prefetchAhead rows before it computes it (see prefetch.go): the
+// kernel then waits for memory once per block, not once per row. The ids,
+// the bound and the per-row kernel are what they would be without the
+// prefetch, so the outputs are too, bit for bit, under every kernel row.
 func SquaredDistsToBounded(q []float32, m *Matrix, ids []int, bound float64, out []float64) {
 	_ = out[:len(ids)]
-	// Candidate rows are scattered, so each one starts with a cache miss;
-	// sweeping four rows per call keeps four independent miss streams in
-	// flight (the rows share no data) instead of serializing on one row's
-	// lines. The interleaved sweep's per-row accumulation order and abandon
-	// checkpoints match the default 4×-unrolled single-row kernel, so it
-	// only engages for that kernel — outputs stay bit-identical to the
-	// one-row-at-a-time loop; scalar and wide keep their own per-row order.
 	impl := activeKernel.squaredDistBounded
-	j := 0
-	if len(q) >= 2*abandonStride && activeKernel.name == "unrolled" {
-		// Touch every candidate row's first cache line up front: the loads
-		// are independent, so the out-of-order window overlaps their misses
-		// across the whole block instead of the four-at-a-time the sweep
-		// manages, and early-abandoned rows (the common case) rarely need
-		// more than the lines warmed here. Reads only — results unchanged.
-		var warm float32
-		for _, id := range ids {
-			warm += m.Row(id)[0]
-		}
-		_ = warm
-		for ; j+4 <= len(ids); j += 4 {
-			out[j], out[j+1] = squaredDistBoundedQuad(q,
-				m.Row(ids[j]), m.Row(ids[j+1]), m.Row(ids[j+2]), m.Row(ids[j+3]),
-				bound, out[j+2:])
-		}
-		for ; j+2 <= len(ids); j += 2 {
-			out[j], out[j+1] = squaredDistBoundedPair(q, m.Row(ids[j]), m.Row(ids[j+1]), bound)
-		}
+	lines := prefetchLineCount(m.d)
+	for _, id := range ids[:min(prefetchAhead, len(ids))] {
+		prefetchLines(m.Row(id), lines)
 	}
-	for ; j < len(ids); j++ {
-		out[j] = impl(q, m.Row(ids[j]), bound)
+	for j, id := range ids {
+		if j+prefetchAhead < len(ids) {
+			prefetchLines(m.Row(ids[j+prefetchAhead]), lines)
+		}
+		out[j] = impl(q, m.Row(id), bound)
 	}
-}
-
-// squaredDistBoundedQuad is squaredDistBoundedPair over four rows: the four
-// scattered rows' stride blocks are interleaved so their memory fetches
-// overlap. Each row's summation order and abandon checkpoints match the
-// single-row kernel exactly. Results for c and d land in cd[0] and cd[1].
-//
-// dblsh:kernelimpl
-func squaredDistBoundedQuad(q, a, b, cc, dd []float32, bound float64, cd []float64) (float64, float64) {
-	n := len(q)
-	_ = a[n-1]
-	_ = b[n-1]
-	_ = cc[n-1]
-	_ = dd[n-1]
-	var sa, sb, sc, sd float64
-	doneA, doneB, doneC, doneD := false, false, false, false
-	i := 0
-	for i+abandonStride <= n && (!doneA || !doneB || !doneC || !doneD) {
-		if !doneA {
-			var s0, s1, s2, s3 float64
-			for k := i; k < i+abandonStride; k += 4 {
-				d0 := q[k] - a[k]
-				d1 := q[k+1] - a[k+1]
-				d2 := q[k+2] - a[k+2]
-				d3 := q[k+3] - a[k+3]
-				s0 += float64(d0) * float64(d0)
-				s1 += float64(d1) * float64(d1)
-				s2 += float64(d2) * float64(d2)
-				s3 += float64(d3) * float64(d3)
-			}
-			sa += (s0 + s1) + (s2 + s3)
-			if sa > bound {
-				doneA, sa = true, math.Inf(1)
-			}
-		}
-		if !doneB {
-			var s0, s1, s2, s3 float64
-			for k := i; k < i+abandonStride; k += 4 {
-				d0 := q[k] - b[k]
-				d1 := q[k+1] - b[k+1]
-				d2 := q[k+2] - b[k+2]
-				d3 := q[k+3] - b[k+3]
-				s0 += float64(d0) * float64(d0)
-				s1 += float64(d1) * float64(d1)
-				s2 += float64(d2) * float64(d2)
-				s3 += float64(d3) * float64(d3)
-			}
-			sb += (s0 + s1) + (s2 + s3)
-			if sb > bound {
-				doneB, sb = true, math.Inf(1)
-			}
-		}
-		if !doneC {
-			var s0, s1, s2, s3 float64
-			for k := i; k < i+abandonStride; k += 4 {
-				d0 := q[k] - cc[k]
-				d1 := q[k+1] - cc[k+1]
-				d2 := q[k+2] - cc[k+2]
-				d3 := q[k+3] - cc[k+3]
-				s0 += float64(d0) * float64(d0)
-				s1 += float64(d1) * float64(d1)
-				s2 += float64(d2) * float64(d2)
-				s3 += float64(d3) * float64(d3)
-			}
-			sc += (s0 + s1) + (s2 + s3)
-			if sc > bound {
-				doneC, sc = true, math.Inf(1)
-			}
-		}
-		if !doneD {
-			var s0, s1, s2, s3 float64
-			for k := i; k < i+abandonStride; k += 4 {
-				d0 := q[k] - dd[k]
-				d1 := q[k+1] - dd[k+1]
-				d2 := q[k+2] - dd[k+2]
-				d3 := q[k+3] - dd[k+3]
-				s0 += float64(d0) * float64(d0)
-				s1 += float64(d1) * float64(d1)
-				s2 += float64(d2) * float64(d2)
-				s3 += float64(d3) * float64(d3)
-			}
-			sd += (s0 + s1) + (s2 + s3)
-			if sd > bound {
-				doneD, sd = true, math.Inf(1)
-			}
-		}
-		i += abandonStride
-	}
-	for ; i < n; i++ {
-		dq := q[i]
-		if !doneA {
-			d := dq - a[i]
-			sa += float64(d) * float64(d)
-		}
-		if !doneB {
-			d := dq - b[i]
-			sb += float64(d) * float64(d)
-		}
-		if !doneC {
-			d := dq - cc[i]
-			sc += float64(d) * float64(d)
-		}
-		if !doneD {
-			d := dq - dd[i]
-			sd += float64(d) * float64(d)
-		}
-	}
-	if !doneA && sa > bound {
-		sa = math.Inf(1)
-	}
-	if !doneB && sb > bound {
-		sb = math.Inf(1)
-	}
-	if !doneC && sc > bound {
-		sc = math.Inf(1)
-	}
-	if !doneD && sd > bound {
-		sd = math.Inf(1)
-	}
-	cd[0], cd[1] = sc, sd
-	return sa, sb
-}
-
-// squaredDistBoundedPair computes squaredDistBounded(q, a, bound) and
-// squaredDistBounded(q, b, bound) together, interleaving the two rows'
-// stride blocks so their memory fetches overlap. Each row's summation
-// order and abandon checkpoints match the single-row kernel exactly.
-//
-// dblsh:kernelimpl
-func squaredDistBoundedPair(q, a, b []float32, bound float64) (float64, float64) {
-	n := len(q)
-	_ = a[n-1]
-	_ = b[n-1]
-	var sa, sb float64
-	doneA, doneB := false, false
-	i := 0
-	for i+abandonStride <= n && (!doneA || !doneB) {
-		if !doneA {
-			var s0, s1, s2, s3 float64
-			for k := i; k < i+abandonStride; k += 4 {
-				d0 := q[k] - a[k]
-				d1 := q[k+1] - a[k+1]
-				d2 := q[k+2] - a[k+2]
-				d3 := q[k+3] - a[k+3]
-				s0 += float64(d0) * float64(d0)
-				s1 += float64(d1) * float64(d1)
-				s2 += float64(d2) * float64(d2)
-				s3 += float64(d3) * float64(d3)
-			}
-			sa += (s0 + s1) + (s2 + s3)
-			if sa > bound {
-				doneA, sa = true, math.Inf(1)
-			}
-		}
-		if !doneB {
-			var s0, s1, s2, s3 float64
-			for k := i; k < i+abandonStride; k += 4 {
-				d0 := q[k] - b[k]
-				d1 := q[k+1] - b[k+1]
-				d2 := q[k+2] - b[k+2]
-				d3 := q[k+3] - b[k+3]
-				s0 += float64(d0) * float64(d0)
-				s1 += float64(d1) * float64(d1)
-				s2 += float64(d2) * float64(d2)
-				s3 += float64(d3) * float64(d3)
-			}
-			sb += (s0 + s1) + (s2 + s3)
-			if sb > bound {
-				doneB, sb = true, math.Inf(1)
-			}
-		}
-		i += abandonStride
-	}
-	for ; i < n; i++ {
-		dq := q[i]
-		if !doneA {
-			d := dq - a[i]
-			sa += float64(d) * float64(d)
-		}
-		if !doneB {
-			d := dq - b[i]
-			sb += float64(d) * float64(d)
-		}
-	}
-	if !doneA && sa > bound {
-		sa = math.Inf(1)
-	}
-	if !doneB && sb > bound {
-		sb = math.Inf(1)
-	}
-	return sa, sb
 }
 
 // squaredDistBounded returns the squared distance between a and b, or +Inf

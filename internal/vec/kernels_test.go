@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -289,6 +291,82 @@ func BenchmarkDistKernels(b *testing.B) {
 		b.Run(name+"/blocked-bounded", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				SquaredDistsToBounded(q, m, ids, bound, out)
+			}
+		})
+	}
+}
+
+// coldBlock is the verification block of BenchmarkVerifyBlockCold, the size
+// core gathers before it calls the sweep.
+const coldBlock = 64
+
+// coldCorpus builds one matrix of BenchmarkVerifyBlockCold. Every row is the
+// query plus noise of its own amplitude, between 0.6 and 2, so a block's
+// distances spread as a candidate stream's do and a bound at its 10th
+// percentile abandons the other rows, on average, a good third of the way
+// in — where TestKernelsMatchScalar's Gaussian rows, all equally far, would
+// be read to the end. The ids of nblocks blocks come from a fixed LCG;
+// bounds[b] is block b's 7th-smallest exact squared distance of 64.
+func coldCorpus(rows, dim, nblocks int) (m *Matrix, q []float32, ids []int, bounds []float64) {
+	x := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x >> 33
+	}
+	unit := func() float32 { return float32(next()&0xFFFF) / 65536 } // [0, 1)
+	q = make([]float32, dim)
+	for j := range q {
+		q[j] = 2*unit() - 1
+	}
+	m = NewMatrix(rows, dim)
+	for i := 0; i < rows; i++ {
+		amp := 0.6 + 1.4*unit()
+		for j, row := 0, m.Row(i); j < dim; j++ {
+			row[j] = q[j] + amp*(2*unit()-1)
+		}
+	}
+	ids = make([]int, nblocks*coldBlock)
+	for i := range ids {
+		ids[i] = int(next() % uint64(rows))
+	}
+	bounds = make([]float64, nblocks)
+	exact := make([]float64, coldBlock)
+	for b := range bounds {
+		SquaredDistsTo(q, m, ids[b*coldBlock:(b+1)*coldBlock], exact)
+		sort.Float64s(exact)
+		bounds[b] = exact[coldBlock/10]
+	}
+	return m, q, ids, bounds
+}
+
+// BenchmarkVerifyBlockCold is the instrument prefetchAhead and
+// prefetchMaxLines are checked on: the bounded sweep as a query runs it, 64
+// scattered rows at a time with nine in ten abandoning, over matrices no
+// cache private to a core holds (40 000 × 960 is 154 MB, 100 000 × 128 is
+// 51 MB, and a pass over the 2 048 blocks goes round either several
+// times), so every row is the cache- and TLB-cold read it is in a query.
+// BenchmarkDistKernels' blocked-bounded row gathers from a 2 MB matrix and
+// measures the arithmetic instead. One sub-benchmark per registered kernel
+// row; ns/row is the number to read.
+func BenchmarkVerifyBlockCold(b *testing.B) {
+	const nblocks = 2048
+	for _, shape := range []struct{ rows, dim int }{{40000, 960}, {100000, 128}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.rows, shape.dim), func(b *testing.B) {
+			m, q, ids, bounds := coldCorpus(shape.rows, shape.dim, nblocks)
+			out := make([]float64, coldBlock)
+			defer SetKernel(KernelName())
+			for _, name := range KernelNames() {
+				if err := SetKernel(name); err != nil {
+					b.Fatal(err)
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						blk := i % nblocks
+						SquaredDistsToBounded(q, m, ids[blk*coldBlock:(blk+1)*coldBlock], bounds[blk], out)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*coldBlock), "ns/row")
+				})
 			}
 		})
 	}

@@ -4,6 +4,11 @@ import "math"
 
 // Int8 scalar quantization for the verification pre-filter.
 //
+// No query runs this file: the pre-filter cost more than the exact sweep it
+// fronted and left the product. It stays, kernel rows and tests included,
+// because benchmark/layers.go:84,109,295,298 still replays it; the next PR
+// allowed to edit benchmark/ removes it.
+//
 // A QuantMatrix mirrors a float32 Matrix as int8 codes under a single
 // per-matrix affine map x ≈ off + scale·code, so a candidate row costs a
 // quarter of the memory bandwidth of its float32 original — the dominant

@@ -178,8 +178,6 @@ func statsFromCore(st core.Stats) Stats {
 		FinalRadius:    st.FinalR,
 		NodesVisited:   st.NodesVisited,
 		FrontierSize:   st.Frontier,
-		QuantPruned:    st.QuantPruned,
-		QuantSwept:     st.QuantSwept,
 		ParallelRounds: st.ParallelRounds,
 		StragglerNanos: st.StragglerNanos,
 	}
@@ -324,8 +322,6 @@ func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOpti
 			agg.Rounds += st.Rounds
 			agg.NodesVisited += st.NodesVisited
 			agg.FrontierSize += st.FrontierSize
-			agg.QuantPruned += st.QuantPruned
-			agg.QuantSwept += st.QuantSwept
 			agg.ParallelRounds += st.ParallelRounds
 			agg.StragglerNanos += st.StragglerNanos
 			if st.FinalRadius > agg.FinalRadius {

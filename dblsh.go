@@ -88,8 +88,9 @@
 //
 // # Durability
 //
-// Open turns the index into a durable store backed by a directory: a v3
-// snapshot (the WriteTo format) plus a write-ahead op log of every Add and
+// Open turns the index into a durable store backed by a directory: a
+// snapshot (the WriteTo format, which holds the trees as they are, so that
+// loading it rebuilds nothing) plus a write-ahead op log of every Add and
 // Delete since that snapshot. A process killed without Close reopens with
 // every mutation the sync policy had fsynced, under the same ids; a
 // truncated final log record (a crash mid-append) is detected and dropped:
@@ -231,7 +232,7 @@ type Options struct {
 	SyncEvery time.Duration
 
 	// CheckpointEvery, when positive, runs a background checkpoint at that
-	// cadence (skipped while no mutations are pending): the v3 snapshot is
+	// cadence (skipped while no mutations are pending): the snapshot is
 	// rewritten shard by shard and the op log truncated, bounding both
 	// recovery time and log growth. 0 leaves checkpointing to explicit
 	// Checkpoint calls.

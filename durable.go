@@ -1,11 +1,13 @@
 // The durability subsystem: Open / Close / Checkpoint / Save.
 //
-// A durable index lives in a directory holding a v3 snapshot
-// ("checkpoint.dblsh", the exact WriteTo format) and a write-ahead op log
-// ("wal.log", see internal/wal) of every Add and Delete applied since that
-// snapshot was cut. Open loads the newest checkpoint, replays the log on
-// top of it, and resumes; a crash therefore loses at most the log records
-// the sync policy had not yet fsynced.
+// A durable index lives in a directory holding a snapshot
+// ("checkpoint.dblsh", the exact WriteTo format: v4, the trees stored as
+// they are) and a write-ahead op log ("wal.log", see internal/wal) of every
+// Add and Delete applied since that snapshot was cut. Open loads the newest
+// checkpoint — a read, nothing is rebuilt — replays the log on top of it,
+// and resumes; a crash therefore loses at most the log records the sync
+// policy had not yet fsynced, and a restart costs the checkpoint's bytes
+// plus one index insert per logged Add.
 //
 // Checkpointing rotates the active log segment aside (to "wal.<seq>.old"),
 // streams a fresh snapshot through the lock-light per-shard WriteTo path to
@@ -637,7 +639,7 @@ func (d *durable) checkpoint(idx *Index) error {
 	return nil
 }
 
-// writeCheckpoint streams idx's v3 snapshot into dir's checkpoint slot:
+// writeCheckpoint streams idx's snapshot into dir's checkpoint slot:
 // write to a temp file, fsync it, rename it over the previous checkpoint,
 // fsync the directory — a crash at any point leaves one intact checkpoint.
 func writeCheckpoint(idx *Index, dir string) error {

@@ -2,68 +2,154 @@ package dblsh
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"os"
 	"testing"
 )
 
-// FuzzRead hardens the index-file parser: arbitrary bytes must produce an
-// error, never a panic or a runaway allocation. Run with
-// `go test -fuzz=FuzzRead`; without -fuzz the seed corpus below runs as a
-// regular test.
-func FuzzRead(f *testing.F) {
-	// Seed corpus: a valid file, a truncation, a bit flip, and junk.
+// readSeeds returns the valid index files FuzzRead starts from: v4 files
+// of a single-shard index, a sharded one with a tombstone, and one whose
+// trees took inserts after they were packed; and a legacy v1 file.
+func readSeeds(t testing.TB) (v4 [][]byte, v1 []byte) {
 	data, _ := clusteredData(50, 4, 91)
-	idx, err := New(data, Options{K: 4, L: 2, Seed: 91})
-	if err != nil {
-		f.Fatal(err)
+	for _, opts := range []Options{
+		{K: 4, L: 2, Seed: 91},
+		{K: 4, L: 2, Seed: 91, Shards: 3},
+		{K: 4, L: 2, Seed: 91},
+	} {
+		idx, err := New(data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch len(v4) {
+		case 1:
+			idx.Delete(1)
+		case 2:
+			for _, v := range data { // splits and forced reinsertions in every tree
+				if _, err := idx.Add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		v4 = append(v4, buf.Bytes())
 	}
-	var valid bytes.Buffer
-	if _, err := idx.WriteTo(&valid); err != nil {
-		f.Fatal(err)
+	return v4, writeV1File(data, 4, 2, 10, 1.5, 9, 1, 91)
+}
+
+// restamp returns raw with its last four bytes replaced by the checksum of
+// what precedes them: the file a writer with raw's opinions would produce.
+func restamp(raw []byte) []byte {
+	out := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// mustBeUsable is what anything the parser accepts has to be: an index that
+// answers a query and takes an Add without panicking or hanging. Len 0 is
+// legitimate (fully deleted and compacted).
+func mustBeUsable(t *testing.T, loaded *Index) {
+	if loaded.Len() < 0 || loaded.Dim() <= 0 {
+		t.Fatalf("accepted index with shape %d×%d", loaded.Len(), loaded.Dim())
 	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:40])
-	flipped := append([]byte(nil), valid.Bytes()...)
+	q := make([]float32, loaded.Dim())
+	live := loaded.Len() - loaded.Deleted()
+	res := loaded.Search(q, 1)
+	if live > 0 && len(res) != 1 {
+		t.Fatalf("accepted index with %d live points cannot answer queries", live)
+	}
+	if live <= 0 && len(res) != 0 {
+		t.Fatalf("index with no live points returned %d results", len(res))
+	}
+	if loaded.Metric() == Euclidean {
+		if _, err := loaded.Add(q); err != nil {
+			t.Fatalf("accepted index refuses an Add: %v", err)
+		}
+	}
+}
+
+// FuzzRead hardens the index-file parser: arbitrary bytes must produce an
+// error, never a panic, a hang or a runaway allocation. Every input is read
+// twice. As it is, the checksum turns nearly every mutation away at the
+// door; so an input that keeps a seed file's header is read again with the
+// checksum recomputed over whatever the fuzzer made of the shards and tree
+// arenas behind it, which is then for the structural validation to catch —
+// child indices out of range or in a cycle, duplicated and missing leaf
+// ids, over-capacity counts, truncated slabs. (The header is held fixed
+// because C, K and L are believed, as they always were: a file may ask for
+// a ladder of 10¹⁵ rounds.) Run with `go test -fuzz=FuzzRead`; without
+// -fuzz the seed corpus below runs as a regular test.
+func FuzzRead(f *testing.F) {
+	v4, v1 := readSeeds(f)
+	for _, seed := range v4 {
+		f.Add(seed)
+	}
+	f.Add(v4[0][:40])
+	flipped := append([]byte(nil), v4[0]...)
 	flipped[20] ^= 0x40
 	f.Add(flipped)
+	f.Add(v1)
 	f.Add([]byte("DBLSHv1\n garbage"))
 	f.Add([]byte("DBLSHv2\n garbage"))
+	f.Add([]byte("DBLSHv3\n garbage"))
 	f.Add([]byte{})
-	// A sharded index with tombstones exercises the v2 id-map and bitmap
-	// sections, and a legacy v1 file exercises the compatibility path.
-	sharded, err := New(data, Options{K: 4, L: 2, Seed: 91, Shards: 3})
-	if err != nil {
-		f.Fatal(err)
+	if v3, err := os.ReadFile("testdata/v3_sharded.dblsh"); err == nil {
+		f.Add(v3)
 	}
-	sharded.Delete(1)
-	var validSharded bytes.Buffer
-	if _, err := sharded.WriteTo(&validSharded); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(validSharded.Bytes())
-	f.Add(writeV1File(data, 4, 2, 10, 1.5, 9, 1, 91))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		loaded, err := Read(bytes.NewReader(raw))
-		if err != nil {
-			return
+		if loaded, err := Read(bytes.NewReader(raw)); err == nil {
+			mustBeUsable(t, loaded)
 		}
-		// Anything the parser accepts must be a usable index. Len 0 is
-		// legitimate for a v2 file (fully deleted and compacted), but the
-		// index must still answer queries without panicking.
-		if loaded.Len() < 0 || loaded.Dim() <= 0 {
-			t.Fatalf("accepted index with shape %d×%d", loaded.Len(), loaded.Dim())
-		}
-		q := make([]float32, loaded.Dim())
-		live := loaded.Len() - loaded.Deleted()
-		res := loaded.Search(q, 1)
-		if live > 0 && len(res) != 1 {
-			t.Fatalf("accepted index with %d live points cannot answer queries", live)
-		}
-		if live <= 0 && len(res) != 0 {
-			t.Fatalf("index with no live points returned %d results", len(res))
+		for _, seed := range v4 {
+			if len(raw) > v4HeaderLen+4 && bytes.Equal(raw[:v4HeaderLen], seed[:v4HeaderLen]) {
+				if loaded, err := Read(bytes.NewReader(restamp(raw))); err == nil {
+					mustBeUsable(t, loaded)
+				}
+				break
+			}
 		}
 	})
+}
+
+// TestReadSurvivesRestampedCorruption is FuzzRead's second reading made
+// exhaustive on one small file: every byte behind the header is, in turn,
+// inverted (small counts turn huge, indices negative) and set to 0x7f (a
+// NaN's top byte, an index far out of range), the checksum is recomputed,
+// and the file read. None may panic or hang; what loads must work.
+func TestReadSurvivesRestampedCorruption(t *testing.T) {
+	// Small enough to try every byte, deep enough to have interior nodes.
+	data, _ := clusteredData(70, 2, 93)
+	idx, err := New(data[:40], Options{K: 2, L: 1, Seed: 93})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range data[40:] {
+		if _, err := idx.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := save(t, idx)
+	accepted, tried := 0, 0
+	for at := v4HeaderLen; at < len(raw)-4; at++ {
+		for _, v := range []byte{raw[at] ^ 0xff, 0x7f} {
+			bad := append([]byte(nil), raw...)
+			bad[at] = v
+			tried++
+			if loaded, err := Read(bytes.NewReader(restamp(bad))); err == nil {
+				mustBeUsable(t, loaded)
+				accepted++
+			}
+		}
+	}
+	// Vector bytes, rectangle bytes and lanes of live coordinates are data,
+	// not structure: corruptions of them load. Structure must not.
+	t.Logf("%d of %d corrupted files loaded", accepted, tried)
 }
 
 // FuzzSearch hardens the public query path against arbitrary (well-shaped)

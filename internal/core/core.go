@@ -24,6 +24,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -144,36 +145,89 @@ type Index struct {
 // dblsh:exclusive the index is under construction and unpublished; the
 // build goroutines partition the L projected spaces, so no state is shared
 func Build(data *vec.Matrix, cfg Config) *Index {
-	n := data.Rows()
-	cfg = cfg.withDefaults(n)
+	idx := newIndex(data, cfg)
+	idx.eachSpace(func(i int) error {
+		idx.projected[i] = idx.family.Compound(i).Project(data)
+		idx.trees[i] = rstar.BulkLoad(idx.projected[i], idx.cfg.Tree)
+		return nil
+	})
+	if idx.r0 <= 0 {
+		idx.r0 = estimateInitialRadius(data, idx.cfg.Seed)
+	}
+	return idx
+}
+
+// Load is Build for an index that was saved: trees holds the L arenas
+// Trees returned when it was, data the same rows and cfg the same
+// configuration, InitialRadius included (it must be positive: nothing is
+// estimated). Nothing is projected and nothing is packed — each tree is
+// adopted as it is and its projected matrix read back out of its leaves — so
+// the loaded index answers, and grows, exactly as the saved one would have.
+// The arenas are validated as rstar.Load describes; an error means they are
+// not trees over data's rows.
+//
+// dblsh:exclusive as Build
+func Load(data *vec.Matrix, cfg Config, trees []rstar.Arena) (*Index, error) {
+	idx := newIndex(data, cfg)
+	if len(trees) != idx.cfg.L || idx.r0 <= 0 {
+		return nil, fmt.Errorf("core: load needs %d trees and a positive initial radius, got %d and %v", idx.cfg.L, len(trees), idx.r0)
+	}
+	err := idx.eachSpace(func(i int) (err error) {
+		idx.trees[i], err = rstar.Load(trees[i], data.Rows(), idx.cfg.K, idx.cfg.Tree)
+		if err == nil {
+			idx.projected[i] = idx.trees[i].Data()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
+
+// Trees returns a copy of the L trees' arenas, what Load rebuilds them
+// from. The caller must hold off mutations for the duration.
+func (idx *Index) Trees() []rstar.Arena {
+	out := make([]rstar.Arena, len(idx.trees))
+	for i, t := range idx.trees {
+		out[i] = t.Snapshot()
+	}
+	return out
+}
+
+// newIndex returns the index Build and Load fill in: defaults resolved, the
+// hash family sampled, no projections or trees yet.
+func newIndex(data *vec.Matrix, cfg Config) *Index {
+	cfg = cfg.withDefaults(data.Rows())
 	idx := &Index{
 		data:      data,
 		cfg:       cfg,
 		family:    lsh.NewFamily(cfg.L, cfg.K, data.Dim(), cfg.Seed),
 		projected: make([]*vec.Matrix, cfg.L),
 		trees:     make([]*rstar.Tree, cfg.L),
+		r0:        cfg.InitialRadius,
 	}
+	idx.pool.New = func() interface{} { return newSearcher(idx) }
+	return idx
+}
 
+// eachSpace runs fn for each of the L projected spaces, GOMAXPROCS at a
+// time, and returns what errors it met.
+func (idx *Index) eachSpace(fn func(i int) error) error {
+	errs := make([]error, idx.cfg.L)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < cfg.L; i++ {
+	for i := range errs {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			idx.projected[i] = idx.family.Compound(i).Project(data)
-			idx.trees[i] = rstar.BulkLoad(idx.projected[i], cfg.Tree)
+			errs[i] = fn(i)
 		}(i)
 	}
 	wg.Wait()
-
-	idx.r0 = cfg.InitialRadius
-	if idx.r0 <= 0 {
-		idx.r0 = estimateInitialRadius(data, cfg.Seed)
-	}
-	idx.pool.New = func() interface{} { return newSearcher(idx) }
-	return idx
+	return errors.Join(errs...)
 }
 
 // estimateInitialRadius picks a starting radius well below the typical

@@ -15,31 +15,33 @@ import (
 // The returned tree supports subsequent Insert calls for rows appended to
 // data after loading.
 func BulkLoad(data *vec.Matrix, opts Options) *Tree {
-	t := New(data, opts)
-	n := data.Rows()
-	if n == 0 {
-		return t
-	}
-	ids := make([]int32, n)
+	ids := make([]int32, data.Rows())
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	t.root = t.packUpward(t.packLeaves(ids))
-	t.size = n
-	return t
+	return bulkLoad(data, ids, opts)
 }
 
 // BulkLoadIDs builds a tree over a subset of data's rows.
 func BulkLoadIDs(data *vec.Matrix, ids []int, opts Options) *Tree {
-	t := New(data, opts)
-	if len(ids) == 0 {
-		return t
-	}
 	ids32 := make([]int32, len(ids))
 	for i, id := range ids {
 		ids32[i] = int32(id)
 	}
-	t.root = t.packUpward(t.packLeaves(ids32))
+	return bulkLoad(data, ids32, opts)
+}
+
+func bulkLoad(data *vec.Matrix, ids []int32, opts Options) *Tree {
+	if len(ids) == 0 {
+		return New(data, opts)
+	}
+	t := newTree(data, opts)
+	// Full leaves, 1/M as many nodes again above them, and a few slots for
+	// the short tiles at slab ends: enough that packing rarely regrows the
+	// per-slot slices, close enough that it leaves no slack to speak of.
+	leaves := len(ids)/t.opts.MaxEntries + 1
+	t.reserve(leaves + 4*(leaves/t.opts.MaxEntries+t.dim))
+	t.root = t.packUpward(t.packLeaves(ids))
 	t.size = len(ids)
 	return t
 }
@@ -49,12 +51,12 @@ func BulkLoadIDs(data *vec.Matrix, ids []int, opts Options) *Tree {
 // one after another, each over a sub-range of ids — which is garbage once
 // the leaves are packed. A buffer per sort sorts as fast but makes K times
 // the garbage, and a server's resident set still shows it after loading.
-func (t *Tree) packLeaves(ids []int32) []*node {
-	cap := t.opts.MaxEntries
-	var leaves []*node
+func (t *Tree) packLeaves(ids []int32) []int32 {
+	var leaves []int32
 	pairs := make([]sortPair, len(ids))
-	t.strTile(ids, 0, cap, pairs, func(chunk []int32) {
-		leaf := &node{leaf: true, level: 0, ids: append([]int32(nil), chunk...)}
+	t.strTile(ids, t.data.Data(), 0, pairs, func(chunk []int32) {
+		leaf := t.newNode(0)
+		t.setEntries(leaf, chunk...)
 		t.recomputeLeafRect(leaf)
 		t.finalizeLeaf(leaf)
 		leaves = append(leaves, leaf)
@@ -62,147 +64,78 @@ func (t *Tree) packLeaves(ids []int32) []*node {
 	return leaves
 }
 
-// strTile recursively sorts ids by successive axes and partitions them into
-// slabs so that the final chunks have at most chunkSize entries (classic STR:
-// with P pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis).
-func (t *Tree) strTile(ids []int32, axis, chunkSize int, pairs []sortPair, emit func([]int32)) {
-	if len(ids) <= chunkSize {
-		emit(ids)
+// strTile recursively sorts items — row indices into the flat dim-column
+// matrix rows — by successive axes and partitions them into slabs so that
+// the final chunks have at most MaxEntries entries (classic STR: with P
+// pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis).
+func (t *Tree) strTile(items []int32, rows []float32, axis int, pairs []sortPair, emit func([]int32)) {
+	chunkSize := t.opts.MaxEntries
+	if len(items) <= chunkSize {
+		emit(items)
 		return
 	}
-	remDims := t.dim - axis
-	if remDims <= 1 {
-		// Last axis: sort and emit fixed-size runs.
-		t.sortIDsByAxis(ids, axis, pairs)
-		for lo := 0; lo < len(ids); lo += chunkSize {
-			hi := lo + chunkSize
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			emit(ids[lo:hi])
-		}
-		return
-	}
-	pages := (len(ids) + chunkSize - 1) / chunkSize
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(remDims))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	perSlab := (len(ids) + slabs - 1) / slabs
-	// Round the slab size to a multiple of chunkSize so inner tiles fill.
-	if rem := perSlab % chunkSize; rem != 0 {
-		perSlab += chunkSize - rem
-	}
-	t.sortIDsByAxis(ids, axis, pairs)
-	for lo := 0; lo < len(ids); lo += perSlab {
-		hi := lo + perSlab
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		t.strTile(ids[lo:hi], axis+1, chunkSize, pairs, emit)
-	}
-}
-
-// sortIDsByAxis sorts ids by their points' coordinate on axis: it extracts
-// (key, id) pairs into pairs, which must be at least len(ids) long, sorts
-// those as split.go does, and writes the ids back. Under byKey this is the
-// permutation sort.Slice applied to the ids themselves, equal keys
-// included (see byKey), so the tree packed from it is the same tree.
-func (t *Tree) sortIDsByAxis(ids []int32, axis int, pairs []sortPair) {
-	pairs = pairs[:len(ids)]
-	for i, id := range ids {
-		pairs[i] = sortPair{float64(t.point(id)[axis]), id}
+	// Sort by the axis: extract (key, item) pairs, sort those as split.go
+	// does, write the items back. Under byKey this is the permutation
+	// sort.Slice applied to the items themselves, equal keys included (see
+	// byKey), so the tree packed from it is the same tree.
+	pairs = pairs[:len(items)]
+	for i, it := range items {
+		pairs[i] = sortPair{float64(rows[int(it)*t.dim+axis]), it}
 	}
 	slices.SortFunc(pairs, byKey)
 	for i, p := range pairs {
-		ids[i] = p.idx
+		items[i] = p.idx
+	}
+
+	// Last axis: emit fixed-size runs. Otherwise slabs, their size rounded
+	// to a multiple of chunkSize so inner tiles fill.
+	step := chunkSize
+	if remDims := t.dim - axis; remDims > 1 {
+		pages := (len(items) + chunkSize - 1) / chunkSize
+		slabs := max(int(math.Ceil(math.Pow(float64(pages), 1/float64(remDims)))), 1)
+		step = (len(items) + slabs - 1) / slabs
+		if rem := step % chunkSize; rem != 0 {
+			step += chunkSize - rem
+		}
+	}
+	for lo := 0; lo < len(items); lo += step {
+		hi := min(lo+step, len(items))
+		if step == chunkSize {
+			emit(items[lo:hi])
+		} else {
+			t.strTile(items[lo:hi], rows, axis+1, pairs, emit)
+		}
 	}
 }
 
 // packUpward builds internal levels over the given nodes until one root
 // remains, grouping nodes by STR on their centre points.
-func (t *Tree) packUpward(nodes []*node) *node {
-	level := 1
-	for len(nodes) > 1 {
+func (t *Tree) packUpward(nodes []int32) int32 {
+	for level := 1; len(nodes) > 1; level++ {
 		nodes = t.packLevel(nodes, level)
-		level++
 	}
 	return nodes[0]
 }
 
-func (t *Tree) packLevel(nodes []*node, level int) []*node {
-	cap := t.opts.MaxEntries
-	centers := make([][]float32, len(nodes))
+func (t *Tree) packLevel(nodes []int32, level int) []int32 {
+	centers := make([]float32, len(nodes)*t.dim)
+	order := make([]int32, len(nodes))
 	for i, n := range nodes {
-		centers[i] = n.rect.Center(nil)
+		t.rect(n).Center(centers[i*t.dim : (i+1)*t.dim])
+		order[i] = int32(i)
 	}
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	var groups [][]int
-	pairs := make([]sortPair, len(nodes))
-	t.strTileGeneric(order, centers, 0, cap, pairs, func(chunk []int) {
-		groups = append(groups, append([]int(nil), chunk...))
-	})
-	out := make([]*node, 0, len(groups))
-	for _, g := range groups {
-		parent := &node{level: level, children: make([]*node, 0, len(g))}
-		for _, idx := range g {
-			parent.children = append(parent.children, nodes[idx])
+	var out []int32
+	group := make([]int32, 0, t.opts.MaxEntries)
+	t.strTile(order, centers, 0, make([]sortPair, len(nodes)), func(chunk []int32) {
+		group = group[:0]
+		for _, i := range chunk {
+			group = append(group, nodes[i])
 		}
-		recomputeRect(parent)
+		parent := t.newNode(level)
+		t.setEntries(parent, group...)
+		t.recomputeRect(parent)
 		t.rebuildBoxes(parent)
 		out = append(out, parent)
-	}
+	})
 	return out
-}
-
-func (t *Tree) strTileGeneric(order []int, centers [][]float32, axis, chunkSize int, pairs []sortPair, emit func([]int)) {
-	if len(order) <= chunkSize {
-		emit(order)
-		return
-	}
-	remDims := t.dim - axis
-	if remDims <= 1 {
-		sortOrderByAxis(order, centers, axis, pairs)
-		for lo := 0; lo < len(order); lo += chunkSize {
-			hi := lo + chunkSize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			emit(order[lo:hi])
-		}
-		return
-	}
-	pages := (len(order) + chunkSize - 1) / chunkSize
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(remDims))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	perSlab := (len(order) + slabs - 1) / slabs
-	if rem := perSlab % chunkSize; rem != 0 {
-		perSlab += chunkSize - rem
-	}
-	sortOrderByAxis(order, centers, axis, pairs)
-	for lo := 0; lo < len(order); lo += perSlab {
-		hi := lo + perSlab
-		if hi > len(order) {
-			hi = len(order)
-		}
-		t.strTileGeneric(order[lo:hi], centers, axis+1, chunkSize, pairs, emit)
-	}
-}
-
-// sortOrderByAxis is sortIDsByAxis for a level's nodes: order holds indices
-// into centers and is sorted by the centre coordinate on axis.
-func sortOrderByAxis(order []int, centers [][]float32, axis int, pairs []sortPair) {
-	pairs = pairs[:len(order)]
-	for i, o := range order {
-		pairs[i] = sortPair{float64(centers[o][axis]), int32(o)}
-	}
-	slices.SortFunc(pairs, byKey)
-	for i, p := range pairs {
-		order[i] = int(p.idx)
-	}
 }

@@ -297,9 +297,14 @@ func TestCursorInsertedTreeEquivalence(t *testing.T) {
 // depth-first order, with the blocks verified after every insert.
 func TestCursorLadderEquivalenceAcrossCapacities(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		tr, m := cursorTreeM(t, seed, 300+int(seed)*50, 4, 120, []int{4, 8, 32}[seed%3])
+		capacity := []int{4, 8, 32}[seed%3]
+		tr, m := cursorTreeM(t, seed, 300+int(seed)*50, 4, 120, capacity)
 		center := randomCenter(rand.New(rand.NewSource(seed^0x9e37)), m.Dim())
 		checkLadder(t, fmt.Sprintf("seed %d", seed), tr, center, 0.5, 1.5, 14)
+		// And on the same tree saved and loaded, under whichever kernel row
+		// the run is pinned to.
+		loaded := reload(t, fmt.Sprintf("seed %d", seed), tr, m.Rows(), Options{MaxEntries: capacity})
+		checkLadder(t, fmt.Sprintf("seed %d, loaded", seed), loaded, center, 0.5, 1.5, 14)
 	}
 }
 

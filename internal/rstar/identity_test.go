@@ -25,24 +25,24 @@ func (t *Tree) digest() string {
 		binary.LittleEndian.PutUint32(buf[:], v)
 		h.Write(buf[:])
 	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		put(uint32(n.level))
-		for _, v := range n.rect.Min {
+	var walk func(n int32)
+	walk = func(n int32) {
+		put(uint32(t.heads[n].level))
+		for _, v := range t.rect(n).Min {
 			put(math.Float32bits(v))
 		}
-		for _, v := range n.rect.Max {
+		for _, v := range t.rect(n).Max {
 			put(math.Float32bits(v))
 		}
-		put(uint32(n.entryCount()))
-		if n.leaf {
-			put(uint32(n.sortAxis))
-			for _, id := range n.ids {
+		put(uint32(t.heads[n].count))
+		if t.leaf(n) {
+			put(uint32(t.heads[n].sortAxis))
+			for _, id := range t.entries(n) {
 				put(uint32(id))
 			}
 			return
 		}
-		for _, c := range n.children {
+		for _, c := range t.entries(n) {
 			walk(c)
 		}
 	}
@@ -112,18 +112,30 @@ func TestTreeIdentityGolden(t *testing.T) {
 			ids[i] = i
 		}
 		tr := BulkLoadIDs(data, ids, sc.opts)
+		// The tenth pass: the tree saved here and loaded back — packed, and
+		// then grown by the same inserts — must be the tree that never left.
+		loaded := reload(t, sc.name+" as packed", tr, sc.bulk, sc.opts)
 		for i := sc.bulk; i < data.Rows(); i++ {
 			tr.Insert(i)
-		}
-		if msg := tr.CheckInvariants(); msg != "" {
-			t.Fatalf("%s: invariant violated: %s", sc.name, msg)
+			loaded.Data().Append(data.Row(i))
+			loaded.Insert(i)
 		}
 		if sc.opts.MaxEntries != 0 && tr.Height() < 5 {
 			t.Fatalf("%s: height %d does not exercise internal splits", sc.name, tr.Height())
 		}
-		got := tr.digest()
-		if want := goldenDigests[sc.name]; got != want {
-			t.Errorf("%s: digest %s, want %s (height %d)", sc.name, got, want, tr.Height())
+		want := goldenDigests[sc.name]
+		for name, tree := range map[string]*Tree{
+			"built":                tr,
+			"loaded, then grown":   loaded,
+			"grown, saved, loaded": reload(t, sc.name+" as grown", tr, data.Rows(), sc.opts),
+			"loaded twice over":    reload(t, sc.name+" loaded and grown", loaded, data.Rows(), sc.opts),
+		} {
+			if msg := tree.CheckInvariants(); msg != "" {
+				t.Fatalf("%s (%s): invariant violated: %s", sc.name, name, msg)
+			}
+			if got := tree.digest(); got != want {
+				t.Errorf("%s (%s): digest %s, want %s (height %d)", sc.name, name, got, want, tree.Height())
+			}
 		}
 	}
 }
@@ -131,32 +143,33 @@ func TestTreeIdentityGolden(t *testing.T) {
 // oracleOverlapEnlargement is the textbook formulation bestChild's bounded
 // sum must agree with: the full sum over all siblings, through materialised
 // rectangles.
-func oracleOverlapEnlargement(children []*node, i int, r Rect) float64 {
-	enlarged := children[i].rect.Enlarged(r)
+func oracleOverlapEnlargement(t *Tree, children []int32, i int, r Rect) float64 {
+	own := t.rect(children[i])
+	enlarged := own.Enlarged(r)
 	var delta float64
 	for j, c := range children {
 		if j == i {
 			continue
 		}
-		delta += enlarged.OverlapArea(c.rect) - children[i].rect.OverlapArea(c.rect)
+		delta += enlarged.OverlapArea(t.rect(c)) - own.OverlapArea(t.rect(c))
 	}
 	return delta
 }
 
 // oracleBestChild is ChooseSubtree over leaves with every candidate's
 // overlap enlargement summed to the end.
-func oracleBestChild(children []*node, r Rect) *node {
-	enlargement := func(c *node) float64 { return c.rect.Enlarged(r).Area() - c.rect.Area() }
+func oracleBestChild(t *Tree, children []int32, r Rect) int32 {
+	enlargement := func(c int32) float64 { return t.rect(c).Enlarged(r).Area() - t.rect(c).Area() }
 	best := children[0]
-	bestOverlap := oracleOverlapEnlargement(children, 0, r)
-	bestEnl, bestArea := enlargement(best), best.rect.Area()
+	bestOverlap := oracleOverlapEnlargement(t, children, 0, r)
+	bestEnl, bestArea := enlargement(best), t.rect(best).Area()
 	for i := 1; i < len(children); i++ {
 		c := children[i]
-		ov := oracleOverlapEnlargement(children, i, r)
+		ov := oracleOverlapEnlargement(t, children, i, r)
 		if ov > bestOverlap {
 			continue
 		}
-		enl, area := enlargement(c), c.rect.Area()
+		enl, area := enlargement(c), t.rect(c).Area()
 		if ov < bestOverlap || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestOverlap, bestEnl, bestArea = c, ov, enl, area
 		}
@@ -185,20 +198,23 @@ func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 			}
 			return r
 		}
-		parent := &node{level: 1}
-		for n := 2 + rng.Intn(32); n > 0; n-- {
-			c := &node{leaf: true, rect: randRect(rng.Intn(8) == 0)}
-			if k := len(parent.children); k > 0 && rng.Intn(6) == 0 {
-				c.rect = parent.children[rng.Intn(k)].rect.clone()
-			}
-			parent.children = append(parent.children, c)
-		}
 		tr := New(vec.NewMatrix(0, dim), Options{})
 		tr.scr() // bestChild runs beneath Insert, which creates the scratch
+		parent := tr.newNode(1)
+		for n := 2 + rng.Intn(32); n > 0; n-- {
+			c := tr.newNode(0)
+			rect := randRect(rng.Intn(8) == 0)
+			if k := tr.entries(parent); len(k) > 0 && rng.Intn(6) == 0 {
+				rect = tr.rect(k[rng.Intn(len(k))])
+			}
+			own := tr.rect(c)
+			own.set(rect)
+			tr.push(parent, c)
+		}
 		r := randRect(trial%4 != 3)
-		if got, want := tr.bestChild(parent, r), oracleBestChild(parent.children, r); got != want {
+		if got, want := tr.bestChild(parent, r), oracleBestChild(tr, tr.entries(parent), r); got != want {
 			t.Fatalf("trial %d (dim %d, %d children): bounded ChooseSubtree picked a different child",
-				trial, dim, len(parent.children))
+				trial, dim, len(tr.entries(parent)))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package rstar
 
-import "container/heap"
+import (
+	"container/heap"
+	"slices"
+)
 
 // Window invokes visit for every indexed point inside rect w (faces
 // inclusive). Traversal stops early when visit returns false. The visit order
@@ -24,18 +27,19 @@ func (t *Tree) WindowVisits(w Rect, visit func(id int) bool) int {
 	return nodes
 }
 
-func (t *Tree) window(n *node, w Rect, visit func(id int) bool) (int, bool) {
+func (t *Tree) window(n int32, w Rect, visit func(id int) bool) (int, bool) {
 	nodes := 1
-	if n.leaf {
-		for j, id := range n.ids {
-			if t.entryInside(n, j, w) && !visit(int(id)) {
+	if t.leaf(n) {
+		coords := t.block(n)
+		for j, id := range t.entries(n) {
+			if t.entryInside(coords, j, w) && !visit(int(id)) {
 				return nodes, false
 			}
 		}
 		return nodes, true
 	}
-	for _, c := range n.children {
-		if !w.Intersects(c.rect) {
+	for _, c := range t.entries(n) {
+		if !w.Intersects(t.rect(c)) {
 			continue
 		}
 		sub, ok := t.window(c, w, visit)
@@ -51,9 +55,9 @@ func (t *Tree) window(n *node, w Rect, visit func(id int) bool) (int, bool) {
 // the leaf's block. One entry and one comparison at a time on purpose:
 // Window is the oracle the cursor's whole-node kernels are tested against,
 // so it shares none of their code.
-func (t *Tree) entryInside(n *node, j int, w Rect) bool {
+func (t *Tree) entryInside(coords []float32, j int, w Rect) bool {
 	for d := 0; d < t.dim; d++ {
-		if v := n.coords[d*t.stride+j]; v < w.Min[d] || v > w.Max[d] {
+		if v := coords[d*t.stride+j]; v < w.Min[d] || v > w.Max[d] {
 			return false
 		}
 	}
@@ -70,7 +74,7 @@ func (t *Tree) Covered(center []float32, half float64) bool {
 		return true
 	}
 	h := float32(half)
-	b := t.root.rect
+	b := t.rect(t.root)
 	for j, c := range center {
 		if b.Min[j] < c-h || b.Max[j] > c+h {
 			return false
@@ -102,8 +106,7 @@ func (t *Tree) Count(w Rect) int {
 // nnItem is a heap entry for best-first search: either a node or a point.
 type nnItem struct {
 	distSq float64
-	n      *node
-	id     int32
+	ref    int32 // a node, or a row id when point is set
 	point  bool
 }
 
@@ -142,24 +145,21 @@ func (t *Tree) NearestVisit(q []float32, visit func(id int, distSq float64) bool
 	if t.size == 0 {
 		return
 	}
-	h := &nnHeap{{distSq: t.root.rect.MinDistSq(q), n: t.root}}
+	h := &nnHeap{{distSq: t.rect(t.root).MinDistSq(q), ref: t.root}}
 	for h.Len() > 0 {
 		it := heap.Pop(h).(nnItem)
 		if it.point {
-			if !visit(int(it.id), it.distSq) {
+			if !visit(int(it.ref), it.distSq) {
 				return
 			}
 			continue
 		}
-		n := it.n
-		if n.leaf {
-			for _, id := range n.ids {
-				heap.Push(h, nnItem{distSq: pointDistSq(q, t.point(id)), id: id, point: true})
+		for _, e := range t.entries(it.ref) {
+			if t.leaf(it.ref) {
+				heap.Push(h, nnItem{distSq: pointDistSq(q, t.point(e)), ref: e, point: true})
+			} else {
+				heap.Push(h, nnItem{distSq: t.rect(e).MinDistSq(q), ref: e})
 			}
-			continue
-		}
-		for _, c := range n.children {
-			heap.Push(h, nnItem{distSq: c.rect.MinDistSq(q), n: c})
 		}
 	}
 }
@@ -179,93 +179,73 @@ func (t *Tree) NearestVisit(q []float32, visit func(id int, distSq float64) bool
 // Intended for tests and debugging; it walks the whole tree.
 func (t *Tree) CheckInvariants() string {
 	total := 0
-	var check func(n *node, isRoot bool) string
-	var checkRect func(n *node) string
-	checkRect = func(n *node) string {
-		if n.leaf {
-			if len(n.ids) == 0 {
-				return ""
-			}
-			want := PointRect(t.point(n.ids[0]))
-			for _, id := range n.ids[1:] {
-				want.ExpandPoint(t.point(id))
-			}
-			for i := range want.Min {
-				if want.Min[i] != n.rect.Min[i] || want.Max[i] != n.rect.Max[i] {
-					return "leaf rect is not tight"
-				}
-			}
-			return ""
-		}
-		want := n.children[0].rect.clone()
-		for _, c := range n.children[1:] {
-			want.ExpandInPlace(c.rect)
-		}
-		for i := range want.Min {
-			if want.Min[i] != n.rect.Min[i] || want.Max[i] != n.rect.Max[i] {
-				return "internal rect is not tight"
-			}
-		}
-		return ""
-	}
-	check = func(n *node, isRoot bool) string {
-		if n.leaf {
-			total += len(n.ids)
-			if n.level != 0 {
-				return "leaf not at level 0"
-			}
-			if int(n.sortAxis) >= t.dim {
+	var check func(n int32) string
+	check = func(n int32) string {
+		h, rect, entries := t.heads[n], t.rect(n), t.entries(n)
+		want := newRect(t.dim)
+		if h.level == 0 {
+			total += len(entries)
+			if int(h.sortAxis) >= t.dim {
 				return "leaf sort axis out of range"
 			}
-			if msg := t.checkBlock(n.coords, len(n.ids), func(j, d int) float32 { return t.point(n.ids[j])[d] }); msg != "" {
+			coords := t.block(n)
+			if msg := t.checkBlock(coords, len(entries), func(j, d int) float32 { return t.point(entries[j])[d] }); msg != "" {
 				return "leaf block: " + msg
 			}
-			keys := n.coords[int(n.sortAxis)*t.stride:]
-			for j := 1; j < len(n.ids); j++ {
-				if keys[j-1] > keys[j] || (keys[j-1] == keys[j] && n.ids[j-1] > n.ids[j]) {
+			keys := coords[int(h.sortAxis)*t.stride:]
+			for j := 1; j < len(entries); j++ {
+				if keys[j-1] > keys[j] || (keys[j-1] == keys[j] && entries[j-1] > entries[j]) {
 					return "leaf entries not sorted by sort axis"
 				}
 			}
+			for j, id := range entries {
+				if j == 0 {
+					want.set(Rect{Min: t.point(id), Max: t.point(id)})
+				}
+				want.ExpandPoint(t.point(id))
+			}
 		} else {
-			if len(n.children) == 0 {
+			if len(entries) == 0 {
 				return "internal node with no children"
 			}
-			for _, c := range n.children {
-				if c.level != n.level-1 {
+			for j, c := range entries {
+				if t.heads[c].level != h.level-1 {
 					return "child level mismatch"
 				}
-				if !n.rect.ContainsRect(c.rect) {
+				if !rect.ContainsRect(t.rect(c)) {
 					return "child rect outside parent"
 				}
-				if msg := check(c, false); msg != "" {
+				if msg := check(c); msg != "" {
 					return msg
 				}
+				if j == 0 {
+					want.set(t.rect(c))
+				}
+				want.ExpandInPlace(t.rect(c))
 			}
-			if msg := t.checkBlock(n.cmin, len(n.children), func(j, d int) float32 { return n.children[j].rect.Min[d] }); msg != "" {
+			if msg := t.checkBlock(t.block(n), len(entries), func(j, d int) float32 { return t.rect(entries[j]).Min[d] }); msg != "" {
 				return "internal lower-face block: " + msg
 			}
-			if msg := t.checkBlock(n.cmax, len(n.children), func(j, d int) float32 { return n.children[j].rect.Max[d] }); msg != "" {
+			if msg := t.checkBlock(t.block(n+1), len(entries), func(j, d int) float32 { return t.rect(entries[j]).Max[d] }); msg != "" {
 				return "internal upper-face block: " + msg
 			}
 		}
-		if !isRoot {
-			if n.entryCount() > t.opts.MaxEntries {
+		if n != t.root {
+			if len(entries) > t.opts.MaxEntries {
 				return "node over capacity"
 			}
-			if n.entryCount() < t.opts.MinEntries {
-				// Bulk loading can leave one trailing under-filled node per
-				// level; tolerate under-fill but not emptiness.
-				if n.entryCount() == 0 {
-					return "empty non-root node"
-				}
+			// Bulk loading can leave one trailing under-filled node per
+			// level; tolerate under-fill but not emptiness.
+			if len(entries) == 0 {
+				return "empty non-root node"
 			}
 		}
-		if msg := checkRect(n); msg != "" {
-			return msg
+		if len(entries) > 0 && !(slices.Equal(want.Min, rect.Min) && slices.Equal(want.Max, rect.Max)) {
+			return "node rect is not tight"
 		}
 		return ""
 	}
-	if msg := check(t.root, true); msg != "" {
+	if msg := check(t.root); msg != "" {
 		return msg
 	}
 	if total != t.size {
@@ -277,9 +257,6 @@ func (t *Tree) CheckInvariants() string {
 // checkBlock compares one window-test block of a node holding used entries
 // with what it must mirror: want(j, d) in lane j of row d, +Inf beyond.
 func (t *Tree) checkBlock(block []float32, used int, want func(j, d int) float32) string {
-	if len(block) != t.dim*t.stride {
-		return "wrong size"
-	}
 	if used > t.stride {
 		return "more entries than lanes"
 	}

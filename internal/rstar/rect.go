@@ -8,17 +8,21 @@
 // into a caller-owned row-major matrix of projected coordinates. Dimensions
 // are expected to be small (DB-LSH uses K ≈ 10–12).
 //
-// Nodes are pointer-linked, and each carries what a window query compares
-// against in one fixed axis-major block: a leaf its entries' coordinates, an
-// internal node its children's rectangles, lane j of row d belonging to
-// entry j (node.coords, node.cmin/cmax). The incremental Cursor — the query
-// path DB-LSH's radius ladder runs on — tests a node per call into
-// internal/vec's kernel table over those blocks; Window re-scans the same
-// blocks one entry and one scalar comparison at a time and is the oracle the
-// cursor is tested against. The blocks are part of the tree: every mutation
-// that moves an entry or changes a child's rectangle rewrites the lanes it
-// touched before it returns (CheckInvariants compares them all), and no
-// query ever writes one, so any number of cursors may read a tree at once.
+// Nodes are slots of one index-linked arena (arena.go): a node is an int32,
+// its header, rectangle, entry list and window-test blocks sit in flat slices
+// at offsets computed from that index, and the whole tree is a handful of
+// pointer-free slices that are saved and loaded as they are (Snapshot, Load).
+// Each node carries what a window query compares against in one fixed
+// axis-major block: a leaf its entries' coordinates, an internal node its
+// children's rectangles, lane j of row d belonging to entry j. The
+// incremental Cursor — the query path DB-LSH's radius ladder runs on — tests
+// a node per call into internal/vec's kernel table over those blocks; Window
+// re-scans the same blocks one entry and one scalar comparison at a time and
+// is the oracle the cursor is tested against. The blocks are part of the
+// tree: every mutation that moves an entry or changes a child's rectangle
+// rewrites the lanes it touched before it returns (CheckInvariants compares
+// them all), and no query ever writes one, so any number of cursors may read
+// a tree at once.
 //
 // Insertion is the textbook R*-tree algorithm and builds the textbook tree,
 // but is written to its cost model rather than to its definition. A bulk
@@ -70,8 +74,8 @@ func PointRect(p []float32) Rect {
 	return r
 }
 
-// newRect returns the zero rectangle at the origin with both corners carved
-// from one allocation, so a node's Min and Max share a cache line or two.
+// newRect returns the zero rectangle at the origin, both corners carved from
+// one allocation.
 func newRect(dim int) Rect {
 	buf := make([]float32, 2*dim)
 	return Rect{Min: buf[:dim:dim], Max: buf[dim:]}

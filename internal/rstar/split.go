@@ -6,12 +6,37 @@ import "slices"
 // split: choose the split axis by minimum total margin over all candidate
 // distributions, then the distribution on that axis with minimum overlap
 // (ties by minimum combined area). The node keeps the first group; the
-// returned sibling holds the second.
-func (t *Tree) performSplit(n *node) *node {
-	if n.leaf {
-		return t.splitLeaf(n)
+// returned sibling, a new node at its level, holds the second.
+func (t *Tree) performSplit(n int32) int32 {
+	entries := t.entries(n)
+	sp := &t.scratch.split
+	// A leaf's entries are points, so both faces are one copy of their rows
+	// (the overflowing leaf's own block is an entry short).
+	hi, faces := sp.lo, 1
+	if !t.leaf(n) {
+		hi, faces = sp.hi, 2
 	}
-	return t.splitInternal(n)
+	for e, entry := range entries {
+		if t.leaf(n) {
+			copy(sp.lo[e*t.dim:], t.point(entry))
+		} else {
+			r := t.rect(entry)
+			copy(sp.lo[e*t.dim:], r.Min)
+			copy(sp.hi[e*t.dim:], r.Max)
+		}
+	}
+	pairs, cut := t.chooseSplit(sp.lo, hi, len(entries), faces)
+	for k, e := range pairs {
+		pairs[k].idx = entries[e.idx] // position → entry, before the list is rewritten
+	}
+	sibling := t.newNode(int(t.heads[n].level))
+	// Both halves are filled before either block is rebuilt: pairs aliases
+	// the scratch finalizeLeaf sorts in.
+	t.fill(n, pairs[:cut])
+	t.fill(sibling, pairs[cut:])
+	t.refresh(n)
+	t.refresh(sibling)
+	return sibling
 }
 
 // splitScratch is chooseSplit's working memory, sized once for M+1 entries.
@@ -144,57 +169,17 @@ func (t *Tree) sweep(pairs []sortPair, lo, hi []float32, chooseCut bool) {
 	}
 }
 
-func (t *Tree) splitLeaf(n *node) *node {
-	total := len(n.ids)
-	// A leaf's entries are points, so both faces are one copy of their rows
-	// (the overflowing leaf's own block is an entry short).
-	sp := &t.scratch.split
-	for e, id := range n.ids {
-		copy(sp.lo[e*t.dim:], t.point(id))
+// fill makes the entries that pairs carry node n's entry list, in that
+// order, and tightens its rect around them.
+func (t *Tree) fill(n int32, pairs []sortPair) {
+	t.heads[n].count = int32(len(pairs))
+	entries := t.entries(n)
+	for j, e := range pairs {
+		entries[j] = e.idx
 	}
-	pairs, cut := t.chooseSplit(sp.lo, sp.lo, total, 1)
-	for k, e := range pairs {
-		pairs[k].idx = n.ids[e.idx] // position → id, before n.ids is rewritten
+	if t.leaf(n) {
+		t.recomputeLeafRect(n)
+	} else {
+		t.recomputeRect(n)
 	}
-	// The sibling will see inserts of its own; give it room for M+1 entries
-	// so they do not reallocate.
-	sibling := &node{leaf: true, ids: make([]int32, 0, t.opts.MaxEntries+1)}
-	n.ids = n.ids[:0]
-	for _, e := range pairs[:cut] {
-		n.ids = append(n.ids, e.idx)
-	}
-	for _, e := range pairs[cut:] {
-		sibling.ids = append(sibling.ids, e.idx)
-	}
-	t.recomputeLeafRect(n)
-	t.finalizeLeaf(n)
-	t.recomputeLeafRect(sibling)
-	t.finalizeLeaf(sibling)
-	return sibling
-}
-
-func (t *Tree) splitInternal(n *node) *node {
-	total := len(n.children)
-	s := t.scratch
-	sp := &s.split
-	for e, c := range n.children {
-		copy(sp.lo[e*t.dim:], c.rect.Min)
-		copy(sp.hi[e*t.dim:], c.rect.Max)
-	}
-	pairs, cut := t.chooseSplit(sp.lo, sp.hi, total, 2)
-
-	s.nodes = s.nodes[:0]
-	for _, e := range pairs {
-		s.nodes = append(s.nodes, n.children[e.idx])
-	}
-	sibling := &node{
-		level:    n.level,
-		children: append(make([]*node, 0, t.opts.MaxEntries+1), s.nodes[cut:]...),
-	}
-	n.children = append(n.children[:0], s.nodes[:cut]...)
-	recomputeRect(n)
-	recomputeRect(sibling)
-	t.rebuildBoxes(n)
-	t.rebuildBoxes(sibling)
-	return sibling
 }

@@ -29,6 +29,11 @@ type Options struct {
 	Quantize bool
 }
 
+// Resolved returns the options a tree built with o actually runs on:
+// defaults filled in, capacities clamped to what the algorithm needs. It is
+// idempotent, and what an index file records.
+func (o Options) Resolved() Options { return o.withDefaults() }
+
 func (o Options) withDefaults() Options {
 	if o.MaxEntries == 0 {
 		o.MaxEntries = DefaultMaxEntries
@@ -48,39 +53,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-type node struct {
-	rect     Rect
-	children []*node // internal nodes only
-	ids      []int32 // leaf entries: row indices into the tree's data matrix
-	// coords is a leaf's window-test block (vec.WindowMask): entry j's
-	// coordinate on axis d is coords[d·stride+j], lanes ≥ len(ids) hold +Inf.
-	// Entries are stored in sort-axis order, the order ids has. The block
-	// has exactly Tree.stride lanes per axis, so a leaf that transiently
-	// overflows (MaxEntries+1 ids, until its reinsertion or split) does not
-	// fit: its block is left as it was and rebuilt by what follows.
-	coords []float32
-	// cmin and cmax are an internal node's window-test blocks
-	// (vec.BoxMask): child j's rect on axis d is cmin[d·stride+j] …
-	// cmax[d·stride+j], lanes ≥ len(children) hold +Inf. Every mutation that
-	// changes a child's rect or the child list rewrites the lanes it
-	// touched, under the caller's write lock; queries only read them. Like a
-	// leaf's, the blocks sit out a transient overflow.
-	cmin, cmax []float32
-	leaf       bool
-	level      int // 0 = leaf
-	// sortAxis is the axis the leaf's entries are kept sorted by (ascending,
-	// ties by id) — chosen as the leaf rect's widest axis whenever the id set
-	// is rebuilt wholesale, and preserved by in-place sorted insertion.
-	sortAxis uint16
-}
-
-func (n *node) entryCount() int {
-	if n.leaf {
-		return len(n.ids)
-	}
-	return len(n.children)
-}
-
 // Tree is an R*-tree over the rows of a point matrix. The matrix is owned by
 // the caller and must not shrink while the tree is alive; rows appended after
 // construction can be indexed with Insert.
@@ -90,12 +62,20 @@ func (n *node) entryCount() int {
 type Tree struct {
 	data *vec.Matrix
 	opts Options
-	root *node
+	root int32
 	size int
 	dim  int
 	// stride is the lane count of every node's window-test block:
 	// MaxEntries rounded up to a whole number of 8-lane vectors.
-	stride int
+	stride   int
+	blockLen int // dim·stride: floats per block
+	ecap     int // MaxEntries+1: entry slots per node
+
+	// The node arena (arena.go), indexed by slot.
+	heads  []head
+	rects  []float32
+	ents   []int32
+	blocks [][]float32
 
 	// version counts structural mutations. Cursors pin a traversal snapshot
 	// of the node graph; they compare versions to detect that the snapshot
@@ -108,7 +88,7 @@ type Tree struct {
 	reinserted uint64
 
 	// scratch holds every buffer the mutation path works in, so that an
-	// Insert allocates only for nodes it creates and slices it grows.
+	// Insert allocates only when the arena itself grows.
 	// Created on first use; never shared with queries.
 	scratch *insertScratch
 }
@@ -116,18 +96,16 @@ type Tree struct {
 // insertScratch is the mutation path's working memory. One descent, sort, sweep
 // or eviction is in flight per buffer at any time — insertion recurses
 // (forced reinsertion re-enters insertPoint/insertSubtree), but every
-// caller is done with path, pairs, grown and center before it recurses, and
-// the eviction lists are a stack (evictedNodes) or written once per Insert
-// (evictedIDs, by the single leaf-level reinsertion).
+// caller is done with path, pairs, rects, grown and center before it
+// recurses, and the eviction lists are frames on one stack.
 type insertScratch struct {
-	path         []*node    // root-to-target path of the latest descent
-	pairs        []sortPair // the entry sequence being sorted
-	grown        Rect       // bestChild: a candidate enlarged by the new entry
-	center       []float32  // forceReinsert: centre of the overflowing node
-	evictedIDs   []int32
-	evictedNodes []*node
-	nodes        []*node // regrouped children
-	split        splitScratch
+	path    []int32    // root-to-target path of the latest descent
+	pairs   []sortPair // the entry sequence being sorted
+	rects   []Rect     // bestChild: views of the children's rects
+	grown   Rect       // bestChild: a candidate enlarged by the new entry
+	center  []float32  // forceReinsert: centre of the overflowing node
+	evicted []int32    // forceReinsert: a stack of evicted entries, a frame per level
+	split   splitScratch
 }
 
 // scr returns the scratch, creating it on first use. Insert and
@@ -184,17 +162,22 @@ func New(data *vec.Matrix, opts Options) *Tree {
 	if data.Dim() < 1 {
 		panic("rstar: data must have at least one dimension")
 	}
-	opts = opts.withDefaults()
-	t := &Tree{
-		data:   data,
-		opts:   opts,
-		dim:    data.Dim(),
-		stride: (opts.MaxEntries + 7) &^ 7,
-		root:   &node{leaf: true, rect: newRect(data.Dim())},
-	}
-	t.rebuildLeafBlock(t.root)
+	t := newTree(data, opts)
+	t.root = t.newNode(0)
+	padBlock(t.block(t.root), t.stride, 0)
 	return t
 }
+
+// newTree returns a tree over data with an empty arena and no root yet.
+func newTree(data *vec.Matrix, opts Options) *Tree {
+	opts = opts.withDefaults()
+	t := &Tree{data: data, opts: opts, dim: data.Dim(), stride: (opts.MaxEntries + 7) &^ 7, ecap: opts.MaxEntries + 1}
+	t.blockLen = t.dim * t.stride
+	return t
+}
+
+// Data returns the point matrix the tree indexes.
+func (t *Tree) Data() *vec.Matrix { return t.data }
 
 // Size returns the number of indexed points.
 func (t *Tree) Size() int { return t.size }
@@ -203,11 +186,11 @@ func (t *Tree) Size() int { return t.size }
 func (t *Tree) Dim() int { return t.dim }
 
 // Height returns the number of levels (1 for a tree that is just a leaf).
-func (t *Tree) Height() int { return t.root.level + 1 }
+func (t *Tree) Height() int { return int(t.heads[t.root].level) + 1 }
 
 // Bounds returns the minimum bounding rectangle of all indexed points.
 // For an empty tree the zero rectangle at the origin is returned.
-func (t *Tree) Bounds() Rect { return t.root.rect.clone() }
+func (t *Tree) Bounds() Rect { return t.rect(t.root).clone() }
 
 // point returns the coordinates of entry id.
 func (t *Tree) point(id int32) []float32 { return t.data.Row(int(id)) }
@@ -226,8 +209,8 @@ func (t *Tree) point(id int32) []float32 { return t.data.Row(int(id)) }
 // leaf, which — level 0 having had its reinsertion — splits. An Insert
 // into a freshly packed tree is therefore ~11 descents and a few splits;
 // the cost falls as inserts loosen the leaves. Steady state allocates only
-// for the nodes a split creates and the slices of a leaf grown past its
-// packed capacity.
+// when a split's new node is the one the arena has to grow for: a block
+// chunk every 64 slots, never a copy of the blocks already there.
 //
 // Same-tree guarantee: every comparison the algorithm makes — chosen child,
 // evicted entries and their order, split axis, face and cut, tie-breaks
@@ -257,33 +240,36 @@ func (t *Tree) insertPoint(id int32) {
 	r := Rect{Min: p, Max: p} // read-only view of the row; never retained
 	path := t.descend(r, 0)
 	leafN := path[len(path)-1]
-	n, S := len(leafN.ids), t.stride
+	h := &t.heads[leafN]
+	n, S := int(h.count), t.stride
+	ids := t.entries(leafN)[:n+1]
+	coords := t.block(leafN)
 
 	// Insert at the position that keeps the leaf sorted by its sort axis
 	// (ties after equals, then by id — any stable deterministic rule works;
 	// the cursor only needs the stored order to be non-decreasing). The
 	// axis's own row of the block holds the keys.
-	ax := int(leafN.sortAxis)
-	keys := leafN.coords[ax*S : ax*S+n]
+	ax := int(h.sortAxis)
+	keys := coords[ax*S : ax*S+n]
 	v := p[ax]
 	i, j := 0, n
 	for i < j {
-		h := int(uint(i+j) >> 1)
-		if w := keys[h]; w < v || (w == v && leafN.ids[h] < id) {
-			i = h + 1
+		m := int(uint(i+j) >> 1)
+		if w := keys[m]; w < v || (w == v && ids[m] < id) {
+			i = m + 1
 		} else {
-			j = h
+			j = m
 		}
 	}
 	pos := i
-	leafN.ids = append(leafN.ids, 0)
-	copy(leafN.ids[pos+1:], leafN.ids[pos:])
-	leafN.ids[pos] = id
+	copy(ids[pos+1:], ids[pos:n])
+	ids[pos] = id
+	h.count++
 	// A leaf this entry overflows keeps its block as it was: the
 	// reinsertion or split below rebuilds it.
 	if n < t.opts.MaxEntries {
 		for d, x := range p {
-			row := leafN.coords[d*S : d*S+n+1]
+			row := coords[d*S : d*S+n+1]
 			copy(row[pos+1:], row[pos:])
 			row[pos] = x
 		}
@@ -298,45 +284,44 @@ func (t *Tree) insertPoint(id int32) {
 // rect (which callers must have recomputed tightly first), the ids are
 // sorted by that axis (ties by id), and the window-test block is rebuilt to
 // match.
-func (t *Tree) finalizeLeaf(n *node) {
+func (t *Tree) finalizeLeaf(n int32) {
+	ids, rect := t.entries(n), t.rect(n)
 	axis := 0
-	if len(n.ids) > 0 {
-		widest := n.rect.Max[0] - n.rect.Min[0]
+	if len(ids) > 0 {
+		widest := rect.Max[0] - rect.Min[0]
 		for d := 1; d < t.dim; d++ {
-			if e := n.rect.Max[d] - n.rect.Min[d]; e > widest {
+			if e := rect.Max[d] - rect.Min[d]; e > widest {
 				widest, axis = e, d
 			}
 		}
 	}
-	n.sortAxis = uint16(axis)
+	t.heads[n].sortAxis = uint16(axis)
 	s := t.scr()
 	pairs := s.pairs[:0]
-	for _, id := range n.ids {
+	for _, id := range ids {
 		pairs = append(pairs, sortPair{float64(t.point(id)[axis]), id})
 	}
 	s.pairs = pairs
 	slices.SortFunc(pairs, byKeyThenIdx)
+	S, coords := t.stride, t.block(n)
 	for j, p := range pairs {
-		n.ids[j] = p.idx
-	}
-	t.rebuildLeafBlock(n)
-}
-
-var posInf = float32(math.Inf(1))
-
-// rebuildLeafBlock rewrites a leaf's whole window-test block, padding
-// included, from its id list (at most MaxEntries ids).
-func (t *Tree) rebuildLeafBlock(n *node) {
-	S := t.stride
-	if n.coords == nil {
-		n.coords = make([]float32, t.dim*S)
-	}
-	for j, id := range n.ids {
-		for d, v := range t.point(id) {
-			n.coords[d*S+j] = v
+		ids[j] = p.idx
+		for d, v := range t.point(p.idx) {
+			coords[d*S+j] = v
 		}
 	}
-	padBlock(n.coords, S, len(n.ids))
+	padBlock(coords, S, len(ids))
+}
+
+// refresh re-establishes what a node derives from its entry list once that
+// list (and the node's rect) has been rewritten wholesale: a leaf's sort
+// order and block, an interior node's blocks.
+func (t *Tree) refresh(n int32) {
+	if t.leaf(n) {
+		t.finalizeLeaf(n)
+	} else {
+		t.rebuildBoxes(n)
+	}
 }
 
 // padBlock sets the lanes from used on, in every row of a block, to +Inf.
@@ -350,56 +335,61 @@ func padBlock(block []float32, stride, used int) {
 }
 
 // setBox writes child j's rect into n's window-test blocks.
-func (t *Tree) setBox(n *node, j int, r Rect) {
+func (t *Tree) setBox(n int32, j int, r Rect) {
+	cmin, cmax := t.block(n), t.block(n+1)
 	for d := 0; d < t.dim; d++ {
-		n.cmin[d*t.stride+j] = r.Min[d]
-		n.cmax[d*t.stride+j] = r.Max[d]
+		cmin[d*t.stride+j] = r.Min[d]
+		cmax[d*t.stride+j] = r.Max[d]
 	}
 }
 
 // syncBox refreshes the lane of parent's blocks that mirrors child's rect.
-func (t *Tree) syncBox(parent, child *node) {
-	t.setBox(parent, slices.Index(parent.children, child), child.rect)
+func (t *Tree) syncBox(parent, child int32) {
+	t.setBox(parent, slices.Index(t.entries(parent), child), t.rect(child))
 }
 
 // rebuildBoxes rewrites an internal node's whole window-test blocks, padding
 // included, from its child list. A node that overflows is skipped: the
 // split or reinsertion that follows rebuilds it.
-func (t *Tree) rebuildBoxes(n *node) {
-	if len(n.children) > t.opts.MaxEntries {
+func (t *Tree) rebuildBoxes(n int32) {
+	children := t.entries(n)
+	if len(children) > t.opts.MaxEntries {
 		return
 	}
-	S := t.stride
-	if n.cmin == nil {
-		buf := make([]float32, 2*t.dim*S)
-		n.cmin, n.cmax = buf[:t.dim*S:t.dim*S], buf[t.dim*S:]
+	for j, c := range children {
+		t.setBox(n, j, t.rect(c))
 	}
-	for j, c := range n.children {
-		t.setBox(n, j, c.rect)
-	}
-	padBlock(n.cmin, S, len(n.children))
-	padBlock(n.cmax, S, len(n.children))
+	padBlock(t.block(n), t.stride, len(children))
+	padBlock(t.block(n+1), t.stride, len(children))
 }
 
-func (t *Tree) insertSubtree(sub *node) {
-	path := t.descend(sub.rect, sub.level+1)
+// push appends entry e to node n, which must have a free slot (its spare
+// one included).
+func (t *Tree) push(n, e int32) {
+	t.ents[int(n)*t.ecap+int(t.heads[n].count)] = e
+	t.heads[n].count++
+}
+
+func (t *Tree) insertSubtree(sub int32) {
+	r := t.rect(sub)
+	path := t.descend(r, int(t.heads[sub].level)+1)
 	n := path[len(path)-1]
-	wasEmpty := len(n.children) == 0
-	n.children = append(n.children, sub)
-	if len(n.children) <= t.opts.MaxEntries {
-		t.setBox(n, len(n.children)-1, sub.rect)
+	count := int(t.heads[n].count)
+	t.push(n, sub)
+	if count < t.opts.MaxEntries {
+		t.setBox(n, count, r)
 	}
-	t.expandPath(path, sub.rect, wasEmpty)
+	t.expandPath(path, r, count == 0)
 	t.handleOverflow(path)
 }
 
 // descend walks from the root to a node at targetLevel, choosing children by
 // the R* ChooseSubtree criteria, and returns the root-to-target path.
-func (t *Tree) descend(r Rect, targetLevel int) []*node {
+func (t *Tree) descend(r Rect, targetLevel int) []int32 {
 	s := t.scratch
 	n := t.root
 	path := append(s.path[:0], n)
-	for n.level > targetLevel {
+	for int(t.heads[n].level) > targetLevel {
 		n = t.bestChild(n, r)
 		path = append(path, n)
 	}
@@ -412,48 +402,48 @@ func (t *Tree) descend(r Rect, targetLevel int) []*node {
 // target can be overflowing here, never a parent). When the target node was
 // empty before the insert, its rectangle is reset to r rather than expanded
 // (the zero rect of an empty node must not leak in).
-func (t *Tree) expandPath(path []*node, r Rect, targetWasEmpty bool) {
+func (t *Tree) expandPath(path []int32, r Rect, targetWasEmpty bool) {
 	last := len(path) - 1
+	target := t.rect(path[last])
 	if targetWasEmpty {
-		path[last].rect.set(r)
+		target.set(r)
 	} else {
-		path[last].rect.ExpandInPlace(r)
+		target.ExpandInPlace(r)
 	}
 	for i := last - 1; i >= 0; i-- {
-		path[i].rect.ExpandInPlace(r)
+		rect := t.rect(path[i])
+		rect.ExpandInPlace(r)
 		t.syncBox(path[i], path[i+1])
 	}
 }
 
 // handleOverflow applies R* overflow treatment bottom-up along the insertion
 // path: forced reinsertion once per level, splits afterwards.
-func (t *Tree) handleOverflow(path []*node) {
+func (t *Tree) handleOverflow(path []int32) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		if n.entryCount() <= t.opts.MaxEntries {
+		if int(t.heads[n].count) <= t.opts.MaxEntries {
 			return
 		}
-		if bit := uint64(1) << uint(n.level); n != t.root && t.reinserted&bit == 0 {
+		level := int(t.heads[n].level)
+		if bit := uint64(1) << uint(level); n != t.root && t.reinserted&bit == 0 {
 			t.reinserted |= bit
 			t.forceReinsert(n, path[:i+1])
 			return
 		}
 		sibling := t.performSplit(n)
 		if n == t.root {
-			newRoot := &node{
-				level:    n.level + 1,
-				children: []*node{n, sibling},
-			}
-			recomputeRect(newRoot)
-			t.rebuildBoxes(newRoot)
-			t.root = newRoot
+			t.root = t.newNode(level + 1)
+			t.setEntries(t.root, n, sibling)
+			t.recomputeRect(t.root)
+			t.rebuildBoxes(t.root)
 			return
 		}
 		// The two halves hold what n held, so parent's rect — and its lane
 		// in its own parent — stays as expandPath left it.
 		parent := path[i-1]
-		parent.children = append(parent.children, sibling)
-		recomputeRect(parent)
+		t.push(parent, sibling)
+		t.recomputeRect(parent)
 		t.rebuildBoxes(parent)
 	}
 }
@@ -462,99 +452,85 @@ func (t *Tree) handleOverflow(path []*node) {
 // the rectangles along the path, and re-inserts the evicted entries from the
 // top (R* forced reinsertion). path is dead once the rectangles are tight;
 // the reinsertions reuse its storage.
-func (t *Tree) forceReinsert(n *node, path []*node) {
+func (t *Tree) forceReinsert(n int32, path []int32) {
 	p := int(float64(t.opts.MaxEntries+1)*reinsertFraction + 0.5)
 	if p < 1 {
 		p = 1
 	}
 	s := t.scratch
-	center := n.rect.Center(s.center)
+	center := t.rect(n).Center(s.center)
+	entries := t.entries(n)
 
 	// Farthest first: ascending on the negated distance is the same
 	// comparison as descending on the distance.
 	pairs := s.pairs[:0]
-	if n.leaf {
-		for _, id := range n.ids {
+	if t.leaf(n) {
+		for _, id := range entries {
 			pairs = append(pairs, sortPair{-pointDistSq(center, t.point(id)), id})
 		}
 	} else {
 		centerRect := Rect{Min: center, Max: center}
-		for j, c := range n.children {
-			pairs = append(pairs, sortPair{-c.rect.CenterDistSq(centerRect), int32(j)})
+		for _, c := range entries {
+			pairs = append(pairs, sortPair{-t.rect(c).CenterDistSq(centerRect), c})
 		}
 	}
 	s.pairs = pairs
 	slices.SortFunc(pairs, byKey)
-
-	if n.leaf {
-		s.evictedIDs = s.evictedIDs[:0]
-		for _, e := range pairs[:p] {
-			s.evictedIDs = append(s.evictedIDs, e.idx)
-		}
-		n.ids = n.ids[:0]
-		for _, e := range pairs[p:] {
-			n.ids = append(n.ids, e.idx)
-		}
-		t.recomputeLeafRect(n)
-		t.finalizeLeaf(n)
-		t.tightenPath(path)
-		// Close reinsert: nearest evictions first.
-		for i := p - 1; i >= 0; i-- {
-			t.insertPoint(s.evictedIDs[i])
-		}
-		return
-	}
-
-	// Reinsertions one level up may evict in turn, so this level's list is
+	// Reinsertions may evict in turn one level up, so this level's list is
 	// a frame on a stack, addressed by index because the stack may move.
-	base := len(s.evictedNodes)
+	base := len(s.evicted)
 	for _, e := range pairs[:p] {
-		s.evictedNodes = append(s.evictedNodes, n.children[e.idx])
+		s.evicted = append(s.evicted, e.idx)
 	}
-	s.nodes = s.nodes[:0]
-	for _, e := range pairs[p:] {
-		s.nodes = append(s.nodes, n.children[e.idx])
-	}
-	n.children = append(n.children[:0], s.nodes...)
-	recomputeRect(n)
-	t.rebuildBoxes(n)
+	t.fill(n, pairs[p:])
+	t.refresh(n)
 	t.tightenPath(path)
-	for i := p - 1; i >= 0; i-- {
-		t.insertSubtree(s.evictedNodes[base+i])
+	// Close reinsert: nearest evictions first.
+	for i, leaf := p-1, t.leaf(n); i >= 0; i-- {
+		if leaf {
+			t.insertPoint(s.evicted[base+i])
+		} else {
+			t.insertSubtree(s.evicted[base+i])
+		}
 	}
-	s.evictedNodes = s.evictedNodes[:base]
+	s.evicted = s.evicted[:base]
 }
 
 // tightenPath recomputes the rectangles of the interior nodes on a
 // root-to-target path after entries were removed from the target (whose own
 // rect the caller has recomputed), refreshing the lane of each rect that
 // shrank in its parent's blocks on the way up.
-func (t *Tree) tightenPath(path []*node) {
+func (t *Tree) tightenPath(path []int32) {
 	for i := len(path) - 2; i >= 0; i-- {
 		t.syncBox(path[i], path[i+1])
-		recomputeRect(path[i])
+		t.recomputeRect(path[i])
 	}
 }
 
-func recomputeRect(n *node) {
-	if n.leaf || len(n.children) == 0 {
+// recomputeRect tightens an interior node's rect around its children's.
+func (t *Tree) recomputeRect(n int32) {
+	children := t.entries(n)
+	if len(children) == 0 {
 		return
 	}
-	n.rect.set(n.children[0].rect)
-	for _, c := range n.children[1:] {
-		n.rect.ExpandInPlace(c.rect)
+	rect := t.rect(n)
+	rect.set(t.rect(children[0]))
+	for _, c := range children[1:] {
+		rect.ExpandInPlace(t.rect(c))
 	}
 }
 
-func (t *Tree) recomputeLeafRect(n *node) {
-	if len(n.ids) == 0 {
-		n.rect = newRect(t.dim)
+func (t *Tree) recomputeLeafRect(n int32) {
+	ids, rect := t.entries(n), t.rect(n)
+	if len(ids) == 0 {
+		clear(rect.Min)
+		clear(rect.Max)
 		return
 	}
-	p := t.point(n.ids[0])
-	n.rect.set(Rect{Min: p, Max: p})
-	for _, id := range n.ids[1:] {
-		n.rect.ExpandPoint(t.point(id))
+	p := t.point(ids[0])
+	rect.set(Rect{Min: p, Max: p})
+	for _, id := range ids[1:] {
+		rect.ExpandPoint(t.point(id))
 	}
 }
 
@@ -562,42 +538,47 @@ func (t *Tree) recomputeLeafRect(n *node) {
 // For nodes whose children are leaves, R* minimizes overlap enlargement;
 // higher up it minimizes area enlargement. Ties break by smaller area
 // enlargement, then smaller area.
-func (t *Tree) bestChild(n *node, r Rect) *node {
-	children := n.children
+func (t *Tree) bestChild(n int32, r Rect) int32 {
+	children := t.entries(n)
 	if len(children) == 0 {
 		panic("rstar: bestChild on node without children")
 	}
 	best := children[0]
-	bestEnl, bestArea := best.rect.EnlargementArea(r)
-	if !best.leaf {
+	bestEnl, bestArea := t.rect(best).EnlargementArea(r)
+	if t.heads[n].level > 1 {
 		for _, c := range children[1:] {
-			enl, area := c.rect.EnlargementArea(r)
+			enl, area := t.rect(c).EnlargementArea(r)
 			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 				best, bestEnl, bestArea = c, enl, area
 			}
 		}
 		return best
 	}
-	grown := t.scratch.grown
-	bestOverlap, _ := overlapEnlargement(children, 0, r, grown, math.Inf(1))
+	// Every child is compared with every other: take the M views once.
+	s := t.scratch
+	rects := s.rects[:0]
+	for _, c := range children {
+		rects = append(rects, t.rect(c))
+	}
+	s.rects = rects
+	bestOverlap, _ := overlapEnlargement(rects, 0, r, s.grown, math.Inf(1))
 	for i := 1; i < len(children); i++ {
-		ov, ok := overlapEnlargement(children, i, r, grown, bestOverlap)
+		ov, ok := overlapEnlargement(rects, i, r, s.grown, bestOverlap)
 		if !ok {
 			continue
 		}
-		c := children[i]
-		enl, area := c.rect.EnlargementArea(r)
+		enl, area := rects[i].EnlargementArea(r)
 		if ov < bestOverlap ||
 			(enl < bestEnl) ||
 			(enl == bestEnl && area < bestArea) {
-			best, bestOverlap, bestEnl, bestArea = c, ov, enl, area
+			best, bestOverlap, bestEnl, bestArea = children[i], ov, enl, area
 		}
 	}
 	return best
 }
 
-// overlapEnlargement computes how much the overlap between children[i] and
-// its siblings grows if children[i] is enlarged to cover r — as long as the
+// overlapEnlargement computes how much the overlap between rects[i] and its
+// siblings grows if rects[i] is enlarged to cover r — as long as the
 // sum stays within bound; ok is false as soon as it exceeds it. Abandoning
 // is exact, not approximate: the enlarged rect contains the original, so on
 // every axis its intersection with a sibling is at least as long, float
@@ -607,22 +588,22 @@ func (t *Tree) bestChild(n *node, r Rect) *node {
 // same terms in the same order as the unbounded loop (skipped terms are
 // exact zeros), so they are bit-identical. grown is scratch for the
 // enlarged rect.
-func overlapEnlargement(children []*node, i int, r Rect, grown Rect, bound float64) (delta float64, ok bool) {
-	own := children[i].rect
+func overlapEnlargement(rects []Rect, i int, r Rect, grown Rect, bound float64) (delta float64, ok bool) {
+	own := rects[i]
 	if own.ContainsRect(r) {
 		return 0, true // nothing grows: every term is x − x
 	}
 	grown.set(own)
 	grown.ExpandInPlace(r)
-	for j, c := range children {
+	for j, sib := range rects {
 		if j == i {
 			continue
 		}
-		after := grown.OverlapArea(c.rect)
+		after := grown.OverlapArea(sib)
 		if after == 0 {
 			continue // the smaller intersection before is empty too
 		}
-		delta += after - own.OverlapArea(c.rect)
+		delta += after - own.OverlapArea(sib)
 		if delta > bound {
 			return delta, false
 		}
@@ -650,30 +631,23 @@ type Stats struct {
 	BytesApprox int64   // rough in-memory footprint of the tree structure
 }
 
-// ComputeStats walks the tree and returns shape statistics.
+// ComputeStats returns shape statistics: one pass over the arena's slots,
+// every one of which is a node of the tree (or an interior node's second).
 func (t *Tree) ComputeStats() Stats {
-	var s Stats
-	s.Height = t.Height()
+	s := Stats{Height: t.Height()}
 	var totalFill float64
-	var walk func(n *node)
-	walk = func(n *node) {
+	for n := 0; n < len(t.heads); n++ {
+		h := t.heads[n]
 		s.Nodes++
-		totalFill += float64(n.entryCount()) / float64(t.opts.MaxEntries)
-		s.BytesApprox += int64(len(n.rect.Min)+len(n.rect.Max))*4 + 64
-		if n.leaf {
+		totalFill += float64(h.count) / float64(t.opts.MaxEntries)
+		if h.level == 0 {
 			s.Leaves++
-			s.Entries += len(n.ids)
-			s.BytesApprox += int64(len(n.ids))*4 + int64(len(n.coords))*4
-			return
-		}
-		s.BytesApprox += int64(len(n.children))*8 + int64(len(n.cmin)+len(n.cmax))*4
-		for _, c := range n.children {
-			walk(c)
+			s.Entries += int(h.count)
+		} else {
+			n++ // its upper-face slot
 		}
 	}
-	walk(t.root)
-	if s.Nodes > 0 {
-		s.AvgFill = totalFill / float64(s.Nodes)
-	}
+	s.BytesApprox = int64(len(t.heads))*int64(8+4*(2*t.dim+t.ecap+t.blockLen)) + 64
+	s.AvgFill = totalFill / float64(s.Nodes)
 	return s
 }

@@ -65,6 +65,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -74,6 +75,7 @@ import (
 
 	"dblsh/internal/core"
 	"dblsh/internal/obs"
+	"dblsh/internal/rstar"
 	"dblsh/internal/vec"
 )
 
@@ -277,15 +279,22 @@ type Part struct {
 	Globals []int  // local id → global id
 	Deleted []bool // tombstones by local id; may be nil or short
 	R0      float64
+	// Trees holds the shard's L R*-tree arenas, or nil when the part carries
+	// none: a file from before they were stored, or a snapshot whose id-space
+	// cut left out rows its trees already index. Restore adopts them as they
+	// are; without them it projects and bulk-loads the shard afresh.
+	Trees []rstar.Arena
 }
 
 // Restore rebuilds a set from persisted per-shard parts. cfg carries the
 // stored structural parameters and base seed; nextID is the persisted
-// global-id-space bound (ids ≥ nextID have never been allocated).
+// global-id-space bound (ids ≥ nextID have never been allocated). The error
+// is a part's trees failing core.Load's validation; parts without trees
+// cannot fail.
 //
 // dblsh:exclusive the set is under construction and unpublished; the
 // restore goroutines partition the shards, so no state is shared
-func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []Part) *Set {
+func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []Part) (*Set, error) {
 	total := 0
 	for _, p := range parts {
 		total += p.Rows
@@ -299,6 +308,7 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 	s.SetCompactFraction(compactFrac)
 	s.nextID.Store(int64(nextID))
 	stride := len(parts)
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, p := range parts {
@@ -319,7 +329,12 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 			c := s.cfg
 			c.Seed = st.seed
 			c.InitialRadius = p.R0
-			st.idx = core.Build(vec.WrapMatrix(p.Flat, p.Rows, dim), c)
+			data := vec.WrapMatrix(p.Flat, p.Rows, dim)
+			if p.Trees == nil {
+				st.idx = core.Build(data, c)
+			} else if st.idx, errs[st.offset] = core.Load(data, c, p.Trees); st.idx == nil {
+				return
+			}
 			for local, dead := range p.Deleted {
 				if dead && local < p.Rows {
 					st.idx.Delete(local)
@@ -328,9 +343,12 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 		}(st, p)
 	}
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	s.workers = make(chan struct{}, runtime.GOMAXPROCS(0))
 	s.pool.New = func() interface{} { return s.NewSearcher() }
-	return s
+	return s, nil
 }
 
 // Shards returns the number of shards.
@@ -665,7 +683,10 @@ func (s *Set) Infos() []Info {
 }
 
 // SnapshotShard copies shard i's resident rows whose global id is below
-// maxID into a self-contained Part. Persistence streams a snapshot one
+// maxID into a self-contained Part, with a copy of its trees' arenas — a
+// memcpy like the rows, not a walk — unless the cut leaves out a row they
+// index (an Add that landed between the caller's reading NextID and this
+// copy); such a part is rebuilt on load. Persistence streams a snapshot one
 // shard at a time — each copy holds only that shard's read lock, briefly,
 // so serializing a large index never stalls traffic index-wide. Capturing
 // maxID (NextID) before the first copy makes the resulting file a
@@ -689,6 +710,9 @@ func (s *Set) SnapshotShard(i int, maxID int) Part {
 		R0:      st.idx.InitialRadius(),
 		Flat:    make([]float32, 0, rows*s.dim),
 		Globals: make([]int, 0, rows),
+	}
+	if rows == len(st.globals) {
+		p.Trees = st.idx.Trees() // the trees index exactly the rows kept
 	}
 	for j, g := range st.globals {
 		if g >= maxID {

@@ -395,7 +395,10 @@ func TestRestoreRoundTrip(t *testing.T) {
 		parts[i] = s.SnapshotShard(i, nextID)
 	}
 
-	r := Restore(d, nextID, 0, s.Params(), parts)
+	r, err := Restore(d, nextID, 0, s.Params(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Len() != s.Len() || r.Deleted() != s.Deleted() || r.NextID() != s.NextID() {
 		t.Fatalf("restored shape len=%d del=%d next=%d, want len=%d del=%d next=%d",
 			r.Len(), r.Deleted(), r.NextID(), s.Len(), s.Deleted(), s.NextID())

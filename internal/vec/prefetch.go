@@ -35,3 +35,10 @@ const (
 func prefetchLineCount(d int) int {
 	return min((4*d+cacheLine-1)/cacheLine, prefetchMaxLines)
 }
+
+// PrefetchBlock requests the first lines of a window-test block (mask.go)
+// that a traversal knows it will test a node or two from now — with
+// index-linked nodes the block's address is known as soon as the index is —
+// under the same cap as a row: the stream that follows is the hardware
+// prefetcher's. Like any prefetch it changes no value.
+func PrefetchBlock(block []float32) { prefetchLines(block, prefetchLineCount(len(block))) }

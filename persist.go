@@ -7,35 +7,38 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"dblsh/internal/core"
 	"dblsh/internal/metric"
+	"dblsh/internal/rstar"
 	"dblsh/internal/shard"
 )
 
 // Index persistence.
 //
-// A DB-LSH index is fully determined by (data, parameters, seed): the hash
-// family is sampled from the seed and the R*-trees are bulk-loaded
-// deterministically. The on-disk format therefore stores the vectors and the
-// configuration and rebuilds the structures on load — the file stays compact
-// (4 bytes per coordinate plus per-row bookkeeping) and loading costs one
-// STR bulk load per shard, which is the fastest construction path anyway
-// (Table IV's indexing-time column).
+// The file holds the index, not a recipe for it: the configuration, every
+// shard's vectors, id map and tombstones, and every shard's L R*-trees as
+// the flat arenas they live in (internal/rstar). Loading is a read — the
+// arenas go straight into the slices a tree runs on, the projected matrices
+// are copied back out of the leaf blocks they were copied into, and nothing
+// is projected, sorted or packed. A reopened index is therefore the index
+// that was saved, trees grown by Adds included, and answers and grows
+// exactly as that one would have. It is also most of what starting up used
+// to cost: at 100 000 × 128, rebuilding the trees from the vectors was 92 %
+// of a load. The price is bytes: the projected coordinates are L·K/d of the
+// vectors (+45 % at d = 128 with K×L = 10×5, +6 % at d = 960).
 //
-// Version 3 adds the metric subsystem's state to the v2 shard layout: the
-// metric id and the norm bound of the inner-product reduction. The stored
-// vectors are the *internal* (transformed) representation — unit-normalized
-// under Cosine, norm-bound-scaled and augmented by one dimension under
-// InnerProduct — so a load rebuilds the exact search structures without
-// re-deriving any per-point norms; the norm bound is all the state the
+// The stored vectors are the *internal* (transformed) representation —
+// unit-normalized under Cosine, norm-bound-scaled and augmented by one
+// dimension under InnerProduct — and the norm bound is all the state the
 // boundary transform needs to keep accepting Adds and mapping scores after
 // a round-trip.
 //
-// v3 layout (little-endian), followed by a CRC-32 (IEEE) of everything
-// before it:
+// v4 layout (little-endian), followed by a CRC-32 (IEEE) of everything
+// before it. An array is its element count as a uint64, then the elements.
 //
-//	magic   [8]byte  "DBLSHv3\n"
+//	magic   [8]byte  "DBLSHv4\n"
 //	shards  uint32
 //	nextID  uint64   global-id-space bound (ids ≥ nextID never allocated)
 //	dim     uint32   internal dimensionality (user dim + 1 under ip)
@@ -44,114 +47,157 @@ import (
 //	K, L, T uint32
 //	C, W0   float64
 //	seed    int64    base seed (shard i hashes with seed+i)
+//	M, m    uint32   R*-tree node capacity and minimum fill
 //	then per shard:
 //	  rows    uint64
 //	  r0      float64
 //	  globals rows × uint64   local id → global id
 //	  deleted ⌈rows/8⌉ bytes  tombstone bitmap, LSB-first
 //	  data    rows·dim × float32
+//	  trees   uint32          L, or 0: this shard is rebuilt from its rows
+//	  then per tree (rstar.Arena; S slots, stride = M rounded up to 8):
+//	    root   uint32
+//	    heads  array of int32    2 per slot: entry count, level<<16 | sort axis
+//	    ents   array of int32    M+1 per slot: row ids (leaf) or child slots
+//	    rects  array of float32  2·K per slot: the node's MBR, min then max
+//	    blocks array of float32  K·stride per slot: the window-test blocks
 //	crc     uint32
 //
-// v2 files ("DBLSHv2\n": the same layout without the metric and bound
-// fields) and v1 files ("DBLSHv1\n": n, dim, K, L, T, C, W0, r0, seed,
-// data, crc) are still readable; both predate the metric subsystem, so they
-// load as Euclidean indexes, exactly as they were written.
+// A shard is written without trees when a vector was added to it between
+// WriteTo's entry and the shard's turn: the file is a cut of the id space at
+// entry, and the trees already index the row the cut leaves out.
+//
+// A file is outside input and its checksum is not a signature, so a load
+// trusts none of it. Arrays are sized by what has actually been read, never
+// by a count alone; the shape limits, id routing and duplicate-id checks
+// below apply to every version; and rstar.Load proves every arena a tree
+// over exactly its shard's rows before anything can traverse it.
+//
+// Older files have no trees and take the rebuild path — project every row,
+// bulk-load every tree: v3 ("DBLSHv3\n": this layout without M, m and the
+// trees), v2 ("DBLSHv2\n": v3 without metric and bound) and v1 ("DBLSHv1\n":
+// n, dim, K, L, T, C, W0, r0, seed, data, crc). v1 and v2 predate the metric
+// subsystem and load as Euclidean indexes, exactly as they were written.
 
 var (
 	magicV1 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '1', '\n'}
 	magicV2 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '2', '\n'}
 	magicV3 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '3', '\n'}
+	magicV4 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '4', '\n'}
 )
 
-// crcWriter checksums every byte on its way to w.
-type crcWriter struct {
+// ioChunk is the size of the one buffer each direction encodes and decodes
+// through: large enough that a 50 MB payload is a few hundred calls, small
+// enough to stay in cache between the copy, the checksum and the codec.
+const ioChunk = 256 << 10
+
+// encoder buffers, checksums and writes the file. The first write error
+// sticks and turns every later call into a no-op. n counts the bytes w
+// actually accepted — the io.WriterTo contract — not bytes merely parked in
+// the buffer, which on an error path may never reach w at all.
+type encoder struct {
 	w   io.Writer
+	buf []byte
 	crc uint32
+	n   int64
+	err error
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
+// flush checksums the buffered bytes and hands them to w.
+func (e *encoder) flush() {
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
+	}
+	e.buf = e.buf[:0]
 }
 
-// countWriter counts the bytes the underlying writer actually accepted.
-// WriteTo wraps the caller's writer with it *below* the bufio layer, so the
-// count reflects bytes flushed to the destination — the io.WriterTo
-// contract — not bytes merely parked in the 1 MiB buffer, which on an error
-// path may never reach w at all.
-type countWriter struct {
-	w io.Writer
-	n int64
+// room returns n bytes of buffer to encode into, flushing first if needed.
+func (e *encoder) room(n int) []byte {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = e.buf[:len(e.buf)+n]
+	return e.buf[len(e.buf)-n:]
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+func (e *encoder) bytes(b []byte) {
+	for len(b) > 0 {
+		n := min(len(b), ioChunk)
+		copy(e.room(n), b[:n])
+		b = b[n:]
+	}
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
+func (e *encoder) u32(v uint32)  { binary.LittleEndian.PutUint32(e.room(4), v) }
+func (e *encoder) u64(v uint64)  { binary.LittleEndian.PutUint64(e.room(8), v) }
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// floats and ints encode 32-bit elements a buffer-full at a time; the Array
+// forms put the element count first.
+func (e *encoder) floats(v []float32) {
+	for len(v) > 0 {
+		n := min(len(v), ioChunk/4)
+		b := e.room(4 * n)
+		for i, f := range v[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(f))
+		}
+		v = v[n:]
+	}
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
+func (e *encoder) ints(v []int32) {
+	for len(v) > 0 {
+		n := min(len(v), ioChunk/4)
+		b := e.room(4 * n)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+		}
+		v = v[n:]
+	}
 }
 
-// WriteTo serializes the index in the v3 format, including the metric, the
-// tombstones and the shard layout. It implements io.WriterTo and is safe to call while the
-// index serves concurrent traffic: the id space is pinned once up front and
-// each shard is then copied under its own read lock, briefly, before being
-// serialized with no locks held — searches and mutations proceed
-// throughout, and the file is a consistent cut of the id space at entry
-// (rows added after the call starts are excluded; tombstones laid while it
-// runs are included best-effort).
+func (e *encoder) floatArray(v []float32) { e.u64(uint64(len(v))); e.floats(v) }
+func (e *encoder) intArray(v []int32)     { e.u64(uint64(len(v))); e.ints(v) }
+
+// WriteTo serializes the index in the v4 format: configuration, shard
+// layout, vectors, tombstones and trees. It implements io.WriterTo and is
+// safe to call while the index serves concurrent traffic: the id space is
+// pinned once up front and each shard is then copied under its own read
+// lock, briefly, before being serialized with no locks held — searches and
+// mutations proceed throughout, and the file is a consistent cut of the id
+// space at entry (rows added after the call starts are excluded; tombstones
+// laid while it runs are included best-effort).
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	fw := &countWriter{w: w}
-	bw := bufio.NewWriterSize(fw, 1<<20)
-	cw := &crcWriter{w: bw}
+	e := &encoder{w: w, buf: make([]byte, 0, ioChunk)}
 	cfg := idx.set.Params()
 	nextID := idx.set.NextID()
+	tree := cfg.Tree.Resolved()
 
-	if _, err := cw.Write(magicV3[:]); err != nil {
-		return fw.n, fmt.Errorf("dblsh: write header: %w", err)
-	}
-	hdr := []interface{}{
-		uint32(idx.set.Shards()),
-		uint64(nextID),
-		uint32(idx.set.Dim()), // internal dim: the stored rows are transformed
-		uint32(cfg.Metric),
-		cfg.MetricNormBound,
-		uint32(cfg.K), uint32(cfg.L), uint32(cfg.T),
-		cfg.C, cfg.W0,
-		cfg.Seed,
-	}
-	for _, v := range hdr {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return fw.n, fmt.Errorf("dblsh: write header: %w", err)
-		}
-	}
-	idim := idx.set.Dim()
-	rowBuf := make([]byte, idim*4)
-	for s := 0; s < idx.set.Shards(); s++ {
+	e.bytes(magicV4[:])
+	e.u32(uint32(idx.set.Shards()))
+	e.u64(uint64(nextID))
+	e.u32(uint32(idx.set.Dim())) // internal dim: the stored rows are transformed
+	e.u32(uint32(cfg.Metric))
+	e.f64(cfg.MetricNormBound)
+	e.u32(uint32(cfg.K))
+	e.u32(uint32(cfg.L))
+	e.u32(uint32(cfg.T))
+	e.f64(cfg.C)
+	e.f64(cfg.W0)
+	e.u64(uint64(cfg.Seed))
+	e.u32(uint32(tree.MaxEntries))
+	e.u32(uint32(tree.MinEntries))
+	for s := 0; s < idx.set.Shards() && e.err == nil; s++ {
 		// One shard resident at a time: the copy holds only this shard's
 		// read lock, and the disk writes below hold no lock at all.
 		part := idx.set.SnapshotShard(s, nextID)
-		if err := binary.Write(cw, binary.LittleEndian, uint64(part.Rows)); err != nil {
-			return fw.n, fmt.Errorf("dblsh: write shard header: %w", err)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, part.R0); err != nil {
-			return fw.n, fmt.Errorf("dblsh: write shard header: %w", err)
-		}
-		var idBuf [8]byte
+		e.u64(uint64(part.Rows))
+		e.f64(part.R0)
 		for _, g := range part.Globals {
-			binary.LittleEndian.PutUint64(idBuf[:], uint64(g))
-			if _, err := cw.Write(idBuf[:]); err != nil {
-				return fw.n, fmt.Errorf("dblsh: write id map: %w", err)
-			}
+			e.u64(uint64(g))
 		}
 		bitmap := make([]byte, (part.Rows+7)/8)
 		for i, dead := range part.Deleted {
@@ -159,50 +205,137 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 				bitmap[i/8] |= 1 << (i % 8)
 			}
 		}
-		if _, err := cw.Write(bitmap); err != nil {
-			return fw.n, fmt.Errorf("dblsh: write tombstones: %w", err)
-		}
-		// Vectors row by row through a reused buffer.
-		for i := 0; i < part.Rows; i++ {
-			row := part.Flat[i*idim : (i+1)*idim]
-			for j, f := range row {
-				binary.LittleEndian.PutUint32(rowBuf[j*4:], math.Float32bits(f))
-			}
-			if _, err := cw.Write(rowBuf); err != nil {
-				return fw.n, fmt.Errorf("dblsh: write vectors: %w", err)
-			}
+		e.bytes(bitmap)
+		e.floats(part.Flat)
+		e.u32(uint32(len(part.Trees)))
+		for _, a := range part.Trees {
+			e.u32(uint32(a.Root))
+			e.intArray(a.Heads)
+			e.intArray(a.Ents)
+			e.floatArray(a.Rects)
+			e.floatArray(a.Blocks)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
-		return fw.n, fmt.Errorf("dblsh: write checksum: %w", err)
+	e.flush()
+	crc := e.crc
+	e.u32(crc)
+	e.flush()
+	if e.err != nil {
+		return e.n, fmt.Errorf("dblsh: write index: %w", e.err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fw.n, fmt.Errorf("dblsh: flush: %w", err)
-	}
-	return fw.n, nil // everything, CRC trailer included, has reached w
+	return e.n, nil // everything, CRC trailer included, has reached w
 }
 
-// Read deserializes an index previously written with WriteTo, rebuilding the
-// projections and trees deterministically from the stored seed. It accepts
-// the current v3 format (metric state, shard layout and tombstones
-// restored), v2 files (shard layout and tombstones, always Euclidean) and
-// legacy v1 files (single shard, no tombstones).
+// Read deserializes an index previously written with WriteTo. A v4 file is
+// loaded as it is — trees adopted, nothing rebuilt — after being checked
+// from the checksum down to every node of every tree. Older files hold no
+// trees and are rebuilt deterministically from their vectors and seed: v3
+// (metric state, shard layout and tombstones), v2 (shard layout and
+// tombstones, always Euclidean) and v1 (single shard, no tombstones).
 func Read(r io.Reader) (*Index, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<20)}
+	d := newDecoder(r)
+	var magic [8]byte
+	d.take(8, 8, func(b []byte) { copy(magic[:], b) })
+	if d.err != nil {
+		return nil, d.err
+	}
+	version := 1 + slices.Index([][8]byte{magicV1, magicV2, magicV3, magicV4}, magic)
+	if version == 0 {
+		return nil, fmt.Errorf("dblsh: bad magic %q (not a DB-LSH index file?)", magic)
+	}
+	var (
+		shards, dim, mk, k, l, t uint32
+		rows, nextID, seed       uint64
+		r0                       float64
+		cfg                      core.Config
+	)
+	if version == 1 {
+		// One shard holding ids 0 … n−1, its header in the file's.
+		d.fixed(&rows, &dim, &k, &l, &t, &cfg.C, &cfg.W0, &r0, &seed)
+		shards, nextID = 1, rows
+	} else {
+		d.fixed(&shards, &nextID, &dim)
+		if version >= 3 {
+			d.fixed(&mk, &cfg.MetricNormBound)
+		}
+		d.fixed(&k, &l, &t, &cfg.C, &cfg.W0, &seed)
+	}
+	if version >= 4 {
+		var maxEntries, minEntries uint32
+		d.fixed(&maxEntries, &minEntries)
+		cfg.Tree = rstar.Options{MaxEntries: int(maxEntries), MinEntries: int(minEntries)}
+		// The cursor's per-node bitmasks hold 64 entries.
+		if d.err == nil && (maxEntries > 64 || cfg.Tree.Resolved() != cfg.Tree) {
+			return nil, fmt.Errorf("dblsh: implausible tree node capacity %d (minimum fill %d)", maxEntries, minEntries)
+		}
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if !metric.Kind(mk).Valid() {
+		return nil, fmt.Errorf("dblsh: unknown metric id %d (file from a newer version?)", mk)
+	}
+	if shards == 0 || shards > maxShards || dim == 0 || dim > maxDim || nextID > maxVectors || (version == 1 && rows == 0) {
+		return nil, fmt.Errorf("dblsh: implausible layout: %d shards, %d ids, dim %d", shards, nextID, dim)
+	}
+	cfg.Metric, cfg.K, cfg.L, cfg.T, cfg.Seed = metric.Kind(mk), int(k), int(l), int(t), int64(seed)
+	met, err := metric.New(cfg.Metric, cfg.MetricNormBound)
+	if err != nil {
+		return nil, fmt.Errorf("dblsh: bad metric state: %w", err)
+	}
+	udim := met.UserDim(int(dim)) // dim is the internal dimensionality
+	if udim <= 0 {
+		return nil, fmt.Errorf("dblsh: internal dim %d leaves no user dimensions under %s", dim, cfg.Metric)
+	}
 
-	var gotMagic [8]byte
-	if _, err := io.ReadFull(cr, gotMagic[:]); err != nil {
-		return nil, fmt.Errorf("dblsh: read header: %w", err)
+	parts := make([]shard.Part, shards)
+	var total uint64
+	for i := range parts {
+		part := &parts[i]
+		if version > 1 {
+			d.what = "shard header"
+			d.fixed(&rows, &r0)
+			if total += rows; d.err == nil && total > nextID {
+				return nil, fmt.Errorf("dblsh: shard rows exceed the id space (%d > %d)", total, nextID)
+			}
+			part.Globals = d.globals(rows, nextID, i, int(shards))
+			part.Deleted = d.tombstones(rows)
+		}
+		part.Rows, part.R0 = int(rows), r0
+		d.what = "vectors"
+		part.Flat = d.floats(rows * uint64(dim))
+		if version == 1 && d.err == nil {
+			// No id map in the file: its rows are ids 0 … n−1. (Sized now
+			// that the rows have been read, not by the header's word.)
+			part.Globals = make([]int, rows)
+			for g := range part.Globals {
+				part.Globals[g] = g
+			}
+		}
+		if version >= 4 {
+			d.what = fmt.Sprintf("trees of shard %d", i)
+			part.Trees = d.trees(cfg.L, r0)
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
 	}
-	switch gotMagic {
-	case magicV1:
-		return readV1(cr)
-	case magicV2:
-		return readV2(cr)
-	case magicV3:
-		return readV3(cr)
+	d.what = "checksum"
+	want, got := d.crc, uint32(0)
+	if d.fixed(&got); d.err != nil {
+		return nil, d.err
 	}
-	return nil, fmt.Errorf("dblsh: bad magic %q (not a DB-LSH index file?)", gotMagic)
+	if got != want {
+		return nil, fmt.Errorf("dblsh: checksum mismatch (file corrupted): got %08x want %08x", got, want)
+	}
+	// total == 0 is legitimate: an index whose every vector was deleted and
+	// compacted away still round-trips (its id space and layout survive).
+	// Shards that came with their trees are loaded, the others rebuilt.
+	set, err := shard.Restore(int(dim), int(nextID), 0, cfg, parts)
+	if err != nil {
+		return nil, fmt.Errorf("dblsh: malformed index file: %w", err)
+	}
+	return &Index{set: set, dim: udim, met: met}, nil
 }
 
 const (
@@ -211,198 +344,210 @@ const (
 	maxShards  = 1 << 16
 )
 
-// readHeader reads a sequence of fixed-size little-endian values.
-func readHeader(cr *crcReader, vs ...interface{}) error {
+// decoder reads and checksums the file through one bufio.Reader, whose
+// buffer is the only copy between the source and the decoded values. The
+// first failure sticks, named after the part of the file being read, and
+// turns every later read into a no-op that returns nothing.
+type decoder struct {
+	br    *bufio.Reader
+	crc   uint32
+	sized bool   // the input told its length:
+	left  uint64 // what of it take has not consumed yet
+	what  string
+	err   error
+}
+
+// newDecoder returns a decoder over r, asking r how much it holds if it is
+// the kind of reader that can say (an *os.File, a bytes.Reader).
+func newDecoder(r io.Reader) *decoder {
+	d := &decoder{br: bufio.NewReaderSize(r, 1<<20), what: "header"}
+	if s, ok := r.(io.Seeker); ok {
+		if at, err := s.Seek(0, io.SeekCurrent); err == nil {
+			if end, err := s.Seek(0, io.SeekEnd); err == nil && end >= at {
+				d.sized, d.left = true, uint64(end-at)
+			}
+			if _, err := s.Seek(at, io.SeekStart); err != nil {
+				d.fail(err)
+			}
+		}
+	}
+	return d
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = fmt.Errorf("dblsh: read %s: %w", d.what, err)
+	}
+}
+
+// take hands fn the next n bytes, checksummed, in pieces that are multiples
+// of unit (which must divide n) — whatever the reader has buffered, so the
+// bytes are decoded where they already are.
+func (d *decoder) take(n uint64, unit int, fn func(b []byte)) {
+	for n > 0 && d.err == nil {
+		if d.br.Buffered() < unit {
+			if _, err := d.br.Peek(unit); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				d.fail(err)
+				return
+			}
+		}
+		b, _ := d.br.Peek(int(min(n, uint64(d.br.Buffered()/unit*unit))))
+		d.crc = crc32.Update(d.crc, crc32.IEEETable, b)
+		fn(b)
+		n -= uint64(len(b))
+		d.left -= min(d.left, uint64(len(b)))
+		_, _ = d.br.Discard(len(b)) // cannot fail: b was buffered
+	}
+}
+
+// fixed reads fixed-size little-endian fields.
+func (d *decoder) fixed(vs ...interface{}) {
 	for _, v := range vs {
-		if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("dblsh: read header: %w", err)
+		switch p := v.(type) {
+		case *uint32:
+			d.take(4, 4, func(b []byte) { *p = binary.LittleEndian.Uint32(b) })
+		case *uint64:
+			d.take(8, 8, func(b []byte) { *p = binary.LittleEndian.Uint64(b) })
+		case *float64:
+			d.take(8, 8, func(b []byte) { *p = math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 		}
 	}
-	return nil
 }
 
-// readRows reads n rows of dim float32s into a fresh flat slice.
-func readRows(cr *crcReader, n uint64, dim uint32) ([]float32, error) {
-	flat := make([]float32, n*uint64(dim))
-	buf := make([]byte, int(dim)*4)
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return nil, fmt.Errorf("dblsh: read vectors: %w", err)
+// firstAlloc caps what an array may allocate on the strength of its count
+// alone when the input's length is unknown: 4 M elements. Past that it grows
+// sixteenfold at a time, and only once the bytes to fill what it has have
+// really arrived, so a short stream with a huge count costs a bounded
+// allocation and an honest one a single copy of its first 16 MB. An input
+// that can tell its length (a file) is taken at its word instead: an array
+// is allocated once, at its size, and a count the file cannot back is a
+// truncation.
+const firstAlloc = 1 << 22
+
+// array reads n elements of size bytes each; fill decodes the bytes of b
+// into dst, one element per size bytes.
+func array[T any](d *decoder, n uint64, size int, fill func(dst []T, b []byte)) []T {
+	room := uint64(firstAlloc)
+	if d.sized {
+		room = d.left / uint64(size)
+	}
+	out := make([]T, 0, min(n, room))
+	for uint64(len(out)) < n && d.err == nil {
+		if len(out) == cap(out) {
+			if d.sized {
+				d.fail(io.ErrUnexpectedEOF)
+				break
+			}
+			out = append(make([]T, 0, min(n, 16*uint64(cap(out)))), out...)
 		}
-		base := i * uint64(dim)
-		for j := uint32(0); j < dim; j++ {
-			flat[base+uint64(j)] = math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:]))
+		d.take(min(n-uint64(len(out)), uint64(cap(out)-len(out)))*uint64(size), size, func(b []byte) {
+			k := len(out) + len(b)/size
+			fill(out[len(out):k], b)
+			out = out[:k]
+		})
+	}
+	return out
+}
+
+func (d *decoder) floats(n uint64) []float32 {
+	return array(d, n, 4, func(dst []float32, b []byte) {
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
-	}
-	return flat, nil
-}
-
-// checkCRC verifies the trailing checksum against the bytes read so far.
-func checkCRC(cr *crcReader) error {
-	wantCRC := cr.crc
-	var gotCRC uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &gotCRC); err != nil {
-		return fmt.Errorf("dblsh: read checksum: %w", err)
-	}
-	if gotCRC != wantCRC {
-		return fmt.Errorf("dblsh: checksum mismatch (file corrupted): got %08x want %08x", gotCRC, wantCRC)
-	}
-	return nil
-}
-
-func readV1(cr *crcReader) (*Index, error) {
-	var (
-		n       uint64
-		dim     uint32
-		k, l, t uint32
-		c, w0   float64
-		r0      float64
-		seed    int64
-	)
-	if err := readHeader(cr, &n, &dim, &k, &l, &t, &c, &w0, &r0, &seed); err != nil {
-		return nil, err
-	}
-	if n == 0 || dim == 0 || n > maxVectors || dim > maxDim {
-		return nil, fmt.Errorf("dblsh: implausible shape %d×%d", n, dim)
-	}
-	flat, err := readRows(cr, n, dim)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCRC(cr); err != nil {
-		return nil, err
-	}
-	set := shard.Build(flat, int(n), int(dim), 1, 0, core.Config{
-		C: c, W0: w0, K: int(k), L: int(l), T: int(t),
-		Seed: seed, InitialRadius: r0,
 	})
-	met, _ := metric.New(metric.Euclidean, 0)
-	return &Index{set: set, dim: int(dim), met: met}, nil
 }
 
-// readV2 loads a pre-metric-subsystem file: the same shard layout as v3,
-// always Euclidean.
-func readV2(cr *crcReader) (*Index, error) {
-	var (
-		shards  uint32
-		nextID  uint64
-		dim     uint32
-		k, l, t uint32
-		c, w0   float64
-		seed    int64
-	)
-	if err := readHeader(cr, &shards, &nextID, &dim, &k, &l, &t, &c, &w0, &seed); err != nil {
-		return nil, err
-	}
-	cfg := core.Config{C: c, W0: w0, K: int(k), L: int(l), T: int(t), Seed: seed}
-	return readShards(cr, shards, nextID, dim, cfg)
+func (d *decoder) ints(n uint64) []int32 {
+	return array(d, n, 4, func(dst []int32, b []byte) {
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	})
 }
 
-// readV3 loads the current format: v2 plus the metric id and norm bound.
-func readV3(cr *crcReader) (*Index, error) {
-	var (
-		shards  uint32
-		nextID  uint64
-		dim     uint32
-		mk      uint32
-		bound   float64
-		k, l, t uint32
-		c, w0   float64
-		seed    int64
-	)
-	if err := readHeader(cr, &shards, &nextID, &dim, &mk, &bound, &k, &l, &t, &c, &w0, &seed); err != nil {
-		return nil, err
+// globals reads shard i's local-id → global-id map. Every id must lie in
+// the id space, route to the shard that holds it (g mod S == shard; Delete
+// depends on it) and appear once: routing makes ids unique across shards
+// and the check below within one, so a crafted file cannot yield undeletable
+// vectors or duplicate result ids.
+func (d *decoder) globals(rows, nextID uint64, i, shards int) []int {
+	d.what = "id map"
+	globals := array(d, rows, 8, func(dst []int, b []byte) {
+		for j := range dst {
+			// An id past the int range comes out negative and fails below.
+			dst[j] = int(binary.LittleEndian.Uint64(b[8*j:]))
+		}
+	})
+	if d.err != nil {
+		return nil
 	}
-	if !metric.Kind(mk).Valid() {
-		return nil, fmt.Errorf("dblsh: unknown metric id %d (file from a newer version?)", mk)
+	ascending := true
+	for j, g := range globals {
+		if g < 0 || uint64(g) >= nextID {
+			d.err = fmt.Errorf("dblsh: global id %d outside the id space %d", uint64(g), nextID)
+		} else if g%shards != i {
+			d.err = fmt.Errorf("dblsh: global id %d does not route to shard %d of %d", g, i, shards)
+		}
+		ascending = ascending && (j == 0 || globals[j-1] < g)
 	}
-	cfg := core.Config{
-		C: c, W0: w0, K: int(k), L: int(l), T: int(t), Seed: seed,
-		Metric: metric.Kind(mk), MetricNormBound: bound,
+	// Ids are handed out in order, so a shard's map ascends unless Adds
+	// raced each other into it; only then is there anything to search for.
+	if !ascending && d.err == nil {
+		sorted := slices.Clone(globals)
+		slices.Sort(sorted)
+		for j := 1; j < len(sorted); j++ {
+			if sorted[j-1] == sorted[j] {
+				d.err = fmt.Errorf("dblsh: duplicate global id %d in shard %d", sorted[j], i)
+			}
+		}
 	}
-	return readShards(cr, shards, nextID, dim, cfg)
+	return globals
 }
 
-// readShards reads the per-shard payloads shared by v2 and v3, verifies the
-// checksum and rebuilds the index. dim is the internal dimensionality; the
-// metric in cfg determines the user-facing one.
-func readShards(cr *crcReader, shards uint32, nextID uint64, dim uint32, cfg core.Config) (*Index, error) {
-	if shards == 0 || shards > maxShards || dim == 0 || dim > maxDim || nextID > maxVectors {
-		return nil, fmt.Errorf("dblsh: implausible layout: %d shards, %d ids, dim %d", shards, nextID, dim)
-	}
-	met, err := metric.New(cfg.Metric, cfg.MetricNormBound)
-	if err != nil {
-		return nil, fmt.Errorf("dblsh: bad metric state: %w", err)
-	}
-	udim := met.UserDim(int(dim))
-	if udim <= 0 {
-		return nil, fmt.Errorf("dblsh: internal dim %d leaves no user dimensions under %s", dim, cfg.Metric)
-	}
-	parts := make([]shard.Part, shards)
-	var total uint64
-	for i := range parts {
-		var rows uint64
-		var r0 float64
-		if err := readHeader(cr, &rows, &r0); err != nil {
-			return nil, err
-		}
-		total += rows
-		if total > nextID {
-			return nil, fmt.Errorf("dblsh: shard rows exceed the id space (%d > %d)", total, nextID)
-		}
-		globals := make([]int, rows)
-		var idBuf [8]byte
-		seen := make(map[int]struct{}, rows)
-		for j := range globals {
-			if _, err := io.ReadFull(cr, idBuf[:]); err != nil {
-				return nil, fmt.Errorf("dblsh: read id map: %w", err)
+// tombstones reads a shard's tombstone bitmap; nil when nothing is dead.
+func (d *decoder) tombstones(rows uint64) []bool {
+	d.what = "tombstones"
+	var deleted []bool
+	local := uint64(0)
+	d.take((rows+7)/8, 1, func(b []byte) {
+		for _, bits := range b {
+			for j := local; bits != 0 && j < rows; j, bits = j+1, bits>>1 {
+				if bits&1 != 0 {
+					if deleted == nil {
+						deleted = make([]bool, rows)
+					}
+					deleted[j] = true
+				}
 			}
-			g := binary.LittleEndian.Uint64(idBuf[:])
-			if g >= nextID {
-				return nil, fmt.Errorf("dblsh: global id %d outside the id space %d", g, nextID)
-			}
-			// Every id must route to the shard that holds it (g mod S ==
-			// shard; Delete depends on it) and appear once. Routing makes
-			// ids unique across shards, the per-shard set catches the
-			// rest, so a crafted file cannot yield undeletable vectors or
-			// duplicate result ids.
-			if int(g)%int(shards) != i {
-				return nil, fmt.Errorf("dblsh: global id %d does not route to shard %d of %d", g, i, shards)
-			}
-			if _, dup := seen[int(g)]; dup {
-				return nil, fmt.Errorf("dblsh: duplicate global id %d in shard %d", g, i)
-			}
-			seen[int(g)] = struct{}{}
-			globals[j] = int(g)
+			local += 8
 		}
-		bitmap := make([]byte, (rows+7)/8)
-		if _, err := io.ReadFull(cr, bitmap); err != nil {
-			return nil, fmt.Errorf("dblsh: read tombstones: %w", err)
-		}
-		deleted := make([]bool, rows)
-		anyDead := false
-		for j := range deleted {
-			if bitmap[j/8]&(1<<(j%8)) != 0 {
-				deleted[j] = true
-				anyDead = true
-			}
-		}
-		if !anyDead {
-			deleted = nil
-		}
-		flat, err := readRows(cr, rows, dim)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = shard.Part{
-			Flat: flat, Rows: int(rows), Globals: globals, Deleted: deleted, R0: r0,
-		}
+	})
+	return deleted
+}
+
+// trees reads a shard's tree arenas: none (the shard is rebuilt), or one
+// per projected space.
+func (d *decoder) trees(l int, r0 float64) []rstar.Arena {
+	var n uint32
+	d.fixed(&n)
+	if n != 0 && (int(n) != l || !(r0 > 0)) {
+		d.fail(fmt.Errorf("%d trees for L = %d, initial radius %v", n, l, r0))
 	}
-	if err := checkCRC(cr); err != nil {
-		return nil, err
+	var trees []rstar.Arena // grown as they arrive: n is only a claim
+	for ; n > 0 && d.err == nil; n-- {
+		var root uint32
+		var counts [4]uint64
+		d.fixed(&root, &counts[0])
+		heads := d.ints(counts[0])
+		d.fixed(&counts[1])
+		ents := d.ints(counts[1])
+		d.fixed(&counts[2])
+		rects := d.floats(counts[2])
+		d.fixed(&counts[3])
+		trees = append(trees, rstar.Arena{Root: int32(root), Heads: heads, Ents: ents, Rects: rects, Blocks: d.floats(counts[3])})
 	}
-	// total == 0 is legitimate: an index whose every vector was deleted and
-	// compacted away still round-trips (its id space and layout survive).
-	set := shard.Restore(int(dim), int(nextID), 0, cfg, parts)
-	return &Index{set: set, dim: udim, met: met}, nil
+	return trees
 }

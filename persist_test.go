@@ -2,11 +2,19 @@ package dblsh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// v4HeaderLen is the size of a v4 file's fixed header, magic included: what
+// precedes the first shard.
+const v4HeaderLen = 8 + 4 + 8 + 4 + 4 + 8 + 3*4 + 2*8 + 8 + 2*4
 
 func buildSmall(t *testing.T) (*Index, [][]float32, [][]float32) {
 	t.Helper()
@@ -258,6 +266,165 @@ func TestReadHandlesPartialReads(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("byte-at-a-time load diverges")
+		}
+	}
+}
+
+// save returns idx's WriteTo bytes.
+func save(t *testing.T, idx *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadedIndexIsTheSavedIndex is the v4 format's contract on an index
+// with a history — sharded, grown by Adds that split and reinserted its
+// trees, tombstoned, one shard compacted and grown again: what Read returns
+// is not an equivalent index but the same one. Every query does the same
+// work for the same answer, the same further mutations leave the two
+// identical again, and either saves to the same bytes.
+func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
+	data, queries := clusteredData(3000, 16, 71)
+	more, moreQueries := clusteredData(900, 16, 72)
+	queries = append(queries, moreQueries...)
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 71, Shards: 3, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(on *Index, adds [][]float32, deleteEvery int) {
+		for _, v := range adds {
+			if _, err := on.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g := 1; g < on.NextID(); g += deleteEvery {
+			on.Delete(g)
+		}
+	}
+	mutate(idx, more[:600], 7)
+	if _, err := idx.CompactShard(1); err != nil {
+		t.Fatal(err)
+	}
+	mutate(idx, more[600:750], 11)
+
+	saved := save(t, idx)
+	loaded, err := Read(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.SetParallelism(1); err != nil { // operational, not persisted
+		t.Fatal(err)
+	}
+	same := func(stage string) {
+		t.Helper()
+		if loaded.Len() != idx.Len() || loaded.Deleted() != idx.Deleted() || loaded.NextID() != idx.NextID() {
+			t.Fatalf("%s: loaded len/deleted/next %d/%d/%d, saved %d/%d/%d", stage,
+				loaded.Len(), loaded.Deleted(), loaded.NextID(), idx.Len(), idx.Deleted(), idx.NextID())
+		}
+		a, b := idx.NewSearcher(), loaded.NewSearcher()
+		for qi, q := range queries {
+			var sa, sb Stats
+			ra, err := a.SearchOpts(q, 10, WithStats(&sa))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := b.SearchOpts(q, 10, WithStats(&sb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ra, rb) {
+				t.Fatalf("%s, query %d: loaded answers %v, saved %v", stage, qi, rb, ra)
+			}
+			if sa != sb {
+				t.Fatalf("%s, query %d: loaded did the work %+v, saved %+v", stage, qi, sb, sa)
+			}
+		}
+		if !bytes.Equal(save(t, idx), save(t, loaded)) {
+			t.Fatalf("%s: the loaded index saves to different bytes than the one it was loaded from", stage)
+		}
+	}
+	same("as loaded")
+	mutate(idx, more[750:], 13)
+	mutate(loaded, more[750:], 13)
+	same("after the same further adds and deletes")
+}
+
+// TestReadV3Fixture loads a file the last v3 writer produced (3 shards,
+// one tombstone, one vector added after the build): files without trees
+// still load, through the one rebuild path.
+func TestReadV3Fixture(t *testing.T) {
+	raw, err := os.ReadFile("testdata/v3_sharded.dblsh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("v3 file rejected: %v", err)
+	}
+	if loaded.Len() != 121 || loaded.Dim() != 6 || loaded.Shards() != 3 || loaded.Deleted() != 1 || loaded.NextID() != 121 {
+		t.Fatalf("v3 load shape: len=%d dim=%d shards=%d deleted=%d next=%d",
+			loaded.Len(), loaded.Dim(), loaded.Shards(), loaded.Deleted(), loaded.NextID())
+	}
+	data, _ := clusteredData(120, 6, 44) // what the fixture was built from
+	for id, v := range data {
+		hits := loaded.Search(v, 1)
+		if id == 7 { // the tombstone
+			if len(hits) == 1 && hits[0].ID == 7 {
+				t.Fatal("v3 load resurrected the deleted vector")
+			}
+			continue
+		}
+		if len(hits) != 1 || hits[0].ID != id || hits[0].Dist != 0 {
+			t.Fatalf("v3 load: self-query of %d returned %+v", id, hits)
+		}
+	}
+	// It is written back as v4, and that loads as the same index.
+	again, err := Read(bytes.NewReader(save(t, loaded)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range data {
+		if a, b := loaded.Search(v, 5), again.Search(v, 5); !slices.Equal(a, b) {
+			t.Fatalf("v3 → v4: answers changed: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestReadSizesArraysByBytesPresent: a count is a claim. A file that
+// announces a terabyte of vectors, or of tree slots, and then ends must cost
+// an error and a bounded allocation, not the announced one.
+func TestReadSizesArraysByBytesPresent(t *testing.T) {
+	data, _ := clusteredData(40, 4, 5)
+	idx, err := New(data, Options{K: 4, L: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := save(t, idx)
+	const rowsAt = v4HeaderLen // the only shard's row count
+	headsAt := v4HeaderLen + 16 + 40*8 + 5 + 40*4*4 + 4 + 4
+	for name, at := range map[string]int{"rows": rowsAt, "tree slots": headsAt} {
+		hostile := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(hostile[at:], 1<<38)
+		if name == "rows" {
+			binary.LittleEndian.PutUint64(hostile[12:], 1<<39) // nextID, so that the rows fit the id space
+		}
+		// Once from a reader that knows its length (the count is refused
+		// against it), once from one that does not (the array grows only as
+		// bytes arrive).
+		for _, in := range []io.Reader{bytes.NewReader(hostile), io.MultiReader(bytes.NewReader(hostile))} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Read(in)
+			runtime.ReadMemStats(&after)
+			if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: a file announcing 2^38 elements and ending: %v, want an unexpected EOF", name, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+				t.Fatalf("%s: reading a %d-byte file allocated %d MB", name, len(hostile), grew>>20)
+			}
 		}
 	}
 }

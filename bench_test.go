@@ -397,31 +397,19 @@ func benchIndexSharded(b *testing.B, shards int) *dblsh.Index {
 	return idx
 }
 
-// Search latency as shard count grows, sequential versus parallel: "seq"
-// forces the one-goroutine reference ladder (WithParallelism(1)), "par"
-// fans every round out across all shards (WithParallelism(shards)); both
-// return bit-identical results, so the delta is pure execution cost. On a
-// single-core host "par" measures the fan-out machinery's overhead
-// (goroutines, arenas, the deferred merge); the speedup needs cores to
-// spread the per-shard gathers across.
+// Search latency as shard count grows: what the coordinated round costs over
+// the one-index ladder on the same rows.
 func BenchmarkSearchSharded(b *testing.B) {
 	ds := benchDS()
 	for _, shards := range []int{1, 4, 8} {
 		idx := benchIndexSharded(b, shards)
-		for _, mode := range []struct {
-			name string
-			par  int
-		}{{"seq", 1}, {"par", shards}} {
-			mode := mode
-			b.Run(benchName("shards", shards)+"/"+mode.name, func(b *testing.B) {
-				s := idx.NewSearcher()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.SearchOpts(ds.Queries.Row(i%ds.Queries.Rows()), 10,
-						dblsh.WithParallelism(mode.par))
-				}
-			})
-		}
+		b.Run(benchName("shards", shards), func(b *testing.B) {
+			s := idx.NewSearcher()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SearchOpts(ds.Queries.Row(i%ds.Queries.Rows()), 10)
+			}
+		})
 	}
 }
 

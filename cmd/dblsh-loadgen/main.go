@@ -71,12 +71,6 @@ type summary struct {
 	LatencyP95Ms    float64 `json:"latency_p95_ms"`
 	LatencyP99Ms    float64 `json:"latency_p99_ms"`
 	LatencyMaxMs    float64 `json:"latency_max_ms"`
-	// Intra-query fan-out activity summed from the search responses' stats:
-	// ladder rounds that visited shards concurrently, and the total wall
-	// time of those rounds' slowest shard gathers. Zero against a
-	// single-shard or sequentially-configured server.
-	ParallelRounds int   `json:"parallel_rounds"`
-	StragglerNs    int64 `json:"straggler_ns"`
 	// What /stats said the server was running: the active distance kernel,
 	// how it was selected (auto/env/forced), and the CPU features the
 	// server detected. Empty against servers predating the fields.
@@ -185,8 +179,6 @@ func fetchStats(client *http.Client, addr string, patience time.Duration) (serve
 type workerResult struct {
 	successes, shed, errors int
 	reads, writes           int
-	parallelRounds          int
-	stragglerNs             int64
 	latencies               []time.Duration
 }
 
@@ -261,20 +253,6 @@ func run(cfg config) (summary, error) {
 					res.errors++
 					continue
 				}
-				if !isWrite && resp.StatusCode == http.StatusOK {
-					// Fold the response's fan-out counters into the run
-					// summary; a decode failure only loses the tally.
-					var sr struct {
-						Stats struct {
-							ParallelRounds int   `json:"parallel_rounds"`
-							StragglerNs    int64 `json:"straggler_ns"`
-						} `json:"stats"`
-					}
-					if err := json.NewDecoder(resp.Body).Decode(&sr); err == nil {
-						res.parallelRounds += sr.Stats.ParallelRounds
-						res.stragglerNs += sr.Stats.StragglerNs
-					}
-				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				switch {
@@ -311,8 +289,6 @@ func run(cfg config) (summary, error) {
 		sum.Errors += r.errors
 		sum.Reads += r.reads
 		sum.Writes += r.writes
-		sum.ParallelRounds += r.parallelRounds
-		sum.StragglerNs += r.stragglerNs
 		all = append(all, r.latencies...)
 	}
 	sum.Requests = sum.Successes + sum.Shed + sum.Errors

@@ -34,9 +34,8 @@
 //
 // Search endpoints accept optional per-request knobs — "t" (candidate
 // budget), "early_stop" (termination factor ≥ 1), "max_radius" (radius
-// ladder cap), "filter_ids" (allowlist of returnable ids) and "parallelism"
-// (shards visited concurrently per ladder round) — and echo the query's
-// work statistics ("candidates", "rounds", "final_radius") in the
+// ladder cap) and "filter_ids" (allowlist of returnable ids) — and echo the
+// query's work statistics ("candidates", "rounds", "final_radius") in the
 // response, so one running server can serve low-latency and high-recall
 // traffic side by side. /search_radius runs a single fixed-radius round, so
 // it takes only "t" and "filter_ids" and rejects the ladder-shaping knobs.
@@ -47,10 +46,7 @@
 // per-shard breakdown plus, under -data-dir, the durability state (log
 // bytes, ops since checkpoint, last checkpoint time). -compact-fraction
 // enables automatic background compaction once a shard's tombstoned
-// fraction crosses the threshold. -parallelism sets how many shards a
-// single query visits concurrently within each ladder round (0 = auto,
-// min(GOMAXPROCS, shards); 1 = sequential; results are identical either
-// way), overridable per request.
+// fraction crosses the threshold.
 //
 // With -pprof ADDR the server exposes Go's net/http/pprof profiling
 // endpoints (/debug/pprof/...) on a separate listener, so CPU and heap
@@ -120,7 +116,6 @@ func main() {
 		shards      = flag.Int("shards", 1, "index shards for the demo corpus (an -index file carries its own layout)")
 		compactFrac = flag.Float64("compact-fraction", 0, "auto-compact a shard when its tombstoned fraction reaches this (0 disables)")
 		metricName  = flag.String("metric", "euclidean", "distance metric for the demo corpus: euclidean, cosine or ip (an -index file carries its own metric)")
-		parallelism = flag.Int("parallelism", 0, "shards a single query visits concurrently per ladder round: 0 picks min(GOMAXPROCS, shards) per query, 1 forces the sequential path (results are identical either way; operational, applies to loaded indexes too)")
 		kernel      = flag.String("kernel", "", "distance kernel by name (see /stats kernel_names); empty keeps the auto-detected (or DBLSH_KERNEL-selected) kernel. Unlike the env override, an unknown name here is fatal")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
 
@@ -162,7 +157,6 @@ func main() {
 		sync: syncPolicy, syncEvery: syncEvery, checkpointEvery: *ckptEvery,
 		demoN: *demoN, demoDim: *demoDim, seed: *seed,
 		shards: *shards, compactFrac: *compactFrac, metric: met,
-		parallelism: *parallelism,
 	})
 	if err != nil {
 		log.Fatalf("dblsh-server: %v", err)
@@ -252,7 +246,6 @@ type config struct {
 	shards                     int
 	compactFrac                float64
 	metric                     dblsh.Metric
-	parallelism                int
 }
 
 func loadIndex(c config) (*dblsh.Index, error) {
@@ -261,7 +254,7 @@ func loadIndex(c config) (*dblsh.Index, error) {
 	}
 	opts := dblsh.Options{
 		Sync: c.sync, SyncEvery: c.syncEvery, CheckpointEvery: c.checkpointEvery,
-		CompactFraction: c.compactFrac, Parallelism: c.parallelism,
+		CompactFraction: c.compactFrac,
 	}
 	// A directory that already holds a checkpoint resumes from it; a fresh
 	// one is seeded (from -index or the demo corpus) and then reopened
@@ -299,13 +292,9 @@ func loadEphemeral(c config) (*dblsh.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", c.indexFile, err)
 		}
-		// The shard layout travels with the file; the compaction policy and
-		// the query fan-out setting are operational and apply to loaded
-		// indexes too.
+		// The shard layout travels with the file; the compaction policy is
+		// operational and applies to loaded indexes too.
 		if err := idx.SetCompactFraction(c.compactFrac); err != nil {
-			return nil, err
-		}
-		if err := idx.SetParallelism(c.parallelism); err != nil {
 			return nil, err
 		}
 		log.Printf("loaded %s in %v", c.indexFile, time.Since(start).Round(time.Millisecond))
@@ -332,6 +321,5 @@ func loadEphemeral(c config) (*dblsh.Index, error) {
 	}
 	return dblsh.NewFromFlat(flat, c.demoN, c.demoDim, dblsh.Options{
 		Seed: c.seed, Shards: c.shards, CompactFraction: c.compactFrac, Metric: c.metric,
-		Parallelism: c.parallelism,
 	})
 }

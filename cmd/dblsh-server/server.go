@@ -65,12 +65,10 @@ func newServer(idx *dblsh.Index, cfg serverConfig) *server {
 //	POST /compact         {"shard": 2} — rebuild one shard (omit for all), dropping tombstones
 //	POST /checkpoint      — rewrite the durable snapshot and truncate the op log (requires -data-dir)
 //
-// The per-request knobs t, early_stop, max_radius, filter_ids and
-// parallelism are all optional and default to the index's (or server's)
-// configuration; filter_ids, when present, is an allowlist — only those ids
-// may be returned, and parallelism bounds how many shards the query visits
-// concurrently per ladder round (0 forces auto; results are identical at
-// every setting). Search responses echo the work statistics of the query.
+// The per-request knobs t, early_stop, max_radius and filter_ids are all
+// optional and default to the index's configuration; filter_ids, when
+// present, is an allowlist — only those ids may be returned. Search
+// responses echo the work statistics of the query.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	// Probe and scrape endpoints skip admission so they keep answering
@@ -148,7 +146,6 @@ type statsResponse struct {
 	T              int              `json:"t"`
 	C              float64          `json:"c"`
 	W0             float64          `json:"w0"`
-	Parallelism    int              `json:"parallelism"`   // effective per-query shard fan-out
 	Kernel         string           `json:"kernel"`        // active distance kernel
 	KernelSource   string           `json:"kernel_source"` // auto | env | forced
 	KernelNames    []string         `json:"kernel_names"`  // kernels this build/CPU registered
@@ -189,7 +186,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		T:            p.T,
 		C:            p.C,
 		W0:           p.W0,
-		Parallelism:  s.idx.Parallelism(),
 		Kernel:       vec.KernelName(),
 		KernelSource: vec.KernelSource(),
 		KernelNames:  vec.KernelNames(),
@@ -227,10 +223,6 @@ type queryOptions struct {
 	EarlyStop float64 `json:"early_stop"`
 	MaxRadius float64 `json:"max_radius"`
 	FilterIDs []int   `json:"filter_ids"`
-	// Parallelism is a pointer so an explicit 0 ("auto, regardless of the
-	// server's -parallelism") is distinguishable from the field being
-	// absent (use the server's setting).
-	Parallelism *int `json:"parallelism"`
 }
 
 // searchOptions converts the request knobs into library options. The
@@ -261,9 +253,6 @@ func (o queryOptions) searchOptions(ctx context.Context) ([]dblsh.SearchOption, 
 		}
 		opts = append(opts, dblsh.WithFilter(func(id int) bool { return allow[id] }))
 	}
-	if o.Parallelism != nil {
-		opts = append(opts, dblsh.WithParallelism(*o.Parallelism))
-	}
 	return opts, nil
 }
 
@@ -285,11 +274,6 @@ type queryStats struct {
 	FinalRadius  float64 `json:"final_radius"`
 	NodesVisited int     `json:"nodes_visited"`
 	FrontierSize int     `json:"frontier_size"`
-	// Fan-out activity: rounds that ran shards concurrently and the summed
-	// wall time of each such round's slowest shard. Absent when the query
-	// ran the sequential path.
-	ParallelRounds int   `json:"parallel_rounds,omitempty"`
-	StragglerNs    int64 `json:"straggler_ns,omitempty"`
 }
 
 type searchResponse struct {
@@ -307,13 +291,11 @@ func toHits(results []dblsh.Result) []searchHit {
 
 func toStats(st dblsh.Stats) *queryStats {
 	return &queryStats{
-		Candidates:     st.Candidates,
-		Rounds:         st.Rounds,
-		FinalRadius:    st.FinalRadius,
-		NodesVisited:   st.NodesVisited,
-		FrontierSize:   st.FrontierSize,
-		ParallelRounds: st.ParallelRounds,
-		StragglerNs:    st.StragglerNanos,
+		Candidates:   st.Candidates,
+		Rounds:       st.Rounds,
+		FinalRadius:  st.FinalRadius,
+		NodesVisited: st.NodesVisited,
+		FrontierSize: st.FrontierSize,
 	}
 }
 
@@ -457,11 +439,10 @@ func (s *server) handleSearchRadius(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "radius must be positive")
 		return
 	}
-	// A fixed-radius query runs a single sequential round: the
-	// ladder-shaping knobs and the per-round fan-out have nothing to act
-	// on, so reject them rather than silently ignore.
-	if req.EarlyStop != 0 || req.MaxRadius != 0 || req.Parallelism != nil {
-		httpError(w, http.StatusBadRequest, "early_stop, max_radius and parallelism do not apply to fixed-radius queries")
+	// A fixed-radius query runs a single round: the ladder-shaping knobs
+	// have nothing to act on, so reject them rather than silently ignore.
+	if req.EarlyStop != 0 || req.MaxRadius != 0 {
+		httpError(w, http.StatusBadRequest, "early_stop and max_radius do not apply to fixed-radius queries")
 		return
 	}
 	opts, err := req.searchOptions(r.Context())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -505,6 +506,50 @@ func TestSearchPerRequestOptions(t *testing.T) {
 		t.Fatalf("early_stop=0.5 status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestRemovedParallelismFieldIsIgnored: the per-request "parallelism" knob
+// left with the per-round shard fan-out (results were identical at every
+// setting). A client that still sends it is answered as one that does not,
+// on every search endpoint, and no reply mentions fan-out any more.
+func TestRemovedParallelismFieldIsIgnored(t *testing.T) {
+	ts, idx := testServerSharded(t, 4)
+	q := make([]float32, idx.Dim())
+	for _, c := range []struct {
+		path string
+		body map[string]interface{}
+	}{
+		{"/search", map[string]interface{}{"vector": q, "k": 5}},
+		{"/search_batch", map[string]interface{}{"vectors": [][]float32{q, q}, "k": 5}},
+		{"/search_radius", map[string]interface{}{"vector": q, "radius": 100.0}},
+	} {
+		read := func() string {
+			t.Helper()
+			resp := postJSON(t, ts.URL+c.path, c.body)
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d, err %v: %s", c.path, resp.StatusCode, err, raw)
+			}
+			return string(raw)
+		}
+		without := read()
+		c.body["parallelism"] = 3
+		if with := read(); with != without {
+			t.Fatalf("%s with \"parallelism\": %s\nwithout: %s", c.path, with, without)
+		}
+		if strings.Contains(without, "parallel") || strings.Contains(without, "straggler") {
+			t.Fatalf("%s reply still reports fan-out: %s", c.path, without)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if raw, _ := io.ReadAll(resp.Body); strings.Contains(string(raw), "parallelism") {
+		t.Fatalf("/stats still reports parallelism: %s", raw)
+	}
 }
 
 func TestSearchFilterIDs(t *testing.T) {

@@ -183,17 +183,8 @@ type Options struct {
 	// Must be below 1. 0 disables; reclaim manually with CompactShard.
 	CompactFraction float64
 
-	// Parallelism bounds how many shards a single query visits
-	// concurrently within each ladder round. 0 (the default) picks
-	// min(GOMAXPROCS, Shards) per query; 1 forces the sequential
-	// reference path; n > 1 uses up to n workers per round. Results are
-	// bit-identical at every setting — the fan-out changes only how the
-	// round's work is scheduled, never what the merge consumes. Helper
-	// workers come from one pool sized to GOMAXPROCS and shared by all
-	// concurrent queries of the index, so raising this cannot oversubscribe
-	// the machine under concurrent load; it matters most for
-	// latency-sensitive single queries on otherwise idle cores. Override
-	// per query with WithParallelism, or at runtime with SetParallelism.
+	// Parallelism is ignored: benchmark/durable.go:107 still sets it. The
+	// next PR allowed to edit benchmark/ removes it.
 	Parallelism int
 
 	// Metric selects the distance the index searches under: Euclidean (the
@@ -341,9 +332,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if opts.CompactFraction < 0 || opts.CompactFraction >= 1 {
 		return nil, fmt.Errorf("dblsh: CompactFraction must be in [0,1), got %v", opts.CompactFraction)
 	}
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("dblsh: Parallelism must be non-negative, got %d", opts.Parallelism)
-	}
 	met, err := buildMetric(opts, flat, n, dim)
 	if err != nil {
 		return nil, err
@@ -366,7 +354,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 		Metric:          met.Kind(),
 		MetricNormBound: met.NormBound(),
 	})
-	set.SetParallelism(opts.Parallelism)
 	return &Index{set: set, dim: dim, met: met}, nil
 }
 
@@ -455,15 +442,6 @@ type Stats struct {
 	// ladder never had to touch. (For batch queries the per-query values
 	// are summed, like the other counters.)
 	FrontierSize int
-	// ParallelRounds counts the ladder rounds (including a final covering
-	// sweep) whose shard visits fanned out concurrently. Zero on a
-	// single-shard index and whenever the query ran with parallelism 1.
-	ParallelRounds int
-	// StragglerNanos sums, over the parallel rounds, the wall time of each
-	// round's slowest shard gather — the fan-out's critical path, lock
-	// wait included. Comparing it to the query's total latency shows how
-	// much of the query was spent inside the per-round barrier.
-	StragglerNanos int64
 }
 
 // LastStats reports statistics for the most recent query on this searcher.
@@ -485,10 +463,6 @@ type Params struct {
 	// Quantize is always "off": benchmark/layers.go:93 still reads it. The
 	// next PR allowed to edit benchmark/ removes it.
 	Quantize string
-	// Parallelism is the configured per-query shard fan-out setting
-	// (Options.Parallelism / SetParallelism): 0 means auto
-	// (min(GOMAXPROCS, Shards), resolved per query).
-	Parallelism int
 }
 
 // Params returns the parameters the index was built with.
@@ -497,15 +471,9 @@ func (idx *Index) Params() Params {
 	return Params{
 		C: cfg.C, W0: cfg.W0, K: cfg.K, L: cfg.L, T: cfg.T,
 		Metric: Metric(cfg.Metric), NormBound: cfg.MetricNormBound,
-		Quantize: "off", Parallelism: idx.set.Parallelism(),
+		Quantize: "off",
 	}
 }
-
-// Parallelism reports the effective per-query shard fan-out width a query
-// with no WithParallelism override would use right now: the configured
-// setting, or min(GOMAXPROCS, Shards) under the auto policy. Always 1 on a
-// single-shard index.
-func (idx *Index) Parallelism() int { return idx.set.EffectiveParallelism() }
 
 // IndexSizeBytes estimates the memory held by the projections and trees,
 // excluding the original vectors.
@@ -613,19 +581,6 @@ func (idx *Index) SetCompactFraction(f float64) error {
 		return fmt.Errorf("dblsh: CompactFraction must be in [0,1), got %v", f)
 	}
 	idx.set.SetCompactFraction(f)
-	return nil
-}
-
-// SetParallelism replaces the per-query shard fan-out setting at runtime —
-// see Options.Parallelism. 0 restores the auto policy. Like the compaction
-// threshold it is operational, not persisted. Safe to call at any time;
-// in-flight queries keep the width they resolved at entry, and results are
-// identical at every setting.
-func (idx *Index) SetParallelism(n int) error {
-	if n < 0 {
-		return fmt.Errorf("dblsh: Parallelism must be non-negative, got %d", n)
-	}
-	idx.set.SetParallelism(n)
 	return nil
 }
 

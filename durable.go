@@ -14,14 +14,17 @@
 // a temp file, fsyncs it, renames it over the old checkpoint, fsyncs the
 // directory, and only then deletes the rotated segments. Every record in a
 // rotated segment was applied to the in-memory index before rotation (both
-// happen under the log mutex) and rotation precedes the snapshot's id-space
-// cut, so the new checkpoint contains all of them; a crash at any point in
-// the sequence leaves either the old checkpoint plus every segment, or the
-// new checkpoint plus segments whose replay is idempotent. Replay
-// idempotence comes from the op set itself: ids are never reused, an Add
-// re-applied over a checkpoint that already holds its row is skipped by
-// residency (shard.Set.AddAt), and a Delete of an absent or
-// already-tombstoned id is a no-op.
+// happen under the log mutex) and rotation precedes the first shard copy,
+// so the new checkpoint contains all of them — and, shard by shard, whatever
+// later mutations reached a shard before its copy, which the active segment
+// also holds. A crash at any point in the sequence leaves either the old
+// checkpoint plus every segment, or the new checkpoint plus segments whose
+// replay is idempotent. Replay idempotence comes from the op set itself: ids
+// are never reused, an Add re-applied over a checkpoint that already holds
+// its row is skipped by residency (shard.Set.AddAt), and a Delete of an
+// absent or already-tombstoned id is a no-op. Because the mutex serializes
+// durable Adds, a shard's copy is a prefix of its insert order: replaying
+// the rest grows the stored trees into exactly the trees that were serving.
 //
 // Mutations are true write-ahead, append-then-apply under one mutex: the
 // record is logged (and fsynced, under SyncAlways) before the in-memory
@@ -345,13 +348,6 @@ func loadOrInitCheckpoint(dir string, opts Options) (idx *Index, lastCkpt time.T
 	// the caller's.
 	if opts.CompactFraction != 0 {
 		if err := idx.SetCompactFraction(opts.CompactFraction); err != nil {
-			return nil, time.Time{}, false, err
-		}
-	}
-	// So is the query fan-out setting (0 is already the auto default a
-	// loaded set starts with).
-	if opts.Parallelism != 0 {
-		if err := idx.SetParallelism(opts.Parallelism); err != nil {
 			return nil, time.Time{}, false, err
 		}
 	}

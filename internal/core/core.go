@@ -398,15 +398,9 @@ type Stats struct {
 	// QuantPruned and QuantSwept are always 0: benchmark/layers.go:317-318
 	// still reads them. The next PR allowed to edit benchmark/ removes them.
 	QuantPruned, QuantSwept int
-	// ParallelRounds counts the coordinated ladder rounds that fanned out
-	// across shards concurrently, including the final covering sweep (which
-	// Rounds does not count, so this can reach Rounds+1). Zero on a
-	// single-shard index and whenever the query ran the sequential path.
+	// ParallelRounds and StragglerNanos are always 0: benchmark/layers.go:321-322
+	// still reads them. The next PR allowed to edit benchmark/ removes them.
 	ParallelRounds int
-	// StragglerNanos sums, over the parallel rounds, the wall time of each
-	// round's slowest shard gather — the critical path of the fan-out.
-	// Comparing it against total query latency shows how much of the query
-	// was spent waiting on the per-round barrier.
 	StragglerNanos int64
 }
 
@@ -439,11 +433,8 @@ type QueryParams struct {
 	// distance computation — the same path tombstoned points take — so they
 	// consume none of the candidate budget.
 	Filter func(id int) bool
-	// Parallelism overrides the shard coordinator's per-round fan-out width
-	// for this query: 0 inherits the set-level setting, -1 forces the auto
-	// policy (min(GOMAXPROCS, shards)), n ≥ 1 uses exactly n workers, with
-	// 1 selecting the sequential reference path. A single-index query
-	// ignores it — rounds on one core.Index have nothing to fan out over.
+	// Parallelism is ignored: benchmark/layers.go:244 still sets it. The next
+	// PR allowed to edit benchmark/ removes it.
 	Parallelism int
 }
 
@@ -559,8 +550,7 @@ func newSearcher(idx *Index) *Searcher {
 // ladder (the default, on = false) and the per-round window re-scan of the
 // paper's literal Algorithm 2 formulation. The two traversals verify the
 // same candidate set in the same order — re-scan mode exists as the
-// differential oracle the equivalence tests and fuzzers compare against,
-// and as an escape hatch while the cursor path is load-bearing.
+// differential oracle the equivalence tests and fuzzers compare against.
 func (s *Searcher) SetWindowRescan(on bool) {
 	if s.cursors == nil {
 		on = true // no cursors to switch to (tree too wide; see newSearcher)
@@ -712,23 +702,82 @@ func (s *Searcher) KANN(q []float32, k int) []vec.Neighbor {
 	return nbs
 }
 
-// KANNParams answers a (c,k)-ANN query (Algorithm 2 with the Section IV-C
-// (c,k) termination rules): radius grows r, cr, c²r, …; at each radius L
-// window queries materialize query-centric buckets of width w0·r; candidates
-// are verified by exact distance — in blocks, through the batched kernels
-// with early-abandon pruning against the current k-th best — until the
-// budget 2tL+k is exhausted or the k-th best candidate is within c·r. The
+// CheckQuery enforces the query entry points' panic contract for programmer
+// errors: a query of the wrong dimension, or k ≤ 0. The shard layer calls it
+// before it takes a lock, so a panicking query never strands one.
+func CheckQuery(q []float32, dim, k int) {
+	if len(q) != dim {
+		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), dim))
+	}
+	if k <= 0 {
+		panic("core: k must be positive")
+	}
+}
+
+// RunLadder is the control flow of Algorithm 2 with the Section IV-C (c,k)
+// termination rules, written once for one index and for a sharded set: the
+// radius grows r, c·r, c²·r, … under p.MaxRadius; p.Ctx is polled before each
+// round; the query ends when a round reports it done, when the k-th best
+// candidate is within stopC·r, or when all live points have been verified;
+// and once the next window would contain every projected point, one covering
+// sweep replaces the rest of the schedule. What a round does is the caller's:
+// round(r, false) runs the L window queries of radius r, pushing verified
+// candidates into cand and counting them in *cnt, and reports done — its emit
+// closure stopped it on the budget or on the termination test — and, when
+// not done, covered: the windows at radius r·c contain every projected
+// point. round(r, true) is the covering sweep, bounded by the budget alone;
+// what it returns is ignored. RunLadder keeps st.Rounds, st.FinalR and
+// st.Candidates, and returns p.Ctx's error if it expired between rounds —
+// cand then holds the best candidates found before cancellation.
+func RunLadder(p QueryParams, st *Stats, r, c, stopC float64, live int, cand *vec.TopK, cnt *int,
+	round func(r float64, sweep bool) (done, covered bool)) error {
+	var err error
+	for {
+		if p.MaxRadius > 0 && r > p.MaxRadius {
+			break
+		}
+		if p.cancelled() {
+			err = p.Ctx.Err()
+			break
+		}
+		st.Rounds++
+		done, covered := round(r, false)
+		st.FinalR = r
+		if done {
+			break
+		}
+		if w, full := cand.Worst(); full && w <= stopC*r {
+			break
+		}
+		if *cnt >= live {
+			break // every live point verified: the result is exact
+		}
+		r *= c
+		if p.MaxRadius > 0 && r > p.MaxRadius {
+			// Checked here as well as at the loop top so the full-corpus
+			// sweep below can never run past the cap.
+			break
+		}
+		if covered {
+			round(r, true)
+			break
+		}
+	}
+	st.Candidates = *cnt
+	return err
+}
+
+// KANNParams answers a (c,k)-ANN query — RunLadder over this index: at each
+// radius L window queries materialize query-centric buckets of width w0·r;
+// candidates are verified by exact distance — in blocks, through the batched
+// kernels with early-abandon pruning against the current k-th best — until
+// the budget 2tL+k is exhausted or the k-th best candidate is within c·r. The
 // QueryParams override the build-time knobs for this query only; the zero
 // value is KANN. The returned error is non-nil only when p.Ctx expires, and
 // even then the candidates verified before cancellation are returned.
 func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, error) {
 	idx := s.idx
-	if len(q) != idx.data.Dim() {
-		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), idx.data.Dim()))
-	}
-	if k <= 0 {
-		panic("core: k must be positive")
-	}
+	CheckQuery(q, idx.data.Dim(), k)
 	s.last = Stats{}
 	if idx.data.Rows() == 0 {
 		return nil, nil
@@ -748,11 +797,10 @@ func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor
 		budget = p.Budget
 	}
 	cnt := 0
-	live := idx.Live()
 	c := idx.cfg.C
 	stopC := stopFactor * c
 	w0 := idx.cfg.W0
-	r := idx.r0
+	r := idx.r0 // the round being run; emit's termination test reads it
 
 	worst := func() float64 {
 		if w, full := cand.Worst(); full {
@@ -780,55 +828,30 @@ func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor
 		}
 		return len(ids), false
 	}
-
-	for {
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			break
-		}
-		if p.cancelled() {
-			s.last.Candidates = cnt
-			s.finishTraversal()
-			return cand.Results(), p.Ctx.Err()
-		}
-		s.last.Rounds++
-		s.runWindows(q, r, p.Filter, worst, emit)
-		s.last.FinalR = r
-		if done {
-			break
-		}
-		if w, full := cand.Worst(); full && w <= stopC*r {
-			break
-		}
-		if cnt >= live {
-			break // every live point verified: the result is exact
-		}
-		r *= c
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			// Checked here as well as at the loop top so the full-corpus
-			// sweep below can never run past the cap.
-			break
-		}
-		if s.coversAllTrees(w0 * r) {
-			// The next window contains every projected point in every tree;
-			// run one final full sweep — bounded by the budget but not the
-			// termination test — and stop.
-			sweepEmit := func(ids []int, dists []float64) (int, bool) {
-				for j, id := range ids {
-					cand.Push(id, dists[j])
-					cnt++
-					if cnt >= budget {
-						return j + 1, true
-					}
-				}
-				return len(ids), false
+	// The covering sweep is bounded by the budget but not the termination
+	// test.
+	sweepEmit := func(ids []int, dists []float64) (int, bool) {
+		for j, id := range ids {
+			cand.Push(id, dists[j])
+			cnt++
+			if cnt >= budget {
+				return j + 1, true
 			}
-			s.Sweep(q, p.Filter, worst, sweepEmit)
-			break
 		}
+		return len(ids), false
 	}
-	s.last.Candidates = cnt
+	round := func(radius float64, sweep bool) (bool, bool) {
+		if sweep {
+			s.Sweep(q, p.Filter, worst, sweepEmit)
+			return true, false
+		}
+		r = radius
+		s.runWindows(q, r, p.Filter, worst, emit)
+		return done, !done && s.coversAllTrees(w0*(r*c))
+	}
+	err := RunLadder(p, &s.last, r, c, stopC, idx.Live(), cand, &cnt, round)
 	s.finishTraversal()
-	return cand.Results(), nil
+	return cand.Results(), err
 }
 
 // finishTraversal records the cursors' end-of-query state into the stats.
@@ -855,9 +878,10 @@ func (s *Searcher) coversAllTrees(w float64) bool {
 // index needs the ladder *split across indexes*: every shard executes the
 // same round r, cr, c²r, … and a coordinator merges candidates, applies the
 // global budget and the global termination test — otherwise each shard
-// re-runs the full ladder against its sparser stripe and a fanned-out query
-// costs S× the paper's work profile. Begin/RunRound/Covers/Sweep expose one
-// round as the unit of work so the shard layer can be that coordinator.
+// re-runs the full ladder against its sparser stripe and a query over S
+// shards costs S× the paper's work profile. Begin/RunRound/Covers/Sweep
+// expose one round as the unit of work so the shard layer can be that
+// coordinator: its round function for RunLadder.
 //
 // Candidates flow to the caller in verified blocks, not per-id callbacks:
 // the traversal gathers up to verifyBlockSize ids, the batch kernels verify
@@ -870,11 +894,8 @@ func (s *Searcher) coversAllTrees(w float64) bool {
 // fresh visited epoch, hashes q into each projected space, and seeds the L
 // traversal cursors at their roots (cursor mode; seeding is O(1) per tree —
 // traversal happens lazily as rounds advance). Call it once per query
-// before the first RunRound.
+// before the first RunRound, with a q that passed CheckQuery.
 func (s *Searcher) Begin(q []float32) {
-	if len(q) != s.idx.data.Dim() {
-		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), s.idx.data.Dim()))
-	}
 	s.last = Stats{}
 	s.freshEpoch()
 	for i := 0; i < s.idx.cfg.L; i++ {
@@ -1122,9 +1143,7 @@ func (s *Searcher) RNear(q []float32, r float64) (vec.Neighbor, bool) {
 // fixed-radius query and are ignored.
 func (s *Searcher) RNearParams(q []float32, r float64, p QueryParams) (vec.Neighbor, bool, error) {
 	idx := s.idx
-	if len(q) != idx.data.Dim() {
-		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), idx.data.Dim()))
-	}
+	CheckQuery(q, idx.data.Dim(), 1)
 	s.last = Stats{Rounds: 1, FinalR: r}
 	if idx.data.Rows() == 0 {
 		return vec.Neighbor{}, false, nil

@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dblsh/internal/core"
+	"dblsh/internal/vec"
 )
 
 // TestMutateDuringQuery hammers the cursor re-arm path: the coordinator
@@ -117,5 +120,121 @@ func TestMidQueryAddIsFindable(t *testing.T) {
 	}
 	if len(nbs) == 0 || nbs[0].ID != id || nbs[0].Dist != 0 {
 		t.Fatalf("added vector not found first: got %+v, want id %d at distance 0", nbs, id)
+	}
+}
+
+// TestParallelEquivalenceUnderCompaction races queries against compactions
+// that swap a shard's index between — and during — their ladder rounds,
+// while a deleter feeds the compactor tombstones and a writer breaks the
+// stripe pattern. (The name is from when it also drove the per-round
+// fan-out.) Every answer must be sorted and name no id twice: a swapped
+// index re-emits rows the query already verified, and the coordinator's
+// global-id dedup has to absorb them. Every other query is asked under a
+// filter that passes fewer than k rows, none of which the mutators touch, so
+// its ladder runs to the covering sweep and its answer is exact: it must be
+// the answer the quiescent set gave, to the bit, whichever index each round
+// happened to run on.
+func TestParallelEquivalenceUnderCompaction(t *testing.T) {
+	const n, d, S, k = 2000, 8, 4, 60
+	flat, queries := corpus(n, d, 131)
+	s := Build(flat, n, d, S, 0, core.Config{K: 4, L: 2, T: 20, Seed: 131})
+	// Odd ids below n: the deleter takes even ids, the writer adds above n.
+	sparse := core.QueryParams{Filter: func(g int) bool { return g < n && g%50 == 3 }}
+	quiescent := make([][]vec.Neighbor, len(queries))
+	for i, q := range queries {
+		nbs, _, err := s.Search(q, k, sparse)
+		if err != nil || len(nbs) != n/50 {
+			t.Fatalf("quiescent query %d: %d results, err %v", i, len(nbs), err)
+		}
+		quiescent[i] = nbs
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 64)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sr := s.NewSearcher()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				qi := (i + w) % len(queries)
+				p, want := core.QueryParams{}, []vec.Neighbor(nil)
+				if i%2 == 1 {
+					p, want = sparse, quiescent[qi]
+				}
+				nbs, err := sr.Search(queries[qi], k, p)
+				if err != nil {
+					errs <- err
+					return
+				}
+				seen := map[int]bool{}
+				for j, nb := range nbs {
+					if j > 0 && nb.Dist < nbs[j-1].Dist {
+						errs <- fmt.Errorf("results not sorted at rank %d", j)
+						return
+					}
+					if seen[nb.ID] {
+						errs <- fmt.Errorf("duplicate id %d", nb.ID)
+						return
+					}
+					seen[nb.ID] = true
+					if want != nil && (j >= len(want) || nb != want[j]) {
+						errs <- fmt.Errorf("query %d rank %d: %+v, the quiescent set answered %+v", qi, j, nb, want)
+						return
+					}
+				}
+				if want != nil && len(nbs) != len(want) {
+					errs <- fmt.Errorf("query %d: %d results, the quiescent set gave %d", qi, len(nbs), len(want))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() { // deleter feeding the compactor tombstones
+		defer wg.Done()
+		for g := 0; g < n; g += 2 {
+			s.Delete(g)
+		}
+	}()
+	wg.Add(1)
+	go func() { // compactor swapping indexes under the queries
+		defer wg.Done()
+		for i := 0; i < 6; i++ {
+			for sh := 0; sh < S; sh++ {
+				s.CompactShard(sh)
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // writer breaking the stripe pattern mid-flight
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(11))
+		v := make([]float32, d)
+		for i := 0; i < 300; i++ {
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			s.Add(v)
+		}
+	}()
+
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	<-done
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -18,19 +18,6 @@
 // so a search never waits for more than one in-flight mutation per shard
 // round.
 //
-// Within a round the per-shard traversals are independent, so a query can
-// fan them out across a bounded set-level worker pool (SetParallelism /
-// QueryParams.Parallelism): each shard gathers its verified (id, dist)
-// candidates into a per-shard arena, pruning against the top-k bound frozen
-// at round entry, and the coordinator then merges the arenas in fixed shard
-// order, applying the dedup, budget and termination accounting candidate by
-// candidate exactly as the sequential loop does. The frozen bound is only
-// ever looser than the live one, so it admits extra candidates but never
-// drops one, and every mid-round stop (budget exhausted, termination test)
-// ends the whole query, so over-gathering past a stop can never influence a
-// later round: the merged results are bit-identical to the sequential
-// path's, which survives (parallelism 1) as the differential oracle.
-//
 // # Compaction
 //
 // Compaction rebuilds one shard from its live rows, dropping tombstone
@@ -54,12 +41,11 @@
 //
 // There is no global lock anywhere. The only cross-shard synchronization
 // is the atomic global-id allocator; even persistence (SnapshotShard)
-// copies one shard at a time. No goroutine ever holds two shard locks (a
-// parallel round holds several read locks concurrently, but each on its own
-// worker goroutine), so the lock graph is trivially acyclic.
+// copies one shard at a time. No goroutine ever holds two shard locks, so
+// the lock graph is trivially acyclic.
 //
-// The locking discipline and the bit-identical-merge contract are enforced
-// by dblsh-lint (guardedby and detorder analyzers).
+// The locking discipline and the deterministic visit order are enforced by
+// dblsh-lint (guardedby and detorder analyzers).
 //
 // dblsh:deterministic
 package shard
@@ -92,16 +78,6 @@ type Set struct {
 	nextID      atomic.Int64 // global id allocator / id-space bound
 	pool        sync.Pool    // of *Searcher, for the pooled entry points
 
-	// par is the set-level per-query fan-out setting: 0 auto
-	// (min(GOMAXPROCS, shards)), 1 sequential, n ≥ 1 explicit.
-	par atomic.Int64
-	// workers is the set-level helper-token pool for parallel rounds, sized
-	// to GOMAXPROCS at build time. Every query's coordinator gathers inline
-	// without a token, so rounds always make progress; helper goroutines
-	// across all concurrent queries (and batch workers) are bounded by the
-	// pool's capacity, which keeps intra-query and inter-query parallelism
-	// from multiplying into oversubscription.
-	workers chan struct{}
 	// metrics is the optional compaction observability hook set, swapped
 	// in atomically so SetMetrics is safe while background auto-compaction
 	// is already running.
@@ -259,7 +235,6 @@ func Build(flat []float32, n, dim, shards int, compactFrac float64, cfg core.Con
 		}
 		wg.Wait()
 	}
-	s.workers = make(chan struct{}, runtime.GOMAXPROCS(0))
 	s.pool.New = func() interface{} { return s.NewSearcher() }
 	return s
 }
@@ -279,10 +254,9 @@ type Part struct {
 	Globals []int  // local id → global id
 	Deleted []bool // tombstones by local id; may be nil or short
 	R0      float64
-	// Trees holds the shard's L R*-tree arenas, or nil when the part carries
-	// none: a file from before they were stored, or a snapshot whose id-space
-	// cut left out rows its trees already index. Restore adopts them as they
-	// are; without them it projects and bulk-loads the shard afresh.
+	// Trees holds the shard's L R*-tree arenas, or nil when the part comes
+	// from a file written before they were stored. Restore adopts them as
+	// they are; without them it projects and bulk-loads the shard afresh.
 	Trees []rstar.Arena
 }
 
@@ -346,7 +320,6 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	s.workers = make(chan struct{}, runtime.GOMAXPROCS(0))
 	s.pool.New = func() interface{} { return s.NewSearcher() }
 	return s, nil
 }
@@ -359,40 +332,6 @@ func (s *Set) Dim() int { return s.dim }
 
 // Params returns the resolved build configuration (base seed).
 func (s *Set) Params() core.Config { return s.cfg }
-
-// SetParallelism replaces the set-level per-query fan-out setting: 0 lets
-// each query pick min(GOMAXPROCS, shards) (the auto policy), 1 forces the
-// sequential reference path, n > 1 uses up to n workers per round. Safe to
-// call at any time; in-flight queries keep the width they resolved at
-// entry. Like the compaction threshold it is operational, not persisted.
-func (s *Set) SetParallelism(n int) { s.par.Store(int64(n)) }
-
-// Parallelism returns the set-level fan-out setting (0 = auto).
-func (s *Set) Parallelism() int { return int(s.par.Load()) }
-
-// EffectiveParallelism reports the fan-out width a query with no per-query
-// override would use right now.
-func (s *Set) EffectiveParallelism() int { return s.resolveParallelism(0) }
-
-// resolveParallelism turns a per-query override (0 inherit, -1 auto, n ≥ 1
-// explicit) into the effective fan-out width: at least 1, at most the shard
-// count, defaulting to GOMAXPROCS under the auto policy.
-func (s *Set) resolveParallelism(req int) int {
-	v := req
-	if v == 0 {
-		v = int(s.par.Load())
-	}
-	if v <= 0 {
-		v = runtime.GOMAXPROCS(0)
-	}
-	if v > len(s.shards) {
-		v = len(s.shards)
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
 
 // NextID returns the global-id-space bound: every id ever returned by Add
 // (and every build-time id) is below it.
@@ -682,62 +621,32 @@ func (s *Set) Infos() []Info {
 	return out
 }
 
-// SnapshotShard copies shard i's resident rows whose global id is below
-// maxID into a self-contained Part, with a copy of its trees' arenas — a
-// memcpy like the rows, not a walk — unless the cut leaves out a row they
-// index (an Add that landed between the caller's reading NextID and this
-// copy); such a part is rebuilt on load. Persistence streams a snapshot one
-// shard at a time — each copy holds only that shard's read lock, briefly,
-// so serializing a large index never stalls traffic index-wide. Capturing
-// maxID (NextID) before the first copy makes the resulting file a
-// consistent cut of the id space: an Add racing the snapshot either has an
-// id ≥ maxID and is filtered out everywhere, or is simply not yet resident
-// and absent, which reads back as a benign id-space hole.
-func (s *Set) SnapshotShard(i int, maxID int) Part {
+// SnapshotShard copies shard i's resident rows, their global ids and
+// tombstones and its trees' arenas — a memcpy like the rows, not a walk —
+// into a self-contained Part, under the shard's read lock, so the part is
+// the shard as it stood at one instant and its trees index exactly its rows.
+// Persistence streams a snapshot one shard at a time — each copy holds only
+// that shard's read lock, briefly, so serializing a large index never stalls
+// traffic index-wide. The shards are therefore copied at different instants:
+// a part may hold ids at or above what NextID returned before the first copy
+// (whoever restores the parts takes the largest id they hold as a floor for
+// the allocator), and an Add between id allocation and shard insertion is
+// simply absent, which reads back as a benign id-space hole.
+func (s *Set) SnapshotShard(i int) Part {
 	st := s.shards[i]
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	data := st.idx.Data()
-	bits := st.idx.DeletedBits()
-	rows := 0
-	for _, g := range st.globals {
-		if g < maxID {
-			rows++
-		}
-	}
 	p := Part{
-		Rows:    rows,
+		Rows:    len(st.globals),
 		R0:      st.idx.InitialRadius(),
-		Flat:    make([]float32, 0, rows*s.dim),
-		Globals: make([]int, 0, rows),
+		Flat:    append([]float32(nil), st.idx.Data().Data()...),
+		Globals: append([]int(nil), st.globals...),
+		Trees:   st.idx.Trees(),
 	}
-	if rows == len(st.globals) {
-		p.Trees = st.idx.Trees() // the trees index exactly the rows kept
-	}
-	for j, g := range st.globals {
-		if g >= maxID {
-			continue
-		}
-		p.Flat = append(p.Flat, data.Row(j)...)
-		p.Globals = append(p.Globals, g)
-		if j < len(bits) && bits[j] {
-			if p.Deleted == nil {
-				p.Deleted = make([]bool, rows)
-			}
-			p.Deleted[len(p.Globals)-1] = true
-		}
+	if st.idx.Deleted() > 0 {
+		p.Deleted = append([]bool(nil), st.idx.DeletedBits()...)
 	}
 	return p
-}
-
-// checkQuery enforces the library's panic contract for programmer errors.
-func (s *Set) checkQuery(q []float32, k int) {
-	if len(q) != s.dim {
-		panic(fmt.Sprintf("shard: query dim %d, index dim %d", len(q), s.dim))
-	}
-	if k <= 0 {
-		panic("shard: k must be positive")
-	}
 }
 
 // withLocalFilter rewrites a global-id filter into the shard's local ids.
@@ -773,23 +682,10 @@ type Searcher struct {
 	seen []*core.Index // which core index each searcher is bound to
 	last core.Stats
 
-	// Per-query coordinator state, reused across queries. The per-shard
-	// slices are indexed by shard and, during a parallel round, written
-	// only by the single worker that drew that shard, so the round's
-	// WaitGroup barrier is the only synchronization they need.
-	began  []bool        // shard i's searcher saw Begin for this query
-	seenG  map[int]bool  // global-id dedup across a mid-query index swap
-	carry  []int         // per shard: nodes visited by searchers discarded mid-query
-	arenas []gatherArena // per shard: parallel-round gather buffers
-}
-
-// gatherArena is one shard's per-round candidate buffer for the parallel
-// fan-out, reused across rounds and queries.
-type gatherArena struct {
-	ids     []int     // global ids, shard emission order
-	dists   []float64 // exact distances (or +Inf for pruned rows), parallel to ids
-	covered bool      // the shard's next-radius window covers its whole stripe
-	nanos   int64     // wall time of this shard's gather, lock wait included
+	// Per-query coordinator state, reused across queries.
+	began []bool       // shard i's searcher saw Begin for this query
+	seenG map[int]bool // global-id dedup across a mid-query index swap
+	carry int          // nodes visited by searchers discarded mid-query
 }
 
 // NewSearcher returns a searcher bound to the set. Per-shard core searchers
@@ -805,7 +701,6 @@ func (s *Set) NewSearcher() *Searcher {
 		per:   make([]*core.Searcher, len(s.shards)),
 		seen:  make([]*core.Index, len(s.shards)),
 		began: make([]bool, len(s.shards)),
-		carry: make([]int, len(s.shards)),
 	}
 }
 
@@ -818,9 +713,8 @@ func (sr *Searcher) searcherFor(i int) *core.Searcher {
 	if sr.seen[i] != st.idx {
 		if sr.began[i] && sr.per[i] != nil {
 			// A swap mid-query discards the old searcher; carry its node
-			// count (per shard, so parallel gathers never write a shared
-			// counter) so the query's stats stay complete.
-			sr.carry[i] += sr.per[i].LastStats().NodesVisited
+			// count so the query's stats stay complete.
+			sr.carry += sr.per[i].LastStats().NodesVisited
 		}
 		sr.per[i] = st.idx.NewSearcher()
 		sr.seen[i] = st.idx
@@ -838,7 +732,7 @@ func (sr *Searcher) LastStats() core.Stats { return sr.last }
 // comes with the best candidates found before cancellation.
 func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
 	s := sr.set
-	s.checkQuery(q, k)
+	core.CheckQuery(q, s.dim, k)
 	if len(s.shards) == 1 {
 		// Single shard: the classic one-index ladder, bit-identical to the
 		// unsharded library.
@@ -854,10 +748,11 @@ func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighb
 	return sr.searchCoordinated(q, k, p)
 }
 
-// searchCoordinated runs Algorithm 2 with the rounds fanned out across
-// shards: one shared radius schedule, one merged top-k, one budget, one
-// termination test. Shard locks are taken per round, so a mutation waits at
-// most one round and a search waits at most one mutation per shard round.
+// searchCoordinated runs Algorithm 2 (core.RunLadder) with each round split
+// across the shards: one shared radius schedule, one merged top-k, one
+// budget, one termination test. Shard locks are taken per round, so a
+// mutation waits at most one round and a search waits at most one mutation
+// per shard round.
 func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
 	s := sr.set
 	t, stopFactor := p.Resolve(s.cfg)
@@ -869,10 +764,8 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 	c := s.cfg.C
 
 	sr.last = core.Stats{}
-	for i := range sr.began {
-		sr.began[i] = false
-		sr.carry[i] = 0
-	}
+	clear(sr.began)
+	sr.carry = 0
 	if sr.seenG == nil {
 		sr.seenG = make(map[int]bool)
 	} else {
@@ -901,51 +794,13 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 
 	cand := vec.NewTopK(k)
 	cnt := 0
-	par := s.resolveParallelism(p.Parallelism)
 	round := func(r float64, sweep bool) (done, covered bool) {
-		if par > 1 {
-			cnt, done, covered = sr.runRoundParallel(q, r, p, cand, budget, cnt, stopC, sweep, par)
-		} else {
-			cnt, done, covered = sr.runRound(q, r, p, cand, budget, cnt, stopC, sweep)
-		}
+		cnt, done, covered = sr.runRound(q, r, p, cand, budget, cnt, stopC, sweep)
 		return done, covered
 	}
-	for {
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			break
-		}
-		if p.Cancelled() {
-			sr.last.Candidates = cnt
-			sr.finishTraversalStats()
-			return cand.Results(), p.Ctx.Err()
-		}
-		sr.last.Rounds++
-		done, covered := round(r, false)
-		sr.last.FinalR = r
-		if done {
-			break
-		}
-		if worst, full := cand.Worst(); full && worst <= stopC*r {
-			break
-		}
-		if cnt >= live {
-			break // every live point verified: the result is exact
-		}
-		r *= c
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			break
-		}
-		if covered {
-			// The round just run reported (under the same lock holds) that
-			// the next window contains every projected point everywhere;
-			// run one final full sweep and stop.
-			round(r, true)
-			break
-		}
-	}
-	sr.last.Candidates = cnt
+	err := core.RunLadder(p, &sr.last, r, c, stopC, live, cand, &cnt, round)
 	sr.finishTraversalStats()
-	return cand.Results(), nil
+	return cand.Results(), err
 }
 
 // finishTraversalStats folds the per-shard searchers' traversal counters
@@ -953,8 +808,8 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 // (including searchers a mid-query compaction swap discarded), and the
 // residual frontier size of every cursor the query armed.
 func (sr *Searcher) finishTraversalStats() {
+	sr.last.NodesVisited += sr.carry
 	for i := range sr.set.shards {
-		sr.last.NodesVisited += sr.carry[i]
 		if sr.began[i] && sr.per[i] != nil {
 			sr.last.NodesVisited += sr.per[i].LastStats().NodesVisited
 			sr.last.Frontier += sr.per[i].FrontierLen()
@@ -971,13 +826,11 @@ func (sr *Searcher) finishTraversalStats() {
 // each block, so the round stops mid-block the moment either fires and no
 // shard's share of the budget is wasted when the live data is skewed.
 // Visit order is fixed, so results are deterministic; a shard's lock is
-// held only for its slice of the round. This sequential path is the
-// reference the parallel fan-out (runRoundParallel) must match
-// bit-for-bit. It returns the updated candidate count, whether the query
-// is finished, and whether every shard's window at the next radius r·C
-// covers its whole projected stripe (checked under the same lock hold, so
-// a round never takes a shard's lock twice; meaningful only when the query
-// is not finished and the round was not a sweep).
+// held only for its slice of the round. It returns the updated candidate
+// count, whether the query is finished, and whether every shard's window at
+// the next radius r·C covers its whole projected stripe (checked under the
+// same lock hold, so a round never takes a shard's lock twice; meaningful
+// only when the query is not finished and the round was not a sweep).
 func (sr *Searcher) runRound(q []float32, r float64, p core.QueryParams, cand *vec.TopK, budget, cnt int, stopC float64, sweep bool) (int, bool, bool) {
 	s := sr.set
 	done := false
@@ -1033,149 +886,6 @@ func (sr *Searcher) runRound(q []float32, r float64, p core.QueryParams, cand *v
 	return cnt, done, covered
 }
 
-// runRoundParallel executes one ladder round (or the final sweep) with the
-// per-shard visits fanned out across the set's bounded worker pool, then
-// merges the gathered candidates in fixed shard order. The merge applies
-// the cross-swap dedup, the global budget and (for ladder rounds) the
-// early-termination test candidate by candidate, exactly as runRound does,
-// so it replays the sequential consume sequence and every downstream ladder
-// decision — and therefore the result set — is bit-identical to the
-// sequential path's. Each gather prunes against the top-k bound frozen at
-// round entry (sound: a stale bound is only ever looser, see the package
-// comment) and self-caps at the round's remaining budget in fresh
-// candidates — the most the merge could possibly consume from one shard —
-// which also keeps a parallel sweep from verifying whole stripes the
-// budget could never pay for. Return values are runRound's.
-func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams, cand *vec.TopK, budget, cnt int, stopC float64, sweep bool, par int) (int, bool, bool) {
-	s := sr.set
-	bound := math.Inf(1)
-	if w, full := cand.Worst(); full {
-		bound = w
-	}
-	remaining := budget - cnt
-	if sr.arenas == nil {
-		sr.arenas = make([]gatherArena, len(s.shards))
-	}
-	// Workers draw shard indices from a shared counter; which worker
-	// gathers which shard is irrelevant, because only the merge order
-	// below determines the outcome. seenG is read by the gathers and
-	// written only by the merge, which the WaitGroup barrier orders after
-	// every gather.
-	var next atomic.Int64
-	gather := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(s.shards) {
-				return
-			}
-			sr.gatherShard(i, q, r, p, bound, remaining, sweep)
-		}
-	}
-	// The coordinator gathers inline without a token, so the round makes
-	// progress even when the set-level pool is drained by other queries.
-	var wg sync.WaitGroup
-	for h := 1; h < par; h++ {
-		acquired := false
-		select {
-		case s.workers <- struct{}{}:
-			acquired = true
-		default:
-		}
-		if !acquired {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-s.workers }()
-			gather()
-		}()
-	}
-	gather()
-	wg.Wait()
-
-	done := false
-	covered := !sweep
-	var straggler int64
-	for i := range s.shards {
-		a := &sr.arenas[i]
-		if a.nanos > straggler {
-			straggler = a.nanos
-		}
-		covered = covered && a.covered
-		if done {
-			continue
-		}
-		for j, g := range a.ids {
-			if sr.seenG[g] {
-				continue
-			}
-			sr.seenG[g] = true
-			cand.Push(g, a.dists[j])
-			cnt++
-			if cnt >= budget {
-				done = true
-				break
-			}
-			if w, full := cand.Worst(); !sweep && full && w <= stopC*r {
-				done = true
-				break
-			}
-		}
-	}
-	sr.last.ParallelRounds++
-	sr.last.StragglerNanos += straggler
-	return cnt, done, covered && !done
-}
-
-// gatherShard runs shard i's slice of one parallel round under the shard's
-// read lock, collecting every emitted candidate into the shard's arena.
-// The gather stops once it holds `limit` fresh (not yet merged) candidates:
-// past that point the merge is guaranteed to exhaust the global budget
-// before reaching them. Candidates handed back by a mid-block stop are
-// un-consumed in the cursor (flushBlock's contract), and candidates left
-// unmerged cannot leak into later rounds because any merge stop ends the
-// whole query.
-func (sr *Searcher) gatherShard(i int, q []float32, r float64, p core.QueryParams, bound float64, limit int, sweep bool) {
-	s := sr.set
-	st := s.shards[i]
-	a := &sr.arenas[i]
-	a.ids = a.ids[:0]
-	a.dists = a.dists[:0]
-	a.covered = false
-	start := time.Now()
-	st.mu.RLock()
-	cs := sr.searcherFor(i)
-	if !sr.began[i] {
-		cs.Begin(q)
-		sr.began[i] = true
-	}
-	lp := withLocalFilter(p, st.globals)
-	fresh := 0
-	emit := func(ids []int, dists []float64) (int, bool) {
-		for j, id := range ids {
-			g := st.globals[id]
-			a.ids = append(a.ids, g)
-			a.dists = append(a.dists, dists[j])
-			if !sr.seenG[g] {
-				if fresh++; fresh >= limit {
-					return j + 1, true
-				}
-			}
-		}
-		return len(ids), false
-	}
-	worst := func() float64 { return bound }
-	if sweep {
-		cs.Sweep(q, lp.Filter, worst, emit)
-	} else {
-		cs.RunRound(q, r, lp.Filter, worst, emit)
-		a.covered = cs.Covers(r * s.cfg.C)
-	}
-	st.mu.RUnlock()
-	a.nanos = time.Since(start).Nanoseconds()
-}
-
 // SearchRadius answers a single (r,c)-NN round (Algorithm 1), probing the
 // shards in order with one shared candidate budget (2tL+1 in total, not
 // per shard) and returning the first qualifying point — the same "any
@@ -1183,7 +893,7 @@ func (sr *Searcher) gatherShard(i int, q []float32, r float64, p core.QueryParam
 // the single-index primitive.
 func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (vec.Neighbor, bool, error) {
 	s := sr.set
-	s.checkQuery(q, 1)
+	core.CheckQuery(q, s.dim, 1)
 	t, _ := p.Resolve(s.cfg)
 	remaining := 2*t*s.cfg.L + 1
 	agg := core.Stats{Rounds: 1, FinalR: r}

@@ -357,7 +357,7 @@ func TestSnapshotCoversAllShards(t *testing.T) {
 	s.Delete(5)
 	rows, dead := 0, 0
 	for i := 0; i < S; i++ {
-		p := s.SnapshotShard(i, s.NextID())
+		p := s.SnapshotShard(i)
 		rows += p.Rows
 		if len(p.Globals) != p.Rows || len(p.Flat) != p.Rows*d {
 			t.Fatalf("shard %d: globals/flat/rows mismatch: %d/%d/%d",
@@ -375,10 +375,14 @@ func TestSnapshotCoversAllShards(t *testing.T) {
 	if rows != n || dead != 1 {
 		t.Fatalf("snapshots cover %d rows (%d dead), want %d (1 dead)", rows, dead, n)
 	}
-	// The id-space cut excludes rows at or above maxID.
-	capped := s.SnapshotShard(0, 3)
-	if capped.Rows != 1 || capped.Globals[0] != 0 {
-		t.Fatalf("maxID cut kept %+v", capped.Globals)
+	// No id-space cut: a row added after the caller read NextID is in its
+	// shard's part, with the trees that index it.
+	bound := s.NextID()
+	g := s.Add(make([]float32, d))
+	p := s.SnapshotShard(g % S)
+	if g < bound || p.Globals[p.Rows-1] != g || len(p.Trees) != s.Params().L {
+		t.Fatalf("part after adding id %d (bound was %d): last id %d of %d rows, %d trees",
+			g, bound, p.Globals[p.Rows-1], p.Rows, len(p.Trees))
 	}
 }
 
@@ -392,7 +396,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	nextID := s.NextID()
 	parts := make([]Part, S)
 	for i := 0; i < S; i++ {
-		parts[i] = s.SnapshotShard(i, nextID)
+		parts[i] = s.SnapshotShard(i)
 	}
 
 	r, err := Restore(d, nextID, 0, s.Params(), parts)

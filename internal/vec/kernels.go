@@ -50,11 +50,7 @@ const abandonStride = 16
 // A surviving row's value does not depend on the bound: every bound —
 // including +Inf, which can never abandon — runs the same per-row
 // accumulation order, so loosening the bound admits more rows but never
-// changes a row's reported distance by even an ulp. The sharded
-// coordinator's parallel fan-out relies on this: it verifies with a bound
-// frozen at round entry while the sequential reference path tightens its
-// bound candidate by candidate, and the two must emit bit-identical
-// distances for every row both keep.
+// changes a row's reported distance by even an ulp.
 //
 // The rows of a block are scattered over the matrix, so the sweep asks for
 // each one prefetchAhead rows before it computes it (see prefetch.go): the

@@ -6,9 +6,9 @@
 // distances are accumulated in float64 to avoid catastrophic cancellation on
 // high-dimensional data.
 //
-// The package is determinism-critical: candidate distances must be
-// bit-identical across runs for the sharded fan-out merge to agree with the
-// sequential reference path, so dblsh-lint's detorder analyzer patrols it.
+// The package is determinism-critical: a candidate's distance must be
+// bit-identical across runs, whichever block and bound it was verified
+// under, so dblsh-lint's detorder analyzer patrols it.
 //
 // dblsh:deterministic
 package vec

@@ -109,9 +109,7 @@ func WithContext(ctx context.Context) SearchOption {
 // so rejected points consume none of the candidate budget and no exact
 // distance is computed for them. keep must be cheap: it runs once per
 // candidate the window queries surface. It must also be safe for
-// concurrent use: SearchBatchOpts invokes it from its parallel workers,
-// and on a sharded index with parallelism above 1 even a single query
-// invokes it concurrently from the per-shard round workers.
+// concurrent use: SearchBatchOpts invokes it from its parallel workers.
 func WithFilter(keep func(id int) bool) SearchOption {
 	return func(s *searchSettings) {
 		if keep == nil {
@@ -119,28 +117,6 @@ func WithFilter(keep func(id int) bool) SearchOption {
 			return
 		}
 		s.p.Filter = keep
-	}
-}
-
-// WithParallelism overrides the index's shard fan-out setting for this
-// query: each ladder round visits up to n shards concurrently, merging
-// their candidates in fixed shard order so results are bit-identical to
-// the sequential path (n = 1) at every setting. 0 forces the auto policy,
-// min(GOMAXPROCS, Shards), regardless of the index-level setting; n is
-// clamped to the shard count, and a single-shard index ignores the option.
-// n must be non-negative. See Options.Parallelism for how helper workers
-// are pooled across concurrent queries.
-func WithParallelism(n int) SearchOption {
-	return func(s *searchSettings) {
-		if n < 0 {
-			s.fail(fmt.Errorf("dblsh: parallelism must be non-negative, got %d", n))
-			return
-		}
-		if n == 0 {
-			s.p.Parallelism = -1 // the coordinator's "auto, explicitly"
-			return
-		}
-		s.p.Parallelism = n
 	}
 }
 
@@ -173,13 +149,11 @@ var errBatchStatsScope = errors.New("dblsh: WithBatchStats applies only to Searc
 
 func statsFromCore(st core.Stats) Stats {
 	return Stats{
-		Candidates:     st.Candidates,
-		Rounds:         st.Rounds,
-		FinalRadius:    st.FinalR,
-		NodesVisited:   st.NodesVisited,
-		FrontierSize:   st.Frontier,
-		ParallelRounds: st.ParallelRounds,
-		StragglerNanos: st.StragglerNanos,
+		Candidates:   st.Candidates,
+		Rounds:       st.Rounds,
+		FinalRadius:  st.FinalR,
+		NodesVisited: st.NodesVisited,
+		FrontierSize: st.Frontier,
 	}
 }
 
@@ -322,8 +296,6 @@ func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOpti
 			agg.Rounds += st.Rounds
 			agg.NodesVisited += st.NodesVisited
 			agg.FrontierSize += st.FrontierSize
-			agg.ParallelRounds += st.ParallelRounds
-			agg.StragglerNanos += st.StragglerNanos
 			if st.FinalRadius > agg.FinalRadius {
 				agg.FinalRadius = st.FinalRadius
 			}

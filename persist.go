@@ -40,7 +40,7 @@ import (
 //
 //	magic   [8]byte  "DBLSHv4\n"
 //	shards  uint32
-//	nextID  uint64   global-id-space bound (ids ≥ nextID never allocated)
+//	nextID  uint64   global-id-space bound when the write began; a floor
 //	dim     uint32   internal dimensionality (user dim + 1 under ip)
 //	metric  uint32   0 euclidean, 1 cosine, 2 inner product
 //	bound   float64  inner-product norm bound M; 0 otherwise
@@ -54,7 +54,8 @@ import (
 //	  globals rows × uint64   local id → global id
 //	  deleted ⌈rows/8⌉ bytes  tombstone bitmap, LSB-first
 //	  data    rows·dim × float32
-//	  trees   uint32          L, or 0: this shard is rebuilt from its rows
+//	  trees   uint32          L; 0, which only an earlier writer emitted,
+//	                          has the shard rebuilt from its rows
 //	  then per tree (rstar.Arena; S slots, stride = M rounded up to 8):
 //	    root   uint32
 //	    heads  array of int32    2 per slot: entry count, level<<16 | sort axis
@@ -63,9 +64,10 @@ import (
 //	    blocks array of float32  K·stride per slot: the window-test blocks
 //	crc     uint32
 //
-// A shard is written without trees when a vector was added to it between
-// WriteTo's entry and the shard's turn: the file is a cut of the id space at
-// entry, and the trees already index the row the cut leaves out.
+// Each shard is written as it stood at its turn, rows and trees together, so
+// a file written while vectors were being added can hold ids at or above the
+// header's nextID: the id-space bound of the loaded index is the larger of
+// the header's and one past the largest id in the file.
 //
 // A file is outside input and its checksum is not a signature, so a load
 // trusts none of it. Arrays are sized by what has actually been read, never
@@ -164,21 +166,19 @@ func (e *encoder) intArray(v []int32)     { e.u64(uint64(len(v))); e.ints(v) }
 
 // WriteTo serializes the index in the v4 format: configuration, shard
 // layout, vectors, tombstones and trees. It implements io.WriterTo and is
-// safe to call while the index serves concurrent traffic: the id space is
-// pinned once up front and each shard is then copied under its own read
-// lock, briefly, before being serialized with no locks held — searches and
-// mutations proceed throughout, and the file is a consistent cut of the id
-// space at entry (rows added after the call starts are excluded; tombstones
-// laid while it runs are included best-effort).
+// safe to call while the index serves concurrent traffic: each shard is
+// copied under its own read lock, briefly, before being serialized with no
+// locks held — searches and mutations proceed throughout. The file holds
+// every row resident when the call started; rows added and tombstones laid
+// while it runs are included if they reach their shard before its turn.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	e := &encoder{w: w, buf: make([]byte, 0, ioChunk)}
 	cfg := idx.set.Params()
-	nextID := idx.set.NextID()
 	tree := cfg.Tree.Resolved()
 
 	e.bytes(magicV4[:])
 	e.u32(uint32(idx.set.Shards()))
-	e.u64(uint64(nextID))
+	e.u64(uint64(idx.set.NextID()))
 	e.u32(uint32(idx.set.Dim())) // internal dim: the stored rows are transformed
 	e.u32(uint32(cfg.Metric))
 	e.f64(cfg.MetricNormBound)
@@ -193,7 +193,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	for s := 0; s < idx.set.Shards() && e.err == nil; s++ {
 		// One shard resident at a time: the copy holds only this shard's
 		// read lock, and the disk writes below hold no lock at all.
-		part := idx.set.SnapshotShard(s, nextID)
+		part := idx.set.SnapshotShard(s)
 		e.u64(uint64(part.Rows))
 		e.f64(part.R0)
 		for _, g := range part.Globals {
@@ -295,13 +295,16 @@ func Read(r io.Reader) (*Index, error) {
 		if version > 1 {
 			d.what = "shard header"
 			d.fixed(&rows, &r0)
-			if total += rows; d.err == nil && total > nextID {
-				return nil, fmt.Errorf("dblsh: shard rows exceed the id space (%d > %d)", total, nextID)
+			part.Globals = d.globals(rows, i, int(shards))
+			if len(part.Globals) > 0 {
+				// The header's bound was written before the shards were
+				// copied; Adds that landed meanwhile are in the file.
+				nextID = max(nextID, uint64(slices.Max(part.Globals))+1)
 			}
-			part.Globals = d.globals(rows, nextID, i, int(shards))
 			part.Deleted = d.tombstones(rows)
 		}
 		part.Rows, part.R0 = int(rows), r0
+		total += rows
 		d.what = "vectors"
 		part.Flat = d.floats(rows * uint64(dim))
 		if version == 1 && d.err == nil {
@@ -327,6 +330,9 @@ func Read(r io.Reader) (*Index, error) {
 	}
 	if got != want {
 		return nil, fmt.Errorf("dblsh: checksum mismatch (file corrupted): got %08x want %08x", got, want)
+	}
+	if total > nextID {
+		return nil, fmt.Errorf("dblsh: shard rows exceed the id space (%d > %d)", total, nextID)
 	}
 	// total == 0 is legitimate: an index whose every vector was deleted and
 	// compacted away still round-trips (its id space and layout survive).
@@ -468,12 +474,13 @@ func (d *decoder) ints(n uint64) []int32 {
 	})
 }
 
-// globals reads shard i's local-id → global-id map. Every id must lie in
-// the id space, route to the shard that holds it (g mod S == shard; Delete
+// globals reads shard i's local-id → global-id map. Every id must be one an
+// index can allocate (below maxVectors: the header's nextID is a floor, not
+// a bound), route to the shard that holds it (g mod S == shard; Delete
 // depends on it) and appear once: routing makes ids unique across shards
 // and the check below within one, so a crafted file cannot yield undeletable
 // vectors or duplicate result ids.
-func (d *decoder) globals(rows, nextID uint64, i, shards int) []int {
+func (d *decoder) globals(rows uint64, i, shards int) []int {
 	d.what = "id map"
 	globals := array(d, rows, 8, func(dst []int, b []byte) {
 		for j := range dst {
@@ -486,8 +493,8 @@ func (d *decoder) globals(rows, nextID uint64, i, shards int) []int {
 	}
 	ascending := true
 	for j, g := range globals {
-		if g < 0 || uint64(g) >= nextID {
-			d.err = fmt.Errorf("dblsh: global id %d outside the id space %d", uint64(g), nextID)
+		if g < 0 || g >= maxVectors {
+			d.err = fmt.Errorf("dblsh: global id %d outside the id space %d", uint64(g), uint64(maxVectors))
 		} else if g%shards != i {
 			d.err = fmt.Errorf("dblsh: global id %d does not route to shard %d of %d", g, i, shards)
 		}

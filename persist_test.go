@@ -290,7 +290,7 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 	data, queries := clusteredData(3000, 16, 71)
 	more, moreQueries := clusteredData(900, 16, 72)
 	queries = append(queries, moreQueries...)
-	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 71, Shards: 3, Parallelism: 1})
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 71, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,9 +313,6 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 	saved := save(t, idx)
 	loaded, err := Read(bytes.NewReader(saved))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.SetParallelism(1); err != nil { // operational, not persisted
 		t.Fatal(err)
 	}
 	same := func(stage string) {
@@ -350,6 +347,94 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 	mutate(idx, more[750:], 13)
 	mutate(loaded, more[750:], 13)
 	same("after the same further adds and deletes")
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestWriteToWhileAdding pins what a snapshot taken beside a writer holds:
+// each shard as it stood at its turn, rows and trees together. One vector
+// per shard is added when WriteTo first touches its writer — after shard 0
+// was copied, before the last shard is — so the file holds ids at or above
+// its header's nextID. The loaded index must own them (the header's bound is
+// a floor), and once the adds the early shards missed are replayed the way
+// the op log replays them, it must save to the live index's bytes: the
+// stored trees were loaded and grown, not rebuilt.
+func TestWriteToWhileAdding(t *testing.T) {
+	const n, dim, S = 8000, 16, 4
+	data, _ := clusteredData(n, dim, 91)
+	extra, _ := clusteredData(S, dim, 92)
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 91, Shards: S})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	added := false
+	if _, err := idx.WriteTo(writerFunc(func(p []byte) (int, error) {
+		if !added {
+			added = true
+			for _, v := range extra {
+				if _, err := idx.Add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return buf.Write(p)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.NextID() != n+S || loaded.Len() <= n || loaded.Len() >= n+S {
+		t.Fatalf("loaded NextID %d Len %d: want the bound raised to %d and some, not all, of the %d added rows",
+			loaded.NextID(), loaded.Len(), n+S, S)
+	}
+	for i, v := range extra {
+		loaded.set.AddAt(n+i, v)
+	}
+	if !bytes.Equal(save(t, loaded), save(t, idx)) {
+		t.Fatal("loaded index, caught up, does not save to the live index's bytes")
+	}
+}
+
+// TestReadChecksGlobalIDs: the header's nextID is a floor, so an id above it
+// loads and raises the bound — but every id must still be allocatable, route
+// to the shard that holds it and appear once.
+func TestReadChecksGlobalIDs(t *testing.T) {
+	data, _ := clusteredData(40, 4, 94)
+	idx, err := New(data, Options{K: 2, L: 1, Seed: 94, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := save(t, idx)
+	// Shard 0 follows the header: rows, r0, then its ids 0, 2, 4, …
+	second := v4HeaderLen + 8 + 8 + 8
+	if got := binary.LittleEndian.Uint64(raw[second:]); got != 2 {
+		t.Fatalf("shard 0's second id reads %d: the layout this test patches moved", got)
+	}
+	for _, c := range []struct {
+		id   uint64
+		want string // "" loads
+	}{
+		{1000, ""},
+		{maxVectors, "outside the id space"},
+		{3, "does not route to shard 0"},
+		{0, "duplicate global id 0"},
+	} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(bad[second:], c.id)
+		loaded, err := Read(bytes.NewReader(restamp(bad)))
+		switch {
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Fatalf("id %d: err %v, want %q", c.id, err, c.want)
+		case c.want == "" && (err != nil || loaded.NextID() != int(c.id)+1):
+			t.Fatalf("id %d above the header's bound: err %v, NextID %d", c.id, err, loaded.NextID())
+		}
+	}
 }
 
 // TestReadV3Fixture loads a file the last v3 writer produced (3 shards,

@@ -329,8 +329,8 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("dblsh: Shards must be non-negative, got %d", opts.Shards)
 	}
-	if opts.CompactFraction < 0 || opts.CompactFraction >= 1 {
-		return nil, fmt.Errorf("dblsh: CompactFraction must be in [0,1), got %v", opts.CompactFraction)
+	if err := checkCompactFraction(opts.CompactFraction); err != nil {
+		return nil, err
 	}
 	met, err := buildMetric(opts, flat, n, dim)
 	if err != nil {
@@ -577,10 +577,17 @@ func (idx *Index) Compact() int { return idx.set.Compact() }
 // part of the persisted index state, so an index loaded with Read starts
 // with auto-compaction disabled; use this to enable it.
 func (idx *Index) SetCompactFraction(f float64) error {
+	if err := checkCompactFraction(f); err != nil {
+		return err
+	}
+	idx.set.SetCompactFraction(f)
+	return nil
+}
+
+func checkCompactFraction(f float64) error {
 	if f < 0 || f >= 1 {
 		return fmt.Errorf("dblsh: CompactFraction must be in [0,1), got %v", f)
 	}
-	idx.set.SetCompactFraction(f)
 	return nil
 }
 

@@ -6,8 +6,21 @@
 // Add and Delete applied since that snapshot was cut. Open loads the newest
 // checkpoint — a read, nothing is rebuilt — replays the log on top of it,
 // and resumes; a crash therefore loses at most the log records the sync
-// policy had not yet fsynced, and a restart costs the checkpoint's bytes
-// plus one index insert per logged Add.
+// policy had not yet fsynced.
+//
+// Replay is per shard, deterministic and compaction-free. Records are
+// decoded and checked a chunk at a time (replayChunk); each chunk is split
+// by owning shard, and every shard applies its share in log order on its
+// own goroutine (shard.Set.Replay). Records of different shards commute, so
+// the replayed index does not depend on GOMAXPROCS or scheduling: it is,
+// byte for byte, what applying the records one at a time gives. No
+// compaction runs while the log is being applied — a rebuild started by a
+// replayed Delete would race the replay and be thrown away by the next
+// one — so the auto-compaction threshold is set after the last record, and
+// once Open has succeeded every shard whose tombstones reached it gets one
+// background compaction. A restart costs the checkpoint's bytes plus the
+// log's index inserts spread across the shards, and an Open that fails has
+// started no background work.
 //
 // Checkpointing rotates the active log segment aside (to "wal.<seq>.old"),
 // streams a fresh snapshot through the lock-light per-shard WriteTo path to
@@ -23,8 +36,8 @@
 // are never reused, an Add re-applied over a checkpoint that already holds
 // its row is skipped by residency (shard.Set.AddAt), and a Delete of an
 // absent or already-tombstoned id is a no-op. Because the mutex serializes
-// durable Adds, a shard's copy is a prefix of its insert order: replaying
-// the rest grows the stored trees into exactly the trees that were serving.
+// durable Adds, a shard's copy is a prefix of its insert order, and replay
+// applies the rest of that order to the stored trees.
 //
 // Mutations are true write-ahead, append-then-apply under one mutex: the
 // record is logged (and fsynced, under SyncAlways) before the in-memory
@@ -36,6 +49,8 @@
 // in-memory write path of a durable index is therefore serialized by the
 // log mutex; the log is a single append stream anyway, so shard-parallel
 // application would only reorder acknowledgments, not speed them up.
+// Replay is the other case: the whole log is there to be read, so it is
+// applied shard-parallel.
 
 package dblsh
 
@@ -108,6 +123,11 @@ const (
 
 func walOldName(seq uint64) string { return fmt.Sprintf("wal.%08d.old", seq) }
 
+// replayChunk is how many log records Open decodes before applying them:
+// enough that every shard of a chunk has a long list to apply on its own
+// goroutine, few enough that the chunk's rows stay a few MB at any dim.
+const replayChunk = 1024
+
 // DurabilityStats describes a durable index's recovery state.
 type DurabilityStats struct {
 	// LogBytes is the total size of the op log not yet absorbed by a
@@ -153,9 +173,10 @@ type durable struct {
 	// Replay statistics, written once during Open (before the index is
 	// published) and read-only afterwards — scrape-time gauge funcs read
 	// them without a lock.
-	replaySegments int // log segments replayed at Open (rotated + active)
-	replayRecords  int // records re-applied on top of the checkpoint
-	replayTorn     int // segments whose torn tail was dropped
+	replaySegments int     // log segments replayed at Open (rotated + active)
+	replayRecords  int     // records re-applied on top of the checkpoint
+	replayTorn     int     // segments whose torn tail was dropped
+	replaySeconds  float64 // decoding and applying the records, compactions excluded
 
 	// walM is copied onto every log segment writer (the active one and
 	// each rotation's replacement) so append/fsync metrics survive
@@ -203,6 +224,9 @@ func Open(dir string, opts Options) (*Index, error) {
 	if opts.Dim < 0 {
 		return nil, fmt.Errorf("dblsh: Dim must be non-negative, got %d", opts.Dim)
 	}
+	if err := checkCompactFraction(opts.CompactFraction); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("dblsh: create %s: %w", dir, err)
 	}
@@ -213,21 +237,22 @@ func Open(dir string, opts Options) (*Index, error) {
 	}
 
 	// Replay the op log on top of the checkpoint: rotated segments first,
-	// in rotation order, then the active segment. The rows in the log are
-	// already metric-transformed, so they re-insert verbatim.
+	// in rotation order, then the active segment. Each record is checked as
+	// it is decoded and applied with its chunk (see the file comment). The
+	// rows in the log are already metric-transformed, so they re-insert
+	// verbatim.
 	idim := idx.set.Dim()
-	apply := func(rec wal.Record) error {
+	chunk := make([]wal.Record, 0, replayChunk)
+	collect := func(rec wal.Record) error {
 		if rec.ID >= maxVectors {
 			return fmt.Errorf("dblsh: implausible id %d in op log", rec.ID)
 		}
-		switch rec.Op {
-		case wal.OpAdd:
-			if len(rec.Row) != idim {
-				return fmt.Errorf("dblsh: op log row has dim %d, index dim %d", len(rec.Row), idim)
-			}
-			idx.set.AddAt(int(rec.ID), rec.Row)
-		case wal.OpDelete:
-			idx.set.Delete(int(rec.ID))
+		if rec.Op == wal.OpAdd && len(rec.Row) != idim {
+			return fmt.Errorf("dblsh: op log row has dim %d, index dim %d", len(rec.Row), idim)
+		}
+		if chunk = append(chunk, rec); len(chunk) == replayChunk {
+			idx.set.Replay(chunk)
+			chunk = chunk[:0]
 		}
 		return nil
 	}
@@ -244,7 +269,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		// durable, and every op of a given id in later segments (only ever
 		// Deletes — ids are not reused) degrades to a no-op, so continuing
 		// with the next segment is safe.
-		res, err := wal.Replay(p, idim, apply)
+		res, err := wal.Replay(p, idim, collect)
 		if err != nil {
 			return nil, fmt.Errorf("dblsh: replay %s: %w", p, err)
 		}
@@ -256,7 +281,7 @@ func Open(dir string, opts Options) (*Index, error) {
 	}
 	walPath := filepath.Join(dir, walName)
 	var goodOffset int64
-	if res, err := wal.Replay(walPath, idim, apply); err == nil {
+	if res, err := wal.Replay(walPath, idim, collect); err == nil {
 		goodOffset = res.GoodOffset
 		replayed += res.Records
 		replaySegments++
@@ -266,14 +291,12 @@ func Open(dir string, opts Options) (*Index, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("dblsh: replay %s: %w", walPath, err)
 	}
-	if replayed > 0 {
-		// Replay is the restart cost an operator waits out: a replayed add
-		// is a full index insert, so the rate is the write path's.
-		took := time.Since(replayStart)
-		slog.Info("dblsh: replayed op log", "dir", dir, "records", replayed,
-			"segments", replaySegments, "torn_segments", replayTorn,
-			"seconds", took.Seconds(), "records_per_s", float64(replayed)/took.Seconds())
-	}
+	idx.set.Replay(chunk)
+	replaySeconds := time.Since(replayStart).Seconds()
+	// The threshold is operational, not persisted state: the caller's
+	// applies from here on, and what it owes is scheduled below.
+	idx.set.SetCompactFraction(opts.CompactFraction)
+
 	// Truncate the torn tail (if any) so new frames append after the last
 	// intact record.
 	log, err := wal.OpenWriter(walPath, goodOffset)
@@ -295,6 +318,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		replaySegments: replaySegments,
 		replayRecords:  replayed,
 		replayTorn:     replayTorn,
+		replaySeconds:  replaySeconds,
 		stop:           make(chan struct{}),
 	}
 	idx.dur = d
@@ -309,6 +333,16 @@ func Open(dir string, opts Options) (*Index, error) {
 		}
 	}
 	d.start(idx)
+	scheduled := idx.set.CompactOwed()
+	if replayed > 0 {
+		// Replay is the restart cost an operator waits out: a replayed add
+		// is a full index insert, so the rate is the write path's times the
+		// shards that apply in parallel.
+		slog.Info("dblsh: replayed op log", "dir", dir, "records", replayed,
+			"segments", replaySegments, "torn_segments", replayTorn,
+			"seconds", replaySeconds, "records_per_s", float64(replayed)/replaySeconds,
+			"compactions_scheduled", scheduled)
+	}
 	return idx, nil
 }
 
@@ -343,13 +377,6 @@ func loadOrInitCheckpoint(dir string, opts Options) (idx *Index, lastCkpt time.T
 	}
 	if opts.Metric != 0 && Metric(opts.Metric) != idx.Metric() {
 		return nil, time.Time{}, false, fmt.Errorf("dblsh: Options.Metric is %s but the store was built with %s", Metric(opts.Metric), idx.Metric())
-	}
-	// The compaction threshold is operational, not persisted state: apply
-	// the caller's.
-	if opts.CompactFraction != 0 {
-		if err := idx.SetCompactFraction(opts.CompactFraction); err != nil {
-			return nil, time.Time{}, false, err
-		}
 	}
 	if fi, err := os.Stat(path); err == nil {
 		lastCkpt = fi.ModTime()

@@ -194,6 +194,16 @@ func TestReplayIdempotentOverCheckpointBoundary(t *testing.T) {
 	}
 }
 
+// crashMidCheckpoint leaves dir as a crash exactly between log rotation and
+// the snapshot would: the active log has become the first rotated segment,
+// and the checkpoint on disk is still the one the log was written against.
+func crashMidCheckpoint(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.Rename(filepath.Join(dir, walName), filepath.Join(dir, walOldName(0))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashMidCheckpointRecoversRotatedSegment simulates dying between log
 // rotation and checkpoint completion: the rotated-out segment must be
 // replayed at open and then absorbed by a completed checkpoint.
@@ -208,12 +218,7 @@ func TestCrashMidCheckpointRecoversRotatedSegment(t *testing.T) {
 	}
 	idx.Delete(1)
 	want := serialize(t, idx)
-	// Crash exactly between rotation and the snapshot: the active log
-	// becomes a rotated segment, a fresh empty log appears, and the
-	// checkpoint on disk is still the initial empty one.
-	if err := os.Rename(filepath.Join(dir, "wal.log"), filepath.Join(dir, "wal.00000000.old")); err != nil {
-		t.Fatal(err)
-	}
+	crashMidCheckpoint(t, dir) // the checkpoint on disk is the initial empty one
 
 	re := mustOpen(t, dir, Options{})
 	defer re.Close()
@@ -549,7 +554,7 @@ func TestOpenLogsReplay(t *testing.T) {
 	re := mustOpen(t, dir, Options{})
 	defer re.Close()
 	line := buf.String()
-	for _, want := range []string{"replayed op log", "records=7", "segments=1", "records_per_s="} {
+	for _, want := range []string{"replayed op log", "records=7", "segments=1", "records_per_s=", "compactions_scheduled=0"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("replay log line %q lacks %q", line, want)
 		}

@@ -63,6 +63,7 @@ import (
 	"dblsh/internal/obs"
 	"dblsh/internal/rstar"
 	"dblsh/internal/vec"
+	"dblsh/internal/wal"
 )
 
 // autoCompactMinRows is the smallest shard auto-compaction bothers with:
@@ -87,7 +88,7 @@ type Set struct {
 // Metrics reports the set's compaction and write-path activity. Fields are
 // optional (obs metric types are nil-safe).
 type Metrics struct {
-	// InsertSeconds is how long an Add (or a replayed AddAt) holds its
+	// InsertSeconds is how long an Add (or a replayed one) holds its
 	// shard's write lock inside the index insert — the stall it imposes on
 	// that shard's searches.
 	InsertSeconds *obs.Histogram
@@ -416,12 +417,13 @@ func (st *state) insert(g, stride int, v []float32, m *Metrics) {
 }
 
 // AddAt inserts v under the specific global id g, advancing the id
-// allocator past g so no future Add can collide with it. It is the WAL
-// replay primitive: a logged Add must land under the id it was acknowledged
-// with, and replaying it twice (the record may describe a row the
-// checkpoint already contains) must be a no-op, so AddAt reports false and
-// inserts nothing when g is already resident. Like Add it write-locks only
-// the owning shard.
+// allocator past g so no future Add can collide with it. It is one logged
+// Add applied on its own: the row lands under the id it was acknowledged
+// with, and applying it twice (the record may describe a row a checkpoint
+// already contains) is a no-op, so AddAt reports false and inserts nothing
+// when g is already resident. WAL replay applies whole chunks of records
+// through Replay, which does per record exactly what AddAt and Delete do.
+// Like Add it write-locks only the owning shard.
 func (s *Set) AddAt(g int, v []float32) bool {
 	if len(v) != s.dim {
 		panic(fmt.Sprintf("shard: insert dim %d, index dim %d", len(v), s.dim))
@@ -429,15 +431,7 @@ func (s *Set) AddAt(g int, v []float32) bool {
 	if g < 0 {
 		panic(fmt.Sprintf("shard: negative global id %d", g))
 	}
-	for {
-		cur := s.nextID.Load()
-		if cur > int64(g) {
-			break
-		}
-		if s.nextID.CompareAndSwap(cur, int64(g)+1) {
-			break
-		}
-	}
+	s.advanceNextID(g + 1)
 	stride := len(s.shards)
 	st := s.shards[g%stride]
 	st.mu.Lock()
@@ -447,6 +441,68 @@ func (s *Set) AddAt(g int, v []float32) bool {
 	}
 	st.insert(g, stride, v, s.metrics.Load())
 	return true
+}
+
+// advanceNextID raises the id allocator to at least bound; it never lowers
+// it, so concurrent calls commute.
+func (s *Set) advanceNextID(bound int) {
+	for {
+		cur := s.nextID.Load()
+		if cur >= int64(bound) || s.nextID.CompareAndSwap(cur, int64(bound)) {
+			return
+		}
+	}
+}
+
+// Replay applies a chunk of logged mutations, in log order, as AddAt and
+// Delete would one record at a time — except that no Delete schedules a
+// compaction: the caller holds auto-compaction until its last chunk is in
+// and then calls CompactOwed. Records of different shards commute (each
+// touches only its owning shard, and the allocator only ever rises to the
+// largest id seen), so the chunk is split by owning shard and each shard's
+// list is applied on its own goroutine, at most GOMAXPROCS at a time; the
+// set that results is the sequential replay's, byte for byte, whatever the
+// scheduler does. The caller has checked the records (an add's row has the
+// set's dimension); Replay keeps no reference to recs.
+func (s *Set) Replay(recs []wal.Record) {
+	stride := len(s.shards)
+	per := make([][]wal.Record, stride)
+	bound := 0
+	for _, r := range recs {
+		g := int(r.ID)
+		if r.Op == wal.OpAdd {
+			bound = max(bound, g+1)
+		}
+		per[g%stride] = append(per[g%stride], r)
+	}
+	s.advanceNextID(bound)
+	m := s.metrics.Load()
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, list := range per {
+		if len(list) == 0 {
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(st *state, list []wal.Record) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			for _, r := range list {
+				g := int(r.ID)
+				l := st.local(g, stride)
+				switch {
+				case r.Op == wal.OpAdd && l < 0:
+					st.insert(g, stride, r.Row, m)
+				case r.Op == wal.OpDelete && l >= 0:
+					st.idx.Delete(l)
+				}
+			}
+		}(s.shards[i], list)
+	}
+	wg.Wait()
 }
 
 // Live reports whether global id g is resident and not tombstoned — i.e.
@@ -488,21 +544,41 @@ func (s *Set) Delete(g int) bool {
 	return deleted
 }
 
-func (s *Set) maybeAutoCompact(st *state, size, dead int) {
+// maybeAutoCompact schedules a background compaction of st when its
+// tombstoned fraction has reached the threshold, and reports whether it did.
+func (s *Set) maybeAutoCompact(st *state, size, dead int) bool {
 	frac := s.CompactFraction()
 	if frac <= 0 || size < autoCompactMinRows {
-		return
+		return false
 	}
 	if float64(dead) < frac*float64(size) {
-		return
+		return false
 	}
 	if !st.compacting.CompareAndSwap(false, true) {
-		return // one compaction of this shard at a time
+		return false // one compaction of this shard at a time
 	}
 	go func() {
 		defer st.compacting.Store(false)
 		s.compactState(st)
 	}()
+	return true
+}
+
+// CompactOwed schedules one background compaction of every shard whose
+// tombstoned fraction has reached the threshold — the compactions that the
+// Deletes Replay applied did not schedule — and returns how many it
+// scheduled.
+func (s *Set) CompactOwed() int {
+	n := 0
+	for _, st := range s.shards {
+		st.mu.RLock()
+		size, dead := st.idx.Size(), st.idx.Deleted()
+		st.mu.RUnlock()
+		if s.maybeAutoCompact(st, size, dead) {
+			n++
+		}
+	}
+	return n
 }
 
 // CompactShard rebuilds shard i from its live rows, dropping all tombstones

@@ -102,4 +102,7 @@ func (idx *Index) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dblsh_wal_replay_torn_segments",
 		"Replayed segments whose torn tail (crash mid-append) was dropped at Open.",
 		func() float64 { return float64(d.replayTorn) })
+	reg.GaugeFunc("dblsh_wal_replay_seconds",
+		"Time this process's Open spent re-applying the log; the compactions it owed run afterwards, in the background.",
+		func() float64 { return d.replaySeconds })
 }

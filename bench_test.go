@@ -462,43 +462,6 @@ func BenchmarkAddWhileSearching(b *testing.B) {
 	}
 }
 
-// BenchmarkLadderAllocs measures the steady-state cost of the traversal
-// alone — the round-coordinated Begin/RunRound/Covers primitives the
-// incremental frontier cursors back — with verification reduced to a no-op
-// sink. The pooling contract says allocs/op must be 0 once the searcher is
-// warm (TestTraversalZeroAllocs in internal/core asserts it; this reports
-// it alongside the latency).
-func BenchmarkLadderAllocs(b *testing.B) {
-	p := benchParams()
-	ds := benchDS()
-	idx := core.Build(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
-	s := idx.NewSearcher()
-	emit := func(ids []int, dists []float64) (int, bool) { return len(ids), false }
-	cfg := idx.Params()
-	query := func(q []float32) {
-		s.Begin(q)
-		r := idx.InitialRadius()
-		for round := 0; round < 8; round++ {
-			s.RunRound(q, r, nil, nil, emit)
-			if s.Covers(r) {
-				break
-			}
-			r *= cfg.C
-		}
-	}
-	// Warm the searcher's buffers with full queries before timing, so a
-	// short -benchtime run doesn't charge the one-time buffer growth of
-	// deep rounds to the steady state being measured.
-	for qi := 0; qi < ds.Queries.Rows(); qi++ {
-		query(ds.Queries.Row(qi))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		query(ds.Queries.Row(i % ds.Queries.Rows()))
-	}
-}
-
 func benchName(prefix string, v int) string {
 	// Stable sub-benchmark names without fmt in the hot path.
 	digits := [20]byte{}

@@ -167,14 +167,14 @@ type Options struct {
 
 	// Shards partitions the dataset across that many independent shards,
 	// each with its own lock, so a mutation write-locks 1/Shards of the
-	// index and compaction runs per shard. 0 or 1 keeps the classic
-	// single-shard index. A query runs one radius ladder round-synchronized
-	// across all shards — one merged top-k, one candidate budget, one
-	// termination test — so total verification work matches the
-	// single-shard index; the residual cost is S tree traversals per
-	// round. Writes and compaction gain availability. With more than one
-	// shard NewFromFlat copies the data into per-shard layouts instead of
-	// adopting the caller's slice.
+	// index and compaction runs per shard. 0 means 1. Every shard count runs
+	// the same query code: one radius ladder round-synchronized across the
+	// shards — one merged top-k, one candidate budget, one termination test
+	// — taking each shard's read lock for its share of one round only, so
+	// total verification work matches a single index and the residual cost
+	// of more shards is S tree traversals per round. Writes and compaction
+	// gain availability. With more than one shard NewFromFlat copies the
+	// data into per-shard layouts instead of adopting the caller's slice.
 	Shards int
 
 	// CompactFraction, when positive, enables automatic background

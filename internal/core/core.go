@@ -385,15 +385,14 @@ type Stats struct {
 	FinalR     float64 // radius at termination
 
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// summed across trees and rounds. Under the incremental cursor ladder
-	// each node is examined at most once per query (plus re-arms); under the
-	// window re-scan oracle every round re-examines the covered region, so
-	// the two modes report very different values for identical results —
-	// this counter is how the difference is measured.
+	// summed across trees, parts and rounds: an interior node once per
+	// query, a leaf each time a wider window reaches more of its entries,
+	// and the walk from the root again after a mid-query mutation re-arms a
+	// cursor.
 	NodesVisited int
 	// Frontier is the number of items (subtrees and points) still parked in
 	// the traversal cursors when the query finished — the residual work the
-	// incremental ladder never had to touch. Zero under the re-scan oracle.
+	// incremental ladder never had to touch.
 	Frontier int
 	// QuantPruned and QuantSwept are always 0: benchmark/layers.go:317-318
 	// still reads them. The next PR allowed to edit benchmark/ removes them.
@@ -419,38 +418,23 @@ type QueryParams struct {
 	// exceed it are not executed and the query returns whatever candidates
 	// it has. 0 leaves the ladder unbounded.
 	MaxRadius float64
-	// Budget, when positive, replaces the derived candidate budget (2tL+k
-	// for the ladder, 2tL+1 for a fixed-radius round) with an absolute cap
-	// on exact distance computations. The shard coordinator uses it to
-	// share one budget across per-shard probes.
-	Budget int
 	// Ctx, when non-nil, is polled between radius rounds; once it is done
 	// the query stops and returns the best candidates found so far together
 	// with Ctx.Err().
 	Ctx context.Context
-	// Filter, when non-nil, restricts results to ids it accepts. Rejected
-	// points are skipped inside the verification loop before the exact
-	// distance computation — the same path tombstoned points take — so they
-	// consume none of the candidate budget.
+	// Filter, when non-nil, restricts results to ids it accepts (global ids
+	// when the query runs over a sharded set). Rejected points are skipped
+	// inside the gather loop before the exact distance computation — the
+	// same path tombstoned points take — so they consume none of the
+	// candidate budget.
 	Filter func(id int) bool
 	// Parallelism is ignored: benchmark/layers.go:244 still sets it. The next
 	// PR allowed to edit benchmark/ removes it.
 	Parallelism int
 }
 
-// Resolve merges the per-query overrides with the build-time configuration,
-// returning the effective candidate constant and early-stop factor. It is
-// the single source of the knob-defaulting rules; the shard coordinator
-// uses it so the multi-shard ladder terminates exactly like the
-// single-shard one.
-func (p QueryParams) Resolve(cfg Config) (t int, stopFactor float64) {
-	return p.resolve(cfg)
-}
-
-// Cancelled reports whether the query's context has expired.
-func (p QueryParams) Cancelled() bool { return p.cancelled() }
-
-// resolve merges the per-query overrides with the build-time configuration.
+// resolve merges the per-query overrides with the build-time configuration,
+// returning the effective candidate constant and early-stop factor.
 func (p QueryParams) resolve(cfg Config) (t int, stopFactor float64) {
 	t = cfg.T
 	if p.T > 0 {
@@ -491,25 +475,22 @@ type Searcher struct {
 	last    Stats
 
 	// Candidate block scratch: ids gathered from the traversal, and the
-	// distances the batch kernel writes for them. In cursor mode bmeta runs
-	// parallel to bids, recording which cursor surfaced each candidate (and
-	// where in its shell) so an unconsumed candidate can be returned to its
-	// frontier instead of relying on a re-scan to rediscover it.
+	// distances the batch kernel writes for them. bmeta runs parallel to
+	// bids, recording which cursor surfaced each candidate (and where in its
+	// shell) so an unconsumed candidate can be returned to its frontier.
 	bids   []int
 	bmeta  []blockMeta
 	bdists []float64
 	ebuf   []int32 // cursor emission batch buffer
 
-	// cursors are the L per-tree incremental frontiers of the ladder; Begin
+	// cursors are the L per-tree incremental frontiers of the ladder; begin
 	// seeds them and each round advances them by one shell, so the query
 	// touches every tree node at most once instead of re-walking the covered
-	// region every round. rescan switches the searcher back to the
-	// root-to-leaf window re-scan of the original Algorithm 2 formulation —
-	// kept alive as the differential oracle the cursor ladder is tested
-	// against, verifying the same candidates in the same order.
+	// region every round.
 	cursors []*rstar.Cursor
-	rescan  bool
 	rearms  int // cursor re-arms triggered by mid-query tree mutations
+
+	one []Part // the one part a bare index is: this searcher, no lock, identity ids
 }
 
 // blockMeta locates a gathered candidate in its cursor's current shell:
@@ -528,45 +509,14 @@ func newSearcher(idx *Index) *Searcher {
 		bmeta:   make([]blockMeta, 0, verifyBlockSize),
 		bdists:  make([]float64, verifyBlockSize),
 		ebuf:    make([]int32, verifyBlockSize),
+		cursors: make([]*rstar.Cursor, idx.cfg.L),
 	}
 	for i := range s.qhash {
 		s.qhash[i] = make([]float32, 0, idx.cfg.K)
+		s.cursors[i] = rstar.NewCursor(idx.trees[i])
 	}
-	if idx.cfg.Tree.MaxEntries <= 64 {
-		// The cursors' per-leaf bitmasks need MaxEntries ≤ 64 (default 32);
-		// an exotic wider tree falls back to the window re-scan traversal,
-		// which answers identically (see SetWindowRescan).
-		s.cursors = make([]*rstar.Cursor, idx.cfg.L)
-		for i := range s.cursors {
-			s.cursors[i] = rstar.NewCursor(idx.trees[i])
-		}
-	} else {
-		s.rescan = true
-	}
+	s.one = []Part{{Bind: func() (*Searcher, []int) { return s, nil }}}
 	return s
-}
-
-// SetWindowRescan switches the searcher between the incremental cursor
-// ladder (the default, on = false) and the per-round window re-scan of the
-// paper's literal Algorithm 2 formulation. The two traversals verify the
-// same candidate set in the same order — re-scan mode exists as the
-// differential oracle the equivalence tests and fuzzers compare against.
-func (s *Searcher) SetWindowRescan(on bool) {
-	if s.cursors == nil {
-		on = true // no cursors to switch to (tree too wide; see newSearcher)
-	}
-	s.rescan = on
-}
-
-// FrontierLen returns the total number of items parked across the
-// searcher's cursors — Stats.Frontier for callers (the shard coordinator)
-// that drive rounds themselves.
-func (s *Searcher) FrontierLen() int {
-	n := 0
-	for _, c := range s.cursors {
-		n += c.FrontierLen()
-	}
-	return n
 }
 
 // CursorReArms returns how many cursor re-arms mid-query tree mutations have
@@ -576,70 +526,10 @@ func (s *Searcher) CursorReArms() int { return s.rearms }
 
 // verifyBlockSize is the candidate block the verification path gathers
 // before calling the batch distance kernels: large enough to amortize the
-// per-block bookkeeping and keep q's cache lines hot across rows. The
-// cursor ladder always gathers full blocks — a stop mid-block hands the
-// unconsumed candidates back to the frontiers exactly, so over-gathering
-// never costs more than one block of traversal per query. The window
-// re-scan oracle has no hand-back: once the caller's top-k heap is full a
-// stop can fire at any flush, and every fresh candidate gathered past the
-// stop is traversal the pre-blocking code never paid (late-round windows
-// are dense with already-visited points), so there the gather shrinks to
-// verifyBlockHot.
-const (
-	verifyBlockSize = 64
-	verifyBlockHot  = 2
-)
-
-// flushBlock verifies the gathered candidate block with the batched kernel
-// and reports the candidates to emit in gather order. worst, when non-nil,
-// bounds the early-abandon kernel: candidates whose exact distance provably
-// exceeds worst() are reported as +Inf — by construction they cannot enter
-// the top-k heap that worst came from, so results are identical to exact
-// verification. emit returns how many candidates it consumed and whether
-// to stop the traversal (consuming fewer than the block stops regardless,
-// so a stop exactly at the block's last candidate is still exact); the
-// unconsumed candidates get their visited stamps cleared so a later round
-// can rediscover them (stamp 0 never matches a live epoch). Returns false
-// on stop.
-func (s *Searcher) flushBlock(q []float32, worst func() float64, emit emitFunc) bool {
-	if len(s.bids) == 0 {
-		return true
-	}
-	if cap(s.bdists) < len(s.bids) {
-		s.bdists = make([]float64, len(s.bids))
-	}
-	dists := s.bdists[:len(s.bids)]
-	bound := math.Inf(1)
-	if worst != nil {
-		bound = worst()
-	}
-	vec.SquaredDistsToBounded(q, s.idx.data, s.bids, bound*bound, dists)
-	for j := range dists {
-		dists[j] = math.Sqrt(dists[j])
-	}
-	n, stop := emit(s.bids, dists)
-	stop = stop || n < len(s.bids)
-	withMeta := len(s.bmeta) == len(s.bids)
-	for k, id := range s.bids[n:] {
-		s.visited[id] = 0
-		if withMeta {
-			// Cursor mode: a re-scan would rediscover the candidate next
-			// round; the frontier has to get it back explicitly.
-			m := s.bmeta[n+k]
-			s.cursors[m.tree].Unpop(int(m.pos))
-		}
-	}
-	s.bids = s.bids[:0]
-	s.bmeta = s.bmeta[:0]
-	return !stop
-}
-
-// emitFunc receives one verified candidate block in gather order: ids[j]'s
-// exact distance is dists[j] (or +Inf when the early-abandon kernel proved
-// it cannot beat the caller's bound). It returns how many candidates it
-// consumed and whether the traversal should stop; consumed < len(ids)
-// implies stop.
-type emitFunc = func(ids []int, dists []float64) (consumed int, stop bool)
+// per-block bookkeeping and keep q's cache lines hot across rows. A stop
+// mid-block hands the unconsumed candidates back to the frontiers exactly,
+// so over-gathering never costs more than one block of traversal per query.
+const verifyBlockSize = 64
 
 // NewSearcher returns a dedicated searcher bound to the index.
 func (idx *Index) NewSearcher() *Searcher { return newSearcher(idx) }
@@ -673,20 +563,6 @@ func (idx *Index) ANN(q []float32) (vec.Neighbor, bool) {
 // LastStats returns statistics for the searcher's most recent query.
 func (s *Searcher) LastStats() Stats { return s.last }
 
-// freshEpoch starts a new visited-stamp epoch, clearing stamps on wraparound
-// and growing the stamp array if the index gained points since the searcher
-// was created.
-func (s *Searcher) freshEpoch() {
-	s.ensureStamps()
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
-		s.epoch = 1
-	}
-}
-
 // ANN answers a c-ANN query with this searcher.
 func (s *Searcher) ANN(q []float32) (vec.Neighbor, bool) {
 	res := s.KANN(q, 1)
@@ -702,6 +578,29 @@ func (s *Searcher) KANN(q []float32, k int) []vec.Neighbor {
 	return nbs
 }
 
+// KANNParams answers a (c,k)-ANN query — Search over the one part a bare
+// index is: no lock, the identity id map. The QueryParams override the
+// build-time knobs for this query only; the zero value is KANN. The
+// returned error is non-nil only when p.Ctx expires, and even then the
+// candidates verified before cancellation are returned.
+func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, error) {
+	CheckQuery(q, s.idx.data.Dim(), k)
+	nbs, st, err := Search(s.one, q, k, p)
+	s.last = st
+	return nbs, err
+}
+
+// RNear answers a single (r,c)-NN query (Algorithm 1) — SearchRadius over
+// the one part a bare index is: a point within c·r of q if one is found
+// before the 2tL+1 candidate budget runs out, the budget-exhausting
+// candidate otherwise, or ok = false when the L windows hold neither.
+func (s *Searcher) RNear(q []float32, r float64) (vec.Neighbor, bool) {
+	CheckQuery(q, s.idx.data.Dim(), 1)
+	nb, ok, st, _ := SearchRadius(s.one, q, r, QueryParams{})
+	s.last = st
+	return nb, ok
+}
+
 // CheckQuery enforces the query entry points' panic contract for programmer
 // errors: a query of the wrong dimension, or k ≤ 0. The shard layer calls it
 // before it takes a lock, so a panicking query never strands one.
@@ -714,203 +613,323 @@ func CheckQuery(q []float32, dim, k int) {
 	}
 }
 
-// RunLadder is the control flow of Algorithm 2 with the Section IV-C (c,k)
-// termination rules, written once for one index and for a sharded set: the
-// radius grows r, c·r, c²·r, … under p.MaxRadius; p.Ctx is polled before each
-// round; the query ends when a round reports it done, when the k-th best
-// candidate is within stopC·r, or when all live points have been verified;
-// and once the next window would contain every projected point, one covering
-// sweep replaces the rest of the schedule. What a round does is the caller's:
-// round(r, false) runs the L window queries of radius r, pushing verified
-// candidates into cand and counting them in *cnt, and reports done — its emit
-// closure stopped it on the budget or on the termination test — and, when
-// not done, covered: the windows at radius r·c contain every projected
-// point. round(r, true) is the covering sweep, bounded by the budget alone;
-// what it returns is ignored. RunLadder keeps st.Rounds, st.FinalR and
-// st.Candidates, and returns p.Ctx's error if it expired between rounds —
-// cand then holds the best candidates found before cancellation.
-func RunLadder(p QueryParams, st *Stats, r, c, stopC float64, live int, cand *vec.TopK, cnt *int,
-	round func(r float64, sweep bool) (done, covered bool)) error {
-	var err error
-	for {
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			break
+// The round driver.
+//
+// A query runs over a list of parts: a bare Index is one part, a sharded
+// set one part per shard. Every part runs the same round r, c·r, c²·r, …
+// against its own trees, in part order, and the round driver below is the
+// one place that owns what the paper's algorithms decide — the candidate
+// budget, the initial radius, the per-candidate emit and stop rule, the
+// covering test and sweep, and the statistics — so one shard and S shards
+// run the same code, and S shards spend one budget exactly as one index
+// spends it across its L trees instead of paying it S times against sparser
+// stripes. A part's lock is held for its share of one round only; the
+// context is polled between rounds with no lock held.
+//
+// Candidates flow in verified blocks: a part's cursors gather up to
+// verifyBlockSize ids, the batch kernel verifies the block against the
+// contiguous matrix storage (early-abandoning rows that provably cannot
+// beat the current k-th best), and the emit rule consumes it candidate by
+// candidate, handing an unconsumed tail back to the frontiers.
+
+// A Part is one index a query runs over: a core searcher, the lock that
+// guards its index, and its local→global id map.
+type Part struct {
+	// Lock, when non-nil, is read-locked around the part's share of each
+	// round, and released between rounds.
+	Lock *sync.RWMutex
+	// Bind returns the searcher that runs the part's share of the next round
+	// and the part's local→global id map (nil: the identity). It is called
+	// under Lock as the query starts and before every round. A searcher
+	// other than the previous one means the part's index was replaced
+	// mid-query (a compaction swap): the new searcher starts from the roots,
+	// and the points the old one had already stamped are kept out of its
+	// stream, so none is verified twice.
+	Bind func() (*Searcher, []int)
+
+	s   *Searcher        // bound at the part's last round
+	ids []int            // its local→global id map
+	dup map[int]struct{} // global ids discarded searchers stamped; nil until a swap
+}
+
+// retire adds to pt.dup the global id of every point pt's searcher has
+// stamped this query: what the part must not verify again once a
+// compaction swap has discarded that searcher.
+func (pt *Part) retire() {
+	for id, e := range pt.s.visited {
+		if e == pt.s.epoch {
+			if pt.dup == nil {
+				pt.dup = make(map[int]struct{})
+			}
+			pt.dup[pt.global(id)] = struct{}{}
 		}
+	}
+}
+
+// global maps one of the part's local ids to its global id.
+func (pt *Part) global(id int) int {
+	if pt.ids == nil {
+		return id
+	}
+	return pt.ids[id]
+}
+
+// query is one run of the round driver over its parts.
+type query struct {
+	parts  []Part
+	at     int            // the part whose share of a round is running
+	filter func(int) bool // over global ids
+	sift   bool           // the running part's candidates need admit
+
+	// cand is Algorithm 2's merged top-k. Algorithm 1 has none: it keeps the
+	// candidate that stopped it in found.
+	cand   *vec.TopK
+	found  vec.Neighbor
+	budget int
+	cnt    int
+	r      float64 // the running round's radius
+	stopC  float64 // stop once the k-th best (Algorithm 1: a candidate) is within stopC·r
+	sweep  bool    // the covering sweep: only the budget stops it
+	done   bool    // the emit rule stopped the query
+	st     Stats
+}
+
+// Search answers a (c,k)-ANN query over parts: Algorithm 2 with the
+// Section IV-C (c,k) rules. The radius starts at the smallest part's initial
+// radius (starting low costs only a few cheap rounds) and grows r, c·r,
+// c²·r, … up to p.MaxRadius; each round runs across the parts, and every
+// candidate lands in one merged top-k and counts against one budget of
+// 2tL+k (see query.emit). The query ends when the emit rule stops it, when
+// the k-th best is within stopC·r after a round, when every live point has
+// been verified, or — once the next round's windows would contain every
+// projected point — after one covering sweep of whatever is left. p.Ctx is
+// polled before each round; once it has expired the query returns the best
+// candidates found so far with its error.
+func Search(parts []Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
+	// Checked before the per-query hashing as well as per round, so the
+	// queries behind a dead context in a large batch are near-free.
+	if p.cancelled() {
+		return nil, Stats{}, p.Ctx.Err()
+	}
+	qr := query{parts: parts, filter: p.Filter}
+	cfg, r, live, resident := qr.start(q)
+	if resident == 0 {
+		return nil, Stats{}, nil
+	}
+	t, stopFactor := p.resolve(cfg)
+	qr.cand = vec.NewTopK(k)
+	qr.budget = 2*t*cfg.L + k
+	qr.stopC = stopFactor * cfg.C
+	var err error
+	for p.MaxRadius <= 0 || r <= p.MaxRadius {
 		if p.cancelled() {
 			err = p.Ctx.Err()
 			break
 		}
-		st.Rounds++
-		done, covered := round(r, false)
-		st.FinalR = r
-		if done {
+		qr.st.Rounds++
+		covered := qr.round(q, r, r*cfg.C, false)
+		qr.st.FinalR = r
+		if qr.done || qr.cnt >= live {
+			break // stopped, or every live point verified: the result is exact
+		}
+		if w, full := qr.cand.Worst(); full && w <= qr.stopC*r {
 			break
 		}
-		if w, full := cand.Worst(); full && w <= stopC*r {
-			break
-		}
-		if *cnt >= live {
-			break // every live point verified: the result is exact
-		}
-		r *= c
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			// Checked here as well as at the loop top so the full-corpus
-			// sweep below can never run past the cap.
-			break
-		}
-		if covered {
-			round(r, true)
+		r *= cfg.C
+		if covered && (p.MaxRadius <= 0 || r <= p.MaxRadius) {
+			qr.round(q, r, r, true)
 			break
 		}
 	}
-	st.Candidates = *cnt
-	return err
+	qr.finish()
+	return qr.cand.Results(), qr.st, err
 }
 
-// KANNParams answers a (c,k)-ANN query — RunLadder over this index: at each
-// radius L window queries materialize query-centric buckets of width w0·r;
-// candidates are verified by exact distance — in blocks, through the batched
-// kernels with early-abandon pruning against the current k-th best — until
-// the budget 2tL+k is exhausted or the k-th best candidate is within c·r. The
-// QueryParams override the build-time knobs for this query only; the zero
-// value is KANN. The returned error is non-nil only when p.Ctx expires, and
-// even then the candidates verified before cancellation are returned.
-func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, error) {
-	idx := s.idx
-	CheckQuery(q, idx.data.Dim(), k)
-	s.last = Stats{}
-	if idx.data.Rows() == 0 {
-		return nil, nil
-	}
-	// Checked before the per-query hashing as well as per round, so the
-	// queries behind a dead context in a large batch are near-free.
+// SearchRadius answers an (r,c)-NN query over parts: Algorithm 1, as one
+// round of the driver at radius r. It returns the first candidate within
+// c·r, or the candidate that spends the budget of 2tL+1, or ok = false when
+// the windows of every part hold neither. The budget is shared across the
+// parts, not granted per part. The emit rule differs from the ladder's
+// because the contract does: "some point within c·r", not a ranked top-k —
+// so the first qualifying candidate stops the query whatever is still
+// unverified, and the budget-spending candidate is returned as it stands.
+// No early-abandon bound applies, since every distance it might return must
+// be exact. p.EarlyStopFactor and p.MaxRadius do not apply to a
+// fixed-radius query; p.Ctx is checked once, before the round.
+func SearchRadius(parts []Part, q []float32, r float64, p QueryParams) (vec.Neighbor, bool, Stats, error) {
 	if p.cancelled() {
-		return nil, p.Ctx.Err()
+		return vec.Neighbor{}, false, Stats{FinalR: r}, p.Ctx.Err()
 	}
+	qr := query{parts: parts, filter: p.Filter}
+	cfg, _, _, _ := qr.start(q)
+	t, _ := p.resolve(cfg)
+	qr.budget = 2*t*cfg.L + 1
+	qr.stopC = cfg.C
+	qr.round(q, r, r, false)
+	qr.st.Rounds, qr.st.FinalR = 1, r
+	qr.finish()
+	return qr.found, qr.done, qr.st, nil
+}
 
-	s.Begin(q)
+// start binds every part and begins its searcher on the query, returning
+// the configuration the parts share, the smallest initial radius among
+// them, and how many points are live and resident across them.
+func (qr *query) start(q []float32) (cfg Config, r0 float64, live, resident int) {
+	r0 = math.Inf(1)
+	for i := range qr.parts {
+		qr.parts[i].s, qr.parts[i].dup = nil, nil
+		idx := qr.bind(i, q).idx
+		cfg, r0 = idx.cfg, min(r0, idx.r0)
+		live += idx.Live()
+		resident += idx.Size()
+		qr.release()
+	}
+	return cfg, r0, live, resident
+}
 
-	t, stopFactor := p.resolve(idx.cfg)
-	cand := vec.NewTopK(k)
-	budget := 2*t*idx.cfg.L + k
-	if p.Budget > 0 {
-		budget = p.Budget
+// bind read-locks part i, brings it up to date (see Part.Bind) and makes
+// it the running part.
+func (qr *query) bind(i int, q []float32) *Searcher {
+	pt := &qr.parts[i]
+	if pt.Lock != nil {
+		pt.Lock.RLock()
 	}
-	cnt := 0
-	c := idx.cfg.C
-	stopC := stopFactor * c
-	w0 := idx.cfg.W0
-	r := idx.r0 // the round being run; emit's termination test reads it
+	s, ids := pt.Bind()
+	if s != pt.s {
+		if pt.s != nil {
+			pt.retire()
+		}
+		s.begin(q)
+		pt.s = s
+	}
+	pt.ids = ids
+	qr.at = i
+	qr.sift = qr.filter != nil || pt.dup != nil
+	return s
+}
 
-	worst := func() float64 {
-		if w, full := cand.Worst(); full {
-			return w
-		}
-		return math.Inf(1)
+// release unlocks the running part.
+func (qr *query) release() {
+	if l := qr.parts[qr.at].Lock; l != nil {
+		l.RUnlock()
 	}
-	done := false
-	// The budget and the termination test apply per candidate in gather
-	// order, exactly as the pre-blocking per-id loop did; a mid-block stop
-	// hands the unconsumed tail back to the traversal (see flushBlock), so
-	// blocking never changes which candidates are verified.
-	emit := func(ids []int, dists []float64) (int, bool) {
-		for j, id := range ids {
-			cand.Push(id, dists[j])
-			cnt++
-			if cnt >= budget {
-				done = true
-				return j + 1, true
-			}
-			if w, full := cand.Worst(); full && w <= stopC*r {
-				done = true
-				return j + 1, true
-			}
+}
+
+// round runs one round at radius r across the parts in order — or, with
+// sweep, the covering sweep — holding each part's lock for its share only.
+// It reports whether every part's windows at radius next would contain its
+// whole projected set; that is meaningful only when the query is not done.
+func (qr *query) round(q []float32, r, next float64, sweep bool) (covered bool) {
+	qr.r, qr.sweep = r, sweep
+	covered = true
+	for i := range qr.parts {
+		if qr.done {
+			return false
 		}
-		return len(ids), false
-	}
-	// The covering sweep is bounded by the budget but not the termination
-	// test.
-	sweepEmit := func(ids []int, dists []float64) (int, bool) {
-		for j, id := range ids {
-			cand.Push(id, dists[j])
-			cnt++
-			if cnt >= budget {
-				return j + 1, true
-			}
-		}
-		return len(ids), false
-	}
-	round := func(radius float64, sweep bool) (bool, bool) {
+		s := qr.bind(i, q)
 		if sweep {
-			s.Sweep(q, p.Filter, worst, sweepEmit)
-			return true, false
+			s.sweepRound(q, qr)
+		} else {
+			s.windowRound(q, qr)
+			covered = covered && !qr.done && s.covers(s.idx.cfg.W0*next)
 		}
-		r = radius
-		s.runWindows(q, r, p.Filter, worst, emit)
-		return done, !done && s.coversAllTrees(w0*(r*c))
+		qr.release()
 	}
-	err := RunLadder(p, &s.last, r, c, stopC, idx.Live(), cand, &cnt, round)
-	s.finishTraversal()
-	return cand.Results(), err
+	return covered
 }
 
-// finishTraversal records the cursors' end-of-query state into the stats.
-func (s *Searcher) finishTraversal() {
-	if !s.rescan {
-		s.last.Frontier = s.FrontierLen()
+// finish folds the end-of-query state into the statistics.
+func (qr *query) finish() {
+	qr.st.Candidates = qr.cnt
+	for i := range qr.parts {
+		for _, c := range qr.parts[i].s.cursors {
+			qr.st.Frontier += c.FrontierLen()
+		}
 	}
 }
 
-// coversAllTrees reports whether a window of width w centred at the query
-// hash would contain the entire bounding box of every tree.
-func (s *Searcher) coversAllTrees(w float64) bool {
-	for i, tr := range s.idx.trees {
-		if !tr.Covered(s.qhash[i], w/2) {
+// admit reports whether the running part's local id may be verified: the
+// filter accepts its global id, and no searcher the part discarded this
+// query had stamped it.
+func (qr *query) admit(id int) bool {
+	pt := &qr.parts[qr.at]
+	g := pt.global(id)
+	if pt.dup != nil {
+		if _, seen := pt.dup[g]; seen {
 			return false
 		}
 	}
-	return true
+	return qr.filter == nil || qr.filter(g)
 }
 
-// Round-level query primitives.
-//
-// KANNParams runs the whole radius ladder against one index. A sharded
-// index needs the ladder *split across indexes*: every shard executes the
-// same round r, cr, c²r, … and a coordinator merges candidates, applies the
-// global budget and the global termination test — otherwise each shard
-// re-runs the full ladder against its sparser stripe and a query over S
-// shards costs S× the paper's work profile. Begin/RunRound/Covers/Sweep
-// expose one round as the unit of work so the shard layer can be that
-// coordinator: its round function for RunLadder.
-//
-// Candidates flow to the caller in verified blocks, not per-id callbacks:
-// the traversal gathers up to verifyBlockSize ids, the batch kernels verify
-// the whole block against the contiguous matrix storage (early-abandoning
-// rows that provably cannot beat the caller's current k-th best), and emit
-// receives the block. emit's consumed-count return keeps the caller's
-// budget exact across the block boundary.
-
-// Begin prepares the searcher for a round-coordinated query: it starts a
-// fresh visited epoch, hashes q into each projected space, and seeds the L
-// traversal cursors at their roots (cursor mode; seeding is O(1) per tree —
-// traversal happens lazily as rounds advance). Call it once per query
-// before the first RunRound, with a q that passed CheckQuery.
-func (s *Searcher) Begin(q []float32) {
-	s.last = Stats{}
-	s.freshEpoch()
-	for i := 0; i < s.idx.cfg.L; i++ {
-		s.qhash[i] = s.idx.family.Compound(i).Hash(s.qhash[i][:0], q)
-	}
-	if !s.rescan {
-		for i, cur := range s.cursors {
-			cur.Reset(s.qhash[i])
+// worst is the early-abandon bound of the next verified block: the k-th
+// best distance so far, +Inf while the top-k is filling or for Algorithm 1.
+func (qr *query) worst() float64 {
+	if qr.cand != nil {
+		if w, full := qr.cand.Worst(); full {
+			return w
 		}
+	}
+	return math.Inf(1)
+}
+
+// emit is the per-candidate rule. It takes one verified block of the
+// running part — local ids, and their exact distances or +Inf where the
+// early-abandon kernel proved a candidate cannot enter the top-k — in
+// gather order, and counts each candidate against the budget. Algorithm 2
+// pushes it into the merged top-k and stops at the candidate that spends
+// the budget or — outside the covering sweep — that brings the k-th best
+// within stopC·r. Algorithm 1 stops at the first candidate within c·r, or at
+// the one that spends the budget, and keeps it. emit returns how many
+// candidates it consumed and whether the query stops; flushBlock hands the
+// unconsumed rest back to the frontiers, so blocking never changes which
+// candidates are verified.
+func (qr *query) emit(ids []int, dists []float64) (int, bool) {
+	pt := &qr.parts[qr.at]
+	for j, id := range ids {
+		qr.cnt++
+		nb := vec.Neighbor{ID: pt.global(id), Dist: dists[j]}
+		if qr.cand == nil {
+			qr.done = qr.cnt >= qr.budget || nb.Dist <= qr.stopC*qr.r
+		} else {
+			qr.cand.Push(nb.ID, nb.Dist)
+			w, full := qr.cand.Worst()
+			qr.done = qr.cnt >= qr.budget || !qr.sweep && full && w <= qr.stopC*qr.r
+		}
+		if qr.done {
+			qr.found = nb
+			return j + 1, true
+		}
+	}
+	return len(ids), false
+}
+
+// begin starts the searcher on query q: a fresh visited epoch, q hashed into
+// each projected space, and the L cursors seeded at their roots (O(1) per
+// tree; traversal happens lazily as rounds advance).
+func (s *Searcher) begin(q []float32) {
+	s.freshEpoch()
+	for i, cur := range s.cursors {
+		s.qhash[i] = s.idx.family.Compound(i).Hash(s.qhash[i][:0], q)
+		cur.Reset(s.qhash[i])
+	}
+}
+
+// freshEpoch starts a new visited-stamp epoch, clearing stamps on wraparound
+// and growing the stamp array if the index gained points since the searcher
+// was created.
+func (s *Searcher) freshEpoch() {
+	s.ensureStamps()
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.visited)
+		s.epoch = 1
 	}
 }
 
 // ensureStamps grows the visited-stamp array if the index gained points
-// since the previous round (the coordinator releases the index's lock
-// between rounds, so appends can interleave).
+// since the previous round (locks are released between rounds, so appends
+// can interleave).
 func (s *Searcher) ensureStamps() {
 	if n := s.idx.data.Rows(); n > len(s.visited) {
 		grown := make([]uint32, n)
@@ -919,53 +938,50 @@ func (s *Searcher) ensureStamps() {
 	}
 }
 
-// RunRound executes one (r,c)-NN round: every previously-unvisited, live
-// point inside a query-centric bucket of width w0·r that passes filter is
-// verified in blocks and reported to emit with its exact Euclidean distance
-// — or +Inf for candidates the early-abandon kernel pruned because they
-// provably cannot beat worst() (see flushBlock). worst, when non-nil,
-// should return the caller's current k-th best distance (+Inf while the
-// heap is under capacity). emit (see emitFunc) stops the round mid-block;
-// unconsumed candidates are handed back for later rounds. The caller owns
-// the candidate heap, the budget and the termination test.
-//
-// In the default cursor mode the round advances the L persistent frontiers
-// by one shell instead of re-scanning each window from the root; a tree
-// mutated since the previous round (the shard coordinator releases its lock
-// between rounds, so appends can interleave) is detected by version and its
-// cursor re-armed, so mid-query inserts are picked up exactly as a re-scan
-// would pick them up rather than silently missed.
-func (s *Searcher) RunRound(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
-	s.ensureStamps()
-	s.runWindows(q, r, filter, worst, emit)
+// covers reports whether a window of width w centred at the query hash
+// would contain the entire bounding box of every tree.
+func (s *Searcher) covers(w float64) bool {
+	for i, tr := range s.idx.trees {
+		if !tr.Covered(s.qhash[i], w/2) {
+			return false
+		}
+	}
+	return true
 }
 
-// runWindows is RunRound without the stamp-growth check (KANNParams has
-// already run freshEpoch when it calls this).
-func (s *Searcher) runWindows(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
-	if s.rescan {
-		s.runWindowsRescan(q, r, filter, worst, emit)
-		return
-	}
-	half := s.idx.cfg.W0 * r / 2
-	s.bids = s.bids[:0]
-	s.bmeta = s.bmeta[:0]
-	for i := 0; i < s.idx.cfg.L; i++ {
-		if !s.advanceCursor(i, half, q, filter, worst, emit) {
+// windowRound runs the searcher's share of the round at radius qr.r: every
+// previously-unvisited live point inside the L query-centric buckets of
+// width w0·r that qr admits is verified in blocks and handed to qr.emit.
+// Each cursor widens by one shell instead of re-scanning its window from
+// the root; a tree mutated since the previous round is detected by version
+// and its cursor re-armed, so mid-query inserts are picked up, not missed.
+func (s *Searcher) windowRound(q []float32, qr *query) {
+	s.ensureStamps()
+	half := s.idx.cfg.W0 * qr.r / 2
+	for i := range s.cursors {
+		if !s.advanceCursor(i, half, q, qr) {
 			return // stopped: flushBlock already handed back unconsumed work
 		}
 	}
-	s.flushBlock(q, worst, emit)
+	s.flushBlock(q, qr)
+}
+
+// sweepRound verifies all remaining unvisited live points, for the final
+// covering round. Every point is in every tree, so draining the first
+// cursor's frontier — everything not yet popped — is enough.
+func (s *Searcher) sweepRound(q []float32, qr *query) {
+	s.ensureStamps()
+	if s.advanceCursor(0, math.Inf(1), q, qr) {
+		s.flushBlock(q, qr)
+	}
 }
 
 // advanceCursor widens cursor i's window to Chebyshev half-width half and
 // gathers the newly-exposed shell into the verification block, flushing at
-// full blocks (cursor mode always gathers verifyBlockSize; see
-// blockLimit). A stale cursor (tree mutated since it was seeded) is
+// full blocks. A stale cursor (tree mutated since it was seeded) is
 // re-armed first. Returns false when a flush stopped the traversal — the
-// unexamined shell remainder stays in the frontier so later rounds can
-// still surface it.
-func (s *Searcher) advanceCursor(i int, half float64, q []float32, filter func(int) bool, worst func() float64, emit emitFunc) bool {
+// unexamined shell remainder stays in the frontier.
+func (s *Searcher) advanceCursor(i int, half float64, q []float32, qr *query) bool {
 	cur := s.cursors[i]
 	if !cur.Synced() {
 		cur.ReArm()
@@ -987,24 +1003,19 @@ outer:
 				continue
 			}
 			s.visited[id] = s.epoch
-			if s.idx.isDeleted(id) {
-				continue
-			}
-			if filter != nil && !filter(id) {
+			if s.idx.isDeleted(id) || qr.sift && !qr.admit(id) {
 				continue
 			}
 			s.bids = append(s.bids, id)
 			s.bmeta = append(s.bmeta, blockMeta{tree: int32(i), pos: int32(base + j)})
-			if len(s.bids) >= verifyBlockSize {
-				if !s.flushBlock(q, worst, emit) {
-					// Hand back the batch tail the gather never examined;
-					// flushBlock handed back its own unconsumed candidates.
-					for u := j + 1; u < m; u++ {
-						cur.Unpop(base + u)
-					}
-					stopped = true
-					break outer
+			if len(s.bids) >= verifyBlockSize && !s.flushBlock(q, qr) {
+				// Hand back the batch tail the gather never examined;
+				// flushBlock handed back its own unconsumed candidates.
+				for u := j + 1; u < m; u++ {
+					cur.Unpop(base + u)
 				}
+				stopped = true
+				break outer
 			}
 		}
 		base += m
@@ -1017,204 +1028,35 @@ outer:
 	} else {
 		cur.EndRound()
 	}
-	s.last.NodesVisited += cur.NodesVisited() - before
+	qr.st.NodesVisited += cur.NodesVisited() - before
 	return !stopped
 }
 
-// runWindowsRescan is the window re-scan formulation: each round runs every
-// window query root-to-leaf, re-walking the already-covered region and
-// relying on the visited stamps to skip re-verification. Kept as the
-// differential oracle for the cursor ladder (see SetWindowRescan).
-func (s *Searcher) runWindowsRescan(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
-	idx := s.idx
-	s.bids = s.bids[:0]
-	s.bmeta = s.bmeta[:0]
-	aborted := false
-	limit := s.blockLimit(worst)
-	for i := 0; i < idx.cfg.L && !aborted; i++ {
-		w := rstar.WindowRect(s.qhash[i], idx.cfg.W0*r)
-		s.last.NodesVisited += idx.trees[i].WindowVisits(w, func(id int) bool {
-			if s.visited[id] == s.epoch {
-				return true
-			}
-			s.visited[id] = s.epoch
-			if idx.isDeleted(id) {
-				return true
-			}
-			if filter != nil && !filter(id) {
-				return true
-			}
-			s.bids = append(s.bids, id)
-			if len(s.bids) >= limit {
-				if !s.flushBlock(q, worst, emit) {
-					aborted = true
-					return false
-				}
-				limit = s.blockLimit(worst)
-			}
-			return true
-		})
-	}
-	if !aborted {
-		s.flushBlock(q, worst, emit)
-	}
-}
-
-// blockLimit picks the gather size for the re-scan oracle's next block:
-// full-size while the caller's heap is still filling (no stop can fire),
-// verifyBlockHot once it is full — the re-scan has no way to hand back
-// over-gathered candidates, so a stop must not over-run traversal by more
-// than a few entries. The cursor ladder never consults this: it always
-// gathers full blocks, because a stop mid-block hands the unconsumed tail
-// back to the frontiers exactly (see Cursor.Unpop) and over-gathering
-// costs at most one block of traversal once per query.
-func (s *Searcher) blockLimit(worst func() float64) int {
-	if worst != nil && !math.IsInf(worst(), 1) {
-		return verifyBlockHot
-	}
-	return verifyBlockSize
-}
-
-// Covers reports whether the next round at radius r would materialize
-// buckets containing every indexed point — the ladder's natural end.
-func (s *Searcher) Covers(r float64) bool { return s.coversAllTrees(s.idx.cfg.W0 * r) }
-
-// Sweep verifies all remaining unvisited live points, for the final
-// full-coverage round, through the first tree (every point appears in every
-// tree, so one suffices). Blocks, worst and emit behave as in RunRound. In
-// cursor mode the sweep simply drains the first frontier — everything not
-// yet popped — instead of re-walking the whole tree.
-func (s *Searcher) Sweep(q []float32, filter func(int) bool, worst func() float64, emit emitFunc) {
-	idx := s.idx
-	if idx.data.Rows() == 0 {
-		return
-	}
-	s.ensureStamps()
-	s.bids = s.bids[:0]
-	s.bmeta = s.bmeta[:0]
-	if !s.rescan {
-		if s.advanceCursor(0, math.Inf(1), q, filter, worst, emit) {
-			s.flushBlock(q, worst, emit)
-		}
-		return
-	}
-	limit := s.blockLimit(worst)
-	aborted := false
-	tr := idx.trees[0]
-	s.last.NodesVisited += tr.WindowVisits(tr.Bounds(), func(id int) bool {
-		if s.visited[id] == s.epoch {
-			return true
-		}
-		s.visited[id] = s.epoch
-		if idx.isDeleted(id) {
-			return true
-		}
-		if filter != nil && !filter(id) {
-			return true
-		}
-		s.bids = append(s.bids, id)
-		if len(s.bids) >= limit {
-			if !s.flushBlock(q, worst, emit) {
-				aborted = true
-				return false
-			}
-			limit = s.blockLimit(worst)
-		}
+// flushBlock verifies the gathered candidate block with the batched kernel,
+// bounded by qr.worst() — candidates whose exact distance provably exceeds
+// it are reported as +Inf, and by construction cannot enter the top-k it
+// came from, so results are identical to exact verification — and hands it
+// to qr.emit. Candidates emit did not consume get their visited stamps
+// cleared (stamp 0 never matches a live epoch) and go back to their
+// cursors' frontiers, so a later round can rediscover them. Returns false
+// when emit stopped the query.
+func (s *Searcher) flushBlock(q []float32, qr *query) bool {
+	if len(s.bids) == 0 {
 		return true
-	})
-	if !aborted {
-		s.flushBlock(q, worst, emit)
 	}
-}
-
-// RNear answers a single (r,c)-NN query (Algorithm 1): it returns a point
-// within c·r of q if one is found before the 2tL+1 candidate budget runs
-// out, the budget-exhausting candidate otherwise, or ok = false when the L
-// window queries complete without either condition triggering.
-func (s *Searcher) RNear(q []float32, r float64) (vec.Neighbor, bool) {
-	nb, ok, _ := s.RNearParams(q, r, QueryParams{})
-	return nb, ok
-}
-
-// RNearParams is RNear with per-query overrides: the candidate budget uses
-// p.T when set, p.Filter excludes points before verification, and p.Ctx is
-// checked once at entry (a single (r,c)-NN round is the unit of cancellation
-// in the ladder). p.EarlyStopFactor and p.MaxRadius do not apply to a
-// fixed-radius query and are ignored.
-func (s *Searcher) RNearParams(q []float32, r float64, p QueryParams) (vec.Neighbor, bool, error) {
-	idx := s.idx
-	CheckQuery(q, idx.data.Dim(), 1)
-	s.last = Stats{Rounds: 1, FinalR: r}
-	if idx.data.Rows() == 0 {
-		return vec.Neighbor{}, false, nil
+	dists := s.bdists[:len(s.bids)]
+	bound := qr.worst()
+	vec.SquaredDistsToBounded(q, s.idx.data, s.bids, bound*bound, dists)
+	for j := range dists {
+		dists[j] = math.Sqrt(dists[j])
 	}
-	if p.cancelled() {
-		s.last = Stats{FinalR: r}
-		return vec.Neighbor{}, false, p.Ctx.Err()
-	}
-	s.freshEpoch()
-	for i := 0; i < idx.cfg.L; i++ {
-		s.qhash[i] = idx.family.Compound(i).Hash(s.qhash[i][:0], q)
-	}
-
-	t, _ := p.resolve(idx.cfg)
-	budget := 2*t*idx.cfg.L + 1
-	if p.Budget > 0 {
-		budget = p.Budget
-	}
-	cnt := 0
-	c := idx.cfg.C
-	var found vec.Neighbor
-	ok := false
-	// Verification runs through the blocked batch kernels like the ladder's
-	// rounds: candidates gather into blocks and the budget and the c·r test
-	// apply per candidate in gather order, so the answer is the one the
-	// scalar per-id loop produced. No early-abandon bound applies — the
-	// budget-exhausting candidate is returned with its distance, so every
-	// distance must be exact.
-	emit := func(ids []int, dists []float64) (int, bool) {
-		for j, id := range ids {
-			cnt++
-			if cnt >= budget || dists[j] <= c*r {
-				found, ok = vec.Neighbor{ID: id, Dist: dists[j]}, true
-				return j + 1, true
-			}
-		}
-		return len(ids), false
+	n, stop := qr.emit(s.bids, dists)
+	for k, id := range s.bids[n:] {
+		s.visited[id] = 0
+		m := s.bmeta[n+k]
+		s.cursors[m.tree].Unpop(int(m.pos))
 	}
 	s.bids = s.bids[:0]
 	s.bmeta = s.bmeta[:0]
-	aborted := false
-	for i := 0; i < idx.cfg.L && !aborted; i++ {
-		w := rstar.WindowRect(s.qhash[i], idx.cfg.W0*r)
-		s.last.NodesVisited += idx.trees[i].WindowVisits(w, func(id int) bool {
-			if s.visited[id] == s.epoch {
-				return true
-			}
-			s.visited[id] = s.epoch
-			if idx.isDeleted(id) {
-				return true
-			}
-			if p.Filter != nil && !p.Filter(id) {
-				return true
-			}
-			s.bids = append(s.bids, id)
-			if len(s.bids) >= verifyBlockSize {
-				if !s.flushBlock(q, nil, emit) {
-					aborted = true
-					return false
-				}
-			}
-			return true
-		})
-		// Flush at each tree boundary as well as at full blocks: a
-		// qualifying candidate in an early tree's window must stop the
-		// query before the remaining windows are traversed, matching the
-		// pre-blocking per-id loop's early exit to within one window.
-		if !aborted && !s.flushBlock(q, nil, emit) {
-			aborted = true
-		}
-	}
-	s.last.Candidates = cnt
-	return found, ok, nil
+	return !stop
 }

@@ -22,44 +22,143 @@ func ladderIndex(seed int64, n, d int) (*Index, *vec.Matrix, *rand.Rand) {
 	return idx, data, rng
 }
 
-// diffOneQuery runs one (c,k)-ANN query through both traversals and fails
-// if anything observable differs: ids, distances, candidate count, round
-// count, final radius, or the returned error.
-func diffOneQuery(t *testing.T, idx *Index, q []float32, k int, p QueryParams) {
-	t.Helper()
-	cs := idx.NewSearcher()
-	rs := idx.NewSearcher()
-	rs.SetWindowRescan(true)
+// refLadder is the reference the round driver is checked against:
+// Algorithm 2 as the paper states it, sharing none of the driver's
+// traversal, blocking or verification code. Each round re-runs the L window
+// queries root to leaf (rstar.Tree.Window), skips the points an
+// earlier window reported, and verifies one candidate at a time with an
+// exact distance.
+type refLadder struct {
+	idx   *Index
+	q     []float32
+	qhash [][]float32
+	seen  map[int]bool
+}
 
-	got, gerr := cs.KANNParams(q, k, p)
-	want, werr := rs.KANNParams(q, k, p)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("error mismatch: cursor %v, rescan %v", gerr, werr)
+func newRefLadder(idx *Index, q []float32) *refLadder {
+	rl := &refLadder{idx: idx, q: q, seen: map[int]bool{}}
+	for i := 0; i < idx.cfg.L; i++ {
+		rl.qhash = append(rl.qhash, idx.family.Compound(i).Hash(nil, q))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("result count mismatch: cursor %d, rescan %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
-			t.Fatalf("result %d mismatch: cursor %+v, rescan %+v", i, got[i], want[i])
+	return rl
+}
+
+// windows hands visit, in the order root-to-leaf scans meet them, the
+// points inside the L windows of width w0·r that no earlier scan reported,
+// until visit returns false; it reports whether it got to the end.
+func (rl *refLadder) windows(r float64, visit func(id int) bool) bool {
+	for i, tr := range rl.idx.trees {
+		if !rl.scan(tr, rstar.WindowRect(rl.qhash[i], rl.idx.cfg.W0*r), visit) {
+			return false
 		}
 	}
-	gst, wst := cs.LastStats(), rs.LastStats()
+	return true
+}
+
+func (rl *refLadder) scan(tr *rstar.Tree, w rstar.Rect, visit func(id int) bool) bool {
+	more := true
+	tr.Window(w, func(id int) bool {
+		if !rl.seen[id] {
+			rl.seen[id] = true
+			more = visit(id)
+		}
+		return more
+	})
+	return more
+}
+
+// covers reports whether the windows of radius r contain every tree.
+func (rl *refLadder) covers(r float64) bool {
+	for i, tr := range rl.idx.trees {
+		if !tr.Covered(rl.qhash[i], rl.idx.cfg.W0*r/2) {
+			return false
+		}
+	}
+	return true
+}
+
+// dist is the exact distance of point id to the query (the bounded kernel
+// at +Inf: the row accumulation the production blocks use).
+func (rl *refLadder) dist(id int) float64 {
+	var d [1]float64
+	vec.SquaredDistsToBounded(rl.q, rl.idx.data, []int{id}, math.Inf(1), d[:])
+	return math.Sqrt(d[0])
+}
+
+// refKANN answers a (c,k)-ANN query the reference way: Algorithm 2 with
+// the Section IV-C (c,k) rules — budget 2tL+k, stop once the k-th best is
+// within stopFactor·c·r — and one covering sweep through the first tree once
+// the next windows would contain every projected point.
+func refKANN(idx *Index, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats) {
+	rl := newRefLadder(idx, q)
+	t, stopFactor := p.resolve(idx.cfg)
+	budget, stopC := 2*t*idx.cfg.L+k, stopFactor*idx.cfg.C
+	cand := vec.NewTopK(k)
+	var st Stats
+	r, sweep := idx.r0, false
+	verify := func(id int) bool {
+		if idx.isDeleted(id) || p.Filter != nil && !p.Filter(id) {
+			return true
+		}
+		cand.Push(id, rl.dist(id))
+		st.Candidates++
+		w, full := cand.Worst()
+		return st.Candidates < budget && (sweep || !full || w > stopC*r)
+	}
+	for p.MaxRadius <= 0 || r <= p.MaxRadius {
+		st.Rounds++
+		st.FinalR = r
+		if !rl.windows(r, verify) {
+			break
+		}
+		if w, full := cand.Worst(); full && w <= stopC*r || st.Candidates >= idx.Live() {
+			break
+		}
+		r *= idx.cfg.C
+		if (p.MaxRadius <= 0 || r <= p.MaxRadius) && rl.covers(r) {
+			sweep = true
+			rl.scan(idx.trees[0], idx.trees[0].Bounds(), verify)
+			break
+		}
+	}
+	return cand.Results(), st
+}
+
+// diffOneQuery runs one (c,k)-ANN query through the round driver and the
+// reference ladder and fails if anything observable differs: ids,
+// distances, candidate count, round count or final radius.
+func diffOneQuery(t *testing.T, idx *Index, q []float32, k int, p QueryParams) {
+	t.Helper()
+	s := idx.NewSearcher()
+	got, err := s.KANNParams(q, k, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wst := refKANN(idx, q, k, p)
+	if len(got) != len(want) {
+		t.Fatalf("result count mismatch: driver %d, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("result %d mismatch: driver %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	gst := s.LastStats()
 	if gst.Candidates != wst.Candidates {
-		t.Fatalf("candidate count mismatch: cursor %d, rescan %d", gst.Candidates, wst.Candidates)
+		t.Fatalf("candidate count mismatch: driver %d, reference %d", gst.Candidates, wst.Candidates)
 	}
 	if gst.Rounds != wst.Rounds {
-		t.Fatalf("round count mismatch: cursor %d, rescan %d", gst.Rounds, wst.Rounds)
+		t.Fatalf("round count mismatch: driver %d, reference %d", gst.Rounds, wst.Rounds)
 	}
 	if gst.FinalR != wst.FinalR {
-		t.Fatalf("final radius mismatch: cursor %v, rescan %v", gst.FinalR, wst.FinalR)
+		t.Fatalf("final radius mismatch: driver %v, reference %v", gst.FinalR, wst.FinalR)
 	}
 }
 
-// TestLadderEquivalence is the differential property test of the
-// traversal rework: across random datasets, ks, filters, deletes and
-// per-query overrides, the cursor ladder must answer every query exactly
-// like the window re-scan ladder — same neighbors, same distances, same
+// TestLadderEquivalence is the differential property test of the round
+// driver: across random datasets, ks, filters, deletes and per-query
+// overrides, the cursor ladder must answer every query exactly like the
+// reference window re-scan ladder — same neighbors, same distances, same
 // candidate and round counts.
 func TestLadderEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -103,9 +202,9 @@ func TestLadderEquivalenceSelfQueries(t *testing.T) {
 	}
 }
 
-// TestRNearEquivalentToScalarContract checks the blocked RNear path still
-// honors Algorithm 1's contract on random instances (the scalar loop it
-// replaced is gone; the property is the observable anchor).
+// TestRNearBlockedContract checks the blocked RNear path still honors
+// Algorithm 1's contract on random instances (the scalar loop it replaced
+// is gone; the property is the observable anchor).
 func TestRNearBlockedContract(t *testing.T) {
 	idx, data, rng := ladderIndex(77, 250, 5)
 	s := idx.NewSearcher()
@@ -130,43 +229,42 @@ func TestRNearBlockedContract(t *testing.T) {
 }
 
 // TestCursorReArmMidQuery pins the mutate-during-query contract
-// deterministically: a round-coordinated query paused between rounds (the
-// shard coordinator's interleaving) observes points inserted in the pause
-// through the explicit re-arm path, exactly as the window re-scan would.
+// deterministically: a query paused between rounds (where the driver holds
+// no lock) observes points inserted in the pause through the explicit
+// re-arm path, exactly as the reference window re-scan would.
 func TestCursorReArmMidQuery(t *testing.T) {
 	idx, data, _ := ladderIndex(5, 200, 4)
 	q := make([]float32, data.Dim()) // query at the origin
 
-	run := func(s *Searcher, r float64, seen map[int]bool) {
-		emit := func(ids []int, dists []float64) (int, bool) {
-			for _, id := range ids {
-				seen[id] = true
-			}
-			return len(ids), false
-		}
-		s.RunRound(q, r, nil, nil, emit)
-	}
-
-	cs := idx.NewSearcher()
-	rs := idx.NewSearcher()
-	rs.SetWindowRescan(true)
-	cseen := map[int]bool{}
+	// Never full and never out of budget: every round emits its whole shell.
+	s := idx.NewSearcher()
+	qr := query{parts: s.one, cand: vec.NewTopK(1000), budget: math.MaxInt}
+	qr.start(q)
+	rl := newRefLadder(idx, q)
 	rseen := map[int]bool{}
-	cs.Begin(q)
-	rs.Begin(q)
-	run(cs, 1.0, cseen)
-	run(rs, 1.0, rseen)
+	ref := func(r float64) {
+		rl.windows(r, func(id int) bool {
+			rseen[id] = true
+			return true
+		})
+	}
+	qr.round(q, 1.0, 1.0, false)
+	ref(1.0)
 
 	// Pause: a point lands exactly at the query. Both traversals must pick
 	// it up in the next round.
 	newID := idx.Insert(make([]float32, data.Dim()))
-	if cs.CursorReArms() != 0 {
+	if s.CursorReArms() != 0 {
 		t.Fatal("cursor re-armed before any mutation")
 	}
-	run(cs, 2.0, cseen)
-	run(rs, 2.0, rseen)
-	if cs.CursorReArms() != idx.cfg.L {
-		t.Fatalf("expected %d cursor re-arms (one per tree), got %d", idx.cfg.L, cs.CursorReArms())
+	qr.round(q, 2.0, 2.0, false)
+	ref(2.0)
+	if s.CursorReArms() != idx.cfg.L {
+		t.Fatalf("expected %d cursor re-arms (one per tree), got %d", idx.cfg.L, s.CursorReArms())
+	}
+	cseen := map[int]bool{}
+	for _, nb := range qr.cand.Results() {
+		cseen[nb.ID] = true
 	}
 	if !cseen[newID] {
 		t.Fatal("cursor ladder missed the point inserted mid-query")
@@ -184,37 +282,47 @@ func TestCursorReArmMidQuery(t *testing.T) {
 	}
 }
 
-// TestTraversalZeroAllocs pins the pooling contract: once warm, the
-// round-coordinated traversal (Begin + RunRound + Covers + Sweep)
-// allocates nothing per query.
+// TestTraversalZeroAllocs pins the pooling contract: once warm, a query
+// allocates nothing beyond its result — the top-k collector and the sorted
+// copy it hands back — however many rounds its traversal runs, sweep
+// included.
 func TestTraversalZeroAllocs(t *testing.T) {
 	idx, data, _ := ladderIndex(3, 2000, 6)
 	s := idx.NewSearcher()
 	q := data.Row(1)
-	emit := func(ids []int, dists []float64) (int, bool) { return len(ids), false }
-	worst := func() float64 { return math.Inf(1) }
-	query := func() {
-		s.Begin(q)
-		r := idx.InitialRadius()
-		for round := 0; round < 6; round++ {
-			s.RunRound(q, r, nil, worst, emit)
-			if s.Covers(r) {
-				break
-			}
-			r *= idx.cfg.C
-		}
-		s.Sweep(q, nil, worst, emit)
+	const k = 10
+	// Fewer than k rows pass: the ladder runs to the covering sweep.
+	p := QueryParams{Filter: func(id int) bool { return id%401 == 5 }}
+	dense := len(s.KANN(q, k)) // warms the buffers
+	res, err := s.KANNParams(q, k, p)
+	if err != nil || s.LastStats().Rounds < 2 {
+		t.Fatalf("the sparse query ran %d rounds (err %v); it must run to the sweep", s.LastStats().Rounds, err)
 	}
-	query() // warm buffers
-	if allocs := testing.AllocsPerRun(50, query); allocs != 0 {
-		t.Fatalf("traversal allocates %v times per query, want 0", allocs)
+	query := func() {
+		s.KANN(q, k)
+		s.KANNParams(q, k, p)
+	}
+	result := func() {
+		for _, m := range []int{dense, len(res)} {
+			cand := vec.NewTopK(k)
+			for i := 0; i < m; i++ {
+				cand.Push(i, float64(i))
+			}
+			cand.Results()
+		}
+	}
+	if got, want := testing.AllocsPerRun(50, query), testing.AllocsPerRun(50, result); got != want {
+		t.Fatalf("two queries allocate %v times, their results %v", got, want)
 	}
 }
 
-// TestWideTreeFallsBackToRescan covers the exotic configuration the
-// cursor bitmasks cannot represent (MaxEntries > 64): the searcher must
-// silently run the window re-scan and still answer correctly.
-func TestWideTreeFallsBackToRescan(t *testing.T) {
+// TestWideTreeClampsToCursorWidth covers a request for a node capacity the
+// cursor bitmasks cannot represent (MaxEntries > 64): it resolves to 64,
+// and the index built with it answers correctly.
+func TestWideTreeClampsToCursorWidth(t *testing.T) {
+	if got := (rstar.Options{MaxEntries: 128}).Resolved().MaxEntries; got != 64 {
+		t.Fatalf("MaxEntries 128 resolves to %d, want 64", got)
+	}
 	rng := rand.New(rand.NewSource(2))
 	data := vec.NewMatrix(300, 5)
 	for i := 0; i < 300; i++ {
@@ -223,15 +331,13 @@ func TestWideTreeFallsBackToRescan(t *testing.T) {
 		}
 	}
 	idx := Build(data, Config{C: 1.5, K: 4, L: 2, T: 20, Seed: 2, Tree: rstar.Options{MaxEntries: 128}})
-	s := idx.NewSearcher()
-	s.SetWindowRescan(false) // must be a no-op: there are no cursors
-	res := s.KANN(data.Row(3), 5)
+	res := idx.NewSearcher().KANN(data.Row(3), 5)
 	if len(res) != 5 || res[0].ID != 3 || res[0].Dist != 0 {
-		t.Fatalf("wide-tree fallback broken: %+v", res)
+		t.Fatalf("wide-tree query broken: %+v", res)
 	}
 }
 
-// FuzzLadderEquivalence drives the cursor/re-scan differential with
+// FuzzLadderEquivalence drives the driver/reference differential with
 // fuzzer-chosen datasets, queries, k, budgets, filters and deletes.
 func FuzzLadderEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(0), uint8(0), false)

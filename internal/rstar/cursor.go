@@ -143,16 +143,10 @@ func fullMask(n int) uint64 {
 	return uint64(1)<<uint(n) - 1
 }
 
-// NewCursor returns an unseeded cursor over t. The cursor requires the
-// tree's node capacity to fit the per-node bitmasks (MaxEntries ≤ 64, far
-// above the default of 32). Call Reset with a query center before the
-// first round.
-func NewCursor(t *Tree) *Cursor {
-	if t.opts.MaxEntries > 64 {
-		panic("rstar: cursor requires MaxEntries ≤ 64")
-	}
-	return &Cursor{t: t}
-}
+// NewCursor returns an unseeded cursor over t; every node fits the per-node
+// bitmasks, since Options clamps the capacity to 64. Call Reset with a query
+// center before the first round.
+func NewCursor(t *Tree) *Cursor { return &Cursor{t: t} }
 
 // Reset seeds the frontier for a new query center, discarding all prior
 // state. It is O(1) plus the center copy: traversal happens lazily as

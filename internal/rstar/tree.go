@@ -9,15 +9,18 @@ import (
 )
 
 // Default node capacities. 32 entries per node is a good fit for in-memory
-// trees over 10–12 dimensional points.
+// trees over 10–12 dimensional points; maxCapacity is the width of a
+// Cursor's per-node bitmask.
 const (
 	DefaultMaxEntries = 32
+	maxCapacity       = 64
 	reinsertFraction  = 0.3 // R* "p": share of entries force-reinserted on first overflow
 )
 
 // Options configures a Tree.
 type Options struct {
-	// MaxEntries is the node capacity M (≥ 4). Defaults to DefaultMaxEntries.
+	// MaxEntries is the node capacity M, clamped to [4, 64]. Defaults to
+	// DefaultMaxEntries.
 	MaxEntries int
 	// MinEntries is the minimum fill m (2 ≤ m ≤ M/2). Defaults to 40% of M,
 	// the value recommended in the R*-tree paper.
@@ -38,9 +41,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxEntries == 0 {
 		o.MaxEntries = DefaultMaxEntries
 	}
-	if o.MaxEntries < 4 {
-		o.MaxEntries = 4
-	}
+	o.MaxEntries = min(max(o.MaxEntries, 4), maxCapacity)
 	if o.MinEntries == 0 {
 		o.MinEntries = o.MaxEntries * 2 / 5
 	}

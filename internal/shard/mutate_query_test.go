@@ -128,8 +128,8 @@ func TestMidQueryAddIsFindable(t *testing.T) {
 // while a deleter feeds the compactor tombstones and a writer breaks the
 // stripe pattern. (The name is from when it also drove the per-round
 // fan-out.) Every answer must be sorted and name no id twice: a swapped
-// index re-emits rows the query already verified, and the coordinator's
-// global-id dedup has to absorb them. Every other query is asked under a
+// index re-emits rows the query already verified, and the swapped-shard
+// dedup has to absorb them. Every other query is asked under a
 // filter that passes fewer than k rows, none of which the mutators touch, so
 // its ladder runs to the covering sweep and its answer is exact: it must be
 // the answer the quiescent set gave, to the bit, whichever index each round
@@ -236,5 +236,132 @@ func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// pollHookCtx is a context double that never expires. Its Done runs hook on
+// poll number at: the round driver polls once before the query and once
+// before each round, with no shard lock held, so poll 3 falls between
+// rounds 1 and 2.
+type pollHookCtx struct {
+	polls, at int
+	hook      func()
+}
+
+func (c *pollHookCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *pollHookCtx) Err() error                  { return nil }
+func (c *pollHookCtx) Value(any) any               { return nil }
+func (c *pollHookCtx) Done() <-chan struct{} {
+	if c.polls++; c.polls == c.at {
+		c.hook()
+	}
+	return nil
+}
+
+// returnsWithin runs f on another goroutine and reports whether it returned
+// within a second.
+func returnsWithin(f func()) bool {
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(time.Second):
+		return false
+	}
+}
+
+// TestSearchReleasesLocksBetweenRounds pins the per-round locking every
+// shard count promises, one included: a query paused between two rounds
+// holds no shard lock, so an Add issued in the pause returns before the
+// next round, and that round re-arms the cursors of the tree the Add grew.
+func TestSearchReleasesLocksBetweenRounds(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		s, _, queries := buildSet(1200, 8, shards, 141)
+		sr := s.NewSearcher()
+		added := false
+		ctx := &pollHookCtx{at: 3, hook: func() {
+			added = returnsWithin(func() { s.Add(queries[0]) })
+		}}
+		// Fewer than k rows pass: the ladder runs on to the covering sweep.
+		p := core.QueryParams{Ctx: ctx, Filter: func(g int) bool { return g%100 == 1 }}
+		if _, err := sr.Search(queries[1], 20, p); err != nil {
+			t.Fatal(err)
+		}
+		if rounds := sr.LastStats().Rounds; rounds < 2 {
+			t.Fatalf("shards=%d: the query ran %d round(s); the test needs a pause between two", shards, rounds)
+		}
+		if !added {
+			t.Fatalf("shards=%d: an Add issued between rounds 1 and 2 did not return within 1 s", shards)
+		}
+		rearms := 0
+		for _, cs := range sr.per {
+			rearms += cs.CursorReArms()
+		}
+		if rearms == 0 {
+			t.Fatalf("shards=%d: the round after the Add re-armed no cursor", shards)
+		}
+	}
+}
+
+// TestCompactionSwapMidQuery swaps every shard's index between rounds 1 and
+// 2 of a query. The searchers of the swapped shards restart from their
+// roots and meet again rows the discarded searchers had verified; the
+// swapped-shard dedup has to keep them out. The query passes fewer than k
+// rows through its filter, so its answer is exact: it must be the quiescent
+// answer to the bit, name no id twice, and count as candidates exactly the
+// distinct rows it verified — every row it returns.
+func TestCompactionSwapMidQuery(t *testing.T) {
+	const n, d, k = 1500, 8, 40
+	keep := func(g int) bool { return g%50 == 7 } // 30 rows, 20 of them live
+	for _, shards := range []int{1, 4} {
+		flat, _ := corpus(n, d, 151)
+		s := Build(flat, n, d, shards, 0, core.Config{K: 4, L: 2, T: 20, Seed: 151})
+		for g := 0; g < n; g += 3 {
+			s.Delete(g)
+		}
+		q := flat[7*d : 8*d] // row 7 passes: round 1 verifies it at distance 0
+		want, _, err := s.Search(q, k, core.QueryParams{Filter: keep})
+		if err != nil || len(want) != 20 {
+			t.Fatalf("shards=%d: quiescent query: %d results, err %v", shards, len(want), err)
+		}
+
+		sr := s.NewSearcher()
+		compacted := false
+		ctx := &pollHookCtx{at: 3, hook: func() {
+			compacted = returnsWithin(func() {
+				for i := 0; i < shards; i++ {
+					s.CompactShard(i)
+				}
+			})
+		}}
+		got, err := sr.Search(q, k, core.QueryParams{Filter: keep, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !compacted || s.Deleted() != 0 {
+			t.Fatalf("shards=%d: the compactions between rounds 1 and 2 did not finish (%d tombstones left)", shards, s.Deleted())
+		}
+		seen := map[int]bool{}
+		for _, nb := range got {
+			if seen[nb.ID] {
+				t.Fatalf("shards=%d: id %d returned twice: %+v", shards, nb.ID, got)
+			}
+			seen[nb.ID] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d results, the quiescent set gave %d", shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d rank %d: %+v, the quiescent set answered %+v", shards, i, got[i], want[i])
+			}
+		}
+		if c := sr.LastStats().Candidates; c != len(got) {
+			t.Fatalf("shards=%d: %d candidates verified for %d distinct rows", shards, c, len(got))
+		}
 	}
 }

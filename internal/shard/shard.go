@@ -6,17 +6,16 @@
 //
 // # Queries
 //
-// A (c,k)-ANN query runs the paper's radius ladder round-synchronized
-// across shards: every shard executes the same round r, cr, c²r, … under
-// its own read lock, the per-round candidates merge into one global top-k,
-// and the candidate budget 2tL+k and the termination test apply to that
-// merged state, the budget flowing through the shards in visit order
-// exactly as a monolithic index spends it across its L trees. The query
-// therefore does the same total work as against one monolithic index — S
-// independent ladders would each pay the full budget against a sparser
-// stripe — while holding each shard's lock only for its slice of a round,
-// so a search never waits for more than one in-flight mutation per shard
-// round.
+// A query is core's round driver (core.Search, core.SearchRadius) over one
+// part per shard, for every shard count, one included: every shard runs the
+// same round r, cr, c²r, … in shard order, candidates merge into one global
+// top-k, and one budget and one termination test apply to that merged
+// state, exactly as one index spends its budget across its L trees. This
+// package supplies only what a part needs: the shard's read lock, taken
+// for the shard's share of one round and released between rounds (so a
+// mutation waits for at most one shard-round, and a search for at most one
+// mutation per shard-round), the core searcher for the shard's current
+// index, and the shard's local→global id map.
 //
 // # Compaction
 //
@@ -725,43 +724,15 @@ func (s *Set) SnapshotShard(i int) Part {
 	return p
 }
 
-// withLocalFilter rewrites a global-id filter into the shard's local ids.
-func withLocalFilter(p core.QueryParams, globals []int) core.QueryParams {
-	if p.Filter == nil {
-		return p
-	}
-	keep := p.Filter
-	q := p
-	q.Filter = func(local int) bool { return keep(globals[local]) }
-	return q
-}
-
-// mapNeighbors translates local-id results to global ids into a new slice.
-func mapNeighbors(nbs []vec.Neighbor, globals []int) []vec.Neighbor {
-	out := make([]vec.Neighbor, len(nbs))
-	for i, nb := range nbs {
-		out[i] = vec.Neighbor{ID: globals[nb.ID], Dist: nb.Dist}
-	}
-	return out
-}
-
-// Searcher is a reusable query context holding one core searcher per shard.
-// It must be used from one goroutine at a time. On a multi-shard set a
-// query runs the radius ladder round-synchronized: every shard executes the
-// same round r, cr, c²r, … under its own read lock, the per-round
-// candidates merge into one global top-k, and the budget (2tL+k) and the
-// termination test apply to that merged state — the paper's work profile,
-// partitioned, instead of S independent full-cost ladders.
+// Searcher is a reusable query context: one core searcher per shard, each
+// running its shard's part of core's round driver. It must be used from one
+// goroutine at a time.
 type Searcher struct {
-	set  *Set
-	per  []*core.Searcher
-	seen []*core.Index // which core index each searcher is bound to
-	last core.Stats
-
-	// Per-query coordinator state, reused across queries.
-	began []bool       // shard i's searcher saw Begin for this query
-	seenG map[int]bool // global-id dedup across a mid-query index swap
-	carry int          // nodes visited by searchers discarded mid-query
+	set   *Set
+	per   []*core.Searcher
+	seen  []*core.Index // which core index each searcher is bound to
+	parts []core.Part
+	last  core.Stats
 }
 
 // NewSearcher returns a searcher bound to the set. Per-shard core searchers
@@ -772,232 +743,55 @@ type Searcher struct {
 // references threaded through the core searcher, and the retention is
 // bounded by two GC cycles for pooled searchers.
 func (s *Set) NewSearcher() *Searcher {
-	return &Searcher{
+	sr := &Searcher{
 		set:   s,
 		per:   make([]*core.Searcher, len(s.shards)),
 		seen:  make([]*core.Index, len(s.shards)),
-		began: make([]bool, len(s.shards)),
+		parts: make([]core.Part, len(s.shards)),
 	}
+	for i, st := range s.shards {
+		sr.parts[i] = core.Part{Lock: &st.mu, Bind: func() (*core.Searcher, []int) { return sr.bind(i) }}
+	}
+	return sr
 }
 
-// searcherFor returns the core searcher for shard i, rebinding it if a
-// compaction replaced the shard's index. Callers hold the shard's lock.
+// bind is shard i's core.Part.Bind: the core searcher for the shard's
+// current index — a new one when a compaction has replaced it — and the
+// shard's local→global id map. Callers hold the shard's lock.
 //
 // dblsh:locked mu
-func (sr *Searcher) searcherFor(i int) *core.Searcher {
+func (sr *Searcher) bind(i int) (*core.Searcher, []int) {
 	st := sr.set.shards[i]
 	if sr.seen[i] != st.idx {
-		if sr.began[i] && sr.per[i] != nil {
-			// A swap mid-query discards the old searcher; carry its node
-			// count so the query's stats stay complete.
-			sr.carry += sr.per[i].LastStats().NodesVisited
-		}
 		sr.per[i] = st.idx.NewSearcher()
 		sr.seen[i] = st.idx
-		sr.began[i] = false // a swapped index needs a fresh Begin
 	}
-	return sr.per[i]
+	return sr.per[i], st.globals
 }
 
 // LastStats reports the most recent query's aggregated statistics:
-// candidates verified across all shards, coordinated rounds run, and the
-// final radius of the shared ladder.
+// candidates verified across all shards, rounds run, and the final radius
+// of the shared ladder.
 func (sr *Searcher) LastStats() core.Stats { return sr.last }
 
-// Search answers a (c,k)-ANN query. A non-nil error (context expiry) still
-// comes with the best candidates found before cancellation.
+// Search answers a (c,k)-ANN query: core.Search over one part per shard.
+// A non-nil error (context expiry) still comes with the best candidates
+// found before cancellation.
 func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
-	s := sr.set
-	core.CheckQuery(q, s.dim, k)
-	if len(s.shards) == 1 {
-		// Single shard: the classic one-index ladder, bit-identical to the
-		// unsharded library.
-		st := s.shards[0]
-		st.mu.RLock()
-		cs := sr.searcherFor(0)
-		nbs, err := cs.KANNParams(q, k, withLocalFilter(p, st.globals))
-		sr.last = cs.LastStats()
-		mapped := mapNeighbors(nbs, st.globals)
-		st.mu.RUnlock()
-		return mapped, err
-	}
-	return sr.searchCoordinated(q, k, p)
+	core.CheckQuery(q, sr.set.dim, k)
+	nbs, st, err := core.Search(sr.parts, q, k, p)
+	sr.last = st
+	return nbs, err
 }
 
-// searchCoordinated runs Algorithm 2 (core.RunLadder) with each round split
-// across the shards: one shared radius schedule, one merged top-k, one
-// budget, one termination test. Shard locks are taken per round, so a
-// mutation waits at most one round and a search waits at most one mutation
-// per shard round.
-func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
-	s := sr.set
-	t, stopFactor := p.Resolve(s.cfg)
-	stopC := stopFactor * s.cfg.C
-	budget := 2*t*s.cfg.L + k
-	if p.Budget > 0 {
-		budget = p.Budget // same absolute-override semantics as core
-	}
-	c := s.cfg.C
-
-	sr.last = core.Stats{}
-	clear(sr.began)
-	sr.carry = 0
-	if sr.seenG == nil {
-		sr.seenG = make(map[int]bool)
-	} else {
-		clear(sr.seenG)
-	}
-	if p.Cancelled() {
-		return nil, p.Ctx.Err()
-	}
-
-	// Start the ladder at the smallest per-shard radius estimate: starting
-	// low only costs a few cheap extra rounds (cf. core's estimate).
-	r := math.Inf(1)
-	live, resident := 0, 0
-	for _, st := range s.shards {
-		st.mu.RLock()
-		if r0 := st.idx.InitialRadius(); r0 < r {
-			r = r0
-		}
-		live += st.idx.Live()
-		resident += st.idx.Size()
-		st.mu.RUnlock()
-	}
-	if resident == 0 {
-		return nil, nil
-	}
-
-	cand := vec.NewTopK(k)
-	cnt := 0
-	round := func(r float64, sweep bool) (done, covered bool) {
-		cnt, done, covered = sr.runRound(q, r, p, cand, budget, cnt, stopC, sweep)
-		return done, covered
-	}
-	err := core.RunLadder(p, &sr.last, r, c, stopC, live, cand, &cnt, round)
-	sr.finishTraversalStats()
-	return cand.Results(), err
-}
-
-// finishTraversalStats folds the per-shard searchers' traversal counters
-// into the merged stats: nodes visited across every shard's trees
-// (including searchers a mid-query compaction swap discarded), and the
-// residual frontier size of every cursor the query armed.
-func (sr *Searcher) finishTraversalStats() {
-	sr.last.NodesVisited += sr.carry
-	for i := range sr.set.shards {
-		if sr.began[i] && sr.per[i] != nil {
-			sr.last.NodesVisited += sr.per[i].LastStats().NodesVisited
-			sr.last.Frontier += sr.per[i].FrontierLen()
-		}
-	}
-}
-
-// runRound executes one ladder round (or the final sweep) across the
-// shards in order, verifying candidates straight into the global top-k
-// exactly as a monolithic index spends its budget across its L trees: the
-// core hands candidates over in batched-kernel-verified blocks (pruned
-// against the global k-th best via worst), and the budget and (for ladder
-// rounds) the early-termination test are consulted per candidate within
-// each block, so the round stops mid-block the moment either fires and no
-// shard's share of the budget is wasted when the live data is skewed.
-// Visit order is fixed, so results are deterministic; a shard's lock is
-// held only for its slice of the round. It returns the updated candidate
-// count, whether the query is finished, and whether every shard's window at
-// the next radius r·C covers its whole projected stripe (checked under the
-// same lock hold, so a round never takes a shard's lock twice; meaningful
-// only when the query is not finished and the round was not a sweep).
-func (sr *Searcher) runRound(q []float32, r float64, p core.QueryParams, cand *vec.TopK, budget, cnt int, stopC float64, sweep bool) (int, bool, bool) {
-	s := sr.set
-	done := false
-	covered := !sweep
-	worst := func() float64 {
-		if w, full := cand.Worst(); full {
-			return w
-		}
-		return math.Inf(1)
-	}
-	for i, st := range s.shards {
-		if done {
-			covered = false
-			break
-		}
-		st.mu.RLock()
-		cs := sr.searcherFor(i)
-		if !sr.began[i] {
-			cs.Begin(q)
-			sr.began[i] = true
-		}
-		lp := withLocalFilter(p, st.globals)
-		emit := func(ids []int, dists []float64) (int, bool) {
-			for j, id := range ids {
-				g := st.globals[id]
-				if sr.seenG[g] {
-					// A compaction swapping this shard mid-query reset its
-					// visited stamps; don't count the same point twice.
-					continue
-				}
-				sr.seenG[g] = true
-				cand.Push(g, dists[j])
-				cnt++
-				if cnt >= budget {
-					done = true
-					return j + 1, true
-				}
-				if w, full := cand.Worst(); !sweep && full && w <= stopC*r {
-					done = true
-					return j + 1, true
-				}
-			}
-			return len(ids), false
-		}
-		if sweep {
-			cs.Sweep(q, lp.Filter, worst, emit)
-		} else {
-			cs.RunRound(q, r, lp.Filter, worst, emit)
-			covered = covered && !done && cs.Covers(r*s.cfg.C)
-		}
-		st.mu.RUnlock()
-	}
-	return cnt, done, covered
-}
-
-// SearchRadius answers a single (r,c)-NN round (Algorithm 1), probing the
-// shards in order with one shared candidate budget (2tL+1 in total, not
-// per shard) and returning the first qualifying point — the same "any
-// point within c·r" contract, early exit and worst-case work profile as
-// the single-index primitive.
+// SearchRadius answers a single (r,c)-NN query (Algorithm 1):
+// core.SearchRadius over one part per shard, one candidate budget of 2tL+1
+// shared by all of them.
 func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (vec.Neighbor, bool, error) {
-	s := sr.set
-	core.CheckQuery(q, s.dim, 1)
-	t, _ := p.Resolve(s.cfg)
-	remaining := 2*t*s.cfg.L + 1
-	agg := core.Stats{Rounds: 1, FinalR: r}
-	for i, st := range s.shards {
-		if remaining <= 0 {
-			break
-		}
-		st.mu.RLock()
-		cs := sr.searcherFor(i)
-		lp := withLocalFilter(p, st.globals)
-		lp.Budget = remaining
-		nb, ok, err := cs.RNearParams(q, r, lp)
-		if ok {
-			nb.ID = st.globals[nb.ID]
-		}
-		cst := cs.LastStats()
-		spent := cst.Candidates
-		agg.NodesVisited += cst.NodesVisited
-		st.mu.RUnlock()
-		agg.Candidates += spent
-		remaining -= spent
-		if err != nil || ok {
-			sr.last = agg
-			return nb, ok, err
-		}
-	}
-	sr.last = agg
-	return vec.Neighbor{}, false, nil
+	core.CheckQuery(q, sr.set.dim, 1)
+	nb, ok, st, err := core.SearchRadius(sr.parts, q, r, p)
+	sr.last = st
+	return nb, ok, err
 }
 
 // Search answers a single (c,k)-ANN query through a pooled searcher.

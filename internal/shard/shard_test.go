@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dblsh/internal/core"
+	"dblsh/internal/vec"
 )
 
 // corpus generates clustered data as a flat row-major slice plus queries.
@@ -539,4 +540,13 @@ func TestMathSanity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mapNeighbors translates local-id results to global ids into a new slice.
+func mapNeighbors(nbs []vec.Neighbor, globals []int) []vec.Neighbor {
+	out := make([]vec.Neighbor, len(nbs))
+	for i, nb := range nbs {
+		out[i] = vec.Neighbor{ID: globals[nb.ID], Dist: nb.Dist}
+	}
+	return out
 }

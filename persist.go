@@ -264,8 +264,8 @@ func Read(r io.Reader) (*Index, error) {
 		var maxEntries, minEntries uint32
 		d.fixed(&maxEntries, &minEntries)
 		cfg.Tree = rstar.Options{MaxEntries: int(maxEntries), MinEntries: int(minEntries)}
-		// The cursor's per-node bitmasks hold 64 entries.
-		if d.err == nil && (maxEntries > 64 || cfg.Tree.Resolved() != cfg.Tree) {
+		// Resolved clamps the capacity to the cursor's 64-entry bitmasks.
+		if d.err == nil && cfg.Tree.Resolved() != cfg.Tree {
 			return nil, fmt.Errorf("dblsh: implausible tree node capacity %d (minimum fill %d)", maxEntries, minEntries)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dblsh/internal/lsh"
 	"dblsh/internal/metric"
@@ -212,21 +213,40 @@ func newIndex(data *vec.Matrix, cfg Config) *Index {
 }
 
 // eachSpace runs fn for each of the L projected spaces, GOMAXPROCS at a
-// time, and returns what errors it met.
+// time, and returns what errors it met. The caller's goroutine is one of
+// the workers, so at GOMAXPROCS 1 the spaces run one after another on it.
+// The caller waits for the spaces, not for the helpers: on busy cores a
+// helper may start only after the others have claimed every space, and it
+// then exits without touching anything but the claim counter.
+// A panic in fn is recovered in its space; once every space has finished,
+// the lowest-index space's panic is raised again on the caller's
+// goroutine, where the sequential loop would have raised it.
 func (idx *Index) eachSpace(fn func(i int) error) error {
-	errs := make([]error, idx.cfg.L)
+	n := idx.cfg.L
+	errs := make([]error, n)
+	panics := make([]any, n)
+	var next atomic.Int32
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range errs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(i)
-		}(i)
+	wg.Add(n)
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			func() {
+				defer wg.Done()
+				defer func() { panics[i] = recover() }()
+				errs[i] = fn(i)
+			}()
+		}
 	}
+	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
+		go work()
+	}
+	work()
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -274,18 +294,29 @@ func estimateInitialRadius(data *vec.Matrix, seed int64) float64 {
 // static design with the incremental maintenance its R*-trees natively
 // support (the paper's Section VII lists this direction as future work).
 // Insert must not run concurrently with queries or other Inserts.
+//
+// The row is appended to the data once; then each projected space hashes
+// it straight into a new row of its own matrix and inserts it into its own
+// R*-tree. The spaces share nothing, so they run side by side, GOMAXPROCS
+// at a time, as in Build; every tree comes out the same, node for node and
+// byte for byte, as inserting into the spaces one after another builds it.
+//
+// dblsh:exclusive callers serialize Insert with every query and mutation
+// of the index; the goroutines partition the L spaces, and eachSpace waits
+// for all of them before it returns
 func (idx *Index) Insert(p []float32) int {
 	if len(p) != idx.data.Dim() {
 		panic(fmt.Sprintf("core: insert dim %d, index dim %d", len(p), idx.data.Dim()))
 	}
 	id := idx.data.Append(p)
-	for i := 0; i < idx.cfg.L; i++ {
-		pid := idx.projected[i].Append(idx.family.Compound(i).Hash(nil, p))
-		if pid != id {
+	idx.eachSpace(func(i int) error {
+		if idx.projected[i].Rows() != id {
 			panic("core: projected matrix out of sync with data")
 		}
+		idx.family.Compound(i).Hash(idx.projected[i].AppendZero()[:0], p)
 		idx.trees[i].Insert(id)
-	}
+		return nil
+	})
 	if idx.deleted != nil {
 		idx.deleted = append(idx.deleted, false)
 	}

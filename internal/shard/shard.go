@@ -391,8 +391,9 @@ func (s *Set) Add(v []float32) int {
 }
 
 // insert indexes v in the shard under global id g. Callers hold st.mu for
-// writing, so the time spent in the index insert — L R*-tree insertions —
-// is time every search on this shard waits; m.InsertSeconds records it.
+// writing, so the time spent in the index insert — L R*-tree insertions
+// side by side, as long as the slowest of them — is time every search on
+// this shard waits; m.InsertSeconds records it.
 //
 // dblsh:locked mu
 func (st *state) insert(g, stride int, v []float32, m *Metrics) {

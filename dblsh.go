@@ -134,25 +134,26 @@ type Result struct {
 // Options configures index construction. The zero value is ready to use and
 // mirrors the paper's experimental defaults.
 type Options struct {
-	// C is the approximation ratio (> 1): returned points are c²-approximate
-	// nearest neighbors with constant probability (Theorem 1). Smaller C
-	// means better accuracy and more work per query. Default 1.5.
+	// C is the approximation ratio, in [1.01, 64]: returned points are
+	// c²-approximate nearest neighbors with constant probability (Theorem 1).
+	// Smaller C means better accuracy and more work per query. Default 1.5.
 	C float64
 
-	// W0 overrides the initial bucket width. Default 4C² (γ = 2), the
-	// operating point with bound exponent α = 4.746.
+	// W0 overrides the initial bucket width (finite). Default 4C² (γ = 2),
+	// the operating point with bound exponent α = 4.746.
 	W0 float64
 
-	// K is the number of hash functions per projected space; 0 uses the
-	// paper's experimental setting (10, or 12 for datasets of 1M+ points).
+	// K is the number of hash functions per projected space, at most 64; 0
+	// uses the paper's experimental setting (10, or 12 for datasets of 1M+
+	// points). Shards·L·K·dim may not exceed 2²⁸ hash coefficients.
 	K int
 
-	// L is the number of projected spaces (and R*-trees); 0 uses the
-	// paper's setting of 5.
+	// L is the number of projected spaces (and R*-trees), at most 64; 0 uses
+	// the paper's setting of 5.
 	L int
 
-	// T is the candidate constant: a (c,k)-ANN query verifies at most
-	// 2·T·L + k exact distances. Larger T trades time for accuracy.
+	// T is the candidate constant, at most 2²⁰: a (c,k)-ANN query verifies
+	// at most 2·T·L + k exact distances. Larger T trades time for accuracy.
 	// Default 100.
 	T int
 
@@ -336,14 +337,7 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	iflat, idim := flat, dim
-	if met.Kind() != metric.Euclidean {
-		idim = met.InternalDim(dim)
-		if iflat, err = transformFlat(met, flat, n, dim); err != nil {
-			return nil, err
-		}
-	}
-	set := shard.Build(iflat, n, idim, opts.Shards, opts.CompactFraction, core.Config{
+	cfg := core.Config{
 		C:               opts.C,
 		W0:              opts.W0,
 		K:               opts.K,
@@ -353,7 +347,18 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 		EarlyStopFactor: opts.EarlyStopFactor,
 		Metric:          met.Kind(),
 		MetricNormBound: met.NormBound(),
-	})
+	}
+	idim := met.InternalDim(dim)
+	if err := checkConfig(max(opts.Shards, 1), idim, cfg.Resolved(n)); err != nil {
+		return nil, err
+	}
+	iflat := flat
+	if met.Kind() != metric.Euclidean {
+		if iflat, err = transformFlat(met, flat, n, dim); err != nil {
+			return nil, err
+		}
+	}
+	set := shard.Build(iflat, n, idim, opts.Shards, opts.CompactFraction, cfg)
 	return &Index{set: set, dim: dim, met: met}, nil
 }
 

@@ -76,14 +76,13 @@ func mustBeUsable(t *testing.T, loaded *Index) {
 // FuzzRead hardens the index-file parser: arbitrary bytes must produce an
 // error, never a panic, a hang or a runaway allocation. Every input is read
 // twice. As it is, the checksum turns nearly every mutation away at the
-// door; so an input that keeps a seed file's header is read again with the
-// checksum recomputed over whatever the fuzzer made of the shards and tree
-// arenas behind it, which is then for the structural validation to catch —
-// child indices out of range or in a cycle, duplicated and missing leaf
-// ids, over-capacity counts, truncated slabs. (The header is held fixed
-// because C, K and L are believed, as they always were: a file may ask for
-// a ladder of 10¹⁵ rounds.) Run with `go test -fuzz=FuzzRead`; without
-// -fuzz the seed corpus below runs as a regular test.
+// door; so the input is read again with the checksum recomputed over
+// whatever the fuzzer made of it — the header words, which the shared
+// plausibility limits bound (checkConfig), and the shards and tree arenas
+// behind them, which are for the structural validation to catch: child
+// indices out of range or in a cycle, duplicated and missing leaf ids,
+// over-capacity counts, truncated slabs. Run with `go test -fuzz=FuzzRead`;
+// without -fuzz the seed corpus below runs as a regular test.
 func FuzzRead(f *testing.F) {
 	v4, v1 := readSeeds(f)
 	for _, seed := range v4 {
@@ -106,22 +105,20 @@ func FuzzRead(f *testing.F) {
 		if loaded, err := Read(bytes.NewReader(raw)); err == nil {
 			mustBeUsable(t, loaded)
 		}
-		for _, seed := range v4 {
-			if len(raw) > v4HeaderLen+4 && bytes.Equal(raw[:v4HeaderLen], seed[:v4HeaderLen]) {
-				if loaded, err := Read(bytes.NewReader(restamp(raw))); err == nil {
-					mustBeUsable(t, loaded)
-				}
-				break
+		if len(raw) > len(magicV4)+4 {
+			if loaded, err := Read(bytes.NewReader(restamp(raw))); err == nil {
+				mustBeUsable(t, loaded)
 			}
 		}
 	})
 }
 
 // TestReadSurvivesRestampedCorruption is FuzzRead's second reading made
-// exhaustive on one small file: every byte behind the header is, in turn,
-// inverted (small counts turn huge, indices negative) and set to 0x7f (a
-// NaN's top byte, an index far out of range), the checksum is recomputed,
-// and the file read. None may panic or hang; what loads must work.
+// exhaustive on one small file: every byte behind the magic — header words
+// included — is, in turn, inverted (small counts turn huge, indices
+// negative) and set to 0x7f (a NaN's top byte, an index far out of range),
+// the checksum is recomputed, and the file read. None may panic or hang;
+// what loads must work.
 func TestReadSurvivesRestampedCorruption(t *testing.T) {
 	// Small enough to try every byte, deep enough to have interior nodes.
 	data, _ := clusteredData(70, 2, 93)
@@ -136,7 +133,7 @@ func TestReadSurvivesRestampedCorruption(t *testing.T) {
 	}
 	raw := save(t, idx)
 	accepted, tried := 0, 0
-	for at := v4HeaderLen; at < len(raw)-4; at++ {
+	for at := len(magicV4); at < len(raw)-4; at++ {
 		for _, v := range []byte{raw[at] ^ 0xff, 0x7f} {
 			bad := append([]byte(nil), raw...)
 			bad[at] = v

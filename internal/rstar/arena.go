@@ -101,8 +101,8 @@ func appendZeros[T any](s []T, n int) []T {
 	return s
 }
 
-// reserve sizes the per-slot slices for about the given number of slots, so
-// that a bulk load neither regrows them nor leaves append's slack behind.
+// reserve sizes the per-slot slices for exactly the given number of slots,
+// so that a bulk load neither regrows them nor leaves append's slack behind.
 func (t *Tree) reserve(slots int) {
 	t.heads = make([]head, 0, slots)
 	t.rects = make([]float32, 0, slots*2*t.dim)

@@ -9,8 +9,12 @@ import (
 
 // BulkLoad builds an R*-tree over all rows of data using Sort-Tile-Recursive
 // (STR) packing. This is the "bulk-loading strategy" the paper credits for
-// DB-LSH's small indexing time: packing produces near-100% leaf fill and
-// never triggers splits or reinsertions.
+// DB-LSH's small indexing time: packing never splits or reinserts. It fills
+// each leaf to leafFill, a few entries short of capacity, and every
+// interior node to capacity, so the Inserts that follow a load find room in
+// the leaf they descend to (Leutenegger, Lopez & Edgington's fill factor
+// below 1) instead of overflowing it; only the last node of each level
+// holds fewer.
 //
 // The returned tree supports subsequent Insert calls for rows appended to
 // data after loading.
@@ -36,25 +40,54 @@ func bulkLoad(data *vec.Matrix, ids []int32, opts Options) *Tree {
 		return New(data, opts)
 	}
 	t := newTree(data, opts)
-	// Full leaves, 1/M as many nodes again above them, and a few slots for
-	// the short tiles at slab ends: enough that packing rarely regrows the
-	// per-slot slices, close enough that it leaves no slack to speak of.
-	leaves := len(ids)/t.opts.MaxEntries + 1
-	t.reserve(leaves + 4*(leaves/t.opts.MaxEntries+t.dim))
-	t.root = t.packUpward(t.packLeaves(ids))
+	fill := t.leafFill()
+	t.reserve(packedSlots(len(ids), fill, t.opts.MaxEntries))
+	t.root = t.packUpward(t.packLeaves(ids, fill))
 	t.size = len(ids)
+	// The last block chunk keeps only the slots in use, as a loaded arena's
+	// does; the first node added after the load regrows it (newNode).
+	c := len(t.blocks) - 1
+	if used := (len(t.heads) - c*chunkSlots) * t.blockLen; used < len(t.blocks[c]) {
+		last := make([]float32, used)
+		copy(last, t.blocks[c])
+		t.blocks[c] = last
+	}
 	return t
 }
 
-// packLeaves tiles the id set into leaf nodes with STR. Every sort of the
-// tiling works in one pair buffer sized for the whole set — the sorts run
-// one after another, each over a sub-range of ids — which is garbage once
-// the leaves are packed. A buffer per sort sorts as fast but makes K times
-// the garbage, and a server's resident set still shows it after loading.
-func (t *Tree) packLeaves(ids []int32) []int32 {
+// leafFill is the number of entries STR packs into a leaf: M − ⌈M/16⌉ (30
+// at the default M = 32), never below MinEntries. The free slots take the
+// first Inserts into a packed leaf without overflow treatment: an Insert
+// that finds one is a single descent.
+func (t *Tree) leafFill() int {
+	m := t.opts.MaxEntries
+	return max(m-(m+15)/16, t.opts.MinEntries)
+}
+
+// packedSlots is the number of arena slots STR packing takes for n entries
+// at the given leaf fill and node capacity m: the tiling fills every node
+// but the last of its level (strTile), so there are ⌈n/fill⌉ leaves and
+// ⌈·/m⌉ interior nodes of two slots each per level above them.
+func packedSlots(n, fill, m int) int {
+	nodes := (n + fill - 1) / fill
+	slots := nodes
+	for nodes > 1 {
+		nodes = (nodes + m - 1) / m
+		slots += 2 * nodes
+	}
+	return slots
+}
+
+// packLeaves tiles the id set into leaves of fill entries with STR. Every
+// sort of the tiling works in one pair buffer sized for the whole set — the
+// sorts run one after another, each over a sub-range of ids — which is
+// garbage once the leaves are packed. A buffer per sort sorts as fast but
+// makes K times the garbage, and a server's resident set still shows it
+// after loading.
+func (t *Tree) packLeaves(ids []int32, fill int) []int32 {
 	var leaves []int32
 	pairs := make([]sortPair, len(ids))
-	t.strTile(ids, t.data.Data(), 0, pairs, func(chunk []int32) {
+	t.strTile(ids, t.data.Data(), 0, pairs, fill, func(chunk []int32) {
 		leaf := t.newNode(0)
 		t.setEntries(leaf, chunk...)
 		t.recomputeLeafRect(leaf)
@@ -66,10 +99,11 @@ func (t *Tree) packLeaves(ids []int32) []int32 {
 
 // strTile recursively sorts items — row indices into the flat dim-column
 // matrix rows — by successive axes and partitions them into slabs so that
-// the final chunks have at most MaxEntries entries (classic STR: with P
-// pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis).
-func (t *Tree) strTile(items []int32, rows []float32, axis int, pairs []sortPair, emit func([]int32)) {
-	chunkSize := t.opts.MaxEntries
+// the final chunks have at most chunkSize entries (classic STR: with P
+// pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis). Slabs are
+// multiples of chunkSize, so every chunk is full but the last one: n items
+// make exactly ⌈n/chunkSize⌉ chunks.
+func (t *Tree) strTile(items []int32, rows []float32, axis int, pairs []sortPair, chunkSize int, emit func([]int32)) {
 	if len(items) <= chunkSize {
 		emit(items)
 		return
@@ -103,7 +137,7 @@ func (t *Tree) strTile(items []int32, rows []float32, axis int, pairs []sortPair
 		if step == chunkSize {
 			emit(items[lo:hi])
 		} else {
-			t.strTile(items[lo:hi], rows, axis+1, pairs, emit)
+			t.strTile(items[lo:hi], rows, axis+1, pairs, chunkSize, emit)
 		}
 	}
 }
@@ -126,7 +160,7 @@ func (t *Tree) packLevel(nodes []int32, level int) []int32 {
 	}
 	var out []int32
 	group := make([]int32, 0, t.opts.MaxEntries)
-	t.strTile(order, centers, 0, make([]sortPair, len(nodes)), func(chunk []int32) {
+	t.strTile(order, centers, 0, make([]sortPair, len(nodes)), t.opts.MaxEntries, func(chunk []int32) {
 		group = group[:0]
 		for _, i := range chunk {
 			group = append(group, nodes[i])

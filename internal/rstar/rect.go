@@ -26,11 +26,11 @@
 //
 // Insertion is the textbook R*-tree algorithm and builds the textbook tree,
 // but is written to its cost model rather than to its definition. A bulk
-// load packs leaves full, so the first Insert to touch a packed leaf
-// overflows it and force-reinserts 30 % of its entries, each a descent of
-// its own that typically ends in a split of another full leaf: budget ~11
-// descents and a few splits per Insert into a fresh tree, fewer as leaves
-// loosen. ChooseSubtree abandons a candidate's overlap sum once it exceeds
+// load packs each leaf ⌈M/16⌉ entries short of capacity (two at M = 32), so
+// an Insert into a freshly loaded tree is one descent with no overflow
+// treatment until its leaf has taken that many; only then does the leaf
+// overflow and force-reinsert 30 % of its entries, each a descent of its
+// own. ChooseSubtree abandons a candidate's overlap sum once it exceeds
 // the best so far, splits sweep prefix/suffix bounding boxes once per sort
 // order, and all working memory is per-tree scratch. None of that changes a
 // decision: every comparison sees the same bits in the same order as the

@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -396,22 +397,22 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 	}
 }
 
-// bulkThenInsert returns a Quantize-on tree STR-packed over the first base
-// rows of data, the rest left for Insert — the production shape: a shard's
-// trees are bulk-loaded at build and compaction time and grow by Insert in
-// between.
-func bulkThenInsert(data *vec.Matrix, base int) *Tree {
+// bulkThenInsert returns a tree STR-packed over the first base rows of
+// data, the rest left for Insert — the production shape: a shard's trees are
+// bulk-loaded at build and compaction time and grow by Insert in between.
+func bulkThenInsert(data *vec.Matrix, base int, opts Options) *Tree {
 	ids := make([]int, base)
 	for i := range ids {
 		ids[i] = i
 	}
-	return BulkLoadIDs(data, ids, Options{Quantize: true})
+	return BulkLoadIDs(data, ids, opts)
 }
 
 // BenchmarkInsert times Insert into a bulk-loaded 100k×10 tree. Every 2 000
 // inserts the tree is re-packed off the clock, so ns/op is the cost of the
-// first inserts after a bulk load (each lands in a full leaf: forced
-// reinsertion, then splits) whatever b.N is.
+// first inserts after a bulk load whatever b.N is: most find a free slot in
+// the packed leaf they descend to and are one descent; the few whose leaf
+// has filled up by then overflow it (forced reinsertion, then splits).
 func BenchmarkInsert(b *testing.B) {
 	const base, extra = 100_000, 2_000
 	data := randomMatrix(base+extra, 10, 1)
@@ -420,7 +421,7 @@ func BenchmarkInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%extra == 0 {
 			b.StopTimer()
-			tr = bulkThenInsert(data, base)
+			tr = bulkThenInsert(data, base, Options{})
 			b.StartTimer()
 		}
 		tr.Insert(base + i%extra)
@@ -436,7 +437,7 @@ func BenchmarkInsert(b *testing.B) {
 func TestInsertAllocCeiling(t *testing.T) {
 	const base, warm, runs = 20_000, 100, 400
 	data := randomMatrix(base+warm+runs+1, 10, 2)
-	tr := bulkThenInsert(data, base)
+	tr := bulkThenInsert(data, base, Options{})
 	next := base
 	for ; next < base+warm; next++ {
 		tr.Insert(next)
@@ -447,6 +448,87 @@ func TestInsertAllocCeiling(t *testing.T) {
 	})
 	if avg > 2 {
 		t.Fatalf("Insert after bulk load: %.1f allocs/op, ceiling 2", avg)
+	}
+	if msg := tr.CheckInvariants(); msg != "" {
+		t.Fatalf("invariant violated: %s", msg)
+	}
+}
+
+// TestBulkLoadFill pins what STR packing leaves: ⌈n/fill⌉ leaves holding
+// fill = M − ⌈M/16⌉ entries each (≥ MinEntries) but the last, which holds
+// the rest; interior nodes full but the last of each level; and an arena
+// that holds exactly its slots — per-slot slices without append's slack, a
+// last block chunk cut where the last block ends — and grows past them on
+// its first split as any arena does.
+func TestBulkLoadFill(t *testing.T) {
+	for _, m := range []int{4, 8, 32, 64} {
+		for _, n := range []int{1, 999, 20_000} {
+			data := randomMatrix(n+5000, 5, int64(m*n+1))
+			tr := bulkThenInsert(data, n, Options{MaxEntries: m})
+			name := fmt.Sprintf("M=%d n=%d", m, n)
+			fill := m - (m+15)/16
+			if fill < tr.opts.MinEntries {
+				t.Fatalf("%s: leaf fill %d below MinEntries %d", name, fill, tr.opts.MinEntries)
+			}
+			var short [maxLevels]int // nodes below their level's fill
+			leaves := 0
+			for s := 0; s < len(tr.heads); s++ {
+				h := tr.heads[s]
+				want := m
+				if h.level == 0 {
+					want = fill
+					leaves++
+				} else {
+					s++ // its upper-face slot
+				}
+				if int(h.count) > want {
+					t.Fatalf("%s: a level-%d node holds %d entries, more than %d", name, h.level, h.count, want)
+				}
+				if int(h.count) < want {
+					short[h.level]++
+				}
+			}
+			if leaves != (n+fill-1)/fill {
+				t.Fatalf("%s: %d leaves, want ⌈%d/%d⌉", name, leaves, n, fill)
+			}
+			for level, k := range short {
+				if k > 1 {
+					t.Fatalf("%s: %d short nodes at level %d, want at most the last", name, k, level)
+				}
+			}
+			if len(tr.heads) != cap(tr.heads) || len(tr.rects) != cap(tr.rects) || len(tr.ents) != cap(tr.ents) ||
+				len(tr.heads) != packedSlots(n, fill, m) {
+				t.Fatalf("%s: %d slots in per-slot slices of capacity %d", name, len(tr.heads), cap(tr.heads))
+			}
+			c := len(tr.blocks) - 1
+			if last := tr.blocks[c]; len(last) != cap(last) || len(last) != (len(tr.heads)-c*chunkSlots)*tr.blockLen {
+				t.Fatalf("%s: the last block chunk holds %d floats for %d slots", name, cap(last), len(tr.heads)-c*chunkSlots)
+			}
+			slots := len(tr.heads)
+			for i := n; len(tr.heads) == slots; i++ {
+				tr.Insert(i)
+			}
+			if msg := tr.CheckInvariants(); msg != "" {
+				t.Fatalf("%s: after the first split: %s", name, msg)
+			}
+		}
+	}
+}
+
+// TestPackedLeavesTakeInserts: an Insert into a freshly packed tree finds a
+// free slot in the leaf it descends to. The fifty inserts that follow a
+// bulk load of 100k × 10 rows, drawn from the same distribution, are each
+// one descent: no forced reinsertion, no split, no new slot.
+func TestPackedLeavesTakeInserts(t *testing.T) {
+	const base, more = 100_000, 50
+	tr := bulkThenInsert(randomMatrix(base+more, 10, 3), base, Options{})
+	slots := len(tr.heads)
+	for i := base; i < base+more; i++ {
+		tr.Insert(i)
+		if tr.reinserted != 0 || len(tr.heads) != slots {
+			t.Fatalf("insert %d after the load was overflow-treated (reinserted levels %b, slots %d → %d)",
+				i-base, tr.reinserted, slots, len(tr.heads))
+		}
 	}
 	if msg := tr.CheckInvariants(); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)

@@ -203,15 +203,15 @@ func (t *Tree) point(id int32) []float32 { return t.data.Row(int(id)) }
 // topological split afterwards.
 //
 // Cost model: one descent is O(M²·dim) at worst at the leaf-parent level
-// (bounded, see bestChild), and an Insert is rarely one descent. STR
-// packing leaves every leaf full, so the first Insert that touches a packed
-// leaf overflows it and force-reinserts ⌊0.3·(M+1)+½⌋ = 10 of its entries
-// (M = 32); each is a further descent that usually lands in another full
-// leaf, which — level 0 having had its reinsertion — splits. An Insert
-// into a freshly packed tree is therefore ~11 descents and a few splits;
-// the cost falls as inserts loosen the leaves. Steady state allocates only
-// when a split's new node is the one the arena has to grow for: a block
-// chunk every 64 slots, never a copy of the blocks already there.
+// (bounded, see bestChild). STR packing leaves ⌈M/16⌉ free slots in every
+// leaf (BulkLoad), so an Insert into a freshly packed or loaded tree is
+// usually that one descent. An Insert that finds its leaf full overflows it
+// and force-reinserts ⌊0.3·(M+1)+½⌋ = 10 of its entries (M = 32); each is a
+// further descent, and one that lands in another full leaf splits it
+// (level 0 having had its reinsertion): ~11 descents and a few splits.
+// Steady state allocates only when a split's new node is the one the arena
+// has to grow for: a block chunk every 64 slots, never a copy of the blocks
+// already there.
 //
 // Same-tree guarantee: every comparison the algorithm makes — chosen child,
 // evicted entries and their order, split axis, face and cut, tie-breaks

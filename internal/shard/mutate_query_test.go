@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +16,8 @@ import (
 // and the per-tree cursors must detect the mutation and re-arm instead of
 // silently missing the appended points. Run under -race this doubles as
 // the memory-safety net for cursors pinning tree snapshots across rounds.
+// The queries start once the writer's first Add is acknowledged, so every
+// run interleaves them with the writes that follow.
 func TestMutateDuringQuery(t *testing.T) {
 	const dim = 8
 	rng := rand.New(rand.NewSource(31))
@@ -27,14 +28,13 @@ func TestMutateDuringQuery(t *testing.T) {
 	}
 	s := Build(flat, n, dim, 4, 0, core.Config{C: 1.5, K: 4, L: 3, T: 20, Seed: 31})
 
-	stop := make(chan struct{})
-	var added atomic.Int64
+	stop, started := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // writer: a steady stream of appends across all shards
 		defer wg.Done()
 		wrng := rand.New(rand.NewSource(77))
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
@@ -45,9 +45,12 @@ func TestMutateDuringQuery(t *testing.T) {
 				v[j] = float32(wrng.NormFloat64() * 5)
 			}
 			s.Add(v)
-			added.Add(1)
+			if i == 0 {
+				close(started)
+			}
 		}
 	}()
+	<-started
 
 	var qwg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -89,9 +92,6 @@ func TestMutateDuringQuery(t *testing.T) {
 	qwg.Wait()
 	close(stop)
 	wg.Wait()
-	if added.Load() == 0 {
-		t.Fatal("writer never ran; the interleaving was not exercised")
-	}
 }
 
 // TestMidQueryAddIsFindable pins the observable contract the re-arm

@@ -275,10 +275,13 @@ func Read(r io.Reader) (*Index, error) {
 	if !metric.Kind(mk).Valid() {
 		return nil, fmt.Errorf("dblsh: unknown metric id %d (file from a newer version?)", mk)
 	}
-	if shards == 0 || shards > maxShards || dim == 0 || dim > maxDim || nextID > maxVectors || (version == 1 && rows == 0) {
-		return nil, fmt.Errorf("dblsh: implausible layout: %d shards, %d ids, dim %d", shards, nextID, dim)
+	if nextID > maxVectors || (version == 1 && rows == 0) {
+		return nil, fmt.Errorf("dblsh: implausible layout: %d ids, %d rows in a v1 file", nextID, rows)
 	}
 	cfg.Metric, cfg.K, cfg.L, cfg.T, cfg.Seed = metric.Kind(mk), int(k), int(l), int(t), int64(seed)
+	if err := checkConfig(int(shards), int(dim), cfg); err != nil {
+		return nil, err
+	}
 	met, err := metric.New(cfg.Metric, cfg.MetricNormBound)
 	if err != nil {
 		return nil, fmt.Errorf("dblsh: bad metric state: %w", err)
@@ -302,6 +305,11 @@ func Read(r io.Reader) (*Index, error) {
 				nextID = max(nextID, uint64(slices.Max(part.Globals))+1)
 			}
 			part.Deleted = d.tombstones(rows)
+		}
+		// The ladder starts every query at r0; a rowless v3 shard may carry
+		// 0, which its rebuild replaces with an estimate.
+		if d.err == nil && (math.IsNaN(r0) || math.IsInf(r0, 0) || (rows > 0 && r0 <= 0)) {
+			return nil, fmt.Errorf("dblsh: shard %d of %d rows has initial radius %v", i, rows, r0)
 		}
 		part.Rows, part.R0 = int(rows), r0
 		total += rows
@@ -344,11 +352,41 @@ func Read(r io.Reader) (*Index, error) {
 	return &Index{set: set, dim: udim, met: met}, nil
 }
 
+// Plausibility limits on an index's shape and structural parameters.
 const (
 	maxVectors = 1 << 40
 	maxDim     = 1 << 20
 	maxShards  = 1 << 16
+	maxKL      = 64
+	maxT       = 1 << 20
+	minC       = 1.01
+	maxC       = 64
+	maxHash    = 1 << 28 // hash-family coefficients over all shards: 1 GiB of float32
 )
+
+// checkConfig is the one plausibility check on an index's shape and
+// resolved structural parameters. newIndex applies it to Options and Read
+// to a file's header, so every file this build writes also loads, and no
+// header word can make a load allocate or a query loop without bound: each
+// shard samples a hash family of L·K·dim floats, and the radius ladder
+// climbs by a factor of C a round.
+func checkConfig(shards, dim int, cfg core.Config) error {
+	switch {
+	case shards < 1 || shards > maxShards || dim < 1 || dim > maxDim:
+		return fmt.Errorf("dblsh: implausible layout: %d shards of dim %d (limits %d, %d)", shards, dim, maxShards, maxDim)
+	case cfg.K < 1 || cfg.K > maxKL || cfg.L < 1 || cfg.L > maxKL:
+		return fmt.Errorf("dblsh: K = %d and L = %d must lie in [1, %d]", cfg.K, cfg.L, maxKL)
+	case cfg.T < 1 || cfg.T > maxT:
+		return fmt.Errorf("dblsh: candidate constant T = %d outside [1, %d]", cfg.T, maxT)
+	case !(cfg.C >= minC && cfg.C <= maxC): // NaN fails too
+		return fmt.Errorf("dblsh: approximation ratio C = %v outside [%v, %v]", cfg.C, minC, float64(maxC))
+	case !(cfg.W0 > 0) || math.IsInf(cfg.W0, 1):
+		return fmt.Errorf("dblsh: initial bucket width W0 = %v is not positive and finite", cfg.W0)
+	case uint64(shards)*uint64(cfg.L)*uint64(cfg.K)*uint64(dim) > maxHash:
+		return fmt.Errorf("dblsh: %d shards × L·K·dim = %d·%d·%d hash coefficients exceed %d", shards, cfg.L, cfg.K, dim, maxHash)
+	}
+	return nil
+}
 
 // decoder reads and checksums the file through one bufio.Reader, whose
 // buffer is the only copy between the source and the decoded values. The

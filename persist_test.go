@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -433,6 +434,117 @@ func TestReadChecksGlobalIDs(t *testing.T) {
 			t.Fatalf("id %d: err %v, want %q", c.id, err, c.want)
 		case c.want == "" && (err != nil || loaded.NextID() != int(c.id)+1):
 			t.Fatalf("id %d above the header's bound: err %v, NextID %d", c.id, err, loaded.NextID())
+		}
+	}
+}
+
+// TestReadBoundsHeaderWords forges the header words a load used to
+// believe — K, L, T, C, W0, the layout behind the hash family, and a
+// shard's initial radius — re-stamps the checksum, and requires an error
+// naming the word, not a panic, a runaway allocation or a ladder of 10¹⁵
+// rounds. Values at the limits load and work.
+func TestReadBoundsHeaderWords(t *testing.T) {
+	data, _ := clusteredData(60, 4, 96)
+	idx, err := New(data, Options{K: 4, L: 2, Seed: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := save(t, idx)
+	// Offsets in the v4 header (see persist.go), then shard 0's r0.
+	const shardsAt, dimAt, kAt, lAt, tAt, cAt, w0At, r0At = 8, 20, 36, 40, 44, 48, 56, v4HeaderLen + 8
+	u32 := func(at int, v uint32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
+	}
+	f64 := func(at int, v float64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[at:], math.Float64bits(v)) }
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		forge func([]byte)
+		want  string // "" loads
+	}{
+		{"no shards", u32(shardsAt, 0), "layout"},
+		{"K = 0", u32(kAt, 0), "K = 0"},
+		{"K = 65", u32(kAt, 65), "K = 65"},
+		{"L = 2³²−1", u32(lAt, math.MaxUint32), "L = 4294967295"},
+		{"a 2³²-float hash family", func(b []byte) { u32(kAt, 64)(b); u32(lAt, 64)(b); u32(dimAt, 1<<20)(b) }, "hash coefficients"},
+		{"T = 0", u32(tAt, 0), "T = 0"},
+		{"T = 2²⁰+1", u32(tAt, maxT+1), "T = 1048577"},
+		{"T = 2²⁰", u32(tAt, maxT), ""},
+		{"C = 1+10⁻¹⁵", f64(cAt, 1+1e-15), "approximation ratio"},
+		{"C = 1.009", f64(cAt, 1.009), "approximation ratio"},
+		{"C = 65", f64(cAt, 65), "approximation ratio"},
+		{"C = NaN", f64(cAt, nan), "approximation ratio"},
+		{"C = +Inf", f64(cAt, inf), "approximation ratio"},
+		{"C = 1.01", f64(cAt, minC), ""},
+		{"C = 64", f64(cAt, maxC), ""},
+		{"W0 = 0", f64(w0At, 0), "W0"},
+		{"W0 = NaN", f64(w0At, nan), "W0"},
+		{"W0 = +Inf", f64(w0At, inf), "W0"},
+		{"W0 = −Inf", f64(w0At, -inf), "W0"},
+		{"r0 = 0", f64(r0At, 0), "initial radius"},
+		{"r0 = NaN", f64(r0At, nan), "initial radius"},
+		{"r0 = +Inf", f64(r0At, inf), "initial radius"},
+		{"r0 = −1", f64(r0At, -1), "initial radius"},
+	} {
+		bad := append([]byte(nil), raw...)
+		c.forge(bad)
+		loaded, err := Read(bytes.NewReader(restamp(bad)))
+		switch {
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: Read returned %v, want an error mentioning %q", c.name, err, c.want)
+		case c.want == "" && err != nil:
+			t.Errorf("%s: a value at the limit was refused: %v", c.name, err)
+		case c.want == "":
+			mustBeUsable(t, loaded)
+		}
+	}
+	// One row is all a v1 file needs to reach the hash family: 1 MB asking
+	// for 64·64·2¹⁸ coefficients (4 GiB).
+	wide := [][]float32{make([]float32, 1<<18)}
+	if _, err := Read(bytes.NewReader(writeV1File(wide, maxKL, maxKL, 10, 1.5, 9, 1, 96))); err == nil || !strings.Contains(err.Error(), "hash coefficients") {
+		t.Errorf("a v1 file asking for a 4 GiB hash family: Read returned %v", err)
+	}
+}
+
+// TestOptionsWithinFileLimits: New refuses what Read would refuse, so every
+// index it builds saves to a file that loads — here at the limits.
+func TestOptionsWithinFileLimits(t *testing.T) {
+	data, queries := clusteredData(80, 4, 97)
+	for _, c := range []struct {
+		opts Options
+		want string // "" builds
+	}{
+		{Options{K: 65}, "K = 65"},
+		{Options{L: 65}, "L = 65"},
+		{Options{T: maxT + 1}, "T = 1048577"},
+		{Options{C: 1.005}, "approximation ratio"},
+		{Options{C: 65}, "approximation ratio"},
+		{Options{C: math.NaN()}, "approximation ratio"},
+		{Options{W0: math.NaN()}, "W0"},
+		{Options{W0: math.Inf(1)}, "W0"},
+		{Options{K: 64, L: 1, T: maxT, C: maxC, W0: 1e-3, Seed: 97}, ""},
+		{Options{K: 1, L: 64, T: 1, C: minC, Shards: 3, Seed: 97}, ""},
+	} {
+		idx, err := New(data, c.opts)
+		if c.want != "" {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%+v: New returned %v, want an error mentioning %q", c.opts, err, c.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", c.opts, err)
+		}
+		loaded, err := Read(bytes.NewReader(save(t, idx)))
+		if err != nil {
+			t.Fatalf("%+v: the index saves to a file Read refuses: %v", c.opts, err)
+		}
+		for _, q := range queries[:10] {
+			if a, b := idx.Search(q, 3), loaded.Search(q, 3); !slices.Equal(a, b) {
+				t.Fatalf("%+v: loaded index answers %v, saved one %v", c.opts, b, a)
+			}
 		}
 	}
 }

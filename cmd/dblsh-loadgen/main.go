@@ -21,10 +21,6 @@
 //
 //	dblsh-loadgen -addr http://localhost:8080 -duration 10s \
 //	    -concurrency 8 -write-fraction 0.1 -k 10
-//
-// With -cpuinfo the tool skips the workload entirely and prints the LOCAL
-// process's kernel selection and detected CPU features as JSON, for
-// stamping a measurement with the hardware it ran on.
 package main
 
 import (
@@ -39,9 +35,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"dblsh/internal/vec"
-	"dblsh/internal/vec/cpu"
 )
 
 type config struct {
@@ -79,14 +72,6 @@ type summary struct {
 	ServerCPUFeatures  []string `json:"server_cpu_features,omitempty"`
 }
 
-// cpuinfo is the -cpuinfo report: the LOCAL process's kernel selection and
-// feature detection, same field names the server exposes in /stats.
-type cpuinfo struct {
-	Kernel       string   `json:"kernel"`
-	KernelSource string   `json:"kernel_source"`
-	CPUFeatures  []string `json:"cpu_features"`
-}
-
 func main() {
 	cfg := config{}
 	flag.StringVar(&cfg.addr, "addr", "http://localhost:8080", "base URL of the dblsh-server to drive")
@@ -97,22 +82,7 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 10, "neighbors requested per search")
 	flag.Int64Var(&cfg.seed, "seed", 1, "PRNG seed for the workload")
 	flag.DurationVar(&cfg.timeout, "timeout", 5*time.Second, "per-request client timeout")
-	cpuinfoMode := flag.Bool("cpuinfo", false, "print this machine's kernel selection and CPU features as JSON and exit")
 	flag.Parse()
-
-	if *cpuinfoMode {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(cpuinfo{
-			Kernel:       vec.KernelName(),
-			KernelSource: vec.KernelSource(),
-			CPUFeatures:  cpu.Detect().List(),
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "dblsh-loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	sum, err := run(cfg)
 	if err != nil {

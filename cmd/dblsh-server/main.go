@@ -116,7 +116,6 @@ func main() {
 		shards      = flag.Int("shards", 1, "index shards for the demo corpus (an -index file carries its own layout)")
 		compactFrac = flag.Float64("compact-fraction", 0, "auto-compact a shard when its tombstoned fraction reaches this (0 disables)")
 		metricName  = flag.String("metric", "euclidean", "distance metric for the demo corpus: euclidean, cosine or ip (an -index file carries its own metric)")
-		kernel      = flag.String("kernel", "", "distance kernel by name (see /stats kernel_names); empty keeps the auto-detected (or DBLSH_KERNEL-selected) kernel. Unlike the env override, an unknown name here is fatal")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
 
 		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing search/mutation requests (0 = unlimited)")
@@ -126,17 +125,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// Kernel selection happens before the index is built or any query runs:
-	// SetKernel must not race with traffic, and a mid-process change would
-	// break the dispatch table's startup-frozen contract. The flag fails
-	// fast — a typo in an operator-provided name should refuse to serve,
-	// unlike the DBLSH_KERNEL env override, which warns and keeps the
-	// auto-detected kernel so a stale environment cannot take a node down.
-	if *kernel != "" {
-		if err := vec.SetKernel(*kernel); err != nil {
-			log.Fatalf("dblsh-server: -kernel: %v", err)
-		}
-	}
 	log.Printf("distance kernel %s (%s; cpu features: %v)",
 		vec.KernelName(), vec.KernelSource(), cpu.Detect().List())
 

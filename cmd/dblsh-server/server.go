@@ -256,6 +256,21 @@ func (o queryOptions) searchOptions(ctx context.Context) ([]dblsh.SearchOption, 
 	return opts, nil
 }
 
+// resolveK applies /search's and /search_batch's rules to the request's k:
+// omitted or 0 means 10; a negative k is refused rather than read as unset,
+// like a negative t, and so is one above 10 000.
+func resolveK(k int) (int, error) {
+	switch {
+	case k < 0:
+		return 0, errors.New("k must be non-negative")
+	case k == 0:
+		return 10, nil
+	case k > 10_000:
+		return 0, errors.New("k too large (max 10000)")
+	}
+	return k, nil
+}
+
 type searchRequest struct {
 	Vector []float32 `json:"vector"`
 	K      int       `json:"k"`
@@ -331,14 +346,10 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > 10_000 {
-		httpError(w, http.StatusBadRequest, "k too large (max 10000)")
-		return
-	}
 	opts, err := req.searchOptions(r.Context())
+	if err == nil {
+		req.K, err = resolveK(req.K)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -393,14 +404,10 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > 10_000 {
-		httpError(w, http.StatusBadRequest, "k too large (max 10000)")
-		return
-	}
 	opts, err := req.searchOptions(r.Context())
+	if err == nil {
+		req.K, err = resolveK(req.K)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

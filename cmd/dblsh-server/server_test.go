@@ -227,13 +227,48 @@ func TestSearch(t *testing.T) {
 	}
 }
 
+// TestSearchDefaultK pins k's rules on both k-NN endpoints: an omitted k or 0
+// means 10, and a negative k is a 400 rather than a silent 10.
 func TestSearchDefaultK(t *testing.T) {
 	ts, idx := testServer(t)
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Vector: make([]float32, idx.Dim())})
-	var sr searchResponse
-	decode(t, resp, &sr)
-	if len(sr.Results) != 10 {
-		t.Fatalf("default k gave %d results", len(sr.Results))
+	v, _ := json.Marshal(make([]float32, idx.Dim()))
+	for _, c := range []struct {
+		k    string // "" omits the field
+		want int    // results per query; 0 expects a 400
+	}{{"", 10}, {`,"k":0`, 10}, {`,"k":3`, 3}, {`,"k":-1`, 0}, {`,"k":-10`, 0}} {
+		for path, body := range map[string]string{
+			"/search":       `{"vector":` + string(v) + c.k + `}`,
+			"/search_batch": `{"vectors":[` + string(v) + `]` + c.k + `}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStatus := http.StatusOK
+			if c.want == 0 {
+				wantStatus = http.StatusBadRequest
+			}
+			if resp.StatusCode != wantStatus || c.want == 0 {
+				resp.Body.Close()
+				if resp.StatusCode != wantStatus {
+					t.Errorf("%s %s: status %d, want %d", path, body, resp.StatusCode, wantStatus)
+				}
+				continue
+			}
+			var got int
+			if path == "/search" {
+				var sr searchResponse
+				decode(t, resp, &sr)
+				got = len(sr.Results)
+			} else {
+				var br batchResponse
+				decode(t, resp, &br)
+				got = len(br.Results[0])
+			}
+			if got != c.want {
+				t.Errorf("%s %s: %d results, want %d", path, body, got, c.want)
+			}
+		}
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // readSeeds returns the valid index files FuzzRead starts from: v4 files
 // of a single-shard index, a sharded one with a tombstone, and one whose
-// trees took inserts after they were packed; and a legacy v1 file.
-func readSeeds(t testing.TB) (v4 [][]byte, v1 []byte) {
+// trees took inserts after they were packed; and the v3 fixture, which takes
+// the rebuild path.
+func readSeeds(t testing.TB) (v4 [][]byte, v3 []byte) {
 	data, _ := clusteredData(50, 4, 91)
 	for _, opts := range []Options{
 		{K: 4, L: 2, Seed: 91},
@@ -39,7 +40,11 @@ func readSeeds(t testing.TB) (v4 [][]byte, v1 []byte) {
 		}
 		v4 = append(v4, buf.Bytes())
 	}
-	return v4, writeV1File(data, 4, 2, 10, 1.5, 9, 1, 91)
+	v3, err := os.ReadFile("testdata/v3_sharded.dblsh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v4, v3
 }
 
 // restamp returns raw with its last four bytes replaced by the checksum of
@@ -84,7 +89,7 @@ func mustBeUsable(t *testing.T, loaded *Index) {
 // over-capacity counts, truncated slabs. Run with `go test -fuzz=FuzzRead`;
 // without -fuzz the seed corpus below runs as a regular test.
 func FuzzRead(f *testing.F) {
-	v4, v1 := readSeeds(f)
+	v4, v3 := readSeeds(f)
 	for _, seed := range v4 {
 		f.Add(seed)
 	}
@@ -92,14 +97,11 @@ func FuzzRead(f *testing.F) {
 	flipped := append([]byte(nil), v4[0]...)
 	flipped[20] ^= 0x40
 	f.Add(flipped)
-	f.Add(v1)
+	f.Add(v3)
 	f.Add([]byte("DBLSHv1\n garbage"))
 	f.Add([]byte("DBLSHv2\n garbage"))
 	f.Add([]byte("DBLSHv3\n garbage"))
 	f.Add([]byte{})
-	if v3, err := os.ReadFile("testdata/v3_sharded.dblsh"); err == nil {
-		f.Add(v3)
-	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if loaded, err := Read(bytes.NewReader(raw)); err == nil {

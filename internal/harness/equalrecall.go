@@ -5,16 +5,7 @@ import (
 	"io"
 	"time"
 
-	"dblsh/internal/baseline/e2lsh"
-	"dblsh/internal/baseline/fblsh"
-	"dblsh/internal/baseline/lsb"
-	"dblsh/internal/baseline/pmlsh"
-	"dblsh/internal/baseline/qalsh"
-	"dblsh/internal/baseline/r2lsh"
-	"dblsh/internal/baseline/vhp"
-	"dblsh/internal/core"
 	"dblsh/internal/dataset"
-	"dblsh/internal/vec"
 )
 
 // EqualAccuracyRow is one algorithm's cheapest configuration that reaches
@@ -26,49 +17,6 @@ type EqualAccuracyRow struct {
 	Budget   int // candidate constant t at which the target was reached
 	AvgTime  time.Duration
 	AvgRatio float64
-}
-
-// budgetedAlgo builds an algorithm at a given candidate constant t (the
-// QALSH/PM-LSH β is derived from t so every method verifies ≈ 2tL+k points).
-type budgetedAlgo struct {
-	name  string
-	build func(data *vec.Matrix, p Params, t int) SearchFunc
-}
-
-func budgetedAlgos() []budgetedAlgo {
-	beta := func(data *vec.Matrix, p Params, t int) float64 {
-		if n := data.Rows(); n > 0 {
-			return float64(2*t*p.L) / float64(n)
-		}
-		return 0.1
-	}
-	return []budgetedAlgo{
-		{"DB-LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			idx := core.Build(data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: t, Seed: p.Seed})
-			return func(q []float32, k int) []vec.Neighbor { return idx.KANN(q, k) }
-		}},
-		{"FB-LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return fblsh.Build(data, fblsh.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: t, Seed: p.Seed}).KANN
-		}},
-		{"E2LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return e2lsh.Build(data, e2lsh.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: t, Seed: p.Seed}).KANN
-		}},
-		{"QALSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return qalsh.Build(data, qalsh.Config{C: p.C, Beta: beta(data, p, t), Seed: p.Seed}).KANN
-		}},
-		{"R2LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return r2lsh.Build(data, r2lsh.Config{C: p.C, Beta: beta(data, p, t), Seed: p.Seed}).KANN
-		}},
-		{"VHP", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return vhp.Build(data, vhp.Config{C: p.C, Beta: beta(data, p, t), Seed: p.Seed}).KANN
-		}},
-		{"PM-LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return pmlsh.Build(data, pmlsh.Config{M: 15, Beta: beta(data, p, t), C: p.C, Seed: p.Seed}).KANN
-		}},
-		{"LSB-Forest", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			return lsb.Build(data, lsb.Config{K: p.K, L: p.L, T: t, Seed: p.Seed}).KANN
-		}},
-	}
 }
 
 // defaultBudgetLadder is the sequence of candidate constants tried in order.
@@ -87,12 +35,12 @@ func EqualAccuracy(w io.Writer, p dataset.Profile, params Params, k int, target 
 	fmt.Fprintf(w, "  %-12s %8s %8s %14s %12s\n", "Algorithm", "t", "recall", "QueryTime", "OverallRatio")
 
 	var rows []EqualAccuracyRow
-	for _, ba := range budgetedAlgos() {
-		row := EqualAccuracyRow{Algo: ba.name}
+	for i, a := range StandardAlgos(params) {
+		row := EqualAccuracyRow{Algo: a.Name}
 		for _, t := range defaultBudgetLadder {
-			r := RunWorkload(Algo{Name: ba.name, Build: func(data *vec.Matrix) SearchFunc {
-				return ba.build(data, params, t)
-			}}, ds, truth, k)
+			rung := params // the standard set at candidate constant t
+			rung.T = t
+			r := RunWorkload(StandardAlgos(rung)[i], ds, truth, k)
 			row.Recall = r.Agg.AvgRecall
 			row.Budget = t
 			row.AvgTime = r.Agg.AvgTime

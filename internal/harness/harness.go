@@ -60,7 +60,8 @@ func DefaultParams() Params {
 // StandardAlgos returns the algorithm set of Table IV. The shared candidate
 // budget 2tL+k is propagated into each method's own budget knob so every
 // algorithm verifies a comparable number of points (the paper tunes each
-// competitor to "comparable query accuracy" the same way).
+// competitor to "comparable query accuracy" the same way); EqualAccuracy
+// walks that budget by calling it once per candidate constant.
 func StandardAlgos(p Params) []Algo {
 	budget := 2 * p.T * p.L
 	return []Algo{

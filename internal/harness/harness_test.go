@@ -162,24 +162,41 @@ func TestTable4SmokeTest(t *testing.T) {
 	}
 }
 
+// TestEqualAccuracy pins EqualAccuracy's rows on a small profile: the budget
+// ladder builds each rung from StandardAlgos, and the rows are the ones the
+// earlier per-rung constructor table produced. A target of 0.98 stops some
+// methods on the first rung, some further up, and two not at all. Ratios
+// carry the distance kernel's last ulps, so they get a tolerance.
 func TestEqualAccuracy(t *testing.T) {
+	p := smallProfile()
+	p.N = 2000
+	want := []EqualAccuracyRow{
+		{Algo: "DB-LSH", Reached: true, Budget: 5, Recall: 0.99, AvgRatio: 1.0000660673986275},
+		{Algo: "FB-LSH", Reached: false, Budget: 800, Recall: 0.9400000000000002, AvgRatio: 1.0063870494711278},
+		{Algo: "E2LSH", Reached: false, Budget: 800, Recall: 0.9600000000000002, AvgRatio: 1.0035653502106237},
+		{Algo: "QALSH", Reached: true, Budget: 5, Recall: 0.99, AvgRatio: 1.0014160277490287},
+		{Algo: "R2LSH", Reached: true, Budget: 5, Recall: 1, AvgRatio: 1},
+		{Algo: "VHP", Reached: true, Budget: 5, Recall: 0.9800000000000001, AvgRatio: 1.001851964408798},
+		{Algo: "PM-LSH", Reached: true, Budget: 5, Recall: 1, AvgRatio: 1},
+		{Algo: "LSB-Forest", Reached: true, Budget: 10, Recall: 0.99, AvgRatio: 1.012312228211876},
+	}
 	var buf bytes.Buffer
-	rows := EqualAccuracy(&buf, smallProfile(), smallParams(), 10, 0.6)
-	if len(rows) != 8 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Budget == 0 || r.AvgTime <= 0 {
-			t.Fatalf("%s: empty row %+v", r.Algo, r)
-		}
-		if r.Reached && r.Recall < 0.6 {
-			t.Fatalf("%s: reached but recall %v", r.Algo, r.Recall)
-		}
-		if r.Algo == "DB-LSH" && !r.Reached {
-			t.Errorf("DB-LSH failed to reach recall 0.6 at any budget")
-		}
-	}
+	got := EqualAccuracy(&buf, p, smallParams(), 10, 0.98)
 	if !strings.Contains(buf.String(), "Equal-accuracy") {
 		t.Fatal("missing header")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Algo != w.Algo || g.Reached != w.Reached || g.Budget != w.Budget || g.Recall != w.Recall ||
+			math.Abs(g.AvgRatio-w.AvgRatio) > 1e-9 {
+			t.Errorf("row %d: got {%s %v t=%d recall %v ratio %v}, want {%s %v t=%d recall %v ratio %v}",
+				i, g.Algo, g.Reached, g.Budget, g.Recall, g.AvgRatio, w.Algo, w.Reached, w.Budget, w.Recall, w.AvgRatio)
+		}
+		if g.AvgTime <= 0 {
+			t.Errorf("%s: query time %v", g.Algo, g.AvgTime)
+		}
 	}
 }

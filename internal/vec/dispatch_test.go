@@ -10,16 +10,6 @@ import (
 	"dblsh/internal/vec/cpu"
 )
 
-// lockstepKernels are the kernels whose bounded squared-distance routine is
-// written in exact structural lockstep with the unbounded one, so a
-// surviving bounded row must be BIT-identical to squaredDist at every
-// length. The Go unrolled/wide kernels only guarantee the weaker
-// bound-independence property (their bounded variants re-reduce per
-// stripe), so they are excluded here.
-func lockstepKernels() map[string]bool {
-	return map[string]bool{"scalar": true, "avx2": true, "neon": true}
-}
-
 // TestAllKernelsVsOracle property-tests every registered kernel row —
 // including hardware rows the running CPU registered — against the float64
 // scalar oracle, across dims 1..129 (odd dims, stripe boundaries 16/32/128,
@@ -83,10 +73,10 @@ func TestAllKernelsVsOracle(t *testing.T) {
 						t.Fatalf("dim %d: bounded(%v) abandoned a row whose value %v is under the bound", dim, bound, unb)
 					}
 
-					// Lockstep kernels: the surviving bounded value IS the
-					// unbounded squared distance, bit for bit.
-					if lockstepKernels()[name] && unb != sq {
-						t.Fatalf("dim %d: bounded(+Inf) = %v != squaredDist = %v (lockstep kernel)", dim, unb, sq)
+					// Lockstep: the surviving bounded value IS the unbounded
+					// squared distance, bit for bit.
+					if unb != sq {
+						t.Fatalf("dim %d: bounded(+Inf) = %v != squaredDist = %v", dim, unb, sq)
 					}
 				}
 			}

@@ -72,8 +72,13 @@ func SquaredDistsToBounded(q []float32, m *Matrix, ids []int, bound float64, out
 	}
 }
 
-// squaredDistBounded returns the squared distance between a and b, or +Inf
-// as soon as the running sum exceeds bound.
+// squaredDistBounded is squaredDistUnrolled with an early exit: the four
+// chains run across the whole vector exactly as there, and every
+// abandonStride components (and where the chains stop) their sum, reduced
+// the way the final one is, is tested against bound. The chains never see
+// the bound, so a surviving row is bit-identical to squaredDistUnrolled's
+// value; and rounding is monotone, so a partial sum over the bound proves
+// the full one is over it too.
 //
 // dblsh:kernelimpl
 func squaredDistBounded(a, b []float32, bound float64) float64 {
@@ -81,26 +86,24 @@ func squaredDistBounded(a, b []float32, bound float64) float64 {
 		return 0
 	}
 	_ = b[len(a)-1]
-	var s float64
+	var s0, s1, s2, s3 float64
 	i := 0
-	for i+abandonStride <= len(a) {
-		var s0, s1, s2, s3 float64
-		for k := i; k < i+abandonStride; k += 4 {
-			d0 := a[k] - b[k]
-			d1 := a[k+1] - b[k+1]
-			d2 := a[k+2] - b[k+2]
-			d3 := a[k+3] - b[k+3]
+	for end := len(a) &^ 3; i < end; {
+		for stop := min(i+abandonStride, end); i < stop; i += 4 {
+			d0 := a[i] - b[i]
+			d1 := a[i+1] - b[i+1]
+			d2 := a[i+2] - b[i+2]
+			d3 := a[i+3] - b[i+3]
 			s0 += float64(d0) * float64(d0)
 			s1 += float64(d1) * float64(d1)
 			s2 += float64(d2) * float64(d2)
 			s3 += float64(d3) * float64(d3)
 		}
-		s += (s0 + s1) + (s2 + s3)
-		i += abandonStride
-		if s > bound {
+		if (s0+s1)+(s2+s3) > bound {
 			return math.Inf(1)
 		}
 	}
+	s := (s0 + s1) + (s2 + s3)
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
 		s += float64(d) * float64(d)

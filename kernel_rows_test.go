@@ -83,3 +83,70 @@ func TestKernelRowsAnswerIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelContract pins the one contract every kernel row keeps: the
+// distance a query returns is the distance vec.Dist computes for that row,
+// bit for bit. A hit's distance comes out of the bounded verification sweep,
+// so the sweep must land on exactly the unbounded kernel's value, whatever
+// the bound and the dimension. The data are Gaussian, so two summation
+// orders round apart from a few dozen components on; the sweep itself is
+// checked at every dimension up to 1024 (zero-length inputs are pinned in
+// internal/vec).
+func TestKernelContract(t *testing.T) {
+	const n, queries, k = 2000, 50, 10
+	rng := rand.New(rand.NewSource(29))
+	gauss := func(rows, dim int) [][]float32 {
+		out := make([][]float32, rows)
+		for i := range out {
+			out[i] = make([]float32, dim)
+			for j := range out[i] {
+				out[i][j] = float32(rng.NormFloat64())
+			}
+		}
+		return out
+	}
+	dims := []int{16, 32, 128, 960}
+	data, qs := make([][][]float32, len(dims)), make([][][]float32, len(dims))
+	for i, dim := range dims {
+		data[i], qs[i] = gauss(n, dim), gauss(queries, dim)
+	}
+	sweep := gauss(4, 1024)
+
+	defer vec.SetKernel(vec.KernelName())
+	for _, name := range vec.KernelNames() {
+		if err := vec.SetKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		for i, dim := range dims {
+			idx, err := New(data[i], Options{Seed: 29})
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := 0
+			for _, q := range qs[i] {
+				for _, r := range idx.Search(q, k) {
+					if r.Dist != vec.Dist(q, data[i][r.ID]) {
+						off++
+					}
+				}
+			}
+			if off > 0 {
+				t.Errorf("%s, dim %d: %d of %d hits carry a distance other than vec.Dist's", name, dim, off, queries*k)
+			}
+		}
+		ids, out := []int{0, 1, 2}, make([]float64, 3)
+		for dim := 1; dim <= 1024; dim++ {
+			m := vec.NewMatrix(0, dim)
+			for _, row := range sweep[1:] {
+				m.Append(row[:dim])
+			}
+			q := sweep[0][:dim]
+			vec.SquaredDistsToBounded(q, m, ids, math.Inf(1), out)
+			for j, id := range ids {
+				if want := vec.SquaredDist(q, m.Row(id)); out[j] != want {
+					t.Fatalf("%s, dim %d: bounded sweep %v, SquaredDist %v", name, dim, out[j], want)
+				}
+			}
+		}
+	}
+}

@@ -75,15 +75,12 @@ import (
 // below apply to every version; and rstar.Load proves every arena a tree
 // over exactly its shard's rows before anything can traverse it.
 //
-// Older files have no trees and take the rebuild path — project every row,
-// bulk-load every tree: v3 ("DBLSHv3\n": this layout without M, m and the
-// trees), v2 ("DBLSHv2\n": v3 without metric and bound) and v1 ("DBLSHv1\n":
-// n, dim, K, L, T, C, W0, r0, seed, data, crc). v1 and v2 predate the metric
-// subsystem and load as Euclidean indexes, exactly as they were written.
+// v3 files ("DBLSHv3\n": this layout without M, m and the trees) have no
+// trees and take the rebuild path — project every row, bulk-load every tree.
+// v1 and v2 files, which only this project's earliest builds wrote, are
+// refused with an error that names their version.
 
 var (
-	magicV1 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '1', '\n'}
-	magicV2 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '2', '\n'}
 	magicV3 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '3', '\n'}
 	magicV4 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '4', '\n'}
 )
@@ -228,10 +225,9 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserializes an index previously written with WriteTo. A v4 file is
 // loaded as it is — trees adopted, nothing rebuilt — after being checked
-// from the checksum down to every node of every tree. Older files hold no
-// trees and are rebuilt deterministically from their vectors and seed: v3
-// (metric state, shard layout and tombstones), v2 (shard layout and
-// tombstones, always Euclidean) and v1 (single shard, no tombstones).
+// from the checksum down to every node of every tree. A v3 file holds no
+// trees, and its shards are rebuilt deterministically from their vectors and
+// seed. v1 and v2 files are refused.
 func Read(r io.Reader) (*Index, error) {
 	d := newDecoder(r)
 	var magic [8]byte
@@ -239,8 +235,11 @@ func Read(r io.Reader) (*Index, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	version := 1 + slices.Index([][8]byte{magicV1, magicV2, magicV3, magicV4}, magic)
-	if version == 0 {
+	version := 3 + slices.Index([][8]byte{magicV3, magicV4}, magic)
+	switch m := string(magic[:]); {
+	case m == "DBLSHv1\n", m == "DBLSHv2\n":
+		return nil, fmt.Errorf("dblsh: this build no longer reads %s index files: re-save with an earlier build", m[5:7])
+	case version == 2:
 		return nil, fmt.Errorf("dblsh: bad magic %q (not a DB-LSH index file?)", magic)
 	}
 	var (
@@ -249,18 +248,8 @@ func Read(r io.Reader) (*Index, error) {
 		r0                       float64
 		cfg                      core.Config
 	)
-	if version == 1 {
-		// One shard holding ids 0 … n−1, its header in the file's.
-		d.fixed(&rows, &dim, &k, &l, &t, &cfg.C, &cfg.W0, &r0, &seed)
-		shards, nextID = 1, rows
-	} else {
-		d.fixed(&shards, &nextID, &dim)
-		if version >= 3 {
-			d.fixed(&mk, &cfg.MetricNormBound)
-		}
-		d.fixed(&k, &l, &t, &cfg.C, &cfg.W0, &seed)
-	}
-	if version >= 4 {
+	d.fixed(&shards, &nextID, &dim, &mk, &cfg.MetricNormBound, &k, &l, &t, &cfg.C, &cfg.W0, &seed)
+	if version == 4 {
 		var maxEntries, minEntries uint32
 		d.fixed(&maxEntries, &minEntries)
 		cfg.Tree = rstar.Options{MaxEntries: int(maxEntries), MinEntries: int(minEntries)}
@@ -275,8 +264,8 @@ func Read(r io.Reader) (*Index, error) {
 	if !metric.Kind(mk).Valid() {
 		return nil, fmt.Errorf("dblsh: unknown metric id %d (file from a newer version?)", mk)
 	}
-	if nextID > maxVectors || (version == 1 && rows == 0) {
-		return nil, fmt.Errorf("dblsh: implausible layout: %d ids, %d rows in a v1 file", nextID, rows)
+	if nextID > maxVectors {
+		return nil, fmt.Errorf("dblsh: implausible layout: %d ids", nextID)
 	}
 	cfg.Metric, cfg.K, cfg.L, cfg.T, cfg.Seed = metric.Kind(mk), int(k), int(l), int(t), int64(seed)
 	if err := checkConfig(int(shards), int(dim), cfg); err != nil {
@@ -295,17 +284,15 @@ func Read(r io.Reader) (*Index, error) {
 	var total uint64
 	for i := range parts {
 		part := &parts[i]
-		if version > 1 {
-			d.what = "shard header"
-			d.fixed(&rows, &r0)
-			part.Globals = d.globals(rows, i, int(shards))
-			if len(part.Globals) > 0 {
-				// The header's bound was written before the shards were
-				// copied; Adds that landed meanwhile are in the file.
-				nextID = max(nextID, uint64(slices.Max(part.Globals))+1)
-			}
-			part.Deleted = d.tombstones(rows)
+		d.what = "shard header"
+		d.fixed(&rows, &r0)
+		part.Globals = d.globals(rows, i, int(shards))
+		if len(part.Globals) > 0 {
+			// The header's bound was written before the shards were
+			// copied; Adds that landed meanwhile are in the file.
+			nextID = max(nextID, uint64(slices.Max(part.Globals))+1)
 		}
+		part.Deleted = d.tombstones(rows)
 		// The ladder starts every query at r0; a rowless v3 shard may carry
 		// 0, which its rebuild replaces with an estimate.
 		if d.err == nil && (math.IsNaN(r0) || math.IsInf(r0, 0) || (rows > 0 && r0 <= 0)) {
@@ -315,15 +302,7 @@ func Read(r io.Reader) (*Index, error) {
 		total += rows
 		d.what = "vectors"
 		part.Flat = d.floats(rows * uint64(dim))
-		if version == 1 && d.err == nil {
-			// No id map in the file: its rows are ids 0 … n−1. (Sized now
-			// that the rows have been read, not by the header's word.)
-			part.Globals = make([]int, rows)
-			for g := range part.Globals {
-				part.Globals[g] = g
-			}
-		}
-		if version >= 4 {
+		if version == 4 {
 			d.what = fmt.Sprintf("trees of shard %d", i)
 			part.Trees = d.trees(cfg.L, r0)
 		}

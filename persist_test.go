@@ -500,11 +500,14 @@ func TestReadBoundsHeaderWords(t *testing.T) {
 			mustBeUsable(t, loaded)
 		}
 	}
-	// One row is all a v1 file needs to reach the hash family: 1 MB asking
+	// A header is all a file needs to reach the hash family: 80 bytes asking
 	// for 64·64·2¹⁸ coefficients (4 GiB).
-	wide := [][]float32{make([]float32, 1<<18)}
-	if _, err := Read(bytes.NewReader(writeV1File(wide, maxKL, maxKL, 10, 1.5, 9, 1, 96))); err == nil || !strings.Contains(err.Error(), "hash coefficients") {
-		t.Errorf("a v1 file asking for a 4 GiB hash family: Read returned %v", err)
+	header := append([]byte(nil), raw[:v4HeaderLen]...)
+	u32(kAt, maxKL)(header)
+	u32(lAt, maxKL)(header)
+	u32(dimAt, 1<<18)(header)
+	if _, err := Read(bytes.NewReader(header)); err == nil || !strings.Contains(err.Error(), "hash coefficients") {
+		t.Errorf("a v4 header asking for a 4 GiB hash family: Read returned %v", err)
 	}
 }
 

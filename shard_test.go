@@ -2,15 +2,13 @@ package dblsh
 
 // Public-API coverage of the sharded index: option validation, merge
 // correctness against a single-shard layout, compaction, persistence of the
-// shard layout and tombstones (the DBLSHv2 format), legacy v1 readability,
-// and the concurrent Add/Delete/Search stress that must pass under -race.
+// shard layout and tombstones, the refusal of v1 and v2 files, and the
+// concurrent Add/Delete/Search stress that must pass under -race.
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -435,64 +433,16 @@ func TestShardedPersistRoundTripDeterministic(t *testing.T) {
 	}
 }
 
-// writeV1File hand-encodes the legacy DBLSHv1 layout so the reader's
-// backward compatibility is tested against the documented format, not
-// against whatever the current writer happens to produce.
-func writeV1File(data [][]float32, k, l, t uint32, c, w0, r0 float64, seed int64) []byte {
-	var body bytes.Buffer
-	body.WriteString("DBLSHv1\n")
-	binary.Write(&body, binary.LittleEndian, uint64(len(data)))
-	binary.Write(&body, binary.LittleEndian, uint32(len(data[0])))
-	binary.Write(&body, binary.LittleEndian, k)
-	binary.Write(&body, binary.LittleEndian, l)
-	binary.Write(&body, binary.LittleEndian, t)
-	binary.Write(&body, binary.LittleEndian, c)
-	binary.Write(&body, binary.LittleEndian, w0)
-	binary.Write(&body, binary.LittleEndian, r0)
-	binary.Write(&body, binary.LittleEndian, seed)
-	for _, row := range data {
-		for _, f := range row {
-			binary.Write(&body, binary.LittleEndian, math.Float32bits(f))
+// TestReadRefusesV1V2 pins what becomes of a file from the two formats this
+// build no longer reads: an error that names the version and says how to
+// get a file it does read, whatever follows the magic.
+func TestReadRefusesV1V2(t *testing.T) {
+	for _, v := range []string{"v1", "v2"} {
+		raw := append([]byte("DBLSH"+v+"\n"), make([]byte, 64)...)
+		_, err := Read(bytes.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), v) || !strings.Contains(err.Error(), "re-save with an earlier build") {
+			t.Errorf("%s file: Read returned %v", v, err)
 		}
-	}
-	crc := crc32.ChecksumIEEE(body.Bytes())
-	binary.Write(&body, binary.LittleEndian, crc)
-	return body.Bytes()
-}
-
-func TestReadLegacyV1File(t *testing.T) {
-	data, queries := clusteredData(400, 8, 17)
-	raw := writeV1File(data, 4, 2, 30, 1.5, 9, 0.5, 17)
-	loaded, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
-	}
-	if loaded.Len() != 400 || loaded.Dim() != 8 || loaded.Shards() != 1 || loaded.Deleted() != 0 {
-		t.Fatalf("v1 load shape: len=%d dim=%d shards=%d deleted=%d",
-			loaded.Len(), loaded.Dim(), loaded.Shards(), loaded.Deleted())
-	}
-	// Must answer like a fresh build with the same parameters and radius.
-	fresh, err := New(data, Options{K: 4, L: 2, T: 30, C: 1.5, W0: 9, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := loaded.Search(queries[0], 5)
-	want := fresh.Search(queries[0], 5)
-	for i := range want {
-		// The stored r0 (0.5) may differ from the estimated one, so compare
-		// membership of exact self-distances rather than full equality.
-		if hits[i].Dist > want[i].Dist*2+1e-9 && i == 0 {
-			t.Fatalf("v1 load answers diverge wildly: %+v vs %+v", hits[i], want[i])
-		}
-	}
-	if self := loaded.Search(data[7], 1); len(self) != 1 || self[0].ID != 7 || self[0].Dist != 0 {
-		t.Fatalf("v1 self-query: %+v", self)
-	}
-	// A corrupted v1 payload still fails its checksum.
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0xff
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted v1 file accepted")
 	}
 }
 

@@ -338,3 +338,47 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeKReturnsEveryLiveRow: a k far beyond the rows an index holds asks
+// for all of them. It must not reserve k result slots — 1<<40 of them is an
+// unrecoverable out-of-memory fault — and returns min(k, live) results
+// through every k-NN entry point, on one shard and on four, with a deleted
+// row left out. A k within the rows still returns exactly k.
+func TestHugeKReturnsEveryLiveRow(t *testing.T) {
+	const n, huge, gone = 200, 1 << 40, 7
+	data, queries := clusteredData(n, 8, 31)
+	for _, shards := range []int{1, 4} {
+		idx, err := New(data, Options{Shards: shards, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !idx.Delete(gone) {
+			t.Fatalf("shards=%d: delete %d failed", shards, gone)
+		}
+		check := func(via string, res []Result) {
+			t.Helper()
+			if len(res) != n-1 {
+				t.Fatalf("shards=%d %s: %d results, want the %d live rows", shards, via, len(res), n-1)
+			}
+			seen := make(map[int]bool, len(res))
+			for i, r := range res {
+				if r.ID == gone || seen[r.ID] || (i > 0 && r.Dist < res[i-1].Dist) {
+					t.Fatalf("shards=%d %s: result %d (id %d) is deleted, repeated or out of order", shards, via, i, r.ID)
+				}
+				seen[r.ID] = true
+			}
+		}
+		check("Index.Search", idx.Search(queries[0], huge))
+		res, err := idx.NewSearcher().SearchOpts(queries[1], huge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Searcher.SearchOpts", res)
+		for _, res := range idx.SearchBatch(queries[:3], huge) {
+			check("SearchBatch", res)
+		}
+		if got := len(idx.Search(queries[0], 10)); got != 10 {
+			t.Fatalf("shards=%d: k=10 returned %d results", shards, got)
+		}
+	}
+}

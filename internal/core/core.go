@@ -748,7 +748,8 @@ func Search(parts []Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, St
 		return nil, Stats{}, nil
 	}
 	t, stopFactor := p.resolve(cfg)
-	qr.cand = vec.NewTopK(k)
+	// No query collects more than the resident rows, whatever its k.
+	qr.cand = vec.NewTopKOf(k, resident)
 	qr.budget = 2*t*cfg.L + k
 	qr.stopC = stopFactor * cfg.C
 	var err error

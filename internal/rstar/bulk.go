@@ -2,7 +2,6 @@ package rstar
 
 import (
 	"math"
-	"slices"
 
 	"dblsh/internal/vec"
 )
@@ -42,7 +41,8 @@ func bulkLoad(data *vec.Matrix, ids []int32, opts Options) *Tree {
 	t := newTree(data, opts)
 	fill := t.leafFill()
 	t.reserve(packedSlots(len(ids), fill, t.opts.MaxEntries))
-	t.root = t.packUpward(t.packLeaves(ids, fill))
+	keys := make([]uint64, 2*len(ids))
+	t.root = t.packUpward(t.packLeaves(ids, fill, keys), keys)
 	t.size = len(ids)
 	// The last block chunk keeps only the slots in use, as a loaded arena's
 	// does; the first node added after the load regrows it (newNode).
@@ -79,15 +79,14 @@ func packedSlots(n, fill, m int) int {
 }
 
 // packLeaves tiles the id set into leaves of fill entries with STR. Every
-// sort of the tiling works in one pair buffer sized for the whole set — the
-// sorts run one after another, each over a sub-range of ids — which is
-// garbage once the leaves are packed. A buffer per sort sorts as fast but
-// makes K times the garbage, and a server's resident set still shows it
-// after loading.
-func (t *Tree) packLeaves(ids []int32, fill int) []int32 {
+// axis sort of the tiling works in keys, one buffer per load (bulkLoad) —
+// the sorts run one after another, each over a sub-range of ids — which is
+// garbage once the tree is packed. A buffer per sort sorts as fast but makes
+// K times the garbage, and a server's resident set still shows it after
+// loading; a buffer kept on the tree would outlive the load.
+func (t *Tree) packLeaves(ids []int32, fill int, keys []uint64) []int32 {
 	var leaves []int32
-	pairs := make([]sortPair, len(ids))
-	t.strTile(ids, t.data.Data(), 0, pairs, fill, func(chunk []int32) {
+	t.strTile(ids, t.data.Data(), 0, keys, fill, func(chunk []int32) {
 		leaf := t.newNode(0)
 		t.setEntries(leaf, chunk...)
 		t.recomputeLeafRect(leaf)
@@ -102,24 +101,15 @@ func (t *Tree) packLeaves(ids []int32, fill int) []int32 {
 // the final chunks have at most chunkSize entries (classic STR: with P
 // pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis). Slabs are
 // multiples of chunkSize, so every chunk is full but the last one: n items
-// make exactly ⌈n/chunkSize⌉ chunks.
-func (t *Tree) strTile(items []int32, rows []float32, axis int, pairs []sortPair, chunkSize int, emit func([]int32)) {
+// make exactly ⌈n/chunkSize⌉ chunks. Each axis sort is stable, so items
+// whose coordinates tie keep the order the previous axis left them in — the
+// caller's order at axis 0 — and the tiling depends on the data alone.
+func (t *Tree) strTile(items []int32, rows []float32, axis int, keys []uint64, chunkSize int, emit func([]int32)) {
 	if len(items) <= chunkSize {
 		emit(items)
 		return
 	}
-	// Sort by the axis: extract (key, item) pairs, sort those as split.go
-	// does, write the items back. Under byKey this is the permutation
-	// sort.Slice applied to the items themselves, equal keys included (see
-	// byKey), so the tree packed from it is the same tree.
-	pairs = pairs[:len(items)]
-	for i, it := range items {
-		pairs[i] = sortPair{float64(rows[int(it)*t.dim+axis]), it}
-	}
-	slices.SortFunc(pairs, byKey)
-	for i, p := range pairs {
-		items[i] = p.idx
-	}
+	sortAxis(items, rows, t.dim, axis, keys)
 
 	// Last axis: emit fixed-size runs. Otherwise slabs, their size rounded
 	// to a multiple of chunkSize so inner tiles fill.
@@ -137,21 +127,92 @@ func (t *Tree) strTile(items []int32, rows []float32, axis int, pairs []sortPair
 		if step == chunkSize {
 			emit(items[lo:hi])
 		} else {
-			t.strTile(items[lo:hi], rows, axis+1, pairs, chunkSize, emit)
+			t.strTile(items[lo:hi], rows, axis+1, keys, chunkSize, emit)
 		}
 	}
 }
 
+// insertionCutoff is the item count below which sortAxis sorts by insertion:
+// under it the radix passes' histograms cost more than the moves they save.
+const insertionCutoff = 64
+
+// sortAxis stably sorts items by coordinate axis of their rows in the
+// dim-column matrix rows; keys is scratch for at least 2·len(items) values.
+// Each item becomes one uint64, its axis key (axisKey) in the high half and
+// the item in the low half, sorted by the high half alone: least significant
+// byte first, one counting pass per byte, skipping a byte every key shares.
+func sortAxis(items []int32, rows []float32, dim, axis int, keys []uint64) {
+	n := len(items)
+	src, dst := keys[:n], keys[n:2*n]
+	for i, it := range items {
+		src[i] = uint64(axisKey(rows[int(it)*dim+axis]))<<32 | uint64(uint32(it))
+	}
+	if n < insertionCutoff {
+		for i := 1; i < n; i++ {
+			k := src[i]
+			j := i
+			for ; j > 0 && src[j-1]>>32 > k>>32; j-- {
+				src[j] = src[j-1]
+			}
+			src[j] = k
+		}
+	} else {
+		var counts [4][256]int
+		for _, k := range src {
+			h := uint32(k >> 32)
+			counts[0][uint8(h)]++
+			counts[1][uint8(h>>8)]++
+			counts[2][uint8(h>>16)]++
+			counts[3][uint8(h>>24)]++
+		}
+		for b := range counts {
+			shift := 32 + 8*b
+			c := &counts[b]
+			if c[uint8(src[0]>>shift)] == n {
+				continue // every key has this digit: the pass would copy
+			}
+			at := 0
+			for d, m := range c {
+				c[d], at = at, at+m
+			}
+			for _, k := range src {
+				d := uint8(k >> shift)
+				dst[c[d]] = k
+				c[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	for i, k := range src {
+		items[i] = int32(uint32(k))
+	}
+}
+
+// axisKey maps a coordinate to an unsigned key in the same order: the sign
+// bit flipped for positive values, every bit for negative ones, −0 folded
+// into +0 (the two compare equal), −Inf and +Inf at the ends. NaN is not a
+// coordinate.
+func axisKey(v float32) uint32 {
+	b := math.Float32bits(v)
+	if b == 1<<31 {
+		b = 0
+	}
+	if b&(1<<31) != 0 {
+		return ^b
+	}
+	return b | 1<<31
+}
+
 // packUpward builds internal levels over the given nodes until one root
 // remains, grouping nodes by STR on their centre points.
-func (t *Tree) packUpward(nodes []int32) int32 {
+func (t *Tree) packUpward(nodes []int32, keys []uint64) int32 {
 	for level := 1; len(nodes) > 1; level++ {
-		nodes = t.packLevel(nodes, level)
+		nodes = t.packLevel(nodes, level, keys)
 	}
 	return nodes[0]
 }
 
-func (t *Tree) packLevel(nodes []int32, level int) []int32 {
+func (t *Tree) packLevel(nodes []int32, level int, keys []uint64) []int32 {
 	centers := make([]float32, len(nodes)*t.dim)
 	order := make([]int32, len(nodes))
 	for i, n := range nodes {
@@ -160,7 +221,7 @@ func (t *Tree) packLevel(nodes []int32, level int) []int32 {
 	}
 	var out []int32
 	group := make([]int32, 0, t.opts.MaxEntries)
-	t.strTile(order, centers, 0, make([]sortPair, len(nodes)), t.opts.MaxEntries, func(chunk []int32) {
+	t.strTile(order, centers, 0, keys, t.opts.MaxEntries, func(chunk []int32) {
 		group = group[:0]
 		for _, i := range chunk {
 			group = append(group, nodes[i])

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -95,7 +94,11 @@ var identityScripts = []struct {
 // rewritten for speed and have never changed. The bulk digests were
 // re-recorded when STR packing began to leave free slots in each leaf
 // (leafFill); packing leaves to capacity reproduces the earlier four bit for
-// bit.
+// bit. grid/bulk was re-recorded again when STR's axis sorts became stable:
+// its grid coordinates tie at slab cuts, where tied items now keep the order
+// the previous axis left them in instead of pdqsort's; the parent's
+// comparator sort made stable (slices.SortStableFunc) builds this tree, and
+// the other three bulk digests, over continuous data, did not move.
 var goldenDigests = map[string]string{
 	"empty/M4":            "88ee0bf76c2904fcfdfae2dd9d918a15a58ad37e248e5123aab9028ca15dbdf6",
 	"empty/M8":            "3f33be693dc3156b9aeaa61621964b279ef2a6c7e055d05e1f5552efb3b34c72",
@@ -105,7 +108,7 @@ var goldenDigests = map[string]string{
 	"bulk/M32/quant":      "082d59a292e2c637424e678f6658e0359a93c8e9a538e505bc1c55f2e18c83e3",
 	"grid/empty/M4":       "56eac9fd02f1d189989dae9592ce7f1d0a7094961d1f45007740a6f893aad8da",
 	"grid/empty/M8":       "137ba96dccd2e389264e05f21162abaac29519e3d433c68ba948af6dd46ba084",
-	"grid/bulk/M32/quant": "cdf1a122dc8666d7339c2019743b7eddf72a7c2e404fe5bdf2599d99ed0a31ed",
+	"grid/bulk/M32/quant": "a1057384e7f60f3f5146e3c2a723df33d54c015e40040ba5cc54366c25eaee07",
 }
 
 func TestTreeIdentityGolden(t *testing.T) {
@@ -226,17 +229,17 @@ func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 // TestSortPairsMatchesSortSlice pins what the same-tree guarantee borrows
 // from the standard library: sorting extracted pairs with slices.SortFunc
 // permutes them exactly as sort.Slice permutes the entries themselves,
-// equal keys included. The small random cases are the size of a node being
-// split; the large ones are the size of a bulk load's slabs, where pdqsort
-// picks pivots by ninther, partitions runs of equal keys, and on the
-// patterned inputs detects order, reverses, and breaks patterns.
+// equal keys included. The cases are the size of a node being split or
+// force-reinserted, the only sorts byKey still serves.
 func TestSortPairsMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	check := func(name string, keys []float32) {
-		t.Helper()
+	for trial := 0; trial < 3000; trial++ {
+		keys := make([]float32, rng.Intn(90))
+		spread := 1 + rng.Intn(12) // few distinct keys: many ties
 		ids := make([]int32, len(keys))
 		pairs := make([]sortPair, len(keys))
 		for i := range keys {
+			keys[i] = float32(rng.Intn(spread))
 			ids[i] = int32(i)
 			pairs[i] = sortPair{float64(keys[i]), int32(i)}
 		}
@@ -244,37 +247,8 @@ func TestSortPairsMatchesSortSlice(t *testing.T) {
 		slices.SortFunc(pairs, byKey)
 		for i := range ids {
 			if pairs[i].idx != ids[i] {
-				t.Fatalf("%s (n=%d): permutations diverge at %d", name, len(keys), i)
+				t.Fatalf("trial %d (n=%d): permutations diverge at %d", trial, len(keys), i)
 			}
-		}
-	}
-	for trial := 0; trial < 3000; trial++ {
-		keys := make([]float32, rng.Intn(90))
-		spread := 1 + rng.Intn(12) // few distinct keys: many ties
-		for i := range keys {
-			keys[i] = float32(rng.Intn(spread))
-		}
-		check(fmt.Sprintf("trial %d", trial), keys)
-	}
-	for _, n := range []int{200, 5000, 50000} {
-		for _, spread := range []int{2, 7, 40, n} {
-			keys := make([]float32, n)
-			for i := range keys {
-				keys[i] = float32(rng.Intn(spread))
-			}
-			check(fmt.Sprintf("random/%d keys", spread), keys)
-			for i := range keys {
-				keys[i] = float32(i % spread)
-			}
-			check(fmt.Sprintf("sawtooth/%d keys", spread), keys)
-			for i := range keys {
-				keys[i] = float32(min(i, n-1-i) * spread / n)
-			}
-			check(fmt.Sprintf("organ pipe/%d keys", spread), keys)
-			for i := range keys {
-				keys[i] = float32((n - i) * spread / n)
-			}
-			check(fmt.Sprintf("descending/%d keys", spread), keys)
 		}
 	}
 }

@@ -26,11 +26,14 @@
 //
 // Insertion is the textbook R*-tree algorithm and builds the textbook tree,
 // but is written to its cost model rather than to its definition. A bulk
-// load packs each leaf ⌈M/16⌉ entries short of capacity (two at M = 32), so
-// an Insert into a freshly loaded tree is one descent with no overflow
-// treatment until its leaf has taken that many; only then does the leaf
-// overflow and force-reinsert 30 % of its entries, each a descent of its
-// own. ChooseSubtree abandons a candidate's overlap sum once it exceeds
+// load tiles with STR, sorting each axis with a stable radix sort: entries
+// whose coordinates tie keep the order the previous axis left them in (the
+// caller's id order at the first), so a packed tree depends on the data
+// alone. It packs each leaf ⌈M/16⌉ entries short of capacity (two at
+// M = 32), so an Insert into a freshly loaded tree is one descent with no
+// overflow treatment until its leaf has taken that many; only then does the
+// leaf overflow and force-reinsert 30 % of its entries, each a descent of
+// its own. ChooseSubtree abandons a candidate's overlap sum once it exceeds
 // the best so far, splits sweep prefix/suffix bounding boxes once per sort
 // order, and all working memory is per-tree scratch. None of that changes a
 // decision: every comparison sees the same bits in the same order as the

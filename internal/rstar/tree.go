@@ -132,12 +132,14 @@ type sortPair struct {
 	idx int32
 }
 
-// byKey orders pairs by key alone. slices.SortFunc and sort.Slice are
-// instances of one pdqsort template that consults only "less", so sorting
-// pairs under byKey applies the very permutation sort.Slice applied to the
-// entries under "key[a] < key[b]" — including which of several equal keys
-// lands where, which decides group membership at a split cut and eviction
-// at a distance tie (TestSortPairsMatchesSortSlice pins this).
+// byKey orders pairs by key alone, for the two sorts of at most M+1 entries
+// the insert path makes: a split's sort by face and forced reinsertion's by
+// distance. slices.SortFunc and sort.Slice are instances of one pdqsort
+// template that consults only "less", so sorting pairs under byKey applies
+// the very permutation sort.Slice applied to the entries under
+// "key[a] < key[b]" — including which of several equal keys lands where,
+// which decides group membership at a split cut and eviction at a distance
+// tie (TestSortPairsMatchesSortSlice pins this).
 func byKey(a, b sortPair) int {
 	if a.key < b.key {
 		return -1

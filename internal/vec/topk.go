@@ -16,11 +16,17 @@ type TopK struct {
 }
 
 // NewTopK returns a collector for the k nearest neighbors.
-func NewTopK(k int) *TopK {
+func NewTopK(k int) *TopK { return NewTopKOf(k, k) }
+
+// NewTopKOf returns a collector for the k nearest neighbors that reserves
+// room for min(k, n) of them, n being how many the caller expects to offer:
+// a k beyond what there is to collect costs no memory. Offers past the
+// reservation grow it as append does.
+func NewTopKOf(k, n int) *TopK {
 	if k <= 0 {
 		panic("vec: TopK requires k > 0")
 	}
-	return &TopK{k: k, heap: make([]Neighbor, 0, k)}
+	return &TopK{k: k, heap: make([]Neighbor, 0, min(k, n))}
 }
 
 // Len returns the number of neighbors currently held (≤ k).

@@ -451,7 +451,10 @@ func BenchmarkAddWhileSearching(b *testing.B) {
 				s := idx.NewSearcher()
 				i := 0
 				for pb.Next() {
-					s.Search(ds.Queries.Row(i%ds.Queries.Rows()), 10)
+					if _, err := s.SearchOpts(ds.Queries.Row(i%ds.Queries.Rows()), 10); err != nil {
+						b.Error(err)
+						return
+					}
 					i++
 				}
 			})

@@ -33,7 +33,7 @@
 //	POST /checkpoint      rewrite the durable snapshot, truncate the op log
 //
 // Search endpoints accept optional per-request knobs — "t" (candidate
-// budget), "early_stop" (termination factor ≥ 1), "max_radius" (radius
+// budget, at most 2²⁰), "early_stop" (termination factor ≥ 1), "max_radius" (radius
 // ladder cap) and "filter_ids" (allowlist of returnable ids) — and echo the
 // query's work statistics ("candidates", "rounds", "final_radius") in the
 // response, so one running server can serve low-latency and high-recall

@@ -409,8 +409,12 @@ func TestGracefulDrainFlushes(t *testing.T) {
 	if re.Len() != 5 {
 		t.Fatalf("reopened index holds %d vectors, want 5", re.Len())
 	}
+	hits, err := re.SearchOpts(vec, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, r := range re.Search(vec, 5) {
+	for _, r := range hits {
 		if r.ID == lastID {
 			found = true
 		}

@@ -304,6 +304,15 @@ func TestSearchValidation(t *testing.T) {
 		t.Fatalf("huge-k status %d", r4.StatusCode)
 	}
 	r4.Body.Close()
+	// A candidate constant beyond what the index's T may be: 2tL+k would
+	// overflow, so the library refuses it.
+	huge := searchRequest{Vector: make([]float32, 16), K: 10}
+	huge.T = 1 << 62
+	r5 := postJSON(t, ts.URL+"/search", huge)
+	if r5.StatusCode != http.StatusBadRequest {
+		t.Fatalf("huge-t status %d", r5.StatusCode)
+	}
+	r5.Body.Close()
 }
 
 func TestSearchRadius(t *testing.T) {
@@ -472,8 +481,10 @@ func postJSONQuiet(url string, body interface{}) int {
 
 func TestStatsDeletedCount(t *testing.T) {
 	ts, idx := testServer(t)
-	if !idx.Delete(3) || !idx.Delete(4) {
-		t.Fatal("delete failed")
+	for _, id := range []int{3, 4} {
+		if ok, err := idx.DeleteWithError(id); !ok || err != nil {
+			t.Fatalf("delete %d: %v, %v", id, ok, err)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -706,7 +717,9 @@ func TestDeleteEndpoint(t *testing.T) {
 func TestCompactEndpoint(t *testing.T) {
 	ts, idx := testServerSharded(t, 3)
 	for id := 0; id < 90; id++ {
-		idx.Delete(id)
+		if _, err := idx.DeleteWithError(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Compact a single shard: only its tombstones are reclaimed.
 	shardNo := 0
@@ -739,7 +752,9 @@ func TestCompactEndpoint(t *testing.T) {
 
 func TestStatsPerShard(t *testing.T) {
 	ts, idx := testServerSharded(t, 4)
-	idx.Delete(0) // routes to shard 0
+	if _, err := idx.DeleteWithError(0); err != nil { // routes to shard 0
+		t.Fatal(err)
+	}
 	if _, err := idx.CompactShard(0); err != nil {
 		t.Fatal(err)
 	}

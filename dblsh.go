@@ -16,7 +16,8 @@
 //	data := [][]float32{...}            // your vectors, all the same length
 //	idx, err := dblsh.New(data, dblsh.Options{})
 //	if err != nil { ... }
-//	hits := idx.Search(query, 10)       // 10 approximate nearest neighbors
+//	hits, err := idx.SearchOpts(query, 10) // 10 approximate nearest neighbors
+//	if err != nil { ... }                   // wrong dim, k ≤ 0, NaN or ±Inf
 //	for _, h := range hits {
 //	    fmt.Println(h.ID, h.Dist)       // index into data, Euclidean distance
 //	}
@@ -44,8 +45,12 @@
 //	    dblsh.WithStats(&st),                   // observe the work done
 //	)
 //
-// Search, SearchBatch and SearchRadius are wrappers over the same machinery
-// with no options applied.
+// Each operation has one entry point: SearchOpts (on an Index, through an
+// internal pool of Searchers, or on a Searcher of your own),
+// SearchRadiusOpts, SearchBatchOpts and DeleteWithError. None of them
+// panics on bad input: a query of the wrong dimension, k ≤ 0, a NaN or
+// infinite coordinate or radius, or an invalid option is an error, returned
+// before the query touches the index.
 //
 // # Metrics
 //
@@ -58,29 +63,29 @@
 // negated inner product, so ascending order ranks by descending ⟨q,x⟩):
 //
 //	idx, err := dblsh.New(embeddings, dblsh.Options{Metric: dblsh.Cosine})
-//	hits := idx.Search(queryEmbedding, 10)   // hits[i].Dist = 1 − cos θ
+//	hits, err := idx.SearchOpts(queryEmbedding, 10) // hits[i].Dist = 1 − cos θ
 //
 // The radius ladder itself always runs in the internal L2 space, staying
 // faithful to Algorithm 2; only the boundary speaks the chosen metric.
 //
 // # Concurrency and sharding
 //
-// An Index is safe for fully concurrent use: searches, Add, Delete,
+// An Index is safe for fully concurrent use: searches, Add, DeleteWithError,
 // compaction and WriteTo may all overlap. Internally the dataset is
 // partitioned across Options.Shards independent shards (default 1), each a
 // complete DB-LSH index over its stripe guarded by its own read-write lock.
 // A search runs the radius ladder round-synchronized across all shards
 // under per-round read locks, merging candidates into one global top-k
 // with one budget and one termination test — the same work profile as a
-// monolithic index, partitioned. An Add or Delete write-locks exactly one
+// monolithic index, partitioned. An Add or a delete write-locks exactly one
 // shard, so with S shards a mutation stalls at most one round of one
 // shard's sub-queries instead of the whole index:
 //
 //	idx, err := dblsh.New(data, dblsh.Options{Shards: 8})
 //	go func() { idx.Add(v) }()          // locks one shard briefly
-//	hits := idx.Search(q, 10)           // the other 7 keep answering
+//	hits, err := idx.SearchOpts(q, 10)  // the other 7 keep answering
 //
-// Delete only tombstones; CompactShard rebuilds one shard from its live
+// A delete only tombstones; CompactShard rebuilds one shard from its live
 // vectors — dropping the tombstone debt — while every shard, including the
 // one being compacted, keeps serving (the rebuild holds no lock; only a
 // short swap does). Options.CompactFraction automates this per shard in
@@ -113,6 +118,7 @@ package dblsh
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dblsh/internal/core"
@@ -179,7 +185,7 @@ type Options struct {
 	Shards int
 
 	// CompactFraction, when positive, enables automatic background
-	// compaction: a Delete that pushes a shard's tombstoned fraction to the
+	// compaction: a delete that pushes a shard's tombstoned fraction to the
 	// threshold schedules a rebuild of that shard from its live vectors.
 	// Must be below 1. 0 disables; reclaim manually with CompactShard.
 	CompactFraction float64
@@ -232,13 +238,15 @@ type Options struct {
 }
 
 // Index answers approximate nearest neighbor queries. It is safe for fully
-// concurrent use, including searches overlapping Add, Delete, compaction
-// and WriteTo.
+// concurrent use, including searches overlapping Add, DeleteWithError,
+// compaction and WriteTo.
 type Index struct {
 	set *shard.Set
 	dim int // user-facing dimensionality; the internal space may be wider
 	met metric.Metric
 	dur *durable // non-nil only for indexes opened with Open
+
+	pool sync.Pool // of *Searcher, for Index.SearchOpts
 }
 
 // New builds an index over data, copying the vectors into an internal
@@ -324,7 +332,7 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if opts.K < 0 || opts.L < 0 || opts.T < 0 {
 		return nil, errors.New("dblsh: K, L and T must be non-negative")
 	}
-	if opts.EarlyStopFactor < 0 || (opts.EarlyStopFactor > 0 && opts.EarlyStopFactor < 1) {
+	if !(opts.EarlyStopFactor == 0 || opts.EarlyStopFactor >= 1) { // NaN fails too
 		return nil, fmt.Errorf("dblsh: EarlyStopFactor must be ≥ 1 (or 0 for the default), got %v", opts.EarlyStopFactor)
 	}
 	if opts.Shards < 0 {
@@ -384,30 +392,10 @@ func (idx *Index) Metric() Metric { return Metric(idx.met.Kind()) }
 // requested more).
 func (idx *Index) Shards() int { return idx.set.Shards() }
 
-// Search returns the k approximate nearest neighbors of q, sorted by
-// ascending distance. Fewer than k results are returned only when the
-// dataset is smaller than k, and none at all for a query with a NaN or
-// infinite coordinate (SearchOpts returns the error). It panics if
-// len(q) != Dim() or k <= 0, mirroring slice-indexing semantics for
-// programmer errors. It is SearchOpts with no options.
-func (idx *Index) Search(q []float32, k int) []Result {
-	out, _ := idx.SearchOpts(q, k)
-	return out
-}
-
-// SearchOne returns the single approximate nearest neighbor of q.
-func (idx *Index) SearchOne(q []float32) (Result, bool) {
-	out, _ := idx.SearchOpts(q, 1)
-	if len(out) == 0 {
-		return Result{}, false
-	}
-	return out[0], true
-}
-
-// Searcher is a reusable per-goroutine query context. For query-heavy loops
-// it avoids the internal pool round-trip of Index.Search and exposes query
-// statistics. It holds one core searcher per shard; on a sharded index a
-// query coordinates one radius ladder across all of them.
+// Searcher is a reusable per-goroutine query context: Index.SearchOpts
+// borrows one from the index's pool for each query, and a query-heavy loop
+// can hold its own. It holds one core searcher per shard; on a sharded
+// index a query coordinates one radius ladder across all of them.
 type Searcher struct {
 	idx   *Index
 	inner *shard.Searcher
@@ -415,20 +403,14 @@ type Searcher struct {
 }
 
 // NewSearcher returns a searcher bound to the index. A Searcher must only be
-// used from one goroutine at a time; it remains valid across Add, Delete
-// and compaction.
+// used from one goroutine at a time; it remains valid across Add,
+// DeleteWithError and compaction.
 func (idx *Index) NewSearcher() *Searcher {
 	return &Searcher{idx: idx, inner: idx.set.NewSearcher()}
 }
 
-// Search behaves like Index.Search on the bound index. It is SearchOpts
-// with no options.
-func (s *Searcher) Search(q []float32, k int) []Result {
-	out, _ := s.SearchOpts(q, k)
-	return out
-}
-
-// Stats describes the work done by the searcher's most recent query.
+// Stats describes the work one query did; WithStats and WithBatchStats
+// record it.
 type Stats struct {
 	// Candidates is the number of exact distance computations performed.
 	Candidates int
@@ -444,14 +426,8 @@ type Stats struct {
 	NodesVisited int
 	// FrontierSize is the number of items still parked in the traversal
 	// cursors when the query finished — the residual work the incremental
-	// ladder never had to touch. (For batch queries the per-query values
-	// are summed, like the other counters.)
+	// ladder never had to touch.
 	FrontierSize int
-}
-
-// LastStats reports statistics for the most recent query on this searcher.
-func (s *Searcher) LastStats() Stats {
-	return statsFromCore(s.inner.LastStats())
 }
 
 // Params reports the effective index parameters after defaulting and
@@ -519,39 +495,20 @@ func (idx *Index) Add(v []float32) (int, error) {
 	return idx.set.Add(row), nil
 }
 
-// SearchBatch answers many queries in parallel across GOMAXPROCS workers,
-// each with its own Searcher. results[i] corresponds to queries[i]. It is
-// safe to run concurrently with Add and Delete. It is SearchBatchOpts with
-// no options.
-func (idx *Index) SearchBatch(queries [][]float32, k int) [][]Result {
-	out, _ := idx.SearchBatchOpts(queries, k)
-	return out
-}
-
-// Delete removes vector id from future search results. The underlying
-// storage is tombstoned, not reclaimed — reclaim with CompactShard/Compact,
-// or set Options.CompactFraction to automate it. Delete is safe to call
-// concurrently with searches and mutations: it write-locks only the shard
-// that owns id. It returns false when id was never allocated, is already
-// deleted, or was reclaimed by a compaction.
+// DeleteWithError removes vector id from future search results. The
+// underlying storage is tombstoned, not reclaimed — reclaim with
+// CompactShard/Compact, or set Options.CompactFraction to automate it. It
+// is safe to call concurrently with searches and mutations: it write-locks
+// only the shard that owns id. ok is false when id was never allocated, is
+// already deleted, or was reclaimed by a compaction.
 //
 // On a durable index (see Open) the tombstone is write-ahead: the op log
 // record is appended — and, under SyncAlways, fsynced — before the
-// tombstone is laid, so a true return means the delete is as durable as
-// the sync policy promises. A logging failure applies nothing and returns
-// false, indistinguishable here from "not found" — callers that must tell
-// a server fault apart (the cause is otherwise only surfaced by Close) use
-// DeleteWithError. After Close, Delete applies nothing and returns false.
-func (idx *Index) Delete(id int) bool {
-	ok, _ := idx.DeleteWithError(id)
-	return ok
-}
-
-// DeleteWithError is Delete with durable failures surfaced instead of
-// folded into the boolean: err is non-nil when a durable index could not
-// log the tombstone (wrapping ErrDurability; nothing was applied, retrying
-// is safe) or when the index is closed (ErrClosed). ok keeps Delete's
-// meaning. On a purely in-memory index err is always nil.
+// tombstone is laid, so ok = true means the delete is as durable as the
+// sync policy promises. err is non-nil when the record could not be logged
+// (wrapping ErrDurability; nothing was applied, retrying is safe) or when
+// the index is closed (ErrClosed). On a purely in-memory index err is
+// always nil.
 func (idx *Index) DeleteWithError(id int) (ok bool, err error) {
 	if idx.dur != nil {
 		return idx.dur.delete(idx, id)
@@ -631,21 +588,4 @@ func (idx *Index) ShardStats() []ShardStat {
 		}
 	}
 	return out
-}
-
-// SearchRadius answers a single (r,c)-NN query (Algorithm 1 of the paper):
-// if some indexed point lies within distance r of q, it returns a point
-// within c·r with constant probability; if no point lies within c·r it
-// returns ok = false. It is the primitive Search's radius ladder is built
-// from, exposed for callers that know their target radius. The radius is in
-// the index's metric: Euclidean distance, or cosine distance in [0,2].
-//
-// This legacy wrapper has no error return, so on an index where the radius
-// itself is invalid — any radius under InnerProduct, r > 2 under Cosine —
-// it reports ok = false, indistinguishable from "nothing found". Under a
-// non-Euclidean metric prefer SearchRadiusOpts, which surfaces those cases
-// as errors. It is SearchRadiusOpts with no options.
-func (s *Searcher) SearchRadius(q []float32, r float64) (Result, bool) {
-	nb, ok, _ := s.SearchRadiusOpts(q, r)
-	return nb, ok
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,33 @@ func clusteredData(n, d int, seed int64) ([][]float32, [][]float32) {
 		return out
 	}
 	return mk(n), mk(10)
+}
+
+// searchOpts is the query form Index and Searcher share.
+type searchOpts interface {
+	SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result, error)
+}
+
+// search is SearchOpts on a query the test knows to be valid: an error
+// fails the test.
+func search(tb testing.TB, on searchOpts, q []float32, k int) []Result {
+	tb.Helper()
+	res, err := on.SearchOpts(q, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// del is DeleteWithError on an index whose op log the test does not break:
+// an error fails the test.
+func del(tb testing.TB, idx *Index, id int) bool {
+	tb.Helper()
+	ok, err := idx.DeleteWithError(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ok
 }
 
 func dist(a, b []float32) float64 {
@@ -74,7 +102,7 @@ func TestSearchBasics(t *testing.T) {
 		t.Fatalf("Len=%d Dim=%d", idx.Len(), idx.Dim())
 	}
 	for _, q := range queries {
-		hits := idx.Search(q, 5)
+		hits := search(t, idx, q, 5)
 		if len(hits) != 5 {
 			t.Fatalf("got %d hits", len(hits))
 		}
@@ -103,10 +131,11 @@ func TestSearchOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := idx.SearchOne(queries[0])
-	if !ok {
-		t.Fatal("SearchOne found nothing")
+	hits := search(t, idx, queries[0], 1)
+	if len(hits) != 1 {
+		t.Fatalf("k = 1 found %d neighbors", len(hits))
 	}
+	r := hits[0]
 	// Must be close to the true NN (c² guarantee, usually exact).
 	best := math.Inf(1)
 	for _, p := range data {
@@ -115,7 +144,7 @@ func TestSearchOne(t *testing.T) {
 		}
 	}
 	if r.Dist > 2.25*best+1e-9 {
-		t.Fatalf("SearchOne dist %v vs true NN %v breaks c² bound", r.Dist, best)
+		t.Fatalf("nearest dist %v vs true NN %v breaks c² bound", r.Dist, best)
 	}
 }
 
@@ -125,12 +154,14 @@ func TestSearcherStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := idx.NewSearcher()
-	hits := s.Search(queries[0], 5)
+	var st Stats
+	hits, err := idx.NewSearcher().SearchOpts(queries[0], 5, WithStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(hits) != 5 {
 		t.Fatalf("got %d hits", len(hits))
 	}
-	st := s.LastStats()
 	if st.Candidates <= 0 || st.Rounds <= 0 || st.FinalRadius <= 0 {
 		t.Fatalf("stats not populated: %+v", st)
 	}
@@ -168,7 +199,7 @@ func TestNewFromFlatSharesStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := flat[:8]
-	hits := idx.Search(q, 1)
+	hits := search(t, idx, q, 1)
 	if hits[0].ID != 0 || hits[0].Dist != 0 {
 		t.Fatalf("self-query returned %+v", hits[0])
 	}
@@ -183,7 +214,7 @@ func TestRecallEndToEnd(t *testing.T) {
 	k := 10
 	var recall float64
 	for _, q := range queries {
-		hits := idx.Search(q, k)
+		hits := search(t, idx, q, k)
 		// Brute-force truth.
 		type pair struct {
 			id int
@@ -278,9 +309,9 @@ func TestNonFiniteInputRejected(t *testing.T) {
 }
 
 // TestNonFiniteQueryRejected: a query with a NaN or ±Inf coordinate is
-// refused by every query entry point, on a one-shard and on a sharded index,
-// under every metric — an error from the Opts forms, no result from the
-// legacy wrappers — and costs no traversal: the statistics stay untouched.
+// refused with an error by every query entry point, on a one-shard and on a
+// sharded index, under every metric, and costs no traversal: the statistics
+// stay untouched.
 func TestNonFiniteQueryRejected(t *testing.T) {
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	data, queries := clusteredData(400, 8, 23)
@@ -315,24 +346,9 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 				} else if !strings.Contains(err.Error(), "query 1") {
 					t.Fatalf("%s: batch error %q does not name the query", name, err)
 				}
-				if res := idx.Search(q, 3); res != nil {
-					t.Fatalf("%s: Index.Search returned %v", name, res)
-				}
-				if res := s.Search(q, 3); res != nil {
-					t.Fatalf("%s: Searcher.Search returned %v", name, res)
-				}
-				if _, ok := idx.SearchOne(q); ok {
-					t.Fatalf("%s: SearchOne found a neighbor", name)
-				}
-				if _, ok := s.SearchRadius(q, 1); ok {
-					t.Fatalf("%s: SearchRadius found a neighbor", name)
-				}
-				if res := idx.SearchBatch([][]float32{q}, 3); res != nil {
-					t.Fatalf("%s: SearchBatch returned %v", name, res)
-				}
 			}
 			// The searcher is unharmed.
-			if res := s.Search(queries[0], 3); len(res) != 3 {
+			if res := search(t, s, queries[0], 3); len(res) != 3 {
 				t.Fatalf("%v/shards=%d: finite query after the refusals got %d results", m, shards, len(res))
 			}
 		}
@@ -343,7 +359,8 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 // for all of them. It must not reserve k result slots — 1<<40 of them is an
 // unrecoverable out-of-memory fault — and returns min(k, live) results
 // through every k-NN entry point, on one shard and on four, with a deleted
-// row left out. A k within the rows still returns exactly k.
+// row left out. A k at the int limit, where the 2tL+k budget would
+// overflow, does the same. A k within the rows still returns exactly k.
 func TestHugeKReturnsEveryLiveRow(t *testing.T) {
 	const n, huge, gone = 200, 1 << 40, 7
 	data, queries := clusteredData(n, 8, 31)
@@ -352,7 +369,7 @@ func TestHugeKReturnsEveryLiveRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !idx.Delete(gone) {
+		if !del(t, idx, gone) {
 			t.Fatalf("shards=%d: delete %d failed", shards, gone)
 		}
 		check := func(via string, res []Result) {
@@ -368,17 +385,125 @@ func TestHugeKReturnsEveryLiveRow(t *testing.T) {
 				seen[r.ID] = true
 			}
 		}
-		check("Index.Search", idx.Search(queries[0], huge))
+		check("Index.SearchOpts", search(t, idx, queries[0], huge))
+		check("k = MaxInt", search(t, idx, queries[2], math.MaxInt))
 		res, err := idx.NewSearcher().SearchOpts(queries[1], huge)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("Searcher.SearchOpts", res)
-		for _, res := range idx.SearchBatch(queries[:3], huge) {
-			check("SearchBatch", res)
+		batch, err := idx.SearchBatchOpts(queries[:3], huge)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := len(idx.Search(queries[0], 10)); got != 10 {
+		for _, res := range batch {
+			check("SearchBatchOpts", res)
+		}
+		if got := len(search(t, idx, queries[0], 10)); got != 10 {
 			t.Fatalf("shards=%d: k=10 returned %d results", shards, got)
+		}
+	}
+}
+
+// TestBadQueryRejected: a query of the wrong dimension and a k below 1 are
+// errors on every query entry point, on one shard and on three. A batch
+// checks every query on the caller's goroutine before any worker starts,
+// so the bad query fails the batch with its index named at one worker and
+// at four alike, instead of panicking in a worker goroutine. The searcher
+// keeps answering afterwards.
+func TestBadQueryRejected(t *testing.T) {
+	data, queries := clusteredData(400, 8, 33)
+	short := queries[0][:7]
+	for _, shards := range []int{1, 3} {
+		idx, err := New(data, Options{Seed: 33, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := idx.NewSearcher()
+		for _, bad := range []struct {
+			name string
+			q    []float32
+			k    int
+		}{{"dim 7", short, 3}, {"k = 0", queries[0], 0}, {"k = -1", queries[0], -1}} {
+			name := fmt.Sprintf("shards=%d/%s", shards, bad.name)
+			if res, err := idx.SearchOpts(bad.q, bad.k); err == nil || res != nil {
+				t.Fatalf("%s: Index.SearchOpts = %v, %v", name, res, err)
+			}
+			if res, err := s.SearchOpts(bad.q, bad.k); err == nil || res != nil {
+				t.Fatalf("%s: Searcher.SearchOpts = %v, %v", name, res, err)
+			}
+			batch := [][]float32{queries[1], bad.q}
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				res, err := idx.SearchBatchOpts(batch, bad.k)
+				runtime.GOMAXPROCS(prev)
+				if err == nil || res != nil {
+					t.Fatalf("%s GOMAXPROCS=%d: SearchBatchOpts = %v, %v", name, procs, res, err)
+				}
+				want := "query 1"
+				if bad.k < 1 {
+					want = "query 0" // k is wrong for every query
+				}
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s GOMAXPROCS=%d: batch error %q does not name %s", name, procs, err, want)
+				}
+			}
+		}
+		if _, ok, err := s.SearchRadiusOpts(short, 1); err == nil || ok {
+			t.Fatalf("shards=%d: SearchRadiusOpts on dim 7 = %v, %v", shards, ok, err)
+		}
+		if res := search(t, s, queries[0], 3); len(res) != 3 {
+			t.Fatalf("shards=%d: the searcher answered %d results after the refusals", shards, len(res))
+		}
+	}
+}
+
+// TestHostilePerQueryValues: a per-query value that cannot mean anything —
+// a NaN, infinite or negative radius, a NaN cap or early-stop factor, a
+// candidate constant beyond what Options.T may be — is an error, under
+// Euclidean and Cosine alike, and the query does not run.
+func TestHostilePerQueryValues(t *testing.T) {
+	nan := math.NaN()
+	data, queries := clusteredData(400, 8, 35)
+	q := queries[0]
+	cases := []struct {
+		name string
+		run  func(s *Searcher) error
+	}{
+		{"radius NaN", func(s *Searcher) error { _, _, err := s.SearchRadiusOpts(q, nan); return err }},
+		{"radius -1", func(s *Searcher) error { _, _, err := s.SearchRadiusOpts(q, -1); return err }},
+		{"radius +Inf", func(s *Searcher) error { _, _, err := s.SearchRadiusOpts(q, math.Inf(1)); return err }},
+		{"max radius NaN", func(s *Searcher) error { _, err := s.SearchOpts(q, 10, WithMaxRadius(nan)); return err }},
+		{"max radius +Inf", func(s *Searcher) error { _, err := s.SearchOpts(q, 10, WithMaxRadius(math.Inf(1))); return err }},
+		{"early stop NaN", func(s *Searcher) error { _, err := s.SearchOpts(q, 10, WithEarlyStop(nan)); return err }},
+		{"budget 2^62", func(s *Searcher) error { _, err := s.SearchOpts(q, 10, WithCandidateBudget(1<<62)); return err }},
+		{"budget maxT+1", func(s *Searcher) error { _, err := s.SearchOpts(q, 10, WithCandidateBudget(maxT+1)); return err }},
+		{"batch max radius NaN", func(s *Searcher) error {
+			_, err := s.idx.SearchBatchOpts(queries, 10, WithMaxRadius(nan))
+			return err
+		}},
+	}
+	for _, m := range []Metric{Euclidean, Cosine} {
+		idx, err := New(data, Options{Metric: m, Seed: 35})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := idx.NewSearcher()
+		for _, c := range cases {
+			st := Stats{Candidates: -1}
+			if err := c.run(s); err == nil {
+				t.Fatalf("%v/%s: accepted", m, c.name)
+			}
+			if _, err := s.SearchOpts(q, 10, WithStats(&st)); err != nil || st.Candidates < 1 {
+				t.Fatalf("%v/%s: the searcher does not answer afterwards: %+v, %v", m, c.name, st, err)
+			}
+		}
+		// The largest candidate constant Options.T allows is a valid budget.
+		if res, err := s.SearchOpts(q, 10, WithCandidateBudget(maxT)); err != nil || len(res) != 10 {
+			t.Fatalf("%v: budget maxT: %d results, %v", m, len(res), err)
+		}
+		if _, _, err := s.SearchRadiusOpts(q, 0); err != nil {
+			t.Fatalf("%v: radius 0: %v", m, err)
 		}
 	}
 }

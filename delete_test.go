@@ -9,17 +9,17 @@ func TestDeleteHidesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Self-query finds id 5 at distance 0.
-	hits := idx.Search(data[5], 1)
+	hits := search(t, idx, data[5], 1)
 	if hits[0].ID != 5 {
 		t.Fatalf("expected self-hit, got %+v", hits[0])
 	}
-	if !idx.Delete(5) {
+	if !del(t, idx, 5) {
 		t.Fatal("Delete(5) returned false")
 	}
 	if idx.Deleted() != 1 {
 		t.Fatalf("Deleted = %d", idx.Deleted())
 	}
-	hits = idx.Search(data[5], 5)
+	hits = search(t, idx, data[5], 5)
 	for _, h := range hits {
 		if h.ID == 5 {
 			t.Fatal("deleted vector still returned")
@@ -33,13 +33,13 @@ func TestDeleteIdempotentAndRangeChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Delete(-1) || idx.Delete(100) {
+	if del(t, idx, -1) || del(t, idx, 100) {
 		t.Fatal("out-of-range Delete must return false")
 	}
-	if !idx.Delete(0) {
+	if !del(t, idx, 0) {
 		t.Fatal("first Delete must succeed")
 	}
-	if idx.Delete(0) {
+	if del(t, idx, 0) {
 		t.Fatal("second Delete of same id must return false")
 	}
 }
@@ -51,9 +51,9 @@ func TestDeleteAllThenSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		idx.Delete(i)
+		del(t, idx, i)
 	}
-	if hits := idx.Search(data[0], 5); len(hits) != 0 {
+	if hits := search(t, idx, data[0], 5); len(hits) != 0 {
 		t.Fatalf("search over fully-deleted index returned %v", hits)
 	}
 }
@@ -64,12 +64,12 @@ func TestDeleteThenAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Delete(7)
+	del(t, idx, 7)
 	id, err := idx.Add(data[7])
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := idx.Search(data[7], 1)
+	hits := search(t, idx, data[7], 1)
 	if len(hits) != 1 || hits[0].ID != id || hits[0].Dist != 0 {
 		t.Fatalf("re-added vector not found: %+v", hits)
 	}
@@ -88,10 +88,15 @@ func TestEarlyStopFactorTradesRecallForSpeed(t *testing.T) {
 	se, sg := exact.NewSearcher(), eager.NewSearcher()
 	var candExact, candEager int
 	for _, q := range queries {
-		se.Search(q, 10)
-		candExact += se.LastStats().Candidates
-		sg.Search(q, 10)
-		candEager += sg.LastStats().Candidates
+		var ste, stg Stats
+		if _, err := se.SearchOpts(q, 10, WithStats(&ste)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sg.SearchOpts(q, 10, WithStats(&stg)); err != nil {
+			t.Fatal(err)
+		}
+		candExact += ste.Candidates
+		candEager += stg.Candidates
 	}
 	if candEager > candExact {
 		t.Fatalf("early stop did not reduce work: %d vs %d candidates", candEager, candExact)

@@ -719,7 +719,7 @@ func (idx *Index) Save(dir string) error {
 // Close flushes and closes a durable index's op log and stops its
 // background goroutines, then returns the first logging or checkpointing
 // failure encountered over the index's lifetime, if any. The index remains
-// searchable, but mutations return ErrClosed (Add) or false (Delete). On a
+// searchable, but Add and DeleteWithError return ErrClosed. On a
 // purely in-memory index Close is a no-op. Close is idempotent.
 func (idx *Index) Close() error {
 	d := idx.dur

@@ -59,7 +59,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Index {
 // query must return it at distance 0.
 func expectHit(t *testing.T, idx *Index, id int, v []float32) {
 	t.Helper()
-	res := idx.Search(v, 1)
+	res := search(t, idx, v, 1)
 	if len(res) != 1 || res[0].ID != id || res[0].Dist != 0 {
 		t.Fatalf("vector of id %d: got %+v, want exact hit at distance 0", id, res)
 	}
@@ -83,7 +83,7 @@ func TestCrashRecoveryWithTornTail(t *testing.T) {
 		}
 	}
 	for _, id := range []int{3, 17, 41} {
-		if !idx.Delete(id) {
+		if !del(t, idx, id) {
 			t.Fatalf("delete %d failed", id)
 		}
 	}
@@ -99,7 +99,7 @@ func TestCrashRecoveryWithTornTail(t *testing.T) {
 		t.Fatalf("recovered shape: Len=%d NextID=%d Deleted=%d", re.Len(), re.NextID(), re.Deleted())
 	}
 	expectHit(t, re, 5, vecs[5])
-	if res := re.Search(vecs[17], 1); len(res) == 1 && res[0].ID == 17 {
+	if res := search(t, re, vecs[17], 1); len(res) == 1 && res[0].ID == 17 {
 		t.Fatal("deleted id 17 resurrected by replay")
 	}
 	// Replay must be idempotent: reopening again (the log was not
@@ -130,10 +130,10 @@ func TestCrashRecoveryWithTornTail(t *testing.T) {
 	if torn.Len() != 50 || torn.Deleted() != 2 {
 		t.Fatalf("after torn tail: Len=%d Deleted=%d, want 50/2", torn.Len(), torn.Deleted())
 	}
-	if res := torn.Search(vecs[41], 1); len(res) != 1 || res[0].ID != 41 {
+	if res := search(t, torn, vecs[41], 1); len(res) != 1 || res[0].ID != 41 {
 		t.Fatal("the torn Delete of id 41 should have been dropped, leaving it live")
 	}
-	if res := torn.Search(vecs[17], 1); len(res) == 1 && res[0].ID == 17 {
+	if res := search(t, torn, vecs[17], 1); len(res) == 1 && res[0].ID == 17 {
 		t.Fatal("intact Delete of id 17 lost alongside the torn tail")
 	}
 	// The torn tail was physically truncated at open, so new mutations
@@ -156,7 +156,7 @@ func TestReplayIdempotentOverCheckpointBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx.Delete(4)
+	del(t, idx, 4)
 	if err := idx.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCrashMidCheckpointRecoversRotatedSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx.Delete(1)
+	del(t, idx, 1)
 	want := serialize(t, idx)
 	crashMidCheckpoint(t, dir) // the checkpoint on disk is the initial empty one
 
@@ -250,7 +250,7 @@ func TestDeleteCompactCrashReplayKeepsIDs(t *testing.T) {
 	}
 	deleted := map[int]bool{}
 	for id := 0; id < 90; id += 7 {
-		if !idx.Delete(id) {
+		if !del(t, idx, id) {
 			t.Fatalf("delete %d", id)
 		}
 		deleted[id] = true
@@ -265,7 +265,7 @@ func TestDeleteCompactCrashReplayKeepsIDs(t *testing.T) {
 		t.Fatalf("NextID %d, want 90", re.NextID())
 	}
 	for id, v := range vecs {
-		res := re.Search(v, 1)
+		res := search(t, re, v, 1)
 		if deleted[id] {
 			if len(res) == 1 && res[0].ID == id {
 				t.Fatalf("deleted id %d resurrected", id)
@@ -300,8 +300,8 @@ func TestCloseGracefulReopenAndClosedMutations(t *testing.T) {
 	if _, err := idx.Add(vecs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Add after Close: %v, want ErrClosed", err)
 	}
-	if idx.Delete(0) {
-		t.Fatal("Delete after Close mutated the index")
+	if ok, err := idx.DeleteWithError(0); ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("DeleteWithError after Close: %v, %v, want false, ErrClosed", ok, err)
 	}
 	// Still searchable after Close.
 	expectHit(t, idx, 2, vecs[2])
@@ -324,7 +324,7 @@ func TestCheckpointTruncatesLogAndStats(t *testing.T) {
 		}
 	}
 	// A no-op delete (unknown id) must not reach the log.
-	if idx.Delete(999) {
+	if del(t, idx, 999) {
 		t.Fatal("delete of an unallocated id succeeded")
 	}
 	st, ok := idx.Durability()
@@ -429,14 +429,14 @@ func TestDurableCosineReplaysWithoutRederivation(t *testing.T) {
 		}
 	}
 	q := vecs[12]
-	want := idx.Search(q, 5)
+	want := search(t, idx, q, 5)
 
 	re := mustOpen(t, dir, Options{}) // crash-reopen
 	defer re.Close()
 	if re.Metric() != Cosine {
 		t.Fatalf("metric %s after reopen", re.Metric())
 	}
-	got := re.Search(q, 5)
+	got := search(t, re, q, 5)
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
@@ -482,7 +482,10 @@ func TestDurableConcurrentMutationsAndCheckpoints(t *testing.T) {
 	go func() { // deleter: racing ids that may not exist yet is fine
 		defer wg.Done()
 		for i := 0; i < deletes; i++ {
-			idx.Delete(i * 3)
+			if _, err := idx.DeleteWithError(i * 3); err != nil {
+				t.Errorf("delete: %v", err)
+				return
+			}
 		}
 	}()
 	go func() { // checkpointer: cut the log at arbitrary points mid-stream
@@ -494,7 +497,7 @@ func TestDurableConcurrentMutationsAndCheckpoints(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		idx.Search(vecs[i], 3)
+		search(t, idx, vecs[i], 3)
 	}
 	wg.Wait()
 	if idx.Len() != total || idx.NextID() != total {

@@ -19,7 +19,10 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hits := idx.Search([]float32{10.2, 10.1}, 3)
+	hits, err := idx.SearchOpts([]float32{10.2, 10.1}, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, h := range hits {
 		fmt.Println(h.ID)
 	}
@@ -46,8 +49,11 @@ func ExampleIndex_WriteTo() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hit, _ := loaded.SearchOne([]float32{4.8, 5.1})
-	fmt.Println(hit.ID)
+	hits, err := loaded.SearchOpts([]float32{4.8, 5.1}, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(hits[0].ID)
 	// Output:
 	// 1
 }
@@ -66,12 +72,20 @@ func ExampleIndex_Add() {
 	}
 	fmt.Println("added id:", id)
 
-	hit, _ := idx.SearchOne([]float32{30, 30})
-	fmt.Println("nearest:", hit.ID)
+	hits, err := idx.SearchOpts([]float32{30, 30}, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("nearest:", hits[0].ID)
 
-	idx.Delete(id)
-	hit, _ = idx.SearchOne([]float32{30, 30})
-	fmt.Println("after delete:", hit.ID)
+	if _, err := idx.DeleteWithError(id); err != nil {
+		log.Fatal(err)
+	}
+	hits, err = idx.SearchOpts([]float32{30, 30}, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("after delete:", hits[0].ID)
 	// Output:
 	// added id: 2
 	// nearest: 2

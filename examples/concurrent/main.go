@@ -64,7 +64,9 @@ func main() {
 				default:
 				}
 				q := jitter(rng, centers[rng.Intn(len(centers))], 0.5)
-				s.Search(q, 10)
+				if _, err := s.SearchOpts(q, 10); err != nil {
+					log.Fatal(err)
+				}
 				searches.Add(1)
 			}
 		}(w)
@@ -97,7 +99,11 @@ func main() {
 				return
 			case <-tick.C:
 			}
-			if idx.Delete(rng.Intn(n)) {
+			ok, err := idx.DeleteWithError(rng.Intn(n))
+			if err != nil {
+				log.Fatal(err)
+			}
+			if ok {
 				deletes.Add(1)
 			}
 		}

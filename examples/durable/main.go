@@ -48,7 +48,7 @@ func main() {
 func phase1(dir string) {
 	idx, err := dblsh.Open(dir, dblsh.Options{
 		Dim:  dim,
-		Sync: dblsh.SyncAlways, // every mutation is durable before Add/Delete returns
+		Sync: dblsh.SyncAlways, // every mutation is durable before Add/DeleteWithError returns
 		// CheckpointEvery could bound log growth in a long-lived process;
 		// this run is short enough to recover purely from the log.
 	})
@@ -68,7 +68,9 @@ func phase1(dir string) {
 		}
 	}
 	for id := 0; id < n; id += 10 {
-		idx.Delete(id)
+		if _, err := idx.DeleteWithError(id); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Printf("inserted %d and deleted %d vectors in %v\n",
 		n, idx.Deleted(), time.Since(start).Round(time.Millisecond))
@@ -103,7 +105,10 @@ func phase2(dir string) {
 	for j := range v0 {
 		v0[j] = float32(rng.NormFloat64() * 10)
 	}
-	res := idx.Search(v0, 3)
+	res, err := idx.SearchOpts(v0, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("query for the first inserted vector (id 0 was deleted): top hit id=%d dist=%.3f\n",
 		res[0].ID, res[0].Dist)
 

@@ -91,7 +91,10 @@ func main() {
 	for qi := 0; qi < qCount; qi++ {
 		topic := rng.Intn(topics)
 		q := embed(rng, centers[topic], 0.05)
-		hits := s.Search(q, 5)
+		hits, err := s.SearchOpts(q, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if len(hits) == 0 {
 			log.Fatal("no hits")
 		}

@@ -66,7 +66,10 @@ func main() {
 		for p := 0; p < probes; p++ {
 			probeID := rng.Intn(scenes * shotsEach) // probe a scene shot
 			probe := library[probeID]
-			res := s.Search(probe, k+1) // +1: the probe itself is in the library
+			res, err := s.SearchOpts(probe, k+1) // +1: the probe itself is in the library
+			if err != nil {
+				log.Fatal(err)
+			}
 
 			// Scene recall: how many burst-mates did we retrieve?
 			for _, h := range res {

@@ -46,7 +46,10 @@ func main() {
 	for trial := 0; trial < 3; trial++ {
 		target := rng.Intn(n)
 		q := jitter(rng, data[target], 0.2)
-		hits := idx.Search(q, 5)
+		hits, err := idx.SearchOpts(q, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("query near point %d:\n", target)
 		for rank, h := range hits {
 			marker := ""

@@ -19,7 +19,7 @@ func TestLifecycle(t *testing.T) {
 	// 1. Baseline answers.
 	baseline := make([][]Result, len(queries))
 	for i, q := range queries {
-		baseline[i] = idx.Search(q, 10)
+		baseline[i] = search(t, idx, q, 10)
 		if len(baseline[i]) != 10 {
 			t.Fatalf("query %d: %d results", i, len(baseline[i]))
 		}
@@ -35,7 +35,7 @@ func TestLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		res := idx2.Search(q, 10)
+		res := search(t, idx2, q, 10)
 		for j := range res {
 			if res[j] != baseline[i][j] {
 				t.Fatalf("reloaded index diverges at query %d rank %d", i, j)
@@ -53,7 +53,7 @@ func TestLifecycle(t *testing.T) {
 		ids[i] = id
 	}
 	for i, q := range queries {
-		res := idx2.Search(q, 1)
+		res := search(t, idx2, q, 1)
 		if res[0].ID != ids[i] || res[0].Dist != 0 {
 			t.Fatalf("query %d: added self not found, got %+v", i, res[0])
 		}
@@ -61,19 +61,22 @@ func TestLifecycle(t *testing.T) {
 
 	// 4. Delete them again; the original baseline top-1 must reappear.
 	for _, id := range ids {
-		if !idx2.Delete(id) {
+		if !del(t, idx2, id) {
 			t.Fatalf("Delete(%d) failed", id)
 		}
 	}
 	for i, q := range queries {
-		res := idx2.Search(q, 1)
+		res := search(t, idx2, q, 1)
 		if res[0] != baseline[i][0] {
 			t.Fatalf("query %d: after delete got %+v, want %+v", i, res[0], baseline[i][0])
 		}
 	}
 
 	// 5. Batch query equals sequential query.
-	batch := idx2.SearchBatch(queries, 10)
+	batch, err := idx2.SearchBatchOpts(queries, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range queries {
 		for j := range batch[i] {
 			if batch[i][j] != baseline[i][j] {
@@ -89,13 +92,13 @@ func TestSearchBatchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Single query (workers <= 1 path).
-	out := idx.SearchBatch(queries[:1], 3)
-	if len(out) != 1 || len(out[0]) != 3 {
-		t.Fatalf("batch of one returned %v", out)
+	// Single query: the caller's goroutine is the only worker.
+	out, err := idx.SearchBatchOpts(queries[:1], 3)
+	if err != nil || len(out) != 1 || len(out[0]) != 3 {
+		t.Fatalf("batch of one returned %v, %v", out, err)
 	}
 	// Empty batch.
-	if out := idx.SearchBatch(nil, 3); len(out) != 0 {
-		t.Fatalf("empty batch returned %v", out)
+	if out, err := idx.SearchBatchOpts(nil, 3); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch returned %v, %v", out, err)
 	}
 }

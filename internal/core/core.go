@@ -573,35 +573,8 @@ func (idx *Index) KANN(q []float32, k int) []vec.Neighbor {
 	return s.KANN(q, k)
 }
 
-// KANNParams answers a (c,k)-ANN query with per-query overrides using a
-// pooled searcher, returning the query's statistics alongside the results.
-// A non-nil error (the context's) still comes with the best candidates
-// found before cancellation.
-func (idx *Index) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
-	s := idx.pool.Get().(*Searcher)
-	defer idx.pool.Put(s)
-	nbs, err := s.KANNParams(q, k, p)
-	return nbs, s.last, err
-}
-
-// ANN answers a c-ANN query (k = 1). ok is false only on an empty index.
-func (idx *Index) ANN(q []float32) (vec.Neighbor, bool) {
-	s := idx.pool.Get().(*Searcher)
-	defer idx.pool.Put(s)
-	return s.ANN(q)
-}
-
 // LastStats returns statistics for the searcher's most recent query.
 func (s *Searcher) LastStats() Stats { return s.last }
-
-// ANN answers a c-ANN query with this searcher.
-func (s *Searcher) ANN(q []float32) (vec.Neighbor, bool) {
-	res := s.KANN(q, 1)
-	if len(res) == 0 {
-		return vec.Neighbor{}, false
-	}
-	return res[0], true
-}
 
 // KANN answers a (c,k)-ANN query with the index's build-time parameters.
 func (s *Searcher) KANN(q []float32, k int) []vec.Neighbor {
@@ -621,20 +594,10 @@ func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor
 	return nbs, err
 }
 
-// RNear answers a single (r,c)-NN query (Algorithm 1) — SearchRadius over
-// the one part a bare index is: a point within c·r of q if one is found
-// before the 2tL+1 candidate budget runs out, the budget-exhausting
-// candidate otherwise, or ok = false when the L windows hold neither.
-func (s *Searcher) RNear(q []float32, r float64) (vec.Neighbor, bool) {
-	CheckQuery(q, s.idx.data.Dim(), 1)
-	nb, ok, st, _ := SearchRadius(s.one, q, r, QueryParams{})
-	s.last = st
-	return nb, ok
-}
-
 // CheckQuery enforces the query entry points' panic contract for programmer
 // errors: a query of the wrong dimension, or k ≤ 0. The shard layer calls it
-// before it takes a lock, so a panicking query never strands one.
+// before it takes a lock, so a panicking query never strands one. The public
+// package refuses such queries with an error before they get this far.
 func CheckQuery(q []float32, dim, k int) {
 	if len(q) != dim {
 		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), dim))
@@ -748,9 +711,11 @@ func Search(parts []Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, St
 		return nil, Stats{}, nil
 	}
 	t, stopFactor := p.resolve(cfg)
-	// No query collects more than the resident rows, whatever its k.
+	// No query collects or verifies more than the resident rows, whatever
+	// its k: past them the budget never binds, and a k near the int limit
+	// cannot overflow it.
 	qr.cand = vec.NewTopKOf(k, resident)
-	qr.budget = 2*t*cfg.L + k
+	qr.budget = 2*t*cfg.L + min(k, resident)
 	qr.stopC = stopFactor * cfg.C
 	var err error
 	for p.MaxRadius <= 0 || r <= p.MaxRadius {

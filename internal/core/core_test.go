@@ -50,9 +50,6 @@ func TestEmptyIndex(t *testing.T) {
 	if res := idx.KANN(make([]float32, 8), 5); len(res) != 0 {
 		t.Fatalf("KANN on empty index = %v", res)
 	}
-	if _, ok := idx.ANN(make([]float32, 8)); ok {
-		t.Fatal("ANN on empty index should report !ok")
-	}
 }
 
 func TestKANNRecallOnClusteredData(t *testing.T) {
@@ -91,12 +88,12 @@ func TestANNApproximationGuarantee(t *testing.T) {
 	s := idx.NewSearcher()
 	fails := 0
 	for qi := 0; qi < ds.Queries.Rows(); qi++ {
-		res, ok := s.ANN(ds.Queries.Row(qi))
-		if !ok {
+		res := s.KANN(ds.Queries.Row(qi), 1)
+		if len(res) == 0 {
 			fails++
 			continue
 		}
-		if res.Dist > c*c*truth[qi][0].Dist+1e-9 {
+		if res[0].Dist > c*c*truth[qi][0].Dist+1e-9 {
 			fails++
 		}
 	}
@@ -159,6 +156,14 @@ func TestKANNSmallDatasetExact(t *testing.T) {
 	}
 }
 
+// rnear answers a single (r,c)-NN query on s's index: SearchRadius over the
+// one part a bare index is. Its statistics become s.LastStats().
+func rnear(s *Searcher, q []float32, r float64) (vec.Neighbor, bool) {
+	nb, ok, st, _ := SearchRadius(s.one, q, r, QueryParams{})
+	s.last = st
+	return nb, ok
+}
+
 func TestRNearContract(t *testing.T) {
 	ds := testDataset(2000, 16, 8)
 	c := 1.5
@@ -169,7 +174,7 @@ func TestRNearContract(t *testing.T) {
 		rStar := truth[qi][0].Dist
 		// Definition 2 case 1: points exist within r → must return one ≤ c·r
 		// (with constant probability; we tolerate a small failure count).
-		nb, ok := s.RNear(ds.Queries.Row(qi), rStar*1.01)
+		nb, ok := rnear(s, ds.Queries.Row(qi), rStar*1.01)
 		if ok && nb.Dist > c*rStar*1.01+1e-9 {
 			// Budget-exhaustion return may exceed cr; verify it was budget.
 			if s.LastStats().Candidates < 2*50*4+1 {
@@ -185,7 +190,7 @@ func TestRNearTinyRadiusReturnsNothing(t *testing.T) {
 	s := idx.NewSearcher()
 	found := 0
 	for qi := 0; qi < ds.Queries.Rows(); qi++ {
-		if _, ok := s.RNear(ds.Queries.Row(qi), 1e-9); ok {
+		if _, ok := rnear(s, ds.Queries.Row(qi), 1e-9); ok {
 			found++
 		}
 	}

@@ -214,7 +214,7 @@ func TestRNearBlockedContract(t *testing.T) {
 			q[j] = float32(rng.NormFloat64() * 8)
 		}
 		r := 0.5 + rng.Float64()*10
-		nb, ok := s.RNear(q, r)
+		nb, ok := rnear(s, q, r)
 		if !ok {
 			continue
 		}

@@ -119,7 +119,7 @@ func TestRNearContractProperty(t *testing.T) {
 		}
 		r := 0.5 + float64(rRaw)/16
 		s := idx.NewSearcher()
-		nb, ok := s.RNear(q, r)
+		nb, ok := rnear(s, q, r)
 		if !ok {
 			return true
 		}

@@ -118,7 +118,7 @@ type Metric interface {
 	// InternalRadius maps a user-facing radius to internal L2 units for
 	// fixed-radius queries and radius caps. Inner product has no meaningful
 	// radius and returns an error.
-	InternalRadius(q []float32, r float64) (float64, error)
+	InternalRadius(r float64) (float64, error)
 
 	// NormBound returns the fitted norm bound M of the MIPS reduction and 0
 	// for the other metrics. It is the parameter DBLSHv3 persists.
@@ -176,7 +176,7 @@ func (euclidean) DistMapper([]float32) func(float64) float64 {
 	return func(internal float64) float64 { return internal }
 }
 
-func (euclidean) InternalRadius(_ []float32, r float64) (float64, error) { return r, nil }
+func (euclidean) InternalRadius(r float64) (float64, error) { return r, nil }
 
 // --- Cosine ------------------------------------------------------------------
 
@@ -217,7 +217,7 @@ func (cosine) DistMapper([]float32) func(float64) float64 {
 
 // InternalRadius inverts UserDist: a cosine-distance radius r (in [0,2])
 // corresponds to internal L2 radius √(2r).
-func (cosine) InternalRadius(_ []float32, r float64) (float64, error) {
+func (cosine) InternalRadius(r float64) (float64, error) {
 	if r < 0 || r > 2 {
 		return 0, fmt.Errorf("metric: cosine distance radius must be in [0,2], got %v", r)
 	}
@@ -277,6 +277,6 @@ func (ip innerProduct) DistMapper(q []float32) func(float64) float64 {
 	}
 }
 
-func (innerProduct) InternalRadius([]float32, float64) (float64, error) {
+func (innerProduct) InternalRadius(float64) (float64, error) {
 	return 0, fmt.Errorf("metric: radius queries are not defined for inner-product search")
 }

@@ -101,14 +101,14 @@ func TestCosineRejectsZero(t *testing.T) {
 
 func TestCosineInternalRadius(t *testing.T) {
 	m, _ := New(Cosine, 0)
-	r, err := m.InternalRadius(nil, 0.5)
+	r, err := m.InternalRadius(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r-1) > 1e-12 { // √(2·0.5) = 1
 		t.Fatalf("InternalRadius(0.5) = %v, want 1", r)
 	}
-	if _, err := m.InternalRadius(nil, 3); err == nil {
+	if _, err := m.InternalRadius(3); err == nil {
 		t.Fatal("cosine radius above 2 should be rejected")
 	}
 }
@@ -166,7 +166,7 @@ func TestInnerProductCheckPoint(t *testing.T) {
 	if err := m.CheckPoint([]float32{6, 0}); err == nil {
 		t.Fatal("point above the norm bound should be rejected")
 	}
-	if _, err := m.InternalRadius(nil, 1); err == nil {
+	if _, err := m.InternalRadius(1); err == nil {
 		t.Fatal("inner product must reject radius queries")
 	}
 }

@@ -3,11 +3,13 @@ package shard
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dblsh/internal/core"
+	"dblsh/internal/vec"
 )
 
 // failFirstPollCtx is a context test double whose Done channel reports
@@ -107,6 +109,38 @@ func TestSearchBatchAnsweredSetParityAcrossWorkers(t *testing.T) {
 		}
 		if unanswered != 1 {
 			t.Fatalf("workers=%d: %d unanswered queries, want exactly 1", workers, unanswered)
+		}
+	}
+}
+
+// TestSearchBatchIgnoresWorkerCount: one worker (the caller alone) and four
+// run the same loop, so a batch's results and per-query statistics are
+// identical at GOMAXPROCS 1 and 4, and equal to each query run on its own.
+func TestSearchBatchIgnoresWorkerCount(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		s, _, queries := buildSet(600, 8, shards, 80)
+		queries = append(queries, queries...) // more queries than workers
+		batch := func(procs int) ([][]vec.Neighbor, []core.Stats) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			out, stats, err := s.SearchBatch(queries, 5, core.QueryParams{})
+			if err != nil {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: %v", shards, procs, err)
+			}
+			return out, stats
+		}
+		out1, st1 := batch(1)
+		out4, st4 := batch(4)
+		for i, q := range queries {
+			one, st, err := search(s, q, 5, core.QueryParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(out1[i], one) || !slices.Equal(out4[i], one) {
+				t.Fatalf("shards=%d query %d: results %v at 1 worker, %v at 4, %v alone", shards, i, out1[i], out4[i], one)
+			}
+			if st1[i] != st || st4[i] != st {
+				t.Fatalf("shards=%d query %d: stats %+v at 1 worker, %+v at 4, %+v alone", shards, i, st1[i], st4[i], st)
+			}
 		}
 	}
 }

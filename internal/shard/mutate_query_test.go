@@ -142,7 +142,7 @@ func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 	sparse := core.QueryParams{Filter: func(g int) bool { return g < n && g%50 == 3 }}
 	quiescent := make([][]vec.Neighbor, len(queries))
 	for i, q := range queries {
-		nbs, _, err := s.Search(q, k, sparse)
+		nbs, _, err := search(s, q, k, sparse)
 		if err != nil || len(nbs) != n/50 {
 			t.Fatalf("quiescent query %d: %d results, err %v", i, len(nbs), err)
 		}
@@ -324,7 +324,7 @@ func TestCompactionSwapMidQuery(t *testing.T) {
 			s.Delete(g)
 		}
 		q := flat[7*d : 8*d] // row 7 passes: round 1 verifies it at distance 0
-		want, _, err := s.Search(q, k, core.QueryParams{Filter: keep})
+		want, _, err := search(s, q, k, core.QueryParams{Filter: keep})
 		if err != nil || len(want) != 20 {
 			t.Fatalf("shards=%d: quiescent query: %d results, err %v", shards, len(want), err)
 		}

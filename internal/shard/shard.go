@@ -76,7 +76,7 @@ type Set struct {
 	compactFrac atomic.Uint64 // auto-compaction threshold (float64 bits); 0 disables
 	shards      []*state
 	nextID      atomic.Int64 // global id allocator / id-space bound
-	pool        sync.Pool    // of *Searcher, for the pooled entry points
+	pool        sync.Pool    // of *Searcher, for SearchBatch's workers
 
 	// metrics is the optional compaction observability hook set, swapped
 	// in atomically so SetMetrics is safe while background auto-compaction
@@ -795,85 +795,45 @@ func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (ve
 	return nb, ok, err
 }
 
-// Search answers a single (c,k)-ANN query through a pooled searcher.
-func (s *Set) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, core.Stats, error) {
-	sr := s.pool.Get().(*Searcher)
-	defer s.pool.Put(sr)
-	nbs, err := sr.Search(q, k, p)
-	return nbs, sr.last, err
-}
-
-// SearchRadius answers a single (r,c)-NN query through a pooled searcher.
-func (s *Set) SearchRadius(q []float32, r float64, p core.QueryParams) (vec.Neighbor, bool, core.Stats, error) {
-	sr := s.pool.Get().(*Searcher)
-	defer s.pool.Put(sr)
-	nb, ok, err := sr.SearchRadius(q, r, p)
-	return nb, ok, sr.last, err
-}
-
-// SearchBatch answers many queries across GOMAXPROCS workers, each with its
-// own Searcher. results[i] and stats[i] correspond to queries[i]; a query
-// skipped after a context expiry leaves a nil result. The first error
-// encountered is returned alongside the queries already answered.
+// SearchBatch answers many queries across up to GOMAXPROCS workers, the
+// caller's goroutine among them. Each worker draws a Searcher from the
+// set's pool and claims query indices from a shared counter until none is
+// left, so one worker and many run the same loop. results[i] and stats[i]
+// correspond to queries[i]. A query that errs (context expiry) leaves a nil
+// result, and the batch goes on with the rest: which queries a batch
+// answers does not depend on the worker count, and once a context is
+// cancelled the rest are near-free. The error of the lowest-index query
+// that erred is returned alongside the queries answered. The queries must
+// pass core.CheckQuery; a panic in a helper goroutine cannot be recovered.
 func (s *Set) SearchBatch(queries [][]float32, k int, p core.QueryParams) ([][]vec.Neighbor, []core.Stats, error) {
-	out := make([][]vec.Neighbor, len(queries))
-	stats := make([]core.Stats, len(queries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		var firstErr error
+	n := len(queries)
+	out := make([][]vec.Neighbor, n)
+	stats := make([]core.Stats, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(n)
+	work := func() {
 		sr := s.pool.Get().(*Searcher)
 		defer s.pool.Put(sr)
-		for i := range queries {
-			nbs, err := sr.Search(queries[i], k, p)
-			if err != nil {
-				// Keep answering the remaining queries, exactly like the
-				// parallel path below: which queries a batch answers must
-				// not depend on the worker count, and once a context is
-				// cancelled the rest are near-free anyway.
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue // out[i] stays nil: not answered
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if nbs, err := sr.Search(queries[i], k, p); err != nil {
+				errs[i] = err
+			} else {
+				out[i], stats[i] = nbs, sr.last
 			}
-			out[i] = nbs
-			stats[i] = sr.last
+			wg.Done()
 		}
-		return out, stats, firstErr
 	}
-
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sr := s.NewSearcher()
-			// Keep draining after an error so the feeder never blocks; once
-			// a context is cancelled the remaining queries are near-free.
-			for i := range next {
-				nbs, err := sr.Search(queries[i], k, p)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				out[i] = nbs
-				stats[i] = sr.last
-			}
-		}()
+	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
+		go work()
 	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
-	return out, stats, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return out, stats, err
+		}
+	}
+	return out, stats, nil
 }

@@ -10,6 +10,13 @@ import (
 	"dblsh/internal/vec"
 )
 
+// search answers one (c,k)-ANN query on a fresh Searcher of s.
+func search(s *Set, q []float32, k int, p core.QueryParams) ([]vec.Neighbor, core.Stats, error) {
+	sr := s.NewSearcher()
+	nbs, err := sr.Search(q, k, p)
+	return nbs, sr.LastStats(), err
+}
+
 // corpus generates clustered data as a flat row-major slice plus queries.
 func corpus(n, d int, seed int64) ([]float32, [][]float32) {
 	rng := rand.New(rand.NewSource(seed))
@@ -90,7 +97,7 @@ func TestStripedBuildRoutesIDs(t *testing.T) {
 	// Every original row must come back under its global id on self-query.
 	for _, g := range []int{0, 1, 2, 3, 5, 123, 877, n - 1} {
 		q := flat[g*d : (g+1)*d]
-		nbs, _, err := s.Search(q, 1, core.QueryParams{})
+		nbs, _, err := search(s, q, 1, core.QueryParams{})
 		if err != nil || len(nbs) != 1 {
 			t.Fatalf("self-query %d: %v %v", g, nbs, err)
 		}
@@ -111,7 +118,7 @@ func TestAddDeleteRouting(t *testing.T) {
 	if id != n {
 		t.Fatalf("Add returned %d, want %d", id, n)
 	}
-	nbs, _, _ := s.Search(v, 1, core.QueryParams{})
+	nbs, _, _ := search(s, v, 1, core.QueryParams{})
 	if len(nbs) != 1 || nbs[0].ID != id || nbs[0].Dist != 0 {
 		t.Fatalf("added vector not found: %+v", nbs)
 	}
@@ -127,7 +134,7 @@ func TestAddDeleteRouting(t *testing.T) {
 	if s.Deleted() != 1 {
 		t.Fatalf("Deleted = %d", s.Deleted())
 	}
-	nbs, _, _ = s.Search(v, 1, core.QueryParams{})
+	nbs, _, _ = search(s, v, 1, core.QueryParams{})
 	if len(nbs) == 1 && nbs[0].ID == id {
 		t.Fatal("deleted vector still returned")
 	}
@@ -150,7 +157,7 @@ func TestShardMergeMatchesSingleShard(t *testing.T) {
 			for _, id := range bruteNN(flat, n, d, q, k, nil) {
 				truth[id] = true
 			}
-			nbs, _, err := s.Search(q, k, core.QueryParams{})
+			nbs, _, err := search(s, q, k, core.QueryParams{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,8 +187,8 @@ func TestShardMergeMatchesSingleShard(t *testing.T) {
 	// Exact self-hits must agree bit-for-bit across layouts.
 	for g := 0; g < n; g += 251 {
 		q := flat[g*d : (g+1)*d]
-		a, _, _ := single.Search(q, 1, core.QueryParams{})
-		b, _, _ := sharded.Search(q, 1, core.QueryParams{})
+		a, _, _ := search(single, q, 1, core.QueryParams{})
+		b, _, _ := search(sharded, q, 1, core.QueryParams{})
 		if len(a) != 1 || len(b) != 1 || a[0].ID != b[0].ID || a[0].Dist != 0 || b[0].Dist != 0 {
 			t.Fatalf("self-hit %d diverges: %+v vs %+v", g, a, b)
 		}
@@ -196,7 +203,7 @@ func TestSearchBatchMatchesSingleQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		one, _, err := s.Search(q, k, core.QueryParams{})
+		one, _, err := search(s, q, k, core.QueryParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +226,7 @@ func TestGlobalFilterAcrossShards(t *testing.T) {
 	s, flat, _ := buildSet(n, d, 4, 41)
 	q := flat[:d]
 	p := core.QueryParams{Filter: func(g int) bool { return g%2 == 1 }}
-	nbs, _, err := s.Search(q, 20, p)
+	nbs, _, err := search(s, q, 20, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +268,7 @@ func TestCompactShardPreservesIDs(t *testing.T) {
 	// Survivors keep their global ids; the dead stay dead.
 	for _, g := range []int{1, 7, 55, 1199} {
 		q := flat[g*d : (g+1)*d]
-		nbs, _, _ := s.Search(q, 1, core.QueryParams{})
+		nbs, _, _ := search(s, q, 1, core.QueryParams{})
 		if len(nbs) != 1 || nbs[0].ID != g || nbs[0].Dist != 0 {
 			t.Fatalf("survivor %d lost after compaction: %+v", g, nbs)
 		}
@@ -271,7 +278,7 @@ func TestCompactShardPreservesIDs(t *testing.T) {
 			t.Fatalf("compacted-away id %d deletable again", g)
 		}
 		q := flat[g*d : (g+1)*d]
-		nbs, _, _ := s.Search(q, 1, core.QueryParams{})
+		nbs, _, _ := search(s, q, 1, core.QueryParams{})
 		if len(nbs) == 1 && nbs[0].ID == g {
 			t.Fatalf("compacted-away id %d still returned", g)
 		}
@@ -311,7 +318,7 @@ func TestCompactEmptiedShard(t *testing.T) {
 			break
 		}
 	}
-	nbs, _, _ := s.Search(v, 1, core.QueryParams{})
+	nbs, _, _ := search(s, v, 1, core.QueryParams{})
 	if len(nbs) != 1 || nbs[0].ID != id || nbs[0].Dist != 0 {
 		t.Fatalf("vector added to emptied shard not found: %+v", nbs)
 	}
@@ -411,8 +418,8 @@ func TestRestoreRoundTrip(t *testing.T) {
 	// Identical answers: the restored set rebuilds from the same seeds and
 	// per-shard radii.
 	for _, q := range queries {
-		a, _, _ := s.Search(q, 5, core.QueryParams{})
-		b, _, _ := r.Search(q, 5, core.QueryParams{})
+		a, _, _ := search(s, q, 5, core.QueryParams{})
+		b, _, _ := search(r, q, 5, core.QueryParams{})
 		if len(a) != len(b) {
 			t.Fatalf("result counts diverge: %d vs %d", len(a), len(b))
 		}
@@ -424,7 +431,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 	// Tombstone 11 survived the round-trip.
 	q := flat[11*d : 12*d]
-	nbs, _, _ := r.Search(q, 1, core.QueryParams{})
+	nbs, _, _ := search(r, q, 1, core.QueryParams{})
 	if len(nbs) == 1 && nbs[0].ID == 11 {
 		t.Fatal("tombstone resurrected by Restore")
 	}
@@ -512,7 +519,7 @@ func TestConcurrentMutationsAndSearches(t *testing.T) {
 		t.Fatalf("NextID = %d, want %d", got, n+400)
 	}
 	// Every id the deleter removed that wasn't compacted must stay hidden.
-	nbs, _, err := s.Search(queries[0], 10, core.QueryParams{})
+	nbs, _, err := search(s, queries[0], 10, core.QueryParams{})
 	if err != nil || len(nbs) == 0 {
 		t.Fatalf("post-stress search: %v %v", nbs, err)
 	}

@@ -124,7 +124,7 @@ func TestKernelContract(t *testing.T) {
 			}
 			off := 0
 			for _, q := range qs[i] {
-				for _, r := range idx.Search(q, k) {
+				for _, r := range search(t, idx, q, k) {
 					if r.Dist != vec.Dist(q, data[i][r.ID]) {
 						off++
 					}

@@ -9,6 +9,7 @@ package dblsh
 
 import (
 	"fmt"
+	"math"
 
 	"dblsh/internal/metric"
 	"dblsh/internal/vec"
@@ -32,7 +33,7 @@ const (
 	// scaled into the unit ball by a norm bound fitted at build time.
 	// Result.Dist is the NEGATED inner product −⟨q,x⟩, so the library's
 	// ascending-distance order ranks by descending inner product; negate it
-	// to recover ⟨q,x⟩. Radius queries (SearchRadius, WithMaxRadius) are
+	// to recover ⟨q,x⟩. Radius queries (SearchRadiusOpts, WithMaxRadius) are
 	// not defined under this metric and return an error.
 	InnerProduct Metric = Metric(metric.InnerProduct)
 )
@@ -85,18 +86,9 @@ func transformFlat(m metric.Metric, flat []float32, n, dim int) ([]float32, erro
 	return out, nil
 }
 
-// checkQueryDim enforces the panic contract against the user-facing
-// dimensionality (the internal space may be wider under InnerProduct).
-func (idx *Index) checkQueryDim(q []float32) {
-	if len(q) != idx.dim {
-		panic(fmt.Sprintf("dblsh: query dim %d, index dim %d", len(q), idx.dim))
-	}
-}
-
-// transformQuery maps a user query into the internal space, reusing buf.
-// Under Euclidean it returns q itself — the hot path stays zero-copy.
+// transformQuery maps a checked user query into the internal space, reusing
+// buf. Under Euclidean it returns q itself — the hot path stays zero-copy.
 func (idx *Index) transformQuery(buf *[]float32, q []float32) []float32 {
-	idx.checkQueryDim(q)
 	if idx.met.Kind() == metric.Euclidean {
 		return q
 	}
@@ -118,13 +110,23 @@ func (idx *Index) userResults(q []float32, nbs []vec.Neighbor) []Result {
 	return out
 }
 
+// internalRadius maps a user-facing radius into internal L2 units. Under
+// every metric a radius must be finite and ≥ 0; the metric may refuse more
+// (cosine distance above 2, any radius under InnerProduct).
+func (idx *Index) internalRadius(r float64) (float64, error) {
+	if !(r >= 0) || math.IsInf(r, 1) {
+		return 0, fmt.Errorf("dblsh: radius must be finite and ≥ 0, got %v", r)
+	}
+	return idx.met.InternalRadius(r)
+}
+
 // internalMaxRadius rewrites a user-facing WithMaxRadius cap into internal
-// L2 units in place, erroring for metrics without a radius semantics.
-func (idx *Index) internalMaxRadius(q []float32, s *searchSettings) error {
+// L2 units in place.
+func (idx *Index) internalMaxRadius(s *searchSettings) error {
 	if s.p.MaxRadius <= 0 {
 		return nil
 	}
-	r, err := idx.met.InternalRadius(q, s.p.MaxRadius)
+	r, err := idx.internalRadius(s.p.MaxRadius)
 	if err != nil {
 		return err
 	}

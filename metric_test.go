@@ -61,8 +61,8 @@ func TestCosineRecallParity(t *testing.T) {
 	}
 	const k = 10
 	for qi, q := range queries {
-		he := euc.Search(q, k)
-		hc := cos.Search(q, k)
+		he := search(t, euc, q, k)
+		hc := search(t, cos, q, k)
 		if len(he) != k || len(hc) != k {
 			t.Fatalf("query %d: got %d euclidean, %d cosine hits", qi, len(he), len(hc))
 		}
@@ -127,10 +127,11 @@ func TestInnerProductTop1Exact(t *testing.T) {
 				bestID, bestIP = id, ip
 			}
 		}
-		hit, ok := idx.SearchOne(q)
-		if !ok {
+		hits := search(t, idx, q, 1)
+		if len(hits) != 1 {
 			t.Fatalf("query %d: no result", qi)
 		}
+		hit := hits[0]
 		if hit.ID != bestID {
 			t.Fatalf("query %d: top-1 id %d (ip %v), brute-force argmax %d (ip %v)",
 				qi, hit.ID, -hit.Dist, bestID, bestIP)
@@ -163,7 +164,7 @@ func TestInnerProductRanking(t *testing.T) {
 	for j := range q {
 		q[j] = float32(rng.NormFloat64())
 	}
-	hits := idx.Search(q, k)
+	hits := search(t, idx, q, k)
 	if len(hits) != k {
 		t.Fatalf("got %d hits", len(hits))
 	}
@@ -249,8 +250,8 @@ func TestMetricRadiusSemantics(t *testing.T) {
 	s := cos.NewSearcher()
 	// A cosine-distance radius of 2 spans all directions: with an
 	// exhaustive budget the round must find something.
-	if _, ok := s.SearchRadius(queries[0], 2); !ok {
-		t.Fatal("cosine radius 2 found nothing")
+	if _, ok, err := s.SearchRadiusOpts(queries[0], 2); err != nil || !ok {
+		t.Fatalf("cosine radius 2 found nothing (err %v)", err)
 	}
 	if _, _, err := s.SearchRadiusOpts(queries[0], 3); err == nil {
 		t.Fatal("cosine radius above 2 must error")
@@ -295,7 +296,9 @@ func TestMetricPersistRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx.Delete(5)
+			if _, err := idx.DeleteWithError(5); err != nil {
+				t.Fatal(err)
+			}
 			var buf bytes.Buffer
 			if _, err := idx.WriteTo(&buf); err != nil {
 				t.Fatal(err)
@@ -314,7 +317,7 @@ func TestMetricPersistRoundTrip(t *testing.T) {
 				t.Fatalf("params changed: %+v vs %+v", loaded.Params(), idx.Params())
 			}
 			for _, q := range queries {
-				a, b := idx.Search(q, 5), loaded.Search(q, 5)
+				a, b := search(t, idx, q, 5), search(t, loaded, q, 5)
 				if len(a) != len(b) {
 					t.Fatalf("result count changed: %d vs %d", len(a), len(b))
 				}

@@ -18,8 +18,8 @@ import (
 
 // SearchOption customizes a single query without touching the index's
 // build-time configuration. Options compose left to right; when two options
-// set the same knob the last one wins. The zero set of options reproduces
-// the plain Search/SearchBatch/SearchRadius behavior exactly.
+// set the same knob the last one wins. With no options a query runs with
+// the index's build-time parameters.
 type SearchOption func(*searchSettings)
 
 // searchSettings is the resolved form of a []SearchOption. Option
@@ -38,10 +38,18 @@ func (s *searchSettings) fail(err error) {
 	}
 }
 
-func applySearchOptions(opts []SearchOption) (searchSettings, error) {
+// applySearchOptions resolves opts for a batch or for a single query: each
+// of WithStats and WithBatchStats is an error outside its scope.
+func applySearchOptions(opts []SearchOption, batch bool) (searchSettings, error) {
 	var s searchSettings
 	for _, o := range opts {
 		o(&s)
+	}
+	switch {
+	case batch && s.stats != nil:
+		s.fail(errors.New("dblsh: WithStats applies only to single queries; use WithBatchStats"))
+	case !batch && s.batchStats != nil:
+		s.fail(errors.New("dblsh: WithBatchStats applies only to SearchBatchOpts"))
 	}
 	return s, s.err
 }
@@ -49,11 +57,11 @@ func applySearchOptions(opts []SearchOption) (searchSettings, error) {
 // WithCandidateBudget overrides the candidate constant t for this query:
 // at most 2·t·L+k exact distances are computed (Algorithm 1's budget).
 // Larger values trade latency for accuracy; smaller values answer fast from
-// fewer candidates. t must be positive.
+// fewer candidates. t must be in [1, 2²⁰], the range Options.T allows.
 func WithCandidateBudget(t int) SearchOption {
 	return func(s *searchSettings) {
-		if t <= 0 {
-			s.fail(fmt.Errorf("dblsh: candidate budget must be positive, got %d", t))
+		if t < 1 || t > maxT {
+			s.fail(fmt.Errorf("dblsh: candidate budget must be in [1, %d], got %d", maxT, t))
 			return
 		}
 		s.p.T = t
@@ -67,7 +75,7 @@ func WithCandidateBudget(t int) SearchOption {
 // for latency.
 func WithEarlyStop(factor float64) SearchOption {
 	return func(s *searchSettings) {
-		if factor < 1 {
+		if !(factor >= 1) { // NaN fails too
 			s.fail(fmt.Errorf("dblsh: early-stop factor must be ≥ 1, got %v", factor))
 			return
 		}
@@ -81,7 +89,7 @@ func WithEarlyStop(factor float64) SearchOption {
 // distance are worthless, e.g. duplicate detection. r must be positive.
 func WithMaxRadius(r float64) SearchOption {
 	return func(s *searchSettings) {
-		if r <= 0 {
+		if !(r > 0) { // NaN fails too
 			s.fail(fmt.Errorf("dblsh: max radius must be positive, got %v", r))
 			return
 		}
@@ -120,8 +128,9 @@ func WithFilter(keep func(id int) bool) SearchOption {
 	}
 }
 
-// WithStats records the query's work statistics into st. For batch queries
-// the per-query statistics are summed (FinalRadius reports the maximum).
+// WithStats records the query's work statistics into st. It is only valid
+// on single queries; a batch records per-query statistics with
+// WithBatchStats.
 func WithStats(st *Stats) SearchOption {
 	return func(s *searchSettings) {
 		if st == nil {
@@ -145,8 +154,6 @@ func WithBatchStats(sts *[]Stats) SearchOption {
 	}
 }
 
-var errBatchStatsScope = errors.New("dblsh: WithBatchStats applies only to SearchBatchOpts")
-
 func statsFromCore(st core.Stats) Stats {
 	return Stats{
 		Candidates:   st.Candidates,
@@ -157,48 +164,49 @@ func statsFromCore(st core.Stats) Stats {
 	}
 }
 
-// SearchOpts is Search with per-query options. The error is non-nil when an
-// option is invalid, the query has a NaN or infinite coordinate (refused
-// before anything is hashed: such a query projects to window bounds every
-// comparison against which is false, and every entry of every tree would
-// count as inside) or the query's context expires; a context error still
-// comes with the best results found before cancellation. Like Search, it
-// panics if len(q) != Dim() or k <= 0.
-func (idx *Index) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result, error) {
-	set, err := applySearchOptions(opts)
-	if err != nil {
-		return nil, err
+// checkQuery refuses a query the index cannot answer: one of the wrong
+// dimension, a k below 1, or a NaN or infinite coordinate. A non-finite
+// query projects to window bounds every comparison against which is false,
+// so every entry of every tree would count as inside.
+func (idx *Index) checkQuery(q []float32, k int) error {
+	if len(q) != idx.dim {
+		return fmt.Errorf("dblsh: query dim %d, index dim %d", len(q), idx.dim)
 	}
-	if set.batchStats != nil {
-		return nil, errBatchStatsScope
+	if k <= 0 {
+		return fmt.Errorf("dblsh: k must be positive, got %d", k)
 	}
-	if err := checkFinite(q); err != nil {
-		return nil, err
-	}
-	if err := idx.internalMaxRadius(q, &set); err != nil {
-		return nil, err
-	}
-	var buf []float32
-	nbs, st, err := idx.set.Search(idx.transformQuery(&buf, q), k, set.p)
-	if set.stats != nil {
-		*set.stats = statsFromCore(st)
-	}
-	return idx.userResults(q, nbs), err
+	return checkFinite(q)
 }
 
-// SearchOpts is Searcher.Search with per-query options; see Index.SearchOpts.
+// SearchOpts returns the k approximate nearest neighbors of q, sorted by
+// ascending distance, through a Searcher borrowed from the index's pool;
+// see Searcher.SearchOpts.
+func (idx *Index) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result, error) {
+	s, _ := idx.pool.Get().(*Searcher)
+	if s == nil {
+		s = idx.NewSearcher()
+	}
+	defer idx.pool.Put(s)
+	return s.SearchOpts(q, k, opts...)
+}
+
+// SearchOpts returns the k approximate nearest neighbors of q, sorted by
+// ascending distance, with per-query options applied. Unless WithFilter or
+// WithMaxRadius excludes some, fewer than k results come back only when
+// fewer than k vectors are live. The error is non-nil,
+// and nothing is searched, when q has the wrong dimension or a NaN or
+// infinite coordinate, k < 1, or an option is invalid. It is also non-nil
+// when the query's context expires, and then it comes with the best
+// results found before cancellation.
 func (s *Searcher) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result, error) {
-	set, err := applySearchOptions(opts)
+	set, err := applySearchOptions(opts, false)
+	if err == nil {
+		err = s.idx.checkQuery(q, k)
+	}
+	if err == nil {
+		err = s.idx.internalMaxRadius(&set)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if set.batchStats != nil {
-		return nil, errBatchStatsScope
-	}
-	if err := checkFinite(q); err != nil {
-		return nil, err
-	}
-	if err := s.idx.internalMaxRadius(q, &set); err != nil {
 		return nil, err
 	}
 	nbs, err := s.inner.Search(s.idx.transformQuery(&s.qbuf, q), k, set.p)
@@ -208,25 +216,26 @@ func (s *Searcher) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Resul
 	return s.idx.userResults(q, nbs), err
 }
 
-// SearchRadiusOpts is SearchRadius with per-query options. Of the knobs,
-// WithCandidateBudget, WithFilter, WithContext and WithStats apply; the
-// ladder-shaping options (WithEarlyStop, WithMaxRadius) are ignored because
-// a fixed-radius query runs a single round. The radius is in the index's
-// metric (Euclidean distance, or cosine distance in [0,2]); under
-// InnerProduct a radius has no meaning and an error is returned, as it is
-// for a query with a NaN or infinite coordinate.
+// SearchRadiusOpts answers a single (r,c)-NN query (Algorithm 1 of the
+// paper): if some indexed point lies within distance r of q, it returns a
+// point within c·r with constant probability; if no point lies within c·r
+// it returns ok = false. It is the primitive SearchOpts's radius ladder is
+// built from, for callers that know their target radius. The radius is in
+// the index's metric — Euclidean distance, or cosine distance in [0,2] —
+// and must be finite and ≥ 0; under InnerProduct a radius has no meaning
+// and every radius is an error. Of the options, WithCandidateBudget,
+// WithFilter, WithContext and WithStats apply; the ladder-shaping options
+// (WithEarlyStop, WithMaxRadius) are ignored because a fixed-radius query
+// runs a single round. The query itself is checked as SearchOpts checks it.
 func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption) (Result, bool, error) {
-	set, err := applySearchOptions(opts)
-	if err != nil {
-		return Result{}, false, err
+	set, err := applySearchOptions(opts, false)
+	if err == nil {
+		err = s.idx.checkQuery(q, 1)
 	}
-	if set.batchStats != nil {
-		return Result{}, false, errBatchStatsScope
+	var ir float64
+	if err == nil {
+		ir, err = s.idx.internalRadius(r)
 	}
-	if err := checkFinite(q); err != nil {
-		return Result{}, false, err
-	}
-	ir, err := s.idx.met.InternalRadius(q, r)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -241,27 +250,28 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 	return res, ok, err
 }
 
-// SearchBatchOpts is SearchBatch with per-query options applied uniformly to
-// every query in the batch. Queries run in parallel across GOMAXPROCS
-// workers, each with its own Searcher; results[i] corresponds to queries[i].
-// A query with a NaN or infinite coordinate fails the whole batch before any
-// query runs. On context expiry the queries already answered keep their
-// results, the rest are nil, and the context's error is returned. It is
-// safe to run concurrently with Add and Delete; shard locks are taken per
-// ladder round, so mutations interleave between rounds and a query may
-// observe vectors added while it runs.
+// SearchBatchOpts answers many queries with the same k and options, in
+// parallel across up to GOMAXPROCS workers, the caller's goroutine among
+// them; results[i] corresponds to queries[i]. Every query is checked as
+// SearchOpts checks it before any of them runs, and the first refused one
+// fails the whole batch with an error naming its index. On context expiry
+// the queries already answered keep their results, the rest are nil, and
+// the context's error is returned. It is safe to run concurrently with Add
+// and DeleteWithError; shard locks are taken per ladder round, so mutations
+// interleave between rounds and a query may observe vectors added while it
+// runs.
 func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOption) ([][]Result, error) {
-	set, err := applySearchOptions(opts)
+	set, err := applySearchOptions(opts, true)
+	if err == nil {
+		err = idx.internalMaxRadius(&set)
+	}
 	if err != nil {
 		return nil, err
 	}
 	for i, q := range queries {
-		if err := checkFinite(q); err != nil {
+		if err := idx.checkQuery(q, k); err != nil {
 			return nil, fmt.Errorf("dblsh: query %d: %w", i, err)
 		}
-	}
-	if err := idx.internalMaxRadius(nil, &set); err != nil {
-		return nil, err
 	}
 	internal := queries
 	if idx.met.Kind() != metric.Euclidean {
@@ -278,29 +288,12 @@ func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOpti
 		}
 		out[i] = idx.userResults(queries[i], n)
 	}
-
-	var per []Stats
-	if set.batchStats != nil || set.stats != nil {
-		per = make([]Stats, len(queries))
+	if set.batchStats != nil {
+		per := make([]Stats, len(queries))
 		for i, st := range coreStats {
 			per[i] = statsFromCore(st)
 		}
-	}
-	if set.batchStats != nil {
 		*set.batchStats = per
-	}
-	if set.stats != nil {
-		var agg Stats
-		for _, st := range per {
-			agg.Candidates += st.Candidates
-			agg.Rounds += st.Rounds
-			agg.NodesVisited += st.NodesVisited
-			agg.FrontierSize += st.FrontierSize
-			if st.FinalRadius > agg.FinalRadius {
-				agg.FinalRadius = st.FinalRadius
-			}
-		}
-		*set.stats = agg
 	}
 	return out, firstErr
 }

@@ -5,11 +5,28 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"dblsh"
 )
+
+// searchOpts is the query form Index and Searcher share.
+type searchOpts interface {
+	SearchOpts(q []float32, k int, opts ...dblsh.SearchOption) ([]dblsh.Result, error)
+}
+
+// search is SearchOpts on a query the test knows to be valid: an error
+// fails the test.
+func search(tb testing.TB, on searchOpts, q []float32, k int) []dblsh.Result {
+	tb.Helper()
+	res, err := on.SearchOpts(q, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 // optsIndex builds one shared index over a dense Gaussian cloud — the
 // regime where the per-query knobs visibly change the work a query does —
@@ -108,7 +125,7 @@ func TestWithFilterExcludesIDs(t *testing.T) {
 	// rejecting exactly that id must keep it out of the results.
 	s := idx.NewSearcher()
 	for _, q := range probes {
-		res := s.Search(q, 1)
+		res := search(t, s, q, 1)
 		if len(res) != 1 {
 			t.Fatal("unfiltered search found nothing")
 		}
@@ -211,71 +228,66 @@ func TestWithMaxRadiusCapsFinalSweep(t *testing.T) {
 	}
 }
 
-// The legacy entry points must stay exact wrappers: no options means
-// identical output.
+// Index.SearchOpts and SearchBatchOpts run Searcher.SearchOpts's query on
+// pooled searchers: no options means the same answers as one searcher,
+// also while several goroutines share the index's pool.
 func TestWrappersMatchOpts(t *testing.T) {
 	idx, probes := optsIndex(t)
 	const k = 10
-	for _, q := range probes {
-		plain := idx.Search(q, k)
-		via, err := idx.SearchOpts(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, via) {
-			t.Fatalf("Search %v != SearchOpts %v", plain, via)
-		}
-	}
-	batchPlain := idx.SearchBatch(probes, k)
-	batchVia, err := idx.SearchBatchOpts(probes, k)
+	batch, err := idx.SearchBatchOpts(probes, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(batchPlain, batchVia) {
-		t.Fatal("SearchBatch != SearchBatchOpts")
-	}
 	s := idx.NewSearcher()
-	for _, q := range probes {
-		plain := s.Search(q, k)
-		via, err := s.SearchOpts(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, via) {
-			t.Fatal("Searcher.Search != Searcher.SearchOpts")
-		}
-		rPlain, okPlain := s.SearchRadius(q, 2)
-		rVia, okVia, err := s.SearchRadiusOpts(q, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if okPlain != okVia || rPlain != rVia {
-			t.Fatal("SearchRadius != SearchRadiusOpts")
+	own := make([][]dblsh.Result, len(probes))
+	for i, q := range probes {
+		own[i] = search(t, s, q, k)
+		if !reflect.DeepEqual(batch[i], own[i]) {
+			t.Fatalf("query %d: SearchBatchOpts %v != Searcher.SearchOpts %v", i, batch[i], own[i])
 		}
 	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, q := range probes {
+				pooled, err := idx.SearchOpts(q, k)
+				if err != nil || !reflect.DeepEqual(pooled, own[i]) {
+					t.Errorf("query %d: Index.SearchOpts %v, %v != Searcher.SearchOpts %v", i, pooled, err, own[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
+// WithBatchStats records what WithStats records for each query on its own;
+// WithStats on a batch is out of scope.
 func TestSearchBatchOptsStats(t *testing.T) {
 	idx, probes := optsIndex(t)
 	var per []dblsh.Stats
-	var agg dblsh.Stats
-	res, err := idx.SearchBatchOpts(probes, 10,
-		dblsh.WithBatchStats(&per), dblsh.WithStats(&agg))
+	res, err := idx.SearchBatchOpts(probes, 10, dblsh.WithBatchStats(&per))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != len(probes) || len(per) != len(probes) {
 		t.Fatalf("got %d results, %d stats for %d queries", len(res), len(per), len(probes))
 	}
-	sum := 0
-	for i, st := range per {
-		if st.Candidates == 0 || st.Rounds == 0 {
-			t.Fatalf("query %d reported empty stats %+v", i, st)
+	s := idx.NewSearcher()
+	for i, q := range probes {
+		var one dblsh.Stats
+		if _, err := s.SearchOpts(q, 10, dblsh.WithStats(&one)); err != nil {
+			t.Fatal(err)
 		}
-		sum += st.Candidates
+		if per[i].Candidates == 0 || per[i].Rounds == 0 || per[i] != one {
+			t.Fatalf("query %d: batch stats %+v, single-query stats %+v", i, per[i], one)
+		}
 	}
-	if agg.Candidates != sum {
-		t.Fatalf("aggregate candidates %d, sum of per-query %d", agg.Candidates, sum)
+	var agg dblsh.Stats
+	if _, err := idx.SearchBatchOpts(probes, 10, dblsh.WithStats(&agg)); err == nil {
+		t.Fatal("WithStats accepted by SearchBatchOpts")
 	}
 }
 

@@ -50,8 +50,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	// Determinism: the reloaded index must answer identically.
 	for _, q := range queries {
-		a := idx.Search(q, 10)
-		b := loaded.Search(q, 10)
+		a := search(t, idx, q, 10)
+		b := search(t, loaded, q, 10)
 		if len(a) != len(b) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -118,13 +118,13 @@ func TestAddThenSearch(t *testing.T) {
 	if idx.Len() != before+1 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
-	hits := idx.Search(novel, 1)
+	hits := search(t, idx, novel, 1)
 	if len(hits) != 1 || hits[0].ID != id || hits[0].Dist != 0 {
 		t.Fatalf("search for added point returned %+v", hits)
 	}
 
 	// Old points still found.
-	hits = idx.Search(data[0], 1)
+	hits = search(t, idx, data[0], 1)
 	if len(hits) != 1 || hits[0].Dist != 0 {
 		t.Fatalf("pre-existing point lost after Add: %+v", hits)
 	}
@@ -155,7 +155,7 @@ func TestAddManyKeepsTreeInvariants(t *testing.T) {
 	if idx.Len() != 1000 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
-	res := s.Search(data[0], 5)
+	res := search(t, s, data[0], 5)
 	if len(res) != 5 {
 		t.Fatalf("stale searcher returned %d results", len(res))
 	}
@@ -262,8 +262,8 @@ func TestReadHandlesPartialReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := idx.Search(queries[0], 5)
-	b := loaded.Search(queries[0], 5)
+	a := search(t, idx, queries[0], 5)
+	b := search(t, loaded, queries[0], 5)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("byte-at-a-time load diverges")
@@ -302,7 +302,7 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 			}
 		}
 		for g := 1; g < on.NextID(); g += deleteEvery {
-			on.Delete(g)
+			del(t, on, g)
 		}
 	}
 	mutate(idx, more[:600], 7)
@@ -545,7 +545,7 @@ func TestOptionsWithinFileLimits(t *testing.T) {
 			t.Fatalf("%+v: the index saves to a file Read refuses: %v", c.opts, err)
 		}
 		for _, q := range queries[:10] {
-			if a, b := idx.Search(q, 3), loaded.Search(q, 3); !slices.Equal(a, b) {
+			if a, b := search(t, idx, q, 3), search(t, loaded, q, 3); !slices.Equal(a, b) {
 				t.Fatalf("%+v: loaded index answers %v, saved one %v", c.opts, b, a)
 			}
 		}
@@ -570,7 +570,7 @@ func TestReadV3Fixture(t *testing.T) {
 	}
 	data, _ := clusteredData(120, 6, 44) // what the fixture was built from
 	for id, v := range data {
-		hits := loaded.Search(v, 1)
+		hits := search(t, loaded, v, 1)
 		if id == 7 { // the tombstone
 			if len(hits) == 1 && hits[0].ID == 7 {
 				t.Fatal("v3 load resurrected the deleted vector")
@@ -587,7 +587,7 @@ func TestReadV3Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range data {
-		if a, b := loaded.Search(v, 5), again.Search(v, 5); !slices.Equal(a, b) {
+		if a, b := search(t, loaded, v, 5), search(t, again, v, 5); !slices.Equal(a, b) {
 			t.Fatalf("v3 → v4: answers changed: %v vs %v", a, b)
 		}
 	}

@@ -128,7 +128,7 @@ func TestReplayCompactsOnceAfterwards(t *testing.T) {
 	del := func(from, to int) { // the ids whose position in their shard is from..to-1 mod 20
 		for id := 0; id < n; id++ {
 			if j := (id / 4) % 20; j >= from && j < to {
-				if !idx.Delete(id) {
+				if !del(t, idx, id) {
 					t.Fatalf("delete %d", id)
 				}
 				deleted[id] = true

@@ -78,7 +78,7 @@ func TestShardedSearchMatchesSingleShard(t *testing.T) {
 				best[i], best[minJ] = best[minJ], best[i]
 				truth[best[i].id] = true
 			}
-			hits := idx.Search(q, k)
+			hits := search(t, idx, q, k)
 			if len(hits) != k {
 				t.Fatalf("%d hits, want %d", len(hits), k)
 			}
@@ -97,9 +97,12 @@ func TestShardedSearchMatchesSingleShard(t *testing.T) {
 		t.Fatalf("sharded recall %v vs single-shard %v", rm, rs)
 	}
 	// Batch and single-query paths agree on the sharded index.
-	batch := sharded.SearchBatch(queries, k)
+	batch, err := sharded.SearchBatchOpts(queries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, q := range queries {
-		one := sharded.Search(q, k)
+		one := search(t, sharded, q, k)
 		for j := range one {
 			if one[j] != batch[i][j] {
 				t.Fatalf("batch diverges from single at query %d rank %d", i, j)
@@ -133,18 +136,18 @@ func TestShardedOptionsPushdown(t *testing.T) {
 	}
 	// A searcher survives adds, deletes and compactions.
 	s := idx.NewSearcher()
-	if got := s.Search(queries[1], 5); len(got) != 5 {
+	if got := search(t, s, queries[1], 5); len(got) != 5 {
 		t.Fatalf("searcher got %d hits", len(got))
 	}
 	id, err := idx.Add(append([]float32(nil), queries[1]...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Delete(0)
+	del(t, idx, 0)
 	if _, err := idx.CompactShard(0); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Search(queries[1], 1)
+	got := search(t, s, queries[1], 1)
 	if len(got) != 1 || got[0].ID != id || got[0].Dist != 0 {
 		t.Fatalf("stale searcher after compaction: %+v", got)
 	}
@@ -157,7 +160,7 @@ func TestCompactPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < 300; id++ {
-		if !idx.Delete(id) {
+		if !del(t, idx, id) {
 			t.Fatalf("Delete(%d) failed", id)
 		}
 	}
@@ -226,8 +229,8 @@ func TestShardedBudgetFollowsSkew(t *testing.T) {
 	}
 	for g := 0; g < 400; g++ {
 		if g%4 != 0 {
-			single.Delete(g)
-			sharded.Delete(g) // shards 1-3 end up fully tombstoned
+			del(t, single, g)
+			del(t, sharded, g) // shards 1-3 end up fully tombstoned
 		}
 	}
 	const k, tt = 30, 1
@@ -259,7 +262,7 @@ func TestPersistEmptyCompactedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 0; g < 300; g++ {
-		idx.Delete(g)
+		del(t, idx, g)
 	}
 	if got := idx.Compact(); got != 300 {
 		t.Fatalf("Compact reclaimed %d", got)
@@ -279,7 +282,7 @@ func TestPersistEmptyCompactedIndex(t *testing.T) {
 	if loaded.Len() != 0 || loaded.NextID() != 300 || loaded.Shards() != 3 {
 		t.Fatalf("loaded len=%d next=%d shards=%d", loaded.Len(), loaded.NextID(), loaded.Shards())
 	}
-	if hits := loaded.Search(data[0], 5); len(hits) != 0 {
+	if hits := search(t, loaded, data[0], 5); len(hits) != 0 {
 		t.Fatalf("empty index returned %v", hits)
 	}
 	// The id space continues where it left off.
@@ -290,7 +293,7 @@ func TestPersistEmptyCompactedIndex(t *testing.T) {
 	if id != 300 {
 		t.Fatalf("post-load Add returned %d, want 300", id)
 	}
-	if hits := loaded.Search(data[0], 1); len(hits) != 1 || hits[0].ID != 300 {
+	if hits := search(t, loaded, data[0], 1); len(hits) != 1 || hits[0].ID != 300 {
 		t.Fatalf("revived index search: %v", hits)
 	}
 }
@@ -322,7 +325,7 @@ func TestSetCompactFractionOnLoadedIndex(t *testing.T) {
 	// guaranteed, zero tombstones is not (under -race the rebuild is slow
 	// enough that most deletes overtake it).
 	for g := 0; g < 1200; g += 2 {
-		loaded.Delete(g)
+		del(t, loaded, g)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for loaded.ShardStats()[0].Compactions == 0 {
@@ -347,7 +350,7 @@ func TestPersistKeepsTombstones(t *testing.T) {
 		}
 		deleted := []int{0, 5, 17, 123, 599}
 		for _, id := range deleted {
-			if !idx.Delete(id) {
+			if !del(t, idx, id) {
 				t.Fatalf("shards=%d: Delete(%d) failed", shards, id)
 			}
 		}
@@ -368,13 +371,13 @@ func TestPersistKeepsTombstones(t *testing.T) {
 				shards, loaded.Shards(), loaded.Deleted(), loaded.Len())
 		}
 		for _, id := range deleted {
-			hits := loaded.Search(data[id], 3)
+			hits := search(t, loaded, data[id], 3)
 			for _, h := range hits {
 				if h.ID == id {
 					t.Fatalf("shards=%d: tombstoned id %d resurrected after round-trip", shards, id)
 				}
 			}
-			if loaded.Delete(id) {
+			if del(t, loaded, id) {
 				t.Fatalf("shards=%d: tombstoned id %d deletable again after round-trip", shards, id)
 			}
 		}
@@ -387,8 +390,8 @@ func TestShardedPersistRoundTripDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Delete(3)
-	idx.Delete(44)
+	del(t, idx, 3)
+	del(t, idx, 44)
 	if _, err := idx.CompactShard(3 % 4); err != nil { // non-trivial id mapping
 		t.Fatal(err)
 	}
@@ -408,8 +411,8 @@ func TestShardedPersistRoundTripDeterministic(t *testing.T) {
 			loaded.NextID(), idx.NextID(), loaded.Len(), idx.Len())
 	}
 	for _, q := range queries {
-		a := idx.Search(q, 10)
-		b := loaded.Search(q, 10)
+		a := search(t, idx, q, 10)
+		b := search(t, loaded, q, 10)
 		if len(a) != len(b) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -513,7 +516,10 @@ func TestConcurrentShardedStress(t *testing.T) {
 	go func() { // deleter
 		defer mut.Done()
 		for g := 0; g < 2000; g += 2 {
-			idx.Delete(g)
+			if _, err := idx.DeleteWithError(g); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}()
 	go func() { // compactor
@@ -540,7 +546,7 @@ func TestConcurrentShardedStress(t *testing.T) {
 	if idx.Deleted() != 0 {
 		t.Fatalf("Deleted = %d after final compact", idx.Deleted())
 	}
-	if hits := idx.Search(queries[0], 10); len(hits) != 10 {
+	if hits := search(t, idx, queries[0], 10); len(hits) != 10 {
 		t.Fatalf("post-stress search returned %d hits", len(hits))
 	}
 }

@@ -129,6 +129,7 @@ type Index struct {
 	family    *lsh.Family
 	projected []*vec.Matrix // dblsh:guardedby caller — L matrices, n×K
 	trees     []*rstar.Tree // dblsh:guardedby caller — L R*-trees
+	hash      []float64     // dblsh:guardedby caller — Insert's K·L hash of its row
 	r0        float64
 	pool      sync.Pool
 
@@ -139,16 +140,38 @@ type Index struct {
 	deletedCount int    // dblsh:guardedby caller
 }
 
-// Build constructs the index: L projections of the dataset and L bulk-loaded
-// R*-trees. Projection and tree construction run in parallel across the L
-// spaces.
+// projectBlock is how many rows one claim of Build's projection pass
+// hashes: enough to make the claim counter noise, few enough that the last
+// claims of a build leave no worker idle for long.
+const projectBlock = 256
+
+// Build constructs the index in two passes. The first hashes the dataset
+// into the L projected spaces: workers claim blocks of projectBlock rows,
+// GOMAXPROCS at a time, and hash each row into all L spaces with one fused
+// lsh.Family.Hash, so a row is read once, not once per space. The second
+// bulk-loads the L R*-trees side by side, one space per claim. The
+// projected matrices are bit for bit what Compound(i).Project returns.
 //
 // dblsh:exclusive the index is under construction and unpublished; the
-// build goroutines partition the L projected spaces, so no state is shared
+// projection pass's goroutines partition the rows and the bulk loads the L
+// projected spaces, so no state is shared
 func Build(data *vec.Matrix, cfg Config) *Index {
 	idx := newIndex(data, cfg)
+	n, k := data.Rows(), idx.cfg.K
+	for i := range idx.projected {
+		idx.projected[i] = vec.NewMatrix(n, k)
+	}
+	each((n+projectBlock-1)/projectBlock, func(b int) error {
+		h := make([]float64, k*idx.cfg.L)
+		for r := b * projectBlock; r < min(n, (b+1)*projectBlock); r++ {
+			idx.family.Hash(h, data.Row(r))
+			for i, m := range idx.projected {
+				narrow(m.Row(r), h[i*k:])
+			}
+		}
+		return nil
+	})
 	idx.eachSpace(func(i int) error {
-		idx.projected[i] = idx.family.Compound(i).Project(data)
 		idx.trees[i] = rstar.BulkLoad(idx.projected[i], idx.cfg.Tree)
 		return nil
 	})
@@ -206,23 +229,37 @@ func newIndex(data *vec.Matrix, cfg Config) *Index {
 		family:    lsh.NewFamily(cfg.L, cfg.K, data.Dim(), cfg.Seed),
 		projected: make([]*vec.Matrix, cfg.L),
 		trees:     make([]*rstar.Tree, cfg.L),
+		hash:      make([]float64, cfg.K*cfg.L),
 		r0:        cfg.InitialRadius,
 	}
 	idx.pool.New = func() interface{} { return newSearcher(idx) }
 	return idx
 }
 
-// eachSpace runs fn for each of the L projected spaces, GOMAXPROCS at a
-// time, and returns what errors it met. The caller's goroutine is one of
-// the workers, so at GOMAXPROCS 1 the spaces run one after another on it.
-// The caller waits for the spaces, not for the helpers: on busy cores a
-// helper may start only after the others have claimed every space, and it
-// then exits without touching anything but the claim counter.
-// A panic in fn is recovered in its space; once every space has finished,
-// the lowest-index space's panic is raised again on the caller's
-// goroutine, where the sequential loop would have raised it.
+// narrow writes the float32 narrowing of src's first len(dst) entries
+// into dst: one space's K coordinates out of a family hash.
+func narrow(dst []float32, src []float64) {
+	for j := range dst {
+		dst[j] = float32(src[j])
+	}
+}
+
+// eachSpace runs fn for each of the L projected spaces, as each does.
 func (idx *Index) eachSpace(fn func(i int) error) error {
-	n := idx.cfg.L
+	return each(idx.cfg.L, fn)
+}
+
+// each runs fn for the work items 0…n−1 — Build's row blocks, or the L
+// projected spaces — GOMAXPROCS at a time, and returns what errors it met.
+// Workers claim items from one counter. The caller's goroutine is one of
+// the workers, so at GOMAXPROCS 1 the items run one after another on it.
+// The caller waits for the items, not for the helpers: on busy cores a
+// helper may start only after the others have claimed every item, and it
+// then exits without touching anything but the claim counter.
+// A panic in fn is recovered in its item; once every item has finished,
+// the lowest-index item's panic is raised again on the caller's
+// goroutine, where the sequential loop would have raised it.
+func each(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	panics := make([]any, n)
 	var next atomic.Int32
@@ -295,11 +332,13 @@ func estimateInitialRadius(data *vec.Matrix, seed int64) float64 {
 // support (the paper's Section VII lists this direction as future work).
 // Insert must not run concurrently with queries or other Inserts.
 //
-// The row is appended to the data once; then each projected space hashes
-// it straight into a new row of its own matrix and inserts it into its own
+// The row is appended to the data once and hashed into all L spaces with
+// one fused lsh.Family.Hash; then each projected space copies its K
+// coordinates into a new row of its own matrix and inserts it into its own
 // R*-tree. The spaces share nothing, so they run side by side, GOMAXPROCS
-// at a time, as in Build; every tree comes out the same, node for node and
-// byte for byte, as inserting into the spaces one after another builds it.
+// at a time, as Build's bulk loads do; every tree comes out the same, node
+// for node and byte for byte, as inserting into the spaces one after
+// another builds it.
 //
 // dblsh:exclusive callers serialize Insert with every query and mutation
 // of the index; the goroutines partition the L spaces, and eachSpace waits
@@ -309,11 +348,13 @@ func (idx *Index) Insert(p []float32) int {
 		panic(fmt.Sprintf("core: insert dim %d, index dim %d", len(p), idx.data.Dim()))
 	}
 	id := idx.data.Append(p)
+	idx.family.Hash(idx.hash, p)
+	k := idx.cfg.K
 	idx.eachSpace(func(i int) error {
 		if idx.projected[i].Rows() != id {
 			panic("core: projected matrix out of sync with data")
 		}
-		idx.family.Compound(i).Hash(idx.projected[i].AppendZero()[:0], p)
+		narrow(idx.projected[i].AppendZero(), idx.hash[i*k:])
 		idx.trees[i].Insert(id)
 		return nil
 	})
@@ -502,7 +543,8 @@ type Searcher struct {
 	idx     *Index
 	visited []uint32
 	epoch   uint32
-	qhash   [][]float32
+	hash    []float64   // the query hashed into all L spaces, K·L entries
+	qhash   [][]float32 // the same, narrowed: one K-entry centre per space
 	last    Stats
 
 	// Candidate block scratch: ids gathered from the traversal, and the
@@ -535,6 +577,7 @@ func newSearcher(idx *Index) *Searcher {
 	s := &Searcher{
 		idx:     idx,
 		visited: make([]uint32, idx.data.Rows()),
+		hash:    make([]float64, idx.cfg.K*idx.cfg.L),
 		qhash:   make([][]float32, idx.cfg.L),
 		bids:    make([]int, 0, verifyBlockSize),
 		bmeta:   make([]blockMeta, 0, verifyBlockSize),
@@ -543,7 +586,7 @@ func newSearcher(idx *Index) *Searcher {
 		cursors: make([]*rstar.Cursor, idx.cfg.L),
 	}
 	for i := range s.qhash {
-		s.qhash[i] = make([]float32, 0, idx.cfg.K)
+		s.qhash[i] = make([]float32, idx.cfg.K)
 		s.cursors[i] = rstar.NewCursor(idx.trees[i])
 	}
 	s.one = []Part{{Bind: func() (*Searcher, []int) { return s, nil }}}
@@ -902,12 +945,14 @@ func (qr *query) emit(ids []int, dists []float64) (int, bool) {
 }
 
 // begin starts the searcher on query q: a fresh visited epoch, q hashed into
-// each projected space, and the L cursors seeded at their roots (O(1) per
-// tree; traversal happens lazily as rounds advance).
+// all L projected spaces with one fused pass, and the L cursors seeded at
+// their roots (O(1) per tree; traversal happens lazily as rounds advance).
 func (s *Searcher) begin(q []float32) {
 	s.freshEpoch()
+	s.idx.family.Hash(s.hash, q)
+	k := s.idx.cfg.K
 	for i, cur := range s.cursors {
-		s.qhash[i] = s.idx.family.Compound(i).Hash(s.qhash[i][:0], q)
+		narrow(s.qhash[i], s.hash[i*k:])
 		cur.Reset(s.qhash[i])
 	}
 }

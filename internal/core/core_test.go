@@ -328,6 +328,16 @@ func BenchmarkBuild50k(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild40kD960 is a build at the overlap-960 workload's shape,
+// where hashing the rows into the L spaces is most of the work.
+func BenchmarkBuild40kD960(b *testing.B) {
+	ds := testDataset(40_000, 960, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Build(ds.Data, Config{C: 1.5, K: 10, L: 5, T: 100, Seed: 1})
+	}
+}
+
 func BenchmarkKANN(b *testing.B) {
 	ds := testDataset(50_000, 128, 1)
 	idx := Build(ds.Data, Config{C: 1.5, K: 10, L: 5, T: 100, Seed: 1})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -39,6 +40,67 @@ func TestEachSpacePanicReachesCaller(t *testing.T) {
 			})
 			t.Errorf("GOMAXPROCS %d: eachSpace returned past a panicking space", procs)
 		}()
+	}
+}
+
+// TestRowBlockPanicReachesCaller is TestEachSpacePanicReachesCaller for
+// Build's projection pass: many more items than workers, two of them
+// panicking, and the lowest one's panic must reach the caller after every
+// other block has run.
+func TestRowBlockPanicReachesCaller(t *testing.T) {
+	const blocks = 40
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ran := make([]bool, blocks)
+			defer func() {
+				if got := recover(); got != "block 17" {
+					t.Errorf("GOMAXPROCS %d: recovered %v, want block 17's panic", procs, got)
+				}
+				for b, r := range ran {
+					if r == (b == 17 || b == 30) {
+						t.Errorf("GOMAXPROCS %d: block %d returned=%v", procs, b, r)
+					}
+				}
+			}()
+			each(blocks, func(b int) error {
+				if b == 17 || b == 30 {
+					panic(fmt.Sprintf("block %d", b))
+				}
+				ran[b] = true
+				return nil
+			})
+			t.Errorf("GOMAXPROCS %d: each returned past a panicking block", procs)
+		}()
+	}
+}
+
+// TestBuildRowBlocksMatchProject holds Build's row-block projection pass to
+// the per-space projection it replaced: every projected matrix is
+// Compound(i).Project of the data, bit for bit, whatever the worker count
+// and wherever the last block ends.
+func TestBuildRowBlocksMatchProject(t *testing.T) {
+	const d = 45 // two 16-float stripes, three 4-float chunks, a tail
+	rows := testDataset(3*projectBlock+77, d, 32).Data
+	for _, procs := range []int{1, 2, 4} {
+		for _, n := range []int{1, projectBlock - 1, projectBlock + 1, rows.Rows()} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				data := rows.Slice(0, n)
+				idx := Build(data, Config{Seed: 32})
+				for i, got := range idx.projected {
+					want := idx.family.Compound(i).Project(data).Data()
+					if len(got.Data()) != len(want) {
+						t.Fatalf("GOMAXPROCS %d, n %d: space %d holds %d entries, Project %d", procs, n, i, len(got.Data()), len(want))
+					}
+					for j, v := range got.Data() {
+						if math.Float32bits(v) != math.Float32bits(want[j]) {
+							t.Fatalf("GOMAXPROCS %d, n %d: space %d entry %d is %v, Project gives %v", procs, n, i, j, v, want[j])
+						}
+					}
+				}
+			}()
+		}
 	}
 }
 

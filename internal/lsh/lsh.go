@@ -87,11 +87,16 @@ func NewCompound(k, d int, rng *rand.Rand) *Compound {
 	if k <= 0 || d <= 0 {
 		panic(fmt.Sprintf("lsh: invalid compound shape K=%d d=%d", k, d))
 	}
-	a := make([]float32, k*d)
+	return &Compound{k: k, d: d, a: drawNormal(k*d, rng)}
+}
+
+// drawNormal returns n float32 entries drawn from N(0,1) with rng, in order.
+func drawNormal(n int, rng *rand.Rand) []float32 {
+	a := make([]float32, n)
 	for i := range a {
 		a[i] = float32(rng.NormFloat64())
 	}
-	return &Compound{k: k, d: d, a: a}
+	return a
 }
 
 // K returns the number of component hash functions.
@@ -101,17 +106,27 @@ func (g *Compound) K() int { return g.k }
 func (g *Compound) Dim() int { return g.d }
 
 // Hash computes G(o), appending the K projected coordinates to dst and
-// returning the extended slice. Pass dst = nil to allocate.
+// returning the extended slice. Pass dst = nil to allocate. The K dot
+// products go through vec.DotRows, hashChunk rows per call, into a buffer
+// on Hash's own stack.
 func (g *Compound) Hash(dst []float32, o []float32) []float32 {
 	if len(o) != g.d {
 		panic(fmt.Sprintf("lsh: point dim %d, compound expects %d", len(o), g.d))
 	}
-	for i := 0; i < g.k; i++ {
-		row := g.a[i*g.d : (i+1)*g.d]
-		dst = append(dst, float32(vec.Dot(row, o)))
+	var buf [hashChunk]float64
+	for lo := 0; lo < g.k; lo += hashChunk {
+		out := buf[:min(hashChunk, g.k-lo)]
+		vec.DotRows(out, g.a[lo*g.d:(lo+len(out))*g.d], o)
+		for _, v := range out {
+			dst = append(dst, float32(v))
+		}
 	}
 	return dst
 }
+
+// hashChunk is how many rows of a compound Hash passes to one DotRows call:
+// all of them at the K the index accepts (at most 64).
+const hashChunk = 64
 
 // Project maps an entire dataset into this compound's K-dimensional space,
 // returning an n×K matrix.
@@ -128,23 +143,31 @@ func (g *Compound) Project(data *vec.Matrix) *vec.Matrix {
 	return out
 }
 
-// Family is L independent compound hashes G1,…,GL (Eq. 7).
+// Family is L independent compound hashes G1,…,GL (Eq. 7). Their K·L
+// projection vectors are the rows of one (K·L)×d matrix, compound after
+// compound, and each Compound is a view of its K rows, so Hash reads a
+// point once for all L of them.
 type Family struct {
+	a         []float32 // K·L rows of d entries each
 	compounds []*Compound
 }
 
 // NewFamily draws L independent compounds with K functions of dimension d,
-// all from the given seed. The same seed always yields the same family.
+// all from the given seed. The same seed always yields the same family: the
+// K·L·d entries are drawn in the order L calls of NewCompound on one rng
+// would draw them, and have the same values.
 func NewFamily(l, k, d int, seed int64) *Family {
-	if l <= 0 {
-		panic(fmt.Sprintf("lsh: family needs L ≥ 1, got %d", l))
+	if l <= 0 || k <= 0 || d <= 0 {
+		panic(fmt.Sprintf("lsh: invalid family shape L=%d K=%d d=%d", l, k, d))
 	}
-	rng := rand.New(rand.NewSource(seed))
-	cs := make([]*Compound, l)
-	for i := range cs {
-		cs[i] = NewCompound(k, d, rng)
+	f := &Family{
+		a:         drawNormal(l*k*d, rand.New(rand.NewSource(seed))),
+		compounds: make([]*Compound, l),
 	}
-	return &Family{compounds: cs}
+	for i := range f.compounds {
+		f.compounds[i] = &Compound{k: k, d: d, a: f.a[i*k*d : (i+1)*k*d : (i+1)*k*d]}
+	}
+	return f
 }
 
 // L returns the number of compounds.
@@ -158,3 +181,15 @@ func (f *Family) Dim() int { return f.compounds[0].d }
 
 // Compound returns the i-th compound hash Gi.
 func (f *Family) Compound(i int) *Compound { return f.compounds[i] }
+
+// Hash computes G1(o),…,GL(o) with one vec.DotRows call over all K·L
+// projection rows and writes them to out, which must hold K·L entries:
+// out[i·K:(i+1)·K] is Gi+1(o), whose float32 narrowing is what
+// Compound(i).Hash returns, bit for bit.
+func (f *Family) Hash(out []float64, o []float32) {
+	if len(o) != f.Dim() || len(out) != len(f.a)/f.Dim() {
+		panic(fmt.Sprintf("lsh: hash of a dim-%d point into %d outputs, family is %d×%d over dim %d",
+			len(o), len(out), f.L(), f.K(), f.Dim()))
+	}
+	vec.DotRows(out, f.a, o)
+}

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dblsh/internal/mathx"
@@ -133,6 +134,59 @@ func TestFamilyReproducible(t *testing.T) {
 	}
 }
 
+// TestFamilyHashIsEachCompound pins the one-matrix family to what L
+// separately drawn compounds were: the same projection vectors (L calls of
+// NewCompound on one rng), and under every kernel row a Hash whose K·L
+// outputs narrow to each Compound(i).Hash and to the per-row Dot of the
+// K-loop it replaced, bit for bit.
+func TestFamilyHashIsEachCompound(t *testing.T) {
+	const l, k, d, seed = 5, 10, 37, 99
+	f := NewFamily(l, k, d, seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < l; i++ {
+		if want := NewCompound(k, d, rng); !slices.Equal(f.Compound(i).a, want.a) {
+			t.Fatalf("compound %d: family drew other projection vectors", i)
+		}
+	}
+	o := make([]float32, d)
+	for i := range o {
+		o[i] = float32(rng.NormFloat64())
+	}
+	defer vec.SetKernel(vec.KernelName())
+	for _, name := range vec.KernelNames() {
+		if err := vec.SetKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, l*k)
+		f.Hash(out, o)
+		for i := 0; i < l; i++ {
+			g := f.Compound(i)
+			h := g.Hash(nil, o)
+			for j := 0; j < k; j++ {
+				fam, old := math.Float32bits(float32(out[i*k+j])), math.Float32bits(float32(vec.Dot(g.a[j*d:(j+1)*d], o)))
+				if fam != math.Float32bits(h[j]) || fam != old {
+					t.Fatalf("%s: compound %d coordinate %d: family %v, compound %v, per-row Dot %v",
+						name, i, j, out[i*k+j], h[j], math.Float32frombits(old))
+				}
+			}
+		}
+	}
+}
+
+func TestFamilyHashRejectsShape(t *testing.T) {
+	f := NewFamily(2, 3, 4, 1)
+	for _, c := range []struct{ out, dim int }{{6, 3}, {5, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Hash of a dim-%d point into %d outputs did not panic", c.dim, c.out)
+				}
+			}()
+			f.Hash(make([]float64, c.out), make([]float32, c.dim))
+		}()
+	}
+}
+
 // TestDistancePreservation is the statistical heart of LSH: for a 2-stable
 // projection, (h(o1)-h(o2)) ~ N(0, ‖o1,o2‖²), so the empirical collision
 // rate over many projections must track CollisionProbDynamic.
@@ -207,5 +261,23 @@ func BenchmarkCompoundHashK12D128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.Hash(buf[:0], o)
+	}
+}
+
+// BenchmarkFamilyHashK10L5D960 is one point hashed into the default K×L =
+// 10×5 spaces at the overlap-960 workload's dimension: what Build pays per
+// row and a query per search.
+func BenchmarkFamilyHashK10L5D960(b *testing.B) {
+	const l, k, d = 5, 10, 960
+	f := NewFamily(l, k, d, 1)
+	rng := rand.New(rand.NewSource(1))
+	o := make([]float32, d)
+	for i := range o {
+		o[i] = float32(rng.NormFloat64())
+	}
+	out := make([]float64, l*k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Hash(out, o)
 	}
 }

@@ -13,20 +13,13 @@ import (
 // materializes a query-centric bucket W(G(q), w0·r) as a window query on the
 // projected space.
 func (t *Tree) Window(w Rect, visit func(id int) bool) {
-	t.WindowVisits(w, visit)
-}
-
-// WindowVisits is Window, additionally returning the number of tree nodes
-// examined — the traversal-cost figure the query layer surfaces in its
-// statistics.
-func (t *Tree) WindowVisits(w Rect, visit func(id int) bool) int {
-	if t.size == 0 {
-		return 0
+	if t.size > 0 {
+		t.window(t.root, w, visit)
 	}
-	nodes, _ := t.window(t.root, w, visit)
-	return nodes
 }
 
+// window is Window below node n; it also returns how many nodes it
+// examined, and whether visit let it finish.
 func (t *Tree) window(n int32, w Rect, visit func(id int) bool) (int, bool) {
 	nodes := 1
 	if t.leaf(n) {
@@ -83,26 +76,6 @@ func (t *Tree) Covered(center []float32, half float64) bool {
 	return true
 }
 
-// WindowAll returns every id inside w. Convenience wrapper over Window.
-func (t *Tree) WindowAll(w Rect) []int {
-	var out []int
-	t.Window(w, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// Count returns the number of indexed points inside w.
-func (t *Tree) Count(w Rect) int {
-	n := 0
-	t.Window(w, func(int) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 // nnItem is a heap entry for best-first search: either a node or a point.
 type nnItem struct {
 	distSq float64
@@ -122,19 +95,6 @@ func (h *nnHeap) Pop() interface{} {
 	it := old[n-1]
 	*h = old[:n-1]
 	return it
-}
-
-// NearestK returns the ids of the k nearest indexed points to q in the
-// tree's (projected) space, nearest first, using best-first traversal with
-// MINDIST pruning. Fewer than k ids are returned when the tree is smaller
-// than k.
-func (t *Tree) NearestK(q []float32, k int) []int {
-	out := make([]int, 0, k)
-	t.NearestVisit(q, func(id int, distSq float64) bool {
-		out = append(out, id)
-		return len(out) < k
-	})
-	return out
 }
 
 // NearestVisit streams indexed points in ascending distance-from-q order,

@@ -9,9 +9,10 @@ import (
 
 // Runtime kernel dispatch.
 //
-// The exported hot entry points (Dot, SquaredDist, the bounded sweeps, the
-// quantized pre-filter and the whole-node window tests of mask.go) route
-// through a process-wide kernel table whose row is picked once, at startup.
+// The exported hot entry points (Dot, DotRows, SquaredDist, the bounded
+// sweeps, the quantized pre-filter and the whole-node window tests of
+// mask.go) route through a process-wide kernel table whose row is picked
+// once, at startup.
 // There are three rows at most:
 //
 //	scalar    straight loops; the oracle every other row is property-tested
@@ -36,7 +37,12 @@ import (
 // rows differ from each other in summation order, so their distances may
 // differ in the last ulps; each is deterministic, the quantized lower
 // bounds are certain lower bounds under every row, and the window tests
-// return identical masks under every row.
+// return identical masks under every row. DotRows (x against each row of a
+// matrix, the hashing of a point into all its projections) keeps the same
+// kind of contract with Dot: each of its outputs is that row's Dot, bit
+// for bit. The avx2 row gets there with one fused body that widens x once
+// for three rows and runs each row through dotAVX2's own chains; the other
+// rows call their dot once per matrix row.
 //
 // The row is chosen by CPU-feature detection, unless the DBLSH_KERNEL
 // environment variable names another (the CI and debugging seam; an unknown
@@ -48,6 +54,7 @@ import (
 type kernelImpl struct {
 	name               string
 	dot                func(a, b []float32) float64
+	dot3               func(a0, a1, a2, x []float32) (float64, float64, float64)
 	squaredDist        func(a, b []float32) float64
 	squaredDistBounded func(a, b []float32, bound float64) float64
 	quantLB            func(u []float64, codes []int8) float64
@@ -64,6 +71,7 @@ var kernelTable = map[string]kernelImpl{
 	"scalar": {
 		name:               "scalar",
 		dot:                dotScalar,
+		dot3:               dot3Of(dotScalar),
 		squaredDist:        squaredDistScalar,
 		squaredDistBounded: squaredDistBoundedScalar,
 		quantLB:            quantLBScalar,
@@ -73,6 +81,7 @@ var kernelTable = map[string]kernelImpl{
 	"unrolled": {
 		name:               "unrolled",
 		dot:                dotUnrolled,
+		dot3:               dot3Of(dotUnrolled),
 		squaredDist:        squaredDistUnrolled,
 		squaredDistBounded: squaredDistBounded,
 		quantLB:            quantLBWide,

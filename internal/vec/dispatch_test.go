@@ -185,3 +185,57 @@ func TestArchKernelRegistration(t *testing.T) {
 		}
 	}
 }
+
+// TestDotRowsIsDotPerRow holds every registered row's DotRows to its
+// contract: out[j] carries the bits of that row's Dot of x with row j, for
+// row counts on both sides of the avx2 body's triples (and the 50 rows of
+// the default K×L) and dims across its stripes, cleanup and tail, on
+// unaligned views.
+func TestDotRowsIsDotPerRow(t *testing.T) {
+	dims := []int{960, 961}
+	for d := 1; d <= 130; d++ {
+		dims = append(dims, d)
+	}
+	defer SetKernel(KernelName())
+	for _, name := range KernelNames() {
+		if err := SetKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		dot := activeKernel.dot
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(32))
+			for _, m := range []int{1, 2, 3, 4, 10, 50, 51} {
+				for _, d := range dims {
+					rawA := make([]float32, m*d+1)
+					rawX := make([]float32, d+1)
+					for i := range rawA {
+						rawA[i] = float32(rng.NormFloat64())
+					}
+					for i := range rawX {
+						rawX[i] = float32(rng.NormFloat64())
+					}
+					a, x := rawA[1:], rawX[1:]
+					out := make([]float64, m)
+					for j := range out {
+						out[j] = math.NaN()
+					}
+					DotRows(out, a, x)
+					for j, got := range out {
+						if want := dot(a[j*d:(j+1)*d], x); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("m %d d %d: out[%d] = %v, Dot of the row = %v", m, d, j, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestDotRowsRejectsShape(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DotRows accepted 7 floats as 2 rows of 3")
+		}
+	}()
+	DotRows(make([]float64, 2), make([]float32, 7), make([]float32, 3))
+}

@@ -17,6 +17,14 @@ import "dblsh/internal/vec/cpu"
 //go:noescape
 func dotAVX2(a, b []float32) float64
 
+// dot3AVX2 is dotAVX2 of x against three rows at once, x widened once for
+// all three: each sum is dotAVX2(row, x) bit for bit. It reads len(x)
+// entries of each row without bounds checks (DotRows passes whole rows).
+// dblsh:kernelimpl
+//
+//go:noescape
+func dot3AVX2(a0, a1, a2, x []float32) (s0, s1, s2 float64)
+
 // squaredDistAVX2 is the assembly squared-Euclidean kernel. Differences
 // are taken after widening to float64 (exact), then fused-squared into
 // four accumulator chains.
@@ -74,6 +82,7 @@ func registerArchKernels() {
 	kernelTable["avx2"] = kernelImpl{
 		name:               "avx2",
 		dot:                dotAVX2,
+		dot3:               dot3AVX2,
 		squaredDist:        squaredDistAVX2,
 		squaredDistBounded: squaredDistBoundedAVX2,
 		quantLB:            quantLBAVX2,

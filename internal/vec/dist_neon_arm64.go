@@ -47,6 +47,7 @@ func registerArchKernels() {
 	kernelTable["neon"] = kernelImpl{
 		name:               "neon",
 		dot:                dotNEON,
+		dot3:               dot3Of(dotNEON),
 		squaredDist:        squaredDistNEON,
 		squaredDistBounded: squaredDistBoundedNEON,
 		quantLB:            quantLBWide,

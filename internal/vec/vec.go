@@ -27,6 +27,37 @@ func Dot(a, b []float32) float64 {
 	return activeKernel.dot(a, b)
 }
 
+// DotRows writes into out[j] the inner product of x with row j of a, the
+// len(out)×len(x) row-major matrix a — out[j] is Dot(a[j*d:(j+1)*d], x)
+// with d = len(x), bit for bit, under every kernel row. It takes the rows
+// three at a time through the kernel row's dot3, which reads x once for
+// all three where the row has a fused body, and the one or two left over
+// through its Dot. out is only written, never handed to the kernel, so a
+// caller's buffer for it can live on the caller's stack. len(a) must equal
+// len(out)·len(x).
+func DotRows(out []float64, a, x []float32) {
+	d := len(x)
+	if len(a) != len(out)*d {
+		panic(fmt.Sprintf("vec: DotRows of %d floats as %d rows of %d", len(a), len(out), d))
+	}
+	k := activeKernel
+	j := 0
+	for ; j+3 <= len(out); j += 3 {
+		out[j], out[j+1], out[j+2] = k.dot3(a[j*d:(j+1)*d], a[(j+1)*d:(j+2)*d], a[(j+2)*d:(j+3)*d], x)
+	}
+	for ; j < len(out); j++ {
+		out[j] = k.dot(a[j*d:(j+1)*d], x)
+	}
+}
+
+// dot3Of is the dot3 of a kernel row without a fused body: its dot, once
+// per row.
+func dot3Of(dot func(a, b []float32) float64) func(a0, a1, a2, x []float32) (float64, float64, float64) {
+	return func(a0, a1, a2, x []float32) (float64, float64, float64) {
+		return dot(a0, x), dot(a1, x), dot(a2, x)
+	}
+}
+
 // dotUnrolled is the 4×-unrolled dot kernel, the dispatch default.
 //
 // dblsh:kernelimpl

@@ -266,14 +266,14 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 	proj := projectedSpace(ds)
 	b.Run("str", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = rstar.BulkLoad(proj, rstar.Options{})
+			_ = rstar.Pack(proj, rstar.Options{})
 		}
 	})
 	b.Run("insert", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr := rstar.New(proj, rstar.Options{})
+			tr := rstar.New(proj.Dim(), rstar.Options{})
 			for id := 0; id < proj.Rows(); id++ {
-				tr.Insert(id)
+				tr.InsertPoint(id, proj.Row(id))
 			}
 		}
 	})

@@ -456,8 +456,8 @@ func (idx *Index) Params() Params {
 	}
 }
 
-// IndexSizeBytes estimates the memory held by the projections and trees,
-// excluding the original vectors.
+// IndexSizeBytes estimates the memory held by the R*-trees, whose leaves
+// hold the projected points, excluding the original vectors.
 func (idx *Index) IndexSizeBytes() int64 { return idx.set.IndexSizeBytes() }
 
 // Add inserts a vector and returns its id. Ids are allocated sequentially
@@ -568,7 +568,7 @@ type ShardStat struct {
 	// LastCompaction is when the most recent compaction finished; zero if
 	// the shard has never been compacted.
 	LastCompaction time.Time
-	// IndexSizeBytes estimates the shard's projection and tree footprint.
+	// IndexSizeBytes estimates the shard's tree footprint.
 	IndexSizeBytes int64
 }
 

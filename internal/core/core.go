@@ -124,14 +124,14 @@ func (c Config) Resolved(n int) Config { return c.withDefaults(n) }
 // Index is an immutable DB-LSH index over a dataset. Concurrent queries are
 // safe; each goroutine should use its own Searcher.
 type Index struct {
-	data      *vec.Matrix // dblsh:guardedby caller
-	cfg       Config
-	family    *lsh.Family
-	projected []*vec.Matrix // dblsh:guardedby caller — L matrices, n×K
-	trees     []*rstar.Tree // dblsh:guardedby caller — L R*-trees
-	hash      []float64     // dblsh:guardedby caller — Insert's K·L hash of its row
-	r0        float64
-	pool      sync.Pool
+	data   *vec.Matrix // dblsh:guardedby caller
+	cfg    Config
+	family *lsh.Family
+	trees  []*rstar.Tree // dblsh:guardedby caller — L R*-trees
+	hash   []float64     // dblsh:guardedby caller — Insert's K·L hash of its row
+	point  []float32     // dblsh:guardedby caller — hash narrowed: space i's point at i·K
+	r0     float64
+	pool   sync.Pool
 
 	// Tombstones: deleted points stay in the trees but are filtered from
 	// query results. Rebuild the index when the deleted fraction grows
@@ -146,11 +146,13 @@ type Index struct {
 const projectBlock = 256
 
 // Build constructs the index in two passes. The first hashes the dataset
-// into the L projected spaces: workers claim blocks of projectBlock rows,
-// GOMAXPROCS at a time, and hash each row into all L spaces with one fused
-// lsh.Family.Hash, so a row is read once, not once per space. The second
-// bulk-loads the L R*-trees side by side, one space per claim. The
-// projected matrices are bit for bit what Compound(i).Project returns.
+// into L transient n×K matrices, one per projected space: workers claim
+// blocks of projectBlock rows, GOMAXPROCS at a time, and hash each row into
+// all L spaces with one fused lsh.Family.Hash, so a row is read once, not
+// once per space. The matrices are bit for bit what Compound(i).Project
+// returns. The second pass packs the L R*-trees side by side, one space per
+// claim; a tree copies its matrix into its leaves, which hold the only copy
+// of the projected points from then on, and the matrix is dropped.
 //
 // dblsh:exclusive the index is under construction and unpublished; the
 // projection pass's goroutines partition the rows and the bulk loads the L
@@ -158,21 +160,23 @@ const projectBlock = 256
 func Build(data *vec.Matrix, cfg Config) *Index {
 	idx := newIndex(data, cfg)
 	n, k := data.Rows(), idx.cfg.K
-	for i := range idx.projected {
-		idx.projected[i] = vec.NewMatrix(n, k)
+	projected := make([]*vec.Matrix, idx.cfg.L)
+	for i := range projected {
+		projected[i] = vec.NewMatrix(n, k)
 	}
 	each((n+projectBlock-1)/projectBlock, func(b int) error {
 		h := make([]float64, k*idx.cfg.L)
 		for r := b * projectBlock; r < min(n, (b+1)*projectBlock); r++ {
 			idx.family.Hash(h, data.Row(r))
-			for i, m := range idx.projected {
+			for i, m := range projected {
 				narrow(m.Row(r), h[i*k:])
 			}
 		}
 		return nil
 	})
 	idx.eachSpace(func(i int) error {
-		idx.trees[i] = rstar.BulkLoad(idx.projected[i], idx.cfg.Tree)
+		idx.trees[i] = rstar.Pack(projected[i], idx.cfg.Tree)
+		projected[i] = nil
 		return nil
 	})
 	if idx.r0 <= 0 {
@@ -185,8 +189,8 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 // Trees returned when it was, data the same rows and cfg the same
 // configuration, InitialRadius included (it must be positive: nothing is
 // estimated). Nothing is projected and nothing is packed — each tree is
-// adopted as it is and its projected matrix read back out of its leaves — so
-// the loaded index answers, and grows, exactly as the saved one would have.
+// adopted as it is — so the loaded index answers, and grows, exactly as the
+// saved one would have.
 // The arenas are validated as rstar.Load describes; an error means they are
 // not trees over data's rows.
 //
@@ -198,9 +202,6 @@ func Load(data *vec.Matrix, cfg Config, trees []rstar.Arena) (*Index, error) {
 	}
 	err := idx.eachSpace(func(i int) (err error) {
 		idx.trees[i], err = rstar.Load(trees[i], data.Rows(), idx.cfg.K, idx.cfg.Tree)
-		if err == nil {
-			idx.projected[i] = idx.trees[i].Data()
-		}
 		return err
 	})
 	if err != nil {
@@ -224,13 +225,13 @@ func (idx *Index) Trees() []rstar.Arena {
 func newIndex(data *vec.Matrix, cfg Config) *Index {
 	cfg = cfg.withDefaults(data.Rows())
 	idx := &Index{
-		data:      data,
-		cfg:       cfg,
-		family:    lsh.NewFamily(cfg.L, cfg.K, data.Dim(), cfg.Seed),
-		projected: make([]*vec.Matrix, cfg.L),
-		trees:     make([]*rstar.Tree, cfg.L),
-		hash:      make([]float64, cfg.K*cfg.L),
-		r0:        cfg.InitialRadius,
+		data:   data,
+		cfg:    cfg,
+		family: lsh.NewFamily(cfg.L, cfg.K, data.Dim(), cfg.Seed),
+		trees:  make([]*rstar.Tree, cfg.L),
+		hash:   make([]float64, cfg.K*cfg.L),
+		point:  make([]float32, cfg.K*cfg.L),
+		r0:     cfg.InitialRadius,
 	}
 	idx.pool.New = func() interface{} { return newSearcher(idx) }
 	return idx
@@ -262,15 +263,18 @@ func (idx *Index) eachSpace(fn func(i int) error) error {
 func each(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	panics := make([]any, n)
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(n)
+	job := &struct {
+		next atomic.Int32
+		wg   sync.WaitGroup
+		fn   func(i int) error
+	}{fn: fn}
+	job.wg.Add(n)
 	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+		for i := int(job.next.Add(1)) - 1; i < n; i = int(job.next.Add(1)) - 1 {
 			func() {
-				defer wg.Done()
+				defer job.wg.Done()
 				defer func() { panics[i] = recover() }()
-				errs[i] = fn(i)
+				errs[i] = job.fn(i)
 			}()
 		}
 	}
@@ -278,7 +282,11 @@ func each(n int, fn func(i int) error) error {
 		go work()
 	}
 	work()
-	wg.Wait()
+	job.wg.Wait()
+	// A helper that starts only now finds no item left and never reads
+	// job.fn. Dropping fn keeps such a helper from holding what fn
+	// captured, an index being built or grown, reachable.
+	job.fn = nil
 	for _, p := range panics {
 		if p != nil {
 			panic(p)
@@ -333,12 +341,11 @@ func estimateInitialRadius(data *vec.Matrix, seed int64) float64 {
 // Insert must not run concurrently with queries or other Inserts.
 //
 // The row is appended to the data once and hashed into all L spaces with
-// one fused lsh.Family.Hash; then each projected space copies its K
-// coordinates into a new row of its own matrix and inserts it into its own
-// R*-tree. The spaces share nothing, so they run side by side, GOMAXPROCS
-// at a time, as Build's bulk loads do; every tree comes out the same, node
-// for node and byte for byte, as inserting into the spaces one after
-// another builds it.
+// one fused lsh.Family.Hash; then each projected space inserts its K
+// coordinates into its own R*-tree, which copies them into a leaf. The
+// spaces share nothing, so they run side by side, GOMAXPROCS at a time, as
+// Build's bulk loads do; every tree comes out the same, node for node and
+// byte for byte, as inserting into the spaces one after another builds it.
 //
 // dblsh:exclusive callers serialize Insert with every query and mutation
 // of the index; the goroutines partition the L spaces, and eachSpace waits
@@ -349,13 +356,10 @@ func (idx *Index) Insert(p []float32) int {
 	}
 	id := idx.data.Append(p)
 	idx.family.Hash(idx.hash, p)
+	narrow(idx.point, idx.hash)
 	k := idx.cfg.K
 	idx.eachSpace(func(i int) error {
-		if idx.projected[i].Rows() != id {
-			panic("core: projected matrix out of sync with data")
-		}
-		narrow(idx.projected[i].AppendZero(), idx.hash[i*k:])
-		idx.trees[i].Insert(id)
+		idx.trees[i].InsertPoint(id, idx.point[i*k:(i+1)*k])
 		return nil
 	})
 	if idx.deleted != nil {
@@ -439,13 +443,13 @@ func (idx *Index) Dim() int { return idx.data.Dim() }
 // InitialRadius returns the starting radius of the query ladder.
 func (idx *Index) InitialRadius() float64 { return idx.r0 }
 
-// IndexSizeBytes approximates the memory footprint of the projections and
-// trees (excluding the original data), the quantity Table IV compares.
+// IndexSizeBytes approximates the memory footprint of the L trees, whose
+// leaves hold the projected points (the original data excluded), the
+// quantity Table IV compares.
 func (idx *Index) IndexSizeBytes() int64 {
 	var b int64
-	for i, p := range idx.projected {
-		b += int64(p.Rows()) * int64(p.Dim()) * 4
-		b += idx.trees[i].ComputeStats().BytesApprox
+	for _, t := range idx.trees {
+		b += t.ComputeStats().BytesApprox
 	}
 	return b
 }

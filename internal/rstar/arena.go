@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"dblsh/internal/vec"
 )
 
 // The node arena.
@@ -141,10 +139,9 @@ func (t *Tree) Snapshot() Arena {
 	return a
 }
 
-// Load builds a tree around a, which it takes ownership of, indexing rows
-// [0, rows) of a matrix it reconstructs from the leaf blocks (Data) — the
-// blocks are copies of those rows, so the matrix is bit-identical to the one
-// the saved tree was built over, and nothing is projected, sorted or packed.
+// Load builds a tree around a, which it takes ownership of, indexing the
+// ids [0, rows) — the points are in the leaf blocks already, so nothing is
+// projected, sorted, packed or copied.
 //
 // The arena is untrusted: it comes from a file. Load checks everything a
 // traversal or an insertion relies on to terminate and stay in bounds —
@@ -154,13 +151,12 @@ func (t *Tree) Snapshot() Arena {
 // entry counts within [1, MaxEntries], every row id in [0, rows) exactly
 // once, +Inf in every padding lane (the kernels test whole vectors) — and
 // returns an error for anything else. It does not check geometry: wrong
-// rectangles in a file that passes make wrong answers, not crashes, and
-// CheckInvariants tells.
+// rectangles in a file that passes make wrong answers, not crashes.
 func Load(a Arena, rows, dim int, opts Options) (*Tree, error) {
 	if dim < 1 || rows < 0 {
 		return nil, fmt.Errorf("rstar: arena over %d rows of dimension %d", rows, dim)
 	}
-	t := newTree(vec.NewMatrix(rows, dim), opts)
+	t := newTree(dim, opts)
 	slots := len(a.Heads) / 2
 	if slots < 1 || len(a.Heads) != slots*2 || len(a.Ents) != slots*t.ecap ||
 		len(a.Rects) != slots*2*dim || len(a.Blocks) != slots*t.blockLen {
@@ -186,8 +182,7 @@ func Load(a Arena, rows, dim int, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// adopt is Load's walk: it validates the node graph from the root down and
-// scatters every leaf entry's coordinates back into the data matrix.
+// adopt is Load's walk: it validates the node graph from the root down.
 func (t *Tree) adopt() error {
 	slots, S := len(t.heads), t.stride
 	if t.root < 0 || int(t.root) >= slots {
@@ -207,7 +202,6 @@ func (t *Tree) adopt() error {
 		}
 		return true
 	}
-	data := t.data.Data()
 	stack := []int32{t.root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -237,16 +231,12 @@ func (t *Tree) adopt() error {
 			}
 			continue
 		}
-		b := t.block(n)
-		for j, id := range t.entries(n) {
+		for _, id := range t.entries(n) {
 			if id < 0 || int(id) >= t.size || seen[id] {
 				return fmt.Errorf("rstar: leaf %d holds row %d, which is out of range or held twice", n, id)
 			}
 			seen[id] = true
 			rows++
-			for d := 0; d < t.dim; d++ {
-				data[int(id)*t.dim+d] = b[d*S+j]
-			}
 		}
 	}
 	if covered != slots || rows != t.size {

@@ -1,28 +1,26 @@
 package rstar
 
 import (
-	"slices"
 	"strings"
 	"testing"
+
+	"dblsh/internal/vec"
 )
 
-// reload saves tr and loads it back: the loaded tree must pass the geometric
-// invariants, digest equal to the saved one, and sit over a bit-identical
-// copy of the rows the saved one indexes.
-func reload(t *testing.T, name string, tr *Tree, rows int, opts Options) *Tree {
+// reload saves tr, which indexes rows [0, rows) of data, and loads it back:
+// the loaded tree must pass the invariants — its leaf blocks holding data's
+// rows bit for bit among them — and digest equal to the saved one.
+func reload(t *testing.T, name string, tr *Tree, data *vec.Matrix, rows int, opts Options) *Tree {
 	t.Helper()
 	loaded, err := Load(tr.Snapshot(), rows, tr.Dim(), opts)
 	if err != nil {
 		t.Fatalf("%s: load: %v", name, err)
 	}
-	if msg := loaded.CheckInvariants(); msg != "" {
+	if msg := loaded.CheckInvariants(data); msg != "" {
 		t.Fatalf("%s: loaded tree violates an invariant: %s", name, msg)
 	}
 	if got, want := loaded.digest(), tr.digest(); got != want {
 		t.Fatalf("%s: loaded tree digests %s, saved one %s", name, got, want)
-	}
-	if !slices.Equal(loaded.Data().Data(), tr.Data().Data()[:rows*tr.Dim()]) {
-		t.Fatalf("%s: the rows scattered back from the leaf blocks differ from the saved tree's", name)
 	}
 	return loaded
 }
@@ -41,7 +39,7 @@ func TestLoadRejectsMalformedArenas(t *testing.T) {
 	}
 	tr := BulkLoadIDs(data, packed, opts)
 	for i := len(packed); i < rows; i++ {
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 	}
 	if tr.Height() < 3 {
 		t.Fatalf("height %d: the cases below need two interior levels", tr.Height())
@@ -131,7 +129,7 @@ func TestLoadedTreeGrowsLikeTheSavedOne(t *testing.T) {
 		if i == rows {
 			break
 		}
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 	}
 	if len(ends) != chunkSlots {
 		t.Fatalf("arenas ended at %d of %d chunk offsets", len(ends), chunkSlots)
@@ -142,10 +140,9 @@ func TestLoadedTreeGrowsLikeTheSavedOne(t *testing.T) {
 			t.Fatalf("saved at %d rows: %v", at, err)
 		}
 		for i := at; i < at+more; i++ {
-			loaded.Data().Append(data.Row(i))
-			loaded.Insert(i)
+			loaded.InsertPoint(i, data.Row(i))
 		}
-		if msg := loaded.CheckInvariants(); msg != "" {
+		if msg := loaded.CheckInvariants(data); msg != "" {
 			t.Fatalf("saved at %d rows: after %d inserts: %s", at, more, msg)
 		}
 		if loaded.digest() != digests[at+more] {

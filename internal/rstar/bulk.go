@@ -1,48 +1,62 @@
 package rstar
 
 import (
+	"fmt"
 	"math"
 
 	"dblsh/internal/vec"
 )
 
-// BulkLoad builds an R*-tree over all rows of data using Sort-Tile-Recursive
-// (STR) packing. This is the "bulk-loading strategy" the paper credits for
-// DB-LSH's small indexing time: packing never splits or reinserts. It fills
-// each leaf to leafFill, a few entries short of capacity, and every
-// interior node to capacity, so the Inserts that follow a load find room in
-// the leaf they descend to (Leutenegger, Lopez & Edgington's fill factor
-// below 1) instead of overflowing it; only the last node of each level
-// holds fewer.
+// Pack builds an R*-tree over all rows of data, row i under id i, using
+// Sort-Tile-Recursive (STR) packing. This is the "bulk-loading strategy" the
+// paper credits for DB-LSH's small indexing time: packing never splits or
+// reinserts. It fills each leaf to leafFill, a few entries short of
+// capacity, and every interior node to capacity, so the inserts that follow
+// a load find room in the leaf they descend to (Leutenegger, Lopez &
+// Edgington's fill factor below 1) instead of overflowing it; only the last
+// node of each level holds fewer.
 //
-// The returned tree supports subsequent Insert calls for rows appended to
-// data after loading.
-func BulkLoad(data *vec.Matrix, opts Options) *Tree {
+// The tree copies the rows into its leaves and keeps no reference to data,
+// which the caller may drop once Pack returns. Grow it with InsertPoint.
+func Pack(data *vec.Matrix, opts Options) *Tree {
 	ids := make([]int32, data.Rows())
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	return bulkLoad(data, ids, opts)
+	return pack(data, ids, opts)
 }
 
-// BulkLoadIDs builds a tree over a subset of data's rows.
-func BulkLoadIDs(data *vec.Matrix, ids []int, opts Options) *Tree {
-	ids32 := make([]int32, len(ids))
-	for i, id := range ids {
-		ids32[i] = int32(id)
+// BulkLoad is Pack for a tree that then grows by Insert: the tree keeps
+// data, and Insert(id) inserts row id of it. It exists only because
+// benchmark/layers.go calls BulkLoad and Insert(id), and a change that
+// claims a gain may not edit benchmark/; ROADMAP item 1, the change that
+// thaws benchmark/, deletes BulkLoad, Insert and Tree.rows.
+func BulkLoad(data *vec.Matrix, opts Options) *Tree {
+	t := Pack(data, opts)
+	t.rows = data
+	return t
+}
+
+// Insert is InsertPoint(id, row id of the matrix given to BulkLoad); see
+// BulkLoad. It panics on a tree BulkLoad did not return.
+func (t *Tree) Insert(id int) {
+	if t.rows == nil || id < 0 || id >= t.rows.Rows() {
+		panic(fmt.Sprintf("rstar: Insert(%d) needs a tree from BulkLoad over a matrix holding row %d", id, id))
 	}
-	return bulkLoad(data, ids32, opts)
+	t.InsertPoint(id, t.rows.Row(id))
 }
 
-func bulkLoad(data *vec.Matrix, ids []int32, opts Options) *Tree {
+// pack STR-packs the given rows of data.
+func pack(data *vec.Matrix, ids []int32, opts Options) *Tree {
 	if len(ids) == 0 {
-		return New(data, opts)
+		return New(data.Dim(), opts)
 	}
-	t := newTree(data, opts)
+	t := newTree(data.Dim(), opts)
+	t.scr()
 	fill := t.leafFill()
 	t.reserve(packedSlots(len(ids), fill, t.opts.MaxEntries))
 	keys := make([]uint64, 2*len(ids))
-	t.root = t.packUpward(t.packLeaves(ids, fill, keys), keys)
+	t.root = t.packUpward(t.packLeaves(ids, data.Data(), fill, keys), keys)
 	t.size = len(ids)
 	// The last block chunk keeps only the slots in use, as a loaded arena's
 	// does; the first node added after the load regrows it (newNode).
@@ -57,7 +71,7 @@ func bulkLoad(data *vec.Matrix, ids []int32, opts Options) *Tree {
 
 // leafFill is the number of entries STR packs into a leaf: M − ⌈M/16⌉ (30
 // at the default M = 32), never below MinEntries. The free slots take the
-// first Inserts into a packed leaf without overflow treatment: an Insert
+// first inserts into a packed leaf without overflow treatment: an insert
 // that finds one is a single descent.
 func (t *Tree) leafFill() int {
 	m := t.opts.MaxEntries
@@ -78,19 +92,24 @@ func packedSlots(n, fill, m int) int {
 	return slots
 }
 
-// packLeaves tiles the id set into leaves of fill entries with STR. Every
-// axis sort of the tiling works in keys, one buffer per load (bulkLoad) —
+// packLeaves tiles the id set into leaves of fill entries with STR; row id
+// of rows, a matrix of dim columns, is id's point. Every
+// axis sort of the tiling works in keys, one buffer per load (pack) —
 // the sorts run one after another, each over a sub-range of ids — which is
 // garbage once the tree is packed. A buffer per sort sorts as fast but makes
 // K times the garbage, and a server's resident set still shows it after
 // loading; a buffer kept on the tree would outlive the load.
-func (t *Tree) packLeaves(ids []int32, fill int, keys []uint64) []int32 {
+func (t *Tree) packLeaves(ids []int32, rows []float32, fill int, keys []uint64) []int32 {
 	var leaves []int32
-	t.strTile(ids, t.data.Data(), 0, keys, fill, func(chunk []int32) {
+	s := t.scratch
+	t.strTile(ids, rows, 0, keys, fill, func(chunk []int32) {
 		leaf := t.newNode(0)
-		t.setEntries(leaf, chunk...)
-		t.recomputeLeafRect(leaf)
-		t.finalizeLeaf(leaf)
+		pairs := s.pairs[:0]
+		for _, id := range chunk {
+			pairs = append(pairs, sortPair{idx: id, pos: id})
+		}
+		s.pairs = pairs
+		t.fillLeaf(leaf, pairs, rows)
 		leaves = append(leaves, leaf)
 	})
 	return leaves

@@ -28,8 +28,8 @@ func cursorTreeM(t *testing.T, seed int64, n, dim, insert, maxEntries int) (*Tre
 			m.Row(i)[j] = float32(rng.NormFloat64() * 10)
 		}
 	}
-	tr := BulkLoad(m, Options{MaxEntries: maxEntries})
-	if msg := tr.CheckInvariants(); msg != "" {
+	tr := Pack(m, Options{MaxEntries: maxEntries})
+	if msg := tr.CheckInvariants(m); msg != "" {
 		t.Fatalf("after bulk load: %s", msg)
 	}
 	for i := 0; i < insert; i++ {
@@ -37,8 +37,8 @@ func cursorTreeM(t *testing.T, seed int64, n, dim, insert, maxEntries int) (*Tre
 		for j := range p {
 			p[j] = float32(rng.NormFloat64() * 10)
 		}
-		tr.Insert(m.Append(p))
-		if msg := tr.CheckInvariants(); msg != "" {
+		tr.InsertPoint(m.Append(p), p)
+		if msg := tr.CheckInvariants(m); msg != "" {
 			t.Fatalf("after insert %d: %s", i, msg)
 		}
 	}
@@ -182,8 +182,9 @@ func TestCursorReArmOnInsert(t *testing.T) {
 	}
 
 	// Insert a point right at the center: the next window must report it.
-	id := m.Append(make([]float32, m.Dim()))
-	tr.Insert(id)
+	origin := make([]float32, m.Dim())
+	id := m.Append(origin)
+	tr.InsertPoint(id, origin)
 	if cur.Synced() {
 		t.Fatal("cursor still synced after Insert")
 	}
@@ -303,7 +304,7 @@ func TestCursorLadderEquivalenceAcrossCapacities(t *testing.T) {
 		checkLadder(t, fmt.Sprintf("seed %d", seed), tr, center, 0.5, 1.5, 14)
 		// And on the same tree saved and loaded, under whichever kernel row
 		// the run is pinned to.
-		loaded := reload(t, fmt.Sprintf("seed %d", seed), tr, m.Rows(), Options{MaxEntries: capacity})
+		loaded := reload(t, fmt.Sprintf("seed %d", seed), tr, m, m.Rows(), Options{MaxEntries: capacity})
 		checkLadder(t, fmt.Sprintf("seed %d, loaded", seed), loaded, center, 0.5, 1.5, 14)
 	}
 }
@@ -323,8 +324,8 @@ func TestBlocksTrackMutation(t *testing.T) {
 				m.Row(i)[j] = float32(rng.NormFloat64() * 10)
 			}
 		}
-		tr := BulkLoad(m, Options{MaxEntries: sc.maxEntries})
-		if msg := tr.CheckInvariants(); msg != "" {
+		tr := Pack(m, Options{MaxEntries: sc.maxEntries})
+		if msg := tr.CheckInvariants(m); msg != "" {
 			t.Fatalf("M=%d after bulk load: %s", sc.maxEntries, msg)
 		}
 		rootGrowth, internalReinsert := false, false
@@ -334,8 +335,8 @@ func TestBlocksTrackMutation(t *testing.T) {
 				p[j] = float32(rng.NormFloat64() * 10)
 			}
 			before := tr.Height()
-			tr.Insert(m.Append(p))
-			if msg := tr.CheckInvariants(); msg != "" {
+			tr.InsertPoint(m.Append(p), p)
+			if msg := tr.CheckInvariants(m); msg != "" {
 				t.Fatalf("M=%d after insert %d: %s", sc.maxEntries, i, msg)
 			}
 			rootGrowth = rootGrowth || tr.Height() > before
@@ -353,8 +354,8 @@ func TestBlocksTrackMutation(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		copy(dm.Row(i), []float32{1, 2, 3})
 	}
-	dt := BulkLoad(dm, Options{})
-	if msg := dt.CheckInvariants(); msg != "" {
+	dt := Pack(dm, Options{})
+	if msg := dt.CheckInvariants(dm); msg != "" {
 		t.Fatalf("degenerate: %s", msg)
 	}
 	got := dt.WindowAll(WindowRect([]float32{1, 2, 3}, 0.5))
@@ -374,7 +375,7 @@ func TestBlocksTrackMutation(t *testing.T) {
 func BenchmarkCursorLadder(b *testing.B) {
 	const centres, share = 256, 250
 	data := randomMatrix(100_000, 10, 1)
-	tr := BulkLoad(data, Options{})
+	tr := Pack(data, Options{})
 	rng := rand.New(rand.NewSource(2))
 	qs := vec.NewMatrix(centres, 10)
 	for i := 0; i < centres; i++ {

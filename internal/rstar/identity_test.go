@@ -121,11 +121,10 @@ func TestTreeIdentityGolden(t *testing.T) {
 		tr := BulkLoadIDs(data, ids, sc.opts)
 		// The tenth pass: the tree saved here and loaded back — packed, and
 		// then grown by the same inserts — must be the tree that never left.
-		loaded := reload(t, sc.name+" as packed", tr, sc.bulk, sc.opts)
+		loaded := reload(t, sc.name+" as packed", tr, data, sc.bulk, sc.opts)
 		for i := sc.bulk; i < data.Rows(); i++ {
-			tr.Insert(i)
-			loaded.Data().Append(data.Row(i))
-			loaded.Insert(i)
+			tr.InsertPoint(i, data.Row(i))
+			loaded.InsertPoint(i, data.Row(i))
 		}
 		if sc.opts.MaxEntries != 0 && tr.Height() < 5 {
 			t.Fatalf("%s: height %d does not exercise internal splits", sc.name, tr.Height())
@@ -134,10 +133,10 @@ func TestTreeIdentityGolden(t *testing.T) {
 		for name, tree := range map[string]*Tree{
 			"built":                tr,
 			"loaded, then grown":   loaded,
-			"grown, saved, loaded": reload(t, sc.name+" as grown", tr, data.Rows(), sc.opts),
-			"loaded twice over":    reload(t, sc.name+" loaded and grown", loaded, data.Rows(), sc.opts),
+			"grown, saved, loaded": reload(t, sc.name+" as grown", tr, data, data.Rows(), sc.opts),
+			"loaded twice over":    reload(t, sc.name+" loaded and grown", loaded, data, data.Rows(), sc.opts),
 		} {
-			if msg := tree.CheckInvariants(); msg != "" {
+			if msg := tree.CheckInvariants(data); msg != "" {
 				t.Fatalf("%s (%s): invariant violated: %s", sc.name, name, msg)
 			}
 			if got := tree.digest(); got != want {
@@ -205,7 +204,7 @@ func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 			}
 			return r
 		}
-		tr := New(vec.NewMatrix(0, dim), Options{})
+		tr := New(dim, Options{})
 		tr.scr() // bestChild runs beneath Insert, which creates the scratch
 		parent := tr.newNode(1)
 		for n := 2 + rng.Intn(32); n > 0; n-- {
@@ -241,7 +240,7 @@ func TestSortPairsMatchesSortSlice(t *testing.T) {
 		for i := range keys {
 			keys[i] = float32(rng.Intn(spread))
 			ids[i] = int32(i)
-			pairs[i] = sortPair{float64(keys[i]), int32(i)}
+			pairs[i] = sortPair{key: float64(keys[i]), idx: int32(i)}
 		}
 		sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] < keys[ids[b]] })
 		slices.SortFunc(pairs, byKey)

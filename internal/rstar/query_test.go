@@ -1,7 +1,6 @@
 package rstar
 
-// Window-query and nearest-neighbour conveniences that only this package's
-// tests call.
+// Window-query conveniences that only this package's tests call.
 
 // WindowVisits is Window, additionally returning the number of tree nodes
 // examined.
@@ -31,17 +30,4 @@ func (t *Tree) Count(w Rect) int {
 		return true
 	})
 	return n
-}
-
-// NearestK returns the ids of the k nearest indexed points to q in the
-// tree's (projected) space, nearest first, through NearestVisit's
-// best-first traversal. Fewer than k ids are returned when the tree is
-// smaller than k.
-func (t *Tree) NearestK(q []float32, k int) []int {
-	out := make([]int, 0, k)
-	t.NearestVisit(q, func(id int, distSq float64) bool {
-		out = append(out, id)
-		return len(out) < k
-	})
-	return out
 }

@@ -1,12 +1,12 @@
 // Package rstar implements an in-memory R*-tree over low-dimensional points,
 // the multi-dimensional index substrate of DB-LSH (Section IV-B of the
 // paper). It supports STR bulk loading, incremental insertion with forced
-// reinsertion, window (hyper-rectangle) queries with early termination, and
-// best-first k-nearest-neighbor search.
+// reinsertion, and window (hyper-rectangle) queries with early termination.
 //
 // The tree indexes points only (no extended objects): each entry is an id
-// into a caller-owned row-major matrix of projected coordinates. Dimensions
-// are expected to be small (DB-LSH uses K ≈ 10–12).
+// and the point's projected coordinates, which the tree copies into its
+// leaves and keeps nowhere else. Dimensions are expected to be small
+// (DB-LSH uses K ≈ 10–12).
 //
 // Nodes are slots of one index-linked arena (arena.go): a node is an int32,
 // its header, rectangle, entry list and window-test blocks sit in flat slices
@@ -20,9 +20,9 @@
 // re-scans the same blocks one entry and one scalar comparison at a time and
 // is the oracle the cursor is tested against. The blocks are part of the
 // tree: every mutation that moves an entry or changes a child's rectangle
-// rewrites the lanes it touched before it returns (CheckInvariants compares
-// them all), and no query ever writes one, so any number of cursors may read
-// a tree at once.
+// rewrites the lanes it touched before it returns (the tests'
+// CheckInvariants compares them all), and no query ever writes one, so any
+// number of cursors may read a tree at once.
 //
 // Insertion is the textbook R*-tree algorithm and builds the textbook tree,
 // but is written to its cost model rather than to its definition. A bulk
@@ -30,7 +30,7 @@
 // whose coordinates tie keep the order the previous axis left them in (the
 // caller's id order at the first), so a packed tree depends on the data
 // alone. It packs each leaf ⌈M/16⌉ entries short of capacity (two at
-// M = 32), so an Insert into a freshly loaded tree is one descent with no
+// M = 32), so an insert into a freshly loaded tree is one descent with no
 // overflow treatment until its leaf has taken that many; only then does the
 // leaf overflow and force-reinsert 30 % of its entries, each a descent of
 // its own. ChooseSubtree abandons a candidate's overlap sum once it exceeds
@@ -38,7 +38,7 @@
 // order, and all working memory is per-tree scratch. None of that changes a
 // decision: every comparison sees the same bits in the same order as the
 // O(M²·dim) formulation, so the tree is identical node for node (see
-// Tree.Insert; pinned by golden structural digests in the tests).
+// Tree.InsertPoint; pinned by golden structural digests in the tests).
 //
 // Traversal and visit order feed the candidate stream directly, so the
 // package is determinism-critical and patrolled by dblsh-lint's detorder

@@ -3,9 +3,11 @@ package rstar
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dblsh/internal/vec"
 )
@@ -125,7 +127,7 @@ func TestNewRectPanicsOnInverted(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	data := vec.NewMatrix(0, 3)
-	tr := New(data, Options{})
+	tr := New(data.Dim(), Options{})
 	if tr.Size() != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree size=%d height=%d", tr.Size(), tr.Height())
 	}
@@ -133,21 +135,18 @@ func TestEmptyTree(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("window on empty tree returned %v", got)
 	}
-	if ids := tr.NearestK([]float32{0, 0, 0}, 5); len(ids) != 0 {
-		t.Fatalf("NearestK on empty tree returned %v", ids)
-	}
 }
 
 func TestInsertSmall(t *testing.T) {
 	data := randomMatrix(10, 2, 1)
-	tr := New(data, Options{MaxEntries: 4})
+	tr := New(data.Dim(), Options{MaxEntries: 4})
 	for i := 0; i < 10; i++ {
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 	}
 	if tr.Size() != 10 {
 		t.Fatalf("size = %d", tr.Size())
 	}
-	if msg := tr.CheckInvariants(); msg != "" {
+	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
 	all := tr.WindowAll(tr.Bounds())
@@ -163,11 +162,11 @@ func TestInsertSmall(t *testing.T) {
 func TestInsertManyInvariants(t *testing.T) {
 	for _, n := range []int{50, 500, 3000} {
 		data := randomMatrix(n, 4, int64(n))
-		tr := New(data, Options{MaxEntries: 16})
+		tr := New(data.Dim(), Options{MaxEntries: 16})
 		for i := 0; i < n; i++ {
-			tr.Insert(i)
+			tr.InsertPoint(i, data.Row(i))
 		}
-		if msg := tr.CheckInvariants(); msg != "" {
+		if msg := tr.CheckInvariants(data); msg != "" {
 			t.Fatalf("n=%d: invariant violated: %s", n, msg)
 		}
 		if tr.Size() != n {
@@ -179,11 +178,11 @@ func TestInsertManyInvariants(t *testing.T) {
 func TestBulkLoadInvariants(t *testing.T) {
 	for _, n := range []int{1, 7, 32, 33, 1000, 20000} {
 		data := randomMatrix(n, 6, int64(n)+7)
-		tr := BulkLoad(data, Options{})
+		tr := Pack(data, Options{})
 		if tr.Size() != n {
 			t.Fatalf("n=%d: size=%d", n, tr.Size())
 		}
-		if msg := tr.CheckInvariants(); msg != "" {
+		if msg := tr.CheckInvariants(data); msg != "" {
 			t.Fatalf("n=%d: invariant violated: %s", n, msg)
 		}
 	}
@@ -204,7 +203,7 @@ func TestBulkLoadIDsSubset(t *testing.T) {
 
 func TestWindowMatchesBruteForce(t *testing.T) {
 	data := randomMatrix(5000, 5, 99)
-	tr := BulkLoad(data, Options{})
+	tr := Pack(data, Options{})
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 50; trial++ {
 		c := make([]float32, 5)
@@ -222,9 +221,9 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 
 func TestWindowMatchesBruteForceAfterInserts(t *testing.T) {
 	data := randomMatrix(3000, 4, 17)
-	tr := New(data, Options{MaxEntries: 8})
+	tr := New(data.Dim(), Options{MaxEntries: 8})
 	for i := 0; i < 3000; i++ {
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 	}
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
@@ -241,7 +240,7 @@ func TestWindowMatchesBruteForceAfterInserts(t *testing.T) {
 
 func TestWindowEarlyTermination(t *testing.T) {
 	data := randomMatrix(1000, 3, 3)
-	tr := BulkLoad(data, Options{})
+	tr := Pack(data, Options{})
 	count := 0
 	tr.Window(tr.Bounds(), func(id int) bool {
 		count++
@@ -252,75 +251,16 @@ func TestWindowEarlyTermination(t *testing.T) {
 	}
 }
 
-func TestNearestKMatchesBruteForce(t *testing.T) {
-	data := randomMatrix(2000, 4, 77)
-	tr := BulkLoad(data, Options{})
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 20; trial++ {
-		q := make([]float32, 4)
-		for i := range q {
-			q[i] = float32(rng.NormFloat64() * 10)
-		}
-		k := 1 + rng.Intn(20)
-		got := tr.NearestK(q, k)
-		// Brute force.
-		type pair struct {
-			id int
-			d  float64
-		}
-		all := make([]pair, data.Rows())
-		for i := range all {
-			all[i] = pair{i, vec.SquaredDist(q, data.Row(i))}
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
-		if len(got) != k {
-			t.Fatalf("NearestK returned %d ids, want %d", len(got), k)
-		}
-		for i := 0; i < k; i++ {
-			// Compare distances (ids may differ under exact ties).
-			if gd := vec.SquaredDist(q, data.Row(got[i])); gd != all[i].d {
-				t.Fatalf("trial %d: rank %d dist %v, want %v", trial, i, gd, all[i].d)
-			}
-		}
-	}
-}
-
-func TestNearestVisitOrdered(t *testing.T) {
-	data := randomMatrix(500, 3, 13)
-	tr := BulkLoad(data, Options{})
-	q := []float32{0, 0, 0}
-	prev := -1.0
-	n := 0
-	tr.NearestVisit(q, func(id int, distSq float64) bool {
-		if distSq < prev {
-			t.Fatalf("NearestVisit out of order: %v after %v", distSq, prev)
-		}
-		prev = distSq
-		n++
-		return true
-	})
-	if n != 500 {
-		t.Fatalf("visited %d, want 500", n)
-	}
-}
-
 func TestMixedBulkThenInsert(t *testing.T) {
 	data := randomMatrix(1000, 4, 42)
-	tr := BulkLoad(data.Slice(0, 800), Options{MaxEntries: 16})
-	// Appending rows 800..999 via Insert on a tree whose matrix view must
-	// cover them: rebuild tree over the full matrix but only bulk rows.
-	ids := make([]int, 800)
-	for i := range ids {
-		ids[i] = i
-	}
-	tr = BulkLoadIDs(data, ids, Options{MaxEntries: 16})
+	tr := Pack(data.Slice(0, 800), Options{MaxEntries: 16})
 	for i := 800; i < 1000; i++ {
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 	}
 	if tr.Size() != 1000 {
 		t.Fatalf("size = %d", tr.Size())
 	}
-	if msg := tr.CheckInvariants(); msg != "" {
+	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
 	if !sortedEqual(tr.WindowAll(tr.Bounds()), bruteWindow(data, tr.Bounds())) {
@@ -334,7 +274,7 @@ func TestWindowProperty(t *testing.T) {
 	f := func(seed int64, widthRaw uint8) bool {
 		n := 200
 		data := randomMatrix(n, 3, seed)
-		tr := BulkLoad(data, Options{MaxEntries: 8})
+		tr := Pack(data, Options{MaxEntries: 8})
 		w := WindowRect([]float32{0, 0, 0}, 1+float64(widthRaw)/4)
 		return sortedEqual(tr.WindowAll(w), bruteWindow(data, w))
 	}
@@ -350,22 +290,22 @@ func TestDuplicatePoints(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		data.SetRow(i, []float32{1, 1})
 	}
-	tr := New(data, Options{MaxEntries: 8})
+	tr := New(data.Dim(), Options{MaxEntries: 8})
 	for i := 0; i < 100; i++ {
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 	}
 	got := tr.WindowAll(WindowRect([]float32{1, 1}, 0.1))
 	if len(got) != 100 {
 		t.Fatalf("duplicate window returned %d ids", len(got))
 	}
-	if msg := tr.CheckInvariants(); msg != "" {
+	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
 }
 
 func TestComputeStats(t *testing.T) {
 	data := randomMatrix(5000, 4, 8)
-	tr := BulkLoad(data, Options{})
+	tr := Pack(data, Options{})
 	s := tr.ComputeStats()
 	if s.Entries != 5000 {
 		t.Fatalf("stats entries = %d", s.Entries)
@@ -380,37 +320,87 @@ func TestComputeStats(t *testing.T) {
 
 func TestInsertOutOfRangePanics(t *testing.T) {
 	data := randomMatrix(5, 2, 1)
-	tr := New(data, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
+	for name, insert := range map[string]func(){
+		"negative id":                  func() { New(2, Options{}).InsertPoint(-1, data.Row(0)) },
+		"point of the wrong dimension": func() { New(3, Options{}).InsertPoint(0, data.Row(0)) },
+		"row id past the matrix":       func() { BulkLoad(data, Options{}).Insert(5) },
+		"row id into a packed tree":    func() { Pack(data, Options{}).Insert(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			insert()
+		}()
+	}
+}
+
+// TestPackReleasesItsMatrix: a packed tree holds its points in its leaves
+// alone, so the matrix it was packed from is garbage as soon as the caller
+// drops it, while the tree lives on.
+func TestPackReleasesItsMatrix(t *testing.T) {
+	released := make(chan struct{})
+	tr := func() *Tree {
+		data := randomMatrix(2000, 4, 9)
+		runtime.SetFinalizer(data, func(*vec.Matrix) { close(released) })
+		return Pack(data, Options{})
 	}()
-	tr.Insert(5)
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-released:
+			if tr.Size() != 2000 {
+				t.Fatalf("the tree holds %d points", tr.Size())
+			}
+			return
+		case <-deadline:
+			t.Fatal("the matrix was not collected while the tree packed from it lived")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestBulkLoadInsertRetainsRows pins BulkLoad and Insert(id) to Pack and
+// InsertPoint: the same tree, over rows appended to the matrix after the
+// load.
+func TestBulkLoadInsertRetainsRows(t *testing.T) {
+	data := randomMatrix(3000, 5, 4)
+	m := data.Slice(0, 2000)
+	shim, tr := BulkLoad(m, Options{MaxEntries: 8}), Pack(m, Options{MaxEntries: 8})
+	for i := 2000; i < data.Rows(); i++ {
+		shim.Insert(m.Append(data.Row(i)))
+		tr.InsertPoint(i, data.Row(i))
+	}
+	if msg := shim.CheckInvariants(data); msg != "" {
+		t.Fatal(msg)
+	}
+	if shim.digest() != tr.digest() {
+		t.Fatal("BulkLoad and Insert built another tree than Pack and InsertPoint")
+	}
 }
 
 func BenchmarkBulkLoad100k(b *testing.B) {
 	data := randomMatrix(100_000, 10, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BulkLoad(data, Options{})
+		_ = Pack(data, Options{})
 	}
 }
 
 // bulkThenInsert returns a tree STR-packed over the first base rows of
-// data, the rest left for Insert — the production shape: a shard's trees are
-// bulk-loaded at build and compaction time and grow by Insert in between.
+// data, the rest left for InsertPoint — the production shape: a shard's
+// trees are bulk-loaded at build and compaction time and grow by inserts in
+// between.
 func bulkThenInsert(data *vec.Matrix, base int, opts Options) *Tree {
-	ids := make([]int, base)
-	for i := range ids {
-		ids[i] = i
-	}
-	return BulkLoadIDs(data, ids, opts)
+	return Pack(data.Slice(0, base), opts)
 }
 
-// BenchmarkInsert times Insert into a bulk-loaded 100k×10 tree. Every 2 000
-// inserts the tree is re-packed off the clock, so ns/op is the cost of the
-// first inserts after a bulk load whatever b.N is: most find a free slot in
+// BenchmarkInsert times InsertPoint into a bulk-loaded 100k×10 tree. Every
+// 2 000 inserts the tree is re-packed off the clock, so ns/op is the cost of
+// the first inserts after a bulk load whatever b.N is: most find a free slot in
 // the packed leaf they descend to and are one descent; the few whose leaf
 // has filled up by then overflow it (forced reinsertion, then splits).
 func BenchmarkInsert(b *testing.B) {
@@ -424,7 +414,8 @@ func BenchmarkInsert(b *testing.B) {
 			tr = bulkThenInsert(data, base, Options{})
 			b.StartTimer()
 		}
-		tr.Insert(base + i%extra)
+		id := base + i%extra
+		tr.InsertPoint(id, data.Row(id))
 	}
 }
 
@@ -440,16 +431,16 @@ func TestInsertAllocCeiling(t *testing.T) {
 	tr := bulkThenInsert(data, base, Options{})
 	next := base
 	for ; next < base+warm; next++ {
-		tr.Insert(next)
+		tr.InsertPoint(next, data.Row(next))
 	}
 	avg := testing.AllocsPerRun(runs, func() {
-		tr.Insert(next)
+		tr.InsertPoint(next, data.Row(next))
 		next++
 	})
 	if avg > 2 {
 		t.Fatalf("Insert after bulk load: %.1f allocs/op, ceiling 2", avg)
 	}
-	if msg := tr.CheckInvariants(); msg != "" {
+	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
 }
@@ -506,9 +497,9 @@ func TestBulkLoadFill(t *testing.T) {
 			}
 			slots := len(tr.heads)
 			for i := n; len(tr.heads) == slots; i++ {
-				tr.Insert(i)
+				tr.InsertPoint(i, data.Row(i))
 			}
-			if msg := tr.CheckInvariants(); msg != "" {
+			if msg := tr.CheckInvariants(data); msg != "" {
 				t.Fatalf("%s: after the first split: %s", name, msg)
 			}
 		}
@@ -521,23 +512,24 @@ func TestBulkLoadFill(t *testing.T) {
 // one descent: no forced reinsertion, no split, no new slot.
 func TestPackedLeavesTakeInserts(t *testing.T) {
 	const base, more = 100_000, 50
-	tr := bulkThenInsert(randomMatrix(base+more, 10, 3), base, Options{})
+	data := randomMatrix(base+more, 10, 3)
+	tr := bulkThenInsert(data, base, Options{})
 	slots := len(tr.heads)
 	for i := base; i < base+more; i++ {
-		tr.Insert(i)
+		tr.InsertPoint(i, data.Row(i))
 		if tr.reinserted != 0 || len(tr.heads) != slots {
 			t.Fatalf("insert %d after the load was overflow-treated (reinserted levels %b, slots %d → %d)",
 				i-base, tr.reinserted, slots, len(tr.heads))
 		}
 	}
-	if msg := tr.CheckInvariants(); msg != "" {
+	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
 }
 
 func BenchmarkWindow(b *testing.B) {
 	data := randomMatrix(100_000, 10, 1)
-	tr := BulkLoad(data, Options{})
+	tr := Pack(data, Options{})
 	w := WindowRect(make([]float32, 10), 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,39 +9,33 @@ import "slices"
 // returned sibling, a new node at its level, holds the second.
 func (t *Tree) performSplit(n int32) int32 {
 	entries := t.entries(n)
-	sp := &t.scratch.split
-	// A leaf's entries are points, so both faces are one copy of their rows
-	// (the overflowing leaf's own block is an entry short).
-	hi, faces := sp.lo, 1
+	s := t.scratch
+	// A leaf's entries are points, so both faces are one copy of them: the
+	// rows insertPoint gathered (the overflowing leaf's own block is an
+	// entry short).
+	lo, hi, faces := s.over, s.over, 1
 	if !t.leaf(n) {
-		hi, faces = sp.hi, 2
-	}
-	for e, entry := range entries {
-		if t.leaf(n) {
-			copy(sp.lo[e*t.dim:], t.point(entry))
-		} else {
-			r := t.rect(entry)
-			copy(sp.lo[e*t.dim:], r.Min)
-			copy(sp.hi[e*t.dim:], r.Max)
+		lo, hi, faces = s.split.lo, s.split.hi, 2
+		for e, c := range entries {
+			r := t.rect(c)
+			copy(lo[e*t.dim:], r.Min)
+			copy(hi[e*t.dim:], r.Max)
 		}
 	}
-	pairs, cut := t.chooseSplit(sp.lo, hi, len(entries), faces)
+	pairs, cut := t.chooseSplit(lo, hi, len(entries), faces)
 	for k, e := range pairs {
-		pairs[k].idx = entries[e.idx] // position → entry, before the list is rewritten
+		// position → entry, before the list is rewritten
+		pairs[k].idx, pairs[k].pos = entries[e.idx], e.idx
 	}
 	sibling := t.newNode(int(t.heads[n].level))
-	// Both halves are filled before either block is rebuilt: pairs aliases
-	// the scratch finalizeLeaf sorts in.
 	t.fill(n, pairs[:cut])
 	t.fill(sibling, pairs[cut:])
-	t.refresh(n)
-	t.refresh(sibling)
 	return sibling
 }
 
 // splitScratch is chooseSplit's working memory, sized once for M+1 entries.
 type splitScratch struct {
-	lo, hi   []float32 // flat copies of a node's entry rectangles (a leaf's points: lo only)
+	lo, hi   []float32 // flat copies of an interior node's entry rectangles
 	run      Rect      // the MBR a sweep is growing
 	prefix   []float32 // MBR of pairs[:cut] for every candidate cut, Min then Max
 	pre, suf []float64 // per cut: margin of the first / second group
@@ -170,16 +164,18 @@ func (t *Tree) sweep(pairs []sortPair, lo, hi []float32, chooseCut bool) {
 }
 
 // fill makes the entries that pairs carry node n's entry list, in that
-// order, and tightens its rect around them.
+// order, tightens its rect around them and rebuilds its blocks. A leaf's
+// points are the rows of s.over the pairs point at.
 func (t *Tree) fill(n int32, pairs []sortPair) {
+	if t.leaf(n) {
+		t.fillLeaf(n, pairs, t.scratch.over)
+		return
+	}
 	t.heads[n].count = int32(len(pairs))
 	entries := t.entries(n)
 	for j, e := range pairs {
 		entries[j] = e.idx
 	}
-	if t.leaf(n) {
-		t.recomputeLeafRect(n)
-	} else {
-		t.recomputeRect(n)
-	}
+	t.recomputeRect(n)
+	t.rebuildBoxes(n)
 }

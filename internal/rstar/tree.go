@@ -54,14 +54,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Tree is an R*-tree over the rows of a point matrix. The matrix is owned by
-// the caller and must not shrink while the tree is alive; rows appended after
-// construction can be indexed with Insert.
+// Tree is an R*-tree over points of a fixed dimension, each an int32 id
+// and its coordinates. The coordinates live in the leaves' window-test
+// blocks and nowhere else: InsertPoint and the bulk loads copy them in and
+// keep no reference to what they were given.
 //
 // Tree is not safe for concurrent mutation; concurrent read-only queries are
 // safe.
 type Tree struct {
-	data *vec.Matrix
 	opts Options
 	root int32
 	size int
@@ -84,52 +84,69 @@ type Tree struct {
 	version uint64
 
 	// reinserted has bit l set once level l did its forced reinsert during
-	// the current Insert (R* performs at most one per level; a tree over
+	// the current InsertPoint (R* performs at most one per level; a tree over
 	// int32 ids is far shallower than 64 levels).
 	reinserted uint64
 
 	// scratch holds every buffer the mutation path works in, so that an
-	// Insert allocates only when the arena itself grows.
+	// insert allocates only when the arena itself grows.
 	// Created on first use; never shared with queries.
 	scratch *insertScratch
+
+	// rows is the matrix BulkLoad was given, which Insert reads a row id's
+	// coordinates from; nil for every other tree. See BulkLoad.
+	rows *vec.Matrix
 }
 
 // insertScratch is the mutation path's working memory. One descent, sort, sweep
 // or eviction is in flight per buffer at any time — insertion recurses
 // (forced reinsertion re-enters insertPoint/insertSubtree), but every
-// caller is done with path, pairs, rects, grown and center before it
-// recurses, and the eviction lists are frames on one stack.
+// caller is done with path, pairs, order, rects, grown, center and over
+// before it recurses, and the eviction lists are frames on one stack.
 type insertScratch struct {
-	path    []int32    // root-to-target path of the latest descent
-	pairs   []sortPair // the entry sequence being sorted
-	rects   []Rect     // bestChild: views of the children's rects
-	grown   Rect       // bestChild: a candidate enlarged by the new entry
-	center  []float32  // forceReinsert: centre of the overflowing node
-	evicted []int32    // forceReinsert: a stack of evicted entries, a frame per level
-	split   splitScratch
+	path   []int32    // root-to-target path of the latest descent
+	pairs  []sortPair // the entry sequence being sorted
+	order  []sortPair // fillLeaf: a leaf's entries in sort-axis order
+	rects  []Rect     // bestChild: views of the children's rects
+	grown  Rect       // bestChild: a candidate enlarged by the new entry
+	center []float32  // forceReinsert: centre of the overflowing node
+	// over holds the points of the leaf the latest insertPoint overflowed,
+	// M+1 rows of dim in entry order: what its block cannot hold.
+	over []float32
+	// evicted is a stack of evicted entries, a frame per level; evictedPts
+	// holds the coordinates of the evicted points, dim per point, for the
+	// frames that evicted points.
+	evicted    []int32
+	evictedPts []float32
+	split      splitScratch
 }
 
-// scr returns the scratch, creating it on first use. Insert and
-// finalizeLeaf (which bulk loading reaches without an Insert) call it;
-// everything beneath them reads t.scratch directly.
+// scr returns the scratch, creating it on first use. InsertPoint and the
+// bulk loads call it; everything beneath them reads t.scratch directly.
 func (t *Tree) scr() *insertScratch {
 	if t.scratch == nil {
+		total := t.opts.MaxEntries + 1
 		t.scratch = &insertScratch{
+			pairs:  make([]sortPair, 0, total),
+			order:  make([]sortPair, 0, total),
 			grown:  newRect(t.dim),
 			center: make([]float32, t.dim),
-			split:  newSplitScratch(t.dim, t.opts.MaxEntries+1),
+			over:   make([]float32, total*t.dim),
+			split:  newSplitScratch(t.dim, total),
 		}
 	}
 	return t.scratch
 }
 
-// sortPair is one entry of a sequence being sorted: its sort key and which
-// entry it is. Sorting extracted pairs instead of the entries themselves
-// keeps the comparator free of pointer chasing and of sort.Slice's
-// reflection swapper.
+// sortPair is one entry of a sequence being sorted: its sort key, which
+// entry it is, and — for a leaf's points — which row of a point matrix
+// holds its coordinates. Sorting extracted pairs instead of the entries
+// themselves keeps the comparator free of pointer chasing and of
+// sort.Slice's reflection swapper.
 type sortPair struct {
 	key float64 // float32 keys widen exactly, so comparisons are unchanged
 	idx int32
+	pos int32
 }
 
 // byKey orders pairs by key alone, for the two sorts of at most M+1 entries
@@ -159,28 +176,26 @@ func byKeyThenIdx(a, b sortPair) int {
 	return int(a.idx) - int(b.idx)
 }
 
-// New creates an empty R*-tree over data's rows. No rows are indexed yet;
-// call Insert per row, or use BulkLoad to build a populated tree directly.
-func New(data *vec.Matrix, opts Options) *Tree {
-	if data.Dim() < 1 {
-		panic("rstar: data must have at least one dimension")
+// New creates an empty R*-tree over points of dimension dim. Add points with
+// InsertPoint, or use Pack to build a populated tree directly.
+func New(dim int, opts Options) *Tree {
+	if dim < 1 {
+		panic("rstar: points must have at least one dimension")
 	}
-	t := newTree(data, opts)
+	t := newTree(dim, opts)
 	t.root = t.newNode(0)
 	padBlock(t.block(t.root), t.stride, 0)
 	return t
 }
 
-// newTree returns a tree over data with an empty arena and no root yet.
-func newTree(data *vec.Matrix, opts Options) *Tree {
+// newTree returns a tree over points of dimension dim with an empty arena
+// and no root yet.
+func newTree(dim int, opts Options) *Tree {
 	opts = opts.withDefaults()
-	t := &Tree{data: data, opts: opts, dim: data.Dim(), stride: (opts.MaxEntries + 7) &^ 7, ecap: opts.MaxEntries + 1}
+	t := &Tree{opts: opts, dim: dim, stride: (opts.MaxEntries + 7) &^ 7, ecap: opts.MaxEntries + 1}
 	t.blockLen = t.dim * t.stride
 	return t
 }
-
-// Data returns the point matrix the tree indexes.
-func (t *Tree) Data() *vec.Matrix { return t.data }
 
 // Size returns the number of indexed points.
 func (t *Tree) Size() int { return t.size }
@@ -195,19 +210,18 @@ func (t *Tree) Height() int { return int(t.heads[t.root].level) + 1 }
 // For an empty tree the zero rectangle at the origin is returned.
 func (t *Tree) Bounds() Rect { return t.rect(t.root).clone() }
 
-// point returns the coordinates of entry id.
-func (t *Tree) point(id int32) []float32 { return t.data.Row(int(id)) }
-
-// Insert indexes row id of the data matrix using R* insertion (Beckmann et
+// InsertPoint indexes point p under id using R* insertion (Beckmann et
 // al.): ChooseSubtree by least overlap enlargement above the leaves and
 // least area enlargement higher up, forced reinsertion of the 30 % of
 // entries farthest from the centre on a level's first overflow, the
-// topological split afterwards.
+// topological split afterwards. p's coordinates are copied into the tree;
+// p itself is not retained. id must be new to the tree: ids are not checked
+// for duplicates, and a duplicate is returned by queries twice.
 //
 // Cost model: one descent is O(M²·dim) at worst at the leaf-parent level
 // (bounded, see bestChild). STR packing leaves ⌈M/16⌉ free slots in every
-// leaf (BulkLoad), so an Insert into a freshly packed or loaded tree is
-// usually that one descent. An Insert that finds its leaf full overflows it
+// leaf (Pack), so an insert into a freshly packed or loaded tree is
+// usually that one descent. An insert that finds its leaf full overflows it
 // and force-reinserts ⌊0.3·(M+1)+½⌋ = 10 of its entries (M = 32); each is a
 // further descent, and one that lands in another full leaf splits it
 // (level 0 having had its reinsertion): ~11 descents and a few splits.
@@ -221,26 +235,25 @@ func (t *Tree) point(id int32) []float32 { return t.data.Row(int(id)) }
 // the tree is the one the straightforward O(M²·dim)-per-step formulation
 // builds, node for node (TestTreeIdentityGolden). The guarantee assumes
 // finite coordinates whose rectangle volumes do not overflow float64.
-func (t *Tree) Insert(id int) {
-	if id < 0 || id >= t.data.Rows() {
-		panic(fmt.Sprintf("rstar: insert id %d out of range [0,%d)", id, t.data.Rows()))
+func (t *Tree) InsertPoint(id int, p []float32) {
+	if id < 0 || id > math.MaxInt32 || len(p) != t.dim {
+		panic(fmt.Sprintf("rstar: insert of id %d with %d coordinates into a tree of dimension %d", id, len(p), t.dim))
 	}
 	t.reinserted = 0
 	t.scr()
-	t.insertPoint(int32(id))
+	t.insertPoint(int32(id), p)
 	t.size++
 	t.version++
 }
 
 // Version returns the tree's structural mutation counter. It changes on
-// every Insert (splits and reinsertions rearrange nodes a cursor may hold),
+// every insert (splits and reinsertions rearrange nodes a cursor may hold),
 // so a cursor created at one version must be re-armed before advancing once
 // the versions disagree.
 func (t *Tree) Version() uint64 { return t.version }
 
-func (t *Tree) insertPoint(id int32) {
-	p := t.point(id)
-	r := Rect{Min: p, Max: p} // read-only view of the row; never retained
+func (t *Tree) insertPoint(id int32, p []float32) {
+	r := Rect{Min: p, Max: p} // read-only view of the point; never retained
 	path := t.descend(r, 0)
 	leafN := path[len(path)-1]
 	h := &t.heads[leafN]
@@ -268,13 +281,30 @@ func (t *Tree) insertPoint(id int32) {
 	copy(ids[pos+1:], ids[pos:n])
 	ids[pos] = id
 	h.count++
-	// A leaf this entry overflows keeps its block as it was: the
-	// reinsertion or split below rebuilds it.
 	if n < t.opts.MaxEntries {
 		for d, x := range p {
 			row := coords[d*S : d*S+n+1]
 			copy(row[pos+1:], row[pos:])
 			row[pos] = x
+		}
+	} else {
+		// The leaf overflows. Its block stays as it was, an entry short, and
+		// its M+1 points are gathered in entry order for the reinsertion or
+		// split below, which rebuilds it: lanes before pos, p at pos, the
+		// lane one to the left after it.
+		over := t.scratch.over
+		for e := 0; e <= n; e++ {
+			row, lane := over[e*t.dim:(e+1)*t.dim], e
+			if e == pos {
+				copy(row, p)
+				continue
+			}
+			if e > pos {
+				lane--
+			}
+			for d := range row {
+				row[d] = coords[d*S+lane]
+			}
 		}
 	}
 
@@ -282,49 +312,45 @@ func (t *Tree) insertPoint(id int32) {
 	t.handleOverflow(path)
 }
 
-// finalizeLeaf (re)establishes the leaf scan layout after its id set changed
-// wholesale: the sort axis is re-chosen as the widest axis of the leaf's
-// rect (which callers must have recomputed tightly first), the ids are
-// sorted by that axis (ties by id), and the window-test block is rebuilt to
-// match.
-func (t *Tree) finalizeLeaf(n int32) {
-	ids, rect := t.entries(n), t.rect(n)
-	axis := 0
-	if len(ids) > 0 {
-		widest := rect.Max[0] - rect.Min[0]
-		for d := 1; d < t.dim; d++ {
-			if e := rect.Max[d] - rect.Min[d]; e > widest {
-				widest, axis = e, d
-			}
+// fillLeaf makes the entries pairs carry, which must be at least one, leaf
+// n's entry list and lays the leaf out for scanning. Pair p's point is row
+// p.pos of pts, a matrix of dim columns. The rect is tightened around the
+// points, in pairs' order; the sort axis becomes the rect's widest axis; the
+// ids are stored sorted by that axis (ties by id), and the window-test block
+// is written to match.
+func (t *Tree) fillLeaf(n int32, pairs []sortPair, pts []float32) {
+	dim := t.dim
+	point := func(p sortPair) []float32 {
+		o := int(p.pos) * dim
+		return pts[o : o+dim : o+dim]
+	}
+	rect := t.rect(n)
+	rect.set(Rect{Min: point(pairs[0]), Max: point(pairs[0])})
+	for _, p := range pairs[1:] {
+		rect.ExpandPoint(point(p))
+	}
+	axis, widest := 0, rect.Max[0]-rect.Min[0]
+	for d := 1; d < dim; d++ {
+		if e := rect.Max[d] - rect.Min[d]; e > widest {
+			widest, axis = e, d
 		}
 	}
-	t.heads[n].sortAxis = uint16(axis)
-	s := t.scr()
-	pairs := s.pairs[:0]
-	for _, id := range ids {
-		pairs = append(pairs, sortPair{float64(t.point(id)[axis]), id})
+	s := t.scratch
+	order := s.order[:0]
+	for _, p := range pairs {
+		order = append(order, sortPair{float64(point(p)[axis]), p.idx, p.pos})
 	}
-	s.pairs = pairs
-	slices.SortFunc(pairs, byKeyThenIdx)
-	S, coords := t.stride, t.block(n)
-	for j, p := range pairs {
+	s.order = order
+	slices.SortFunc(order, byKeyThenIdx)
+	t.heads[n].count, t.heads[n].sortAxis = int32(len(order)), uint16(axis)
+	ids, S, coords := t.entries(n), t.stride, t.block(n)
+	for j, p := range order {
 		ids[j] = p.idx
-		for d, v := range t.point(p.idx) {
+		for d, v := range point(p) {
 			coords[d*S+j] = v
 		}
 	}
-	padBlock(coords, S, len(ids))
-}
-
-// refresh re-establishes what a node derives from its entry list once that
-// list (and the node's rect) has been rewritten wholesale: a leaf's sort
-// order and block, an interior node's blocks.
-func (t *Tree) refresh(n int32) {
-	if t.leaf(n) {
-		t.finalizeLeaf(n)
-	} else {
-		t.rebuildBoxes(n)
-	}
+	padBlock(coords, S, len(order))
 }
 
 // padBlock sets the lanes from used on, in every row of a block, to +Inf.
@@ -465,38 +491,45 @@ func (t *Tree) forceReinsert(n int32, path []int32) {
 	entries := t.entries(n)
 
 	// Farthest first: ascending on the negated distance is the same
-	// comparison as descending on the distance.
+	// comparison as descending on the distance. A leaf's points are the rows
+	// insertPoint gathered in s.over, in entry order.
 	pairs := s.pairs[:0]
-	if t.leaf(n) {
-		for _, id := range entries {
-			pairs = append(pairs, sortPair{-pointDistSq(center, t.point(id)), id})
+	leaf := t.leaf(n)
+	if leaf {
+		for j, id := range entries {
+			pairs = append(pairs, sortPair{-pointDistSq(center, s.over[j*t.dim:(j+1)*t.dim]), id, int32(j)})
 		}
 	} else {
 		centerRect := Rect{Min: center, Max: center}
 		for _, c := range entries {
-			pairs = append(pairs, sortPair{-t.rect(c).CenterDistSq(centerRect), c})
+			pairs = append(pairs, sortPair{key: -t.rect(c).CenterDistSq(centerRect), idx: c})
 		}
 	}
 	s.pairs = pairs
 	slices.SortFunc(pairs, byKey)
 	// Reinsertions may evict in turn one level up, so this level's list is
 	// a frame on a stack, addressed by index because the stack may move.
-	base := len(s.evicted)
+	// An evicted point takes its coordinates along: the reinsertions gather
+	// over s.over.
+	base, ptsBase := len(s.evicted), len(s.evictedPts)
 	for _, e := range pairs[:p] {
 		s.evicted = append(s.evicted, e.idx)
+		if leaf {
+			s.evictedPts = append(s.evictedPts, s.over[int(e.pos)*t.dim:int(e.pos+1)*t.dim]...)
+		}
 	}
 	t.fill(n, pairs[p:])
-	t.refresh(n)
 	t.tightenPath(path)
 	// Close reinsert: nearest evictions first.
-	for i, leaf := p-1, t.leaf(n); i >= 0; i-- {
+	for i := p - 1; i >= 0; i-- {
 		if leaf {
-			t.insertPoint(s.evicted[base+i])
+			o := ptsBase + i*t.dim
+			t.insertPoint(s.evicted[base+i], s.evictedPts[o:o+t.dim:o+t.dim])
 		} else {
 			t.insertSubtree(s.evicted[base+i])
 		}
 	}
-	s.evicted = s.evicted[:base]
+	s.evicted, s.evictedPts = s.evicted[:base], s.evictedPts[:ptsBase]
 }
 
 // tightenPath recomputes the rectangles of the interior nodes on a
@@ -520,20 +553,6 @@ func (t *Tree) recomputeRect(n int32) {
 	rect.set(t.rect(children[0]))
 	for _, c := range children[1:] {
 		rect.ExpandInPlace(t.rect(c))
-	}
-}
-
-func (t *Tree) recomputeLeafRect(n int32) {
-	ids, rect := t.entries(n), t.rect(n)
-	if len(ids) == 0 {
-		clear(rect.Min)
-		clear(rect.Max)
-		return
-	}
-	p := t.point(ids[0])
-	rect.set(Rect{Min: p, Max: p})
-	for _, id := range ids[1:] {
-		rect.ExpandPoint(t.point(id))
 	}
 }
 

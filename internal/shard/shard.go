@@ -364,7 +364,7 @@ func (s *Set) Deleted() int {
 	return n
 }
 
-// IndexSizeBytes sums the per-shard projection and tree footprints.
+// IndexSizeBytes sums the per-shard tree footprints.
 func (s *Set) IndexSizeBytes() int64 {
 	var b int64
 	for _, st := range s.shards {

@@ -16,7 +16,6 @@ package vec
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Dot returns the inner product of a and b. The slices must have equal
@@ -219,16 +218,6 @@ func (m *Matrix) Append(p []float32) int {
 	m.data = append(m.data, p...)
 	m.n++
 	return m.n - 1
-}
-
-// AppendZero adds a zero row to the matrix, growing storage as needed, and
-// returns it as a view (see Row), for the caller to fill in place.
-func (m *Matrix) AppendZero() []float32 {
-	m.data = slices.Grow(m.data, m.d)[:len(m.data)+m.d]
-	m.n++
-	row := m.Row(m.n - 1)
-	clear(row) // spare capacity may hold a wrapped slice's old values
-	return row
 }
 
 // Clone returns a deep copy of the matrix. The copy owns fresh storage:

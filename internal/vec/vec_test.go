@@ -119,27 +119,6 @@ func TestMatrixAppendClone(t *testing.T) {
 	}
 }
 
-// TestMatrixAppendZero checks that the appended row is zero even where the
-// backing array's spare capacity held something, that the returned view
-// writes into the matrix, and that the append itself allocates nothing
-// when there is room.
-func TestMatrixAppendZero(t *testing.T) {
-	buf := []float32{1, 2, 7, 7, 7, 7}
-	m := WrapMatrix(buf[:2], 1, 2)
-	row := m.AppendZero()
-	if m.Rows() != 2 || row[0] != 0 || row[1] != 0 || len(row) != 2 || cap(row) != 2 {
-		t.Fatalf("AppendZero: rows=%d row=%v cap=%d", m.Rows(), row, cap(row))
-	}
-	row[1] = 5
-	if m.Row(1)[1] != 5 || m.Row(0)[0] != 1 {
-		t.Fatalf("AppendZero's view does not alias the matrix: %v", m.Data())
-	}
-	m = WrapMatrix(make([]float32, 0, 64), 0, 2)
-	if n := testing.AllocsPerRun(10, func() { m.AppendZero() }); n != 0 {
-		t.Fatalf("AppendZero into spare capacity allocates %v times", n)
-	}
-}
-
 func TestMatrixSlice(t *testing.T) {
 	m := NewMatrix(4, 1)
 	for i := 0; i < 4; i++ {

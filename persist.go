@@ -20,9 +20,8 @@ import (
 // The file holds the index, not a recipe for it: the configuration, every
 // shard's vectors, id map and tombstones, and every shard's L R*-trees as
 // the flat arenas they live in (internal/rstar). Loading is a read — the
-// arenas go straight into the slices a tree runs on, the projected matrices
-// are copied back out of the leaf blocks they were copied into, and nothing
-// is projected, sorted or packed. A reopened index is therefore the index
+// arenas go straight into the slices a tree runs on, and nothing is
+// projected, sorted or packed. A reopened index is therefore the index
 // that was saved, trees grown by Adds included, and answers and grows
 // exactly as that one would have. It is also most of what starting up used
 // to cost: at 100 000 × 128, rebuilding the trees from the vectors was 92 %

@@ -60,7 +60,10 @@ func (t *Tree) setEntries(n int32, es ...int32) {
 // their upper faces (vec.BoxMask). Entry j's value on axis d is lane
 // block[d·stride+j]; lanes from the entry count on hold +Inf. A node that
 // transiently overflows does not fit its block, which is then left as it
-// was and rebuilt by the reinsertion or split that follows.
+// was and rebuilt by the reinsertion or split that follows. Insertion's
+// ChooseSubtree (bestChild) reads an internal node's children from its
+// blocks alone, as queries do, so a stale lane would change the tree an
+// insert builds, not only the answer to a query.
 func (t *Tree) block(n int32) []float32 {
 	off := int(n&(chunkSlots-1)) * t.blockLen
 	return t.blocks[n>>chunkShift][off : off+t.blockLen : off+t.blockLen]

@@ -162,13 +162,22 @@ func oracleOverlapEnlargement(t *Tree, children []int32, i int, r Rect) float64 
 	return delta
 }
 
-// oracleBestChild is ChooseSubtree over leaves with every candidate's
-// overlap enlargement summed to the end.
-func oracleBestChild(t *Tree, children []int32, r Rect) int32 {
+// oracleBestChild is ChooseSubtree through materialised rectangles: over
+// leaves with every candidate's overlap enlargement summed to the end,
+// higher up by least area enlargement, ties by area.
+func oracleBestChild(t *Tree, level int, children []int32, r Rect) int32 {
 	enlargement := func(c int32) float64 { return t.rect(c).Enlarged(r).Area() - t.rect(c).Area() }
 	best := children[0]
-	bestOverlap := oracleOverlapEnlargement(t, children, 0, r)
 	bestEnl, bestArea := enlargement(best), t.rect(best).Area()
+	if level > 1 {
+		for _, c := range children[1:] {
+			if enl, area := enlargement(c), t.rect(c).Area(); enl < bestEnl || (enl == bestEnl && area < bestArea) {
+				best, bestEnl, bestArea = c, enl, area
+			}
+		}
+		return best
+	}
+	bestOverlap := oracleOverlapEnlargement(t, children, 0, r)
 	for i := 1; i < len(children); i++ {
 		c := children[i]
 		ov := oracleOverlapEnlargement(t, children, i, r)
@@ -183,15 +192,28 @@ func oracleBestChild(t *Tree, children []int32, r Rect) int32 {
 	return best
 }
 
+// TestBestChildMatchesUnboundedOracle holds bestChild, which reads a
+// parent's blocks and sums overlaps only over the siblings BoxMask reaches,
+// to the textbook formulation over the children's rects. Parents hold 2 to
+// M children (bestChild never runs on an overflowing node), M up to 64 so
+// that every bit of the reach mask is used, over 1 to 12 axes; a quarter are
+// level-2 parents, where the area criterion decides.
 func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 4000; trial++ {
-		dim := 1 + rng.Intn(10)
+	negZero := float32(math.Copysign(0, -1))
+	for trial := 0; trial < 6000; trial++ {
+		dim := 1 + rng.Intn(12)
 		// Odd trials live on a coarse grid: coincident faces, zero-volume
-		// and duplicate rectangles, points on corners.
+		// and duplicate rectangles, points on corners, and faces at +0 and
+		// −0 alike.
 		coord := func() float32 { return float32(rng.NormFloat64() * 10) }
 		if trial%2 == 1 {
-			coord = func() float32 { return float32(rng.Intn(5)) }
+			coord = func() float32 {
+				if v := float32(rng.Intn(5) - 2); v != 0 || rng.Intn(2) == 0 {
+					return v
+				}
+				return negZero
+			}
 		}
 		randRect := func(point bool) Rect {
 			r := newRect(dim)
@@ -204,11 +226,24 @@ func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 			}
 			return r
 		}
-		tr := New(dim, Options{})
+		opts := Options{}
+		if rng.Intn(3) == 0 {
+			opts.MaxEntries = maxCapacity
+		}
+		tr := New(dim, opts)
 		tr.scr() // bestChild runs beneath Insert, which creates the scratch
-		parent := tr.newNode(1)
-		for n := 2 + rng.Intn(32); n > 0; n-- {
-			c := tr.newNode(0)
+		M := tr.opts.MaxEntries
+		level := 1
+		if rng.Intn(4) == 0 {
+			level = 2
+		}
+		parent := tr.newNode(level)
+		children := 2 + rng.Intn(M-1)
+		if rng.Intn(4) == 0 {
+			children = M
+		}
+		for ; children > 0; children-- {
+			c := tr.newNode(level - 1)
 			rect := randRect(rng.Intn(8) == 0)
 			if k := tr.entries(parent); len(k) > 0 && rng.Intn(6) == 0 {
 				rect = tr.rect(k[rng.Intn(len(k))])
@@ -217,10 +252,11 @@ func TestBestChildMatchesUnboundedOracle(t *testing.T) {
 			own.set(rect)
 			tr.push(parent, c)
 		}
+		tr.rebuildBoxes(parent)
 		r := randRect(trial%4 != 3)
-		if got, want := tr.bestChild(parent, r), oracleBestChild(tr, tr.entries(parent), r); got != want {
-			t.Fatalf("trial %d (dim %d, %d children): bounded ChooseSubtree picked a different child",
-				trial, dim, len(tr.entries(parent)))
+		if got, want := tr.bestChild(parent, r), oracleBestChild(tr, level, tr.entries(parent), r); got != want {
+			t.Fatalf("trial %d (level %d, dim %d, M %d, %d children): bestChild picked a different child",
+				trial, level, dim, M, len(tr.entries(parent)))
 		}
 	}
 }

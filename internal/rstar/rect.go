@@ -33,7 +33,9 @@
 // M = 32), so an insert into a freshly loaded tree is one descent with no
 // overflow treatment until its leaf has taken that many; only then does the
 // leaf overflow and force-reinsert 30 % of its entries, each a descent of
-// its own. ChooseSubtree abandons a candidate's overlap sum once it exceeds
+// its own. ChooseSubtree reads the children's faces from the node's
+// blocks, sums a candidate's overlap enlargement only over the siblings
+// vec.BoxMask finds within reach of it and abandons the sum once it exceeds
 // the best so far, splits sweep prefix/suffix bounding boxes once per sort
 // order, and all working memory is per-tree scratch. None of that changes a
 // decision: every comparison sees the same bits in the same order as the
@@ -47,34 +49,10 @@
 // dblsh:deterministic
 package rstar
 
-import "fmt"
-
 // Rect is an axis-aligned hyper-rectangle. Min and Max have the tree's
 // dimensionality and Min[i] ≤ Max[i] for all i.
 type Rect struct {
 	Min, Max []float32
-}
-
-// NewRect returns a rectangle with the given corners. It panics if the
-// corners disagree in length or are inverted.
-func NewRect(min, max []float32) Rect {
-	if len(min) != len(max) {
-		panic(fmt.Sprintf("rstar: corner dims differ: %d vs %d", len(min), len(max)))
-	}
-	for i := range min {
-		if min[i] > max[i] {
-			panic(fmt.Sprintf("rstar: inverted rect on dim %d: %v > %v", i, min[i], max[i]))
-		}
-	}
-	return Rect{Min: min, Max: max}
-}
-
-// PointRect returns the degenerate rectangle covering a single point.
-func PointRect(p []float32) Rect {
-	r := newRect(len(p))
-	copy(r.Min, p)
-	copy(r.Max, p)
-	return r
 }
 
 // newRect returns the zero rectangle at the origin, both corners carved from
@@ -97,9 +75,6 @@ func WindowRect(center []float32, w float64) Rect {
 	return Rect{Min: min, Max: max}
 }
 
-// Dim returns the rectangle's dimensionality.
-func (r Rect) Dim() int { return len(r.Min) }
-
 // Area returns the d-dimensional volume of r.
 func (r Rect) Area() float64 {
 	a := 1.0
@@ -116,26 +91,6 @@ func (r Rect) Margin() float64 {
 		m += float64(r.Max[i] - r.Min[i])
 	}
 	return m
-}
-
-// Contains reports whether p lies inside r (inclusive on both faces).
-func (r Rect) Contains(p []float32) bool {
-	for i, v := range p {
-		if v < r.Min[i] || v > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsRect reports whether s is fully inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	for i := range r.Min {
-		if s.Min[i] < r.Min[i] || s.Max[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Intersects reports whether r and s share any point.
@@ -166,13 +121,6 @@ func (r Rect) OverlapArea(s Rect) float64 {
 		a *= float64(hi - lo)
 	}
 	return a
-}
-
-// Enlarged returns a copy of r grown to include s.
-func (r Rect) Enlarged(s Rect) Rect {
-	e := r.clone()
-	e.ExpandInPlace(s)
-	return e
 }
 
 // set overwrites r with a copy of s, reusing r's storage once it has any.
@@ -208,26 +156,6 @@ func (r *Rect) ExpandPoint(p []float32) {
 	}
 }
 
-// EnlargementArea returns how much r's volume grows when enlarged to cover
-// s, and r's own volume — Enlarged(s).Area() − Area() without materialising
-// the enlarged rectangle.
-func (r Rect) EnlargementArea(s Rect) (enlargement, area float64) {
-	grown := 1.0
-	area = 1.0
-	for i := range r.Min {
-		lo, hi := r.Min[i], r.Max[i]
-		area *= float64(hi - lo)
-		if s.Min[i] < lo {
-			lo = s.Min[i]
-		}
-		if s.Max[i] > hi {
-			hi = s.Max[i]
-		}
-		grown *= float64(hi - lo)
-	}
-	return grown - area, area
-}
-
 // Center writes the rectangle's centroid into dst and returns it; pass nil
 // to allocate.
 func (r Rect) Center(dst []float32) []float32 {
@@ -238,22 +166,6 @@ func (r Rect) Center(dst []float32) []float32 {
 		dst[i] = (r.Min[i] + r.Max[i]) / 2
 	}
 	return dst
-}
-
-// MinDistSq returns the squared Euclidean distance from point p to the
-// nearest face of r; zero when p is inside. Used by best-first k-NN.
-func (r Rect) MinDistSq(p []float32) float64 {
-	var s float64
-	for i, v := range p {
-		var d float64
-		if v < r.Min[i] {
-			d = float64(r.Min[i] - v)
-		} else if v > r.Max[i] {
-			d = float64(v - r.Max[i])
-		}
-		s += d * d
-	}
-	return s
 }
 
 // CenterDistSq returns the squared distance between the centroids of r and s.

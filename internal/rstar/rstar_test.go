@@ -23,10 +23,47 @@ func randomMatrix(n, d int, seed int64) *vec.Matrix {
 	return m
 }
 
+// The rectangle helpers below serve the tests only; the tree computes what
+// it needs from its blocks.
+
+// NewRect returns a rectangle with the given corners. It panics if the
+// corners disagree in length or are inverted.
+func NewRect(min, max []float32) Rect {
+	if len(min) != len(max) {
+		panic(fmt.Sprintf("rstar: corner dims differ: %d vs %d", len(min), len(max)))
+	}
+	for i := range min {
+		if min[i] > max[i] {
+			panic(fmt.Sprintf("rstar: inverted rect on dim %d: %v > %v", i, min[i], max[i]))
+		}
+	}
+	return Rect{Min: min, Max: max}
+}
+
+// ContainsRect reports whether s is fully inside r.
+func (r Rect) ContainsRect(s Rect) bool {
+	for i := range r.Min {
+		if s.Min[i] < r.Min[i] || s.Max[i] > r.Max[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Enlarged returns a copy of r grown to include s.
+func (r Rect) Enlarged(s Rect) Rect {
+	e := r.clone()
+	e.ExpandInPlace(s)
+	return e
+}
+
+// contains reports whether p lies inside r (inclusive on both faces).
+func (r Rect) contains(p []float32) bool { return r.ContainsRect(Rect{Min: p, Max: p}) }
+
 func bruteWindow(data *vec.Matrix, w Rect) []int {
 	var out []int
 	for i := 0; i < data.Rows(); i++ {
-		if w.Contains(data.Row(i)) {
+		if w.contains(data.Row(i)) {
 			out = append(out, i)
 		}
 	}
@@ -55,10 +92,10 @@ func TestRectBasics(t *testing.T) {
 	if r.Margin() != 5 {
 		t.Fatalf("Margin = %v", r.Margin())
 	}
-	if !r.Contains([]float32{2, 3}) || !r.Contains([]float32{0, 0}) {
+	if !r.contains([]float32{2, 3}) || !r.contains([]float32{0, 0}) {
 		t.Fatal("faces must be inclusive")
 	}
-	if r.Contains([]float32{2.001, 1}) {
+	if r.contains([]float32{2.001, 1}) {
 		t.Fatal("outside point contained")
 	}
 }
@@ -93,19 +130,6 @@ func TestRectEnlarged(t *testing.T) {
 	// Original unchanged.
 	if a.Max[0] != 1 {
 		t.Fatal("Enlarged mutated receiver")
-	}
-}
-
-func TestRectMinDistSq(t *testing.T) {
-	r := NewRect([]float32{0, 0}, []float32{1, 1})
-	if d := r.MinDistSq([]float32{0.5, 0.5}); d != 0 {
-		t.Fatalf("inside point dist = %v", d)
-	}
-	if d := r.MinDistSq([]float32{2, 1}); d != 1 {
-		t.Fatalf("dist = %v, want 1", d)
-	}
-	if d := r.MinDistSq([]float32{2, 2}); d != 2 {
-		t.Fatalf("corner dist = %v, want 2", d)
 	}
 }
 
@@ -416,6 +440,23 @@ func BenchmarkInsert(b *testing.B) {
 		}
 		id := base + i%extra
 		tr.InsertPoint(id, data.Row(id))
+	}
+}
+
+// BenchmarkChooseSubtree times descents alone: ChooseSubtree from the root
+// of a packed 100k×10 tree down to the leaf a new point would go to, for
+// points drawn like the tree's own, with nothing inserted. It is
+// BenchmarkInsert without the leaf write and overflow treatment.
+func BenchmarkChooseSubtree(b *testing.B) {
+	const base, extra = 100_000, 2_000
+	data := randomMatrix(base+extra, 10, 1)
+	tr := Pack(data.Slice(0, base), Options{})
+	tr.scr()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := data.Row(base + i%extra)
+		tr.descend(Rect{Min: p, Max: p}, 0)
 	}
 }
 

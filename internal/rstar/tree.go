@@ -3,6 +3,7 @@ package rstar
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"dblsh/internal/vec"
@@ -100,16 +101,20 @@ type Tree struct {
 
 // insertScratch is the mutation path's working memory. One descent, sort, sweep
 // or eviction is in flight per buffer at any time — insertion recurses
-// (forced reinsertion re-enters insertPoint/insertSubtree), but every
-// caller is done with path, pairs, order, rects, grown, center and over
-// before it recurses, and the eviction lists are frames on one stack.
+// (forced reinsertion re-enters insertPoint/insertSubtree), but every caller
+// is done with path, pairs, order, area, grownArea, faces, gaps, center and
+// over before it recurses, and the eviction lists are frames on one stack.
 type insertScratch struct {
 	path   []int32    // root-to-target path of the latest descent
 	pairs  []sortPair // the entry sequence being sorted
 	order  []sortPair // fillLeaf: a leaf's entries in sort-axis order
-	rects  []Rect     // bestChild: views of the children's rects
-	grown  Rect       // bestChild: a candidate enlarged by the new entry
 	center []float32  // forceReinsert: centre of the overflowing node
+	// bestChild: every child's area and enlarged area, a float64 per lane;
+	// a candidate's own and enlarged faces (lower and upper, dim each); the
+	// gaps BoxMask writes, which nothing reads.
+	area, grownArea []float64
+	faces           []float32
+	gaps            []float32
 	// over holds the points of the leaf the latest insertPoint overflowed,
 	// M+1 rows of dim in entry order: what its block cannot hold.
 	over []float32
@@ -127,12 +132,15 @@ func (t *Tree) scr() *insertScratch {
 	if t.scratch == nil {
 		total := t.opts.MaxEntries + 1
 		t.scratch = &insertScratch{
-			pairs:  make([]sortPair, 0, total),
-			order:  make([]sortPair, 0, total),
-			grown:  newRect(t.dim),
-			center: make([]float32, t.dim),
-			over:   make([]float32, total*t.dim),
-			split:  newSplitScratch(t.dim, total),
+			pairs:     make([]sortPair, 0, total),
+			order:     make([]sortPair, 0, total),
+			center:    make([]float32, t.dim),
+			area:      make([]float64, t.stride),
+			grownArea: make([]float64, t.stride),
+			faces:     make([]float32, 4*t.dim),
+			gaps:      make([]float32, t.stride),
+			over:      make([]float32, total*t.dim),
+			split:     newSplitScratch(t.dim, total),
 		}
 	}
 	return t.scratch
@@ -218,13 +226,17 @@ func (t *Tree) Bounds() Rect { return t.rect(t.root).clone() }
 // p itself is not retained. id must be new to the tree: ids are not checked
 // for duplicates, and a duplicate is returned by queries twice.
 //
-// Cost model: one descent is O(M²·dim) at worst at the leaf-parent level
-// (bounded, see bestChild). STR packing leaves ⌈M/16⌉ free slots in every
-// leaf (Pack), so an insert into a freshly packed or loaded tree is
-// usually that one descent. An insert that finds its leaf full overflows it
-// and force-reinserts ⌊0.3·(M+1)+½⌋ = 10 of its entries (M = 32); each is a
-// further descent, and one that lands in another full leaf splits it
-// (level 0 having had its reinsertion): ~11 descents and a few splits.
+// Cost model: a descent reads each node on its path through the node's own
+// blocks, one O(M·dim) sweep for the children's areas and enlargements; at
+// the leaf-parent level every candidate also takes one vec.BoxMask call and
+// an overlap sum over the siblings within its reach, abandoned once it
+// exceeds the best so far (O(M²·dim) at worst, see bestChild). STR packing
+// leaves ⌈M/16⌉ free slots in every leaf (Pack), so an insert into a
+// freshly packed or loaded tree is usually that one descent. An insert that
+// finds its leaf full overflows it and force-reinserts ⌊0.3·(M+1)+½⌋ = 10 of
+// its entries (M = 32); each is a further descent, and one that lands in
+// another full leaf splits it (level 0 having had its reinsertion): ~11
+// descents and a few splits.
 // Steady state allocates only when a split's new node is the one the arena
 // has to grow for: a block chunk every 64 slots, never a copy of the blocks
 // already there.
@@ -560,77 +572,134 @@ func (t *Tree) recomputeRect(n int32) {
 // For nodes whose children are leaves, R* minimizes overlap enlargement;
 // higher up it minimizes area enlargement. Ties break by smaller area
 // enlargement, then smaller area.
+//
+// It reads the children's faces from n's own window-test blocks, never from
+// the children's rects: lane j of block(n) is child j's lower face and the
+// same lane of block(n+1) its upper face. That holds on every node a descent
+// reaches. The one node whose blocks may not mirror its children is one that
+// overflows (M+1 children; rebuildBoxes leaves its blocks as they were), and
+// handleOverflow and forceReinsert refill such a node before anything
+// descends again.
+//
+// One sweep over both blocks, axis by axis, computes every child's area and
+// the area it would grow to, each lane multiplying its factors in axis order
+// like the textbook's per-rect loop, so the values are the same. The grown
+// faces come from the builtin min and max, which differ from the textbook's
+// "replace if smaller / larger" only when both operands are zeros, in the
+// sign of the zero returned. A difference of faces is then the same number,
+// or a zero of either sign where it is zero anyway; so is every product and
+// enlargement built from it, and no comparison tells −0 from +0.
 func (t *Tree) bestChild(n int32, r Rect) int32 {
-	children := t.entries(n)
-	if len(children) == 0 {
+	cnt, S := int(t.heads[n].count), t.stride
+	if cnt == 0 {
 		panic("rstar: bestChild on node without children")
 	}
-	best := children[0]
-	bestEnl, bestArea := t.rect(best).EnlargementArea(r)
+	lo, hi := t.block(n), t.block(n+1)
+	s := t.scratch
+	area, grown := s.area[:cnt], s.grownArea[:cnt]
+	for j := range area {
+		area[j], grown[j] = 1, 1
+	}
+	for d := 0; d < t.dim; d++ {
+		rlo, rhi := r.Min[d], r.Max[d]
+		dlo := lo[d*S : d*S+cnt]
+		dhi := hi[d*S : d*S+cnt]
+		for j, l := range dlo {
+			h := dhi[j]
+			area[j] *= float64(h - l)
+			grown[j] *= float64(max(h, rhi) - min(l, rlo))
+		}
+	}
+	best := 0
+	bestEnl, bestArea := grown[0]-area[0], area[0]
 	if t.heads[n].level > 1 {
-		for _, c := range children[1:] {
-			enl, area := t.rect(c).EnlargementArea(r)
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = c, enl, area
+		for j := 1; j < cnt; j++ {
+			if enl := grown[j] - area[j]; enl < bestEnl || (enl == bestEnl && area[j] < bestArea) {
+				best, bestEnl, bestArea = j, enl, area[j]
 			}
 		}
-		return best
+		return t.entries(n)[best]
 	}
-	// Every child is compared with every other: take the M views once.
-	s := t.scratch
-	rects := s.rects[:0]
-	for _, c := range children {
-		rects = append(rects, t.rect(c))
-	}
-	s.rects = rects
-	bestOverlap, _ := overlapEnlargement(rects, 0, r, s.grown, math.Inf(1))
-	for i := 1; i < len(children); i++ {
-		ov, ok := overlapEnlargement(rects, i, r, s.grown, bestOverlap)
+	bestOverlap, _ := t.overlapEnlargement(lo, hi, cnt, 0, r, math.Inf(1))
+	for i := 1; i < cnt; i++ {
+		ov, ok := t.overlapEnlargement(lo, hi, cnt, i, r, bestOverlap)
 		if !ok {
 			continue
 		}
-		enl, area := rects[i].EnlargementArea(r)
-		if ov < bestOverlap ||
-			(enl < bestEnl) ||
-			(enl == bestEnl && area < bestArea) {
-			best, bestOverlap, bestEnl, bestArea = children[i], ov, enl, area
+		if enl := grown[i] - area[i]; ov < bestOverlap || enl < bestEnl || (enl == bestEnl && area[i] < bestArea) {
+			best, bestOverlap, bestEnl, bestArea = i, ov, enl, area[i]
 		}
 	}
-	return best
+	return t.entries(n)[best]
 }
 
-// overlapEnlargement computes how much the overlap between rects[i] and its
-// siblings grows if rects[i] is enlarged to cover r — as long as the
-// sum stays within bound; ok is false as soon as it exceeds it. Abandoning
-// is exact, not approximate: the enlarged rect contains the original, so on
-// every axis its intersection with a sibling is at least as long, float
-// subtraction, widening and multiplication of non-negative factors are
-// monotone, and every term is therefore ≥ 0 — a partial sum above bound
-// means the full sum is above bound. Sums that are not abandoned add the
-// same terms in the same order as the unbounded loop (skipped terms are
-// exact zeros), so they are bit-identical. grown is scratch for the
-// enlarged rect.
-func overlapEnlargement(rects []Rect, i int, r Rect, grown Rect, bound float64) (delta float64, ok bool) {
-	own := rects[i]
-	if own.ContainsRect(r) {
+// overlapEnlargement computes how much the overlap between child i of a node
+// and its cnt−1 siblings, whose faces are the lanes of the node's blocks lo
+// and hi, grows if child i is enlarged to cover r — as long as the sum stays
+// within bound; ok is false as soon as it exceeds it. Abandoning is exact, not approximate: the enlarged box contains the
+// original, so on every axis its intersection with a sibling is at least as
+// long, float subtraction, widening and multiplication of non-negative
+// factors are monotone, and every term is therefore ≥ 0 — a partial sum
+// above bound means the full sum is above bound.
+//
+// Only the siblings vec.BoxMask finds within reach of the enlarged box are
+// visited. Its inclusive test misses a sibling only if, on some axis, the
+// sibling lies strictly beyond a face of the enlarged box; both of its
+// intersections are then empty and its term an exact zero, which the
+// textbook sum skips too. Every sum therefore adds the same terms in the
+// same order as the unbounded loop over all siblings, and is bit-identical.
+func (t *Tree) overlapEnlargement(lo, hi []float32, cnt, i int, r Rect, bound float64) (delta float64, ok bool) {
+	S, dim := t.stride, t.dim
+	f := t.scratch.faces
+	ownMin, ownMax, gMin, gMax := f[:dim], f[dim:2*dim], f[2*dim:3*dim], f[3*dim:4*dim]
+	// out collects the sign bits of r.Min−l and h−r.Max: a float difference
+	// keeps the sign of the exact one, so the bit stays clear when r is
+	// inside the child. (−0 − (+0) = −0 sets it without cause; the sum below
+	// then adds only x − x terms and returns the same 0.)
+	var out uint32
+	for d := range ownMin {
+		l, h, rl, rh := lo[d*S+i], hi[d*S+i], r.Min[d], r.Max[d]
+		ownMin[d], ownMax[d] = l, h
+		gMin[d], gMax[d] = min(l, rl), max(h, rh)
+		out |= math.Float32bits(rl-l) | math.Float32bits(h-rh)
+	}
+	if out>>31 == 0 {
 		return 0, true // nothing grows: every term is x − x
 	}
-	grown.set(own)
-	grown.ExpandInPlace(r)
-	for j, sib := range rects {
-		if j == i {
-			continue
-		}
-		after := grown.OverlapArea(sib)
+	// The window is the enlarged box; BoxMask's centre feeds only the gaps,
+	// which are not read.
+	reach, _ := vec.BoxMask(lo, hi, S, cnt, gMin, gMax, gMin, t.scratch.gaps)
+	for m := reach &^ (1 << uint(i)); m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		after := laneOverlap(gMin, gMax, lo, hi, S, j)
 		if after == 0 {
 			continue // the smaller intersection before is empty too
 		}
-		delta += after - own.OverlapArea(sib)
+		delta += after - laneOverlap(ownMin, ownMax, lo, hi, S, j)
 		if delta > bound {
 			return delta, false
 		}
 	}
 	return delta, true
+}
+
+// laneOverlap returns the volume of the intersection of the box
+// [aMin, aMax] with the box in lane j of the blocks lo and hi: Rect's
+// OverlapArea, factor for factor. The builtin max and min may pick the other
+// of two zeros than OverlapArea's comparisons do, but a factor is only taken
+// when the faces differ, and a difference of distinct floats does not depend
+// on the sign of a zero operand.
+func laneOverlap(aMin, aMax, lo, hi []float32, S, j int) float64 {
+	a := 1.0
+	for d, l := range aMin {
+		l = max(l, lo[d*S+j])
+		h := min(aMax[d], hi[d*S+j])
+		if h <= l {
+			return 0
+		}
+		a *= float64(h - l)
+	}
+	return a
 }
 
 func pointDistSq(a, b []float32) float64 {

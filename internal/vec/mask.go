@@ -45,6 +45,11 @@ func WindowMask(coords []float32, stride, n int, alive uint64, wlo, whi, center 
 // every child not reached gaps[j] receives a gap no larger than the
 // Chebyshev distance from center to the box; the other lanes of gaps (it
 // needs n rounded up to 8 of them) are scratch.
+//
+// reach and inside depend on wlo and whi alone, which may be any window,
+// collapsed axes included; center feeds only the gaps. The cursor passes a
+// window around its query, R*-tree insertion a child box enlarged by a new
+// entry.
 func BoxMask(cmin, cmax []float32, stride, n int, wlo, whi, center, gaps []float32) (reach, inside uint64) {
 	checkBlock(min(len(cmin), len(cmax)), stride, n, len(center), len(wlo), len(whi))
 	if len(gaps) < (n+7)&^7 {

@@ -63,12 +63,15 @@ func smallestHalf(center []float32, ok func(wlo, whi []float32) bool) float32 {
 	return math.Float32frombits(lo)
 }
 
-// maskCase is one node and one window, as the cursor presents them.
+// maskCase is one node and one window: [center−h, center+h] as the cursor
+// presents it, or, when wlo and whi are set, a window of any shape, as
+// R*-tree insertion presents an enlarged child box.
 type maskCase struct {
 	stride, n, k int
 	alive        uint64
 	center       []float32
 	h            float32
+	wlo, whi     []float32
 	coords       []float32 // leaf block
 	cmin, cmax   []float32 // internal-node blocks
 }
@@ -79,7 +82,10 @@ func finite(v float32) bool { return !math.IsNaN(float64(v)) && !math.IsInf(floa
 // oracle bit for bit; on finite input it also probes every reported gap.
 func (mc *maskCase) check(t *testing.T, impl kernelImpl) {
 	t.Helper()
-	wlo, whi := window(mc.center, mc.h)
+	wlo, whi := mc.wlo, mc.whi
+	if wlo == nil {
+		wlo, whi = window(mc.center, mc.h)
+	}
 	var maxAbs float32
 	probe := finite(mc.h)
 	for _, c := range mc.center {
@@ -161,15 +167,20 @@ func newMaskCase(stride, n, k int, alive uint64, center []float32, h float32, va
 
 // TestMaskKernelsMatchOracle is the contract test of windowMask / boxMask
 // under every registered row: identical masks on random and adversarial
-// nodes, and gaps that never overshoot.
+// nodes, and gaps that never overshoot. Half the windows are the cursor's,
+// centred; the other half are not built from the centre at all, as R*-tree
+// insertion passes an enlarged child box to BoxMask: faces drawn on their
+// own, collapsed (wlo == whi) on some axes, at +0 against −0, or one ulp
+// apart, around a centre that feeds only the gaps.
 func TestMaskKernelsMatchOracle(t *testing.T) {
 	denormal := math.Float32frombits(1)
 	negZero := float32(math.Copysign(0, -1))
+	zero := func(rng *rand.Rand) float32 { return []float32{0, negZero}[rng.Intn(2)] }
 	for _, name := range KernelNames() {
 		impl := kernelTable[name]
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
-			for trial := 0; trial < 2000; trial++ {
+			for trial := 0; trial < 4000; trial++ {
 				stride := []int{8, 32, 64}[rng.Intn(3)]
 				n := rng.Intn(stride + 1)
 				k := 1 + rng.Intn(16)
@@ -190,6 +201,25 @@ func TestMaskKernelsMatchOracle(t *testing.T) {
 					h = 0
 				}
 				wlo, whi := window(center, h)
+				asymmetric := trial%2 == 1
+				if asymmetric {
+					for d := range wlo {
+						a := float32(rng.NormFloat64()) * scale
+						switch rng.Intn(5) {
+						case 0:
+							wlo[d], whi[d] = a, a
+						case 1:
+							wlo[d], whi[d] = zero(rng), zero(rng)
+						case 2:
+							wlo[d], whi[d] = a, math.Nextafter32(a, float32(math.Inf(1)))
+						case 3:
+							wlo[d], whi[d] = zero(rng), abs32(a)
+						default:
+							b := float32(rng.NormFloat64()) * scale
+							wlo[d], whi[d] = min(a, b), max(a, b)
+						}
+					}
+				}
 				mc := newMaskCase(stride, n, k, alive, center, h, func(d int) float32 {
 					switch rng.Intn(10) {
 					case 0:
@@ -204,10 +234,15 @@ func TestMaskKernelsMatchOracle(t *testing.T) {
 						return []float32{0, negZero, denormal, -denormal}[rng.Intn(4)]
 					case 5:
 						return center[d]
+					case 6:
+						return wlo[d]/2 + whi[d]/2 // between the faces
 					default:
 						return center[d] + float32(rng.NormFloat64())*2*h
 					}
 				})
+				if asymmetric {
+					mc.wlo, mc.whi = wlo, whi
+				}
 				mc.check(t, impl)
 			}
 		})

@@ -40,7 +40,7 @@
 //
 // There is no global lock anywhere. The only cross-shard synchronization
 // is the atomic global-id allocator; even persistence (SnapshotShard)
-// copies one shard at a time. No goroutine ever holds two shard locks, so
+// snapshots one shard at a time. No goroutine ever holds two shard locks, so
 // the lock graph is trivially acyclic.
 //
 // The locking discipline and the deterministic visit order are enforced by
@@ -249,7 +249,7 @@ func identityGlobals(rows, offset, stride int) []int {
 
 // Part is one shard's serialized state, used to restore a persisted set.
 type Part struct {
-	Flat    []float32 // rows·dim vector payload, local-id order
+	Flat    []float32 // rows·dim vector payload, local-id order; read-only
 	Rows    int
 	Globals []int  // local id → global id
 	Deleted []bool // tombstones by local id; may be nil or short
@@ -697,25 +697,34 @@ func (s *Set) Infos() []Info {
 	return out
 }
 
-// SnapshotShard copies shard i's resident rows, their global ids and
-// tombstones and its trees' arenas — a memcpy like the rows, not a walk —
-// into a self-contained Part, under the shard's read lock, so the part is
-// the shard as it stood at one instant and its trees index exactly its rows.
-// Persistence streams a snapshot one shard at a time — each copy holds only
-// that shard's read lock, briefly, so serializing a large index never stalls
-// traffic index-wide. The shards are therefore copied at different instants:
-// a part may hold ids at or above what NextID returned before the first copy
-// (whoever restores the parts takes the largest id they hold as a floor for
-// the allocator), and an Add between id allocation and shard insertion is
-// simply absent, which reads back as a benign id-space hole.
+// SnapshotShard takes shard i's resident rows, their global ids and tombstones
+// and its trees' arenas into a Part, under the shard's read lock, so the part
+// is the shard as it stood at one instant and its trees index exactly its rows.
+// The arenas, ids and tombstones are copied — a memcpy, not a walk: inserts
+// rewrite arenas in place, and deletes lay tombstones. The rows are viewed
+// instead, capacity capped at their length, because a shard's rows are
+// append-only: vec.Matrix.Append, under the write lock, is the one writer of a
+// live index's matrix and writes only past the view; SetRow only fills matrices
+// no index holds yet; compaction swaps in a new matrix and leaves the old one
+// as it was; and NewFromFlat's zero-copy rows are the caller's not to mutate.
+// The cap makes an Append onto a restored copy of the part reallocate rather
+// than write into the live shard's array. Persistence streams a snapshot one
+// shard at a time — each holds only that shard's read lock, briefly, so
+// serializing a large index never stalls traffic index-wide. The shards are
+// therefore taken at different instants: a part may hold ids at or above what
+// NextID returned before the first one (whoever restores the parts takes the
+// largest id they hold as a floor for the allocator), and an Add between id
+// allocation and shard insertion is simply absent, which reads back as a benign
+// id-space hole.
 func (s *Set) SnapshotShard(i int) Part {
 	st := s.shards[i]
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	rows := st.idx.Data().Data()
 	p := Part{
 		Rows:    len(st.globals),
 		R0:      st.idx.InitialRadius(),
-		Flat:    append([]float32(nil), st.idx.Data().Data()...),
+		Flat:    rows[:len(rows):len(rows)],
 		Globals: append([]int(nil), st.globals...),
 		Trees:   st.idx.Trees(),
 	}

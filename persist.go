@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 
 	"dblsh/internal/core"
 	"dblsh/internal/metric"
@@ -89,16 +90,31 @@ var (
 // enough to stay in cache between the copy, the checksum and the codec.
 const ioChunk = 256 << 10
 
+// nativeLE is true when this host lays out a float32 or an int32 in memory
+// as the file does, least significant byte first. The codec then moves those
+// arrays as the bytes they already are; a big-endian host converts them one
+// element at a time, and those loops are the oracle the tests hold the byte
+// copy to.
+var nativeLE = binary.NativeEndian.Uint32([]byte{1, 0, 0, 0}) == 1
+
+// byteView returns the memory of v as bytes, aliasing it. It is the
+// package's one use of unsafe.
+func byteView[T float32 | int32](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
 // encoder buffers, checksums and writes the file. The first write error
 // sticks and turns every later call into a no-op. n counts the bytes w
 // actually accepted — the io.WriterTo contract — not bytes merely parked in
-// the buffer, which on an error path may never reach w at all.
+// the buffer, which on an error path may never reach w at all. raw selects
+// the byte copy for 32-bit arrays (nativeLE).
 type encoder struct {
 	w   io.Writer
 	buf []byte
 	crc uint32
 	n   int64
 	err error
+	raw bool
 }
 
 // flush checksums the buffered bytes and hands them to w.
@@ -133,9 +149,13 @@ func (e *encoder) u32(v uint32)  { binary.LittleEndian.PutUint32(e.room(4), v) }
 func (e *encoder) u64(v uint64)  { binary.LittleEndian.PutUint64(e.room(8), v) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-// floats and ints encode 32-bit elements a buffer-full at a time; the Array
-// forms put the element count first.
+// floats and ints encode 32-bit elements: as their bytes when raw, else a
+// buffer-full at a time; the Array forms put the element count first.
 func (e *encoder) floats(v []float32) {
+	if e.raw {
+		e.bytes(byteView(v))
+		return
+	}
 	for len(v) > 0 {
 		n := min(len(v), ioChunk/4)
 		b := e.room(4 * n)
@@ -147,6 +167,10 @@ func (e *encoder) floats(v []float32) {
 }
 
 func (e *encoder) ints(v []int32) {
+	if e.raw {
+		e.bytes(byteView(v))
+		return
+	}
 	for len(v) > 0 {
 		n := min(len(v), ioChunk/4)
 		b := e.room(4 * n)
@@ -163,12 +187,12 @@ func (e *encoder) intArray(v []int32)     { e.u64(uint64(len(v))); e.ints(v) }
 // WriteTo serializes the index in the v4 format: configuration, shard
 // layout, vectors, tombstones and trees. It implements io.WriterTo and is
 // safe to call while the index serves concurrent traffic: each shard is
-// copied under its own read lock, briefly, before being serialized with no
-// locks held — searches and mutations proceed throughout. The file holds
+// snapshotted under its own read lock, briefly, before being serialized with
+// no locks held — searches and mutations proceed throughout. The file holds
 // every row resident when the call started; rows added and tombstones laid
 // while it runs are included if they reach their shard before its turn.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	e := &encoder{w: w, buf: make([]byte, 0, ioChunk)}
+	e := &encoder{w: w, buf: make([]byte, 0, ioChunk), raw: nativeLE}
 	cfg := idx.set.Params()
 	tree := cfg.Tree.Resolved()
 
@@ -187,8 +211,8 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	e.u32(uint32(tree.MaxEntries))
 	e.u32(uint32(tree.MinEntries))
 	for s := 0; s < idx.set.Shards() && e.err == nil; s++ {
-		// One shard resident at a time: the copy holds only this shard's
-		// read lock, and the disk writes below hold no lock at all.
+		// One shard at a time: the snapshot holds only this shard's read
+		// lock, and the disk writes below hold no lock at all.
 		part := idx.set.SnapshotShard(s)
 		e.u64(uint64(part.Rows))
 		e.f64(part.R0)
@@ -367,14 +391,17 @@ func checkConfig(shards, dim int, cfg core.Config) error {
 }
 
 // decoder reads and checksums the file through one bufio.Reader, whose
-// buffer is the only copy between the source and the decoded values. The
-// first failure sticks, named after the part of the file being read, and
-// turns every later read into a no-op that returns nothing.
+// buffer is the only copy between the source and the decoded values: a
+// 32-bit array is copied out of it as bytes when raw (nativeLE), and
+// converted element by element otherwise. The first failure sticks, named
+// after the part of the file being read, and turns every later read into a
+// no-op that returns nothing.
 type decoder struct {
 	br    *bufio.Reader
 	crc   uint32
 	sized bool   // the input told its length:
 	left  uint64 // what of it take has not consumed yet
+	raw   bool
 	what  string
 	err   error
 }
@@ -382,7 +409,7 @@ type decoder struct {
 // newDecoder returns a decoder over r, asking r how much it holds if it is
 // the kind of reader that can say (an *os.File, a bytes.Reader).
 func newDecoder(r io.Reader) *decoder {
-	d := &decoder{br: bufio.NewReaderSize(r, 1<<20), what: "header"}
+	d := &decoder{br: bufio.NewReaderSize(r, 1<<20), raw: nativeLE, what: "header"}
 	if s, ok := r.(io.Seeker); ok {
 		if at, err := s.Seek(0, io.SeekCurrent); err == nil {
 			if end, err := s.Seek(0, io.SeekEnd); err == nil && end >= at {
@@ -403,8 +430,8 @@ func (d *decoder) fail(err error) {
 }
 
 // take hands fn the next n bytes, checksummed, in pieces that are multiples
-// of unit (which must divide n) — whatever the reader has buffered, so the
-// bytes are decoded where they already are.
+// of unit (which must divide n) — whatever the reader has buffered, so fn
+// decodes them, or copies them into their array, straight from the buffer.
 func (d *decoder) take(n uint64, unit int, fn func(b []byte)) {
 	for n > 0 && d.err == nil {
 		if d.br.Buffered() < unit {
@@ -476,6 +503,10 @@ func array[T any](d *decoder, n uint64, size int, fill func(dst []T, b []byte)) 
 
 func (d *decoder) floats(n uint64) []float32 {
 	return array(d, n, 4, func(dst []float32, b []byte) {
+		if d.raw {
+			copy(byteView(dst), b)
+			return
+		}
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
@@ -484,6 +515,10 @@ func (d *decoder) floats(n uint64) []float32 {
 
 func (d *decoder) ints(n uint64) []int32 {
 	return array(d, n, 4, func(dst []int32, b []byte) {
+		if d.raw {
+			copy(byteView(dst), b)
+			return
+		}
 		for i := range dst {
 			dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 		}

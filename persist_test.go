@@ -1,15 +1,19 @@
 package dblsh
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -625,6 +629,161 @@ func TestReadSizesArraysByBytesPresent(t *testing.T) {
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 				t.Fatalf("%s: reading a %d-byte file allocated %d MB", name, len(hostile), grew>>20)
 			}
+		}
+	}
+}
+
+// TestCodecByteCopyMatchesElementLoops holds the byte copy that moves the
+// file's float32 and int32 arrays on a little-endian host to the
+// per-element loops a big-endian host runs: both write the same bytes, and
+// either reads them back, from any kind of source, to the same bits. The
+// values include every float32 class the conversion could disturb and
+// both int32 extremes; the lengths include the empty array, one element, an
+// odd count, and arrays longer than an encoder buffer-full and than the
+// decoder's 1 MB read buffer, so both directions handle arrays in pieces
+// that split them.
+func TestCodecByteCopyMatchesElementLoops(t *testing.T) {
+	special := []uint32{
+		0x7fc00000, 0xffc00000, 0x7fc12345, // quiet NaNs, one with a payload
+		0x7f800001, 0xff800123, 0x7fbfffff, // signalling NaNs
+		0x00000000, 0x80000000, // ±0; as an int32, 0 and MinInt32
+		0x00000001, 0x007fffff, 0x80000001, // subnormals
+		0x7f800000, 0xff800000, // ±Inf
+		0x7f7fffff, 0x3f800000, 0xbf800000,
+		0x7fffffff, // a NaN; as an int32, MaxInt32
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range []int{0, 1, 7, ioChunk/4 + 1, 1<<18 + 3} {
+		words := make([]uint32, n)
+		for i := range words {
+			words[i] = rng.Uint32()
+			if i < len(special) {
+				words[i] = special[i]
+			}
+		}
+		fs := make([]float32, n)
+		is := make([]int32, n)
+		for i, w := range words {
+			fs[i] = math.Float32frombits(w)
+			is[i] = int32(w)
+		}
+
+		var files [2][]byte
+		var crcs [2]uint32
+		for i, raw := range []bool{false, true} {
+			var buf bytes.Buffer
+			e := &encoder{w: &buf, buf: make([]byte, 0, ioChunk), raw: raw}
+			e.u32(0xfeedface)
+			e.floatArray(fs)
+			e.intArray(is)
+			e.flush()
+			if e.err != nil {
+				t.Fatal(e.err)
+			}
+			files[i], crcs[i] = buf.Bytes(), e.crc
+		}
+		if !bytes.Equal(files[0], files[1]) || crcs[0] != crcs[1] {
+			t.Fatalf("n = %d: the byte copy writes other bytes than the element loops", n)
+		}
+		file := files[0]
+
+		sources := map[string]func() io.Reader{
+			"sized":      func() io.Reader { return bytes.NewReader(file) },
+			"unsized":    func() io.Reader { return io.MultiReader(bytes.NewReader(file)) },
+			"slowReader": func() io.Reader { return &slowReader{data: file} },
+		}
+		for name, src := range sources {
+			for _, raw := range []bool{false, true} {
+				d := newDecoder(src())
+				d.raw = raw
+				var marker uint32
+				var counts [2]uint64
+				d.fixed(&marker, &counts[0])
+				gotF := d.floats(counts[0])
+				d.fixed(&counts[1])
+				gotI := d.ints(counts[1])
+				if d.err != nil || marker != 0xfeedface || d.crc != crcs[0] {
+					t.Fatalf("n = %d, %s, raw %v: marker %x crc %08x (want %08x), err %v", n, name, raw, marker, d.crc, crcs[0], d.err)
+				}
+				if len(gotF) != n || len(gotI) != n {
+					t.Fatalf("n = %d, %s, raw %v: read %d floats and %d ints", n, name, raw, len(gotF), len(gotI))
+				}
+				for i := range n {
+					if math.Float32bits(gotF[i]) != math.Float32bits(fs[i]) || gotI[i] != is[i] {
+						t.Fatalf("n = %d, %s, raw %v, element %d: read %08x and %d, wrote %08x and %d",
+							n, name, raw, i, math.Float32bits(gotF[i]), gotI[i], math.Float32bits(fs[i]), is[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchIndex is BenchmarkReadIndex's and BenchmarkWriteTo's index, at the
+// overlap-128 workload's shape: 100 000 Gaussian rows of dimension 128,
+// K×L = 10×5, one shard, built once per process (~1 s).
+var benchIndex = sync.OnceValues(func() (*Index, error) {
+	const n, dim = 100_000, 128
+	rng := rand.New(rand.NewSource(128))
+	flat := make([]float32, n*dim)
+	for i := range flat {
+		flat[i] = float32(rng.NormFloat64())
+	}
+	return NewFromFlat(flat, n, dim, Options{K: 10, L: 5, Seed: 128})
+})
+
+// BenchmarkReadIndex times Read of a 100k × 128 index file (51 MB of rows,
+// 27 MB of trees) from the file itself, which tells Read its length, and
+// through a 1 MB bufio.Reader, which does not — the benchmark's reopen.
+func BenchmarkReadIndex(b *testing.B) {
+	idx, err := benchIndex()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "index.dblsh")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := idx.WriteTo(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		wrap func(*os.File) io.Reader
+	}{
+		{"sized", func(f *os.File) io.Reader { return f }},
+		{"unsized", func(f *os.File) io.Reader { return bufio.NewReaderSize(f, 1<<20) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				f, err := os.Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				loaded, err := Read(c.wrap(f))
+				f.Close()
+				if err != nil || loaded.Len() != idx.Len() {
+					b.Fatalf("loaded %v, err %v", loaded, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteTo times WriteTo of the same index into io.Discard: the
+// snapshot and the encoding, without the disk.
+func BenchmarkWriteTo(b *testing.B) {
+	idx, err := benchIndex()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := idx.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -338,6 +338,61 @@ func BenchmarkBuild40kD960(b *testing.B) {
 	}
 }
 
+// overlapMixture draws n+nq rows of dimension d from one seeded RNG: the
+// dataset.NUS shape of the benchmark's overlap workloads (8 top-level
+// centres with spread 3, 40 sub-centres each at Std 2.5, points at 1.8
+// around their sub-centre), where a query's neighbours are barely closer
+// than the bulk and the 2tL+k budget binds. dataset.Generate is not used:
+// its output depends on GOMAXPROCS. The first n rows are indexed, the rest
+// are the queries.
+func overlapMixture(n, nq, d int, seed int64) (data, queries *vec.Matrix) {
+	rng := rand.New(rand.NewSource(seed))
+	centres := vec.NewMatrix(8*40, d)
+	top := make([]float64, d)
+	for c := 0; c < 8; c++ {
+		for j := range top {
+			top[j] = rng.NormFloat64() * 3
+		}
+		for s := 0; s < 40; s++ {
+			for j, v := range top {
+				centres.Row(c*40 + s)[j] = float32(v + rng.NormFloat64()*2.5)
+			}
+		}
+	}
+	all := vec.NewMatrix(n+nq, d)
+	for i := 0; i < n+nq; i++ {
+		c := centres.Row(rng.Intn(centres.Rows()))
+		for j := range c {
+			all.Row(i)[j] = c[j] + float32(rng.NormFloat64()*1.8)
+		}
+	}
+	return all.Slice(0, n), all.Slice(n, n+nq)
+}
+
+// BenchmarkKANNOverlap is a query at the overlap-128 workload's shape:
+// 100 000 × 128 rows of the overlapping mixture, the paper's defaults
+// (c = 1.5, K×L = 10×5, t = 100) and k = 50, so every query spends the
+// whole candidate budget and traversal is most of it. Beside ns/op it
+// reports the nodes visited and candidates verified per query and the time
+// per node visited, the figure the traversal work moves.
+func BenchmarkKANNOverlap(b *testing.B) {
+	data, qs := overlapMixture(100_000, 200, 128, 1)
+	idx := Build(data, Config{C: 1.5, K: 10, L: 5, T: 100, Seed: 1})
+	s := idx.NewSearcher()
+	nodes, cands := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.KANN(qs.Row(i%qs.Rows()), 50)
+		st := s.LastStats()
+		nodes += st.NodesVisited
+		cands += st.Candidates
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(nodes, 1)), "ns/node")
+	b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
+}
+
 func BenchmarkKANN(b *testing.B) {
 	ds := testDataset(50_000, 128, 1)
 	idx := Build(ds.Data, Config{C: 1.5, K: 10, L: 5, T: 100, Seed: 1})

@@ -13,26 +13,29 @@ import (
 // every covered point against the window — just to find the thin
 // newly-exposed shell. A Cursor instead keeps the not-yet-exhausted
 // remainder of the tree as a frontier: a depth-first-ordered list of
-// subtrees, each carrying an activation threshold (a certain lower bound
-// on the window half-width that could surface anything new from it) and,
-// for leaves, a bitmask of already-reported entries. Each round walks the
-// list; an item below its threshold costs one float compare, an interior
-// node is entered at most once per query, a reported point is never
-// re-examined, and only the leaves straddling the window boundary are
-// re-scanned.
+// subtrees, each carrying an activation threshold (once shaved, a certain
+// lower bound on the window half-width that could surface anything new
+// from it) and, for leaves, a bitmask of already-reported entries. Each
+// round walks the list; an item below its threshold costs one float
+// compare, an interior node is entered at most once per query, a reported
+// point is never re-examined, and only the leaves straddling the window
+// boundary are re-scanned.
 //
 // A node is tested whole, not entry by entry: entering a leaf is one
 // vec.WindowMask call over its axis-major coordinate block, entering an
 // interior node one vec.BoxMask call over its children's rects (the blocks
 // of the tree's arena, addressed by the node's index alone), each
 // answering with bitmasks over the entries and, for what the window
-// misses, its distance from the center. That distance, shaved by
-// vec.ShaveGap, is the threshold the leaf or the unreached child parks
-// with. It is a certain lower bound and, on the avx2 kernel row, a
-// near-exact one, so a parked item whose threshold the window has reached
-// is simply entered: a box the window still misses by an ulp yields
-// nothing and parks again. The bound is an accelerator only; everything
-// observable is decided by the kernels' masks.
+// misses, its distance from the center. That distance is the threshold
+// the leaf or the unreached child parks with, raw, as vec.GapKeys keys it:
+// each round computes one reach key from its half-width, and an item
+// whose key is at or below it is exactly one whose gap, shaved by
+// vec.ShaveGap, the half-width has reached. The shaved gap is a certain
+// lower bound and, on the avx2 kernel row, a near-exact one, so a parked
+// item whose threshold the window has reached is simply entered: a box
+// the window still misses by an ulp yields nothing and parks again. The
+// bound is an accelerator only; everything observable is decided by the
+// kernels' masks.
 //
 // Equivalence with Window: a round at half-width half uses the exact
 // float32 window rectangle WindowRect(center, 2·half) builds, the kernels
@@ -64,10 +67,10 @@ import (
 type Cursor struct {
 	t      *Tree
 	center []float32
-	maxAbs float32   // largest |center[d]|, for vec.ShaveGap
-	h      float32   // current round's half-width, as the window rect rounds it
-	wlo    []float32 // current round's window bounds, exactly as WindowRect
-	whi    []float32 // would build them: center[d] ∓ h in float32
+	keys   vec.GapKeys // turns gaps into thresholds, for the center
+	reach  float32     // current round's key: an item with thresh ≤ reach is entered
+	wlo    []float32   // current round's window bounds, exactly as WindowRect
+	whi    []float32   // would build them: center[d] ∓ h in float32
 
 	cur   []cItem // the frontier, in depth-first tree order
 	next  []cItem // the frontier being rebuilt by the current round's walk
@@ -92,8 +95,9 @@ type Cursor struct {
 
 // cItem is one frontier element, 16 bytes: a subtree the rounds so far have
 // not exhausted. For leaves, mask bit j set means entry j has been reported.
-// thresh is a certain lower bound on the half-width at which the subtree
-// could surface anything new; zero means "enter it next round".
+// thresh is the subtree's gap as vec.GapKeys.Key stores it: once a round's
+// reach key is at or above it, the subtree could surface something new.
+// Zero means "enter it next round".
 type cItem struct {
 	n      int32
 	thresh float32
@@ -126,13 +130,14 @@ type emitRec struct {
 	idx    uint16
 }
 
-// frontierAhead is how far down the frontier the walk looks for a block to
+// frontierAhead is how far down the frontier the walk looks for a node to
 // prefetch: an item that many positions on, if the round will enter it, has
-// its block requested while the items before it are compared or entered. A
-// node's block sits at an address computed from its index, so the request
-// costs no load of its own. With the next reached sibling (NextBatch) it took
-// search_p50_us on the benchmark's overlap-128 from 565 to 520 µs, 10 of 10
-// paired runs; it is a measured constant, not an option.
+// its block and its ids requested while the items before it are compared or
+// entered. A node's block and ids sit at addresses computed from its index,
+// so the request costs no load of its own. It is a measured constant, not an
+// option: with the next reached sibling (NextBatch) it cut the benchmark's
+// overlap-128 search_p50_us by 8 %, 10 of 10 paired runs, when it fetched
+// blocks alone; the ids joined it without re-tuning the distance.
 const frontierAhead = 4
 
 // fullMask returns the mask with the low n bits set (n ≤ 64).
@@ -154,15 +159,16 @@ func NewCursor(t *Tree) *Cursor { return &Cursor{t: t} }
 // queries through a pooled searcher allocate nothing.
 func (c *Cursor) Reset(center []float32) {
 	c.center = append(c.center[:0], center...)
-	c.maxAbs = 0
+	var maxAbs float32
 	for _, v := range center {
 		if v < 0 {
 			v = -v
 		}
-		if v > c.maxAbs {
-			c.maxAbs = v
+		if v > maxAbs {
+			maxAbs = v
 		}
 	}
+	c.keys = vec.NewGapKeys(maxAbs)
 	c.seed()
 }
 
@@ -201,7 +207,7 @@ func (c *Cursor) ReArm() { c.seed() }
 func (c *Cursor) BeginRound(half float64) {
 	c.mergeReturned()
 	h := float32(half)
-	c.h = h
+	c.reach = c.keys.Reach(h)
 	c.wlo = c.wlo[:0]
 	c.whi = c.whi[:0]
 	for _, v := range c.center {
@@ -242,37 +248,44 @@ func (c *Cursor) NextBatch(buf []int32) int {
 				// has been reported, else park it until the window can reach
 				// the nearest entry still outside.
 				if f.mask != fullMask(int(f.count)) {
-					c.next = append(c.next, cItem{n: f.n, mask: f.mask, thresh: vec.ShaveGap(f.gap, c.maxAbs)})
+					c.next = append(c.next, cItem{n: f.n, mask: f.mask, thresh: c.keys.Key(f.gap)})
 				}
 				c.stack = c.stack[:depth]
 				continue
 			}
-			if f.idx >= f.count {
+			// Park the run of children the window does not reach, up to the
+			// next one it does, in one loop.
+			i, reached := int(f.idx), int(f.count)
+			if rest := f.reach >> uint(i); rest != 0 {
+				reached = i + bits.TrailingZeros64(rest)
+			}
+			next := c.next
+			for ; i < reached; i++ {
+				next = append(next, c.parked(entries[i], depth, i))
+			}
+			c.next = next
+			if i == int(f.count) {
 				c.stack = c.stack[:depth]
 				continue
 			}
-			i := int(f.idx)
-			f.idx++
-			if bit := uint64(1) << uint(i); f.reach&bit != 0 {
-				// The next child the window reaches is entered when this
-				// one's subtree is done: ask for its block now.
-				if rest := f.reach &^ (bit<<1 - 1); rest != 0 {
-					vec.PrefetchBlock(c.t.block(entries[bits.TrailingZeros64(rest)]))
-				}
-				c.enter(cItem{n: entries[i]}, f.inside&bit != 0)
-			} else {
-				c.next = append(c.next, c.parked(entries[i], depth, i))
+			f.idx = int32(i + 1)
+			// The next child the window reaches is entered when this one's
+			// subtree is done: ask for it now.
+			bit := uint64(1) << uint(i)
+			if rest := f.reach &^ (bit<<1 - 1); rest != 0 {
+				c.t.prefetch(entries[bits.TrailingZeros64(rest)])
 			}
+			c.enter(cItem{n: entries[i]}, f.inside&bit != 0)
 		}
 		if c.pos >= len(c.cur) {
 			return out
 		}
 		it := c.cur[c.pos]
 		c.pos++
-		if la := c.pos - 1 + frontierAhead; la < len(c.cur) && c.cur[la].thresh <= c.h {
-			vec.PrefetchBlock(c.t.block(c.cur[la].n))
+		if la := c.pos - 1 + frontierAhead; la < len(c.cur) && c.cur[la].thresh <= c.reach {
+			c.t.prefetch(c.cur[la].n)
 		}
-		if it.thresh > c.h {
+		if it.thresh > c.reach {
 			c.next = append(c.next, it) // certainly out of reach: one compare
 			continue
 		}
@@ -280,10 +293,17 @@ func (c *Cursor) NextBatch(buf []int32) int {
 	}
 }
 
+// prefetch requests the lines a visit to node n reads first: its block and
+// its entry ids, neither addressed beyond its own slot.
+func (t *Tree) prefetch(n int32) {
+	vec.PrefetchBlock(t.block(n))
+	vec.PrefetchIDs(t.ents[int(n)*t.ecap:][:t.ecap])
+}
+
 // parked returns the frontier item for child i of the interior frame at
 // depth, which the window does not reach.
 func (c *Cursor) parked(ch int32, depth, i int) cItem {
-	return cItem{n: ch, thresh: vec.ShaveGap(c.gaps[depth*c.t.stride+i], c.maxAbs)}
+	return cItem{n: ch, thresh: c.keys.Key(c.gaps[depth*c.t.stride+i])}
 }
 
 // enter pushes a frame for a subtree and tests the node whole against the
@@ -293,8 +313,9 @@ func (c *Cursor) enter(it cItem, contained bool) {
 	c.nodes++
 	t, n := c.t, it.n
 	h := t.heads[n]
-	count, S := int(h.count), t.stride
-	f := frame{n: n, count: h.count, leaf: h.level == 0, mask: it.mask, pos: int32(len(c.next))}
+	count, S, depth := int(h.count), t.stride, len(c.stack)
+	c.stack = append(c.stack, frame{n: n, count: h.count, leaf: h.level == 0, mask: it.mask, pos: int32(len(c.next))})
+	f := &c.stack[depth]
 	switch {
 	case f.leaf:
 		f.rem = fullMask(count) &^ it.mask
@@ -305,13 +326,11 @@ func (c *Cursor) enter(it cItem, contained bool) {
 		f.reach = fullMask(count)
 		f.inside = f.reach
 	default:
-		depth := len(c.stack)
 		if len(c.gaps) < (depth+1)*S {
 			c.gaps = append(c.gaps, make([]float32, (depth+1)*S-len(c.gaps))...)
 		}
 		f.reach, f.inside = vec.BoxMask(t.block(n), t.block(n+1), S, count, c.wlo, c.whi, c.center, c.gaps[depth*S:(depth+1)*S])
 	}
-	c.stack = append(c.stack, f)
 }
 
 // EndRound closes the current round, whether drained or abandoned early:

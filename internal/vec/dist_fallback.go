@@ -12,3 +12,5 @@ func registerArchKernels() {}
 // prefetchLines does nothing on architectures without a prefetch stub: the
 // sweep runs the same kernels on the same rows and waits for each one.
 func prefetchLines(row []float32, lines int) {}
+
+func prefetchIDLines(row []int32, lines int) {}

@@ -73,7 +73,12 @@ func checkBlock(block, stride, n, k, lo, hi int) {
 // the window bound center ± h at the magnitude of m. |m| ≤ |center| + t, so
 // two ulps of 2t + maxAbsCenter (the largest |center[d]|), plus a denormal
 // guard, cover both. The result only defers the next real test of the
-// entry; it never decides membership.
+// entry; it never decides membership. It is non-decreasing in t from 0 up
+// to the t at which 2t + maxAbsCenter overflows. Everywhere else it is 0
+// (a negative or NaN t, and every t from that overflow on, +Inf included),
+// or +Inf for a negative t so large that 2t + maxAbsCenter overflows
+// downward. A traversal does not call it per entry: GapKeys answers "is
+// ShaveGap(t) ≤ h" with one compare.
 func ShaveGap(t, maxAbsCenter float32) float32 {
 	const eps = 2.4e-7 // 2 × 2⁻²³
 	g := t - (2*t+maxAbsCenter)*eps - 3e-44
@@ -81,6 +86,68 @@ func ShaveGap(t, maxAbsCenter float32) float32 {
 		return 0
 	}
 	return g
+}
+
+// GapKeys moves ShaveGap off a traversal's per-entry path for one center.
+// A subtree parks under Key(t), and a round at half-width h computes
+// Reach(h) once. For every float32 t and h, Key(t) ≤ Reach(h) holds exactly
+// when ShaveGap(t, maxAbsCenter) ≤ h, and Key(t) > Reach(h) exactly when
+// ShaveGap(t, maxAbsCenter) > h.
+type GapKeys struct {
+	maxAbs float32 // the largest |center[d]|: ≥ 0, +Inf or NaN
+	limit  uint32  // bits of the smallest t ≥ 0 at which 2t + maxAbs overflows
+}
+
+// NewGapKeys returns the keys for a center whose largest |center[d]| is
+// maxAbsCenter. A finite query can project to an infinite center; then
+// ShaveGap is 0 for every t, limit is 0 and so is every key.
+func NewGapKeys(maxAbsCenter float32) GapKeys {
+	over := func(t float32) bool { return !(2*t+maxAbsCenter <= math.MaxFloat32) }
+	return GapKeys{maxAbs: maxAbsCenter, limit: firstBits(0, math.Float32bits(float32(math.Inf(1))), over)}
+}
+
+// Key returns what a traversal stores for gap t: t itself on [+0, limit),
+// where ShaveGap is non-decreasing, and ShaveGap(t) — 0 or +Inf — for every
+// other t. The bits of the floats in [+0, limit) are exactly the uint32
+// values below limit's, so a gap a kernel reports costs one compare.
+func (g GapKeys) Key(t float32) float32 {
+	if math.Float32bits(t) < g.limit {
+		return t
+	}
+	return ShaveGap(t, g.maxAbs)
+}
+
+// Reach returns the largest t with ShaveGap(t) ≤ h, found by bisection over
+// the bit patterns of [+0, limit): ShaveGap(0) = 0 ≤ h, and ShaveGap is
+// non-decreasing there. No key is above +Inf, and no shaved gap is at or
+// below a negative h, which gets −Inf; a NaN h gets NaN, which no key
+// compares with either way, as no shaved gap compares with h.
+func (g GapKeys) Reach(h float32) float32 {
+	switch {
+	case h != h, math.IsInf(float64(h), 1):
+		return h
+	case h < 0:
+		return float32(math.Inf(-1))
+	}
+	first := firstBits(0, g.limit, func(t float32) bool { return ShaveGap(t, g.maxAbs) > h })
+	if first == 0 {
+		return 0 // an infinite center: every key is 0
+	}
+	return math.Float32frombits(first - 1)
+}
+
+// firstBits returns the smallest b in [lo, hi) whose float32 p holds, or hi
+// when none does; p must be monotone (false, then true) over the range.
+func firstBits(lo, hi uint32, p func(float32) bool) uint32 {
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if p(math.Float32frombits(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // lowBits returns the mask with the low n bits set (n ≤ 64).

@@ -131,6 +131,9 @@ func (mc *maskCase) check(t *testing.T, impl kernelImpl) {
 		t.Fatalf("%s boxMask S=%d n=%d k=%d h=%v: reach %#x inside %#x, oracle %#x %#x",
 			impl.name, mc.stride, mc.n, mc.k, mc.h, reach, inside, wantReach, wantInside)
 	}
+	if impl.name == "avx2" {
+		mc.checkGapBits(t, wlo, whi, gap, reach, gaps)
+	}
 	for j := 0; probe && j < mc.n; j++ {
 		if reach>>uint(j)&1 == 1 {
 			continue
@@ -144,6 +147,64 @@ func (mc *maskCase) check(t *testing.T, impl kernelImpl) {
 				impl.name, mc.stride, mc.n, mc.k, mc.h, s, gaps[j], need, j)
 		}
 	}
+}
+
+// checkGapBits pins the avx2 row's gaps bit for bit to a Go reference that
+// makes the kernels' float32 operations in their order: per lane, the
+// running max over the axes, in axis order, where a NaN distance keeps the
+// running max (VMAXPS's operand order); for a leaf, then the min over the
+// lanes left outside the window, alive or not (+Inf when there is none).
+// The grouped body and the one-vector tail must both give these bits.
+func (mc *maskCase) checkGapBits(t *testing.T, wlo, whi []float32, gap float32, reach uint64, gaps []float32) {
+	t.Helper()
+	wantGap := float32(math.Inf(1))
+	for j := 0; j < mc.n; j++ {
+		if pointInside(mc.coords, mc.stride, j, wlo, whi) {
+			continue
+		}
+		var m float32
+		for d, c := range mc.center {
+			if dist := abs32(mc.coords[d*mc.stride+j] - c); dist > m {
+				m = dist
+			}
+		}
+		wantGap = min(wantGap, m)
+	}
+	if math.Float32bits(gap) != math.Float32bits(wantGap) {
+		t.Fatalf("avx2 windowMask S=%d n=%d k=%d h=%v: gap %v (%#x), reference %v (%#x)",
+			mc.stride, mc.n, mc.k, mc.h, gap, math.Float32bits(gap), wantGap, math.Float32bits(wantGap))
+	}
+	for j := 0; j < mc.n; j++ {
+		if reach>>uint(j)&1 == 1 {
+			continue
+		}
+		var g float32
+		for d, c := range mc.center {
+			if v := mc.cmin[d*mc.stride+j] - c; v > g {
+				g = v
+			}
+			if v := c - mc.cmax[d*mc.stride+j]; v > g {
+				g = v
+			}
+		}
+		if math.Float32bits(gaps[j]) != math.Float32bits(g) {
+			t.Fatalf("avx2 boxMask S=%d n=%d k=%d h=%v: child %d gap %v (%#x), reference %v (%#x)",
+				mc.stride, mc.n, mc.k, mc.h, j, gaps[j], math.Float32bits(gaps[j]), g, math.Float32bits(g))
+		}
+	}
+}
+
+// maskShape draws a block stride, any multiple of 8 from 8 to 64, and an
+// entry count for it: half the time anywhere in [0, stride], half the time
+// within a vector of a 32-lane group edge, so the kernels' grouped body and
+// their one-vector tail both run, alone and after each other.
+func maskShape(rng *rand.Rand) (stride, n int) {
+	stride = 8 * (1 + rng.Intn(8))
+	if rng.Intn(2) == 0 {
+		return stride, rng.Intn(stride + 1)
+	}
+	edge := 32 * (1 + rng.Intn(2))
+	return stride, min(stride, edge-8+rng.Intn(17))
 }
 
 // newMaskCase lays a node out from a value source: value(d) draws a
@@ -181,8 +242,7 @@ func TestMaskKernelsMatchOracle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
 			for trial := 0; trial < 4000; trial++ {
-				stride := []int{8, 32, 64}[rng.Intn(3)]
-				n := rng.Intn(stride + 1)
+				stride, n := maskShape(rng)
 				k := 1 + rng.Intn(16)
 				alive := rng.Uint64()
 				if rng.Intn(3) == 0 {
@@ -253,14 +313,15 @@ func TestMaskKernelsMatchOracle(t *testing.T) {
 // shapes and payloads against the same oracle.
 func FuzzWindowMask(f *testing.F) {
 	f.Add(uint8(1), uint8(5), uint8(3), uint8(9), uint64(0xffff), []byte{1, 2, 3, 250, 128, 127, 0, 64, 9})
-	f.Add(uint8(2), uint8(64), uint8(10), uint8(255), ^uint64(0), make([]byte, 40))
+	f.Add(uint8(7), uint8(64), uint8(10), uint8(255), ^uint64(0), make([]byte, 40))
+	f.Add(uint8(4), uint8(38), uint8(7), uint8(12), ^uint64(0), []byte{3, 200, 17, 90, 250, 5, 61}) // a group, then a tail vector
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(0), uint64(1), []byte{7})
 	f.Add(uint8(1), uint8(9), uint8(65), uint8(0), uint64(7), []byte("0117\xfd")) // a NaN row must not raise a gap
 	f.Fuzz(func(t *testing.T, sRaw, nRaw, kRaw, hRaw uint8, alive uint64, raw []byte) {
 		if len(raw) == 0 {
 			return
 		}
-		stride := []int{8, 32, 64}[int(sRaw)%3]
+		stride := 8 * (1 + int(sRaw)%8)
 		n := int(nRaw) % (stride + 1)
 		k := int(kRaw)%16 + 1
 		// Bytes map to a small grid, so faces, ties and ±0 are common; the
@@ -297,5 +358,80 @@ func FuzzWindowMask(f *testing.F) {
 		for _, name := range KernelNames() {
 			mc.check(t, kernelTable[name])
 		}
+	})
+}
+
+// checkGapKeys holds GapKeys to its contract for one gap, half-width and
+// center magnitude: the one compare a traversal makes against the round's
+// reach key answers what ShaveGap would, both ways round.
+func checkGapKeys(t *testing.T, tb, hb uint32, m float32) {
+	t.Helper()
+	g, h, k := math.Float32frombits(tb), math.Float32frombits(hb), NewGapKeys(m)
+	key, reach, shaved := k.Key(g), k.Reach(h), ShaveGap(g, m)
+	if (key <= reach) != (shaved <= h) || (key > reach) != (shaved > h) {
+		t.Fatalf("t=%v (%#x) h=%v (%#x) m=%v: key %v, reach %v, ShaveGap %v",
+			g, tb, h, hb, m, key, reach, shaved)
+	}
+}
+
+// gapSpecials are the bit patterns the reach key must get right: both
+// zeros, subnormals, the normal boundary, NaN payloads of either sign, both
+// infinities, MaxFloat32 and the values above MaxFloat32/2, where 2t
+// overflows.
+var gapSpecials = []uint32{
+	0, 0x80000000, 1, 2, 0x15, 0x16, 0x007FFFFF, 0x00800000, 0x00800001,
+	0x3F800000, 0xBF800000, 0x34000000, 0x4B800000,
+	0x7FC00000, 0x7F800001, 0x7FFFFFFF, 0xFFC00001, 0xFF800000, 0x7F800000,
+	0x7F7FFFFF, 0x7EFFFFFF, 0x7F000000, 0x7F000001, 0x7F400000, 0x7E800000,
+	0xFF7FFFFF,
+}
+
+// TestGapKeysMatchShaveGap checks Key(t) ≤ Reach(h) ⇔ ShaveGap(t, m) ≤ h on
+// every pair of special values, on the ulps around each reach key and each
+// overflow limit, and on random draws, for center magnitudes from 0 to
+// +Inf.
+func TestGapKeysMatchShaveGap(t *testing.T) {
+	ms := []float32{0, math.Float32frombits(1), 1e-30, 0.5, 1, 3, 1e6, 1e30,
+		math.MaxFloat32 / 4, math.MaxFloat32 / 2, math.MaxFloat32, float32(math.Inf(1))}
+	for _, m := range ms {
+		k := NewGapKeys(m)
+		around := func(b uint32) []uint32 {
+			var out []uint32
+			for d := uint32(0); d < 4; d++ {
+				out = append(out, b+d, b-d)
+			}
+			return out
+		}
+		for _, hb := range gapSpecials {
+			ts := append(append([]uint32(nil), gapSpecials...), around(k.limit)...)
+			if r := k.Reach(math.Float32frombits(hb)); r == r && !math.IsInf(float64(r), 0) {
+				ts = append(ts, around(math.Float32bits(r))...)
+			}
+			for _, tb := range ts {
+				checkGapKeys(t, tb, hb, m)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 20000; i++ {
+		m := ms[rng.Intn(len(ms))]
+		h := float32(rng.ExpFloat64()) * []float32{1e-40, 1e-3, 1, 1e4, 1e37}[rng.Intn(5)]
+		t0 := h * (1 + float32(rng.NormFloat64())*1e-6)
+		checkGapKeys(t, math.Float32bits(t0)+uint32(rng.Intn(9))-4, math.Float32bits(h), m)
+		checkGapKeys(t, rng.Uint32(), rng.Uint32(), m)
+	}
+}
+
+// FuzzGapKeys drives the reach-key contract with raw bits for the gap, the
+// half-width and the center magnitude (any non-negative bit pattern: ≥ 0,
+// +Inf or NaN).
+func FuzzGapKeys(f *testing.F) {
+	f.Add(uint32(0x3F800000), uint32(0x3F800000), uint32(0x3F800000))
+	f.Add(uint32(0x7F7FFFFF), uint32(0), uint32(0))                   // overflow
+	f.Add(uint32(0x7FC00001), uint32(0x7F800000), uint32(0x42))       // NaN payload, h = +Inf
+	f.Add(uint32(0x80000000), uint32(1), uint32(0x7F7FFFFF))          // −0, a subnormal h, MaxFloat32
+	f.Add(uint32(0x40000000), uint32(0x3F000000), uint32(0x7F800000)) // an infinite center
+	f.Fuzz(func(t *testing.T, tb, hb, mb uint32) {
+		checkGapKeys(t, tb, hb, math.Float32frombits(mb&^(1<<31)))
 	})
 }

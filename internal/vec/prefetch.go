@@ -42,3 +42,9 @@ func prefetchLineCount(d int) int {
 // under the same cap as a row: the stream that follows is the hardware
 // prefetcher's. Like any prefetch it changes no value.
 func PrefetchBlock(block []float32) { prefetchLines(block, prefetchLineCount(len(block))) }
+
+// PrefetchIDs requests the lines of a node's entry ids, the row that is read
+// beside its block: a leaf's ids as its entries are emitted, an interior
+// node's as its children are entered. The count is prefetchLineCount's, so
+// every address lies inside ids.
+func PrefetchIDs(ids []int32) { prefetchIDLines(ids, prefetchLineCount(len(ids))) }

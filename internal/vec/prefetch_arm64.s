@@ -13,3 +13,7 @@ loop:
 	BNE  loop
 done:
 	RET
+
+// func prefetchIDLines(row []int32, lines int)
+TEXT ·prefetchIDLines(SB), NOSPLIT, $0-32
+	JMP ·prefetchLines(SB)

@@ -8,3 +8,9 @@ package vec
 //
 //go:noescape
 func prefetchLines(row []float32, lines int)
+
+// prefetchIDLines is prefetchLines for an int32 row; it jumps into the same
+// stub, whose arguments it shares word for word.
+//
+//go:noescape
+func prefetchIDLines(row []int32, lines int)

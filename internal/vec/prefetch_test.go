@@ -75,9 +75,11 @@ func TestBoundedSweepEqualsPerRowKernel(t *testing.T) {
 // TestPrefetchStaysInsideTheRow checks the line-count helper: every address
 // the sweep hands the prefetch instruction, row start + 64·i for i below
 // the count, lies inside the row's own bytes — so inside the matrix even
-// for its last row — and the count reaches the row's end or the cap.
+// for its last row — and the count reaches the row's end or the cap. An
+// R*-tree node's id row (33 int32 slots at the default capacity) takes the
+// same count, through PrefetchIDs.
 func TestPrefetchStaysInsideTheRow(t *testing.T) {
-	for _, dim := range []int{1, 15, 16, 17, 128, 255, 256, 257, 960} {
+	for _, dim := range []int{1, 15, 16, 17, 33, 128, 255, 256, 257, 960} {
 		lines := prefetchLineCount(dim)
 		rowBytes := 4 * dim
 		if lines < 1 || lines > prefetchMaxLines {
@@ -103,4 +105,7 @@ func TestPrefetchStaysInsideTheRow(t *testing.T) {
 		t.Fatalf("a 0-dimensional row has no line to prefetch, got %d", got)
 	}
 	prefetchLines(nil, 0)
+	ids := make([]int32, 4*33)
+	PrefetchIDs(ids[3*33:])
+	PrefetchIDs(nil)
 }

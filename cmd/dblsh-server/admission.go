@@ -17,9 +17,8 @@ var errShed = errors.New("server overloaded")
 // slot proceeds; one that would wait joins the queue if it is under
 // budget, or is shed immediately. A nil limiter admits everything.
 type limiter struct {
-	slots    chan struct{}
-	maxQueue int
-	queue    chan struct{} // capacity maxQueue; a token held while waiting
+	slots chan struct{}
+	queue chan struct{} // its capacity is the queue budget; a token held while waiting
 }
 
 // newLimiter returns a limiter with maxInflight execution slots and a
@@ -29,9 +28,8 @@ func newLimiter(maxInflight, maxQueue int) *limiter {
 		return nil
 	}
 	return &limiter{
-		slots:    make(chan struct{}, maxInflight),
-		maxQueue: maxQueue,
-		queue:    make(chan struct{}, maxQueue),
+		slots: make(chan struct{}, maxInflight),
+		queue: make(chan struct{}, maxQueue),
 	}
 }
 

@@ -116,24 +116,32 @@ func (s *server) noteQuery(w http.ResponseWriter, k int, st dblsh.Stats) {
 		slog.Int("nodes_visited", st.NodesVisited))
 }
 
-// wrap is the per-endpoint middleware: in-flight accounting, the default
-// deadline, admission control (when admit is set), then request count,
-// latency and slow-log observation of whatever the handler produced.
-// Probe/scrape endpoints pass admit=false so liveness checks and metric
-// scrapes keep answering while the serving endpoints shed load.
-func (s *server) wrap(endpoint string, admit bool, h http.HandlerFunc) http.HandlerFunc {
+// wrap is the per-endpoint middleware: in-flight accounting, the method
+// check (405 with Allow, before admission, so a wrong method never waits
+// for or takes a slot), the default deadline, admission control (when the
+// endpoint is admitted), then request count, latency and slow-log
+// observation of whatever the handler produced. Probe/scrape endpoints
+// skip admission so liveness checks and metric scrapes keep answering
+// while the serving endpoints shed load.
+func (s *server) wrap(e endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		infl := s.m.inflight.With(endpoint)
+		infl := s.m.inflight.With(e.path)
 		infl.Inc()
 		defer infl.Dec()
 		rec := &responseState{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			elapsed := time.Since(start)
-			s.m.requests.With(endpoint, strconv.Itoa(rec.status)).Inc()
-			s.m.latency.With(endpoint).Observe(elapsed.Seconds())
-			s.cfg.slowLog.Observe(endpoint, rec.status, elapsed, rec.attrs...)
+			s.m.requests.With(e.path, strconv.Itoa(rec.status)).Inc()
+			s.m.latency.With(e.path).Observe(elapsed.Seconds())
+			s.cfg.slowLog.Observe(e.path, rec.status, elapsed, rec.attrs...)
 		}()
+
+		if r.Method != e.method {
+			rec.Header().Set("Allow", e.method)
+			httpError(rec, http.StatusMethodNotAllowed, "use "+e.method)
+			return
+		}
 
 		// The deadline starts before admission so time spent queued counts
 		// against it: a request cannot wait its way past its budget.
@@ -145,7 +153,7 @@ func (s *server) wrap(endpoint string, admit bool, h http.HandlerFunc) http.Hand
 			}
 		}
 
-		if admit {
+		if e.admit {
 			switch err := s.lim.acquire(r.Context()); {
 			case errors.Is(err, errShed):
 				s.m.shed.Inc()
@@ -159,6 +167,6 @@ func (s *server) wrap(endpoint string, admit bool, h http.HandlerFunc) http.Hand
 			}
 			defer s.lim.release()
 		}
-		h(rec, r)
+		e.h(rec, r)
 	}
 }

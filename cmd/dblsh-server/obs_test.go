@@ -111,6 +111,8 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"/stats", http.MethodPost, http.MethodGet},
 		{"/metrics", http.MethodPost, http.MethodGet},
 		{"/search", http.MethodGet, http.MethodPost},
+		{"/search_batch", http.MethodGet, http.MethodPost},
+		{"/search_radius", http.MethodGet, http.MethodPost},
 		{"/vectors", http.MethodGet, http.MethodPost},
 		{"/delete", http.MethodGet, http.MethodPost},
 		{"/compact", http.MethodGet, http.MethodPost},
@@ -247,6 +249,21 @@ func TestAdmissionControl(t *testing.T) {
 		}
 	}
 
+	// A wrong method is answered 405 before admission: it neither waits
+	// for a slot nor is shed. (Errorf: the held slot must still be
+	// released below, or the queued request keeps ts.Close waiting.)
+	for _, p := range []string{"/search", "/vectors", "/checkpoint"} {
+		resp, err := http.Get(ts.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+			t.Errorf("GET %s under overload = %d (Allow %q), want 405 (Allow POST)",
+				p, resp.StatusCode, resp.Header.Get("Allow"))
+		}
+	}
+
 	// Probes and scrapes bypass admission.
 	for _, p := range []string{"/healthz", "/stats", "/metrics"} {
 		resp, err := http.Get(ts.URL + p)
@@ -293,7 +310,7 @@ func grepLines(text, substr string) string {
 
 // TestDefaultDeadline verifies -default-deadline reaches the query path:
 // an impossible deadline expires inside (or before) the radius ladder and
-// surfaces as the 408 that searchError maps deadline errors to.
+// surfaces as the 408 that errStatus maps deadline errors to.
 func TestDefaultDeadline(t *testing.T) {
 	idx := testIndex(t)
 	ts := httptest.NewServer(newServer(idx, serverConfig{defaultDeadline: time.Nanosecond}).handler())

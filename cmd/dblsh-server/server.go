@@ -22,10 +22,11 @@ import (
 // mutation write-locks one shard while the others keep answering, instead
 // of the whole-index RWMutex this server used to take.
 //
-// Every request passes through the wrap middleware (middleware.go): the
-// expensive endpoints sit behind the admission limiter, every endpoint
-// reports into the metrics registry exposed at /metrics, and requests over
-// the slow-query threshold are logged with their work counters.
+// Every request passes through the wrap middleware (middleware.go): a
+// wrong method is answered there, the expensive endpoints sit behind the
+// admission limiter, every endpoint reports into the metrics registry
+// exposed at /metrics, and requests over the slow-query threshold are
+// logged with their work counters.
 type server struct {
 	idx *dblsh.Index
 	cfg serverConfig
@@ -53,66 +54,82 @@ func newServer(idx *dblsh.Index, cfg serverConfig) *server {
 	return s
 }
 
-// handler returns the HTTP routing table:
-//
-//	GET  /healthz         liveness probe
-//	GET  /stats           index shape, parameters, and per-shard state
-//	POST /search          {"vector": [...], "k": 10, "t": 25, "early_stop": 1.5, "max_radius": 8.0, "filter_ids": [...]}
-//	POST /search_batch    {"vectors": [[...], ...], "k": 10, ...same per-request knobs}
-//	POST /search_radius   {"vector": [...], "radius": 1.5, "t": 25, "filter_ids": [...]}
-//	POST /vectors         {"vector": [...]} — appends, returns its id
-//	POST /delete          {"id": 7} — tombstones a vector
-//	POST /compact         {"shard": 2} — rebuild one shard (omit for all), dropping tombstones
-//	POST /checkpoint      — rewrite the durable snapshot and truncate the op log (requires -data-dir)
-//
-// The per-request knobs t, early_stop, max_radius and filter_ids are all
-// optional and default to the index's configuration; filter_ids, when
-// present, is an allowlist — only those ids may be returned. Search
-// responses echo the work statistics of the query.
+// endpoint is one route of the server: its path, the one method it
+// answers, whether it passes admission control, and its handler.
+type endpoint struct {
+	path, method string
+	admit        bool
+	h            http.HandlerFunc
+}
+
+// endpoints is the server's route table. Probe and scrape endpoints skip
+// admission so they keep answering while the serving endpoints shed load.
+// A POST endpoint's body is its request type's JSON, capped at the limit
+// given to jsonEndpoint.
+func (s *server) endpoints() []endpoint {
+	return []endpoint{
+		{"/healthz", http.MethodGet, false, handleHealthz},
+		{"/stats", http.MethodGet, false, s.handleStats},
+		{"/metrics", http.MethodGet, false, s.reg.ServeHTTP},
+		{"/search", http.MethodPost, true, jsonEndpoint(64<<20, s.search)},
+		{"/search_batch", http.MethodPost, true, jsonEndpoint(256<<20, s.searchBatch)},
+		{"/search_radius", http.MethodPost, true, jsonEndpoint(64<<20, s.searchRadius)},
+		{"/vectors", http.MethodPost, true, jsonEndpoint(64<<20, s.add)},
+		{"/delete", http.MethodPost, true, jsonEndpoint(1<<20, s.delete)},
+		{"/compact", http.MethodPost, true, jsonEndpoint(1<<20, s.compact)},
+		{"/checkpoint", http.MethodPost, true, jsonEndpoint(1<<20, s.checkpoint)},
+	}
+}
+
+// handler serves every endpoint of the table through wrap.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	// Probe and scrape endpoints skip admission so they keep answering
-	// while the serving endpoints shed load.
-	mux.HandleFunc("/healthz", s.wrap("/healthz", false, s.handleHealthz))
-	mux.HandleFunc("/stats", s.wrap("/stats", false, s.handleStats))
-	mux.HandleFunc("/metrics", s.wrap("/metrics", false, s.handleMetrics))
-	mux.HandleFunc("/search", s.wrap("/search", true, s.handleSearch))
-	mux.HandleFunc("/search_batch", s.wrap("/search_batch", true, s.handleSearchBatch))
-	mux.HandleFunc("/search_radius", s.wrap("/search_radius", true, s.handleSearchRadius))
-	mux.HandleFunc("/vectors", s.wrap("/vectors", true, s.handleAdd))
-	mux.HandleFunc("/delete", s.wrap("/delete", true, s.handleDelete))
-	mux.HandleFunc("/compact", s.wrap("/compact", true, s.handleCompact))
-	mux.HandleFunc("/checkpoint", s.wrap("/checkpoint", true, s.handleCheckpoint))
+	for _, e := range s.endpoints() {
+		mux.HandleFunc(e.path, s.wrap(e))
+	}
 	return mux
 }
 
-// allowMethod enforces an endpoint's single allowed method. A mismatch
-// answers 405 with the Allow header set, as RFC 9110 requires, and the
-// same JSON error shape as every other API error.
-func allowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method == method {
-		return true
+// jsonEndpoint adapts fn to HTTP: it decodes at most limit bytes of body
+// into a Req (an empty body is the zero Req), calls fn, and answers with
+// fn's Resp as JSON, or with fn's error at the status errStatus gives it.
+func jsonEndpoint[Req, Resp any](limit int64, fn func(http.ResponseWriter, *http.Request, *Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			return
+		}
+		resp, err := fn(w, r, &req)
+		if err != nil {
+			httpError(w, errStatus(err), err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	w.Header().Set("Allow", method)
-	httpError(w, http.StatusMethodNotAllowed, "use "+method)
-	return false
 }
 
-// handleMetrics serves the Prometheus text exposition of every registered
-// metric: serving-layer request/latency/in-flight series, per-query work
-// histograms, and the library's WAL/checkpoint/compaction families.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
-		return
+// errCheckpoint marks a checkpoint that failed on the server's side.
+var errCheckpoint = errors.New("checkpoint failed")
+
+// errStatus maps an endpoint's error to its HTTP status. Context expiry
+// (client gone or deadline hit) is 408, and a closed index means the
+// server is shutting down, 503. A durable write or a checkpoint that
+// failed is the server's fault, 500, and retrying it is safe. Anything
+// else is a request the server or the index refused, 400.
+func errStatus(err error) int {
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusRequestTimeout
+	case errors.Is(err, dblsh.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, dblsh.ErrDurability), errors.Is(err, errCheckpoint):
+		return http.StatusInternalServerError
 	}
-	s.reg.ServeHTTP(w, r)
+	return http.StatusBadRequest
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
-		return
-	}
-	w.WriteHeader(http.StatusOK)
+func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
@@ -172,10 +189,7 @@ func durabilityStats(idx *dblsh.Index) *durabilityJSON {
 	return js
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
-		return
-	}
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	p := s.idx.Params()
 	resp := statsResponse{
 		Dim:          s.idx.Dim(),
@@ -225,15 +239,15 @@ type queryOptions struct {
 	FilterIDs []int   `json:"filter_ids"`
 }
 
-// searchOptions converts the request knobs into library options. The
-// request context rides along so client disconnects and deadlines cancel
-// the radius ladder. Zero values mean "unset"; out-of-range values are
-// passed through so the library's own validation produces the error, which
-// searchError maps to a 400 — one set of rules, no drift. The exception is
-// a negative t, which zero-means-unset gating would otherwise silently
-// swallow.
-func (o queryOptions) searchOptions(ctx context.Context) ([]dblsh.SearchOption, error) {
-	opts := []dblsh.SearchOption{dblsh.WithContext(ctx)}
+// searchOptions converts the request knobs into library options, after
+// the stats option given. The request context rides along so client
+// disconnects and deadlines cancel the radius ladder. Zero values mean
+// "unset"; out-of-range values are passed through so the library's own
+// validation produces the error, which errStatus maps to a 400: one set
+// of rules, no drift. The exception is a negative t, which
+// zero-means-unset gating would otherwise silently swallow.
+func (o queryOptions) searchOptions(ctx context.Context, stats dblsh.SearchOption) ([]dblsh.SearchOption, error) {
+	opts := []dblsh.SearchOption{stats, dblsh.WithContext(ctx)}
 	if o.T < 0 {
 		return nil, errors.New("t must be non-negative")
 	}
@@ -314,58 +328,24 @@ func toStats(st dblsh.Stats) *queryStats {
 	}
 }
 
-func (s *server) decodeVector(w http.ResponseWriter, r *http.Request) (searchRequest, bool) {
-	var req searchRequest
-	if !allowMethod(w, r, http.MethodPost) {
-		return req, false
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return req, false
-	}
-	if dim := s.idx.Dim(); len(req.Vector) != dim {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("vector has dim %d, index expects %d", len(req.Vector), dim))
-		return req, false
-	}
-	return req, true
-}
-
-// searchError maps a SearchOpts error to an HTTP status: context expiry
-// (client gone or deadline hit) versus invalid options.
-func searchError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		httpError(w, http.StatusRequestTimeout, err.Error())
-		return
-	}
-	httpError(w, http.StatusBadRequest, err.Error())
-}
-
-func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeVector(w, r)
-	if !ok {
-		return
-	}
-	opts, err := req.searchOptions(r.Context())
-	if err == nil {
-		req.K, err = resolveK(req.K)
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) search(w http.ResponseWriter, r *http.Request, req *searchRequest) (*searchResponse, error) {
 	var st dblsh.Stats
-	opts = append(opts, dblsh.WithStats(&st))
-
+	opts, err := req.searchOptions(r.Context(), dblsh.WithStats(&st))
+	if err != nil {
+		return nil, err
+	}
+	k, err := resolveK(req.K)
+	if err != nil {
+		return nil, err
+	}
 	searcher := s.searchers.Get().(*dblsh.Searcher)
-	hits, err := searcher.SearchOpts(req.Vector, req.K, opts...)
+	hits, err := searcher.SearchOpts(req.Vector, k, opts...)
 	s.searchers.Put(searcher)
 	if err != nil {
-		searchError(w, err)
-		return
+		return nil, err
 	}
-	s.noteQuery(w, req.K, st)
-	writeJSON(w, http.StatusOK, searchResponse{Results: toHits(hits), Stats: toStats(st)})
+	s.noteQuery(w, k, st)
+	return &searchResponse{Results: toHits(hits), Stats: toStats(st)}, nil
 }
 
 type batchRequest struct {
@@ -379,51 +359,30 @@ type batchResponse struct {
 	Stats   []queryStats  `json:"stats"`
 }
 
-func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if len(req.Vectors) == 0 {
-		httpError(w, http.StatusBadRequest, "vectors must be non-empty")
-		return
-	}
-	if len(req.Vectors) > 10_000 {
-		httpError(w, http.StatusBadRequest, "too many vectors (max 10000)")
-		return
-	}
-	dim := s.idx.Dim()
-	for i, v := range req.Vectors {
-		if len(v) != dim {
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("vector %d has dim %d, index expects %d", i, len(v), dim))
-			return
-		}
-	}
-	opts, err := req.searchOptions(r.Context())
-	if err == nil {
-		req.K, err = resolveK(req.K)
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+func (s *server) searchBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) (*batchResponse, error) {
+	switch {
+	case len(req.Vectors) == 0:
+		return nil, errors.New("vectors must be non-empty")
+	case len(req.Vectors) > 10_000:
+		return nil, errors.New("too many vectors (max 10000)")
 	}
 	var per []dblsh.Stats
-	opts = append(opts, dblsh.WithBatchStats(&per))
-
-	// No server-side lock: the index is internally sharded, so a batch no
-	// longer delays writers — shard locks are held per ladder round, and
-	// mutations interleave between rounds and queries.
-	results, err := s.idx.SearchBatchOpts(req.Vectors, req.K, opts...)
+	opts, err := req.searchOptions(r.Context(), dblsh.WithBatchStats(&per))
 	if err != nil {
-		searchError(w, err)
-		return
+		return nil, err
 	}
-	resp := batchResponse{
+	k, err := resolveK(req.K)
+	if err != nil {
+		return nil, err
+	}
+	// No server-side lock: the index is internally sharded, so a batch
+	// does not delay writers; shard locks are held per ladder round, and
+	// mutations interleave between rounds and queries.
+	results, err := s.idx.SearchBatchOpts(req.Vectors, k, opts...)
+	if err != nil {
+		return nil, err
+	}
+	resp := &batchResponse{
 		Results: make([][]searchHit, len(results)),
 		Stats:   make([]queryStats, len(per)),
 	}
@@ -432,80 +391,49 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, st := range per {
 		resp.Stats[i] = *toStats(st)
-		s.noteQuery(w, req.K, st)
+		s.noteQuery(w, k, st)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *server) handleSearchRadius(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeVector(w, r)
-	if !ok {
-		return
-	}
+func (s *server) searchRadius(w http.ResponseWriter, r *http.Request, req *searchRequest) (*searchResponse, error) {
 	if req.Radius <= 0 {
-		httpError(w, http.StatusBadRequest, "radius must be positive")
-		return
+		return nil, errors.New("radius must be positive")
 	}
 	// A fixed-radius query runs a single round: the ladder-shaping knobs
 	// have nothing to act on, so reject them rather than silently ignore.
 	if req.EarlyStop != 0 || req.MaxRadius != 0 {
-		httpError(w, http.StatusBadRequest, "early_stop and max_radius do not apply to fixed-radius queries")
-		return
-	}
-	opts, err := req.searchOptions(r.Context())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, errors.New("early_stop and max_radius do not apply to fixed-radius queries")
 	}
 	var st dblsh.Stats
-	opts = append(opts, dblsh.WithStats(&st))
-
+	opts, err := req.searchOptions(r.Context(), dblsh.WithStats(&st))
+	if err != nil {
+		return nil, err
+	}
 	searcher := s.searchers.Get().(*dblsh.Searcher)
 	hit, found, err := searcher.SearchRadiusOpts(req.Vector, req.Radius, opts...)
 	s.searchers.Put(searcher)
 	if err != nil {
-		searchError(w, err)
-		return
+		return nil, err
 	}
 	s.noteQuery(w, 1, st)
-	resp := searchResponse{Results: []searchHit{}, Stats: toStats(st)}
+	resp := &searchResponse{Results: []searchHit{}, Stats: toStats(st)}
 	if found {
 		resp.Results = []searchHit{{ID: hit.ID, Dist: hit.Dist}}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 type addResponse struct {
 	ID int `json:"id"`
 }
 
-func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeVector(w, r)
-	if !ok {
-		return
-	}
+// add appends the request's vector. The index refuses a wrong dimension,
+// a NaN or infinite coordinate, or a vector outside the metric's ingest
+// contract, each a 400.
+func (s *server) add(_ http.ResponseWriter, _ *http.Request, req *searchRequest) (addResponse, error) {
 	id, err := s.idx.Add(req.Vector)
-	if err != nil {
-		httpError(w, addErrorStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, addResponse{ID: id})
-}
-
-// addErrorStatus maps an Index.Add error to an HTTP status. Only a rejected
-// vector (wrong dimension, NaN/Inf coordinate, a metric's ingest contract)
-// is the client's fault. A durable-write failure is a server-side fault
-// (nothing was applied — retrying is safe), and a closed index means the
-// server is shutting down.
-func addErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, dblsh.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, dblsh.ErrDurability):
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
+	return addResponse{ID: id}, err
 }
 
 type deleteRequest struct {
@@ -518,33 +446,16 @@ type deleteResponse struct {
 	Deleted bool `json:"deleted"`
 }
 
-func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req deleteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
+// delete tombstones the request's id. Deleting an unknown or
+// already-deleted id is not an error (the response reports whether this
+// request removed it), but a durable-log failure must not masquerade as
+// "not found": the vector is still live and the fault is the server's.
+func (s *server) delete(_ http.ResponseWriter, _ *http.Request, req *deleteRequest) (deleteResponse, error) {
 	if req.ID == nil {
-		httpError(w, http.StatusBadRequest, "missing id")
-		return
+		return deleteResponse{}, errors.New("missing id")
 	}
-	// Deleting an unknown or already-deleted id is not an error — the
-	// response reports whether this request removed it — but a durable-log
-	// failure must not masquerade as "not found": the vector is still live
-	// and the fault is the server's.
 	deleted, err := s.idx.DeleteWithError(*req.ID)
-	if err != nil {
-		if errors.Is(err, dblsh.ErrClosed) {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		} else {
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, deleteResponse{Deleted: deleted})
+	return deleteResponse{Deleted: deleted}, err
 }
 
 type compactRequest struct {
@@ -556,46 +467,27 @@ type compactResponse struct {
 	Removed int `json:"removed"`
 }
 
-func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req compactRequest
-	// An empty body means "compact everything".
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
+func (s *server) compact(_ http.ResponseWriter, _ *http.Request, req *compactRequest) (compactResponse, error) {
 	if req.Shard == nil {
-		writeJSON(w, http.StatusOK, compactResponse{Removed: s.idx.Compact()})
-		return
+		return compactResponse{Removed: s.idx.Compact()}, nil
 	}
 	removed, err := s.idx.CompactShard(*req.Shard)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, compactResponse{Removed: removed})
+	return compactResponse{Removed: removed}, err
 }
 
-// handleCheckpoint rewrites the durable snapshot and truncates the op log
-// on demand — before a planned restart, after a bulk load, or from a cron
-// job when -checkpoint-every is disabled. The index keeps serving
-// throughout (the snapshot streams shard by shard under per-shard read
-// locks). The response reports the post-checkpoint durability state.
-func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
-		return
-	}
+// checkpoint rewrites the durable snapshot and truncates the op log on
+// demand: before a planned restart, after a bulk load, or from a cron job
+// when -checkpoint-every is disabled. The index keeps serving throughout
+// (the snapshot streams shard by shard under per-shard read locks). The
+// response reports the post-checkpoint durability state.
+func (s *server) checkpoint(_ http.ResponseWriter, _ *http.Request, _ *struct{}) (*durabilityJSON, error) {
 	if _, durable := s.idx.Durability(); !durable {
-		httpError(w, http.StatusBadRequest, "server is not durable (start it with -data-dir)")
-		return
+		return nil, errors.New("server is not durable (start it with -data-dir)")
 	}
 	if err := s.idx.Checkpoint(); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
+		return nil, fmt.Errorf("%w: %w", errCheckpoint, err)
 	}
-	writeJSON(w, http.StatusOK, durabilityStats(s.idx))
+	return durabilityStats(s.idx), nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -395,7 +395,7 @@ func TestAddRejectsNonFinite(t *testing.T) {
 	v[0] = float32(math.Inf(1))
 	if _, err := idx.Add(v); err == nil {
 		t.Fatal("Index.Add accepted +Inf")
-	} else if rec := addErrorStatus(err); rec != http.StatusBadRequest {
+	} else if rec := errStatus(err); rec != http.StatusBadRequest {
 		t.Fatalf("non-finite Add error maps to %d, want 400", rec)
 	}
 }
@@ -430,10 +430,8 @@ func TestSearchRejectsNonFinite(t *testing.T) {
 	if err == nil {
 		t.Fatal("Index.SearchOpts accepted +Inf")
 	}
-	rec := httptest.NewRecorder()
-	searchError(rec, err)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("non-finite query error maps to %d, want 400", rec.Code)
+	if rec := errStatus(err); rec != http.StatusBadRequest {
+		t.Fatalf("non-finite query error maps to %d, want 400", rec)
 	}
 }
 
@@ -922,6 +920,12 @@ func TestCheckpointEndpoint(t *testing.T) {
 	cresp.Body.Close()
 	if cresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("add on closed index: status %d, want 503", cresp.StatusCode)
+	}
+	// So is a checkpoint: a closed index is not a failed checkpoint.
+	ckresp := postJSON(t, ts.URL+"/checkpoint", nil)
+	ckresp.Body.Close()
+	if ckresp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("checkpoint on closed index: status %d, want 503", ckresp.StatusCode)
 	}
 
 	// A non-durable server rejects the endpoint and omits the stats block.

@@ -1,6 +1,7 @@
 package dblsh
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -343,8 +344,8 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 				}
 				if res, err := idx.SearchBatchOpts([][]float32{queries[1], q}, 3); err == nil || res != nil {
 					t.Fatalf("%s: SearchBatchOpts = %v, %v", name, res, err)
-				} else if !strings.Contains(err.Error(), "query 1") {
-					t.Fatalf("%s: batch error %q does not name the query", name, err)
+				} else if want := fmt.Sprintf("dblsh: coordinate 5 is %v; vectors must be finite (query 1)", bad); err.Error() != want || errors.Unwrap(err) == nil {
+					t.Fatalf("%s: batch error %q, want %q wrapping the query's own error", name, err, want)
 				}
 			}
 			// The searcher is unharmed.
@@ -440,12 +441,12 @@ func TestBadQueryRejected(t *testing.T) {
 				if err == nil || res != nil {
 					t.Fatalf("%s GOMAXPROCS=%d: SearchBatchOpts = %v, %v", name, procs, res, err)
 				}
-				want := "query 1"
-				if bad.k < 1 {
-					want = "query 0" // k is wrong for every query
+				want := "dblsh: query dim 7, index dim 8 (query 1)"
+				if bad.k < 1 { // k is wrong for every query
+					want = fmt.Sprintf("dblsh: k must be positive, got %d (query 0)", bad.k)
 				}
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("%s GOMAXPROCS=%d: batch error %q does not name %s", name, procs, err, want)
+				if err.Error() != want || errors.Unwrap(err) == nil {
+					t.Fatalf("%s GOMAXPROCS=%d: batch error %q, want %q wrapping the query's own error", name, procs, err, want)
 				}
 			}
 		}

@@ -270,7 +270,7 @@ func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOpti
 	}
 	for i, q := range queries {
 		if err := idx.checkQuery(q, k); err != nil {
-			return nil, fmt.Errorf("dblsh: query %d: %w", i, err)
+			return nil, fmt.Errorf("%w (query %d)", err, i)
 		}
 	}
 	internal := queries

@@ -64,7 +64,7 @@ func BenchmarkFig4Rho(b *testing.B) {
 		for c := 1.05; c <= 4.0; c += 0.05 {
 			_ = mathx.Rho(c, 4*c*c)
 			_ = mathx.RhoStatic(c, 4*c*c)
-			_ = mathx.Alpha(2)
+			_ = mathx.Xi(2)
 		}
 	}
 }

@@ -166,12 +166,6 @@ type Options struct {
 	// Seed makes hashing reproducible. The default 0 is a valid seed.
 	Seed int64
 
-	// EarlyStopFactor loosens the query-termination test: a query stops once
-	// its k-th candidate is within EarlyStopFactor·C·r of the current search
-	// radius r instead of C·r. Values above 1 stop earlier, trading recall
-	// for latency. 0 (or 1) reproduces the paper's Algorithm 2 exactly.
-	EarlyStopFactor float64
-
 	// Shards partitions the dataset across that many independent shards,
 	// each with its own lock, so a mutation write-locks 1/Shards of the
 	// index and compaction runs per shard. 0 means 1. Every shard count runs
@@ -332,9 +326,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if opts.K < 0 || opts.L < 0 || opts.T < 0 {
 		return nil, errors.New("dblsh: K, L and T must be non-negative")
 	}
-	if !(opts.EarlyStopFactor == 0 || opts.EarlyStopFactor >= 1) { // NaN fails too
-		return nil, fmt.Errorf("dblsh: EarlyStopFactor must be ≥ 1 (or 0 for the default), got %v", opts.EarlyStopFactor)
-	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("dblsh: Shards must be non-negative, got %d", opts.Shards)
 	}
@@ -352,7 +343,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 		L:               opts.L,
 		T:               opts.T,
 		Seed:            opts.Seed,
-		EarlyStopFactor: opts.EarlyStopFactor,
 		Metric:          met.Kind(),
 		MetricNormBound: met.NormBound(),
 	}

@@ -1,6 +1,9 @@
 package dblsh
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDeleteHidesVector(t *testing.T) {
 	data, _ := clusteredData(1000, 16, 41)
@@ -77,22 +80,18 @@ func TestDeleteThenAdd(t *testing.T) {
 
 func TestEarlyStopFactorTradesRecallForSpeed(t *testing.T) {
 	data, queries := clusteredData(8000, 32, 45)
-	exact, err := New(data, Options{K: 8, L: 4, T: 100, Seed: 45})
+	idx, err := New(data, Options{K: 8, L: 4, T: 100, Seed: 45})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := New(data, Options{K: 8, L: 4, T: 100, Seed: 45, EarlyStopFactor: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, sg := exact.NewSearcher(), eager.NewSearcher()
+	s := idx.NewSearcher()
 	var candExact, candEager int
 	for _, q := range queries {
 		var ste, stg Stats
-		if _, err := se.SearchOpts(q, 10, WithStats(&ste)); err != nil {
+		if _, err := s.SearchOpts(q, 10, WithStats(&ste)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sg.SearchOpts(q, 10, WithStats(&stg)); err != nil {
+		if _, err := s.SearchOpts(q, 10, WithEarlyStop(4), WithStats(&stg)); err != nil {
 			t.Fatal(err)
 		}
 		candExact += ste.Candidates
@@ -104,14 +103,17 @@ func TestEarlyStopFactorTradesRecallForSpeed(t *testing.T) {
 }
 
 func TestEarlyStopFactorValidation(t *testing.T) {
-	data, _ := clusteredData(10, 4, 46)
-	if _, err := New(data, Options{EarlyStopFactor: 0.5}); err == nil {
-		t.Fatal("EarlyStopFactor in (0,1) must error")
+	data, queries := clusteredData(10, 4, 46)
+	idx, err := New(data, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(data, Options{EarlyStopFactor: -1}); err == nil {
-		t.Fatal("negative EarlyStopFactor must error")
+	for _, f := range []float64{0.5, -1, math.NaN()} {
+		if _, err := idx.SearchOpts(queries[0], 3, WithEarlyStop(f)); err == nil {
+			t.Fatalf("early-stop factor %v accepted", f)
+		}
 	}
-	if _, err := New(data, Options{EarlyStopFactor: 1}); err != nil {
-		t.Fatalf("EarlyStopFactor 1 must be accepted: %v", err)
+	if _, err := idx.SearchOpts(queries[0], 3, WithEarlyStop(1)); err != nil {
+		t.Fatalf("early-stop factor 1 must be accepted: %v", err)
 	}
 }

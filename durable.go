@@ -34,7 +34,7 @@
 // checkpoint plus every segment, or the new checkpoint plus segments whose
 // replay is idempotent. Replay idempotence comes from the op set itself: ids
 // are never reused, an Add re-applied over a checkpoint that already holds
-// its row is skipped by residency (shard.Set.AddAt), and a Delete of an
+// its row is skipped by residency (shard.Set.Replay), and a Delete of an
 // absent or already-tombstoned id is a no-op. Because the mutex serializes
 // durable Adds, a shard's copy is a prefix of its insert order, and replay
 // applies the rest of that order to the stored trees.

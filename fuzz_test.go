@@ -5,15 +5,13 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"os"
 	"testing"
 )
 
 // readSeeds returns the valid index files FuzzRead starts from: v4 files
 // of a single-shard index, a sharded one with a tombstone, and one whose
-// trees took inserts after they were packed; and the v3 fixture, which takes
-// the rebuild path.
-func readSeeds(t testing.TB) (v4 [][]byte, v3 []byte) {
+// trees took inserts after they were packed.
+func readSeeds(t testing.TB) (v4 [][]byte) {
 	data, _ := clusteredData(50, 4, 91)
 	for _, opts := range []Options{
 		{K: 4, L: 2, Seed: 91},
@@ -40,11 +38,16 @@ func readSeeds(t testing.TB) (v4 [][]byte, v3 []byte) {
 		}
 		v4 = append(v4, buf.Bytes())
 	}
-	v3, err := os.ReadFile("testdata/v3_sharded.dblsh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v4, v3
+	return v4
+}
+
+// treeless returns the single-shard v4 file raw as the first v4 writers
+// emitted it: the shard's tree count 0 and no arenas behind it.
+func treeless(raw []byte) []byte {
+	dim := uint64(binary.LittleEndian.Uint32(raw[20:]))
+	rows := binary.LittleEndian.Uint64(raw[v4HeaderLen:])
+	at := v4HeaderLen + 16 + 8*rows + (rows+7)/8 + 4*rows*dim
+	return restamp(append(raw[:at:at], make([]byte, 4+4)...)) // count, CRC
 }
 
 // restamp returns raw with its last four bytes replaced by the checksum of
@@ -89,7 +92,7 @@ func mustBeUsable(t *testing.T, loaded *Index) {
 // over-capacity counts, truncated slabs. Run with `go test -fuzz=FuzzRead`;
 // without -fuzz the seed corpus below runs as a regular test.
 func FuzzRead(f *testing.F) {
-	v4, v3 := readSeeds(f)
+	v4 := readSeeds(f)
 	for _, seed := range v4 {
 		f.Add(seed)
 	}
@@ -97,7 +100,7 @@ func FuzzRead(f *testing.F) {
 	flipped := append([]byte(nil), v4[0]...)
 	flipped[20] ^= 0x40
 	f.Add(flipped)
-	f.Add(v3)
+	f.Add(treeless(v4[0]))
 	f.Add([]byte("DBLSHv1\n garbage"))
 	f.Add([]byte("DBLSHv2\n garbage"))
 	f.Add([]byte("DBLSHv3\n garbage"))

@@ -227,18 +227,6 @@ func TestQALSHParameters(t *testing.T) {
 	}
 }
 
-func TestE2LSHLevelsGrowLazily(t *testing.T) {
-	ds, _ := testCorpus()
-	idx := e2lsh.Build(ds.Data, e2lsh.Config{C: 1.5, K: 8, L: 3, T: 50, Seed: 2})
-	if idx.Levels() != 0 {
-		t.Fatalf("levels before first query = %d", idx.Levels())
-	}
-	idx.KANN(ds.Queries.Row(0), 5)
-	if idx.Levels() == 0 {
-		t.Fatal("no levels materialized by a query")
-	}
-}
-
 func TestPMLSHCandidateBudget(t *testing.T) {
 	ds, _ := testCorpus()
 	idx := pmlsh.Build(ds.Data, pmlsh.Config{M: 15, Beta: 0.05, Seed: 3})

@@ -99,10 +99,6 @@ func estimateRadius(data *vec.Matrix, seed int64) float64 {
 // Size returns the number of indexed points.
 func (idx *Index) Size() int { return idx.data.Rows() }
 
-// Levels returns the number of radius levels materialized so far — the "M"
-// of Table I's O(M·n^{1+ρ}) index size.
-func (idx *Index) Levels() int { return len(idx.levels) }
-
 func (idx *Index) level(li int, w float64) *level {
 	if lv, ok := idx.levels[li]; ok {
 		return lv

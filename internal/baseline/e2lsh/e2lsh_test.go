@@ -59,14 +59,26 @@ func TestLevelsCachedAcrossQueries(t *testing.T) {
 	data := clustered(1000, 8, 3)
 	idx := Build(data, Config{C: 1.5, K: 4, L: 2, T: 20, Seed: 3})
 	idx.KANN(data.Row(0), 3)
-	after1 := idx.Levels()
+	after1 := len(idx.levels)
 	idx.KANN(data.Row(1), 3)
-	after2 := idx.Levels()
+	after2 := len(idx.levels)
 	if after1 == 0 {
 		t.Fatal("no levels after first query")
 	}
 	if after2 > after1+4 {
 		t.Fatalf("levels keep growing: %d -> %d", after1, after2)
+	}
+}
+
+func TestE2LSHLevelsGrowLazily(t *testing.T) {
+	data := clustered(1000, 8, 2)
+	idx := Build(data, Config{C: 1.5, K: 8, L: 3, T: 50, Seed: 2})
+	if len(idx.levels) != 0 {
+		t.Fatalf("levels before first query = %d", len(idx.levels))
+	}
+	idx.KANN(data.Row(0), 5)
+	if len(idx.levels) == 0 {
+		t.Fatal("no levels materialized by a query")
 	}
 }
 

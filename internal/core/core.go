@@ -60,12 +60,6 @@ type Config struct {
 	// 0 estimates it from a data sample (the paper assumes distances are
 	// normalized so r=1 works; synthetic data is not, so we estimate).
 	InitialRadius float64
-	// EarlyStopFactor loosens the ladder's termination test: the query
-	// stops once the k-th candidate is within EarlyStopFactor·c·r instead
-	// of c·r. Values above 1 terminate earlier, trading recall for speed —
-	// the "early termination conditions" direction the paper's conclusion
-	// sketches (cf. I-LSH/EI-LSH). 0 or 1 reproduces the paper exactly.
-	EarlyStopFactor float64
 	// Metric records the boundary reduction under which the indexed
 	// vectors were transformed. The core ladder itself always runs pure
 	// Euclidean distance over the (already transformed) internal space —
@@ -106,9 +100,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.L == 0 {
 		c.L = 5
-	}
-	if c.EarlyStopFactor <= 0 {
-		c.EarlyStopFactor = 1
 	}
 	return c
 }
@@ -210,8 +201,8 @@ func Load(data *vec.Matrix, cfg Config, trees []rstar.Arena) (*Index, error) {
 	return idx, nil
 }
 
-// Trees returns a copy of the L trees' arenas, what Load rebuilds them
-// from. The caller must hold off mutations for the duration.
+// Trees returns a copy of the L trees' arenas, the form Load takes them
+// in. The caller must hold off mutations for the duration.
 func (idx *Index) Trees() []rstar.Arena {
 	out := make([]rstar.Arena, len(idx.trees))
 	for i, t := range idx.trees {
@@ -487,8 +478,11 @@ type QueryParams struct {
 	// T overrides Config.T for this query: the verification budget becomes
 	// 2·T·L+k exact distance computations. 0 keeps the build-time value.
 	T int
-	// EarlyStopFactor overrides Config.EarlyStopFactor for this query.
-	// 0 keeps the build-time value; 1 reproduces Algorithm 2 exactly.
+	// EarlyStopFactor loosens the ladder's termination test: the query
+	// stops once the k-th candidate is within EarlyStopFactor·c·r instead
+	// of c·r. Values above 1 terminate earlier, trading recall for speed —
+	// the "early termination conditions" direction the paper's conclusion
+	// sketches (cf. I-LSH/EI-LSH). 0 or 1 reproduces Algorithm 2 exactly.
 	EarlyStopFactor float64
 	// MaxRadius caps Algorithm 2's radius ladder: rounds whose radius would
 	// exceed it are not executed and the query returns whatever candidates
@@ -516,12 +510,9 @@ func (p QueryParams) resolve(cfg Config) (t int, stopFactor float64) {
 	if p.T > 0 {
 		t = p.T
 	}
-	stopFactor = cfg.EarlyStopFactor
+	stopFactor = 1
 	if p.EarlyStopFactor > 0 {
 		stopFactor = p.EarlyStopFactor
-	}
-	if stopFactor <= 0 {
-		stopFactor = 1
 	}
 	return t, stopFactor
 }

@@ -25,8 +25,8 @@ func ladderIndex(seed int64, n, d int) (*Index, *vec.Matrix, *rand.Rand) {
 // refLadder is the reference the round driver is checked against:
 // Algorithm 2 as the paper states it, sharing none of the driver's
 // traversal, blocking or verification code. Each round re-runs the L window
-// queries root to leaf (rstar.Tree.Window), skips the points an
-// earlier window reported, and verifies one candidate at a time with an
+// queries root to leaf over the trees' arenas (windowScan), skips the points
+// an earlier window reported, and verifies one candidate at a time with an
 // exact distance.
 type refLadder struct {
 	idx   *Index
@@ -56,15 +56,65 @@ func (rl *refLadder) windows(r float64, visit func(id int) bool) bool {
 }
 
 func (rl *refLadder) scan(tr *rstar.Tree, w rstar.Rect, visit func(id int) bool) bool {
-	more := true
-	tr.Window(w, func(id int) bool {
-		if !rl.seen[id] {
-			rl.seen[id] = true
-			more = visit(id)
+	return windowScan(tr.Snapshot(), rl.idx.cfg.K, w, func(id int) bool {
+		if rl.seen[id] {
+			return true
 		}
-		return more
+		rl.seen[id] = true
+		return visit(id)
 	})
-	return more
+}
+
+// windowScan is the window query read straight off a tree's arena: root to
+// leaf, a child entered when its rectangle meets w, a leaf entry reported
+// when its point (lane j of the leaf's block) lies inside w, faces
+// inclusive, one scalar comparison at a time. It stops when visit returns
+// false and reports whether it got to the end.
+func windowScan(a rstar.Arena, k int, w rstar.Rect, visit func(id int) bool) bool {
+	slots := len(a.Heads) / 2
+	ecap, blockLen := len(a.Ents)/slots, len(a.Blocks)/slots
+	stride := blockLen / k
+	inside := func(lo, hi []float32) bool {
+		for d := range k {
+			if lo[d] > w.Max[d] || hi[d] < w.Min[d] {
+				return false
+			}
+		}
+		return true
+	}
+	var walk func(n int) bool
+	walk = func(n int) bool {
+		ents := a.Ents[n*ecap : n*ecap+int(a.Heads[2*n])]
+		if a.Heads[2*n+1]>>16 != 0 { // interior
+			for _, c := range ents {
+				r := a.Rects[int(c)*2*k : (int(c)+1)*2*k]
+				if inside(r[:k], r[k:]) && !walk(int(c)) {
+					return false
+				}
+			}
+			return true
+		}
+		p := make([]float32, k)
+		for j, id := range ents {
+			for d := range p {
+				p[d] = a.Blocks[n*blockLen+d*stride+j]
+			}
+			if inside(p, p) && !visit(int(id)) {
+				return false
+			}
+		}
+		return true
+	}
+	return walk(int(a.Root))
+}
+
+// everywhere returns the k-dimensional window that holds every point.
+func everywhere(k int) rstar.Rect {
+	w := rstar.Rect{Min: make([]float32, k), Max: make([]float32, k)}
+	for d := range k {
+		w.Min[d], w.Max[d] = float32(math.Inf(-1)), float32(math.Inf(1))
+	}
+	return w
 }
 
 // covers reports whether the windows of radius r contain every tree.
@@ -117,7 +167,7 @@ func refKANN(idx *Index, q []float32, k int, p QueryParams) ([]vec.Neighbor, Sta
 		r *= idx.cfg.C
 		if (p.MaxRadius <= 0 || r <= p.MaxRadius) && rl.covers(r) {
 			sweep = true
-			rl.scan(idx.trees[0], idx.trees[0].Bounds(), verify)
+			rl.scan(idx.trees[0], everywhere(idx.cfg.K), verify)
 			break
 		}
 	}

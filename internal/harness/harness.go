@@ -19,7 +19,6 @@ import (
 	"dblsh/internal/baseline/pmlsh"
 	"dblsh/internal/baseline/qalsh"
 	"dblsh/internal/baseline/r2lsh"
-	"dblsh/internal/baseline/scan"
 	"dblsh/internal/baseline/vhp"
 	"dblsh/internal/core"
 	"dblsh/internal/dataset"
@@ -116,13 +115,6 @@ func StandardAlgos(p Params) []Algo {
 			return idx.KANN
 		}},
 	}
-}
-
-// WithScan appends the exact linear-scan yardstick.
-func WithScan(algos []Algo) []Algo {
-	return append(algos, Algo{Name: "Scan", Build: func(data *vec.Matrix) SearchFunc {
-		return scan.Build(data).KANN
-	}})
 }
 
 // Result is one algorithm's measured row.

@@ -35,10 +35,6 @@ func TestStandardAlgosComplete(t *testing.T) {
 			t.Fatalf("algos[%d] = %s, want %s", i, a.Name, want[i])
 		}
 	}
-	withScan := WithScan(algos)
-	if withScan[len(withScan)-1].Name != "Scan" {
-		t.Fatal("WithScan did not append Scan")
-	}
 }
 
 func TestRunProfileProducesSaneRows(t *testing.T) {

@@ -58,44 +58,6 @@ func CollisionProbStatic(tau, w float64) float64 {
 	return 1 - 2*NormalCDF(-s) - 2/(math.Sqrt(2*math.Pi)*s)*(1-math.Exp(-s*s/2))
 }
 
-// CollisionProbStaticNumeric evaluates Eq. 2 by adaptive Simpson quadrature.
-// It exists to cross-check the closed form in tests and for families where no
-// closed form is available.
-func CollisionProbStaticNumeric(tau, w float64) float64 {
-	if tau <= 0 {
-		return 1
-	}
-	if w <= 0 {
-		return 0
-	}
-	f := func(t float64) float64 {
-		return 2 / tau * NormalPDF(t/tau) * (1 - t/w)
-	}
-	return SimpsonAdaptive(f, 0, w, 1e-10, 24)
-}
-
-// SimpsonAdaptive integrates f over [a,b] with tolerance tol using adaptive
-// Simpson's rule, recursing at most maxDepth levels.
-func SimpsonAdaptive(f func(float64) float64, a, b, tol float64, maxDepth int) float64 {
-	c := (a + b) / 2
-	fa, fb, fc := f(a), f(b), f(c)
-	whole := (b - a) / 6 * (fa + 4*fc + fb)
-	return simpsonAux(f, a, b, fa, fb, fc, whole, tol, maxDepth)
-}
-
-func simpsonAux(f func(float64) float64, a, b, fa, fb, fc, whole, tol float64, depth int) float64 {
-	c := (a + b) / 2
-	l, r := (a+c)/2, (c+b)/2
-	fl, fr := f(l), f(r)
-	left := (c - a) / 6 * (fa + 4*fl + fc)
-	right := (b - c) / 6 * (fc + 4*fr + fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return simpsonAux(f, a, c, fa, fc, fl, left, tol/2, depth-1) +
-		simpsonAux(f, c, b, fc, fb, fr, right, tol/2, depth-1)
-}
-
 // Rho computes ρ* = ln(1/p1) / ln(1/p2) for the dynamic family with initial
 // bucket width w0 and approximation ratio c: p1 = p(1;w0), p2 = p(c;w0).
 func Rho(c, w0 float64) float64 {
@@ -113,62 +75,13 @@ func RhoStatic(c, w0 float64) float64 {
 }
 
 // Xi computes ξ(v) = v·f(v) / ∫_v^∞ f(x) dx, the function whose value at γ
-// gives the exponent α in Lemma 3. ξ is monotonically increasing for v > 0.
+// gives the exponent α in Lemma 3: ρ* ≤ 1/c^α when the initial bucket width
+// is w0 = 2γc². At γ = 2 (w0 = 4c²) α is 4.746, the headline constant of the
+// paper. ξ is monotonically increasing for v > 0.
 func Xi(v float64) float64 {
 	tail := NormalTail(v)
 	if tail == 0 {
 		return math.Inf(1)
 	}
 	return v * NormalPDF(v) / tail
-}
-
-// Alpha returns the bound exponent α = ξ(γ) such that ρ* ≤ 1/c^α when the
-// initial bucket width is w0 = 2γc² (Lemma 3). At γ = 2 (w0 = 4c²) this is
-// 4.746, the headline constant of the paper.
-func Alpha(gamma float64) float64 { return Xi(gamma) }
-
-// GammaForWidth inverts w0 = 2γc², returning γ for a given w0 and c.
-func GammaForWidth(w0, c float64) float64 { return w0 / (2 * c * c) }
-
-// Params bundles the derived (K,L) configuration for a DB-LSH index.
-type Params struct {
-	K    int     // hash functions per projected space
-	L    int     // number of projected spaces / indexes
-	P1   float64 // collision probability at distance 1 with width w0
-	P2   float64 // collision probability at distance c with width w0
-	Rho  float64 // ρ* = ln(1/p1)/ln(1/p2)
-	T    int     // candidate multiplier: a query verifies at most 2tL+1 points
-	W0   float64 // initial bucket width
-	C    float64 // approximation ratio
-	N    int     // dataset cardinality the parameters were derived for
-	Auto bool    // true when K and L were derived rather than forced
-}
-
-// DeriveParams computes K = ⌈log_{1/p2}(n/t)⌉ and L = ⌈(n/t)^ρ*⌉ per
-// Observation 1 / Lemma 1 of the paper, for a dataset of n points,
-// approximation ratio c, initial width w0 and candidate constant t.
-// K and L are clamped to at least 1.
-func DeriveParams(n int, c, w0 float64, t int) Params {
-	if n < 1 {
-		n = 1
-	}
-	if t < 1 {
-		t = 1
-	}
-	p1 := CollisionProbDynamic(1, w0)
-	p2 := CollisionProbDynamic(c, w0)
-	rho := math.Log(1/p1) / math.Log(1/p2)
-	ratio := float64(n) / float64(t)
-	if ratio < 1 {
-		ratio = 1
-	}
-	k := int(math.Ceil(math.Log(ratio) / math.Log(1/p2)))
-	l := int(math.Ceil(math.Pow(ratio, rho)))
-	if k < 1 {
-		k = 1
-	}
-	if l < 1 {
-		l = 1
-	}
-	return Params{K: k, L: l, P1: p1, P2: p2, Rho: rho, T: t, W0: w0, C: c, N: n, Auto: true}
 }

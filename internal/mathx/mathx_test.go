@@ -82,6 +82,43 @@ func TestCollisionProbDynamicMonotoneInTau(t *testing.T) {
 	}
 }
 
+// CollisionProbStaticNumeric evaluates Eq. 2 by adaptive Simpson quadrature:
+// the oracle for CollisionProbStatic's closed form.
+func CollisionProbStaticNumeric(tau, w float64) float64 {
+	if tau <= 0 {
+		return 1
+	}
+	if w <= 0 {
+		return 0
+	}
+	f := func(t float64) float64 {
+		return 2 / tau * NormalPDF(t/tau) * (1 - t/w)
+	}
+	return SimpsonAdaptive(f, 0, w, 1e-10, 24)
+}
+
+// SimpsonAdaptive integrates f over [a,b] with tolerance tol using adaptive
+// Simpson's rule, recursing at most maxDepth levels.
+func SimpsonAdaptive(f func(float64) float64, a, b, tol float64, maxDepth int) float64 {
+	c := (a + b) / 2
+	fa, fb, fc := f(a), f(b), f(c)
+	whole := (b - a) / 6 * (fa + 4*fc + fb)
+	return simpsonAux(f, a, b, fa, fb, fc, whole, tol, maxDepth)
+}
+
+func simpsonAux(f func(float64) float64, a, b, fa, fb, fc, whole, tol float64, depth int) float64 {
+	c := (a + b) / 2
+	l, r := (a+c)/2, (c+b)/2
+	fl, fr := f(l), f(r)
+	left := (c - a) / 6 * (fa + 4*fl + fc)
+	right := (b - c) / 6 * (fc + 4*fr + fb)
+	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
+		return left + right + (left+right-whole)/15
+	}
+	return simpsonAux(f, a, c, fa, fc, fl, left, tol/2, depth-1) +
+		simpsonAux(f, c, b, fc, fb, fr, right, tol/2, depth-1)
+}
+
 func TestCollisionProbStaticClosedFormMatchesNumeric(t *testing.T) {
 	for _, tau := range []float64{0.25, 0.5, 1, 1.5, 2, 4, 8} {
 		for _, w := range []float64{0.5, 1, 4, 9, 16} {
@@ -108,7 +145,7 @@ func TestCollisionProbStaticRange(t *testing.T) {
 
 // The paper's headline constant: α = ξ(2) = 4.746 at γ=2 (w0 = 4c²).
 func TestAlphaHeadlineConstant(t *testing.T) {
-	a := Alpha(2)
+	a := Xi(2)
 	if !approx(a, 4.746, 5e-4) {
 		t.Fatalf("α(γ=2) = %v, want ≈4.746", a)
 	}
@@ -141,7 +178,7 @@ func TestXiMonotone(t *testing.T) {
 // Lemma 3: ρ* ≤ 1/c^α with α = ξ(γ) when w0 = 2γc².
 func TestRhoBoundedByAlpha(t *testing.T) {
 	for _, gamma := range []float64{0.8, 1, 1.5, 2, 3} {
-		alpha := Alpha(gamma)
+		alpha := Xi(gamma)
 		for c := 1.1; c <= 4.0; c += 0.1 {
 			w0 := 2 * gamma * c * c
 			rho := Rho(c, w0)
@@ -169,51 +206,6 @@ func TestRhoStarBeatsStaticRho(t *testing.T) {
 	}
 }
 
-func TestGammaForWidth(t *testing.T) {
-	if got := GammaForWidth(4*1.5*1.5, 1.5); !approx(got, 2, 1e-12) {
-		t.Fatalf("γ = %v, want 2", got)
-	}
-}
-
-func TestDeriveParams(t *testing.T) {
-	p := DeriveParams(1_000_000, 1.5, 4*1.5*1.5, 100)
-	if p.K < 1 || p.L < 1 {
-		t.Fatalf("invalid params %+v", p)
-	}
-	if p.P1 <= p.P2 {
-		t.Fatalf("p1=%v must exceed p2=%v", p.P1, p.P2)
-	}
-	if p.Rho <= 0 || p.Rho >= 1 {
-		t.Fatalf("ρ*=%v out of (0,1)", p.Rho)
-	}
-	// Sanity: (1/p2)^K ≥ n/t so expected far-point collisions ≤ t per space.
-	if math.Pow(1/p.P2, float64(p.K)) < float64(p.N)/float64(p.T)*0.999 {
-		t.Fatalf("K=%d too small for n/t", p.K)
-	}
-}
-
-func TestDeriveParamsSmallN(t *testing.T) {
-	p := DeriveParams(1, 2, 16, 100)
-	if p.K != 1 || p.L != 1 {
-		t.Fatalf("expected clamped params, got K=%d L=%d", p.K, p.L)
-	}
-	p = DeriveParams(0, 2, 16, 0)
-	if p.K < 1 || p.L < 1 || p.T < 1 {
-		t.Fatalf("invalid clamps %+v", p)
-	}
-}
-
-func TestDeriveParamsMonotoneInN(t *testing.T) {
-	prevK, prevL := 0, 0
-	for _, n := range []int{1000, 10_000, 100_000, 1_000_000, 10_000_000} {
-		p := DeriveParams(n, 1.5, 9, 50)
-		if p.K < prevK || p.L < prevL {
-			t.Fatalf("K,L should not decrease with n: n=%d K=%d L=%d", n, p.K, p.L)
-		}
-		prevK, prevL = p.K, p.L
-	}
-}
-
 func TestSimpsonAdaptive(t *testing.T) {
 	// ∫_0^π sin = 2
 	got := SimpsonAdaptive(math.Sin, 0, math.Pi, 1e-12, 30)
@@ -230,11 +222,5 @@ func TestSimpsonAdaptive(t *testing.T) {
 func BenchmarkCollisionProbDynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = CollisionProbDynamic(1.5, 9)
-	}
-}
-
-func BenchmarkDeriveParams(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = DeriveParams(1_000_000, 1.5, 9, 100)
 	}
 }

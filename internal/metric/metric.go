@@ -33,7 +33,7 @@ import (
 )
 
 // Kind identifies a metric. The numeric values are part of the persistence
-// format (DBLSHv3) and must never be renumbered.
+// format (DBLSHv4) and must never be renumbered.
 type Kind uint32
 
 const (
@@ -121,7 +121,7 @@ type Metric interface {
 	InternalRadius(r float64) (float64, error)
 
 	// NormBound returns the fitted norm bound M of the MIPS reduction and 0
-	// for the other metrics. It is the parameter DBLSHv3 persists.
+	// for the other metrics. It is the parameter the index file persists.
 	NormBound() float64
 }
 

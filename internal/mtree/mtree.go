@@ -184,72 +184,10 @@ func (t *Tree) NearestVisit(q []float32, visit func(id int, dist float64) bool) 
 	}
 }
 
-// NearestK returns the ids of the k nearest points to q, nearest first.
-func (t *Tree) NearestK(q []float32, k int) []int {
-	out := make([]int, 0, k)
-	t.NearestVisit(q, func(id int, _ float64) bool {
-		out = append(out, id)
-		return len(out) < k
-	})
-	return out
-}
-
-// RangeSearch calls visit for every point within distance r of q.
-func (t *Tree) RangeSearch(q []float32, r float64, visit func(id int, dist float64) bool) {
-	t.NearestVisit(q, func(id int, dist float64) bool {
-		if dist > r {
-			return false
-		}
-		return visit(id, dist)
-	})
-}
-
 func ballMinDist(b *ball, q []float32) float64 {
 	d := vec.Dist(q, b.center) - b.radius
 	if d < 0 {
 		return 0
 	}
 	return d
-}
-
-// CheckInvariants validates that every leaf point is inside its ancestors'
-// balls and returns a description of the first violation, or "".
-func (t *Tree) CheckInvariants() string {
-	if t.root == nil {
-		if t.size != 0 {
-			return "nil root with nonzero size"
-		}
-		return ""
-	}
-	count := 0
-	var walk func(b *ball, ancestors []*ball) string
-	walk = func(b *ball, ancestors []*ball) string {
-		anc := append(ancestors, b)
-		if b.ids != nil {
-			count += len(b.ids)
-			for _, id := range b.ids {
-				p := t.data.Row(int(id))
-				for _, a := range anc {
-					if vec.Dist(p, a.center) > a.radius+1e-4 {
-						return "point escapes ancestor ball"
-					}
-				}
-			}
-			return ""
-		}
-		if b.left == nil || b.right == nil {
-			return "internal ball missing a child"
-		}
-		if msg := walk(b.left, anc); msg != "" {
-			return msg
-		}
-		return walk(b.right, anc)
-	}
-	if msg := walk(t.root, nil); msg != "" {
-		return msg
-	}
-	if count != t.size {
-		return "size mismatch"
-	}
-	return ""
 }

@@ -19,13 +19,65 @@ func randomMatrix(n, d int, seed int64) *vec.Matrix {
 	return m
 }
 
+// nearestK returns the ids of the k nearest points to q, nearest first.
+func nearestK(t *Tree, q []float32, k int) []int {
+	out := make([]int, 0, k)
+	t.NearestVisit(q, func(id int, _ float64) bool {
+		out = append(out, id)
+		return len(out) < k
+	})
+	return out
+}
+
+// CheckInvariants validates that every leaf point is inside its ancestors'
+// balls and returns a description of the first violation, or "".
+func (t *Tree) CheckInvariants() string {
+	if t.root == nil {
+		if t.size != 0 {
+			return "nil root with nonzero size"
+		}
+		return ""
+	}
+	count := 0
+	var walk func(b *ball, ancestors []*ball) string
+	walk = func(b *ball, ancestors []*ball) string {
+		anc := append(ancestors, b)
+		if b.ids != nil {
+			count += len(b.ids)
+			for _, id := range b.ids {
+				p := t.data.Row(int(id))
+				for _, a := range anc {
+					if vec.Dist(p, a.center) > a.radius+1e-4 {
+						return "point escapes ancestor ball"
+					}
+				}
+			}
+			return ""
+		}
+		if b.left == nil || b.right == nil {
+			return "internal ball missing a child"
+		}
+		if msg := walk(b.left, anc); msg != "" {
+			return msg
+		}
+		return walk(b.right, anc)
+	}
+	if msg := walk(t.root, nil); msg != "" {
+		return msg
+	}
+	if count != t.size {
+		return "size mismatch"
+	}
+	return ""
+}
+
 func TestEmpty(t *testing.T) {
 	tr := Build(vec.NewMatrix(0, 3))
 	if tr.Size() != 0 {
 		t.Fatalf("Size = %d", tr.Size())
 	}
-	if ids := tr.NearestK([]float32{0, 0, 0}, 3); len(ids) != 0 {
-		t.Fatalf("NearestK = %v", ids)
+	if ids := nearestK(tr, []float32{0, 0, 0}, 3); len(ids) != 0 {
+		t.Fatalf("nearestK = %v", ids)
 	}
 	if msg := tr.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -36,8 +88,8 @@ func TestSinglePoint(t *testing.T) {
 	data := vec.NewMatrix(1, 2)
 	data.SetRow(0, []float32{1, 2})
 	tr := Build(data)
-	if ids := tr.NearestK([]float32{0, 0}, 5); len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("NearestK = %v", ids)
+	if ids := nearestK(tr, []float32{0, 0}, 5); len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("nearestK = %v", ids)
 	}
 }
 
@@ -60,7 +112,7 @@ func TestNearestKMatchesBruteForce(t *testing.T) {
 			q[i] = float32(rng.NormFloat64() * 5)
 		}
 		k := 1 + rng.Intn(25)
-		got := tr.NearestK(q, k)
+		got := nearestK(tr, q, k)
 		type pair struct {
 			id int
 			d  float64
@@ -123,7 +175,10 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		}
 		r := 2 + rng.Float64()*6
 		var got []int
-		tr.RangeSearch(q, r, func(id int, _ float64) bool {
+		tr.NearestVisit(q, func(id int, dist float64) bool {
+			if dist > r {
+				return false
+			}
 			got = append(got, id)
 			return true
 		})
@@ -155,7 +210,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if msg := tr.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	if got := tr.NearestK([]float32{0, 0}, 200); len(got) != 200 {
+	if got := nearestK(tr, []float32{0, 0}, 200); len(got) != 200 {
 		t.Fatalf("got %d ids", len(got))
 	}
 }
@@ -174,6 +229,6 @@ func BenchmarkNearest100(b *testing.B) {
 	q := make([]float32, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tr.NearestK(q, 100)
+		_ = nearestK(tr, q, 100)
 	}
 }

@@ -442,8 +442,3 @@ func (c *Cursor) FrontierLen() int { return len(c.cur) }
 // boundary are revisited when the window reaches another of their entries
 // until every entry is reported.
 func (c *Cursor) NodesVisited() int { return c.nodes }
-
-// Exhausted reports whether the frontier is empty: every indexed point
-// has been reported by some completed round (and none handed back).
-// Meaningful between rounds.
-func (c *Cursor) Exhausted() bool { return len(c.cur) == 0 && len(c.returned) == 0 }

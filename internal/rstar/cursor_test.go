@@ -111,6 +111,10 @@ func randomCenter(rng *rand.Rand, dim int) []float32 {
 	return center
 }
 
+// exhausted reports whether the cursor's frontier is empty: every indexed
+// point has been reported by some completed round, and none handed back.
+func exhausted(c *Cursor) bool { return len(c.cur) == 0 && len(c.returned) == 0 }
+
 // TestCursorLadderMatchesWindowRescan is the rstar-level differential
 // test: across random trees, centers and geometric half-width ladders,
 // every round's cursor emissions must equal the window re-scan's
@@ -120,7 +124,7 @@ func TestCursorLadderMatchesWindowRescan(t *testing.T) {
 		tr, m := cursorTree(t, seed, 300+int(seed)*50, 4, 0)
 		center := randomCenter(rand.New(rand.NewSource(seed^0x9e37)), m.Dim())
 		cur, reported := checkLadder(t, fmt.Sprintf("seed %d", seed), tr, center, 0.5, 1.5, 14)
-		if !cur.Exhausted() && len(reported) == tr.Size() {
+		if !exhausted(cur) && len(reported) == tr.Size() {
 			t.Fatalf("seed %d: all points reported but frontier not exhausted", seed)
 		}
 	}
@@ -275,7 +279,7 @@ func TestCursorDrainReportsAll(t *testing.T) {
 	if len(seen) != tr.Size() {
 		t.Fatalf("drained %d points, tree holds %d", len(seen), tr.Size())
 	}
-	if !cur.Exhausted() {
+	if !exhausted(cur) {
 		t.Fatal("frontier not exhausted after full drain")
 	}
 }

@@ -16,9 +16,9 @@
 // axis-major block: a leaf its entries' coordinates, an internal node its
 // children's rectangles, lane j of row d belonging to entry j. The
 // incremental Cursor — the query path DB-LSH's radius ladder runs on — tests
-// a node per call into internal/vec's kernel table over those blocks; Window
-// re-scans the same blocks one entry and one scalar comparison at a time and
-// is the oracle the cursor is tested against. The blocks are part of the
+// a node per call into internal/vec's kernel table over those blocks; the
+// tests' Window re-scans the same blocks one entry and one scalar comparison
+// at a time and is the oracle the cursor is held to. The blocks are part of the
 // tree: every mutation that moves an entry or changes a child's rectangle
 // rewrites the lanes it touched before it returns (the tests'
 // CheckInvariants compares them all), and no query ever writes one, so any
@@ -176,11 +176,4 @@ func (r Rect) CenterDistSq(s Rect) float64 {
 		out += d * d
 	}
 	return out
-}
-
-func (r Rect) clone() Rect {
-	c := newRect(len(r.Min))
-	copy(c.Min, r.Min)
-	copy(c.Max, r.Max)
-	return c
 }

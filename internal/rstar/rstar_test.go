@@ -50,6 +50,13 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return true
 }
 
+func (r Rect) clone() Rect {
+	c := newRect(len(r.Min))
+	copy(c.Min, r.Min)
+	copy(c.Max, r.Max)
+	return c
+}
+
 // Enlarged returns a copy of r grown to include s.
 func (r Rect) Enlarged(s Rect) Rect {
 	e := r.clone()
@@ -173,7 +180,7 @@ func TestInsertSmall(t *testing.T) {
 	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
-	all := tr.WindowAll(tr.Bounds())
+	all := tr.WindowAll(tr.rect(tr.root))
 	want := make([]int, 10)
 	for i := range want {
 		want[i] = i
@@ -219,7 +226,7 @@ func TestBulkLoadIDsSubset(t *testing.T) {
 	if tr.Size() != len(ids) {
 		t.Fatalf("size = %d", tr.Size())
 	}
-	got := tr.WindowAll(tr.Bounds())
+	got := tr.WindowAll(tr.rect(tr.root))
 	if !sortedEqual(got, append([]int(nil), ids...)) {
 		t.Fatalf("window = %v, want %v", got, ids)
 	}
@@ -266,7 +273,7 @@ func TestWindowEarlyTermination(t *testing.T) {
 	data := randomMatrix(1000, 3, 3)
 	tr := Pack(data, Options{})
 	count := 0
-	tr.Window(tr.Bounds(), func(id int) bool {
+	tr.Window(tr.rect(tr.root), func(id int) bool {
 		count++
 		return count < 10
 	})
@@ -287,7 +294,7 @@ func TestMixedBulkThenInsert(t *testing.T) {
 	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
-	if !sortedEqual(tr.WindowAll(tr.Bounds()), bruteWindow(data, tr.Bounds())) {
+	if !sortedEqual(tr.WindowAll(tr.rect(tr.root)), bruteWindow(data, tr.rect(tr.root))) {
 		t.Fatal("window after mixed build mismatch")
 	}
 }

@@ -214,10 +214,6 @@ func (t *Tree) Dim() int { return t.dim }
 // Height returns the number of levels (1 for a tree that is just a leaf).
 func (t *Tree) Height() int { return int(t.heads[t.root].level) + 1 }
 
-// Bounds returns the minimum bounding rectangle of all indexed points.
-// For an empty tree the zero rectangle at the origin is returned.
-func (t *Tree) Bounds() Rect { return t.rect(t.root).clone() }
-
 // InsertPoint indexes point p under id using R* insertion (Beckmann et
 // al.): ChooseSubtree by least overlap enlargement above the leaves and
 // least area enlargement higher up, forced reinsertion of the 30 % of

@@ -10,6 +10,7 @@ import (
 
 	"dblsh/internal/core"
 	"dblsh/internal/vec"
+	"dblsh/internal/wal"
 )
 
 // failFirstPollCtx is a context test double whose Done channel reports
@@ -145,22 +146,28 @@ func TestSearchBatchIgnoresWorkerCount(t *testing.T) {
 	}
 }
 
-// TestAddAt pins the WAL replay primitive: inserts land under their exact
-// global id, advance the allocator, skip resident ids, and tolerate
-// arbitrary arrival order.
+// TestAddAt pins the WAL replay primitive, one logged add at a time:
+// inserts land under their exact global id, advance the allocator, skip
+// resident ids, and tolerate arbitrary arrival order.
 func TestAddAt(t *testing.T) {
 	flat, _ := corpus(30, 4, 79)
 	s := Build(nil, 0, 4, 3, 0, core.Config{K: 4, L: 2, T: 20, Seed: 79})
 	if s.Shards() != 3 {
 		t.Fatalf("empty build collapsed to %d shards, want 3", s.Shards())
 	}
-	row := func(g int) []float32 { return flat[g*4 : (g+1)*4] }
+	// addAt replays the add of row g under id g and reports whether the set
+	// grew.
+	addAt := func(g int) bool {
+		before := s.Len()
+		s.Replay([]wal.Record{{Op: wal.OpAdd, ID: uint64(g), Row: flat[g*4 : (g+1)*4]}})
+		return s.Len() > before
+	}
 
 	// Out-of-id-order arrival (ids 0..29 shuffled deterministically).
 	order := []int{5, 0, 17, 3, 29, 11, 2, 23, 8, 1, 14, 26, 7, 4, 19, 6, 28, 9, 13, 10, 22, 12, 16, 15, 25, 18, 21, 20, 27, 24}
 	for _, g := range order {
-		if !s.AddAt(g, row(g)) {
-			t.Fatalf("AddAt(%d) reported already-resident on first insert", g)
+		if !addAt(g) {
+			t.Fatalf("add of %d skipped as already resident on first replay", g)
 		}
 	}
 	if s.NextID() != 30 || s.Len() != 30 {
@@ -168,26 +175,23 @@ func TestAddAt(t *testing.T) {
 	}
 	// Replaying any record again must be a no-op.
 	for _, g := range []int{0, 17, 29} {
-		if s.AddAt(g, row(g)) {
-			t.Fatalf("AddAt(%d) inserted a duplicate", g)
+		if addAt(g) {
+			t.Fatalf("add of %d inserted a duplicate", g)
 		}
-	}
-	if s.Len() != 30 {
-		t.Fatalf("idempotent AddAt grew the set to %d", s.Len())
 	}
 	// Every id must resolve to its own row (Delete proves residency and
 	// routing).
 	for g := 0; g < 30; g++ {
 		if !s.Delete(g) {
-			t.Fatalf("id %d not resident after AddAt", g)
+			t.Fatalf("id %d not resident after its replayed add", g)
 		}
 	}
 	// A tombstoned id is still resident: replaying its Add stays a no-op.
-	if s.AddAt(3, row(3)) {
-		t.Fatal("AddAt resurrected a tombstoned id")
+	if addAt(3) {
+		t.Fatal("replayed add resurrected a tombstoned id")
 	}
 	// The allocator never hands out a replayed id.
-	if g := s.Add(row(0)); g != 30 {
+	if g := s.Add(flat[:4]); g != 30 {
 		t.Fatalf("Add after replay allocated id %d, want 30", g)
 	}
 }

@@ -254,17 +254,15 @@ type Part struct {
 	Globals []int  // local id → global id
 	Deleted []bool // tombstones by local id; may be nil or short
 	R0      float64
-	// Trees holds the shard's L R*-tree arenas, or nil when the part comes
-	// from a file written before they were stored. Restore adopts them as
-	// they are; without them it projects and bulk-loads the shard afresh.
+	// Trees holds the shard's L R*-tree arenas, which Restore loads as they
+	// are.
 	Trees []rstar.Arena
 }
 
-// Restore rebuilds a set from persisted per-shard parts. cfg carries the
+// Restore loads a set from persisted per-shard parts. cfg carries the
 // stored structural parameters and base seed; nextID is the persisted
 // global-id-space bound (ids ≥ nextID have never been allocated). The error
-// is a part's trees failing core.Load's validation; parts without trees
-// cannot fail.
+// is a part's trees failing core.Load's validation.
 //
 // dblsh:exclusive the set is under construction and unpublished; the
 // restore goroutines partition the shards, so no state is shared
@@ -304,9 +302,7 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 			c.Seed = st.seed
 			c.InitialRadius = p.R0
 			data := vec.WrapMatrix(p.Flat, p.Rows, dim)
-			if p.Trees == nil {
-				st.idx = core.Build(data, c)
-			} else if st.idx, errs[st.offset] = core.Load(data, c, p.Trees); st.idx == nil {
+			if st.idx, errs[st.offset] = core.Load(data, c, p.Trees); st.idx == nil {
 				return
 			}
 			for local, dead := range p.Deleted {
@@ -416,33 +412,6 @@ func (st *state) insert(g, stride int, v []float32, m *Metrics) {
 	}
 }
 
-// AddAt inserts v under the specific global id g, advancing the id
-// allocator past g so no future Add can collide with it. It is one logged
-// Add applied on its own: the row lands under the id it was acknowledged
-// with, and applying it twice (the record may describe a row a checkpoint
-// already contains) is a no-op, so AddAt reports false and inserts nothing
-// when g is already resident. WAL replay applies whole chunks of records
-// through Replay, which does per record exactly what AddAt and Delete do.
-// Like Add it write-locks only the owning shard.
-func (s *Set) AddAt(g int, v []float32) bool {
-	if len(v) != s.dim {
-		panic(fmt.Sprintf("shard: insert dim %d, index dim %d", len(v), s.dim))
-	}
-	if g < 0 {
-		panic(fmt.Sprintf("shard: negative global id %d", g))
-	}
-	s.advanceNextID(g + 1)
-	stride := len(s.shards)
-	st := s.shards[g%stride]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.local(g, stride) >= 0 {
-		return false // already resident (live or tombstoned)
-	}
-	st.insert(g, stride, v, s.metrics.Load())
-	return true
-}
-
 // advanceNextID raises the id allocator to at least bound; it never lowers
 // it, so concurrent calls commute.
 func (s *Set) advanceNextID(bound int) {
@@ -454,10 +423,12 @@ func (s *Set) advanceNextID(bound int) {
 	}
 }
 
-// Replay applies a chunk of logged mutations, in log order, as AddAt and
-// Delete would one record at a time — except that no Delete schedules a
-// compaction: the caller holds auto-compaction until its last chunk is in
-// and then calls CompactOwed. Records of different shards commute (each
+// Replay applies a chunk of logged mutations, in log order. An add lands
+// under the id it was acknowledged with and advances the id allocator past
+// it; applying it again (the record may describe a row a checkpoint already
+// holds) is a no-op, as is a delete of an absent or tombstoned id. No delete
+// schedules a compaction: the caller holds auto-compaction until its last
+// chunk is in and then calls CompactOwed. Records of different shards commute (each
 // touches only its owning shard, and the allocator only ever rises to the
 // largest id seen), so the chunk is split by owning shard and each shard's
 // list is applied on its own goroutine, at most GOMAXPROCS at a time; the

@@ -415,7 +415,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored shape len=%d del=%d next=%d, want len=%d del=%d next=%d",
 			r.Len(), r.Deleted(), r.NextID(), s.Len(), s.Deleted(), s.NextID())
 	}
-	// Identical answers: the restored set rebuilds from the same seeds and
+	// Identical answers: the restored set loads the same trees, seeds and
 	// per-shard radii.
 	for _, q := range queries {
 		a, _, _ := search(s, q, 5, core.QueryParams{})

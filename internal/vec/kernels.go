@@ -13,17 +13,9 @@ import "math"
 // the early-abandon variant can stop a row's scan the moment it provably
 // cannot beat the current k-th best.
 
-// DistsTo computes the Euclidean distance from q to each candidate row of m
-// listed in ids, writing results into out. out must have len(ids) capacity;
-// out[j] corresponds to ids[j]. len(q) must equal m.Dim().
-func DistsTo(q []float32, m *Matrix, ids []int, out []float64) {
-	SquaredDistsTo(q, m, ids, out)
-	for j, s := range out {
-		out[j] = math.Sqrt(s)
-	}
-}
-
-// SquaredDistsTo is DistsTo without the final square root.
+// SquaredDistsTo computes the squared Euclidean distance from q to each
+// candidate row of m listed in ids, writing results into out. out must have
+// len(ids) capacity; out[j] corresponds to ids[j]. len(q) must equal m.Dim().
 func SquaredDistsTo(q []float32, m *Matrix, ids []int, out []float64) {
 	_ = out[:len(ids)]
 	for j, id := range ids {

@@ -109,13 +109,6 @@ func testKernelsMatchScalar(t *testing.T) {
 			}
 		}
 
-		DistsTo(q, m, ids, out)
-		for i := range out {
-			if !close(out[i], math.Sqrt(want[i])) {
-				t.Fatalf("dim %d: DistsTo[%d] = %v, scalar = %v", dim, i, out[i], math.Sqrt(want[i]))
-			}
-		}
-
 		// Bounded kernel: under a median bound, rows at or below it are
 		// exact and rows above it report +Inf.
 		bound := medianOf(want)
@@ -202,14 +195,13 @@ func FuzzDistsTo(f *testing.F) {
 			if err := SetKernel(name); err != nil {
 				t.Fatal(err)
 			}
-			DistsTo(q, m, ids, out)
+			SquaredDistsTo(q, m, ids, out)
 			SquaredDistsToBounded(q, m, ids, 1.5, bounded)
 			for i, id := range ids {
-				want := math.Sqrt(scalarSquaredDist(q, m.Row(id)))
-				if math.Abs(out[i]-want) > 1e-5*(1+want) {
-					t.Fatalf("kernel %s: DistsTo[%d] = %v, scalar = %v", name, i, out[i], want)
-				}
 				sq := scalarSquaredDist(q, m.Row(id))
+				if math.Abs(out[i]-sq) > 1e-5*(1+sq) {
+					t.Fatalf("kernel %s: SquaredDistsTo[%d] = %v, scalar = %v", name, i, out[i], sq)
+				}
 				if sq <= 1.5-1e-5 && math.Abs(bounded[i]-sq) > 1e-5*(1+sq) {
 					t.Fatalf("kernel %s: bounded[%d] = %v, scalar = %v", name, i, bounded[i], sq)
 				}

@@ -32,9 +32,6 @@ func NewTopKOf(k, n int) *TopK {
 // Len returns the number of neighbors currently held (≤ k).
 func (t *TopK) Len() int { return len(t.heap) }
 
-// Full reports whether k neighbors have been collected.
-func (t *TopK) Full() bool { return len(t.heap) == t.k }
-
 // Worst returns the largest distance currently held, or +Inf semantics via
 // ok=false when fewer than k neighbors have been seen.
 func (t *TopK) Worst() (d float64, ok bool) {

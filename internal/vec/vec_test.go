@@ -220,9 +220,6 @@ func TestTopKFewerThanK(t *testing.T) {
 	tk := NewTopK(10)
 	tk.Push(1, 2.0)
 	tk.Push(2, 1.0)
-	if tk.Full() {
-		t.Fatal("should not be full")
-	}
 	if _, ok := tk.Worst(); ok {
 		t.Fatal("Worst should report not-ok when under capacity")
 	}

@@ -36,9 +36,6 @@ func NewEncoder(k, bitsPerDim int) *Encoder {
 // Bits returns the total number of bits in a code.
 func (e *Encoder) Bits() int { return e.totBits }
 
-// Words returns the number of 64-bit words per code.
-func (e *Encoder) Words() int { return e.words }
-
 // Encode interleaves coords (length k, each < 2^bitsPerDim) into a Z-order
 // code. Bit b of dimension j lands at global position b*k + j counted from
 // the most significant interleaved bit, so higher-order bits of all
@@ -95,8 +92,3 @@ func (e *Encoder) LLCP(a, b Code) int {
 	}
 	return common
 }
-
-// LevelOfLLCP converts an LLCP in bits to the number of complete "levels"
-// shared: with k dims interleaved, a prefix of u bits pins ⌊u/k⌋ full rounds
-// of per-dimension bits, which is the bucket-granularity LSB reasons about.
-func (e *Encoder) LevelOfLLCP(llcpBits int) int { return llcpBits / e.k }

@@ -51,9 +51,6 @@ func TestLLCPNeighbors(t *testing.T) {
 	if llcp != e.Bits()-1 {
 		t.Fatalf("LLCP = %d, want %d", llcp, e.Bits()-1)
 	}
-	if lvl := e.LevelOfLLCP(llcp); lvl != (e.Bits()-1)/2 {
-		t.Fatalf("level = %d", lvl)
-	}
 }
 
 func TestLLCPDisjoint(t *testing.T) {
@@ -68,8 +65,8 @@ func TestLLCPDisjoint(t *testing.T) {
 func TestMultiWordCodes(t *testing.T) {
 	// 12 dims × 10 bits = 120 bits = 2 words.
 	e := NewEncoder(12, 10)
-	if e.Words() != 2 {
-		t.Fatalf("Words = %d", e.Words())
+	if words := len(e.Encode(make([]uint32, 12))); words != 2 {
+		t.Fatalf("codes of %d words", words)
 	}
 	rng := rand.New(rand.NewSource(1))
 	a := make([]uint32, 12)

@@ -54,8 +54,7 @@ import (
 //	  globals rows × uint64   local id → global id
 //	  deleted ⌈rows/8⌉ bytes  tombstone bitmap, LSB-first
 //	  data    rows·dim × float32
-//	  trees   uint32          L; 0, which only an earlier writer emitted,
-//	                          has the shard rebuilt from its rows
+//	  trees   uint32          L
 //	  then per tree (rstar.Arena; S slots, stride = M rounded up to 8):
 //	    root   uint32
 //	    heads  array of int32    2 per slot: entry count, level<<16 | sort axis
@@ -72,18 +71,14 @@ import (
 // A file is outside input and its checksum is not a signature, so a load
 // trusts none of it. Arrays are sized by what has actually been read, never
 // by a count alone; the shape limits, id routing and duplicate-id checks
-// below apply to every version; and rstar.Load proves every arena a tree
-// over exactly its shard's rows before anything can traverse it.
+// below apply to every shard; and rstar.Load proves every arena a tree over
+// exactly its shard's rows before anything can traverse it.
 //
-// v3 files ("DBLSHv3\n": this layout without M, m and the trees) have no
-// trees and take the rebuild path — project every row, bulk-load every tree.
-// v1 and v2 files, which only this project's earliest builds wrote, are
-// refused with an error that names their version.
+// This is the one format a build reads. Files of earlier versions (v1–v3,
+// and v4 files whose shards hold no trees) are refused with an error that
+// names the version or the missing trees; an earlier build re-saves them.
 
-var (
-	magicV3 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '3', '\n'}
-	magicV4 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '4', '\n'}
-)
+var magicV4 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '4', '\n'}
 
 // ioChunk is the size of the one buffer each direction encodes and decodes
 // through: large enough that a 50 MB payload is a few hundred calls, small
@@ -246,11 +241,10 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return e.n, nil // everything, CRC trailer included, has reached w
 }
 
-// Read deserializes an index previously written with WriteTo. A v4 file is
-// loaded as it is — trees adopted, nothing rebuilt — after being checked
-// from the checksum down to every node of every tree. A v3 file holds no
-// trees, and its shards are rebuilt deterministically from their vectors and
-// seed. v1 and v2 files are refused.
+// Read deserializes an index previously written with WriteTo. The file is
+// loaded as it is — trees adopted, nothing projected or packed — after being
+// checked from the checksum down to every node of every tree. Files of
+// earlier versions are refused.
 func Read(r io.Reader) (*Index, error) {
 	d := newDecoder(r)
 	var magic [8]byte
@@ -258,31 +252,27 @@ func Read(r io.Reader) (*Index, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	version := 3 + slices.Index([][8]byte{magicV3, magicV4}, magic)
 	switch m := string(magic[:]); {
-	case m == "DBLSHv1\n", m == "DBLSHv2\n":
+	case m == "DBLSHv1\n", m == "DBLSHv2\n", m == "DBLSHv3\n":
 		return nil, fmt.Errorf("dblsh: this build no longer reads %s index files: re-save with an earlier build", m[5:7])
-	case version == 2:
+	case magic != magicV4:
 		return nil, fmt.Errorf("dblsh: bad magic %q (not a DB-LSH index file?)", magic)
 	}
 	var (
 		shards, dim, mk, k, l, t uint32
+		maxEntries, minEntries   uint32
 		rows, nextID, seed       uint64
 		r0                       float64
 		cfg                      core.Config
 	)
-	d.fixed(&shards, &nextID, &dim, &mk, &cfg.MetricNormBound, &k, &l, &t, &cfg.C, &cfg.W0, &seed)
-	if version == 4 {
-		var maxEntries, minEntries uint32
-		d.fixed(&maxEntries, &minEntries)
-		cfg.Tree = rstar.Options{MaxEntries: int(maxEntries), MinEntries: int(minEntries)}
-		// Resolved clamps the capacity to the cursor's 64-entry bitmasks.
-		if d.err == nil && cfg.Tree.Resolved() != cfg.Tree {
-			return nil, fmt.Errorf("dblsh: implausible tree node capacity %d (minimum fill %d)", maxEntries, minEntries)
-		}
-	}
+	d.fixed(&shards, &nextID, &dim, &mk, &cfg.MetricNormBound, &k, &l, &t, &cfg.C, &cfg.W0, &seed, &maxEntries, &minEntries)
 	if d.err != nil {
 		return nil, d.err
+	}
+	cfg.Tree = rstar.Options{MaxEntries: int(maxEntries), MinEntries: int(minEntries)}
+	// Resolved clamps the capacity to the cursor's 64-entry bitmasks.
+	if cfg.Tree.Resolved() != cfg.Tree {
+		return nil, fmt.Errorf("dblsh: implausible tree node capacity %d (minimum fill %d)", maxEntries, minEntries)
 	}
 	if !metric.Kind(mk).Valid() {
 		return nil, fmt.Errorf("dblsh: unknown metric id %d (file from a newer version?)", mk)
@@ -316,19 +306,16 @@ func Read(r io.Reader) (*Index, error) {
 			nextID = max(nextID, uint64(slices.Max(part.Globals))+1)
 		}
 		part.Deleted = d.tombstones(rows)
-		// The ladder starts every query at r0; a rowless v3 shard may carry
-		// 0, which its rebuild replaces with an estimate.
-		if d.err == nil && (math.IsNaN(r0) || math.IsInf(r0, 0) || (rows > 0 && r0 <= 0)) {
+		// The ladder starts every query at r0.
+		if d.err == nil && (!(r0 > 0) || math.IsInf(r0, 1)) { // NaN fails too
 			return nil, fmt.Errorf("dblsh: shard %d of %d rows has initial radius %v", i, rows, r0)
 		}
 		part.Rows, part.R0 = int(rows), r0
 		total += rows
 		d.what = "vectors"
 		part.Flat = d.floats(rows * uint64(dim))
-		if version == 4 {
-			d.what = fmt.Sprintf("trees of shard %d", i)
-			part.Trees = d.trees(cfg.L, r0)
-		}
+		d.what = fmt.Sprintf("trees of shard %d", i)
+		part.Trees = d.trees(cfg.L)
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -346,7 +333,6 @@ func Read(r io.Reader) (*Index, error) {
 	}
 	// total == 0 is legitimate: an index whose every vector was deleted and
 	// compacted away still round-trips (its id space and layout survive).
-	// Shards that came with their trees are loaded, the others rebuilt.
 	set, err := shard.Restore(int(dim), int(nextID), 0, cfg, parts)
 	if err != nil {
 		return nil, fmt.Errorf("dblsh: malformed index file: %w", err)
@@ -586,13 +572,12 @@ func (d *decoder) tombstones(rows uint64) []bool {
 	return deleted
 }
 
-// trees reads a shard's tree arenas: none (the shard is rebuilt), or one
-// per projected space.
-func (d *decoder) trees(l int, r0 float64) []rstar.Arena {
+// trees reads a shard's tree arenas, exactly one per projected space.
+func (d *decoder) trees(l int) []rstar.Arena {
 	var n uint32
 	d.fixed(&n)
-	if n != 0 && (int(n) != l || !(r0 > 0)) {
-		d.fail(fmt.Errorf("%d trees for L = %d, initial radius %v", n, l, r0))
+	if int(n) != l {
+		d.fail(fmt.Errorf("%d trees for L = %d (an earlier build wrote files without trees: re-save with it)", n, l))
 	}
 	var trees []rstar.Arena // grown as they arrive: n is only a claim
 	for ; n > 0 && d.err == nil; n-- {

@@ -10,11 +10,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"dblsh/internal/wal"
 )
 
 // v4HeaderLen is the size of a v4 file's fixed header, magic included: what
@@ -399,7 +402,7 @@ func TestWriteToWhileAdding(t *testing.T) {
 			loaded.NextID(), loaded.Len(), n+S, S)
 	}
 	for i, v := range extra {
-		loaded.set.AddAt(n+i, v)
+		loaded.set.Replay([]wal.Record{{Op: wal.OpAdd, ID: uint64(n + i), Row: v}})
 	}
 	if !bytes.Equal(save(t, loaded), save(t, idx)) {
 		t.Fatal("loaded index, caught up, does not save to the live index's bytes")
@@ -556,43 +559,42 @@ func TestOptionsWithinFileLimits(t *testing.T) {
 	}
 }
 
-// TestReadV3Fixture loads a file the last v3 writer produced (3 shards,
-// one tombstone, one vector added after the build): files without trees
-// still load, through the one rebuild path.
-func TestReadV3Fixture(t *testing.T) {
-	raw, err := os.ReadFile("testdata/v3_sharded.dblsh")
+// TestOptionsSurviveReload holds every field of Options to one of two
+// lists. A persisted field is in the file: an index built with a
+// non-default value for each of them reloads with the same parameters and
+// answers bit for bit as it did. An operational or inert field shapes only
+// the running process (durability, compaction) or nothing at all, so a
+// reload has nothing to keep. A field in neither list is a build-time knob
+// a save would drop without a word.
+func TestOptionsSurviveReload(t *testing.T) {
+	persisted := []string{"C", "W0", "K", "L", "T", "Seed", "Shards", "Metric", "NormBound"}
+	operational := []string{"CompactFraction", "Dim", "Sync", "SyncEvery", "CheckpointEvery", "Parallelism"}
+	opts := Options{C: 2, W0: 7, K: 6, L: 3, T: 20, Seed: 101, Shards: 3, Metric: InnerProduct, NormBound: 1000}
+	v := reflect.ValueOf(opts)
+	for i := range v.NumField() {
+		switch name := v.Type().Field(i).Name; {
+		case slices.Contains(operational, name):
+		case !slices.Contains(persisted, name):
+			t.Errorf("Options.%s is neither persisted nor operational: a reload drops it", name)
+		case v.Field(i).IsZero():
+			t.Errorf("Options.%s is persisted but the test builds with its default", name)
+		}
+	}
+	data, queries := clusteredData(600, 16, 101)
+	idx, err := New(data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v3 file rejected: %v", err)
-	}
-	if loaded.Len() != 121 || loaded.Dim() != 6 || loaded.Shards() != 3 || loaded.Deleted() != 1 || loaded.NextID() != 121 {
-		t.Fatalf("v3 load shape: len=%d dim=%d shards=%d deleted=%d next=%d",
-			loaded.Len(), loaded.Dim(), loaded.Shards(), loaded.Deleted(), loaded.NextID())
-	}
-	data, _ := clusteredData(120, 6, 44) // what the fixture was built from
-	for id, v := range data {
-		hits := search(t, loaded, v, 1)
-		if id == 7 { // the tombstone
-			if len(hits) == 1 && hits[0].ID == 7 {
-				t.Fatal("v3 load resurrected the deleted vector")
-			}
-			continue
-		}
-		if len(hits) != 1 || hits[0].ID != id || hits[0].Dist != 0 {
-			t.Fatalf("v3 load: self-query of %d returned %+v", id, hits)
-		}
-	}
-	// It is written back as v4, and that loads as the same index.
-	again, err := Read(bytes.NewReader(save(t, loaded)))
+	loaded, err := Read(bytes.NewReader(save(t, idx)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range data {
-		if a, b := search(t, loaded, v, 5), search(t, again, v, 5); !slices.Equal(a, b) {
-			t.Fatalf("v3 → v4: answers changed: %v vs %v", a, b)
+	if loaded.Params() != idx.Params() || loaded.Shards() != idx.Shards() {
+		t.Fatalf("reloaded %+v over %d shards, built %+v over %d", loaded.Params(), loaded.Shards(), idx.Params(), idx.Shards())
+	}
+	for _, q := range append(queries, data[:40]...) {
+		if a, b := search(t, idx, q, 10), search(t, loaded, q, 10); !slices.Equal(a, b) {
+			t.Fatalf("reloaded index answers %v, built one %v", b, a)
 		}
 	}
 }

@@ -97,11 +97,7 @@ func TestReplayEqualsSequentialReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range recs {
-				if r.Op == wal.OpAdd {
-					ref.set.AddAt(int(r.ID), r.Row)
-				} else {
-					ref.set.Delete(int(r.ID))
-				}
+				ref.set.Replay([]wal.Record{r})
 			}
 
 			re := mustOpen(t, dir, Options{})

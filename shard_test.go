@@ -436,16 +436,26 @@ func TestShardedPersistRoundTripDeterministic(t *testing.T) {
 	}
 }
 
-// TestReadRefusesV1V2 pins what becomes of a file from the two formats this
+// TestReadRefusesOldVersions pins what becomes of a file from a format this
 // build no longer reads: an error that names the version and says how to
-// get a file it does read, whatever follows the magic.
-func TestReadRefusesV1V2(t *testing.T) {
-	for _, v := range []string{"v1", "v2"} {
+// get a file it does read, whatever follows the magic. A v4 file whose
+// shard holds no trees, as the first v4 writers emitted, is refused for the
+// missing trees rather than rebuilt.
+func TestReadRefusesOldVersions(t *testing.T) {
+	for _, v := range []string{"v1", "v2", "v3"} {
 		raw := append([]byte("DBLSH"+v+"\n"), make([]byte, 64)...)
 		_, err := Read(bytes.NewReader(raw))
 		if err == nil || !strings.Contains(err.Error(), v) || !strings.Contains(err.Error(), "re-save with an earlier build") {
 			t.Errorf("%s file: Read returned %v", v, err)
 		}
+	}
+	data, _ := clusteredData(50, 4, 91)
+	idx, err := New(data, Options{K: 4, L: 2, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(treeless(save(t, idx)))); err == nil || !strings.Contains(err.Error(), "0 trees for L = 2") {
+		t.Errorf("v4 file without trees: Read returned %v", err)
 	}
 }
 

@@ -155,7 +155,7 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 	for i := range projected {
 		projected[i] = vec.NewMatrix(n, k)
 	}
-	each((n+projectBlock-1)/projectBlock, func(b int) error {
+	Each((n+projectBlock-1)/projectBlock, func(b int) error {
 		h := make([]float64, k*idx.cfg.L)
 		for r := b * projectBlock; r < min(n, (b+1)*projectBlock); r++ {
 			idx.family.Hash(h, data.Row(r))
@@ -236,13 +236,14 @@ func narrow(dst []float32, src []float64) {
 	}
 }
 
-// eachSpace runs fn for each of the L projected spaces, as each does.
+// eachSpace runs fn for each of the L projected spaces, as Each does.
 func (idx *Index) eachSpace(fn func(i int) error) error {
-	return each(idx.cfg.L, fn)
+	return Each(idx.cfg.L, fn)
 }
 
-// each runs fn for the work items 0…n−1 — Build's row blocks, or the L
-// projected spaces — GOMAXPROCS at a time, and returns what errors it met.
+// Each runs fn for the work items 0…n−1 — Build's row blocks, the L
+// projected spaces, or the shard layer's shards and batch queries —
+// GOMAXPROCS at a time, and returns what errors it met.
 // Workers claim items from one counter. The caller's goroutine is one of
 // the workers, so at GOMAXPROCS 1 the items run one after another on it.
 // The caller waits for the items, not for the helpers: on busy cores a
@@ -251,7 +252,7 @@ func (idx *Index) eachSpace(fn func(i int) error) error {
 // A panic in fn is recovered in its item; once every item has finished,
 // the lowest-index item's panic is raised again on the caller's
 // goroutine, where the sequential loop would have raised it.
-func each(n int, fn func(i int) error) error {
+func Each(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	panics := make([]any, n)
 	job := &struct {
@@ -813,22 +814,30 @@ func (qr *query) start(q []float32) (cfg Config, r0 float64, live, resident int)
 	r0 = math.Inf(1)
 	for i := range qr.parts {
 		qr.parts[i].s, qr.parts[i].dup = nil, nil
-		idx := qr.bind(i, q).idx
-		cfg, r0 = idx.cfg, min(r0, idx.r0)
-		live += idx.Live()
-		resident += idx.Size()
-		qr.release()
+		qr.share(i, q, func(s *Searcher) {
+			cfg, r0 = s.idx.cfg, min(r0, s.idx.r0)
+			live += s.idx.Live()
+			resident += s.idx.Size()
+		})
 	}
 	return cfg, r0, live, resident
 }
 
-// bind read-locks part i, brings it up to date (see Part.Bind) and makes
-// it the running part.
+// share runs fn on part i's searcher under the part's read lock, once bind
+// has brought the part up to date. The lock is released however fn ends:
+// a Filter that panics leaves no writer of the part blocked.
+func (qr *query) share(i int, q []float32, fn func(s *Searcher)) {
+	if l := qr.parts[i].Lock; l != nil {
+		l.RLock()
+		defer l.RUnlock()
+	}
+	fn(qr.bind(i, q))
+}
+
+// bind brings part i up to date (see Part.Bind) and makes it the running
+// part. Callers hold the part's lock.
 func (qr *query) bind(i int, q []float32) *Searcher {
 	pt := &qr.parts[i]
-	if pt.Lock != nil {
-		pt.Lock.RLock()
-	}
 	s, ids := pt.Bind()
 	if s != pt.s {
 		if pt.s != nil {
@@ -843,13 +852,6 @@ func (qr *query) bind(i int, q []float32) *Searcher {
 	return s
 }
 
-// release unlocks the running part.
-func (qr *query) release() {
-	if l := qr.parts[qr.at].Lock; l != nil {
-		l.RUnlock()
-	}
-}
-
 // round runs one round at radius r across the parts in order — or, with
 // sweep, the covering sweep — holding each part's lock for its share only.
 // It reports whether every part's windows at radius next would contain its
@@ -861,14 +863,14 @@ func (qr *query) round(q []float32, r, next float64, sweep bool) (covered bool) 
 		if qr.done {
 			return false
 		}
-		s := qr.bind(i, q)
-		if sweep {
-			s.sweepRound(q, qr)
-		} else {
-			s.windowRound(q, qr)
-			covered = covered && !qr.done && s.covers(s.idx.cfg.W0*next)
-		}
-		qr.release()
+		qr.share(i, q, func(s *Searcher) {
+			if sweep {
+				s.sweepRound(q, qr)
+			} else {
+				s.windowRound(q, qr)
+				covered = covered && !qr.done && s.covers(s.idx.cfg.W0*next)
+			}
+		})
 	}
 	return covered
 }
@@ -939,11 +941,14 @@ func (qr *query) emit(ids []int, dists []float64) (int, bool) {
 	return len(ids), false
 }
 
-// begin starts the searcher on query q: a fresh visited epoch, q hashed into
-// all L projected spaces with one fused pass, and the L cursors seeded at
-// their roots (O(1) per tree; traversal happens lazily as rounds advance).
+// begin starts the searcher on query q: a fresh visited epoch, an empty
+// candidate block (a Filter that panicked mid-gather left the previous
+// query's block unverified), q hashed into all L projected spaces with one
+// fused pass, and the L cursors seeded at their roots (O(1) per tree;
+// traversal happens lazily as rounds advance).
 func (s *Searcher) begin(q []float32) {
 	s.freshEpoch()
+	s.bids, s.bmeta = s.bids[:0], s.bmeta[:0]
 	s.idx.family.Hash(s.hash, q)
 	k := s.idx.cfg.K
 	for i, cur := range s.cursors {

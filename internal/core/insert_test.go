@@ -63,14 +63,14 @@ func TestRowBlockPanicReachesCaller(t *testing.T) {
 					}
 				}
 			}()
-			each(blocks, func(b int) error {
+			Each(blocks, func(b int) error {
 				if b == 17 || b == 30 {
 					panic(fmt.Sprintf("block %d", b))
 				}
 				ran[b] = true
 				return nil
 			})
-			t.Errorf("GOMAXPROCS %d: each returned past a panicking block", procs)
+			t.Errorf("GOMAXPROCS %d: Each returned past a panicking block", procs)
 		}()
 	}
 }

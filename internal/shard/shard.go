@@ -50,10 +50,8 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +74,7 @@ type Set struct {
 	compactFrac atomic.Uint64 // auto-compaction threshold (float64 bits); 0 disables
 	shards      []*state
 	nextID      atomic.Int64 // global id allocator / id-space bound
-	pool        sync.Pool    // of *Searcher, for SearchBatch's workers
+	pool        sync.Pool    // of *Searcher, for SearchBatch's queries
 
 	// metrics is the optional compaction observability hook set, swapped
 	// in atomically so SetMetrics is safe while background auto-compaction
@@ -182,12 +180,13 @@ func shardSeed(base int64, i int) int64 { return base + int64(i) }
 // stored row-major in flat, striping rows round-robin: row g goes to shard
 // g mod S. With shards == 1 the flat slice is wrapped without copying
 // (preserving the library's zero-copy contract); with more shards each
-// shard copies its stripe into a contiguous matrix. compactFrac > 0 enables
+// shard copies its stripe into a contiguous matrix. The shards build
+// through core.Each, GOMAXPROCS at a time. compactFrac > 0 enables
 // automatic background compaction of a shard once its tombstoned fraction
 // reaches the threshold.
 //
-// dblsh:exclusive the set is under construction and unpublished; the build
-// goroutines partition the shards, so no state is shared
+// dblsh:exclusive the set is under construction and unpublished; the
+// core.Each items partition the shards, so no state is shared
 func Build(flat []float32, n, dim, shards int, compactFrac float64, cfg core.Config) *Set {
 	if n > 0 && shards > n {
 		shards = n // no empty shards when there is data to stripe
@@ -203,38 +202,27 @@ func Build(flat []float32, n, dim, shards int, compactFrac float64, cfg core.Con
 	}
 	s.SetCompactFraction(compactFrac)
 	s.nextID.Store(int64(n))
-
-	if shards == 1 {
-		st := &state{seed: cfg.Seed, offset: 0}
-		st.idx = core.Build(vec.WrapMatrix(flat, n, dim), cfg)
-		st.globals = identityGlobals(n, 0, 1)
-		s.shards[0] = st
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i := 0; i < shards; i++ {
-			rows := (n - i + shards - 1) / shards
-			st := &state{seed: shardSeed(cfg.Seed, i), offset: i}
-			m := vec.NewMatrix(rows, dim)
+	core.Each(shards, func(i int) error {
+		rows := (n - i + shards - 1) / shards
+		st := &state{seed: shardSeed(cfg.Seed, i), offset: i}
+		st.globals = identityGlobals(rows, i, shards)
+		c := cfg
+		c.Seed = st.seed
+		var m *vec.Matrix
+		if shards == 1 {
+			m = vec.WrapMatrix(flat, n, dim)
+		} else {
+			c.InitialRadius = 0 // estimated per shard from its own stripe
+			m = vec.NewMatrix(rows, dim)
 			for j := 0; j < rows; j++ {
 				g := j*shards + i
 				m.SetRow(j, flat[g*dim:(g+1)*dim])
 			}
-			st.globals = identityGlobals(rows, i, shards)
-			s.shards[i] = st
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(st *state, m *vec.Matrix) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				c := s.cfg
-				c.Seed = st.seed
-				c.InitialRadius = 0 // estimated per shard from its own stripe
-				st.idx = core.Build(m, c)
-			}(st, m)
 		}
-		wg.Wait()
-	}
+		st.idx = core.Build(m, c)
+		s.shards[i] = st
+		return nil
+	})
 	s.pool.New = func() interface{} { return s.NewSearcher() }
 	return s
 }
@@ -259,13 +247,13 @@ type Part struct {
 	Trees []rstar.Arena
 }
 
-// Restore loads a set from persisted per-shard parts. cfg carries the
-// stored structural parameters and base seed; nextID is the persisted
-// global-id-space bound (ids ≥ nextID have never been allocated). The error
-// is a part's trees failing core.Load's validation.
+// Restore loads a set from persisted per-shard parts, through core.Each.
+// cfg carries the stored structural parameters and base seed; nextID is the
+// persisted global-id-space bound (ids ≥ nextID have never been allocated).
+// The error is a part's trees failing core.Load's validation.
 //
 // dblsh:exclusive the set is under construction and unpublished; the
-// restore goroutines partition the shards, so no state is shared
+// core.Each items partition the shards, so no state is shared
 func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []Part) (*Set, error) {
 	total := 0
 	for _, p := range parts {
@@ -280,10 +268,8 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 	s.SetCompactFraction(compactFrac)
 	s.nextID.Store(int64(nextID))
 	stride := len(parts)
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, p := range parts {
+	err := core.Each(len(parts), func(i int) (err error) {
+		p := parts[i]
 		st := &state{seed: shardSeed(cfg.Seed, i), offset: i}
 		st.globals = append([]int(nil), p.Globals...)
 		for j, g := range st.globals {
@@ -293,27 +279,21 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 			}
 		}
 		s.shards[i] = st
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(st *state, p Part) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c := s.cfg
-			c.Seed = st.seed
-			c.InitialRadius = p.R0
-			data := vec.WrapMatrix(p.Flat, p.Rows, dim)
-			if st.idx, errs[st.offset] = core.Load(data, c, p.Trees); st.idx == nil {
-				return
+		c := cfg
+		c.Seed = st.seed
+		c.InitialRadius = p.R0
+		data := vec.WrapMatrix(p.Flat, p.Rows, dim)
+		if st.idx, err = core.Load(data, c, p.Trees); err != nil {
+			return err
+		}
+		for local, dead := range p.Deleted {
+			if dead && local < p.Rows {
+				st.idx.Delete(local)
 			}
-			for local, dead := range p.Deleted {
-				if dead && local < p.Rows {
-					st.idx.Delete(local)
-				}
-			}
-		}(st, p)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	s.pool.New = func() interface{} { return s.NewSearcher() }
@@ -430,8 +410,8 @@ func (s *Set) advanceNextID(bound int) {
 // schedules a compaction: the caller holds auto-compaction until its last
 // chunk is in and then calls CompactOwed. Records of different shards commute (each
 // touches only its owning shard, and the allocator only ever rises to the
-// largest id seen), so the chunk is split by owning shard and each shard's
-// list is applied on its own goroutine, at most GOMAXPROCS at a time; the
+// largest id seen), so the chunk is split by owning shard and the shards'
+// lists are applied through core.Each, at most GOMAXPROCS at a time; the
 // set that results is the sequential replay's, byte for byte, whatever the
 // scheduler does. The caller has checked the records (an add's row has the
 // set's dimension); Replay keeps no reference to recs.
@@ -448,32 +428,25 @@ func (s *Set) Replay(recs []wal.Record) {
 	}
 	s.advanceNextID(bound)
 	m := s.metrics.Load()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, list := range per {
-		if len(list) == 0 {
-			continue
+	core.Each(stride, func(i int) error {
+		if len(per[i]) == 0 {
+			return nil
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(st *state, list []wal.Record) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			for _, r := range list {
-				g := int(r.ID)
-				l := st.local(g, stride)
-				switch {
-				case r.Op == wal.OpAdd && l < 0:
-					st.insert(g, stride, r.Row, m)
-				case r.Op == wal.OpDelete && l >= 0:
-					st.idx.Delete(l)
-				}
+		st := s.shards[i]
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for _, r := range per[i] {
+			g := int(r.ID)
+			l := st.local(g, stride)
+			switch {
+			case r.Op == wal.OpAdd && l < 0:
+				st.insert(g, stride, r.Row, m)
+			case r.Op == wal.OpDelete && l >= 0:
+				st.idx.Delete(l)
 			}
-		}(s.shards[i], list)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 }
 
 // Live reports whether global id g is resident and not tombstoned — i.e.
@@ -775,41 +748,31 @@ func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (ve
 	return nb, ok, err
 }
 
-// SearchBatch answers many queries across up to GOMAXPROCS workers, the
-// caller's goroutine among them. Each worker draws a Searcher from the
-// set's pool and claims query indices from a shared counter until none is
-// left, so one worker and many run the same loop. results[i] and stats[i]
-// correspond to queries[i]. A query that errs (context expiry) leaves a nil
-// result, and the batch goes on with the rest: which queries a batch
-// answers does not depend on the worker count, and once a context is
-// cancelled the rest are near-free. The error of the lowest-index query
-// that erred is returned alongside the queries answered. The queries must
-// pass core.CheckQuery; a panic in a helper goroutine cannot be recovered.
+// SearchBatch answers many queries through core.Each, GOMAXPROCS at a
+// time, the caller's goroutine among the workers; each query draws a
+// Searcher from the set's pool. results[i] and stats[i] correspond to
+// queries[i]. A query that errs (context expiry) leaves a nil result, and
+// the batch goes on with the rest: which queries a batch answers does not
+// depend on the worker count, and once a context is cancelled the rest are
+// near-free. The error of the lowest-index query that erred is returned
+// alongside the queries answered. The queries must pass core.CheckQuery. A
+// query that panics (a Filter's panic) does so after every other query has
+// finished, on the caller's goroutine, with each shard's lock released.
 func (s *Set) SearchBatch(queries [][]float32, k int, p core.QueryParams) ([][]vec.Neighbor, []core.Stats, error) {
 	n := len(queries)
 	out := make([][]vec.Neighbor, n)
 	stats := make([]core.Stats, n)
 	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(n)
-	work := func() {
+	core.Each(n, func(i int) error {
 		sr := s.pool.Get().(*Searcher)
 		defer s.pool.Put(sr)
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if nbs, err := sr.Search(queries[i], k, p); err != nil {
-				errs[i] = err
-			} else {
-				out[i], stats[i] = nbs, sr.last
-			}
-			wg.Done()
+		if nbs, err := sr.Search(queries[i], k, p); err != nil {
+			errs[i] = err
+		} else {
+			out[i], stats[i] = nbs, sr.last
 		}
-	}
-	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
-		go work()
-	}
-	work()
-	wg.Wait()
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return out, stats, err

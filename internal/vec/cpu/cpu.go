@@ -5,9 +5,7 @@
 // Detection is deliberately tiny and dependency-free: on amd64 it executes
 // CPUID and XGETBV directly (an AVX2 kernel is only usable when the CPU has
 // the instructions AND the OS saves the YMM state, which is what the XCR0
-// check proves); on arm64 the ASIMD (NEON) and FP units are mandatory in the
-// ARMv8-A baseline Go targets, so detection is a constant; every other
-// architecture reports no features.
+// check proves); every other architecture reports no features.
 //
 // The result never changes over a process lifetime, so Detect computes once
 // and returns the cached value thereafter.
@@ -33,9 +31,6 @@ type Features struct {
 	// AVX512F reports the AVX-512 foundation set with OS ZMM state
 	// support. Informational: no kernel uses it yet.
 	AVX512F bool
-	// ASIMD reports Advanced SIMD (NEON): always true on arm64, where it
-	// is part of the baseline.
-	ASIMD bool
 }
 
 var (
@@ -63,9 +58,6 @@ func (f Features) List() []string {
 	}
 	if f.AVX512F {
 		out = append(out, "avx512f")
-	}
-	if f.ASIMD {
-		out = append(out, "asimd")
 	}
 	if f.FMA {
 		out = append(out, "fma")

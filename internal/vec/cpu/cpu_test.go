@@ -22,19 +22,8 @@ func TestFeatureConsistency(t *testing.T) {
 		// OS-support masking went wrong.
 		t.Fatal("AVX512F reported without AVX2")
 	}
-	switch runtime.GOARCH {
-	case "arm64":
-		if !f.ASIMD {
-			t.Fatal("ASIMD must be reported on arm64 (ARMv8 baseline)")
-		}
-	case "amd64":
-		if f.ASIMD {
-			t.Fatal("ASIMD reported on amd64")
-		}
-	default:
-		if f != (Features{}) {
-			t.Fatalf("features %+v reported on %s", f, runtime.GOARCH)
-		}
+	if runtime.GOARCH != "amd64" && f != (Features{}) {
+		t.Fatalf("features %+v reported on %s", f, runtime.GOARCH)
 	}
 }
 
@@ -52,7 +41,7 @@ func TestListSortedAndConsistent(t *testing.T) {
 		}
 		return false
 	}
-	if has("avx2") != f.AVX2 || has("fma") != f.FMA || has("asimd") != f.ASIMD {
+	if has("avx2") != f.AVX2 || has("fma") != f.FMA {
 		t.Fatalf("List() %v inconsistent with %+v", names, f)
 	}
 }

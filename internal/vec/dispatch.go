@@ -23,12 +23,11 @@ import (
 //	          256-bit float64 accumulator chains, and the window tests
 //	          eight entries per compare; requires AVX2+FMA with OS-saved
 //	          YMM state (internal/vec/cpu)
-//	neon      arm64 assembly: Advanced SIMD, always available on arm64
 //
-// registerArchKernels (one per GOARCH) adds avx2 or neon when the running
-// CPU supports it. The window tests have one portable implementation,
-// shared by every row but avx2 (a NEON version waits until CI can execute
-// arm64).
+// registerArchKernels adds avx2 when the running CPU supports it; on every
+// other architecture it adds nothing, so unrolled is the default there. The
+// window tests have one portable implementation, shared by every row but
+// avx2.
 //
 // Every row keeps one contract: its bounded squared distance runs the same
 // chains, reduction and tail as its unbounded one and only reads the running
@@ -105,7 +104,7 @@ var kernelSource = "auto"
 func init() {
 	// Order matters: the arch rows must exist before auto-selection and
 	// before a DBLSH_KERNEL value can name them. A per-file init in the
-	// _amd64/_arm64 files would sort AFTER this one, so registration is an
+	// _amd64 files would sort AFTER this one, so registration is an
 	// explicit call instead.
 	registerArchKernels()
 	if archKernel != "" {

@@ -152,8 +152,7 @@ func TestKernelSource(t *testing.T) {
 
 // TestArchKernelRegistration ties the registered hardware rows to the
 // detected CPU features: the avx2 row exists exactly when the CPU reports
-// AVX2+FMA, the neon row always exists on arm64, and other architectures
-// get only the portable rows.
+// AVX2+FMA, and other architectures get only the portable rows.
 func TestArchKernelRegistration(t *testing.T) {
 	has := func(name string) bool {
 		_, ok := kernelTable[name]
@@ -169,18 +168,8 @@ func TestArchKernelRegistration(t *testing.T) {
 		if want && archKernel != "avx2" {
 			t.Fatalf("archKernel = %q, want avx2", archKernel)
 		}
-		if has("neon") {
-			t.Fatal("neon row registered on amd64")
-		}
-	case "arm64":
-		if !has("neon") || archKernel != "neon" {
-			t.Fatalf("neon row registered=%v archKernel=%q on arm64", has("neon"), archKernel)
-		}
-		if has("avx2") {
-			t.Fatal("avx2 row registered on arm64")
-		}
 	default:
-		if archKernel != "" || has("avx2") || has("neon") {
+		if archKernel != "" || has("avx2") {
 			t.Fatalf("hardware rows on %s: archKernel=%q", runtime.GOARCH, archKernel)
 		}
 	}

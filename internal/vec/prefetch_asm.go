@@ -1,10 +1,10 @@
-//go:build amd64 || arm64
+//go:build amd64
 
 package vec
 
 // prefetchLines hints the first lines cache lines of row into L1
-// (PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64). It takes the slice so no
-// Go code needs unsafe; lines must not exceed prefetchLineCount(len(row)).
+// (PREFETCHT0). It takes the slice so no Go code needs unsafe; lines must
+// not exceed prefetchLineCount(len(row)).
 //
 //go:noescape
 func prefetchLines(row []float32, lines int)

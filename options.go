@@ -117,7 +117,11 @@ func WithContext(ctx context.Context) SearchOption {
 // so rejected points consume none of the candidate budget and no exact
 // distance is computed for them. keep must be cheap: it runs once per
 // candidate the window queries surface. It must also be safe for
-// concurrent use: SearchBatchOpts invokes it from its parallel workers.
+// concurrent use: SearchBatchOpts invokes it from its parallel workers. If
+// keep panics, the panic reaches the caller's goroutine (a batch's once its
+// other queries have finished) with every shard lock released, and the
+// index and its searchers answer the next query as if the panicking one
+// had never run.
 func WithFilter(keep func(id int) bool) SearchOption {
 	return func(s *searchSettings) {
 		if keep == nil {

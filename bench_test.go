@@ -259,8 +259,10 @@ func BenchmarkAblationBucketing(b *testing.B) {
 	})
 }
 
-// STR bulk loading vs one-by-one R* insertion — the indexing-time edge the
-// paper attributes to bulk loading (Section VI-B2).
+// STR bulk loading vs one-by-one adds — the indexing-time edge the paper
+// attributes to bulk loading (Section VI-B2). An add appends to the tree's
+// tail and a full tail is repacked, so "insert" packs the rows it has every
+// 1 024 of them.
 func BenchmarkAblationBulkLoad(b *testing.B) {
 	ds := benchDS()
 	proj := projectedSpace(ds)

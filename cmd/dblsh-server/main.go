@@ -41,12 +41,19 @@
 // it takes only "t" and "filter_ids" and rejects the ladder-shaping knobs.
 //
 // With -shards S the index is partitioned across S independently locked
-// shards, so /vectors and /delete stall only 1/S of search capacity and
-// /compact rebuilds one shard while the rest serve; /stats reports the
-// per-shard breakdown plus, under -data-dir, the durability state (log
-// bytes, ops since checkpoint, last checkpoint time). -compact-fraction
-// enables automatic background compaction once a shard's tombstoned
-// fraction crosses the threshold.
+// shards: /vectors and /delete write-lock one shard, and /compact rebuilds
+// one shard while the rest serve. A query still takes every shard's read
+// lock, one round at a time, and walks S times the trees: on a clustered
+// 100 000 × 128 corpus at k = 10 (2-vCPU amd64 box), S = 4 visited 331
+// nodes per query against S = 1's 235, at a median of 113–145 µs against
+// 75–81 µs. A rebuild's cost grows with the shard's size. /stats reports
+// the per-shard breakdown (unpacked_rows: vectors added since the shard was
+// last packed, which queries walk in arrival order) plus, under -data-dir,
+// the durability state (log bytes, ops since checkpoint, last checkpoint
+// time). Adds schedule a background repack of a shard once 512 of its
+// vectors are unpacked; -compact-fraction also enables automatic
+// background compaction once a shard's tombstoned fraction crosses the
+// threshold.
 //
 // With -pprof ADDR the server exposes Go's net/http/pprof profiling
 // endpoints (/debug/pprof/...) on a separate listener, so CPU and heap

@@ -138,6 +138,7 @@ type shardStatsJSON struct {
 	Size           int    `json:"size"`
 	Live           int    `json:"live"`
 	Deleted        int    `json:"deleted"`
+	UnpackedRows   int    `json:"unpacked_rows"` // added since the shard was last packed
 	Compactions    int    `json:"compactions"`
 	LastCompaction string `json:"last_compaction,omitempty"` // RFC 3339; absent if never
 	IndexSizeBytes int64  `json:"index_size_bytes"`
@@ -216,6 +217,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Size:           st.Size,
 			Live:           st.Live,
 			Deleted:        st.Deleted,
+			UnpackedRows:   st.Unpacked,
 			Compactions:    st.Compactions,
 			IndexSizeBytes: st.IndexSizeBytes,
 		}

@@ -10,7 +10,7 @@ import (
 
 // readSeeds returns the valid index files FuzzRead starts from: v4 files
 // of a single-shard index, a sharded one with a tombstone, and one whose
-// trees took inserts after they were packed.
+// trees took adds after they were packed.
 func readSeeds(t testing.TB) (v4 [][]byte) {
 	data, _ := clusteredData(50, 4, 91)
 	for _, opts := range []Options{
@@ -26,7 +26,7 @@ func readSeeds(t testing.TB) (v4 [][]byte) {
 		case 1:
 			del(t, idx, 1)
 		case 2:
-			for _, v := range data { // splits and forced reinsertions in every tree
+			for _, v := range data { // a tail in every tree
 				if _, err := idx.Add(v); err != nil {
 					t.Fatal(err)
 				}

@@ -112,8 +112,9 @@ func (c Config) withDefaults(n int) Config {
 // size-dependent K derivation diverging per shard.
 func (c Config) Resolved(n int) Config { return c.withDefaults(n) }
 
-// Index is an immutable DB-LSH index over a dataset. Concurrent queries are
-// safe; each goroutine should use its own Searcher.
+// Index is a DB-LSH index over a dataset: L STR-packed R*-trees, each with
+// a tail of the rows inserted since. Concurrent queries are safe; each
+// goroutine should use its own Searcher.
 type Index struct {
 	data   *vec.Matrix // dblsh:guardedby caller
 	cfg    Config
@@ -141,9 +142,7 @@ const projectBlock = 256
 // blocks of projectBlock rows, GOMAXPROCS at a time, and hash each row into
 // all L spaces with one fused lsh.Family.Hash, so a row is read once, not
 // once per space. The matrices are bit for bit what Compound(i).Project
-// returns. The second pass packs the L R*-trees side by side, one space per
-// claim; a tree copies its matrix into its leaves, which hold the only copy
-// of the projected points from then on, and the matrix is dropped.
+// returns. The second pass packs them (see Repack).
 //
 // dblsh:exclusive the index is under construction and unpublished; the
 // projection pass's goroutines partition the rows and the bulk loads the L
@@ -165,15 +164,59 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 		}
 		return nil
 	})
+	idx.pack(projected)
+	return idx
+}
+
+// Repack is Build over rows whose projections are known already: projected
+// holds row r's K coordinates in space i at row r of projected[i], as
+// Projections gathers them. The L R*-trees are STR-packed side by side, one
+// space per claim; a tree copies its matrix into its leaves, which hold the
+// only copy of the projected points from then on, and the matrix is dropped.
+// The index is the one Build makes of data under cfg, node for node.
+//
+// dblsh:exclusive as Build
+func Repack(data *vec.Matrix, projected []*vec.Matrix, cfg Config) *Index {
+	idx := newIndex(data, cfg)
+	idx.pack(projected)
+	return idx
+}
+
+// pack packs the L trees over projected and estimates the initial radius
+// when the configuration leaves it unset.
+//
+// dblsh:exclusive as Build
+func (idx *Index) pack(projected []*vec.Matrix) {
 	idx.eachSpace(func(i int) error {
 		idx.trees[i] = rstar.Pack(projected[i], idx.cfg.Tree)
 		projected[i] = nil
 		return nil
 	})
 	if idx.r0 <= 0 {
-		idx.r0 = estimateInitialRadius(data, idx.cfg.Seed)
+		idx.r0 = estimateInitialRadius(idx.data, idx.cfg.Seed)
 	}
-	return idx
+}
+
+// Projections gathers the coordinates of rows ids of idx in each of the L
+// projected spaces out of the trees' leaves, packed and tail alike, one
+// space per claim: row j of the i-th matrix is row ids[j]'s point in space
+// i, the float32s the tree holds, so no row is hashed again. With LiveRows
+// it is what a rebuild reads from an index, under the caller's read lock.
+func (idx *Index) Projections(ids []int) []*vec.Matrix {
+	at := make([]int32, idx.data.Rows())
+	for i := range at {
+		at[i] = -1
+	}
+	for j, id := range ids {
+		at[id] = int32(j)
+	}
+	out := make([]*vec.Matrix, len(idx.trees))
+	idx.eachSpace(func(i int) error {
+		out[i] = vec.NewMatrix(len(ids), idx.cfg.K)
+		idx.trees[i].Points(out[i], at)
+		return nil
+	})
+	return out
 }
 
 // Load is Build for an index that was saved: trees holds the L arenas
@@ -328,20 +371,22 @@ func estimateInitialRadius(data *vec.Matrix, seed int64) float64 {
 }
 
 // Insert adds a point to the index and returns its id, extending the paper's
-// static design with the incremental maintenance its R*-trees natively
-// support (the paper's Section VII lists this direction as future work).
-// Insert must not run concurrently with queries or other Inserts.
+// static design (its Section VII leaves updates to future work) the way
+// Bentley and Saxe make a static structure dynamic: the packed trees stay as
+// they are and the point joins each tree's tail, which a rebuild folds into
+// a fresh pack. Insert must not run concurrently with queries or other
+// Inserts.
 //
 // The row is appended to the data once and hashed into all L spaces with
-// one fused lsh.Family.Hash; then each projected space inserts its K
-// coordinates into its own R*-tree, which copies them into a leaf. The
-// spaces share nothing, so they run side by side, GOMAXPROCS at a time, as
-// Build's bulk loads do; every tree comes out the same, node for node and
-// byte for byte, as inserting into the spaces one after another builds it.
+// one fused lsh.Family.Hash; each projected space then appends its K
+// coordinates to its tree's last tail leaf (rstar.Tree.InsertPoint): no
+// descent, no split, nothing run side by side. A tail that is full is
+// repacked first, the L trees side by side; the shard layer schedules
+// rebuilds long before that happens.
 //
 // dblsh:exclusive callers serialize Insert with every query and mutation
-// of the index; the goroutines partition the L spaces, and eachSpace waits
-// for all of them before it returns
+// of the index; an inline repack's goroutines partition the L spaces, and
+// eachSpace waits for all of them before it returns
 func (idx *Index) Insert(p []float32) int {
 	if len(p) != idx.data.Dim() {
 		panic(fmt.Sprintf("core: insert dim %d, index dim %d", len(p), idx.data.Dim()))
@@ -349,16 +394,29 @@ func (idx *Index) Insert(p []float32) int {
 	id := idx.data.Append(p)
 	idx.family.Hash(idx.hash, p)
 	narrow(idx.point, idx.hash)
+	if t := idx.trees[0]; t.TailLen() == t.TailCap() {
+		idx.eachSpace(func(i int) error {
+			idx.trees[i].Repack()
+			return nil
+		})
+	}
 	k := idx.cfg.K
-	idx.eachSpace(func(i int) error {
-		idx.trees[i].InsertPoint(id, idx.point[i*k:(i+1)*k])
-		return nil
-	})
+	for i, t := range idx.trees {
+		t.InsertPoint(id, idx.point[i*k:(i+1)*k])
+	}
 	if idx.deleted != nil {
 		idx.deleted = append(idx.deleted, false)
 	}
 	return id
 }
+
+// Unpacked returns the number of rows in the trees' tails: those added since
+// the index was built or last repacked. Every tree holds the same tail.
+func (idx *Index) Unpacked() int { return idx.trees[0].TailLen() }
+
+// UnpackedCap returns how many rows the tails hold before an Insert has to
+// repack inline.
+func (idx *Index) UnpackedCap() int { return idx.trees[0].TailCap() }
 
 // Delete tombstones a point: it stays in the trees but is excluded from all
 // subsequent query results. Returns false if id is out of range or already
@@ -396,9 +454,9 @@ func (idx *Index) DeletedBits() []bool { return idx.deleted }
 
 // LiveRows returns a compacted copy of the live (non-tombstoned) rows
 // together with each copied row's current id: row j of the returned matrix
-// is the point that was ids[j] in this index. It is the rebuild primitive
-// for compaction — Build over the returned matrix yields an equivalent
-// index with zero tombstone debt.
+// is the point that was ids[j] in this index. Build over the returned
+// matrix, or Repack over it and Projections(ids), yields an equivalent index
+// with zero tombstone debt.
 func (idx *Index) LiveRows() (*vec.Matrix, []int) {
 	m := vec.NewMatrix(idx.Live(), idx.data.Dim())
 	ids := make([]int, 0, idx.Live())

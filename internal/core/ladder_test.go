@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dblsh/internal/rstar"
@@ -68,8 +69,9 @@ func (rl *refLadder) scan(tr *rstar.Tree, w rstar.Rect, visit func(id int) bool)
 // windowScan is the window query read straight off a tree's arena: root to
 // leaf, a child entered when its rectangle meets w, a leaf entry reported
 // when its point (lane j of the leaf's block) lies inside w, faces
-// inclusive, one scalar comparison at a time. It stops when visit returns
-// false and reports whether it got to the end.
+// inclusive, one scalar comparison at a time; then the same from the tail
+// node, the first slot the root does not reach, when there is one. It stops
+// when visit returns false and reports whether it got to the end.
 func windowScan(a rstar.Arena, k int, w rstar.Rect, visit func(id int) bool) bool {
 	slots := len(a.Heads) / 2
 	ecap, blockLen := len(a.Ents)/slots, len(a.Blocks)/slots
@@ -82,13 +84,18 @@ func windowScan(a rstar.Arena, k int, w rstar.Rect, visit func(id int) bool) boo
 		}
 		return true
 	}
+	reached := make([]bool, slots)
 	var walk func(n int) bool
 	walk = func(n int) bool {
+		reached[n] = true
 		ents := a.Ents[n*ecap : n*ecap+int(a.Heads[2*n])]
 		if a.Heads[2*n+1]>>16 != 0 { // interior
+			reached[n+1] = true
 			for _, c := range ents {
 				r := a.Rects[int(c)*2*k : (int(c)+1)*2*k]
-				if inside(r[:k], r[k:]) && !walk(int(c)) {
+				if !inside(r[:k], r[k:]) {
+					markAll(a, ecap, int(c), reached)
+				} else if !walk(int(c)) {
 					return false
 				}
 			}
@@ -105,7 +112,24 @@ func windowScan(a rstar.Arena, k int, w rstar.Rect, visit func(id int) bool) boo
 		}
 		return true
 	}
-	return walk(int(a.Root))
+	if !walk(int(a.Root)) {
+		return false
+	}
+	if tail := slices.Index(reached, false); tail >= 0 {
+		return walk(tail)
+	}
+	return true
+}
+
+// markAll marks every slot of the subtree at n reached.
+func markAll(a rstar.Arena, ecap, n int, reached []bool) {
+	reached[n] = true
+	if a.Heads[2*n+1]>>16 != 0 {
+		reached[n+1] = true
+		for _, c := range a.Ents[n*ecap : n*ecap+int(a.Heads[2*n])] {
+			markAll(a, ecap, int(c), reached)
+		}
+	}
 }
 
 // everywhere returns the k-dimensional window that holds every point.

@@ -10,8 +10,9 @@ import (
 //
 // A node is an int32 slot index, not a pointer. Slot n owns heads[n], the
 // 2·dim floats of rects at n·2·dim, the MaxEntries+1 entry slots of ents at
-// n·(MaxEntries+1) — a leaf's row ids, an interior node's child indices, one
-// spare for the transient overflow a reinsertion or split resolves — and
+// n·(MaxEntries+1) — a leaf's row ids or an interior node's child indices,
+// and one spare slot that nothing fills, kept because the index file lays
+// entries out that way — and
 // one window-test block of dim·stride floats. An interior node needs two
 // blocks (its children's lower and upper faces), so it takes slot n+1 as
 // well: the upper-face block is slot n+1's, whose head, rect and entries go
@@ -19,13 +20,18 @@ import (
 // function of the index alone, nodes are never freed, and the whole tree is
 // five pointer-free slices that Snapshot copies and Load adopts as they are.
 //
+// A packed tree takes slots in the order Pack made them; the tail, when
+// there is one, follows: its level-1 node at the first slot the packed tree
+// does not reach, its leaves after that in arrival order. That is how Load
+// finds it, so the file needs no field of its own for it.
+//
 // Blocks live in chunks of chunkSlots that are never moved or copied when
 // the tree grows; heads, rects and ents are plain slices that append may
 // move, so a view into them (rect, entries) must not be held across newNode.
 const (
 	chunkShift = 6
 	chunkSlots = 1 << chunkShift
-	maxLevels  = 64 // Tree.reinserted has one bit per level
+	maxLevels  = 64 // the deepest tree Load accepts, far past any over int32 ids
 )
 
 // head is a node's fixed-size header.
@@ -58,20 +64,15 @@ func (t *Tree) setEntries(n int32, es ...int32) {
 // block returns slot n's window-test block: a leaf's entry coordinates
 // (vec.WindowMask), an interior node's children's lower faces, and at n+1
 // their upper faces (vec.BoxMask). Entry j's value on axis d is lane
-// block[d·stride+j]; lanes from the entry count on hold +Inf. A node that
-// transiently overflows does not fit its block, which is then left as it
-// was and rebuilt by the reinsertion or split that follows. Insertion's
-// ChooseSubtree (bestChild) reads an internal node's children from its
-// blocks alone, as queries do, so a stale lane would change the tree an
-// insert builds, not only the answer to a query.
+// block[d·stride+j]; lanes from the entry count on hold +Inf.
 func (t *Tree) block(n int32) []float32 {
 	off := int(n&(chunkSlots-1)) * t.blockLen
 	return t.blocks[n>>chunkShift][off : off+t.blockLen : off+t.blockLen]
 }
 
 // newNode appends an empty node at the given level and returns its slot. Its
-// blocks are whatever the chunk held: every caller fills the node and
-// rebuilds them before it returns.
+// blocks are whatever the chunk held: every caller pads or fills them before
+// it returns.
 func (t *Tree) newNode(level int) int32 {
 	n := len(t.heads)
 	slots := 1
@@ -149,8 +150,9 @@ func (t *Tree) Snapshot() Arena {
 // The arena is untrusted: it comes from a file. Load checks everything a
 // traversal or an insertion relies on to terminate and stay in bounds —
 // slice lengths against the slot count, every child index in range, the
-// node graph a tree that one walk from the root covers slot for slot
-// (so no cycle can hang a cursor), levels falling by one to leaves at 0,
+// node graph a tree that one walk from the root, and one from the tail's
+// level-1 node at the first slot the root does not reach, cover slot for
+// slot (so no cycle can hang a cursor), levels falling by one to leaves at 0,
 // entry counts within [1, MaxEntries], every row id in [0, rows) exactly
 // once, +Inf in every padding lane (the kernels test whole vectors) — and
 // returns an error for anything else. It does not check geometry: wrong
@@ -185,7 +187,8 @@ func Load(a Arena, rows, dim int, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// adopt is Load's walk: it validates the node graph from the root down.
+// adopt is Load's walk: it validates the node graph from the root down,
+// then the tail's from the first slot the root's walk left.
 func (t *Tree) adopt() error {
 	slots, S := len(t.heads), t.stride
 	if t.root < 0 || int(t.root) >= slots {
@@ -205,41 +208,56 @@ func (t *Tree) adopt() error {
 		}
 		return true
 	}
-	stack := []int32{t.root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		h := t.heads[n]
-		width := 1
-		if h.level > 0 {
-			width = 2
-		}
-		if int(n)+width > slots || reached[n] || reached[int(n)+width-1] {
-			return fmt.Errorf("rstar: slot %d is reached twice or runs past the arena", n)
-		}
-		reached[n], reached[int(n)+width-1] = true, true
-		covered += width
-		if h.count == 0 && !(n == t.root && h.level == 0 && t.size == 0) {
-			return fmt.Errorf("rstar: node %d is empty", n)
-		}
-		if !padded(n, int(h.count)) || (width == 2 && !padded(n+1, int(h.count))) {
-			return fmt.Errorf("rstar: node %d has a padding lane that is not +Inf", n)
-		}
-		if h.level > 0 {
-			for _, c := range t.entries(n) {
-				if c < 0 || int(c) >= slots || t.heads[c].level != h.level-1 {
-					return fmt.Errorf("rstar: node %d has a child outside the arena or off its level", n)
+	walk := func(top int32) error {
+		stack := []int32{top}
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			h := t.heads[n]
+			width := 1
+			if h.level > 0 {
+				width = 2
+			}
+			if int(n)+width > slots || reached[n] || reached[int(n)+width-1] {
+				return fmt.Errorf("rstar: slot %d is reached twice or runs past the arena", n)
+			}
+			reached[n], reached[int(n)+width-1] = true, true
+			covered += width
+			if h.count == 0 && !(n == t.root && h.level == 0) {
+				return fmt.Errorf("rstar: node %d is empty", n)
+			}
+			if !padded(n, int(h.count)) || (width == 2 && !padded(n+1, int(h.count))) {
+				return fmt.Errorf("rstar: node %d has a padding lane that is not +Inf", n)
+			}
+			if h.level > 0 {
+				for _, c := range t.entries(n) {
+					if c < 0 || int(c) >= slots || t.heads[c].level != h.level-1 {
+						return fmt.Errorf("rstar: node %d has a child outside the arena or off its level", n)
+					}
+					stack = append(stack, c)
 				}
-				stack = append(stack, c)
+				continue
 			}
-			continue
+			for _, id := range t.entries(n) {
+				if id < 0 || int(id) >= t.size || seen[id] {
+					return fmt.Errorf("rstar: leaf %d holds row %d, which is out of range or held twice", n, id)
+				}
+				seen[id] = true
+				rows++
+			}
 		}
-		for _, id := range t.entries(n) {
-			if id < 0 || int(id) >= t.size || seen[id] {
-				return fmt.Errorf("rstar: leaf %d holds row %d, which is out of range or held twice", n, id)
-			}
-			seen[id] = true
-			rows++
+		return nil
+	}
+	if err := walk(t.root); err != nil {
+		return err
+	}
+	if covered < slots {
+		t.tail = int32(slices.Index(reached, false))
+		if t.heads[t.tail].level != 1 {
+			return fmt.Errorf("rstar: slot %d, which the root does not reach, is no tail node", t.tail)
+		}
+		if err := walk(t.tail); err != nil {
+			return err
 		}
 	}
 	if covered != slots || rows != t.size {

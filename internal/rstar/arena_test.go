@@ -41,8 +41,8 @@ func TestLoadRejectsMalformedArenas(t *testing.T) {
 	for i := len(packed); i < rows; i++ {
 		tr.InsertPoint(i, data.Row(i))
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("height %d: the cases below need two interior levels", tr.Height())
+	if tr.Height() < 3 || tr.TailLen() == 0 {
+		t.Fatalf("height %d, tail of %d: the cases below need two interior levels and a tail", tr.Height(), tr.TailLen())
 	}
 	// An interior node below the root, and a leaf with a free lane.
 	inner, leaf := tr.entries(tr.root)[0], int32(-1)
@@ -69,6 +69,8 @@ func TestLoadRejectsMalformedArenas(t *testing.T) {
 		{"a subtree shared by two parents", "reached twice", func(a *Arena) { ents(a, tr.root)[1] = ents(a, tr.root)[0] }},
 		{"a level skipped", "off its level", func(a *Arena) { a.Heads[2*inner+1] += 1 << 16 }},
 		{"root outside the arena", "root", func(a *Arena) { a.Root = int32(len(tr.heads)) }},
+		{"a tail node off level 1", "no tail node", func(a *Arena) { a.Heads[2*tr.tail+1] = 2 << 16 }},
+		{"a tail node holding no leaf", "is empty", func(a *Arena) { a.Heads[2*tr.tail] = 0 }},
 		{"over-capacity count", "malformed head", func(a *Arena) { a.Heads[2*leaf] = int32(opts.MaxEntries) + 1 }},
 		{"negative count", "malformed head", func(a *Arena) { a.Heads[2*leaf] = -3 }},
 		{"empty node", "is empty", func(a *Arena) { a.Heads[2*leaf] = 0 }},

@@ -9,12 +9,11 @@ import (
 
 // Pack builds an R*-tree over all rows of data, row i under id i, using
 // Sort-Tile-Recursive (STR) packing. This is the "bulk-loading strategy" the
-// paper credits for DB-LSH's small indexing time: packing never splits or
-// reinserts. It fills each leaf to leafFill, a few entries short of
-// capacity, and every interior node to capacity, so the inserts that follow
-// a load find room in the leaf they descend to (Leutenegger, Lopez &
-// Edgington's fill factor below 1) instead of overflowing it; only the last
-// node of each level holds fewer.
+// paper credits for DB-LSH's small indexing time, and the only way this
+// package builds a tree: adds go to a tail that Repack folds into a fresh
+// pack. It fills each leaf to leafFill, a few entries short of capacity, and
+// every interior node to capacity; only the last node of each level holds
+// fewer.
 //
 // The tree copies the rows into its leaves and keeps no reference to data,
 // which the caller may drop once Pack returns. Grow it with InsertPoint.
@@ -52,7 +51,6 @@ func pack(data *vec.Matrix, ids []int32, opts Options) *Tree {
 		return New(data.Dim(), opts)
 	}
 	t := newTree(data.Dim(), opts)
-	t.scr()
 	fill := t.leafFill()
 	t.reserve(packedSlots(len(ids), fill, t.opts.MaxEntries))
 	keys := make([]uint64, 2*len(ids))
@@ -70,9 +68,9 @@ func pack(data *vec.Matrix, ids []int32, opts Options) *Tree {
 }
 
 // leafFill is the number of entries STR packs into a leaf: M − ⌈M/16⌉ (30
-// at the default M = 32), never below MinEntries. The free slots take the
-// first inserts into a packed leaf without overflow treatment: an insert
-// that finds one is a single descent.
+// at the default M = 32), never below MinEntries. The free slots date from
+// when adds descended into packed leaves; they are kept because the fill
+// decides the tree, which the index files and the goldens record.
 func (t *Tree) leafFill() int {
 	m := t.opts.MaxEntries
 	return max(m-(m+15)/16, t.opts.MinEntries)
@@ -101,15 +99,10 @@ func packedSlots(n, fill, m int) int {
 // loading; a buffer kept on the tree would outlive the load.
 func (t *Tree) packLeaves(ids []int32, rows []float32, fill int, keys []uint64) []int32 {
 	var leaves []int32
-	s := t.scratch
+	order := make([]sortPair, 0, fill)
 	t.strTile(ids, rows, 0, keys, fill, func(chunk []int32) {
 		leaf := t.newNode(0)
-		pairs := s.pairs[:0]
-		for _, id := range chunk {
-			pairs = append(pairs, sortPair{idx: id, pos: id})
-		}
-		s.pairs = pairs
-		t.fillLeaf(leaf, pairs, rows)
+		t.fillLeaf(leaf, chunk, rows, order)
 		leaves = append(leaves, leaf)
 	})
 	return leaves
@@ -247,8 +240,14 @@ func (t *Tree) packLevel(nodes []int32, level int, keys []uint64) []int32 {
 		}
 		parent := t.newNode(level)
 		t.setEntries(parent, group...)
-		t.recomputeRect(parent)
-		t.rebuildBoxes(parent)
+		rect := t.rect(parent)
+		rect.set(t.rect(group[0]))
+		for j, c := range group {
+			rect.ExpandInPlace(t.rect(c))
+			t.setBox(parent, j, t.rect(c))
+		}
+		padBlock(t.block(parent), t.stride, len(group))
+		padBlock(t.block(parent+1), t.stride, len(group))
 		out = append(out, parent)
 	})
 	return out

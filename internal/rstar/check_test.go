@@ -15,23 +15,31 @@ func BulkLoadIDs(data *vec.Matrix, ids []int, opts Options) *Tree {
 	return pack(data, ids32, opts)
 }
 
+// newRect returns the zero rectangle at the origin, both corners carved from
+// one allocation.
+func newRect(dim int) Rect {
+	buf := make([]float32, 2*dim)
+	return Rect{Min: buf[:dim:dim], Max: buf[dim:]}
+}
+
 // CheckInvariants validates structural invariants and returns a description
 // of the first violation found, or "" when the tree is consistent:
 //
 //   - every node's rect tightly bounds its entries,
-//   - every non-root node has between MinEntries and MaxEntries entries
-//     (leaves packed by bulk loading may be under-filled only at the tail),
+//   - every non-root node has between 1 and MaxEntries entries,
 //   - all leaves are at level 0 and levels decrease by one per step,
 //   - Size() equals the number of leaf entries,
 //   - every leaf's window-test block mirrors the rows of data its ids name,
-//     in sort-axis order, and every internal node's blocks mirror its
-//     children's rects, lanes past the entries +Inf.
+//     a packed leaf's in sort-axis order, and every internal node's blocks
+//     mirror its children's rects, lanes past the entries +Inf,
+//   - the tail, when there is one, is a level-1 node whose leaves hold the
+//     last TailLen() ids in arrival order, every leaf but the last full.
 //
 // data is the test's oracle: row id holds the point inserted under id.
 func (t *Tree) CheckInvariants(data *vec.Matrix) string {
 	total := 0
-	var check func(n int32) string
-	check = func(n int32) string {
+	var check func(n int32, tail bool) string
+	check = func(n int32, tail bool) string {
 		h, rect, entries := t.heads[n], t.rect(n), t.entries(n)
 		want := newRect(t.dim)
 		if h.level == 0 {
@@ -44,7 +52,7 @@ func (t *Tree) CheckInvariants(data *vec.Matrix) string {
 				return "leaf block: " + msg
 			}
 			keys := coords[int(h.sortAxis)*t.stride:]
-			for j := 1; j < len(entries); j++ {
+			for j := 1; j < len(entries) && !tail; j++ {
 				if keys[j-1] > keys[j] || (keys[j-1] == keys[j] && entries[j-1] > entries[j]) {
 					return "leaf entries not sorted by sort axis"
 				}
@@ -66,7 +74,7 @@ func (t *Tree) CheckInvariants(data *vec.Matrix) string {
 				if !rect.ContainsRect(t.rect(c)) {
 					return "child rect outside parent"
 				}
-				if msg := check(c); msg != "" {
+				if msg := check(c, tail); msg != "" {
 					return msg
 				}
 				if j == 0 {
@@ -81,23 +89,42 @@ func (t *Tree) CheckInvariants(data *vec.Matrix) string {
 				return "internal upper-face block: " + msg
 			}
 		}
-		if n != t.root {
-			if len(entries) > t.opts.MaxEntries {
-				return "node over capacity"
-			}
-			// Bulk loading can leave one trailing under-filled node per
-			// level; tolerate under-fill but not emptiness.
-			if len(entries) == 0 {
-				return "empty non-root node"
-			}
+		if len(entries) > t.opts.MaxEntries {
+			return "node over capacity"
+		}
+		// Bulk loading can leave one trailing under-filled node per level;
+		// tolerate under-fill but not emptiness.
+		if n != t.root && len(entries) == 0 {
+			return "empty non-root node"
 		}
 		if len(entries) > 0 && !(slices.Equal(want.Min, rect.Min) && slices.Equal(want.Max, rect.Max)) {
 			return "node rect is not tight"
 		}
 		return ""
 	}
-	if msg := check(t.root); msg != "" {
+	if msg := check(t.root, false); msg != "" {
 		return msg
+	}
+	if t.tail >= 0 {
+		if t.heads[t.tail].level != 1 {
+			return "tail node off level 1"
+		}
+		if msg := check(t.tail, true); msg != "" {
+			return "tail: " + msg
+		}
+		next := int32(t.size - t.TailLen())
+		kids := t.entries(t.tail)
+		for i, leaf := range kids {
+			if i < len(kids)-1 && int(t.heads[leaf].count) != t.opts.MaxEntries {
+				return "tail leaf short of capacity before the last"
+			}
+			for _, id := range t.entries(leaf) {
+				if id != next {
+					return "tail ids out of arrival order"
+				}
+				next++
+			}
+		}
 	}
 	if total != t.size {
 		return "size mismatch"

@@ -56,13 +56,15 @@ import (
 // caller decides to stop, then EndRound — or Abandon when the query is
 // over and the frontier's future is irrelevant.
 //
-// A Cursor pins the tree's node graph as of its last Reset/ReArm. Inserts
-// rearrange nodes (splits, forced reinsertion), so after any mutation the
-// cursor must be re-armed before the next round: Synced reports staleness
-// and ReArm re-seeds the frontier at the root, after which the next round
-// re-reports everything inside its window — including points inserted
-// since the original seed — and the caller's visited set restores
-// incrementality. A cursor only reads the tree, so any number may run
+// The frontier starts as the packed root followed by the tail node, so
+// depth-first order is the packed tree's, then the tail's leaves in arrival
+// order. A Cursor pins the tree's node graph as of its last Reset/ReArm. An
+// insert widens a tail leaf a parked item's threshold was computed from,
+// and a repack replaces every node, so after any mutation the cursor must be
+// re-armed before the next round: Synced reports staleness and ReArm
+// re-seeds the frontier, after which the next round re-reports everything
+// inside its window — including points inserted since the original seed —
+// and the caller's visited set restores incrementality. A cursor only reads the tree, so any number may run
 // beside each other; one Cursor is not safe for concurrent use.
 type Cursor struct {
 	t      *Tree
@@ -172,7 +174,8 @@ func (c *Cursor) Reset(center []float32) {
 	c.seed()
 }
 
-// seed arms the frontier at the root against the tree's current version.
+// seed arms the frontier at the packed root and the tail node against the
+// tree's current version.
 func (c *Cursor) seed() {
 	c.cur = c.cur[:0]
 	c.next = c.next[:0]
@@ -183,10 +186,12 @@ func (c *Cursor) seed() {
 	c.nodes = 0
 	c.version = c.t.version
 	c.abandoned = false
-	if c.t.size == 0 {
-		return
+	if c.t.heads[c.t.root].count > 0 {
+		c.cur = append(c.cur, cItem{n: c.t.root})
 	}
-	c.cur = append(c.cur, cItem{n: c.t.root})
+	if c.t.tail >= 0 {
+		c.cur = append(c.cur, cItem{n: c.t.tail})
+	}
 }
 
 // Synced reports whether the frontier is still coherent: the tree is
@@ -195,8 +200,8 @@ func (c *Cursor) seed() {
 // round.
 func (c *Cursor) Synced() bool { return c.version == c.t.version && !c.abandoned }
 
-// ReArm re-seeds the frontier at the root for the same center — the
-// explicit recovery primitive for mutations that land mid-query.
+// ReArm re-seeds the frontier for the same center — the explicit recovery
+// primitive for mutations that land mid-query.
 func (c *Cursor) ReArm() { c.seed() }
 
 // BeginRound opens a round over the window of half-width half centred at

@@ -284,9 +284,9 @@ func TestCursorDrainReportsAll(t *testing.T) {
 	}
 }
 
-// TestCursorInsertedTreeEquivalence runs the ladder differential on trees
-// grown by Insert (splits and forced reinsertion exercised), not just
-// bulk loading.
+// TestCursorInsertedTreeEquivalence runs the ladder differential on a tree
+// grown by Insert, whose last 300 points sit in the tail, not just on bulk
+// loading.
 func TestCursorInsertedTreeEquivalence(t *testing.T) {
 	tr, m := cursorTree(t, 13, 200, 4, 300)
 	rng := rand.New(rand.NewSource(99))
@@ -297,7 +297,8 @@ func TestCursorInsertedTreeEquivalence(t *testing.T) {
 
 // TestCursorLadderEquivalenceAcrossCapacities re-runs the rstar-level
 // differential test on trees that took inserts at node capacities 4, 8 and
-// 32 (one, one and four 8-lane vectors per block, padded and full): every
+// 32 (one, one and four 8-lane vectors per block, padded and full; the
+// first two repack inline, and all three end with a non-empty tail): every
 // round's emission stream must equal the window re-scan's, id for id and in
 // depth-first order, with the blocks verified after every insert.
 func TestCursorLadderEquivalenceAcrossCapacities(t *testing.T) {
@@ -314,11 +315,11 @@ func TestCursorLadderEquivalenceAcrossCapacities(t *testing.T) {
 }
 
 // TestBlocksTrackMutation pins the window-test blocks' maintenance contract:
-// whatever an Insert does — sorted leaf inserts, leaf and internal splits,
-// forced reinsertion at the leaf level and above, root growth — every leaf
-// block mirrors its entries' matrix rows and every internal block its
-// children's rects, padding +Inf, when the Insert returns. The script must
-// actually reach each of those paths at each capacity.
+// whatever an Insert does — append to a tail leaf, open a new tail leaf or
+// the tail itself, repack a full tail inline — every leaf block mirrors its
+// entries' matrix rows and every internal block its children's rects,
+// padding +Inf, when the Insert returns. The script must actually reach
+// each of those paths at each capacity.
 func TestBlocksTrackMutation(t *testing.T) {
 	for _, sc := range []struct{ maxEntries, inserts int }{{4, 600}, {8, 600}, {32, 3000}} {
 		rng := rand.New(rand.NewSource(77))
@@ -332,24 +333,26 @@ func TestBlocksTrackMutation(t *testing.T) {
 		if msg := tr.CheckInvariants(m); msg != "" {
 			t.Fatalf("M=%d after bulk load: %s", sc.maxEntries, msg)
 		}
-		rootGrowth, internalReinsert := false, false
+		newLeaves, repacks := 0, 0
 		for i := 0; i < sc.inserts; i++ {
 			p := make([]float32, 6)
 			for j := range p {
 				p[j] = float32(rng.NormFloat64() * 10)
 			}
-			before := tr.Height()
+			before := tr.TailLen()
 			tr.InsertPoint(m.Append(p), p)
 			if msg := tr.CheckInvariants(m); msg != "" {
 				t.Fatalf("M=%d after insert %d: %s", sc.maxEntries, i, msg)
 			}
-			rootGrowth = rootGrowth || tr.Height() > before
-			internalReinsert = internalReinsert || tr.reinserted&^1 != 0
+			switch after := tr.TailLen(); {
+			case after < before:
+				repacks++
+			case after%sc.maxEntries == 1:
+				newLeaves++
+			}
 		}
-		// A root that grows from an internal node is an internal split.
-		if !rootGrowth || tr.Height() < 3 || !internalReinsert {
-			t.Fatalf("M=%d: script too small: root growth %v, height %d, internal reinsertion %v",
-				sc.maxEntries, rootGrowth, tr.Height(), internalReinsert)
+		if repacks < 2 || newLeaves < sc.maxEntries {
+			t.Fatalf("M=%d: script too small: %d repacks, %d new tail leaves", sc.maxEntries, repacks, newLeaves)
 		}
 	}
 	// Degenerate leaves: identical points, every rect a point, every sort

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
-	"slices"
-	"sort"
 	"testing"
 
 	"dblsh/internal/vec"
@@ -15,8 +13,9 @@ import (
 
 // digest is a structural fingerprint of the tree: a depth-first walk hashing
 // every node's level, MBR bits, entry count, and — for leaves — the sort
-// axis and the ids in stored order. Children are walked in stored order, so
-// two trees share a digest only if they are the same tree node for node.
+// axis and the ids in stored order, over the packed tree and then, when
+// there is one, the tail. Children are walked in stored order, so two trees
+// share a digest only if they are the same tree node for node.
 func (t *Tree) digest() string {
 	h := sha256.New()
 	var buf [4]byte
@@ -46,6 +45,9 @@ func (t *Tree) digest() string {
 		}
 	}
 	walk(t.root)
+	if t.tail >= 0 {
+		walk(t.tail)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -68,221 +70,61 @@ func gridMatrix(n, d int, seed int64) *vec.Matrix {
 	return m
 }
 
-// identityScripts are the seeded build scripts whose resulting trees are
-// pinned by goldenDigests. bulk rows are STR-packed, the rest inserted in
-// row order.
+// identityScripts are the seeded scripts whose trees goldenDigests pins:
+// bulk rows are STR-packed, the rest added in row order (through the tail,
+// and through the inline repacks a full tail makes), and the tree is then
+// repacked.
 var identityScripts = []struct {
 	name string
 	data func() *vec.Matrix
 	bulk int
 	opts Options
 }{
-	{"empty/M4", func() *vec.Matrix { return randomMatrix(2000, 3, 101) }, 0, Options{MaxEntries: 4}},
-	{"empty/M8", func() *vec.Matrix { return randomMatrix(3000, 4, 102) }, 0, Options{MaxEntries: 8}},
-	{"empty/M32", func() *vec.Matrix { return randomMatrix(6000, 10, 103) }, 0, Options{}},
 	{"bulk/M4/quant", func() *vec.Matrix { return randomMatrix(3000, 3, 104) }, 1500, Options{MaxEntries: 4, Quantize: true}},
 	{"bulk/M8/quant", func() *vec.Matrix { return randomMatrix(5000, 5, 105) }, 3000, Options{MaxEntries: 8, Quantize: true}},
 	{"bulk/M32/quant", func() *vec.Matrix { return randomMatrix(22000, 10, 106) }, 20000, Options{Quantize: true}},
-	{"grid/empty/M4", func() *vec.Matrix { return gridMatrix(1500, 2, 107) }, 0, Options{MaxEntries: 4}},
-	{"grid/empty/M8", func() *vec.Matrix { return gridMatrix(2400, 3, 108) }, 0, Options{MaxEntries: 8}},
 	{"grid/bulk/M32/quant", func() *vec.Matrix { return gridMatrix(9000, 6, 109) }, 6000, Options{Quantize: true}},
 }
 
-// goldenDigests pin the trees node for node: the insert path's contract is
-// that it builds the tree the textbook formulation builds. The insert-only
-// digests (empty/*, grid/empty/*) were recorded before the insert path was
-// rewritten for speed and have never changed. The bulk digests were
-// re-recorded when STR packing began to leave free slots in each leaf
-// (leafFill); packing leaves to capacity reproduces the earlier four bit for
-// bit. grid/bulk was re-recorded again when STR's axis sorts became stable:
-// its grid coordinates tie at slab cuts, where tied items now keep the order
-// the previous axis left them in instead of pdqsort's; the parent's
-// comparator sort made stable (slices.SortStableFunc) builds this tree, and
-// the other three bulk digests, over continuous data, did not move.
+// goldenDigests pin the repacked trees node for node: a repack is Pack over
+// the same rows, and Pack depends on the data alone. They are the digests
+// of Pack over every row of each script; a change to packing re-records
+// them only as the verify notes' rule for goldens says.
 var goldenDigests = map[string]string{
-	"empty/M4":            "88ee0bf76c2904fcfdfae2dd9d918a15a58ad37e248e5123aab9028ca15dbdf6",
-	"empty/M8":            "3f33be693dc3156b9aeaa61621964b279ef2a6c7e055d05e1f5552efb3b34c72",
-	"empty/M32":           "be82040a79508b303a76c6e34fde12c8373d52f559a8d2b1ef33f3fd2ca094aa",
-	"bulk/M4/quant":       "ee946856d1e54117f014daad0c91a697dd46feea49fc5156cb440118c2f01607",
-	"bulk/M8/quant":       "13bb3ee367407f0202c6520848650b74e89f1d0097b0004898932bdf87e2680a",
-	"bulk/M32/quant":      "082d59a292e2c637424e678f6658e0359a93c8e9a538e505bc1c55f2e18c83e3",
-	"grid/empty/M4":       "56eac9fd02f1d189989dae9592ce7f1d0a7094961d1f45007740a6f893aad8da",
-	"grid/empty/M8":       "137ba96dccd2e389264e05f21162abaac29519e3d433c68ba948af6dd46ba084",
-	"grid/bulk/M32/quant": "a1057384e7f60f3f5146e3c2a723df33d54c015e40040ba5cc54366c25eaee07",
+	"bulk/M4/quant":       "275941c38f312aab6e63ee61539e3b45bc684c70c9f392f54e787193012e83cf",
+	"bulk/M8/quant":       "d47c46c924137c5517e1cfb097bcb775140a7152f5b1e6eed647fa8444374b0c",
+	"bulk/M32/quant":      "89f2c3122c0d08a74721385c18ae42c5052ecf6aef833f19027b4438618b7681",
+	"grid/bulk/M32/quant": "bcdb86a1ea2007a6cef8ff59ee5a393aca6645b483a1241b11922c3e3cd2f8cd",
 }
 
+// TestTreeIdentityGolden grows each script's pack by its adds, saved and
+// loaded at both ends, and requires every copy to repack into the golden
+// tree, which Pack over all the rows builds too.
 func TestTreeIdentityGolden(t *testing.T) {
 	for _, sc := range identityScripts {
 		data := sc.data()
-		ids := make([]int, sc.bulk)
-		for i := range ids {
-			ids[i] = i
-		}
-		tr := BulkLoadIDs(data, ids, sc.opts)
-		// The tenth pass: the tree saved here and loaded back — packed, and
-		// then grown by the same inserts — must be the tree that never left.
+		tr := Pack(data.Slice(0, sc.bulk), sc.opts)
 		loaded := reload(t, sc.name+" as packed", tr, data, sc.bulk, sc.opts)
 		for i := sc.bulk; i < data.Rows(); i++ {
 			tr.InsertPoint(i, data.Row(i))
 			loaded.InsertPoint(i, data.Row(i))
 		}
-		if sc.opts.MaxEntries != 0 && tr.Height() < 5 {
-			t.Fatalf("%s: height %d does not exercise internal splits", sc.name, tr.Height())
+		if tr.TailLen() == 0 || loaded.digest() != tr.digest() {
+			t.Fatalf("%s: tail of %d points; the loaded tree grew into another tree", sc.name, tr.TailLen())
 		}
 		want := goldenDigests[sc.name]
 		for name, tree := range map[string]*Tree{
 			"built":                tr,
 			"loaded, then grown":   loaded,
 			"grown, saved, loaded": reload(t, sc.name+" as grown", tr, data, data.Rows(), sc.opts),
-			"loaded twice over":    reload(t, sc.name+" loaded and grown", loaded, data, data.Rows(), sc.opts),
+			"packed outright":      Pack(data, sc.opts),
 		} {
+			tree.Repack()
 			if msg := tree.CheckInvariants(data); msg != "" {
 				t.Fatalf("%s (%s): invariant violated: %s", sc.name, name, msg)
 			}
 			if got := tree.digest(); got != want {
 				t.Errorf("%s (%s): digest %s, want %s (height %d)", sc.name, name, got, want, tree.Height())
-			}
-		}
-	}
-}
-
-// oracleOverlapEnlargement is the textbook formulation bestChild's bounded
-// sum must agree with: the full sum over all siblings, through materialised
-// rectangles.
-func oracleOverlapEnlargement(t *Tree, children []int32, i int, r Rect) float64 {
-	own := t.rect(children[i])
-	enlarged := own.Enlarged(r)
-	var delta float64
-	for j, c := range children {
-		if j == i {
-			continue
-		}
-		delta += enlarged.OverlapArea(t.rect(c)) - own.OverlapArea(t.rect(c))
-	}
-	return delta
-}
-
-// oracleBestChild is ChooseSubtree through materialised rectangles: over
-// leaves with every candidate's overlap enlargement summed to the end,
-// higher up by least area enlargement, ties by area.
-func oracleBestChild(t *Tree, level int, children []int32, r Rect) int32 {
-	enlargement := func(c int32) float64 { return t.rect(c).Enlarged(r).Area() - t.rect(c).Area() }
-	best := children[0]
-	bestEnl, bestArea := enlargement(best), t.rect(best).Area()
-	if level > 1 {
-		for _, c := range children[1:] {
-			if enl, area := enlargement(c), t.rect(c).Area(); enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = c, enl, area
-			}
-		}
-		return best
-	}
-	bestOverlap := oracleOverlapEnlargement(t, children, 0, r)
-	for i := 1; i < len(children); i++ {
-		c := children[i]
-		ov := oracleOverlapEnlargement(t, children, i, r)
-		if ov > bestOverlap {
-			continue
-		}
-		enl, area := enlargement(c), t.rect(c).Area()
-		if ov < bestOverlap || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestOverlap, bestEnl, bestArea = c, ov, enl, area
-		}
-	}
-	return best
-}
-
-// TestBestChildMatchesUnboundedOracle holds bestChild, which reads a
-// parent's blocks and sums overlaps only over the siblings BoxMask reaches,
-// to the textbook formulation over the children's rects. Parents hold 2 to
-// M children (bestChild never runs on an overflowing node), M up to 64 so
-// that every bit of the reach mask is used, over 1 to 12 axes; a quarter are
-// level-2 parents, where the area criterion decides.
-func TestBestChildMatchesUnboundedOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	negZero := float32(math.Copysign(0, -1))
-	for trial := 0; trial < 6000; trial++ {
-		dim := 1 + rng.Intn(12)
-		// Odd trials live on a coarse grid: coincident faces, zero-volume
-		// and duplicate rectangles, points on corners, and faces at +0 and
-		// −0 alike.
-		coord := func() float32 { return float32(rng.NormFloat64() * 10) }
-		if trial%2 == 1 {
-			coord = func() float32 {
-				if v := float32(rng.Intn(5) - 2); v != 0 || rng.Intn(2) == 0 {
-					return v
-				}
-				return negZero
-			}
-		}
-		randRect := func(point bool) Rect {
-			r := newRect(dim)
-			for d := 0; d < dim; d++ {
-				a, b := coord(), coord()
-				if point {
-					b = a
-				}
-				r.Min[d], r.Max[d] = min(a, b), max(a, b)
-			}
-			return r
-		}
-		opts := Options{}
-		if rng.Intn(3) == 0 {
-			opts.MaxEntries = maxCapacity
-		}
-		tr := New(dim, opts)
-		tr.scr() // bestChild runs beneath Insert, which creates the scratch
-		M := tr.opts.MaxEntries
-		level := 1
-		if rng.Intn(4) == 0 {
-			level = 2
-		}
-		parent := tr.newNode(level)
-		children := 2 + rng.Intn(M-1)
-		if rng.Intn(4) == 0 {
-			children = M
-		}
-		for ; children > 0; children-- {
-			c := tr.newNode(level - 1)
-			rect := randRect(rng.Intn(8) == 0)
-			if k := tr.entries(parent); len(k) > 0 && rng.Intn(6) == 0 {
-				rect = tr.rect(k[rng.Intn(len(k))])
-			}
-			own := tr.rect(c)
-			own.set(rect)
-			tr.push(parent, c)
-		}
-		tr.rebuildBoxes(parent)
-		r := randRect(trial%4 != 3)
-		if got, want := tr.bestChild(parent, r), oracleBestChild(tr, level, tr.entries(parent), r); got != want {
-			t.Fatalf("trial %d (level %d, dim %d, M %d, %d children): bestChild picked a different child",
-				trial, level, dim, M, len(tr.entries(parent)))
-		}
-	}
-}
-
-// TestSortPairsMatchesSortSlice pins what the same-tree guarantee borrows
-// from the standard library: sorting extracted pairs with slices.SortFunc
-// permutes them exactly as sort.Slice permutes the entries themselves,
-// equal keys included. The cases are the size of a node being split or
-// force-reinserted, the only sorts byKey still serves.
-func TestSortPairsMatchesSortSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 3000; trial++ {
-		keys := make([]float32, rng.Intn(90))
-		spread := 1 + rng.Intn(12) // few distinct keys: many ties
-		ids := make([]int32, len(keys))
-		pairs := make([]sortPair, len(keys))
-		for i := range keys {
-			keys[i] = float32(rng.Intn(spread))
-			ids[i] = int32(i)
-			pairs[i] = sortPair{key: float64(keys[i]), idx: int32(i)}
-		}
-		sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] < keys[ids[b]] })
-		slices.SortFunc(pairs, byKey)
-		for i := range ids {
-			if pairs[i].idx != ids[i] {
-				t.Fatalf("trial %d (n=%d): permutations diverge at %d", trial, len(keys), i)
 			}
 		}
 	}

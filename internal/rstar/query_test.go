@@ -11,9 +11,17 @@ package rstar
 // materializes a query-centric bucket W(G(q), w0·r) as a window query on the
 // projected space.
 func (t *Tree) Window(w Rect, visit func(id int) bool) {
-	if t.size > 0 {
-		t.window(t.root, w, visit)
+	t.WindowVisits(w, visit)
+}
+
+// Intersects reports whether r and s share any point.
+func (r Rect) Intersects(s Rect) bool {
+	for i := range r.Min {
+		if r.Min[i] > s.Max[i] || r.Max[i] < s.Min[i] {
+			return false
+		}
 	}
+	return true
 }
 
 // window is Window below node n; it also returns how many nodes it
@@ -56,12 +64,20 @@ func (t *Tree) entryInside(coords []float32, j int, w Rect) bool {
 }
 
 // WindowVisits is Window, additionally returning the number of tree nodes
-// examined.
+// examined. It scans the packed tree, then the tail: the cursor's
+// depth-first order.
 func (t *Tree) WindowVisits(w Rect, visit func(id int) bool) int {
-	if t.size == 0 {
-		return 0
+	nodes := 0
+	for _, n := range [2]int32{t.root, t.tail} {
+		if n < 0 || t.heads[n].count == 0 {
+			continue
+		}
+		sub, ok := t.window(n, w, visit)
+		nodes += sub
+		if !ok {
+			break
+		}
 	}
-	nodes, _ := t.window(t.root, w, visit)
 	return nodes
 }
 

@@ -1,7 +1,7 @@
-// Package rstar implements an in-memory R*-tree over low-dimensional points,
+// Package rstar implements an in-memory R-tree over low-dimensional points,
 // the multi-dimensional index substrate of DB-LSH (Section IV-B of the
-// paper). It supports STR bulk loading, incremental insertion with forced
-// reinsertion, and window (hyper-rectangle) queries with early termination.
+// paper): STR bulk loading, an append-only tail for the points added since,
+// and incremental window (hyper-rectangle) queries.
 //
 // The tree indexes points only (no extended objects): each entry is an id
 // and the point's projected coordinates, which the tree copies into its
@@ -19,28 +19,22 @@
 // a node per call into internal/vec's kernel table over those blocks; the
 // tests' Window re-scans the same blocks one entry and one scalar comparison
 // at a time and is the oracle the cursor is held to. The blocks are part of the
-// tree: every mutation that moves an entry or changes a child's rectangle
+// tree: every mutation that adds an entry or widens a child's rectangle
 // rewrites the lanes it touched before it returns (the tests'
 // CheckInvariants compares them all), and no query ever writes one, so any
 // number of cursors may read a tree at once.
 //
-// Insertion is the textbook R*-tree algorithm and builds the textbook tree,
-// but is written to its cost model rather than to its definition. A bulk
-// load tiles with STR, sorting each axis with a stable radix sort: entries
-// whose coordinates tie keep the order the previous axis left them in (the
-// caller's id order at the first), so a packed tree depends on the data
-// alone. It packs each leaf ⌈M/16⌉ entries short of capacity (two at
-// M = 32), so an insert into a freshly loaded tree is one descent with no
-// overflow treatment until its leaf has taken that many; only then does the
-// leaf overflow and force-reinsert 30 % of its entries, each a descent of
-// its own. ChooseSubtree reads the children's faces from the node's
-// blocks, sums a candidate's overlap enlargement only over the siblings
-// vec.BoxMask finds within reach of it and abandons the sum once it exceeds
-// the best so far, splits sweep prefix/suffix bounding boxes once per sort
-// order, and all working memory is per-tree scratch. None of that changes a
-// decision: every comparison sees the same bits in the same order as the
-// O(M²·dim) formulation, so the tree is identical node for node (see
-// Tree.InsertPoint; pinned by golden structural digests in the tests).
+// The paper builds its trees once and leaves updates to future work; this
+// package keeps that shape and follows Bentley and Saxe's static-to-dynamic
+// transformation. A tree is an STR pack, built by a stable radix sort per
+// axis so that it depends on the data alone, plus a tail: one level-1 node
+// over leaves filled in arrival order, which an add appends to with no
+// descent, split or reinsertion. Repack gathers every point out of the
+// leaves and packs them afresh, which yields the tree Pack builds over the
+// same rows, node for node (pinned by golden structural digests in the
+// tests). Tail leaves are as wide as arrival order makes them, so a query
+// pays about one leaf test per tail leaf it reaches; the capacity of the
+// tail (TailCap) bounds that cost.
 //
 // Traversal and visit order feed the candidate stream directly, so the
 // package is determinism-critical and patrolled by dblsh-lint's detorder
@@ -53,13 +47,6 @@ package rstar
 // dimensionality and Min[i] ≤ Max[i] for all i.
 type Rect struct {
 	Min, Max []float32
-}
-
-// newRect returns the zero rectangle at the origin, both corners carved from
-// one allocation.
-func newRect(dim int) Rect {
-	buf := make([]float32, 2*dim)
-	return Rect{Min: buf[:dim:dim], Max: buf[dim:]}
 }
 
 // WindowRect returns the hypercubic window of width w centred at c — the
@@ -75,65 +62,14 @@ func WindowRect(center []float32, w float64) Rect {
 	return Rect{Min: min, Max: max}
 }
 
-// Area returns the d-dimensional volume of r.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Min {
-		a *= float64(r.Max[i] - r.Min[i])
-	}
-	return a
-}
-
-// Margin returns the sum of edge lengths of r (the R*-split "margin").
-func (r Rect) Margin() float64 {
-	var m float64
-	for i := range r.Min {
-		m += float64(r.Max[i] - r.Min[i])
-	}
-	return m
-}
-
-// Intersects reports whether r and s share any point.
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Min {
-		if r.Min[i] > s.Max[i] || r.Max[i] < s.Min[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// OverlapArea returns the volume of the intersection of r and s.
-func (r Rect) OverlapArea(s Rect) float64 {
-	a := 1.0
-	for i := range r.Min {
-		lo := r.Min[i]
-		if s.Min[i] > lo {
-			lo = s.Min[i]
-		}
-		hi := r.Max[i]
-		if s.Max[i] < hi {
-			hi = s.Max[i]
-		}
-		if hi <= lo {
-			return 0
-		}
-		a *= float64(hi - lo)
-	}
-	return a
-}
-
-// set overwrites r with a copy of s, reusing r's storage once it has any.
-func (r *Rect) set(s Rect) {
-	if len(r.Min) != len(s.Min) {
-		*r = newRect(len(s.Min))
-	}
+// set overwrites r's corners, which must have s's length, with s's.
+func (r Rect) set(s Rect) {
 	copy(r.Min, s.Min)
 	copy(r.Max, s.Max)
 }
 
 // ExpandInPlace grows r to include s, reusing r's storage.
-func (r *Rect) ExpandInPlace(s Rect) {
+func (r Rect) ExpandInPlace(s Rect) {
 	for i := range r.Min {
 		if s.Min[i] < r.Min[i] {
 			r.Min[i] = s.Min[i]
@@ -145,7 +81,7 @@ func (r *Rect) ExpandInPlace(s Rect) {
 }
 
 // ExpandPoint grows r to include point p, reusing r's storage.
-func (r *Rect) ExpandPoint(p []float32) {
+func (r Rect) ExpandPoint(p []float32) {
 	for i, v := range p {
 		if v < r.Min[i] {
 			r.Min[i] = v
@@ -156,24 +92,9 @@ func (r *Rect) ExpandPoint(p []float32) {
 	}
 }
 
-// Center writes the rectangle's centroid into dst and returns it; pass nil
-// to allocate.
-func (r Rect) Center(dst []float32) []float32 {
-	if dst == nil {
-		dst = make([]float32, len(r.Min))
-	}
+// Center writes the rectangle's centroid into dst.
+func (r Rect) Center(dst []float32) {
 	for i := range r.Min {
 		dst[i] = (r.Min[i] + r.Max[i]) / 2
 	}
-	return dst
-}
-
-// CenterDistSq returns the squared distance between the centroids of r and s.
-func (r Rect) CenterDistSq(s Rect) float64 {
-	var out float64
-	for i := range r.Min {
-		d := float64(r.Min[i]+r.Max[i])/2 - float64(s.Min[i]+s.Max[i])/2
-		out += d * d
-	}
-	return out
 }

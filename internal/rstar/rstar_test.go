@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -93,12 +94,6 @@ func sortedEqual(a, b []int) bool {
 
 func TestRectBasics(t *testing.T) {
 	r := NewRect([]float32{0, 0}, []float32{2, 3})
-	if r.Area() != 6 {
-		t.Fatalf("Area = %v", r.Area())
-	}
-	if r.Margin() != 5 {
-		t.Fatalf("Margin = %v", r.Margin())
-	}
 	if !r.contains([]float32{2, 3}) || !r.contains([]float32{0, 0}) {
 		t.Fatal("faces must be inclusive")
 	}
@@ -109,21 +104,15 @@ func TestRectBasics(t *testing.T) {
 
 func TestRectOverlap(t *testing.T) {
 	a := NewRect([]float32{0, 0}, []float32{2, 2})
-	b := NewRect([]float32{1, 1}, []float32{3, 3})
-	if got := a.OverlapArea(b); got != 1 {
-		t.Fatalf("OverlapArea = %v, want 1", got)
+	if b := NewRect([]float32{1, 1}, []float32{3, 3}); !a.Intersects(b) {
+		t.Fatal("overlapping rects must intersect")
 	}
-	c := NewRect([]float32{5, 5}, []float32{6, 6})
-	if a.Intersects(c) || a.OverlapArea(c) != 0 {
-		t.Fatal("disjoint rects must not overlap")
+	if c := NewRect([]float32{5, 5}, []float32{6, 6}); a.Intersects(c) {
+		t.Fatal("disjoint rects must not intersect")
 	}
-	// Touching faces intersect with zero volume.
-	d := NewRect([]float32{2, 0}, []float32{3, 2})
-	if !a.Intersects(d) {
+	// Touching faces intersect.
+	if d := NewRect([]float32{2, 0}, []float32{3, 2}); !a.Intersects(d) {
 		t.Fatal("touching rects must intersect")
-	}
-	if a.OverlapArea(d) != 0 {
-		t.Fatal("touching rects overlap area must be 0")
 	}
 }
 
@@ -180,7 +169,7 @@ func TestInsertSmall(t *testing.T) {
 	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
 	}
-	all := tr.WindowAll(tr.rect(tr.root))
+	all := tr.WindowAll(WindowRect(make([]float32, 2), 1e6))
 	want := make([]int, 10)
 	for i := range want {
 		want[i] = i
@@ -353,6 +342,8 @@ func TestInsertOutOfRangePanics(t *testing.T) {
 	data := randomMatrix(5, 2, 1)
 	for name, insert := range map[string]func(){
 		"negative id":                  func() { New(2, Options{}).InsertPoint(-1, data.Row(0)) },
+		"an id other than Size()":      func() { Pack(data, Options{}).InsertPoint(6, data.Row(0)) },
+		"an id already held":           func() { Pack(data, Options{}).InsertPoint(4, data.Row(0)) },
 		"point of the wrong dimension": func() { New(3, Options{}).InsertPoint(0, data.Row(0)) },
 		"row id past the matrix":       func() { BulkLoad(data, Options{}).Insert(5) },
 		"row id into a packed tree":    func() { Pack(data, Options{}).Insert(0) },
@@ -423,56 +414,17 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 
 // bulkThenInsert returns a tree STR-packed over the first base rows of
 // data, the rest left for InsertPoint — the production shape: a shard's
-// trees are bulk-loaded at build and compaction time and grow by inserts in
-// between.
+// trees are packed at build and repack time and take adds in between.
 func bulkThenInsert(data *vec.Matrix, base int, opts Options) *Tree {
 	return Pack(data.Slice(0, base), opts)
 }
 
-// BenchmarkInsert times InsertPoint into a bulk-loaded 100k×10 tree. Every
-// 2 000 inserts the tree is re-packed off the clock, so ns/op is the cost of
-// the first inserts after a bulk load whatever b.N is: most find a free slot in
-// the packed leaf they descend to and are one descent; the few whose leaf
-// has filled up by then overflow it (forced reinsertion, then splits).
-func BenchmarkInsert(b *testing.B) {
-	const base, extra = 100_000, 2_000
-	data := randomMatrix(base+extra, 10, 1)
-	b.ReportAllocs()
-	var tr *Tree
-	for i := 0; i < b.N; i++ {
-		if i%extra == 0 {
-			b.StopTimer()
-			tr = bulkThenInsert(data, base, Options{})
-			b.StartTimer()
-		}
-		id := base + i%extra
-		tr.InsertPoint(id, data.Row(id))
-	}
-}
-
-// BenchmarkChooseSubtree times descents alone: ChooseSubtree from the root
-// of a packed 100k×10 tree down to the leaf a new point would go to, for
-// points drawn like the tree's own, with nothing inserted. It is
-// BenchmarkInsert without the leaf write and overflow treatment.
-func BenchmarkChooseSubtree(b *testing.B) {
-	const base, extra = 100_000, 2_000
-	data := randomMatrix(base+extra, 10, 1)
-	tr := Pack(data.Slice(0, base), Options{})
-	tr.scr()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := data.Row(base + i%extra)
-		tr.descend(Rect{Min: p, Max: p}, 0)
-	}
-}
-
-// TestInsertAllocCeiling pins the allocation removal: once the per-tree
-// scratch exists, an Insert allocates only when the arena grows — a block
-// chunk every 64 slots, the per-slot slices as append regrows them — which
-// is well under one allocation per insert, where pointer-linked nodes made
-// 2–3 and the path before them ~660. The ceiling also holds under -race,
-// where append growth is not extended in place.
+// TestInsertAllocCeiling pins what an append allocates: only when the arena
+// grows — a block chunk every 64 slots, the per-slot slices as append
+// regrows them once a new tail leaf needs a slot — which is well under one
+// allocation per insert. The ceiling also holds under -race, where append
+// growth is not extended in place. The runs stay inside one tail, so no
+// repack (which allocates a whole new arena) falls among them.
 func TestInsertAllocCeiling(t *testing.T) {
 	const base, warm, runs = 20_000, 100, 400
 	data := randomMatrix(base+warm+runs+1, 10, 2)
@@ -485,8 +437,8 @@ func TestInsertAllocCeiling(t *testing.T) {
 		tr.InsertPoint(next, data.Row(next))
 		next++
 	})
-	if avg > 2 {
-		t.Fatalf("Insert after bulk load: %.1f allocs/op, ceiling 2", avg)
+	if avg > 0.5 {
+		t.Fatalf("Insert after bulk load: %.2f allocs/op, ceiling 0.5", avg)
 	}
 	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
@@ -498,7 +450,7 @@ func TestInsertAllocCeiling(t *testing.T) {
 // the rest; interior nodes full but the last of each level; and an arena
 // that holds exactly its slots — per-slot slices without append's slack, a
 // last block chunk cut where the last block ends — and grows past them on
-// its first split as any arena does.
+// its first add, which opens the tail, as any arena does.
 func TestBulkLoadFill(t *testing.T) {
 	for _, m := range []int{4, 8, 32, 64} {
 		for _, n := range []int{1, 999, 20_000} {
@@ -548,27 +500,36 @@ func TestBulkLoadFill(t *testing.T) {
 				tr.InsertPoint(i, data.Row(i))
 			}
 			if msg := tr.CheckInvariants(data); msg != "" {
-				t.Fatalf("%s: after the first split: %s", name, msg)
+				t.Fatalf("%s: after the first add: %s", name, msg)
 			}
 		}
 	}
 }
 
-// TestPackedLeavesTakeInserts: an Insert into a freshly packed tree finds a
-// free slot in the leaf it descends to. The fifty inserts that follow a
-// bulk load of 100k × 10 rows, drawn from the same distribution, are each
-// one descent: no forced reinsertion, no split, no new slot.
-func TestPackedLeavesTakeInserts(t *testing.T) {
+// TestAppendsLeaveThePackUntouched: an add into a packed tree goes to the
+// tail and touches nothing of the pack. After 50 adds to a 100k × 10 pack,
+// every slot the pack took — heads, entries, rects and blocks — holds what
+// it held, and the arena has grown by exactly the tail node and the two
+// leaves the adds filled.
+func TestAppendsLeaveThePackUntouched(t *testing.T) {
 	const base, more = 100_000, 50
 	data := randomMatrix(base+more, 10, 3)
 	tr := bulkThenInsert(data, base, Options{})
-	slots := len(tr.heads)
+	before := tr.Snapshot()
 	for i := base; i < base+more; i++ {
 		tr.InsertPoint(i, data.Row(i))
-		if tr.reinserted != 0 || len(tr.heads) != slots {
-			t.Fatalf("insert %d after the load was overflow-treated (reinserted levels %b, slots %d → %d)",
-				i-base, tr.reinserted, slots, len(tr.heads))
-		}
+	}
+	after := tr.Snapshot()
+	slots := len(before.Heads) / 2
+	if got := len(after.Heads)/2 - slots; got != 2+2 {
+		t.Fatalf("the adds took %d slots, want the tail node's two and two leaves", got)
+	}
+	if !slices.Equal(after.Heads[:2*slots], before.Heads) || !slices.Equal(after.Ents[:len(before.Ents)], before.Ents) ||
+		!slices.Equal(after.Rects[:len(before.Rects)], before.Rects) || !slices.Equal(after.Blocks[:len(before.Blocks)], before.Blocks) {
+		t.Fatal("an add rewrote a slot of the pack")
+	}
+	if tr.TailLen() != more || tr.Height() != bulkThenInsert(data, base, Options{}).Height() {
+		t.Fatalf("tail of %d points, height %d", tr.TailLen(), tr.Height())
 	}
 	if msg := tr.CheckInvariants(data); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)

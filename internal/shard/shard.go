@@ -20,11 +20,16 @@
 // # Compaction
 //
 // Compaction rebuilds one shard from its live rows, dropping tombstone
-// debt, while every shard — including the one being compacted — keeps
-// serving: the shard is snapshotted under a read lock, rebuilt with no
-// locks held, and swapped in under a write lock held just long enough to
-// replay the mutations that raced the rebuild. This turns the paper's
-// offline full rebuild into an online per-shard operation.
+// debt and folding the rows added since the last pack, which wait in the
+// trees' tails, into a fresh STR pack. Every shard — including the one
+// being compacted — keeps serving: the shard's live rows and their
+// projections, gathered out of the trees' leaves, are copied under a read
+// lock, packed with no locks held, and swapped in under a write lock held
+// just long enough to replay the mutations that raced the rebuild. This
+// turns the paper's offline full rebuild into an online per-shard
+// operation. An add schedules one in the background once the shard's tail
+// holds half its capacity; an add that finds the tail full repacks it
+// inline (core.Index.Insert).
 //
 // # Identity
 //
@@ -75,6 +80,7 @@ type Set struct {
 	shards      []*state
 	nextID      atomic.Int64 // global id allocator / id-space bound
 	pool        sync.Pool    // of *Searcher, for SearchBatch's queries
+	tailCap     int          // rows a shard's tails hold (core.Index.UnpackedCap)
 
 	// metrics is the optional compaction observability hook set, swapped
 	// in atomically so SetMetrics is safe while background auto-compaction
@@ -90,9 +96,11 @@ type Metrics struct {
 	// that shard's searches.
 	InsertSeconds *obs.Histogram
 	// CompactionRuns counts completed compactions that actually rebuilt a
-	// shard (clean shards short-circuit and are not counted).
+	// shard (clean shards short-circuit and are not counted), and the
+	// inline repacks of adds that found a tail full.
 	CompactionRuns *obs.Counter
-	// CompactionSeconds is the duration distribution of those rebuilds.
+	// CompactionSeconds is the duration distribution of those rebuilds; an
+	// inline repack's is the whole add that ran it.
 	CompactionSeconds *obs.Histogram
 }
 
@@ -223,6 +231,7 @@ func Build(flat []float32, n, dim, shards int, compactFrac float64, cfg core.Con
 		s.shards[i] = st
 		return nil
 	})
+	s.tailCap = s.shards[0].idx.UnpackedCap()
 	s.pool.New = func() interface{} { return s.NewSearcher() }
 	return s
 }
@@ -296,6 +305,7 @@ func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []
 	if err != nil {
 		return nil, err
 	}
+	s.tailCap = s.shards[0].idx.UnpackedCap()
 	s.pool.New = func() interface{} { return s.NewSearcher() }
 	return s, nil
 }
@@ -340,6 +350,18 @@ func (s *Set) Deleted() int {
 	return n
 }
 
+// Unpacked returns the number of rows in the shards' tails, added since
+// each shard was last packed.
+func (s *Set) Unpacked() int {
+	n := 0
+	for _, st := range s.shards {
+		st.mu.RLock()
+		n += st.idx.Unpacked()
+		st.mu.RUnlock()
+	}
+	return n
+}
+
 // IndexSizeBytes sums the per-shard tree footprints.
 func (s *Set) IndexSizeBytes() int64 {
 	var b int64
@@ -362,13 +384,15 @@ func (s *Set) Add(v []float32) int {
 	st := s.shards[g%stride]
 	st.mu.Lock()
 	st.insert(g, stride, v, s.metrics.Load())
+	size, dead, unpacked := st.debt()
 	st.mu.Unlock()
+	s.maybeAutoCompact(st, size, dead, unpacked)
 	return g
 }
 
 // insert indexes v in the shard under global id g. Callers hold st.mu for
-// writing, so the time spent in the index insert — L R*-tree insertions
-// side by side, as long as the slowest of them — is time every search on
+// writing, so the time spent in the index insert — a hash and L appends,
+// or an inline repack when the tails are full — is time every search on
 // this shard waits; m.InsertSeconds records it.
 //
 // dblsh:locked mu
@@ -382,9 +406,15 @@ func (st *state) insert(g, stride int, v []float32, m *Metrics) {
 	if m != nil {
 		start = time.Now()
 	}
+	repacks := st.idx.Unpacked() == st.idx.UnpackedCap()
 	local := st.idx.Insert(v)
 	if m != nil {
-		m.InsertSeconds.Observe(time.Since(start).Seconds())
+		d := time.Since(start).Seconds()
+		m.InsertSeconds.Observe(d)
+		if repacks { // the insert repacked a full tail inline
+			m.CompactionRuns.Inc()
+			m.CompactionSeconds.Observe(d)
+		}
 	}
 	st.globals = append(st.globals, g)
 	if st.localOf != nil {
@@ -477,48 +507,70 @@ func (s *Set) Delete(g int) bool {
 	st.mu.Lock()
 	l := st.local(g, len(s.shards))
 	deleted := l >= 0 && st.idx.Delete(l)
-	var size, dead int
-	if deleted {
-		size, dead = st.idx.Size(), st.idx.Deleted()
-	}
+	size, dead, unpacked := st.debt()
 	st.mu.Unlock()
 	if deleted {
-		s.maybeAutoCompact(st, size, dead)
+		s.maybeAutoCompact(st, size, dead, unpacked)
 	}
 	return deleted
 }
 
-// maybeAutoCompact schedules a background compaction of st when its
-// tombstoned fraction has reached the threshold, and reports whether it did.
-func (s *Set) maybeAutoCompact(st *state, size, dead int) bool {
-	frac := s.CompactFraction()
-	if frac <= 0 || size < autoCompactMinRows {
-		return false
+// debt returns what a compaction of the shard would work off: its resident
+// rows, its tombstones, and the rows in its trees' tails. Callers hold
+// st.mu.
+//
+// dblsh:locked mu
+func (st *state) debt() (size, dead, unpacked int) {
+	return st.idx.Size(), st.idx.Deleted(), st.idx.Unpacked()
+}
+
+// owes reports whether a shard with the given debt owes a compaction: its
+// tails hold half their capacity, or its tombstoned fraction has reached
+// the threshold (which 0 disables). The tail's half is a fixed share, not
+// an option: far enough from full that the rebuild finishes before an add
+// has to repack inline, and every tail row a query walks costs it about a
+// leaf test in L trees.
+func (s *Set) owes(size, dead, unpacked int) bool {
+	if 2*unpacked >= s.tailCap {
+		return true
 	}
-	if float64(dead) < frac*float64(size) {
+	frac := s.CompactFraction()
+	return frac > 0 && size >= autoCompactMinRows && float64(dead) >= frac*float64(size)
+}
+
+// maybeAutoCompact schedules a background compaction of st when it owes
+// one, and reports whether it did.
+func (s *Set) maybeAutoCompact(st *state, size, dead, unpacked int) bool {
+	if !s.owes(size, dead, unpacked) {
 		return false
 	}
 	if !st.compacting.CompareAndSwap(false, true) {
 		return false // one compaction of this shard at a time
 	}
 	go func() {
-		defer st.compacting.Store(false)
 		s.compactState(st)
+		st.compacting.Store(false)
+		// The mutations that raced the rebuild were replayed onto it, and
+		// those that found this one in flight scheduled nothing: what they
+		// left may owe another.
+		st.mu.RLock()
+		size, dead, unpacked := st.debt()
+		st.mu.RUnlock()
+		s.maybeAutoCompact(st, size, dead, unpacked)
 	}()
 	return true
 }
 
-// CompactOwed schedules one background compaction of every shard whose
-// tombstoned fraction has reached the threshold — the compactions that the
-// Deletes Replay applied did not schedule — and returns how many it
-// scheduled.
+// CompactOwed schedules one background compaction of every shard that owes
+// one — the compactions that the records Replay applied did not schedule —
+// and returns how many it scheduled.
 func (s *Set) CompactOwed() int {
 	n := 0
 	for _, st := range s.shards {
 		st.mu.RLock()
-		size, dead := st.idx.Size(), st.idx.Deleted()
+		size, dead, unpacked := st.debt()
 		st.mu.RUnlock()
-		if s.maybeAutoCompact(st, size, dead) {
+		if s.maybeAutoCompact(st, size, dead, unpacked) {
 			n++
 		}
 	}
@@ -526,15 +578,17 @@ func (s *Set) CompactOwed() int {
 }
 
 // CompactShard rebuilds shard i from its live rows, dropping all tombstones
-// while every shard — including i itself — keeps serving. Global ids are
-// preserved. It returns the number of tombstones reclaimed (0 when the
-// shard was clean).
+// and repacking its tails, while every shard — including i itself — keeps
+// serving. Global ids are preserved. It returns the number of tombstones
+// reclaimed (0 when the shard had none, whether or not it repacked).
 //
-// The rebuild is online: the shard is snapshotted under a read lock
-// (searches unaffected, mutations to this shard wait only for the row
-// copy), the replacement index is built with no locks held, and the write
-// lock is taken just long enough to replay the mutations that raced the
-// build and swap the index in.
+// The rebuild is online: the live rows and their projections are copied
+// under a read lock (searches unaffected, mutations to this shard wait only
+// for the copy), the replacement index is packed with no locks held, and
+// the write lock is taken just long enough to replay the mutations that
+// raced the build and swap the index in. Nothing is hashed: the
+// projections come out of the old trees' leaves (core.Index.Projections),
+// and the new index is core.Build's over the same rows, node for node.
 func (s *Set) CompactShard(i int) int {
 	return s.compactState(s.shards[i])
 }
@@ -543,10 +597,10 @@ func (s *Set) compactState(st *state) int {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
 
-	// Snapshot the live rows under the read lock.
+	// Snapshot the live rows and their projections under the read lock.
 	st.mu.RLock()
 	old := st.idx
-	if old.Deleted() == 0 {
+	if old.Deleted() == 0 && old.Unpacked() == 0 {
 		st.mu.RUnlock()
 		return 0
 	}
@@ -558,6 +612,7 @@ func (s *Set) compactState(st *state) int {
 		}
 	}()
 	live, oldLocals := old.LiveRows()
+	projected := old.Projections(oldLocals)
 	snapGlobals := make([]int, len(oldLocals))
 	for j, ol := range oldLocals {
 		snapGlobals[j] = st.globals[ol]
@@ -571,7 +626,7 @@ func (s *Set) compactState(st *state) int {
 	c := s.cfg
 	c.Seed = st.seed
 	c.InitialRadius = 0 // re-estimate from the compacted content
-	fresh := core.Build(live, c)
+	fresh := core.Repack(live, projected, c)
 
 	// Swap under the write lock, replaying whatever raced the build: rows
 	// appended after the snapshot, and tombstones laid on snapshot rows.
@@ -617,6 +672,7 @@ type Info struct {
 	Size           int // resident vectors (live + tombstoned)
 	Live           int
 	Deleted        int
+	Unpacked       int // rows in the trees' tails, not yet repacked
 	Compactions    int
 	LastCompaction time.Time // zero until the first compaction
 	IndexSizeBytes int64
@@ -632,6 +688,7 @@ func (s *Set) Infos() []Info {
 			Size:           st.idx.Size(),
 			Live:           st.idx.Live(),
 			Deleted:        st.idx.Deleted(),
+			Unpacked:       st.idx.Unpacked(),
 			Compactions:    st.compactions,
 			LastCompaction: st.lastCompaction,
 			IndexSizeBytes: st.idx.IndexSizeBytes(),

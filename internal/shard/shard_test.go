@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"dblsh/internal/core"
+	"dblsh/internal/obs"
 	"dblsh/internal/vec"
+	"dblsh/internal/wal"
 )
 
 // search answers one (c,k)-ANN query on a fresh Searcher of s.
@@ -356,6 +358,70 @@ func TestAutoCompaction(t *testing.T) {
 	s.Compact()
 	if got := s.Deleted(); got != 0 {
 		t.Fatalf("tombstones after manual compaction: %d", got)
+	}
+}
+
+// TestAddsScheduleRepacks pins the repack policy: with auto-compaction off,
+// adds that fill a shard's tail past half its capacity schedule background
+// rebuilds that drive it back below half, without a tombstone in sight;
+// ids survive the rebuilds, and
+// every added row is found at distance 0. A manual Compact then leaves no
+// row unpacked, and every repack, background or inline, is counted and
+// timed in the compaction metrics.
+func TestAddsScheduleRepacks(t *testing.T) {
+	const n, d, S, added = 400, 8, 2, 3000
+	flat, _ := corpus(n+added, d, 73)
+	s := Build(flat[:n*d], n, d, S, 0, core.Config{K: 4, L: 2, T: 20, Seed: 73})
+	reg := obs.NewRegistry()
+	s.SetMetrics(Metrics{
+		CompactionRuns:    reg.Counter("runs", ""),
+		CompactionSeconds: reg.Histogram("seconds", "", obs.LatencyBuckets()),
+	})
+	for i := n; i < n+added; i++ {
+		if g := s.Add(flat[i*d : (i+1)*d]); g != i {
+			t.Fatalf("add %d got id %d", i, g)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		owed := false
+		for _, in := range s.Infos() {
+			owed = owed || 2*in.Unpacked >= s.tailCap || in.Compactions == 0
+		}
+		if !owed && !s.shards[0].compacting.Load() && !s.shards[1].compacting.Load() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("repacks never caught up: %+v", s.Infos())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s.Deleted() != 0 || s.Len() != n+added {
+		t.Fatalf("%d rows, %d tombstones after the repacks", s.Len(), s.Deleted())
+	}
+	for g := 0; g < n+added; g += 97 {
+		nbs, _, err := search(s, flat[g*d:(g+1)*d], 1, core.QueryParams{})
+		if err != nil || len(nbs) == 0 || nbs[0].Dist != 0 {
+			t.Fatalf("row %d: %v, %v", g, nbs, err)
+		}
+	}
+	if s.Compact(); s.Unpacked() != 0 {
+		t.Fatalf("%d rows unpacked after Compact", s.Unpacked())
+	}
+	m := s.metrics.Load()
+	runs := m.CompactionRuns.Value()
+	if runs == 0 || m.CompactionSeconds.Count() != uint64(runs) {
+		t.Fatalf("%d repacks counted, %d timed", runs, m.CompactionSeconds.Count())
+	}
+	// A replayed burst schedules nothing, so a shard's tail fills and the
+	// add that finds it full repacks inline; that repack is observed too.
+	recs := make([]wal.Record, s.tailCap+1)
+	for j := range recs {
+		recs[j] = wal.Record{Op: wal.OpAdd, ID: uint64(s.NextID() + S*j), Row: flat[:d]}
+	}
+	s.Replay(recs)
+	if got := m.CompactionRuns.Value(); got != runs+1 || m.CompactionSeconds.Count() != uint64(got) {
+		t.Fatalf("after an inline repack: %d repacks counted, %d timed, want %d", got, m.CompactionSeconds.Count(), runs+1)
 	}
 }
 

@@ -37,15 +37,18 @@ func (idx *Index) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dblsh_shards",
 		"Number of independently locked index shards.",
 		func() float64 { return float64(idx.set.Shards()) })
+	reg.GaugeFunc("dblsh_shard_unpacked_rows",
+		"Rows added since their shard was last packed, which queries walk in arrival order; summed over the shards (/stats has each shard's).",
+		func() float64 { return float64(idx.set.Unpacked()) })
 
 	idx.set.SetMetrics(shard.Metrics{
 		InsertSeconds: reg.Histogram("dblsh_shard_insert_seconds",
 			"Time an add holds its shard's write lock inside the index insert (searches on that shard wait this long).",
 			obs.LatencyBuckets()),
 		CompactionRuns: reg.Counter("dblsh_compactions_total",
-			"Completed shard compactions (manual, API and auto-triggered)."),
+			"Completed shard compactions and repacks (manual, API and auto-triggered)."),
 		CompactionSeconds: reg.Histogram("dblsh_compaction_seconds",
-			"Duration of completed shard compactions.", obs.LatencyBuckets()),
+			"Duration of completed shard compactions and repacks.", obs.LatencyBuckets()),
 	})
 
 	d := idx.dur

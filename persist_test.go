@@ -317,6 +317,11 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutate(idx, more[600:750], 11)
+	for _, st := range idx.ShardStats() {
+		if st.Unpacked == 0 {
+			t.Fatalf("shard %d holds no tail: the file must carry tails", st.Shard)
+		}
+	}
 
 	saved := save(t, idx)
 	loaded, err := Read(bytes.NewReader(saved))

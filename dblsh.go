@@ -74,16 +74,19 @@
 // compaction and WriteTo may all overlap. Internally the dataset is
 // partitioned across Options.Shards independent shards (default 1), each a
 // complete DB-LSH index over its stripe guarded by its own read-write lock.
-// A search runs the radius ladder round-synchronized across all shards
-// under per-round read locks, merging candidates into one global top-k
-// with one budget and one termination test — the same work profile as a
-// monolithic index, partitioned. An Add or a delete write-locks exactly one
-// shard, so with S shards a mutation stalls at most one round of one
-// shard's sub-queries instead of the whole index:
+// A search runs the radius ladder round-synchronized across all shards,
+// merging candidates into one global top-k with one budget and one
+// termination test. Each round it takes every shard's read lock in turn,
+// for that shard's share of the round, and releases it before the next
+// round. The budget is one index's; the traversal is not: a query walks
+// S·L trees per round (Options.Shards gives the measured cost). An Add or a
+// delete write-locks exactly one shard, so it waits for at most one
+// shard-round of each running query, and a query reaching that shard waits
+// for it:
 //
 //	idx, err := dblsh.New(data, dblsh.Options{Shards: 8})
-//	go func() { idx.Add(v) }()          // locks one shard briefly
-//	hits, err := idx.SearchOpts(q, 10)  // the other 7 keep answering
+//	go func() { idx.Add(v) }()          // write-locks one shard briefly
+//	hits, err := idx.SearchOpts(q, 10)  // read-locks all 8, one at a time, each round
 //
 // An Add appends the vector to an append-only tail in each of the shard's
 // trees, which queries walk in arrival order. A delete only tombstones.
@@ -302,8 +305,8 @@ func NewFromFlat(flat []float32, n, dim int, opts Options) (*Index, error) {
 
 // firstNonFinite returns the position of the first NaN or ±Inf in v, or -1.
 // The index fails closed on such input under every metric: a NaN coordinate
-// projects to NaN keys, which no ordering the R*-trees keep (leaf sort
-// order, rectangle containment, the insertion path's ≥ 0 overlap terms)
+// projects to NaN keys, which no ordering the R*-trees keep (the STR
+// pack's sort order, rectangle containment, the window tests' gaps)
 // survives, and on a durable index it would be logged and replayed forever.
 func firstNonFinite(v []float32) int {
 	for i, x := range v {
@@ -419,10 +422,11 @@ type Stats struct {
 	// FinalRadius is the search radius at which the query terminated.
 	FinalRadius float64
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// across all projected spaces, shards and rounds. The incremental
-	// frontier cursors visit interior nodes at most once per query; only
-	// leaves straddling the growing window boundary are revisited, so this
-	// stays far below rounds × tree size.
+	// across all projected spaces, shards and rounds: an interior node once
+	// per query, a leaf each time a wider window reaches more of its
+	// entries, and the walk from the root again after a mid-query mutation
+	// re-arms a cursor. A tail leaf holds added vectors in arrival order, so
+	// it straddles every window and is re-entered each round.
 	NodesVisited int
 	// FrontierSize is the number of items still parked in the traversal
 	// cursors when the query finished — the residual work the incremental

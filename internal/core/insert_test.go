@@ -137,11 +137,19 @@ func TestBuildRowBlocksMatchProject(t *testing.T) {
 // rows and adds repack inline every 16.
 var grownCfg = Config{C: 1.5, K: 6, L: 5, T: 10, Seed: 7, Tree: rstar.Options{MaxEntries: 4}}
 
+// cloneMatrix returns a copy of m that owns its storage, so an index built
+// over it can grow without writing into m.
+func cloneMatrix(m *vec.Matrix) *vec.Matrix {
+	data := make([]float32, len(m.Data()))
+	copy(data, m.Data())
+	return vec.WrapMatrix(data, m.Rows(), m.Dim())
+}
+
 // grownIndex bulk-loads an index over the first base rows of rows and adds
 // the rest with Insert, at GOMAXPROCS procs.
 func grownIndex(rows *vec.Matrix, base, procs int) *Index {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	idx := Build(rows.Slice(0, base).Clone(), grownCfg)
+	idx := Build(cloneMatrix(rows.Slice(0, base)), grownCfg)
 	for i := base; i < rows.Rows(); i++ {
 		if id := idx.Insert(rows.Row(i)); id != i {
 			panic("insert returned the wrong id")
@@ -178,7 +186,7 @@ func sameArenas(t *testing.T, label string, a, b []rstar.Arena) {
 func TestRepackMatchesBuild(t *testing.T) {
 	const base, added = 500, 400
 	rows := testDataset(base+added, 12, 21).Data
-	built := Build(rows.Clone(), grownCfg)
+	built := Build(cloneMatrix(rows), grownCfg)
 	for _, procs := range []int{1, 4} {
 		idx := grownIndex(rows, base, procs)
 		label := fmt.Sprintf("GOMAXPROCS %d", procs)
@@ -207,7 +215,7 @@ func TestRepackMatchesBuild(t *testing.T) {
 	live, ids := idx.LiveRows()
 	cfg := idx.cfg
 	cfg.InitialRadius = 0
-	got, want := Repack(live, idx.Projections(ids), cfg), Build(live.Clone(), cfg)
+	got, want := Repack(live, idx.Projections(ids), cfg), Build(cloneMatrix(live), cfg)
 	sameArenas(t, "the live rows", got.Trees(), want.Trees())
 	if got.r0 != want.r0 {
 		t.Fatalf("the live rows: initial radius %v, Build estimates %v", got.r0, want.r0)
@@ -223,7 +231,7 @@ func TestRepackMatchesBuild(t *testing.T) {
 func TestInsertAllocCeiling(t *testing.T) {
 	const base, warm, runs = 4000, 200, 400
 	rows := testDataset(base+warm+runs+1, 32, 22).Data
-	idx := Build(rows.Slice(0, base).Clone(), Config{Seed: 22})
+	idx := Build(cloneMatrix(rows.Slice(0, base)), Config{Seed: 22})
 	next := base
 	for ; next < base+warm; next++ {
 		idx.Insert(rows.Row(next))
@@ -290,7 +298,7 @@ func TestGrownIndexQueriesLikePacked(t *testing.T) {
 	const n, base, d, k = 20_000, 400, 128, 50
 	data, queries := overlapMixture(n, 100, d, 5)
 	cfg := Config{Seed: 5}
-	grown := Build(data.Slice(0, base).Clone(), cfg)
+	grown := Build(cloneMatrix(data.Slice(0, base)), cfg)
 	for i := base; i < n; i++ {
 		grown.Insert(data.Row(i))
 	}

@@ -1,8 +1,9 @@
-// Package shard partitions a DB-LSH index across S independent core shards
-// so that mutations never block searches globally. Each shard is a complete
-// core.Index over a disjoint stripe of the dataset, guarded by its own
-// RWMutex; an Insert or Delete takes the write lock of exactly one shard —
-// the other S−1 keep answering.
+// Package shard partitions a DB-LSH index across S independent core shards.
+// Each shard is a complete core.Index over a disjoint stripe of the
+// dataset, guarded by its own RWMutex; an Insert or Delete takes the write
+// lock of exactly one shard. A query takes every shard's read lock each
+// round, one shard at a time (see Queries), so a mutation delays it by at
+// most the mutation's own hold of one shard per round.
 //
 // # Queries
 //

@@ -10,9 +10,8 @@ import (
 // Runtime kernel dispatch.
 //
 // The exported hot entry points (Dot, DotRows, SquaredDist, the bounded
-// sweeps, the quantized pre-filter and the whole-node window tests of
-// mask.go) route through a process-wide kernel table whose row is picked
-// once, at startup.
+// sweeps and the whole-node window tests of mask.go) route through a
+// process-wide kernel table whose row is picked once, at startup.
 // There are three rows at most:
 //
 //	scalar    straight loops; the oracle every other row is property-tested
@@ -34,8 +33,7 @@ import (
 // sum against the bound, so a row that survives verification carries
 // exactly the distance Dist returns, bit for bit, under every bound. The
 // rows differ from each other in summation order, so their distances may
-// differ in the last ulps; each is deterministic, the quantized lower
-// bounds are certain lower bounds under every row, and the window tests
+// differ in the last ulps; each is deterministic, and the window tests
 // return identical masks under every row. DotRows (x against each row of a
 // matrix, the hashing of a point into all its projections) keeps the same
 // kind of contract with Dot: each of its outputs is that row's Dot, bit
@@ -56,7 +54,6 @@ type kernelImpl struct {
 	dot3               func(a0, a1, a2, x []float32) (float64, float64, float64)
 	squaredDist        func(a, b []float32) float64
 	squaredDistBounded func(a, b []float32, bound float64) float64
-	quantLB            func(u []float64, codes []int8) float64
 	windowMask         func(coords []float32, stride, n int, alive uint64, wlo, whi, center []float32) (uint64, float32)
 	boxMask            func(cmin, cmax []float32, stride, n int, wlo, whi, center, gaps []float32) (uint64, uint64)
 }
@@ -73,7 +70,6 @@ var kernelTable = map[string]kernelImpl{
 		dot3:               dot3Of(dotScalar),
 		squaredDist:        squaredDistScalar,
 		squaredDistBounded: squaredDistBoundedScalar,
-		quantLB:            quantLBScalar,
 		windowMask:         windowMaskPortable,
 		boxMask:            boxMaskPortable,
 	},
@@ -83,7 +79,6 @@ var kernelTable = map[string]kernelImpl{
 		dot3:               dot3Of(dotUnrolled),
 		squaredDist:        squaredDistUnrolled,
 		squaredDistBounded: squaredDistBounded,
-		quantLB:            quantLBWide,
 		windowMask:         windowMaskPortable,
 		boxMask:            boxMaskPortable,
 	},

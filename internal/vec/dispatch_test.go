@@ -89,38 +89,6 @@ func TestAllKernelsVsOracle(t *testing.T) {
 	}
 }
 
-// TestAllKernelsQuantLB checks every registered row's int8 lower-bound
-// kernel against the scalar oracle, dims 1..129 on unaligned views.
-func TestAllKernelsQuantLB(t *testing.T) {
-	defer SetKernel(KernelName())
-	for _, name := range KernelNames() {
-		if err := SetKernel(name); err != nil {
-			t.Fatal(err)
-		}
-		impl := activeKernel
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			for dim := 1; dim <= 129; dim++ {
-				rawU := make([]float64, dim+1)
-				rawC := make([]int8, dim+1)
-				for i := range rawU {
-					rawU[i] = rng.NormFloat64() * 64
-					rawC[i] = int8(rng.Intn(255) - 127)
-				}
-				u, codes := rawU[1:1+dim], rawC[1:1+dim]
-				want := quantLBScalar(u, codes)
-				got := impl.quantLB(u, codes)
-				if math.Abs(got-want) > 1e-9*(1+want) {
-					t.Fatalf("dim %d: quantLB = %v, oracle = %v", dim, got, want)
-				}
-			}
-			if impl.quantLB(nil, nil) != 0 {
-				t.Fatal("zero-length quantLB != 0")
-			}
-		})
-	}
-}
-
 // TestKernelSource pins the selection-provenance accessor: SetKernel always
 // reports "forced", and the startup value is one of the three documented
 // sources (which one depends on the environment and the CPU, both out of

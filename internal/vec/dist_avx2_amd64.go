@@ -4,10 +4,9 @@ import "dblsh/internal/vec/cpu"
 
 // Declarations for the hand-written AVX2/FMA kernels in
 // dist_avx2_amd64.s and mask_avx2_amd64.s. Slice arguments must have
-// len(b) >= len(a) (resp. len(codes) >= len(u)): like the pure-Go kernels
-// the asm only reads len(a) components, but unlike them it does not
-// bounds-check, so the caller contract enforced at the public entry points
-// is load-bearing.
+// len(b) >= len(a): like the pure-Go kernels the asm only reads len(a)
+// components, but unlike them it does not bounds-check, so the caller
+// contract enforced at the public entry points is load-bearing.
 
 // dotAVX2 is the assembly dot kernel: float32 lanes are widened to
 // float64 before multiplication and fused into four 256-bit accumulator
@@ -41,15 +40,6 @@ func squaredDistAVX2(a, b []float32) float64
 //
 //go:noescape
 func squaredDistBoundedAVX2(a, b []float32, bound float64) float64
-
-// quantLBAVX2 is the int8 quantized-lower-bound kernel: VPMOVSXBD code
-// widening, float64 max(0, |code−u|−unitGuard)² accumulation in eight
-// chains. The guard constant is duplicated in the .s file as float64 bits
-// and must track unitGuard in quant.go.
-// dblsh:kernelimpl
-//
-//go:noescape
-func quantLBAVX2(u []float64, codes []int8) float64
 
 // windowMaskAVX2 is the assembly leaf test of mask.go: eight lanes per
 // compare, every axis of every lane (no early exit), so the gap is the full
@@ -85,7 +75,6 @@ func registerArchKernels() {
 		dot3:               dot3AVX2,
 		squaredDist:        squaredDistAVX2,
 		squaredDistBounded: squaredDistBoundedAVX2,
-		quantLB:            quantLBAVX2,
 		windowMask:         windowMaskAVX2,
 		boxMask:            boxMaskAVX2,
 	}

@@ -37,13 +37,6 @@
 
 #include "textflag.h"
 
-DATA absmask<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
-GLOBL absmask<>(SB), RODATA|NOPTR, $8
-
-// unitGuard (0.5002) as float64 bits; keep in sync with quant.go.
-DATA unitguard<>+0(SB)/8, $0x3FE001A36E2EB1C4
-GLOBL unitguard<>(SB), RODATA|NOPTR, $8
-
 // func dotAVX2(a, b []float32) float64
 TEXT ·dotAVX2(SB), NOSPLIT, $0-56
 	MOVQ a_base+0(FP), SI
@@ -370,72 +363,4 @@ bdabandonv:
 bdabandon:
 	MOVQ $0x7FF0000000000000, AX // +Inf
 	MOVQ AX, ret+56(FP)
-	RET
-
-// func quantLBAVX2(u []float64, codes []int8) float64
-//
-// The int8 path of the asymmetric quantized lower bound: 8 codes per
-// iteration are sign-extended with VPMOVSXBD, widened to float64 with
-// VCVTDQ2PD, and folded as max(0, |code−u| − unitGuard)² into two
-// accumulator vectors (8 independent chains). abs is a sign-mask VANDPD;
-// the clamp is VMAXPD against zero, which also maps a NaN term to 0 —
-// sound for a lower bound (QuantizeQueryUnits already maps NaN query
-// components to 0 anyway).
-TEXT ·quantLBAVX2(SB), NOSPLIT, $0-56
-	MOVQ u_base+0(FP), DI
-	MOVQ codes_base+24(FP), SI
-	MOVQ u_len+8(FP), CX
-	VBROADCASTSD absmask<>(SB), Y12
-	VBROADCASTSD unitguard<>(SB), Y13
-	VXORPD Y14, Y14, Y14
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	CMPQ CX, $8
-	JL   qreduce
-qloop8:
-	VPMOVSXBD (SI), Y4
-	VEXTRACTI128 $1, Y4, X5
-	VCVTDQ2PD X4, Y6
-	VCVTDQ2PD X5, Y7
-	VSUBPD (DI), Y6, Y6
-	VSUBPD 32(DI), Y7, Y7
-	VANDPD Y12, Y6, Y6
-	VANDPD Y12, Y7, Y7
-	VSUBPD Y13, Y6, Y6
-	VSUBPD Y13, Y7, Y7
-	VMAXPD Y14, Y6, Y6
-	VMAXPD Y14, Y7, Y7
-	VFMADD231PD Y6, Y6, Y0
-	VFMADD231PD Y7, Y7, Y1
-	ADDQ $8, SI
-	ADDQ $64, DI
-	SUBQ $8, CX
-	CMPQ CX, $8
-	JGE  qloop8
-qreduce:
-	VADDPD Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	VZEROUPPER
-qtail:
-	// X12/X13/X14 keep the low lanes of the mask/guard/zero vectors
-	// across VZEROUPPER.
-	TESTQ CX, CX
-	JZ    qdone
-	MOVBQSX (SI), AX
-	CVTSQ2SD AX, X4
-	MOVSD (DI), X5
-	SUBSD X5, X4
-	ANDPD X12, X4
-	SUBSD X13, X4
-	MAXSD X14, X4
-	MULSD X4, X4
-	ADDSD X4, X0
-	ADDQ  $1, SI
-	ADDQ  $8, DI
-	DECQ  CX
-	JMP   qtail
-qdone:
-	MOVSD X0, ret+48(FP)
 	RET

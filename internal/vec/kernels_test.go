@@ -43,7 +43,6 @@ func TestZeroLengthKernels(t *testing.T) {
 	if got := Dist(nil, nil); got != 0 {
 		t.Fatalf("Dist(nil, nil) = %v, want 0", got)
 	}
-	Add(nil, nil) // must not panic
 	if got := squaredDistBounded(nil, nil, 1); got != 0 {
 		t.Fatalf("squaredDistBounded(nil) = %v, want 0", got)
 	}
@@ -138,6 +137,21 @@ func testKernelsMatchScalar(t *testing.T) {
 		for i := range out {
 			if !close(out[i], want[i]) {
 				t.Fatalf("dim %d: unbounded bounded-kernel[%d] = %v, scalar = %v", dim, i, out[i], want[i])
+			}
+		}
+
+		// The inert SquaredDistsToBoundedQuant is the bounded sweep, bit for
+		// bit, and rejects nothing.
+		for _, b := range []float64{bound, math.Inf(1)} {
+			SquaredDistsToBounded(q, m, ids, b, out)
+			viaQuant := make([]float64, rows)
+			if n := SquaredDistsToBoundedQuant(q, nil, m, NewQuantMatrix(m), ids, b, viaQuant); n != 0 {
+				t.Fatalf("dim %d: SquaredDistsToBoundedQuant returned %d, want 0", dim, n)
+			}
+			for i := range out {
+				if math.Float64bits(viaQuant[i]) != math.Float64bits(out[i]) {
+					t.Fatalf("dim %d bound %v: SquaredDistsToBoundedQuant[%d] = %v, SquaredDistsToBounded = %v", dim, b, i, viaQuant[i], out[i])
+				}
 			}
 		}
 	}

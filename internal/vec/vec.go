@@ -137,24 +137,6 @@ func Norm(a []float32) float64 {
 	return math.Sqrt(s)
 }
 
-// Scale multiplies every component of a by f in place.
-func Scale(a []float32, f float32) {
-	for i := range a {
-		a[i] *= f
-	}
-}
-
-// Add adds b into a component-wise in place.
-func Add(a, b []float32) {
-	if len(a) == 0 {
-		return
-	}
-	_ = b[len(a)-1]
-	for i := range a {
-		a[i] += b[i]
-	}
-}
-
 // Matrix is an n×d row-major matrix of float32. Rows are points. The backing
 // array is one contiguous allocation, which matters for cache behaviour when
 // scanning millions of candidates.
@@ -218,14 +200,6 @@ func (m *Matrix) Append(p []float32) int {
 	m.data = append(m.data, p...)
 	m.n++
 	return m.n - 1
-}
-
-// Clone returns a deep copy of the matrix. The copy owns fresh storage:
-// no later mutation or Append on either matrix can affect the other.
-func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{data: make([]float32, len(m.data)), n: m.n, d: m.d}
-	copy(out.data, m.data)
-	return out
 }
 
 // Slice returns a view of rows [lo,hi) sharing storage with m: writes

@@ -385,86 +385,63 @@ func BenchmarkSearchBatchOpts(b *testing.B) {
 	}
 }
 
-// benchIndexSharded builds a public index over the bench corpus with the
-// given shard count.
-func benchIndexSharded(b *testing.B, shards int) *dblsh.Index {
+// benchPublicIndex builds a public index over the bench corpus.
+func benchPublicIndex(b *testing.B) *dblsh.Index {
 	b.Helper()
 	p := benchParams()
 	ds := benchDS()
 	idx, err := dblsh.NewFromFlat(ds.Data.Data(), ds.Data.Rows(), ds.Data.Dim(),
-		dblsh.Options{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed, Shards: shards})
+		dblsh.Options{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return idx
 }
 
-// Search latency as shard count grows: what the coordinated round costs over
-// the one-index ladder on the same rows.
-func BenchmarkSearchSharded(b *testing.B) {
-	ds := benchDS()
-	for _, shards := range []int{1, 4, 8} {
-		idx := benchIndexSharded(b, shards)
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			s := idx.NewSearcher()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.SearchOpts(ds.Queries.Row(i%ds.Queries.Rows()), 10)
-			}
-		})
-	}
-}
-
-// Search throughput while a writer mutates the index at a steady rate —
-// the scenario that motivated sharding. With one shard every Add
-// write-locks the whole index and stalls every in-flight search; with S
-// shards an Add stalls only the sub-queries of one shard while the other
-// S−1 keep streaming. The writer's insert rate is fixed so both layouts
-// face identical write pressure and only the locking differs.
+// Search throughput while a writer mutates the index at a steady rate:
+// every Add write-locks the index between the rounds of in-flight
+// searches. The writer's insert rate is fixed so every run faces the same
+// write pressure.
 func BenchmarkAddWhileSearching(b *testing.B) {
 	ds := benchDS()
 	dim := ds.Data.Dim()
-	for _, shards := range []int{1, 8} {
-		shards := shards
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			idx := benchIndexSharded(b, shards)
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { // steady writer: ~250 inserts/second
-				defer wg.Done()
-				v := make([]float32, dim)
-				tick := time.NewTicker(4 * time.Millisecond)
-				defer tick.Stop()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-					}
-					v[0] = float32(i)
-					if _, err := idx.Add(v); err != nil {
-						return
-					}
-				}
-			}()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				s := idx.NewSearcher()
-				i := 0
-				for pb.Next() {
-					if _, err := s.SearchOpts(ds.Queries.Row(i%ds.Queries.Rows()), 10); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-		})
-	}
+	idx := benchPublicIndex(b)
+	defer idx.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // steady writer: ~250 inserts/second
+		defer wg.Done()
+		v := make([]float32, dim)
+		tick := time.NewTicker(4 * time.Millisecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			v[0] = float32(i)
+			if _, err := idx.Add(v); err != nil {
+				return
+			}
+		}
+	}()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		s := idx.NewSearcher()
+		i := 0
+		for pb.Next() {
+			if _, err := s.SearchOpts(ds.Queries.Row(i%ds.Queries.Rows()), 10); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
 }
 
 func benchName(prefix string, v int) string {

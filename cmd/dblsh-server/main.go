@@ -29,7 +29,7 @@
 //	POST /search_radius   {"vector": [...], "radius": 1.5}
 //	POST /vectors         {"vector": [...]}
 //	POST /delete          {"id": 7}
-//	POST /compact         {"shard": 2} (omit shard to compact all)
+//	POST /compact         rebuild the index from its live vectors
 //	POST /checkpoint      rewrite the durable snapshot, truncate the op log
 //
 // Search endpoints accept optional per-request knobs — "t" (candidate
@@ -40,20 +40,21 @@
 // traffic side by side. /search_radius runs a single fixed-radius round, so
 // it takes only "t" and "filter_ids" and rejects the ladder-shaping knobs.
 //
-// With -shards S the index is partitioned across S independently locked
-// shards: /vectors and /delete write-lock one shard, and /compact rebuilds
-// one shard while the rest serve. A query still takes every shard's read
-// lock, one round at a time, and walks S times the trees: on a clustered
-// 100 000 × 128 corpus at k = 10 (2-vCPU amd64 box), S = 4 visited 331
-// nodes per query against S = 1's 235, at a median of 113–145 µs against
-// 75–81 µs. A rebuild's cost grows with the shard's size. /stats reports
-// the per-shard breakdown (unpacked_rows: vectors added since the shard was
-// last packed, which queries walk in arrival order) plus, under -data-dir,
-// the durability state (log bytes, ops since checkpoint, last checkpoint
-// time). Adds schedule a background repack of a shard once 512 of its
-// vectors are unpacked; -compact-fraction also enables automatic
-// background compaction once a shard's tombstoned fraction crosses the
-// threshold.
+// The index is one DB-LSH index behind one read-write lock: /vectors and
+// /delete take the write lock briefly, a query takes the read lock one
+// ladder round at a time, and /compact rebuilds the index while it keeps
+// serving (only a short swap takes the write lock). Earlier versions
+// offered -shards S, striping the rows over S indexes; a query then walked
+// S times the trees: on a clustered 100 000 × 128 corpus at k = 10 (2-vCPU
+// amd64 box), S = 4 visited 330.9 nodes per query against one index's
+// 235.4, at a median of 114 µs against 67 µs. /stats reports the
+// index's shape (unpacked_rows: vectors added since the index was last
+// packed, which queries walk in arrival order; compactions and the last
+// compaction's time) plus, under -data-dir, the durability state (log
+// bytes, ops since checkpoint, last checkpoint time). Adds schedule a
+// background repack once 512 vectors are unpacked; -compact-fraction also
+// enables automatic background compaction once the tombstoned fraction
+// crosses the threshold.
 //
 // With -pprof ADDR the server exposes Go's net/http/pprof profiling
 // endpoints (/debug/pprof/...) on a separate listener, so CPU and heap
@@ -120,8 +121,7 @@ func main() {
 		demoN       = flag.Int("demo-n", 50_000, "demo corpus size when -index is not given")
 		demoDim     = flag.Int("demo-dim", 64, "demo corpus dimensionality")
 		seed        = flag.Int64("seed", 1, "demo corpus / hashing seed")
-		shards      = flag.Int("shards", 1, "index shards for the demo corpus (an -index file carries its own layout)")
-		compactFrac = flag.Float64("compact-fraction", 0, "auto-compact a shard when its tombstoned fraction reaches this (0 disables)")
+		compactFrac = flag.Float64("compact-fraction", 0, "auto-compact the index when its tombstoned fraction reaches this (0 disables)")
 		metricName  = flag.String("metric", "euclidean", "distance metric for the demo corpus: euclidean, cosine or ip (an -index file carries its own metric)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
 
@@ -151,7 +151,7 @@ func main() {
 		indexFile: *indexFile, dataDir: *dataDir,
 		sync: syncPolicy, syncEvery: syncEvery, checkpointEvery: *ckptEvery,
 		demoN: *demoN, demoDim: *demoDim, seed: *seed,
-		shards: *shards, compactFrac: *compactFrac, metric: met,
+		compactFrac: *compactFrac, metric: met,
 	})
 	if err != nil {
 		log.Fatalf("dblsh-server: %v", err)
@@ -159,8 +159,8 @@ func main() {
 	if _, durable := idx.Durability(); durable {
 		log.Printf("durable store %s: sync=%s checkpoint-every=%v", *dataDir, *syncFlag, *ckptEvery)
 	}
-	log.Printf("serving %d vectors of dim %d (%s metric) across %d shard(s) on %s",
-		idx.Len(), idx.Dim(), idx.Metric(), idx.Shards(), *addr)
+	log.Printf("serving %d vectors of dim %d (%s metric) on %s",
+		idx.Len(), idx.Dim(), idx.Metric(), *addr)
 	if *maxInflight > 0 {
 		log.Printf("admission control: %d slots, %d queued; overflow shed with 429", *maxInflight, *maxQueue)
 	}
@@ -238,7 +238,6 @@ type config struct {
 	syncEvery, checkpointEvery time.Duration
 	demoN, demoDim             int
 	seed                       int64
-	shards                     int
 	compactFrac                float64
 	metric                     dblsh.Metric
 }
@@ -287,8 +286,8 @@ func loadEphemeral(c config) (*dblsh.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", c.indexFile, err)
 		}
-		// The shard layout travels with the file; the compaction policy is
-		// operational and applies to loaded indexes too.
+		// The structural parameters travel with the file; the compaction
+		// policy is operational and applies to loaded indexes too.
 		if err := idx.SetCompactFraction(c.compactFrac); err != nil {
 			return nil, err
 		}
@@ -315,6 +314,6 @@ func loadEphemeral(c config) (*dblsh.Index, error) {
 		}
 	}
 	return dblsh.NewFromFlat(flat, c.demoN, c.demoDim, dblsh.Options{
-		Seed: c.seed, Shards: c.shards, CompactFraction: c.compactFrac, Metric: c.metric,
+		Seed: c.seed, CompactFraction: c.compactFrac, Metric: c.metric,
 	})
 }

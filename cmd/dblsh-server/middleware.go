@@ -63,7 +63,7 @@ func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
 		queryCandidates: reg.Histogram("dblsh_query_candidates",
 			"Exact distance computations per search.", obs.CountBuckets()),
 		queryNodes: reg.Histogram("dblsh_query_nodes_visited",
-			"R*-tree nodes examined per search, across trees, shards and rounds.",
+			"R*-tree nodes examined per search, across trees and rounds.",
 			obs.CountBuckets()),
 		queryFrontier: reg.Histogram("dblsh_query_frontier_size",
 			"Items left parked in the traversal cursors when a search finished.",

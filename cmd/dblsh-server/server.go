@@ -17,10 +17,10 @@ import (
 )
 
 // server routes HTTP requests straight into the index with no lock of its
-// own: dblsh.Index is internally sharded and synchronized, so /search,
-// /search_batch, /vectors, /delete and /compact all run concurrently — a
-// mutation write-locks one shard while the others keep answering, instead
-// of the whole-index RWMutex this server used to take.
+// own: dblsh.Index is internally synchronized, so /search, /search_batch,
+// /vectors, /delete and /compact all run concurrently — a query holds the
+// index's read lock one ladder round at a time, so a mutation waits for at
+// most one round of each running query instead of whole queries.
 //
 // Every request passes through the wrap middleware (middleware.go): a
 // wrong method is answered there, the expensive endpoints sit behind the
@@ -133,17 +133,6 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-type shardStatsJSON struct {
-	Shard          int    `json:"shard"`
-	Size           int    `json:"size"`
-	Live           int    `json:"live"`
-	Deleted        int    `json:"deleted"`
-	UnpackedRows   int    `json:"unpacked_rows"` // added since the shard was last packed
-	Compactions    int    `json:"compactions"`
-	LastCompaction string `json:"last_compaction,omitempty"` // RFC 3339; absent if never
-	IndexSizeBytes int64  `json:"index_size_bytes"`
-}
-
 // durabilityJSON reports a durable server's recovery state; absent from
 // /stats when the server runs without -data-dir.
 type durabilityJSON struct {
@@ -154,24 +143,25 @@ type durabilityJSON struct {
 }
 
 type statsResponse struct {
-	Vectors        int              `json:"vectors"`
-	Deleted        int              `json:"deleted"`
-	Dim            int              `json:"dim"`
-	Metric         string           `json:"metric"`
-	NormBound      float64          `json:"norm_bound,omitempty"` // inner-product reduction only
-	K              int              `json:"k"`
-	L              int              `json:"l"`
-	T              int              `json:"t"`
-	C              float64          `json:"c"`
-	W0             float64          `json:"w0"`
-	Kernel         string           `json:"kernel"`        // active distance kernel
-	KernelSource   string           `json:"kernel_source"` // auto | env | forced
-	KernelNames    []string         `json:"kernel_names"`  // kernels this build/CPU registered
-	CPUFeatures    []string         `json:"cpu_features,omitempty"`
-	IndexSizeBytes int64            `json:"index_size_bytes"`
-	ShardCount     int              `json:"shard_count"`
-	Shards         []shardStatsJSON `json:"shards"`
-	Durability     *durabilityJSON  `json:"durability,omitempty"`
+	Vectors        int             `json:"vectors"`
+	Deleted        int             `json:"deleted"`
+	Dim            int             `json:"dim"`
+	Metric         string          `json:"metric"`
+	NormBound      float64         `json:"norm_bound,omitempty"` // inner-product reduction only
+	K              int             `json:"k"`
+	L              int             `json:"l"`
+	T              int             `json:"t"`
+	C              float64         `json:"c"`
+	W0             float64         `json:"w0"`
+	Kernel         string          `json:"kernel"`        // active distance kernel
+	KernelSource   string          `json:"kernel_source"` // auto | env | forced
+	KernelNames    []string        `json:"kernel_names"`  // kernels this build/CPU registered
+	CPUFeatures    []string        `json:"cpu_features,omitempty"`
+	IndexSizeBytes int64           `json:"index_size_bytes"`
+	UnpackedRows   int             `json:"unpacked_rows"` // added since the index was last packed
+	Compactions    int             `json:"compactions"`
+	LastCompaction string          `json:"last_compaction,omitempty"` // RFC 3339; absent if never
+	Durability     *durabilityJSON `json:"durability,omitempty"`
 }
 
 func durabilityStats(idx *dblsh.Index) *durabilityJSON {
@@ -205,29 +195,15 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		KernelSource: vec.KernelSource(),
 		KernelNames:  vec.KernelNames(),
 		CPUFeatures:  cpu.Detect().List(),
-		ShardCount:   s.idx.Shards(),
 		Durability:   durabilityStats(s.idx),
 	}
-	// Derive the totals from the same per-shard snapshot the response
-	// shows, so vectors/deleted always agree with the shard breakdown even
+	// The counts come from one snapshot, so they agree with each other even
 	// while mutations are in flight.
-	for _, st := range s.idx.ShardStats() {
-		js := shardStatsJSON{
-			Shard:          st.Shard,
-			Size:           st.Size,
-			Live:           st.Live,
-			Deleted:        st.Deleted,
-			UnpackedRows:   st.Unpacked,
-			Compactions:    st.Compactions,
-			IndexSizeBytes: st.IndexSizeBytes,
-		}
-		if !st.LastCompaction.IsZero() {
-			js.LastCompaction = st.LastCompaction.Format(time.RFC3339)
-		}
-		resp.Shards = append(resp.Shards, js)
-		resp.Vectors += st.Size
-		resp.Deleted += st.Deleted
-		resp.IndexSizeBytes += st.IndexSizeBytes
+	st := s.idx.ShardStats()[0]
+	resp.Vectors, resp.Deleted, resp.IndexSizeBytes = st.Size, st.Deleted, st.IndexSizeBytes
+	resp.UnpackedRows, resp.Compactions = st.Unpacked, st.Compactions
+	if !st.LastCompaction.IsZero() {
+		resp.LastCompaction = st.LastCompaction.Format(time.RFC3339)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -377,8 +353,8 @@ func (s *server) searchBatch(w http.ResponseWriter, r *http.Request, req *batchR
 	if err != nil {
 		return nil, err
 	}
-	// No server-side lock: the index is internally sharded, so a batch
-	// does not delay writers; shard locks are held per ladder round, and
+	// No server-side lock: the index's read lock is held per ladder round,
+	// so a batch does not delay writers for longer than one round, and
 	// mutations interleave between rounds and queries.
 	results, err := s.idx.SearchBatchOpts(req.Vectors, k, opts...)
 	if err != nil {
@@ -460,27 +436,18 @@ func (s *server) delete(_ http.ResponseWriter, _ *http.Request, req *deleteReque
 	return deleteResponse{Deleted: deleted}, err
 }
 
-type compactRequest struct {
-	// Shard selects one shard to compact; omit (or null) to compact all.
-	Shard *int `json:"shard"`
-}
-
 type compactResponse struct {
 	Removed int `json:"removed"`
 }
 
-func (s *server) compact(_ http.ResponseWriter, _ *http.Request, req *compactRequest) (compactResponse, error) {
-	if req.Shard == nil {
-		return compactResponse{Removed: s.idx.Compact()}, nil
-	}
-	removed, err := s.idx.CompactShard(*req.Shard)
-	return compactResponse{Removed: removed}, err
+func (s *server) compact(_ http.ResponseWriter, _ *http.Request, _ *struct{}) (compactResponse, error) {
+	return compactResponse{Removed: s.idx.Compact()}, nil
 }
 
 // checkpoint rewrites the durable snapshot and truncates the op log on
 // demand: before a planned restart, after a bulk load, or from a cron job
 // when -checkpoint-every is disabled. The index keeps serving throughout
-// (the snapshot streams shard by shard under per-shard read locks). The
+// (the snapshot is copied under the read lock and streamed without it). The
 // response reports the post-checkpoint durability state.
 func (s *server) checkpoint(_ http.ResponseWriter, _ *http.Request, _ *struct{}) (*durabilityJSON, error) {
 	if _, durable := s.idx.Durability(); !durable {

@@ -21,11 +21,6 @@ import (
 
 func testIndex(t *testing.T) *dblsh.Index {
 	t.Helper()
-	return testIndexSharded(t, 1)
-}
-
-func testIndexSharded(t *testing.T, shards int) *dblsh.Index {
-	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	data := make([][]float32, 1000)
 	for i := range data {
@@ -35,7 +30,7 @@ func testIndexSharded(t *testing.T, shards int) *dblsh.Index {
 		}
 		data[i] = v
 	}
-	idx, err := dblsh.New(data, dblsh.Options{K: 6, L: 3, T: 20, Seed: 4, Shards: shards})
+	idx, err := dblsh.New(data, dblsh.Options{K: 6, L: 3, T: 20, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +39,6 @@ func testIndexSharded(t *testing.T, shards int) *dblsh.Index {
 
 func testServer(t *testing.T) (*httptest.Server, *dblsh.Index) {
 	idx := testIndex(t)
-	ts := httptest.NewServer(newServer(idx, serverConfig{}).handler())
-	t.Cleanup(ts.Close)
-	return ts, idx
-}
-
-func testServerSharded(t *testing.T, shards int) (*httptest.Server, *dblsh.Index) {
-	idx := testIndexSharded(t, shards)
 	ts := httptest.NewServer(newServer(idx, serverConfig{}).handler())
 	t.Cleanup(ts.Close)
 	return ts, idx
@@ -557,7 +545,7 @@ func TestSearchPerRequestOptions(t *testing.T) {
 // setting). A client that still sends it is answered as one that does not,
 // on every search endpoint, and no reply mentions fan-out any more.
 func TestRemovedParallelismFieldIsIgnored(t *testing.T) {
-	ts, idx := testServerSharded(t, 4)
+	ts, idx := testServer(t)
 	q := make([]float32, idx.Dim())
 	for _, c := range []struct {
 		path string
@@ -678,7 +666,7 @@ func TestSearchBatchValidation(t *testing.T) {
 }
 
 func TestDeleteEndpoint(t *testing.T) {
-	ts, _ := testServerSharded(t, 3)
+	ts, _ := testServer(t)
 	id := 7
 	resp := postJSON(t, ts.URL+"/delete", deleteRequest{ID: &id})
 	if resp.StatusCode != http.StatusOK {
@@ -712,82 +700,46 @@ func TestDeleteEndpoint(t *testing.T) {
 	r4.Body.Close()
 }
 
+// TestCompactEndpoint: POST /compact reclaims every tombstone (a body
+// naming a shard, as clients of the striped index sent, is answered the
+// same), and /stats then reports the compaction.
 func TestCompactEndpoint(t *testing.T) {
-	ts, idx := testServerSharded(t, 3)
+	ts, idx := testServer(t)
 	for id := 0; id < 90; id++ {
 		if _, err := idx.DeleteWithError(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Compact a single shard: only its tombstones are reclaimed.
-	shardNo := 0
-	resp := postJSON(t, ts.URL+"/compact", compactRequest{Shard: &shardNo})
+	resp := postJSON(t, ts.URL+"/compact", map[string]int{"shard": 2})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var cr compactResponse
 	decode(t, resp, &cr)
-	if cr.Removed != 30 {
-		t.Fatalf("compacting shard 0 removed %d, want 30", cr.Removed)
+	if cr.Removed != 90 || idx.Deleted() != 0 {
+		t.Fatalf("compaction removed %d, want 90; %d tombstones left", cr.Removed, idx.Deleted())
 	}
-	// Compact the rest.
-	r2 := postJSON(t, ts.URL+"/compact", compactRequest{})
+	r2 := postJSON(t, ts.URL+"/compact", struct{}{})
 	decode(t, r2, &cr)
-	if cr.Removed != 60 {
-		t.Fatalf("compacting all removed %d, want 60", cr.Removed)
+	if cr.Removed != 0 {
+		t.Fatalf("a second compaction removed %d", cr.Removed)
 	}
-	if idx.Deleted() != 0 {
-		t.Fatalf("deleted = %d after full compaction", idx.Deleted())
-	}
-	// Out-of-range shard is a 400.
-	bad := 99
-	r3 := postJSON(t, ts.URL+"/compact", compactRequest{Shard: &bad})
-	if r3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad shard status %d", r3.StatusCode)
-	}
-	r3.Body.Close()
-}
-
-func TestStatsPerShard(t *testing.T) {
-	ts, idx := testServerSharded(t, 4)
-	if _, err := idx.DeleteWithError(0); err != nil { // routes to shard 0
-		t.Fatal(err)
-	}
-	if _, err := idx.CompactShard(0); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/stats")
+	r3, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st statsResponse
-	decode(t, resp, &st)
-	if st.ShardCount != 4 || len(st.Shards) != 4 {
-		t.Fatalf("shard count %d / %d entries", st.ShardCount, len(st.Shards))
-	}
-	sum := 0
-	for i, sh := range st.Shards {
-		if sh.Shard != i {
-			t.Fatalf("shard %d reported as %d", i, sh.Shard)
-		}
-		sum += sh.Size
-	}
-	if sum != st.Vectors || st.Vectors != 999 {
-		t.Fatalf("shard sizes sum to %d, total says %d", sum, st.Vectors)
-	}
-	if st.Shards[0].Compactions != 1 || st.Shards[0].LastCompaction == "" {
-		t.Fatalf("shard 0 compaction not reported: %+v", st.Shards[0])
-	}
-	if st.Shards[1].Compactions != 0 || st.Shards[1].LastCompaction != "" {
-		t.Fatalf("shard 1 reports a compaction it never had: %+v", st.Shards[1])
+	decode(t, r3, &st)
+	if st.Vectors != 910 || st.Deleted != 0 || st.Compactions != 1 || st.LastCompaction == "" || st.UnpackedRows != 0 {
+		t.Fatalf("stats after the compaction: %+v", st)
 	}
 }
 
-// TestConcurrentMixedTraffic hammers a sharded server with every mutating
-// and searching endpoint at once; under -race this is the regression net
-// for the lock-free routing.
+// TestConcurrentMixedTraffic hammers a server with every mutating and
+// searching endpoint at once; under -race this is the regression net for
+// the lock-free routing.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	ts, idx := testServerSharded(t, 4)
+	ts, idx := testServer(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 256)
 	for g := 0; g < 12; g++ {
@@ -812,7 +764,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 						errs <- fmt.Errorf("delete status %d", st)
 					}
 				case 3:
-					if st := postJSONQuiet(ts.URL+"/compact", compactRequest{}); st != http.StatusOK {
+					if st := postJSONQuiet(ts.URL+"/compact", struct{}{}); st != http.StatusOK {
 						errs <- fmt.Errorf("compact status %d", st)
 					}
 				}
@@ -839,7 +791,7 @@ func TestLoadIndexFromFile(t *testing.T) {
 	}
 	f.Close()
 
-	loaded, err := loadIndex(config{indexFile: path, shards: 1, metric: dblsh.Euclidean})
+	loaded, err := loadIndex(config{indexFile: path, metric: dblsh.Euclidean})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -849,20 +801,17 @@ func TestLoadIndexFromFile(t *testing.T) {
 }
 
 func TestLoadIndexDemo(t *testing.T) {
-	idx, err := loadIndex(config{demoN: 500, demoDim: 8, seed: 3, shards: 4, metric: dblsh.Euclidean})
+	idx, err := loadIndex(config{demoN: 500, demoDim: 8, seed: 3, metric: dblsh.Euclidean})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idx.Len() != 500 || idx.Dim() != 8 {
 		t.Fatalf("demo shape %d×%d", idx.Len(), idx.Dim())
 	}
-	if idx.Shards() != 4 {
-		t.Fatalf("demo shards = %d, want 4", idx.Shards())
-	}
 }
 
 func TestLoadIndexMissingFile(t *testing.T) {
-	if _, err := loadIndex(config{indexFile: "/nonexistent/path.dblsh", shards: 1, metric: dblsh.Euclidean}); err == nil {
+	if _, err := loadIndex(config{indexFile: "/nonexistent/path.dblsh", metric: dblsh.Euclidean}); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
@@ -953,15 +902,15 @@ func TestCheckpointEndpoint(t *testing.T) {
 func TestLoadIndexDurableLifecycle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	cfg := config{
-		dataDir: dir, demoN: 300, demoDim: 8, seed: 5, shards: 2,
+		dataDir: dir, demoN: 300, demoDim: 8, seed: 5,
 		sync: dblsh.SyncNever, metric: dblsh.Euclidean,
 	}
 	idx, err := loadIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Len() != 300 || idx.Shards() != 2 {
-		t.Fatalf("seeded store shape: Len=%d Shards=%d", idx.Len(), idx.Shards())
+	if idx.Len() != 300 {
+		t.Fatalf("seeded store shape: Len=%d", idx.Len())
 	}
 	if _, ok := idx.Durability(); !ok {
 		t.Fatal("store opened without durability")

@@ -68,35 +68,35 @@
 // The radius ladder itself always runs in the internal L2 space, staying
 // faithful to Algorithm 2; only the boundary speaks the chosen metric.
 //
-// # Concurrency and sharding
+// # Concurrency
 //
 // An Index is safe for fully concurrent use: searches, Add, DeleteWithError,
-// compaction and WriteTo may all overlap. Internally the dataset is
-// partitioned across Options.Shards independent shards (default 1), each a
-// complete DB-LSH index over its stripe guarded by its own read-write lock.
-// A search runs the radius ladder round-synchronized across all shards,
-// merging candidates into one global top-k with one budget and one
-// termination test. Each round it takes every shard's read lock in turn,
-// for that shard's share of the round, and releases it before the next
-// round. The budget is one index's; the traversal is not: a query walks
-// S·L trees per round (Options.Shards gives the measured cost). An Add or a
-// delete write-locks exactly one shard, so it waits for at most one
-// shard-round of each running query, and a query reaching that shard waits
-// for it:
+// compaction and WriteTo may all overlap. Internally it is one DB-LSH index
+// guarded by one read-write lock. A search runs the radius ladder one round
+// at a time, taking the read lock for each round and releasing it before
+// the next; an Add or a delete takes the write lock, so it waits for at most
+// one round of each running query, and a query's next round waits for it:
 //
-//	idx, err := dblsh.New(data, dblsh.Options{Shards: 8})
-//	go func() { idx.Add(v) }()          // write-locks one shard briefly
-//	hits, err := idx.SearchOpts(q, 10)  // read-locks all 8, one at a time, each round
+//	go func() { idx.Add(v) }()          // write-locks the index briefly
+//	hits, err := idx.SearchOpts(q, 10)  // read-locks it one round at a time
 //
-// An Add appends the vector to an append-only tail in each of the shard's
-// trees, which queries walk in arrival order. A delete only tombstones.
-// CompactShard rebuilds one shard from its live vectors — dropping the
-// tombstone debt and packing the tails into fresh STR-packed trees — while
-// every shard, including the one being compacted, keeps serving (the
-// rebuild holds no lock; only a short swap does). Adds schedule that
-// rebuild in the background once a shard's tail holds 512 vectors, and
-// Options.CompactFraction does so on tombstones. Global ids are stable
+// An Add appends the vector to an append-only tail in each of the L trees,
+// which queries walk in arrival order. A delete only tombstones. Compact
+// rebuilds the index from its live vectors — dropping the tombstone debt
+// and packing the tails into fresh STR-packed trees — while the index keeps
+// serving (the rebuild holds no lock; only a short swap does). Adds
+// schedule that rebuild in the background once the tails hold 512 vectors,
+// and Options.CompactFraction does so on tombstones. Global ids are stable
 // across all of it.
+//
+// Earlier versions striped the rows over Options.Shards independently
+// locked indexes. A query then walked every stripe's trees each round: on a
+// clustered 100 000 × 128 corpus at k = 10 (2-vCPU amd64 box), 4 stripes
+// visited 330.9 nodes per query against one index's 235.4, at a median of
+// 114 µs against 67 µs. What stripes bought was smaller rebuilds: a
+// closed-loop writer at 100 000 × 128 sustained 9.2 k adds/s over 4
+// stripes and 1.8–1.9 k over one index, whose every repack rebuilds all of
+// it.
 //
 // # Durability
 //
@@ -115,8 +115,8 @@
 //	defer idx.Close()
 //	id, err := idx.Add(v)                      // durable once Add returns
 //
-// Checkpoint (or the background checkpointer) rewrites the snapshot shard
-// by shard under per-shard read locks and truncates the log, bounding both
+// Checkpoint (or the background checkpointer) rewrites the snapshot, copied
+// under the read lock, and truncates the log, bounding both
 // recovery time and disk growth while the store keeps serving. Save bridges
 // the other way: it writes any in-memory index as the checkpoint of a fresh
 // directory.
@@ -158,7 +158,7 @@ type Options struct {
 
 	// K is the number of hash functions per projected space, at most 64; 0
 	// uses the paper's experimental setting (10, or 12 for datasets of 1M+
-	// points). Shards·L·K·dim may not exceed 2²⁸ hash coefficients.
+	// points). L·K·dim may not exceed 2²⁸ hash coefficients.
 	K int
 
 	// L is the number of projected spaces (and R*-trees), at most 64; 0 uses
@@ -173,27 +173,16 @@ type Options struct {
 	// Seed makes hashing reproducible. The default 0 is a valid seed.
 	Seed int64
 
-	// Shards partitions the dataset across that many independent shards,
-	// each with its own lock, so a mutation write-locks 1/Shards of the
-	// index and compaction runs per shard. 0 means 1. Every shard count runs
-	// the same query code: one radius ladder round-synchronized across the
-	// shards — one merged top-k, one candidate budget, one termination test
-	// — taking each shard's read lock for its share of one round only, so
-	// the candidate budget is the same. The traversal is not: a query walks
-	// S·L trees per round, over S sets of projections. On a clustered
-	// 100 000 × 128 corpus at k = 10 (2-vCPU amd64 box), 4 shards visited
-	// 331 nodes per query against one shard's 235, at a median of
-	// 113–145 µs against 75–81 µs. What more shards buy is smaller
-	// rebuilds: a compaction or repack rebuilds one shard, and its cost
-	// grows with the shard's size (~0.2 s at 100 000 × 128 rows). With more
-	// than one shard NewFromFlat copies the data into per-shard layouts
-	// instead of adopting the caller's slice.
+	// Shards is ignored: every index is one index (see the package doc's
+	// Concurrency section for what striping cost a query).
+	// benchmark/run.go:89 still sets it. The next PR allowed to edit
+	// benchmark/ removes it.
 	Shards int
 
 	// CompactFraction, when positive, enables automatic background
-	// compaction: a delete that pushes a shard's tombstoned fraction to the
-	// threshold schedules a rebuild of that shard from its live vectors.
-	// Must be below 1. 0 disables; reclaim manually with CompactShard. The
+	// compaction: a delete that pushes the tombstoned fraction to the
+	// threshold schedules a rebuild of the index from its live vectors.
+	// Must be below 1. 0 disables; reclaim manually with Compact. The
 	// repacks that adds owe (see Add) run whatever its value.
 	CompactFraction float64
 
@@ -238,7 +227,7 @@ type Options struct {
 
 	// CheckpointEvery, when positive, runs a background checkpoint at that
 	// cadence (skipped while no mutations are pending): the snapshot is
-	// rewritten shard by shard and the op log truncated, bounding both
+	// rewritten and the op log truncated, bounding both
 	// recovery time and log growth. 0 leaves checkpointing to explicit
 	// Checkpoint calls.
 	CheckpointEvery time.Duration
@@ -277,11 +266,14 @@ func New(data [][]float32, opts Options) (*Index, error) {
 }
 
 // NewFromFlat builds an index over n vectors of dimension dim stored
-// row-major in flat. Under the default Euclidean metric with one shard the
-// slice is used directly without copying, and the caller must not mutate it
-// while the index is alive; sharded or non-Euclidean indexes copy (and
-// transform) the data into internal layouts. len(flat) must equal n*dim, and
-// every value must be finite: NaN or ±Inf anywhere is an error.
+// row-major in flat. Under the default Euclidean metric the slice is used
+// directly without copying, and the caller must not mutate it while the
+// index is alive; non-Euclidean indexes copy (and transform) the data into
+// an internal layout. The zero-copy rows have no room to grow, so the first
+// Add copies them, holding the write lock (~50 ms at 100 000 × 128); an
+// index loaded with Read or Open, or rebuilt by a compaction, keeps room for
+// a full tail of adds. len(flat) must equal n*dim, and every value must be
+// finite: NaN or ±Inf anywhere is an error.
 func NewFromFlat(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if n <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("dblsh: invalid shape %d×%d", n, dim)
@@ -339,9 +331,6 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 	if opts.K < 0 || opts.L < 0 || opts.T < 0 {
 		return nil, errors.New("dblsh: K, L and T must be non-negative")
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("dblsh: Shards must be non-negative, got %d", opts.Shards)
-	}
 	if err := checkCompactFraction(opts.CompactFraction); err != nil {
 		return nil, err
 	}
@@ -360,7 +349,7 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 		MetricNormBound: met.NormBound(),
 	}
 	idim := met.InternalDim(dim)
-	if err := checkConfig(max(opts.Shards, 1), idim, cfg.Resolved(n)); err != nil {
+	if err := checkConfig(idim, cfg.Resolved(n)); err != nil {
 		return nil, err
 	}
 	iflat := flat
@@ -369,7 +358,7 @@ func newIndex(flat []float32, n, dim int, opts Options) (*Index, error) {
 			return nil, err
 		}
 	}
-	set := shard.Build(iflat, n, idim, opts.Shards, opts.CompactFraction, cfg)
+	set := shard.Build(iflat, n, idim, 1, opts.CompactFraction, cfg)
 	return &Index{set: set, dim: dim, met: met}, nil
 }
 
@@ -391,14 +380,9 @@ func (idx *Index) Dim() int { return idx.dim }
 // Metric returns the distance metric the index was built with.
 func (idx *Index) Metric() Metric { return Metric(idx.met.Kind()) }
 
-// Shards returns the number of index shards (1 unless Options.Shards
-// requested more).
-func (idx *Index) Shards() int { return idx.set.Shards() }
-
 // Searcher is a reusable per-goroutine query context: Index.SearchOpts
 // borrows one from the index's pool for each query, and a query-heavy loop
-// can hold its own. It holds one core searcher per shard; on a sharded
-// index a query coordinates one radius ladder across all of them.
+// can hold its own.
 type Searcher struct {
 	idx   *Index
 	inner *shard.Searcher
@@ -422,7 +406,7 @@ type Stats struct {
 	// FinalRadius is the search radius at which the query terminated.
 	FinalRadius float64
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// across all projected spaces, shards and rounds: an interior node once
+	// across all projected spaces and rounds: an interior node once
 	// per query, a leaf each time a wider window reaches more of its
 	// entries, and the walk from the root again after a mid-query mutation
 	// re-arms a cursor. A tail leaf holds added vectors in arrival order, so
@@ -466,21 +450,20 @@ func (idx *Index) IndexSizeBytes() int64 { return idx.set.IndexSizeBytes() }
 
 // Add inserts a vector and returns its id. Ids are allocated sequentially
 // and never reused. Add is safe to call concurrently with searches and
-// other mutations: it write-locks only the shard the new vector routes to,
-// so on a sharded index the other shards keep answering. Searchers created
-// before an Add remain valid. A vector with a NaN or infinite coordinate is
+// other mutations: it takes the write lock briefly, between the rounds of
+// running queries. Searchers created before an Add remain valid. A vector with a NaN or infinite coordinate is
 // rejected with an error under every metric, before anything is logged or
 // applied. Under a non-Euclidean metric the vector must also satisfy the
 // metric's ingest contract (nonzero under Cosine, ‖v‖ within the norm bound
 // under InnerProduct) or an error is returned.
 //
-// The vector joins an append-only tail in each of its shard's L trees: a
-// hash and L appends, with no tree descent. A tail holds 1 024 vectors; a
-// query walks it in arrival order, which costs it up to ~50 % more tree
-// nodes on well-clustered data when the tail is full (less on overlapping
-// data). Once a shard's tail holds half that, the Add schedules a
-// background rebuild that packs it (see CompactShard), and an Add that
-// finds the tail full packs it inline, holding the shard's write lock.
+// The vector joins an append-only tail in each of the L trees: a hash and L
+// appends, with no tree descent. A tail holds 1 024 vectors; a query walks
+// it in arrival order, which costs it up to ~50 % more tree nodes on
+// well-clustered data when the tail is full (less on overlapping data).
+// Once the tail holds half that, the Add schedules a background rebuild
+// that packs it (see Compact), and an Add that finds the tail full packs it
+// inline, holding the write lock.
 //
 // On a durable index (see Open) the mutation is write-ahead: the op log
 // record is appended — and, under SyncAlways, fsynced — before the vector
@@ -508,10 +491,10 @@ func (idx *Index) Add(v []float32) (int, error) {
 }
 
 // DeleteWithError removes vector id from future search results. The
-// underlying storage is tombstoned, not reclaimed — reclaim with
-// CompactShard/Compact, or set Options.CompactFraction to automate it. It
-// is safe to call concurrently with searches and mutations: it write-locks
-// only the shard that owns id. ok is false when id was never allocated, is
+// underlying storage is tombstoned, not reclaimed — reclaim with Compact,
+// or set Options.CompactFraction to automate it. It is safe to call
+// concurrently with searches and mutations: it takes the write lock
+// briefly. ok is false when id was never allocated, is
 // already deleted, or was reclaimed by a compaction.
 //
 // On a durable index (see Open) the tombstone is write-ahead: the op log
@@ -531,19 +514,10 @@ func (idx *Index) DeleteWithError(id int) (ok bool, err error) {
 // Deleted returns the number of tombstoned vectors.
 func (idx *Index) Deleted() int { return idx.set.Deleted() }
 
-// CompactShard rebuilds shard s from its live vectors, dropping its
-// tombstones while every other shard keeps serving searches and mutations.
-// Global ids are preserved. It returns the number of tombstones reclaimed.
-func (idx *Index) CompactShard(s int) (int, error) {
-	if s < 0 || s >= idx.set.Shards() {
-		return 0, fmt.Errorf("dblsh: shard %d out of range [0,%d)", s, idx.set.Shards())
-	}
-	return idx.set.CompactShard(s), nil
-}
-
-// Compact compacts every shard in turn (at most one shard is rebuilding at
-// any moment, and even it keeps serving) and returns the total number of
-// tombstones reclaimed.
+// Compact rebuilds the index from its live vectors, dropping its tombstones
+// and packing its trees' tails, while it keeps serving searches and
+// mutations (only a short swap takes the write lock). Global ids are
+// preserved. It returns the number of tombstones reclaimed.
 func (idx *Index) Compact() int { return idx.set.Compact() }
 
 // SetCompactFraction replaces the auto-compaction threshold at runtime —
@@ -565,9 +539,9 @@ func checkCompactFraction(f float64) error {
 	return nil
 }
 
-// ShardStat describes one shard's current state.
+// ShardStat describes the index's current state.
 type ShardStat struct {
-	// Shard is the shard's index in [0, Shards()).
+	// Shard is always 0: the index is one shard.
 	Shard int
 	// Size is the number of resident vectors, live plus tombstoned.
 	Size int
@@ -575,36 +549,32 @@ type ShardStat struct {
 	Live int
 	// Deleted is the tombstone count a compaction would reclaim.
 	Deleted int
-	// Unpacked is the number of vectors added since the shard was last
+	// Unpacked is the number of vectors added since the index was last
 	// packed. They wait in an append-only tail that queries walk in arrival
 	// order; a compaction, which an add schedules once the tail is half
 	// full, packs them.
 	Unpacked int
-	// Compactions counts completed compactions of this shard, repacks
-	// included.
+	// Compactions counts completed compactions, repacks included.
 	Compactions int
 	// LastCompaction is when the most recent compaction finished; zero if
-	// the shard has never been compacted.
+	// the index has never been compacted.
 	LastCompaction time.Time
-	// IndexSizeBytes estimates the shard's tree footprint.
+	// IndexSizeBytes estimates the trees' footprint.
 	IndexSizeBytes int64
 }
 
-// ShardStats reports per-shard statistics, in shard order.
+// ShardStats reports the index's statistics as one entry. It keeps the
+// form of the striped index's per-stripe list because benchmark/durable.go
+// still ranges over it; the next PR allowed to edit benchmark/ replaces it.
 func (idx *Index) ShardStats() []ShardStat {
-	infos := idx.set.Infos()
-	out := make([]ShardStat, len(infos))
-	for i, in := range infos {
-		out[i] = ShardStat{
-			Shard:          in.Shard,
-			Size:           in.Size,
-			Live:           in.Live,
-			Deleted:        in.Deleted,
-			Unpacked:       in.Unpacked,
-			Compactions:    in.Compactions,
-			LastCompaction: in.LastCompaction,
-			IndexSizeBytes: in.IndexSizeBytes,
-		}
-	}
-	return out
+	in := idx.set.Info()
+	return []ShardStat{{
+		Size:           in.Size,
+		Live:           in.Live,
+		Deleted:        in.Deleted,
+		Unpacked:       in.Unpacked,
+		Compactions:    in.Compactions,
+		LastCompaction: in.LastCompaction,
+		IndexSizeBytes: in.IndexSizeBytes,
+	}}
 }

@@ -310,48 +310,45 @@ func TestNonFiniteInputRejected(t *testing.T) {
 }
 
 // TestNonFiniteQueryRejected: a query with a NaN or ±Inf coordinate is
-// refused with an error by every query entry point, on a one-shard and on a
-// sharded index, under every metric, and costs no traversal: the statistics
+// refused with an error by every query entry point, under every metric, and costs no traversal: the statistics
 // stay untouched.
 func TestNonFiniteQueryRejected(t *testing.T) {
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	data, queries := clusteredData(400, 8, 23)
 	for _, m := range []Metric{Euclidean, Cosine, InnerProduct} {
-		for _, shards := range []int{1, 3} {
-			idx, err := New(data, Options{Metric: m, Seed: 23, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
+		idx, err := New(data, Options{Metric: m, Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := idx.NewSearcher()
+		for _, bad := range []float32{nan, inf, -inf} {
+			q := append([]float32(nil), queries[0]...)
+			q[5] = bad
+			name := fmt.Sprintf("%v/%v", m, bad)
+			st := Stats{Candidates: -1}
+			if res, err := idx.SearchOpts(q, 3, WithStats(&st)); err == nil || res != nil {
+				t.Fatalf("%s: Index.SearchOpts = %v, %v", name, res, err)
+			} else if !strings.Contains(err.Error(), "coordinate 5") {
+				t.Fatalf("%s: error %q does not name the coordinate", name, err)
 			}
-			s := idx.NewSearcher()
-			for _, bad := range []float32{nan, inf, -inf} {
-				q := append([]float32(nil), queries[0]...)
-				q[5] = bad
-				name := fmt.Sprintf("%v/shards=%d/%v", m, shards, bad)
-				st := Stats{Candidates: -1}
-				if res, err := idx.SearchOpts(q, 3, WithStats(&st)); err == nil || res != nil {
-					t.Fatalf("%s: Index.SearchOpts = %v, %v", name, res, err)
-				} else if !strings.Contains(err.Error(), "coordinate 5") {
-					t.Fatalf("%s: error %q does not name the coordinate", name, err)
-				}
-				if st.Candidates != -1 {
-					t.Fatalf("%s: a refused query wrote statistics: %+v", name, st)
-				}
-				if res, err := s.SearchOpts(q, 3); err == nil || res != nil {
-					t.Fatalf("%s: Searcher.SearchOpts = %v, %v", name, res, err)
-				}
-				if _, ok, err := s.SearchRadiusOpts(q, 1); err == nil || ok {
-					t.Fatalf("%s: SearchRadiusOpts = %v, %v", name, ok, err)
-				}
-				if res, err := idx.SearchBatchOpts([][]float32{queries[1], q}, 3); err == nil || res != nil {
-					t.Fatalf("%s: SearchBatchOpts = %v, %v", name, res, err)
-				} else if want := fmt.Sprintf("dblsh: coordinate 5 is %v; vectors must be finite (query 1)", bad); err.Error() != want || errors.Unwrap(err) == nil {
-					t.Fatalf("%s: batch error %q, want %q wrapping the query's own error", name, err, want)
-				}
+			if st.Candidates != -1 {
+				t.Fatalf("%s: a refused query wrote statistics: %+v", name, st)
 			}
-			// The searcher is unharmed.
-			if res := search(t, s, queries[0], 3); len(res) != 3 {
-				t.Fatalf("%v/shards=%d: finite query after the refusals got %d results", m, shards, len(res))
+			if res, err := s.SearchOpts(q, 3); err == nil || res != nil {
+				t.Fatalf("%s: Searcher.SearchOpts = %v, %v", name, res, err)
 			}
+			if _, ok, err := s.SearchRadiusOpts(q, 1); err == nil || ok {
+				t.Fatalf("%s: SearchRadiusOpts = %v, %v", name, ok, err)
+			}
+			if res, err := idx.SearchBatchOpts([][]float32{queries[1], q}, 3); err == nil || res != nil {
+				t.Fatalf("%s: SearchBatchOpts = %v, %v", name, res, err)
+			} else if want := fmt.Sprintf("dblsh: coordinate 5 is %v; vectors must be finite (query 1)", bad); err.Error() != want || errors.Unwrap(err) == nil {
+				t.Fatalf("%s: batch error %q, want %q wrapping the query's own error", name, err, want)
+			}
+		}
+		// The searcher is unharmed.
+		if res := search(t, s, queries[0], 3); len(res) != 3 {
+			t.Fatalf("%v: finite query after the refusals got %d results", m, len(res))
 		}
 	}
 }
@@ -359,55 +356,52 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 // TestHugeKReturnsEveryLiveRow: a k far beyond the rows an index holds asks
 // for all of them. It must not reserve k result slots — 1<<40 of them is an
 // unrecoverable out-of-memory fault — and returns min(k, live) results
-// through every k-NN entry point, on one shard and on four, with a deleted
-// row left out. A k at the int limit, where the 2tL+k budget would
+// through every k-NN entry point, with a deleted row left out. A k at the int limit, where the 2tL+k budget would
 // overflow, does the same. A k within the rows still returns exactly k.
 func TestHugeKReturnsEveryLiveRow(t *testing.T) {
 	const n, huge, gone = 200, 1 << 40, 7
 	data, queries := clusteredData(n, 8, 31)
-	for _, shards := range []int{1, 4} {
-		idx, err := New(data, Options{Shards: shards, Seed: 31})
-		if err != nil {
-			t.Fatal(err)
+	idx, err := New(data, Options{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !del(t, idx, gone) {
+		t.Fatalf("delete %d failed", gone)
+	}
+	check := func(via string, res []Result) {
+		t.Helper()
+		if len(res) != n-1 {
+			t.Fatalf("%s: %d results, want the %d live rows", via, len(res), n-1)
 		}
-		if !del(t, idx, gone) {
-			t.Fatalf("shards=%d: delete %d failed", shards, gone)
-		}
-		check := func(via string, res []Result) {
-			t.Helper()
-			if len(res) != n-1 {
-				t.Fatalf("shards=%d %s: %d results, want the %d live rows", shards, via, len(res), n-1)
+		seen := make(map[int]bool, len(res))
+		for i, r := range res {
+			if r.ID == gone || seen[r.ID] || (i > 0 && r.Dist < res[i-1].Dist) {
+				t.Fatalf("%s: result %d (id %d) is deleted, repeated or out of order", via, i, r.ID)
 			}
-			seen := make(map[int]bool, len(res))
-			for i, r := range res {
-				if r.ID == gone || seen[r.ID] || (i > 0 && r.Dist < res[i-1].Dist) {
-					t.Fatalf("shards=%d %s: result %d (id %d) is deleted, repeated or out of order", shards, via, i, r.ID)
-				}
-				seen[r.ID] = true
-			}
+			seen[r.ID] = true
 		}
-		check("Index.SearchOpts", search(t, idx, queries[0], huge))
-		check("k = MaxInt", search(t, idx, queries[2], math.MaxInt))
-		res, err := idx.NewSearcher().SearchOpts(queries[1], huge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Searcher.SearchOpts", res)
-		batch, err := idx.SearchBatchOpts(queries[:3], huge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, res := range batch {
-			check("SearchBatchOpts", res)
-		}
-		if got := len(search(t, idx, queries[0], 10)); got != 10 {
-			t.Fatalf("shards=%d: k=10 returned %d results", shards, got)
-		}
+	}
+	check("Index.SearchOpts", search(t, idx, queries[0], huge))
+	check("k = MaxInt", search(t, idx, queries[2], math.MaxInt))
+	res, err := idx.NewSearcher().SearchOpts(queries[1], huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Searcher.SearchOpts", res)
+	batch, err := idx.SearchBatchOpts(queries[:3], huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range batch {
+		check("SearchBatchOpts", res)
+	}
+	if got := len(search(t, idx, queries[0], 10)); got != 10 {
+		t.Fatalf("k=10 returned %d results", got)
 	}
 }
 
 // TestBadQueryRejected: a query of the wrong dimension and a k below 1 are
-// errors on every query entry point, on one shard and on three. A batch
+// errors on every query entry point. A batch
 // checks every query on the caller's goroutine before any worker starts,
 // so the bad query fails the batch with its index named at one worker and
 // at four alike, instead of panicking in a worker goroutine. The searcher
@@ -415,47 +409,45 @@ func TestHugeKReturnsEveryLiveRow(t *testing.T) {
 func TestBadQueryRejected(t *testing.T) {
 	data, queries := clusteredData(400, 8, 33)
 	short := queries[0][:7]
-	for _, shards := range []int{1, 3} {
-		idx, err := New(data, Options{Seed: 33, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+	idx, err := New(data, Options{Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := idx.NewSearcher()
+	for _, bad := range []struct {
+		name string
+		q    []float32
+		k    int
+	}{{"dim 7", short, 3}, {"k = 0", queries[0], 0}, {"k = -1", queries[0], -1}} {
+		name := bad.name
+		if res, err := idx.SearchOpts(bad.q, bad.k); err == nil || res != nil {
+			t.Fatalf("%s: Index.SearchOpts = %v, %v", name, res, err)
 		}
-		s := idx.NewSearcher()
-		for _, bad := range []struct {
-			name string
-			q    []float32
-			k    int
-		}{{"dim 7", short, 3}, {"k = 0", queries[0], 0}, {"k = -1", queries[0], -1}} {
-			name := fmt.Sprintf("shards=%d/%s", shards, bad.name)
-			if res, err := idx.SearchOpts(bad.q, bad.k); err == nil || res != nil {
-				t.Fatalf("%s: Index.SearchOpts = %v, %v", name, res, err)
+		if res, err := s.SearchOpts(bad.q, bad.k); err == nil || res != nil {
+			t.Fatalf("%s: Searcher.SearchOpts = %v, %v", name, res, err)
+		}
+		batch := [][]float32{queries[1], bad.q}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := idx.SearchBatchOpts(batch, bad.k)
+			runtime.GOMAXPROCS(prev)
+			if err == nil || res != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: SearchBatchOpts = %v, %v", name, procs, res, err)
 			}
-			if res, err := s.SearchOpts(bad.q, bad.k); err == nil || res != nil {
-				t.Fatalf("%s: Searcher.SearchOpts = %v, %v", name, res, err)
+			want := "dblsh: query dim 7, index dim 8 (query 1)"
+			if bad.k < 1 { // k is wrong for every query
+				want = fmt.Sprintf("dblsh: k must be positive, got %d (query 0)", bad.k)
 			}
-			batch := [][]float32{queries[1], bad.q}
-			for _, procs := range []int{1, 4} {
-				prev := runtime.GOMAXPROCS(procs)
-				res, err := idx.SearchBatchOpts(batch, bad.k)
-				runtime.GOMAXPROCS(prev)
-				if err == nil || res != nil {
-					t.Fatalf("%s GOMAXPROCS=%d: SearchBatchOpts = %v, %v", name, procs, res, err)
-				}
-				want := "dblsh: query dim 7, index dim 8 (query 1)"
-				if bad.k < 1 { // k is wrong for every query
-					want = fmt.Sprintf("dblsh: k must be positive, got %d (query 0)", bad.k)
-				}
-				if err.Error() != want || errors.Unwrap(err) == nil {
-					t.Fatalf("%s GOMAXPROCS=%d: batch error %q, want %q wrapping the query's own error", name, procs, err, want)
-				}
+			if err.Error() != want || errors.Unwrap(err) == nil {
+				t.Fatalf("%s GOMAXPROCS=%d: batch error %q, want %q wrapping the query's own error", name, procs, err, want)
 			}
 		}
-		if _, ok, err := s.SearchRadiusOpts(short, 1); err == nil || ok {
-			t.Fatalf("shards=%d: SearchRadiusOpts on dim 7 = %v, %v", shards, ok, err)
-		}
-		if res := search(t, s, queries[0], 3); len(res) != 3 {
-			t.Fatalf("shards=%d: the searcher answered %d results after the refusals", shards, len(res))
-		}
+	}
+	if _, ok, err := s.SearchRadiusOpts(short, 1); err == nil || ok {
+		t.Fatalf("SearchRadiusOpts on dim 7 = %v, %v", ok, err)
+	}
+	if res := search(t, s, queries[0], 3); len(res) != 3 {
+		t.Fatalf("the searcher answered %d results after the refusals", len(res))
 	}
 }
 

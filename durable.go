@@ -8,36 +8,33 @@
 // and resumes; a crash therefore loses at most the log records the sync
 // policy had not yet fsynced.
 //
-// Replay is per shard, deterministic and compaction-free. Records are
-// decoded and checked a chunk at a time (replayChunk); each chunk is split
-// by owning shard, and every shard applies its share in log order on its
-// own goroutine (shard.Set.Replay). Records of different shards commute, so
-// the replayed index does not depend on GOMAXPROCS or scheduling: it is,
-// byte for byte, what applying the records one at a time gives. No
-// compaction runs while the log is being applied — a rebuild started by a
-// replayed Delete would race the replay and be thrown away by the next
-// one — so the auto-compaction threshold is set after the last record, and
-// once Open has succeeded every shard whose tombstones reached it gets one
-// background compaction. A restart costs the checkpoint's bytes plus the
-// log's index inserts spread across the shards, and an Open that fails has
-// started no background work.
+// Replay is deterministic and compaction-free. Records are decoded and
+// checked a chunk at a time (replayChunk), and each chunk is applied in log
+// order under one hold of the index's write lock (shard.Set.Replay): the
+// replayed index is, byte for byte, what applying the records one at a time
+// gives. No compaction runs while the log is being applied — a rebuild
+// started by a replayed Delete would race the replay and be thrown away by
+// the next one — so the auto-compaction threshold is set after the last
+// record, and once Open has succeeded an index that owes a compaction gets
+// one in the background. A restart costs the checkpoint's bytes plus the
+// log's index inserts, and an Open that fails has started no background
+// work.
 //
 // Checkpointing rotates the active log segment aside (to "wal.<seq>.old"),
-// streams a fresh snapshot through the lock-light per-shard WriteTo path to
-// a temp file, fsyncs it, renames it over the old checkpoint, fsyncs the
+// streams a fresh snapshot through the lock-light WriteTo path to a temp
+// file, fsyncs it, renames it over the old checkpoint, fsyncs the
 // directory, and only then deletes the rotated segments. Every record in a
 // rotated segment was applied to the in-memory index before rotation (both
-// happen under the log mutex) and rotation precedes the first shard copy,
-// so the new checkpoint contains all of them — and, shard by shard, whatever
-// later mutations reached a shard before its copy, which the active segment
-// also holds. A crash at any point in the sequence leaves either the old
+// happen under the log mutex) and rotation precedes the copy, so the new
+// checkpoint contains all of them — and whatever later mutations reached
+// the index before the copy, which the active segment also holds. A crash at any point in the sequence leaves either the old
 // checkpoint plus every segment, or the new checkpoint plus segments whose
 // replay is idempotent. Replay idempotence comes from the op set itself: ids
 // are never reused, an Add re-applied over a checkpoint that already holds
-// its row is skipped by residency (shard.Set.Replay), and a Delete of an
-// absent or already-tombstoned id is a no-op. Because the mutex serializes
-// durable Adds, a shard's copy is a prefix of its insert order, and replay
-// applies the rest of that order to the stored trees.
+// its row is skipped (shard.Set.Replay), and a Delete of an absent or
+// already-tombstoned id is a no-op. Because the mutex serializes durable
+// Adds, the copy is a prefix of the insert order, and replay applies the
+// rest of that order to the stored trees.
 //
 // Mutations are true write-ahead, append-then-apply under one mutex: the
 // record is logged (and fsynced, under SyncAlways) before the in-memory
@@ -47,10 +44,7 @@
 // append+apply atomic with respect to log rotation, which takes the same
 // mutex — that is what makes the containment argument above hold. The
 // in-memory write path of a durable index is therefore serialized by the
-// log mutex; the log is a single append stream anyway, so shard-parallel
-// application would only reorder acknowledgments, not speed them up.
-// Replay is the other case: the whole log is there to be read, so it is
-// applied shard-parallel.
+// log mutex; the log is a single append stream anyway.
 
 package dblsh
 
@@ -123,9 +117,9 @@ const (
 
 func walOldName(seq uint64) string { return fmt.Sprintf("wal.%08d.old", seq) }
 
-// replayChunk is how many log records Open decodes before applying them:
-// enough that every shard of a chunk has a long list to apply on its own
-// goroutine, few enough that the chunk's rows stay a few MB at any dim.
+// replayChunk is how many log records Open decodes before applying them
+// under one hold of the write lock: few enough that the chunk's rows stay a
+// few MB at any dim.
 const replayChunk = 1024
 
 // DurabilityStats describes a durable index's recovery state.
@@ -201,8 +195,8 @@ func IsStore(dir string) bool {
 }
 
 // Open opens (or creates) a durable index in directory dir. If dir holds a
-// checkpoint it is loaded — the stored structural parameters, shard layout
-// and metric win over opts, and a non-zero opts.Dim or opts.Metric that
+// checkpoint it is loaded — the stored structural parameters and metric
+// win over opts, and a non-zero opts.Dim or opts.Metric that
 // disagrees with the store is an error — and the op log is replayed on top
 // of it, dropping a torn final record if the process died mid-append.
 // Otherwise a fresh, empty index is built from opts (opts.Dim is required;
@@ -333,11 +327,13 @@ func Open(dir string, opts Options) (*Index, error) {
 		}
 	}
 	d.start(idx)
-	scheduled := idx.set.CompactOwed()
+	scheduled := 0
+	if idx.set.CompactOwed() {
+		scheduled = 1
+	}
 	if replayed > 0 {
 		// Replay is the restart cost an operator waits out: a replayed add
-		// is a full index insert, so the rate is the write path's times the
-		// shards that apply in parallel.
+		// is a full index insert, so the rate is the write path's.
 		slog.Info("dblsh: replayed op log", "dir", dir, "records", replayed,
 			"segments", replaySegments, "torn_segments", replayTorn,
 			"seconds", replaySeconds, "records_per_s", float64(replayed)/replaySeconds,
@@ -563,9 +559,9 @@ func (idx *Index) Durability() (st DurabilityStats, ok bool) {
 }
 
 // Checkpoint rewrites the durable snapshot and truncates the op log. The
-// index serves reads and writes throughout: the snapshot streams one shard
-// at a time under that shard's read lock (the WriteTo path), and the log
-// only pauses for the rotation instant. It is a no-op when nothing changed
+// index serves reads and writes throughout: the snapshot is copied under
+// the read lock and streamed with no lock held (the WriteTo path), and the
+// log only pauses for the rotation instant. It is a no-op when nothing changed
 // since the last checkpoint. On a purely in-memory index it returns an
 // error; use Save to snapshot one into a directory.
 func (idx *Index) Checkpoint() error {
@@ -716,12 +712,16 @@ func (idx *Index) Save(dir string) error {
 	return writeCheckpoint(idx, dir)
 }
 
-// Close flushes and closes a durable index's op log and stops its
-// background goroutines, then returns the first logging or checkpointing
-// failure encountered over the index's lifetime, if any. The index remains
-// searchable, but Add and DeleteWithError return ErrClosed. On a
-// purely in-memory index Close is a no-op. Close is idempotent.
+// Close stops the index's background work: it waits for the compaction in
+// flight, if any, and schedules none after it. On a durable index it then
+// flushes and closes the op log, stops the sync and checkpoint goroutines,
+// and returns the first logging or checkpointing failure encountered over
+// the index's lifetime, if any; the index remains searchable, but Add and
+// DeleteWithError return ErrClosed. A purely in-memory index stays fully
+// usable, its full tails repacking inline (or through Compact) instead of
+// in the background, and Close returns nil. Close is idempotent.
 func (idx *Index) Close() error {
+	idx.set.Close()
 	d := idx.dur
 	if d == nil {
 		return nil

@@ -241,7 +241,7 @@ func TestCrashMidCheckpointRecoversRotatedSegment(t *testing.T) {
 // under the same global ids.
 func TestDeleteCompactCrashReplayKeepsIDs(t *testing.T) {
 	dir := t.TempDir()
-	idx := mustOpen(t, dir, Options{Dim: 8, Seed: 10, Shards: 3})
+	idx := mustOpen(t, dir, Options{Dim: 8, Seed: 10})
 	vecs := randVecs(90, 8, 10)
 	for _, v := range vecs {
 		if _, err := idx.Add(v); err != nil {
@@ -310,6 +310,42 @@ func TestCloseGracefulReopenAndClosedMutations(t *testing.T) {
 	defer re.Close()
 	if got := serialize(t, re); !bytes.Equal(got, want) {
 		t.Fatal("graceful close lost state")
+	}
+}
+
+// TestCloseWaitsForOwedCompaction: a store whose log replays more adds than
+// half a tail holds owes a repack, and Open schedules it in the background.
+// Close must return only once that compaction has finished — a compaction
+// still running after Close competes with whatever the process does next,
+// a reopen of the same store included — and must schedule none after it.
+func TestCloseWaitsForOwedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	data, _ := clusteredData(20000, 16, 41)
+	mem, err := New(data, Options{Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	idx := mustOpen(t, dir, Options{Sync: SyncNever})
+	for _, v := range randVecs(600, 16, 41) {
+		if _, err := idx.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := mustOpen(t, dir, Options{Sync: SyncNever})
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := re.ShardStats()[0]; st.Compactions != 1 || st.Unpacked != 0 || st.Size != 20600 {
+		t.Fatalf("after Close: %+v, want the one owed compaction finished over 20 600 rows", st)
+	}
+	if re.set.CompactOwed() {
+		t.Fatal("a compaction was scheduled after Close")
 	}
 }
 
@@ -389,12 +425,12 @@ func TestBackgroundCheckpointer(t *testing.T) {
 func TestSaveBridgesInMemoryToDurable(t *testing.T) {
 	dir := t.TempDir()
 	data, _ := clusteredData(200, 8, 14)
-	mem, err := New(data, Options{Seed: 14, Shards: 2})
+	mem, err := New(data, Options{Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.Close(); err != nil {
-		t.Fatal("Close on an in-memory index should be a no-op, got", err)
+		t.Fatal("Close on an in-memory index should return nil, got", err)
 	}
 	if err := mem.Checkpoint(); !errors.Is(err, errNotDurable) {
 		t.Fatalf("Checkpoint on an in-memory index: %v, want errNotDurable", err)
@@ -404,8 +440,8 @@ func TestSaveBridgesInMemoryToDurable(t *testing.T) {
 	}
 	idx := mustOpen(t, dir, Options{})
 	defer idx.Close()
-	if idx.Len() != 200 || idx.Shards() != 2 {
-		t.Fatalf("opened store: Len=%d Shards=%d", idx.Len(), idx.Shards())
+	if idx.Len() != 200 {
+		t.Fatalf("opened store: Len=%d", idx.Len())
 	}
 	// Mutations are durable from here on.
 	id, err := idx.Add(data[0])
@@ -454,7 +490,7 @@ func TestDurableCosineReplaysWithoutRederivation(t *testing.T) {
 // matter where the checkpoints cut the stream.
 func TestDurableConcurrentMutationsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	idx := mustOpen(t, dir, Options{Dim: 8, Seed: 20, Shards: 4, Sync: SyncNever})
+	idx := mustOpen(t, dir, Options{Dim: 8, Seed: 20, Sync: SyncNever})
 	const (
 		adders  = 4
 		perG    = 60

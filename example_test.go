@@ -357,16 +357,16 @@ func ExampleWithFilter() {
 	// document 205: no other document within 2.0
 }
 
-// Serve searches, adds and deletes from several goroutines at once on a
-// sharded index: each mutation write-locks one shard, a query holds a
-// shard's read lock for one ladder round at a time, and a shard whose
-// tombstones reach CompactFraction rebuilds in the background while it
-// keeps serving. A final Compact reclaims what is left.
+// Serve searches, adds and deletes from several goroutines at once: each
+// mutation takes the index's write lock briefly, a query holds its read
+// lock for one ladder round at a time, and once the tombstones reach
+// CompactFraction the index rebuilds in the background while it keeps
+// serving. A final Compact reclaims what is left.
 func ExampleIndex_Compact() {
-	const n, shards = 4000, 4
+	const n = 4000
 	rng := rand.New(rand.NewSource(3))
 	data, centers, _ := mixture(rng, n, 32, 40, 10, 1)
-	idx, err := dblsh.New(data, dblsh.Options{Seed: 3, Shards: shards, CompactFraction: 0.25})
+	idx, err := dblsh.New(data, dblsh.Options{Seed: 3, CompactFraction: 0.25})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -413,17 +413,12 @@ func ExampleIndex_Compact() {
 	idx.Compact()
 	fmt.Printf("%d of 600 searches returned 10 results\n", full.Load())
 	fmt.Printf("%d vectors, %d tombstones, next id %d\n", idx.Len(), idx.Deleted(), idx.NextID())
-	for _, st := range idx.ShardStats() {
-		// Vector id g lives in shard g % Shards.
-		fmt.Printf("shard %d: %d live of %d resident\n", st.Shard, st.Live, st.Size)
-	}
+	st := idx.ShardStats()[0]
+	fmt.Printf("%d live of %d resident\n", st.Live, st.Size)
 	// Output:
 	// 600 of 600 searches returned 10 results
 	// 3100 vectors, 0 tombstones, next id 4300
-	// shard 0: 784 live of 784 resident
-	// shard 1: 767 live of 767 resident
-	// shard 2: 772 live of 772 resident
-	// shard 3: 777 live of 777 resident
+	// 3100 live of 3100 resident
 }
 
 // Recover a durable store after a crash: every Add and DeleteWithError

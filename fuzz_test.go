@@ -9,14 +9,14 @@ import (
 )
 
 // readSeeds returns the valid index files FuzzRead starts from: v4 files
-// of a single-shard index, a sharded one with a tombstone, and one whose
-// trees took adds after they were packed.
+// of an index as built, one with a tombstone, and one whose trees took adds
+// after they were packed.
 func readSeeds(t testing.TB) (v4 [][]byte) {
 	data, _ := clusteredData(50, 4, 91)
 	for _, opts := range []Options{
 		{K: 4, L: 2, Seed: 91},
-		{K: 4, L: 2, Seed: 91, Shards: 3},
-		{K: 4, L: 2, Seed: 91},
+		{K: 4, L: 2, Seed: 92},
+		{K: 4, L: 2, Seed: 93},
 	} {
 		idx, err := New(data, opts)
 		if err != nil {
@@ -86,7 +86,7 @@ func mustBeUsable(t *testing.T, loaded *Index) {
 // twice. As it is, the checksum turns nearly every mutation away at the
 // door; so the input is read again with the checksum recomputed over
 // whatever the fuzzer made of it — the header words, which the shared
-// plausibility limits bound (checkConfig), and the shards and tree arenas
+// plausibility limits bound (checkConfig), and the part and tree arenas
 // behind them, which are for the structural validation to catch: child
 // indices out of range or in a cycle, duplicated and missing leaf ids,
 // over-capacity counts, truncated slabs. Run with `go test -fuzz=FuzzRead`;

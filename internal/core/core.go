@@ -107,9 +107,9 @@ func (c Config) withDefaults(n int) Config {
 // Resolved returns the configuration after defaulting and derivation for a
 // dataset of n points — the parameters Build would actually use. It is
 // idempotent: resolving an already-resolved configuration changes nothing,
-// so a caller (such as the shard layer) can resolve once against the full
-// dataset size and hand the result to several smaller Builds without the
-// size-dependent K derivation diverging per shard.
+// so a caller (such as the shard layer) can resolve once and hand the
+// result to every later rebuild without the size-dependent K derivation
+// moving as the rows come and go.
 func (c Config) Resolved(n int) Config { return c.withDefaults(n) }
 
 // Index is a DB-LSH index over a dataset: L STR-packed R*-trees, each with
@@ -285,7 +285,7 @@ func (idx *Index) eachSpace(fn func(i int) error) error {
 }
 
 // Each runs fn for the work items 0…n−1 — Build's row blocks, the L
-// projected spaces, or the shard layer's shards and batch queries —
+// projected spaces, or the shard layer's batch queries —
 // GOMAXPROCS at a time, and returns what errors it met.
 // Workers claim items from one counter. The caller's goroutine is one of
 // the workers, so at GOMAXPROCS 1 the items run one after another on it.
@@ -456,10 +456,13 @@ func (idx *Index) DeletedBits() []bool { return idx.deleted }
 // together with each copied row's current id: row j of the returned matrix
 // is the point that was ids[j] in this index. Build over the returned
 // matrix, or Repack over it and Projections(ids), yields an equivalent index
-// with zero tombstone debt.
+// with zero tombstone debt. The copy has spare capacity for UnpackedCap more
+// rows, so the Inserts that fill the new index's tails append in place
+// instead of reallocating every row.
 func (idx *Index) LiveRows() (*vec.Matrix, []int) {
-	m := vec.NewMatrix(idx.Live(), idx.data.Dim())
-	ids := make([]int, 0, idx.Live())
+	live, dim := idx.Live(), idx.data.Dim()
+	m := vec.WrapMatrix(make([]float32, live*dim, (live+idx.UnpackedCap())*dim), live, dim)
+	ids := make([]int, 0, live)
 	for i := 0; i < idx.data.Rows(); i++ {
 		if idx.isDeleted(i) {
 			continue
@@ -511,7 +514,7 @@ type Stats struct {
 	FinalR     float64 // radius at termination
 
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// summed across trees, parts and rounds: an interior node once per
+	// summed across trees and rounds: an interior node once per
 	// query, a leaf each time a wider window reaches more of its entries,
 	// and the walk from the root again after a mid-query mutation re-arms a
 	// cursor.
@@ -552,10 +555,10 @@ type QueryParams struct {
 	// with Ctx.Err().
 	Ctx context.Context
 	// Filter, when non-nil, restricts results to ids it accepts (global ids
-	// when the query runs over a sharded set). Rejected points are skipped
-	// inside the gather loop before the exact distance computation — the
-	// same path tombstoned points take — so they consume none of the
-	// candidate budget.
+	// when the query runs through the shard layer's id map). Rejected points
+	// are skipped inside the gather loop before the exact distance
+	// computation — the same path tombstoned points take — so they consume
+	// none of the candidate budget.
 	Filter func(id int) bool
 	// Parallelism is ignored: benchmark/layers.go:244 still sets it. The next
 	// PR allowed to edit benchmark/ removes it.
@@ -617,7 +620,7 @@ type Searcher struct {
 	cursors []*rstar.Cursor
 	rearms  int // cursor re-arms triggered by mid-query tree mutations
 
-	one []Part // the one part a bare index is: this searcher, no lock, identity ids
+	one *Part // the part a bare index is: this searcher, no lock, identity ids
 }
 
 // blockMeta locates a gathered candidate in its cursor's current shell:
@@ -643,7 +646,7 @@ func newSearcher(idx *Index) *Searcher {
 		s.qhash[i] = make([]float32, idx.cfg.K)
 		s.cursors[i] = rstar.NewCursor(idx.trees[i])
 	}
-	s.one = []Part{{Bind: func() (*Searcher, []int) { return s, nil }}}
+	s.one = &Part{Bind: func() (*Searcher, []int) { return s, nil }}
 	return s
 }
 
@@ -679,8 +682,8 @@ func (s *Searcher) KANN(q []float32, k int) []vec.Neighbor {
 	return nbs
 }
 
-// KANNParams answers a (c,k)-ANN query — Search over the one part a bare
-// index is: no lock, the identity id map. The QueryParams override the
+// KANNParams answers a (c,k)-ANN query — Search over the part a bare index
+// is: no lock, the identity id map. The QueryParams override the
 // build-time knobs for this query only; the zero value is KANN. The
 // returned error is non-nil only when p.Ctx expires, and even then the
 // candidates verified before cancellation are returned.
@@ -693,7 +696,7 @@ func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor
 
 // CheckQuery enforces the query entry points' panic contract for programmer
 // errors: a query of the wrong dimension, or k ≤ 0. The shard layer calls it
-// before it takes a lock, so a panicking query never strands one. The public
+// before it takes the lock, so a panicking query never strands it. The public
 // package refuses such queries with an error before they get this far.
 func CheckQuery(q []float32, dim, k int) {
 	if len(q) != dim {
@@ -706,36 +709,33 @@ func CheckQuery(q []float32, dim, k int) {
 
 // The round driver.
 //
-// A query runs over a list of parts: a bare Index is one part, a sharded
-// set one part per shard. Every part runs the same round r, c·r, c²·r, …
-// against its own trees, in part order, and the round driver below is the
-// one place that owns what the paper's algorithms decide — the candidate
-// budget, the initial radius, the per-candidate emit and stop rule, the
-// covering test and sweep, and the statistics — so one shard and S shards
-// run the same code, and S shards spend one budget exactly as one index
-// spends it across its L trees instead of paying it S times against sparser
-// stripes. A part's lock is held for its share of one round only; the
-// context is polled between rounds with no lock held.
+// A query runs over a part: a bare Index, or the shard layer's index behind
+// its lock. The part runs the rounds r, c·r, c²·r, … against its trees, and
+// the round driver below is the one place that owns what the paper's
+// algorithms decide — the candidate budget, the initial radius, the
+// per-candidate emit and stop rule, the covering test and sweep, and the
+// statistics. The part's lock is held for one round only; the context is
+// polled between rounds with no lock held.
 //
-// Candidates flow in verified blocks: a part's cursors gather up to
+// Candidates flow in verified blocks: the part's cursors gather up to
 // verifyBlockSize ids, the batch kernel verifies the block against the
 // contiguous matrix storage (early-abandoning rows that provably cannot
 // beat the current k-th best), and the emit rule consumes it candidate by
 // candidate, handing an unconsumed tail back to the frontiers.
 
-// A Part is one index a query runs over: a core searcher, the lock that
+// A Part is the index a query runs over: a core searcher, the lock that
 // guards its index, and its local→global id map.
 type Part struct {
-	// Lock, when non-nil, is read-locked around the part's share of each
-	// round, and released between rounds.
+	// Lock, when non-nil, is read-locked around each round, and released
+	// between rounds.
 	Lock *sync.RWMutex
-	// Bind returns the searcher that runs the part's share of the next round
-	// and the part's local→global id map (nil: the identity). It is called
-	// under Lock as the query starts and before every round. A searcher
-	// other than the previous one means the part's index was replaced
-	// mid-query (a compaction swap): the new searcher starts from the roots,
-	// and the points the old one had already stamped are kept out of its
-	// stream, so none is verified twice.
+	// Bind returns the searcher that runs the next round and the part's
+	// local→global id map (nil: the identity). It is called under Lock as
+	// the query starts and before every round. A searcher other than the
+	// previous one means the part's index was replaced mid-query (a
+	// compaction swap): the new searcher starts from the roots, and the
+	// points the old one had already stamped are kept out of its stream, so
+	// none is verified twice.
 	Bind func() (*Searcher, []int)
 
 	s   *Searcher        // bound at the part's last round
@@ -765,14 +765,13 @@ func (pt *Part) global(id int) int {
 	return pt.ids[id]
 }
 
-// query is one run of the round driver over its parts.
+// query is one run of the round driver over its part.
 type query struct {
-	parts  []Part
-	at     int            // the part whose share of a round is running
+	pt     *Part
 	filter func(int) bool // over global ids
-	sift   bool           // the running part's candidates need admit
+	sift   bool           // candidates need admit
 
-	// cand is Algorithm 2's merged top-k. Algorithm 1 has none: it keeps the
+	// cand is Algorithm 2's top-k. Algorithm 1 has none: it keeps the
 	// candidate that stopped it in found.
 	cand   *vec.TopK
 	found  vec.Neighbor
@@ -785,24 +784,23 @@ type query struct {
 	st     Stats
 }
 
-// Search answers a (c,k)-ANN query over parts: Algorithm 2 with the
-// Section IV-C (c,k) rules. The radius starts at the smallest part's initial
-// radius (starting low costs only a few cheap rounds) and grows r, c·r,
-// c²·r, … up to p.MaxRadius; each round runs across the parts, and every
-// candidate lands in one merged top-k and counts against one budget of
-// 2tL+k (see query.emit). The query ends when the emit rule stops it, when
-// the k-th best is within stopC·r after a round, when every live point has
-// been verified, or — once the next round's windows would contain every
-// projected point — after one covering sweep of whatever is left. p.Ctx is
-// polled before each round; once it has expired the query returns the best
-// candidates found so far with its error.
-func Search(parts []Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
+// Search answers a (c,k)-ANN query over pt: Algorithm 2 with the Section
+// IV-C (c,k) rules. The radius starts at the index's initial radius and
+// grows r, c·r, c²·r, … up to p.MaxRadius; every candidate lands in one
+// top-k and counts against one budget of 2tL+k (see query.emit). The query
+// ends when the emit rule stops it, when the k-th best is within stopC·r
+// after a round, when every live point has been verified, or — once the
+// next round's windows would contain every projected point — after one
+// covering sweep of whatever is left. p.Ctx is polled before each round;
+// once it has expired the query returns the best candidates found so far
+// with its error.
+func Search(pt *Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
 	// Checked before the per-query hashing as well as per round, so the
 	// queries behind a dead context in a large batch are near-free.
 	if p.cancelled() {
 		return nil, Stats{}, p.Ctx.Err()
 	}
-	qr := query{parts: parts, filter: p.Filter}
+	qr := query{pt: pt, filter: p.Filter}
 	cfg, r, live, resident := qr.start(q)
 	if resident == 0 {
 		return nil, Stats{}, nil
@@ -839,22 +837,21 @@ func Search(parts []Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, St
 	return qr.cand.Results(), qr.st, err
 }
 
-// SearchRadius answers an (r,c)-NN query over parts: Algorithm 1, as one
-// round of the driver at radius r. It returns the first candidate within
-// c·r, or the candidate that spends the budget of 2tL+1, or ok = false when
-// the windows of every part hold neither. The budget is shared across the
-// parts, not granted per part. The emit rule differs from the ladder's
-// because the contract does: "some point within c·r", not a ranked top-k —
-// so the first qualifying candidate stops the query whatever is still
-// unverified, and the budget-spending candidate is returned as it stands.
-// No early-abandon bound applies, since every distance it might return must
-// be exact. p.EarlyStopFactor and p.MaxRadius do not apply to a
-// fixed-radius query; p.Ctx is checked once, before the round.
-func SearchRadius(parts []Part, q []float32, r float64, p QueryParams) (vec.Neighbor, bool, Stats, error) {
+// SearchRadius answers an (r,c)-NN query over pt: Algorithm 1, as one round
+// of the driver at radius r. It returns the first candidate within c·r, or
+// the candidate that spends the budget of 2tL+1, or ok = false when the
+// windows hold neither. The emit rule differs from the ladder's because the
+// contract does: "some point within c·r", not a ranked top-k — so the first
+// qualifying candidate stops the query whatever is still unverified, and
+// the budget-spending candidate is returned as it stands. No early-abandon
+// bound applies, since every distance it might return must be exact.
+// p.EarlyStopFactor and p.MaxRadius do not apply to a fixed-radius query;
+// p.Ctx is checked once, before the round.
+func SearchRadius(pt *Part, q []float32, r float64, p QueryParams) (vec.Neighbor, bool, Stats, error) {
 	if p.cancelled() {
 		return vec.Neighbor{}, false, Stats{FinalR: r}, p.Ctx.Err()
 	}
-	qr := query{parts: parts, filter: p.Filter}
+	qr := query{pt: pt, filter: p.Filter}
 	cfg, _, _, _ := qr.start(q)
 	t, _ := p.resolve(cfg)
 	qr.budget = 2*t*cfg.L + 1
@@ -865,37 +862,33 @@ func SearchRadius(parts []Part, q []float32, r float64, p QueryParams) (vec.Neig
 	return qr.found, qr.done, qr.st, nil
 }
 
-// start binds every part and begins its searcher on the query, returning
-// the configuration the parts share, the smallest initial radius among
-// them, and how many points are live and resident across them.
+// start binds the part and begins its searcher on the query, returning the
+// index's configuration and initial radius, and how many of its points are
+// live and resident.
 func (qr *query) start(q []float32) (cfg Config, r0 float64, live, resident int) {
-	r0 = math.Inf(1)
-	for i := range qr.parts {
-		qr.parts[i].s, qr.parts[i].dup = nil, nil
-		qr.share(i, q, func(s *Searcher) {
-			cfg, r0 = s.idx.cfg, min(r0, s.idx.r0)
-			live += s.idx.Live()
-			resident += s.idx.Size()
-		})
-	}
+	qr.pt.s, qr.pt.dup = nil, nil
+	qr.share(q, func(s *Searcher) {
+		cfg, r0 = s.idx.cfg, s.idx.r0
+		live, resident = s.idx.Live(), s.idx.Size()
+	})
 	return cfg, r0, live, resident
 }
 
-// share runs fn on part i's searcher under the part's read lock, once bind
-// has brought the part up to date. The lock is released however fn ends:
-// a Filter that panics leaves no writer of the part blocked.
-func (qr *query) share(i int, q []float32, fn func(s *Searcher)) {
-	if l := qr.parts[i].Lock; l != nil {
+// share runs fn on the part's searcher under the part's read lock, once bind
+// has brought the part up to date. The lock is released however fn ends: a
+// Filter that panics leaves no writer of the part blocked.
+func (qr *query) share(q []float32, fn func(s *Searcher)) {
+	if l := qr.pt.Lock; l != nil {
 		l.RLock()
 		defer l.RUnlock()
 	}
-	fn(qr.bind(i, q))
+	fn(qr.bind(q))
 }
 
-// bind brings part i up to date (see Part.Bind) and makes it the running
-// part. Callers hold the part's lock.
-func (qr *query) bind(i int, q []float32) *Searcher {
-	pt := &qr.parts[i]
+// bind brings the part up to date (see Part.Bind). Callers hold the part's
+// lock.
+func (qr *query) bind(q []float32) *Searcher {
+	pt := qr.pt
 	s, ids := pt.Bind()
 	if s != pt.s {
 		if pt.s != nil {
@@ -905,52 +898,41 @@ func (qr *query) bind(i int, q []float32) *Searcher {
 		pt.s = s
 	}
 	pt.ids = ids
-	qr.at = i
 	qr.sift = qr.filter != nil || pt.dup != nil
 	return s
 }
 
-// round runs one round at radius r across the parts in order — or, with
-// sweep, the covering sweep — holding each part's lock for its share only.
-// It reports whether every part's windows at radius next would contain its
-// whole projected set; that is meaningful only when the query is not done.
+// round runs one round at radius r — or, with sweep, the covering sweep —
+// holding the part's lock for it. It reports whether the windows at radius
+// next would contain the whole projected set; that is meaningful only when
+// the query is not done.
 func (qr *query) round(q []float32, r, next float64, sweep bool) (covered bool) {
 	qr.r, qr.sweep = r, sweep
-	covered = true
-	for i := range qr.parts {
-		if qr.done {
-			return false
+	qr.share(q, func(s *Searcher) {
+		if sweep {
+			s.sweepRound(q, qr)
+		} else {
+			s.windowRound(q, qr)
+			covered = !qr.done && s.covers(s.idx.cfg.W0*next)
 		}
-		qr.share(i, q, func(s *Searcher) {
-			if sweep {
-				s.sweepRound(q, qr)
-			} else {
-				s.windowRound(q, qr)
-				covered = covered && !qr.done && s.covers(s.idx.cfg.W0*next)
-			}
-		})
-	}
+	})
 	return covered
 }
 
 // finish folds the end-of-query state into the statistics.
 func (qr *query) finish() {
 	qr.st.Candidates = qr.cnt
-	for i := range qr.parts {
-		for _, c := range qr.parts[i].s.cursors {
-			qr.st.Frontier += c.FrontierLen()
-		}
+	for _, c := range qr.pt.s.cursors {
+		qr.st.Frontier += c.FrontierLen()
 	}
 }
 
-// admit reports whether the running part's local id may be verified: the
-// filter accepts its global id, and no searcher the part discarded this
-// query had stamped it.
+// admit reports whether a local id may be verified: the filter accepts its
+// global id, and no searcher the part discarded this query had stamped it.
 func (qr *query) admit(id int) bool {
-	pt := &qr.parts[qr.at]
-	g := pt.global(id)
-	if pt.dup != nil {
-		if _, seen := pt.dup[g]; seen {
+	g := qr.pt.global(id)
+	if qr.pt.dup != nil {
+		if _, seen := qr.pt.dup[g]; seen {
 			return false
 		}
 	}
@@ -968,22 +950,20 @@ func (qr *query) worst() float64 {
 	return math.Inf(1)
 }
 
-// emit is the per-candidate rule. It takes one verified block of the
-// running part — local ids, and their exact distances or +Inf where the
-// early-abandon kernel proved a candidate cannot enter the top-k — in
-// gather order, and counts each candidate against the budget. Algorithm 2
-// pushes it into the merged top-k and stops at the candidate that spends
-// the budget or — outside the covering sweep — that brings the k-th best
-// within stopC·r. Algorithm 1 stops at the first candidate within c·r, or at
-// the one that spends the budget, and keeps it. emit returns how many
-// candidates it consumed and whether the query stops; flushBlock hands the
-// unconsumed rest back to the frontiers, so blocking never changes which
-// candidates are verified.
+// emit is the per-candidate rule. It takes one verified block — local ids,
+// and their exact distances or +Inf where the early-abandon kernel proved a
+// candidate cannot enter the top-k — in gather order, and counts each
+// candidate against the budget. Algorithm 2 pushes it into the top-k and
+// stops at the candidate that spends the budget or — outside the covering
+// sweep — that brings the k-th best within stopC·r. Algorithm 1 stops at the
+// first candidate within c·r, or at the one that spends the budget, and
+// keeps it. emit returns how many candidates it consumed and whether the
+// query stops; flushBlock hands the unconsumed rest back to the frontiers,
+// so blocking never changes which candidates are verified.
 func (qr *query) emit(ids []int, dists []float64) (int, bool) {
-	pt := &qr.parts[qr.at]
 	for j, id := range ids {
 		qr.cnt++
-		nb := vec.Neighbor{ID: pt.global(id), Dist: dists[j]}
+		nb := vec.Neighbor{ID: qr.pt.global(id), Dist: dists[j]}
 		if qr.cand == nil {
 			qr.done = qr.cnt >= qr.budget || nb.Dist <= qr.stopC*qr.r
 		} else {

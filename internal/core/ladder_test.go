@@ -312,7 +312,7 @@ func TestCursorReArmMidQuery(t *testing.T) {
 
 	// Never full and never out of budget: every round emits its whole shell.
 	s := idx.NewSearcher()
-	qr := query{parts: s.one, cand: vec.NewTopK(1000), budget: math.MaxInt}
+	qr := query{pt: s.one, cand: vec.NewTopK(1000), budget: math.MaxInt}
 	qr.start(q)
 	rl := newRefLadder(idx, q)
 	rseen := map[int]bool{}

@@ -46,21 +46,19 @@ func (c *failFirstPollCtx) Done() <-chan struct{} {
 // queries after it — the parallel path answers them, so the sequential
 // path must too, or a batch's answered set would depend on GOMAXPROCS.
 func TestSearchBatchSequentialContinuesPastErrors(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		s, _, queries := buildSet(600, 8, shards, 77)
-		prev := runtime.GOMAXPROCS(1)
-		out, _, err := s.SearchBatch(queries, 3, core.QueryParams{Ctx: newFailFirstPollCtx()})
-		runtime.GOMAXPROCS(prev)
-		if err != context.Canceled {
-			t.Fatalf("shards=%d: err = %v, want context.Canceled", shards, err)
-		}
-		if out[0] != nil {
-			t.Fatalf("shards=%d: the cancelled first query was answered", shards)
-		}
-		for i := 1; i < len(out); i++ {
-			if out[i] == nil {
-				t.Fatalf("shards=%d: sequential path abandoned query %d after the error", shards, i)
-			}
+	s, _, queries := buildSet(600, 8, 77)
+	prev := runtime.GOMAXPROCS(1)
+	out, _, err := s.SearchBatch(queries, 3, core.QueryParams{Ctx: newFailFirstPollCtx()})
+	runtime.GOMAXPROCS(prev)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if out[0] != nil {
+		t.Fatal("the cancelled first query was answered")
+	}
+	for i := 1; i < len(out); i++ {
+		if out[i] == nil {
+			t.Fatalf("sequential path abandoned query %d after the error", i)
 		}
 	}
 }
@@ -69,7 +67,7 @@ func TestSearchBatchSequentialContinuesPastErrors(t *testing.T) {
 // under an expiring context the set of answered queries must be identical
 // at GOMAXPROCS=1 and GOMAXPROCS=8.
 func TestSearchBatchAnsweredSetParityAcrossWorkers(t *testing.T) {
-	s, _, queries := buildSet(600, 8, 2, 78)
+	s, _, queries := buildSet(600, 8, 78)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
@@ -118,43 +116,40 @@ func TestSearchBatchAnsweredSetParityAcrossWorkers(t *testing.T) {
 // run the same loop, so a batch's results and per-query statistics are
 // identical at GOMAXPROCS 1 and 4, and equal to each query run on its own.
 func TestSearchBatchIgnoresWorkerCount(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		s, _, queries := buildSet(600, 8, shards, 80)
-		queries = append(queries, queries...) // more queries than workers
-		batch := func(procs int) ([][]vec.Neighbor, []core.Stats) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			out, stats, err := s.SearchBatch(queries, 5, core.QueryParams{})
-			if err != nil {
-				t.Fatalf("shards=%d GOMAXPROCS=%d: %v", shards, procs, err)
-			}
-			return out, stats
+	s, _, queries := buildSet(600, 8, 80)
+	queries = append(queries, queries...) // more queries than workers
+	batch := func(procs int) ([][]vec.Neighbor, []core.Stats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, stats, err := s.SearchBatch(queries, 5, core.QueryParams{})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		out1, st1 := batch(1)
-		out4, st4 := batch(4)
-		for i, q := range queries {
-			one, st, err := search(s, q, 5, core.QueryParams{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(out1[i], one) || !slices.Equal(out4[i], one) {
-				t.Fatalf("shards=%d query %d: results %v at 1 worker, %v at 4, %v alone", shards, i, out1[i], out4[i], one)
-			}
-			if st1[i] != st || st4[i] != st {
-				t.Fatalf("shards=%d query %d: stats %+v at 1 worker, %+v at 4, %+v alone", shards, i, st1[i], st4[i], st)
-			}
+		return out, stats
+	}
+	out1, st1 := batch(1)
+	out4, st4 := batch(4)
+	for i, q := range queries {
+		one, st, err := search(s, q, 5, core.QueryParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(out1[i], one) || !slices.Equal(out4[i], one) {
+			t.Fatalf("query %d: results %v at 1 worker, %v at 4, %v alone", i, out1[i], out4[i], one)
+		}
+		if st1[i] != st || st4[i] != st {
+			t.Fatalf("query %d: stats %+v at 1 worker, %+v at 4, %+v alone", i, st1[i], st4[i], st)
 		}
 	}
 }
 
 // TestAddAt pins the WAL replay primitive, one logged add at a time:
-// inserts land under their exact global id, advance the allocator, skip
-// resident ids, and tolerate arbitrary arrival order.
+// inserts land under their exact global id, holes in the id space
+// included, and advance the allocator; an add of an id at or below the
+// largest resident one — resident already, or compacted away — is skipped,
+// so the id map stays ascending and every id resolves to its own row.
 func TestAddAt(t *testing.T) {
-	flat, _ := corpus(30, 4, 79)
-	s := Build(nil, 0, 4, 3, 0, core.Config{K: 4, L: 2, T: 20, Seed: 79})
-	if s.Shards() != 3 {
-		t.Fatalf("empty build collapsed to %d shards, want 3", s.Shards())
-	}
+	flat, _ := corpus(40, 4, 79)
+	s := Build(nil, 0, 4, 1, 0, core.Config{K: 4, L: 2, T: 20, Seed: 79})
 	// addAt replays the add of row g under id g and reports whether the set
 	// grew.
 	addAt := func(g int) bool {
@@ -163,35 +158,42 @@ func TestAddAt(t *testing.T) {
 		return s.Len() > before
 	}
 
-	// Out-of-id-order arrival (ids 0..29 shuffled deterministically).
-	order := []int{5, 0, 17, 3, 29, 11, 2, 23, 8, 1, 14, 26, 7, 4, 19, 6, 28, 9, 13, 10, 22, 12, 16, 15, 25, 18, 21, 20, 27, 24}
-	for _, g := range order {
+	// Ascending ids with holes: 0, 3, 6, …, 39.
+	var ids []int
+	for g := 0; g < 40; g += 3 {
 		if !addAt(g) {
-			t.Fatalf("add of %d skipped as already resident on first replay", g)
+			t.Fatalf("add of %d skipped on first replay", g)
 		}
+		ids = append(ids, g)
 	}
-	if s.NextID() != 30 || s.Len() != 30 {
-		t.Fatalf("NextID=%d Len=%d, want 30/30", s.NextID(), s.Len())
+	if s.NextID() != 40 || s.Len() != len(ids) {
+		t.Fatalf("NextID=%d Len=%d, want 40/%d", s.NextID(), s.Len(), len(ids))
 	}
-	// Replaying any record again must be a no-op.
-	for _, g := range []int{0, 17, 29} {
+	// Replaying a resident add, or one below the largest resident id (a
+	// row compacted away), is a no-op.
+	for _, g := range []int{0, 17, 35, 39} {
 		if addAt(g) {
-			t.Fatalf("add of %d inserted a duplicate", g)
+			t.Fatalf("add of %d inserted below the largest resident id", g)
 		}
 	}
-	// Every id must resolve to its own row (Delete proves residency and
-	// routing).
-	for g := 0; g < 30; g++ {
+	// Every id resolves to its own row: a self-query finds it, and Delete
+	// proves residency; the holes are not live.
+	for _, g := range ids {
+		nbs, _, err := search(s, flat[g*4:(g+1)*4], 1, core.QueryParams{})
+		if err != nil || len(nbs) != 1 || nbs[0].ID != g || nbs[0].Dist != 0 {
+			t.Fatalf("self-query of %d: %v %v", g, nbs, err)
+		}
 		if !s.Delete(g) {
 			t.Fatalf("id %d not resident after its replayed add", g)
 		}
 	}
-	// A tombstoned id is still resident: replaying its Add stays a no-op.
-	if addAt(3) {
-		t.Fatal("replayed add resurrected a tombstoned id")
+	for _, g := range []int{1, 2, 38} {
+		if s.Live(g) || s.Delete(g) {
+			t.Fatalf("hole %d is live", g)
+		}
 	}
 	// The allocator never hands out a replayed id.
-	if g := s.Add(flat[:4]); g != 30 {
-		t.Fatalf("Add after replay allocated id %d, want 30", g)
+	if g := s.Add(flat[:4]); g != 40 {
+		t.Fatalf("Add after replay allocated id %d, want 40", g)
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -85,7 +84,7 @@ func ladderDigest(answer, nodes hash.Hash64, nbs []vec.Neighbor, st core.Stats) 
 
 // TestLadderGolden pins what a query answers — ids, distance bits,
 // Candidates, Rounds, FinalR — and what its traversal costs (NodesVisited)
-// for every shard count and lifecycle stage under a spread of query knobs.
+// for every lifecycle stage under a spread of query knobs.
 // The answer is one digest under every kernel row; the node count is one
 // digest per window kernel, because the AVX2 and the portable whole-node
 // tests report different (equally sound) gaps for a parked subtree and so
@@ -94,9 +93,10 @@ func ladderDigest(answer, nodes hash.Hash64, nbs []vec.Neighbor, st core.Stats) 
 // deleted, on its sequential round (the fan-out answered identically and
 // over-gathered nodes), and re-recorded when bulk loading began to pack
 // leaves short of capacity: different trees make a different candidate
-// stream. A change that claims to leave the ladder alone does not edit them.
-// A one-shard set must also answer exactly as a bare core.Searcher over the
-// same rows.
+// stream. A change that claims to leave the ladder alone does not edit them:
+// the rows of the striped index's other stripe counts went when the stripes
+// did, and the shards=1 digests held unedited. The set must also answer
+// exactly as a bare core.Searcher over the same rows.
 func TestLadderGolden(t *testing.T) {
 	const n, d = 1500, 12
 	type golden struct{ answer, nodesAVX2, nodesPortable uint64 }
@@ -104,90 +104,76 @@ func TestLadderGolden(t *testing.T) {
 		"shards=1/fresh":     {0x66bcea75a30486b4, 0x1e332362b73cae95, 0x6212d132ae3c7e4e},
 		"shards=1/deleted":   {0x2c44a5360e84dad8, 0x233fe588bc841138, 0x25f39f6a28e61633},
 		"shards=1/compacted": {0xf2845d74b182c110, 0xca2763a2bf31303a, 0xe315a5583ba2839d},
-		"shards=2/fresh":     {0x34735d6d9d9946da, 0xd89821421d1f4de7, 0x4c2988fc315b697a},
-		"shards=2/deleted":   {0x3fd1eba4bf1ca750, 0xb7083dbda4497555, 0x142f1983d2d9cb3b},
-		"shards=2/compacted": {0x1827510d4bff79a2, 0x41f83ab9ffbdf0e7, 0x9760c60594a5179a},
-		"shards=3/fresh":     {0x87385ff631a885f2, 0xb5785738dee24cc0, 0x8c492574abc4b5b7},
-		"shards=3/deleted":   {0xb2ce4b4d4070c4a0, 0x979d28bbfb13987d, 0xc48f62597cb9cc65},
-		"shards=3/compacted": {0xb2ce4b4d4070c4a0, 0x3821022159f60a7b, 0xbd387d4b19e1d67e},
-		"shards=8/fresh":     {0x779d8deac8bd6d6b, 0xae5f5baeb26bdf37, 0xc294db5812f62c39},
-		"shards=8/deleted":   {0x81d67d5deaf786e3, 0x41be76dacb8a9996, 0x361dffdf61a0f0dd},
-		"shards=8/compacted": {0x4f9b07fbd280539a, 0xb6efb82a0d5831af, 0xc7526543dfe165c7},
 	}
 	avx2 := vec.KernelName() == "avx2" // every other row tests windows portably
 	cfg := core.Config{K: 6, L: 3, T: 40, Seed: 211}
 	flat, queries := goldenCorpus(n, d, 211)
 
-	for _, shards := range []int{1, 2, 3, 8} {
-		s := Build(append([]float32(nil), flat...), n, d, shards, 0, cfg)
-		// The bare twin of a one-shard set: same rows, same config, ids
-		// mapped through ids (nil while they are the identity).
-		bare := core.Build(vec.WrapMatrix(append([]float32(nil), flat...), n, d), cfg)
-		var bareIDs []int
+	s := Build(append([]float32(nil), flat...), n, d, 1, 0, cfg)
+	// The bare twin of the set: same rows, same config, ids mapped through
+	// ids (nil while they are the identity).
+	bare := core.Build(vec.WrapMatrix(append([]float32(nil), flat...), n, d), cfg)
+	var bareIDs []int
 
-		check := func(stage string) {
-			name := fmt.Sprintf("shards=%d/%s", shards, stage)
-			answer, nodes := fnv.New64a(), fnv.New64a()
-			sr := s.NewSearcher()
-			bs := bare.NewSearcher()
-			for _, set := range goldenSettings {
-				for qi, q := range queries {
-					nbs, err := sr.Search(q, set.k, set.p)
-					if err != nil {
-						t.Fatalf("%s %s q=%d: %v", name, set.name, qi, err)
-					}
-					st := sr.LastStats()
-					ladderDigest(answer, nodes, nbs, st)
-					if shards != 1 {
-						continue
-					}
-					bp := set.p
-					if bareIDs != nil && bp.Filter != nil {
-						keep := bp.Filter
-						bp.Filter = func(id int) bool { return keep(bareIDs[id]) }
-					}
-					bnbs, err := bs.KANNParams(q, set.k, bp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if bareIDs != nil {
-						bnbs = mapNeighbors(bnbs, bareIDs)
-					}
-					bh, sh := fnv.New64a(), fnv.New64a()
-					ladderDigest(bh, bh, bnbs, bs.LastStats())
-					ladderDigest(sh, sh, nbs, st)
-					if bh.Sum64() != sh.Sum64() {
-						t.Fatalf("%s %s q=%d: one-shard set %v %+v, bare core searcher %v %+v",
-							name, set.name, qi, nbs, st, bnbs, bs.LastStats())
-					}
+	check := func(stage string) {
+		name := "shards=1/" + stage
+		answer, nodes := fnv.New64a(), fnv.New64a()
+		sr := s.NewSearcher()
+		bs := bare.NewSearcher()
+		for _, set := range goldenSettings {
+			for qi, q := range queries {
+				nbs, err := sr.Search(q, set.k, set.p)
+				if err != nil {
+					t.Fatalf("%s %s q=%d: %v", name, set.name, qi, err)
+				}
+				st := sr.LastStats()
+				ladderDigest(answer, nodes, nbs, st)
+				bp := set.p
+				if bareIDs != nil && bp.Filter != nil {
+					keep := bp.Filter
+					bp.Filter = func(id int) bool { return keep(bareIDs[id]) }
+				}
+				bnbs, err := bs.KANNParams(q, set.k, bp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bareIDs != nil {
+					bnbs = mapNeighbors(bnbs, bareIDs)
+				}
+				bh, sh := fnv.New64a(), fnv.New64a()
+				ladderDigest(bh, bh, bnbs, bs.LastStats())
+				ladderDigest(sh, sh, nbs, st)
+				if bh.Sum64() != sh.Sum64() {
+					t.Fatalf("%s %s q=%d: set %v %+v, bare core searcher %v %+v",
+						name, set.name, qi, nbs, st, bnbs, bs.LastStats())
 				}
 			}
-			w := want[name]
-			wantNodes := w.nodesPortable
-			if avx2 {
-				wantNodes = w.nodesAVX2
-			}
-			if got := answer.Sum64(); got != w.answer {
-				t.Errorf("%s: answer digest %#016x, want %#016x", name, got, w.answer)
-			}
-			if got := nodes.Sum64(); got != wantNodes {
-				t.Errorf("%s: %s node-count digest %#016x, want %#016x", name, vec.KernelName(), got, wantNodes)
-			}
 		}
-
-		check("fresh")
-
-		for g := 0; g < n; g += 3 {
-			s.Delete(g)
-			bare.Delete(g)
+		w := want[name]
+		wantNodes := w.nodesPortable
+		if avx2 {
+			wantNodes = w.nodesAVX2
 		}
-		check("deleted")
-
-		s.Compact()
-		live, ids := bare.LiveRows()
-		c := cfg.Resolved(n)
-		c.InitialRadius = 0 // as a compaction re-estimates it
-		bare, bareIDs = core.Build(live, c), ids
-		check("compacted")
+		if got := answer.Sum64(); got != w.answer {
+			t.Errorf("%s: answer digest %#016x, want %#016x", name, got, w.answer)
+		}
+		if got := nodes.Sum64(); got != wantNodes {
+			t.Errorf("%s: %s node-count digest %#016x, want %#016x", name, vec.KernelName(), got, wantNodes)
+		}
 	}
+
+	check("fresh")
+
+	for g := 0; g < n; g += 3 {
+		s.Delete(g)
+		bare.Delete(g)
+	}
+	check("deleted")
+
+	s.Compact()
+	live, ids := bare.LiveRows()
+	c := cfg.Resolved(n)
+	c.InitialRadius = 0 // as a compaction re-estimates it
+	bare, bareIDs = core.Build(live, c), ids
+	check("compacted")
 }

@@ -13,7 +13,7 @@ import (
 	"dblsh/internal/wal"
 )
 
-// lifecycleCfg has the smallest node capacity a tree takes, so a shard's
+// lifecycleCfg has the smallest node capacity a tree takes, so the index's
 // tail holds 16 rows: a handful of adds schedule a background repack, and
 // one replayed burst (which schedules none) fills the tail and repacks it
 // inline.
@@ -23,12 +23,13 @@ const lifecycleDim, lifecycleBurst = 4, 40
 
 // lifecycle drives a set through one fuzzed sequence of operations beside
 // its model: the live rows by global id, which the scan baseline answers
-// exactly.
+// exactly, and the ids deleted so far.
 type lifecycle struct {
 	t     *testing.T
 	s     *Set
 	rng   *rand.Rand
 	model map[int][]float32
+	dead  []int
 }
 
 func (lc *lifecycle) row() []float32 {
@@ -74,10 +75,11 @@ func (lc *lifecycle) step(op byte) {
 			t.Fatalf("delete of live id %d: the first must succeed and the second fail", g)
 		}
 		delete(lc.model, g)
+		lc.dead = append(lc.dead, g)
 	case 4:
 		lc.checkSearch(lc.row())
 	case 5:
-		s.CompactShard(int(op>>3) % s.Shards())
+		s.Compact()
 	case 6:
 		lc.reload()
 	}
@@ -111,17 +113,25 @@ func (lc *lifecycle) checkSearch(q []float32) {
 			lc.t.Fatalf("k = 3: result %d is %+v, not a live row at its distance in order", j, nb)
 		}
 	}
-	var live int
-	for _, in := range lc.s.Infos() {
-		live += in.Live
+	if live := lc.s.Info().Live; live != len(ids) {
+		lc.t.Fatalf("the index holds %d live rows, the model %d", live, len(ids))
 	}
-	if live != len(ids) {
-		lc.t.Fatalf("the shards hold %d live rows, the model %d", live, len(ids))
+	// Global ids find their rows through every compaction and add: each
+	// live id is live, and no deleted or unallocated one is.
+	for _, g := range ids {
+		if !lc.s.Live(g) {
+			lc.t.Fatalf("live id %d is not live", g)
+		}
+	}
+	for _, g := range append(lc.dead, -1, lc.s.NextID()) {
+		if lc.s.Live(g) || lc.s.Delete(g) {
+			lc.t.Fatalf("id %d, deleted or never allocated, is live", g)
+		}
 	}
 }
 
-// reload saves the set shard by shard and restores it, once every
-// compaction the set owes has run and none is in flight (a finished one may
+// reload saves the set and restores it, once every compaction the set owes
+// has run and none is in flight (a finished one may
 // schedule the next, and a replayed burst schedules none, hence
 // CompactOwed): the restored set must answer a query exactly as the saved
 // one does, node counts included, and carries on in its place.
@@ -130,14 +140,7 @@ func (lc *lifecycle) reload() {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s.CompactOwed()
-		busy := false
-		for _, st := range s.shards {
-			st.mu.RLock()
-			size, dead, unpacked := st.debt()
-			st.mu.RUnlock()
-			busy = busy || st.compacting.Load() || s.owes(size, dead, unpacked)
-		}
-		if !busy {
+		if !s.compacting.Load() && !s.owes() {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -145,11 +148,7 @@ func (lc *lifecycle) reload() {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	parts := make([]Part, s.Shards())
-	for i := range parts {
-		parts[i] = s.SnapshotShard(i)
-	}
-	loaded, err := Restore(s.Dim(), s.NextID(), s.CompactFraction(), s.Params(), parts)
+	loaded, err := Restore(s.Dim(), s.CompactFraction(), s.Params(), s.Snapshot())
 	if err != nil {
 		lc.t.Fatalf("restore: %v", err)
 	}
@@ -162,9 +161,9 @@ func (lc *lifecycle) reload() {
 	lc.s = loaded
 }
 
-// FuzzLifecycle runs add, replayed-burst, delete, search, CompactShard and
-// save→load sequences against a one- or two-shard set and checks it against
-// the model after every search and at the end. Auto-compaction is on, so
+// FuzzLifecycle runs add, replayed-burst, delete, search, Compact and
+// save→load sequences against a set and checks it against the model, and
+// every id's liveness, after every search and at the end. Auto-compaction is on, so
 // tombstones and half-full tails schedule background rebuilds that race
 // the sequence; a replayed burst fills a tail and repacks it inline.
 //
@@ -185,8 +184,8 @@ func FuzzLifecycle(f *testing.F) {
 			lc.model[g] = v
 			flat = append(flat, v...)
 		}
-		lc.s = Build(flat, n, lifecycleDim, 1+int(ops[0]%2), 0.2, lifecycleCfg)
-		for _, op := range ops[1:] {
+		lc.s = Build(flat, n, lifecycleDim, 1, 0.2, lifecycleCfg)
+		for _, op := range ops {
 			lc.step(op)
 		}
 		lc.checkSearch(lc.row())

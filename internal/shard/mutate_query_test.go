@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestMutateDuringQuery hammers the cursor re-arm path: the coordinator
-// releases each shard's lock between ladder rounds, so Adds land mid-query
+// releases the lock between ladder rounds, so Adds land mid-query
 // and the per-tree cursors must detect the mutation and re-arm instead of
 // silently missing the appended points. Run under -race this doubles as
 // the memory-safety net for cursors pinning tree snapshots across rounds.
@@ -26,12 +27,12 @@ func TestMutateDuringQuery(t *testing.T) {
 	for i := range flat {
 		flat[i] = float32(rng.NormFloat64() * 5)
 	}
-	s := Build(flat, n, dim, 4, 0, core.Config{C: 1.5, K: 4, L: 3, T: 20, Seed: 31})
+	s := Build(flat, n, dim, 1, 0, core.Config{C: 1.5, K: 4, L: 3, T: 20, Seed: 31})
 
 	stop, started := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: a steady stream of appends across all shards
+	go func() { // writer: a steady stream of appends
 		defer wg.Done()
 		wrng := rand.New(rand.NewSource(77))
 		for i := 0; ; i++ {
@@ -105,7 +106,7 @@ func TestMidQueryAddIsFindable(t *testing.T) {
 	for i := range flat {
 		flat[i] = float32(rng.NormFloat64() * 20)
 	}
-	s := Build(flat, n, dim, 2, 0, core.Config{C: 1.5, K: 4, L: 2, T: 20, Seed: 8})
+	s := Build(flat, n, dim, 1, 0, core.Config{C: 1.5, K: 4, L: 2, T: 20, Seed: 8})
 	sr := s.NewSearcher()
 
 	q := make([]float32, dim)
@@ -124,20 +125,21 @@ func TestMidQueryAddIsFindable(t *testing.T) {
 }
 
 // TestParallelEquivalenceUnderCompaction races queries against compactions
-// that swap a shard's index between — and during — their ladder rounds,
-// while a deleter feeds the compactor tombstones and a writer breaks the
-// stripe pattern. (The name is from when it also drove the per-round
-// fan-out.) Every answer must be sorted and name no id twice: a swapped
-// index re-emits rows the query already verified, and the swapped-shard
-// dedup has to absorb them. Every other query is asked under a
+// that swap the index between — and during — their ladder rounds, while a
+// deleter feeds the compactor tombstones and a writer adds rows. (The name
+// is from when it also drove the per-round fan-out.) Every answer must be
+// sorted and name no id twice: a swapped index re-emits rows the query
+// already verified, and the swap dedup has to absorb them. Every other query is asked under a
 // filter that passes fewer than k rows, none of which the mutators touch, so
 // its ladder runs to the covering sweep and its answer is exact: it must be
 // the answer the quiescent set gave, to the bit, whichever index each round
-// happened to run on.
+// happened to run on. Once the mutators are done, every id must still be
+// found by its global id: the compactions renumbered the local ones while
+// the adds went on.
 func TestParallelEquivalenceUnderCompaction(t *testing.T) {
-	const n, d, S, k = 2000, 8, 4, 60
+	const n, d, k = 2000, 8, 60
 	flat, queries := corpus(n, d, 131)
-	s := Build(flat, n, d, S, 0, core.Config{K: 4, L: 2, T: 20, Seed: 131})
+	s := Build(flat, n, d, 1, 0, core.Config{K: 4, L: 2, T: 20, Seed: 131})
 	// Odd ids below n: the deleter takes even ids, the writer adds above n.
 	sparse := core.QueryParams{Filter: func(g int) bool { return g < n && g%50 == 3 }}
 	quiescent := make([][]vec.Neighbor, len(queries))
@@ -206,22 +208,25 @@ func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 	wg.Add(1)
 	go func() { // compactor swapping indexes under the queries
 		defer wg.Done()
-		for i := 0; i < 6; i++ {
-			for sh := 0; sh < S; sh++ {
-				s.CompactShard(sh)
-			}
+		for i := 0; i < 24; i++ {
+			s.Compact()
 		}
 	}()
 	wg.Add(1)
-	go func() { // writer breaking the stripe pattern mid-flight
+	added := make([][]float32, 300)
+	go func() { // writer adding rows mid-flight
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(11))
-		v := make([]float32, d)
-		for i := 0; i < 300; i++ {
+		for i := range added {
+			v := make([]float32, d)
 			for j := range v {
 				v[j] = float32(rng.NormFloat64())
 			}
-			s.Add(v)
+			if g := s.Add(v); g != n+i {
+				errs <- fmt.Errorf("add %d got id %d", i, g)
+				return
+			}
+			added[i] = v
 		}
 	}()
 
@@ -237,11 +242,23 @@ func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	s.Compact()
+	for g := 0; g < n+len(added); g++ {
+		if live := s.Live(g); live != (g >= n || g%2 == 1) {
+			t.Fatalf("id %d: live = %v after the compactions", g, live)
+		}
+	}
+	for i, v := range added {
+		nbs, _, err := search(s, v, 1, core.QueryParams{})
+		if err != nil || len(nbs) != 1 || nbs[0].ID != n+i || nbs[0].Dist != 0 {
+			t.Fatalf("added row %d (id %d) not found at its id: %v %v", i, n+i, nbs, err)
+		}
+	}
 }
 
 // pollHookCtx is a context double that never expires. Its Done runs hook on
 // poll number at: the round driver polls once before the query and once
-// before each round, with no shard lock held, so poll 3 falls between
+// before each round, with no lock held, so poll 3 falls between
 // rounds 1 and 2.
 type pollHookCtx struct {
 	polls, at int
@@ -274,94 +291,77 @@ func returnsWithin(f func()) bool {
 	}
 }
 
-// TestSearchReleasesLocksBetweenRounds pins the per-round locking every
-// shard count promises, one included: a query paused between two rounds
-// holds no shard lock, so an Add issued in the pause returns before the
-// next round, and that round re-arms the cursors of the tree the Add grew.
+// TestSearchReleasesLocksBetweenRounds pins the per-round locking: a query
+// paused between two rounds holds no lock, so an Add issued in the pause
+// returns before the next round, and that round re-arms the cursors of the
+// trees the Add grew.
 func TestSearchReleasesLocksBetweenRounds(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s, _, queries := buildSet(1200, 8, shards, 141)
-		sr := s.NewSearcher()
-		added := false
-		ctx := &pollHookCtx{at: 3, hook: func() {
-			added = returnsWithin(func() { s.Add(queries[0]) })
-		}}
-		// Fewer than k rows pass: the ladder runs on to the covering sweep.
-		p := core.QueryParams{Ctx: ctx, Filter: func(g int) bool { return g%100 == 1 }}
-		if _, err := sr.Search(queries[1], 20, p); err != nil {
-			t.Fatal(err)
-		}
-		if rounds := sr.LastStats().Rounds; rounds < 2 {
-			t.Fatalf("shards=%d: the query ran %d round(s); the test needs a pause between two", shards, rounds)
-		}
-		if !added {
-			t.Fatalf("shards=%d: an Add issued between rounds 1 and 2 did not return within 1 s", shards)
-		}
-		rearms := 0
-		for _, cs := range sr.per {
-			rearms += cs.CursorReArms()
-		}
-		if rearms == 0 {
-			t.Fatalf("shards=%d: the round after the Add re-armed no cursor", shards)
-		}
+	s, _, queries := buildSet(1200, 8, 141)
+	sr := s.NewSearcher()
+	added := false
+	ctx := &pollHookCtx{at: 3, hook: func() {
+		added = returnsWithin(func() { s.Add(queries[0]) })
+	}}
+	// Fewer than k rows pass: the ladder runs on to the covering sweep.
+	p := core.QueryParams{Ctx: ctx, Filter: func(g int) bool { return g%100 == 1 }}
+	if _, err := sr.Search(queries[1], 20, p); err != nil {
+		t.Fatal(err)
+	}
+	if rounds := sr.LastStats().Rounds; rounds < 2 {
+		t.Fatalf("the query ran %d round(s); the test needs a pause between two", rounds)
+	}
+	if !added {
+		t.Fatal("an Add issued between rounds 1 and 2 did not return within 1 s")
+	}
+	if sr.cs.CursorReArms() == 0 {
+		t.Fatal("the round after the Add re-armed no cursor")
 	}
 }
 
-// TestCompactionSwapMidQuery swaps every shard's index between rounds 1 and
-// 2 of a query. The searchers of the swapped shards restart from their
-// roots and meet again rows the discarded searchers had verified; the
-// swapped-shard dedup has to keep them out. The query passes fewer than k
-// rows through its filter, so its answer is exact: it must be the quiescent
-// answer to the bit, name no id twice, and count as candidates exactly the
-// distinct rows it verified — every row it returns.
+// TestCompactionSwapMidQuery swaps the index between rounds 1 and 2 of a
+// query. The searcher of the new index restarts from its roots and meets
+// again rows the discarded searcher had verified; the swap dedup has to
+// keep them out. The query passes fewer than k rows through its filter, so
+// its answer is exact: it must be the quiescent answer to the bit, name no
+// id twice, and count as candidates exactly the distinct rows it verified —
+// every row it returns.
 func TestCompactionSwapMidQuery(t *testing.T) {
 	const n, d, k = 1500, 8, 40
 	keep := func(g int) bool { return g%50 == 7 } // 30 rows, 20 of them live
-	for _, shards := range []int{1, 4} {
-		flat, _ := corpus(n, d, 151)
-		s := Build(flat, n, d, shards, 0, core.Config{K: 4, L: 2, T: 20, Seed: 151})
-		for g := 0; g < n; g += 3 {
-			s.Delete(g)
-		}
-		q := flat[7*d : 8*d] // row 7 passes: round 1 verifies it at distance 0
-		want, _, err := search(s, q, k, core.QueryParams{Filter: keep})
-		if err != nil || len(want) != 20 {
-			t.Fatalf("shards=%d: quiescent query: %d results, err %v", shards, len(want), err)
-		}
+	flat, _ := corpus(n, d, 151)
+	s := Build(flat, n, d, 1, 0, core.Config{K: 4, L: 2, T: 20, Seed: 151})
+	for g := 0; g < n; g += 3 {
+		s.Delete(g)
+	}
+	q := flat[7*d : 8*d] // row 7 passes: round 1 verifies it at distance 0
+	want, _, err := search(s, q, k, core.QueryParams{Filter: keep})
+	if err != nil || len(want) != 20 {
+		t.Fatalf("quiescent query: %d results, err %v", len(want), err)
+	}
 
-		sr := s.NewSearcher()
-		compacted := false
-		ctx := &pollHookCtx{at: 3, hook: func() {
-			compacted = returnsWithin(func() {
-				for i := 0; i < shards; i++ {
-					s.CompactShard(i)
-				}
-			})
-		}}
-		got, err := sr.Search(q, k, core.QueryParams{Filter: keep, Ctx: ctx})
-		if err != nil {
-			t.Fatal(err)
+	sr := s.NewSearcher()
+	compacted := false
+	ctx := &pollHookCtx{at: 3, hook: func() {
+		compacted = returnsWithin(func() { s.Compact() })
+	}}
+	got, err := sr.Search(q, k, core.QueryParams{Filter: keep, Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !compacted || s.Deleted() != 0 {
+		t.Fatalf("the compaction between rounds 1 and 2 did not finish (%d tombstones left)", s.Deleted())
+	}
+	seen := map[int]bool{}
+	for _, nb := range got {
+		if seen[nb.ID] {
+			t.Fatalf("id %d returned twice: %+v", nb.ID, got)
 		}
-		if !compacted || s.Deleted() != 0 {
-			t.Fatalf("shards=%d: the compactions between rounds 1 and 2 did not finish (%d tombstones left)", shards, s.Deleted())
-		}
-		seen := map[int]bool{}
-		for _, nb := range got {
-			if seen[nb.ID] {
-				t.Fatalf("shards=%d: id %d returned twice: %+v", shards, nb.ID, got)
-			}
-			seen[nb.ID] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d results, the quiescent set gave %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d rank %d: %+v, the quiescent set answered %+v", shards, i, got[i], want[i])
-			}
-		}
-		if c := sr.LastStats().Candidates; c != len(got) {
-			t.Fatalf("shards=%d: %d candidates verified for %d distinct rows", shards, c, len(got))
-		}
+		seen[nb.ID] = true
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("answered %+v, the quiescent set answered %+v", got, want)
+	}
+	if c := sr.LastStats().Candidates; c != len(got) {
+		t.Fatalf("%d candidates verified for %d distinct rows", c, len(got))
 	}
 }

@@ -1,53 +1,51 @@
-// Package shard partitions a DB-LSH index across S independent core shards.
-// Each shard is a complete core.Index over a disjoint stripe of the
-// dataset, guarded by its own RWMutex; an Insert or Delete takes the write
-// lock of exactly one shard. A query takes every shard's read lock each
-// round, one shard at a time (see Queries), so a mutation delays it by at
-// most the mutation's own hold of one shard per round.
+// Package shard serves one DB-LSH index (a core.Index) to concurrent
+// callers: it guards the index with one RWMutex, maps global ids to the
+// index's dense local ids, and rebuilds the index online when adds or
+// deletes have left it owing a repack.
 //
 // # Queries
 //
-// A query is core's round driver (core.Search, core.SearchRadius) over one
-// part per shard, for every shard count, one included: every shard runs the
-// same round r, cr, c²r, … in shard order, candidates merge into one global
-// top-k, and one budget and one termination test apply to that merged
-// state, exactly as one index spends its budget across its L trees. This
-// package supplies only what a part needs: the shard's read lock, taken
-// for the shard's share of one round and released between rounds (so a
-// mutation waits for at most one shard-round, and a search for at most one
-// mutation per shard-round), the core searcher for the shard's current
-// index, and the shard's local→global id map.
+// A query is core's round driver (core.Search, core.SearchRadius) over the
+// one part the index is. This package supplies only what the part needs:
+// the read lock, taken for one round and released between rounds (so a
+// mutation waits for at most one round of each running query, and a query
+// for at most one mutation per round), the core searcher for the current
+// index, and the local→global id map.
+//
+// The package once striped the rows over S independent indexes. A query
+// then walked S·L trees per round for the same candidates: on a clustered
+// 100 000 × 128 corpus at k = 10, S = 4 visited 330.9 nodes per query
+// against one index's 235.4, at a median of 114 µs against 67 µs (2-vCPU
+// amd64 box). One index is what is left.
 //
 // # Compaction
 //
-// Compaction rebuilds one shard from its live rows, dropping tombstone
-// debt and folding the rows added since the last pack, which wait in the
-// trees' tails, into a fresh STR pack. Every shard — including the one
-// being compacted — keeps serving: the shard's live rows and their
-// projections, gathered out of the trees' leaves, are copied under a read
-// lock, packed with no locks held, and swapped in under a write lock held
-// just long enough to replay the mutations that raced the rebuild. This
-// turns the paper's offline full rebuild into an online per-shard
-// operation. An add schedules one in the background once the shard's tail
+// Compaction rebuilds the index from its live rows, dropping tombstone debt
+// and folding the rows added since the last pack, which wait in the trees'
+// tails, into a fresh STR pack. The index keeps serving throughout: the
+// live rows and their projections, gathered out of the trees' leaves, are
+// copied under the read lock, packed with no lock held, and swapped in
+// under the write lock, held just long enough to replay the mutations that
+// raced the rebuild. This turns the paper's offline full rebuild into an
+// online operation. An add schedules one in the background once the tail
 // holds half its capacity; an add that finds the tail full repacks it
-// inline (core.Index.Insert).
+// inline (core.Index.Insert). Close waits for the background compaction in
+// flight and schedules none after it.
 //
 // # Identity
 //
-// Callers address points by global id; each shard stores points under dense
-// local ids. Routing is arithmetic — global id g lives in shard g mod S —
-// and never changes for the lifetime of a point, so the only mutable state
-// is the local position, guarded by the owning shard's lock. Every shard
-// keeps globals (local → global, append-ordered) and, lazily, a reverse map
-// for when the initial stripe pattern is broken by out-of-order concurrent
-// inserts or by a compaction.
+// Callers address points by global id; the index stores points under dense
+// local ids. Ids are allocated under the write lock, in the order rows join
+// the index, so the local → global map (globals) ascends, and a compaction,
+// which keeps the live rows in order, keeps it ascending: global → local is
+// a binary search.
 //
 // # Locking
 //
-// There is no global lock anywhere. The only cross-shard synchronization
-// is the atomic global-id allocator; even persistence (SnapshotShard)
-// snapshots one shard at a time. No goroutine ever holds two shard locks, so
-// the lock graph is trivially acyclic.
+// The write lock guards the index, the id map and the id allocator's
+// writes. Persistence (Snapshot) copies the index under the read lock.
+// compactMu serializes compactions and is never taken while holding the
+// index lock.
 //
 // The locking discipline and the deterministic visit order are enforced by
 // dblsh-lint (guardedby and detorder analyzers).
@@ -58,6 +56,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,19 +68,41 @@ import (
 	"dblsh/internal/wal"
 )
 
-// autoCompactMinRows is the smallest shard auto-compaction bothers with:
-// below this, a rebuild costs more than the tombstones it reclaims.
+// autoCompactMinRows is the smallest index tombstone-driven auto-compaction
+// bothers with: below this, a rebuild costs more than the tombstones it
+// reclaims.
 const autoCompactMinRows = 256
 
-// Set is a sharded DB-LSH index. All methods are safe for concurrent use.
+// Set is a concurrently served DB-LSH index. All methods are safe for
+// concurrent use.
 type Set struct {
 	dim         int
 	cfg         core.Config   // resolved against the build-time dataset size
 	compactFrac atomic.Uint64 // auto-compaction threshold (float64 bits); 0 disables
-	shards      []*state
-	nextID      atomic.Int64 // global id allocator / id-space bound
-	pool        sync.Pool    // of *Searcher, for SearchBatch's queries
-	tailCap     int          // rows a shard's tails hold (core.Index.UnpackedCap)
+	pool        sync.Pool     // of *Searcher, for SearchBatch's queries
+	tailCap     int           // rows the trees' tails hold (core.Index.UnpackedCap)
+
+	mu sync.RWMutex
+	// compactMu serializes compactions. It is never taken while holding mu
+	// (compaction acquires mu only in short windows), so a waiting
+	// compaction never blocks traffic.
+	compactMu sync.Mutex
+	idx       *core.Index // dblsh:guardedby mu
+	// globals maps local id → global id. It ascends: ids are allocated
+	// under mu in insertion order, and compaction keeps the rows in order.
+	globals []int // dblsh:guardedby mu
+	// nextID is the global-id-space bound: the next id Add hands out. It
+	// is written under mu and read without it.
+	nextID         atomic.Int64
+	compactions    int       // dblsh:guardedby mu
+	lastCompaction time.Time // dblsh:guardedby mu
+
+	// bgMu guards closed and the scheduling of background compactions, so
+	// that Close's wait sees every compaction scheduled before it.
+	bgMu       sync.Mutex
+	closed     bool           // dblsh:guardedby bgMu
+	bg         sync.WaitGroup // background compactions in flight
+	compacting atomic.Bool    // single-flight guard for auto-compaction
 
 	// metrics is the optional compaction observability hook set, swapped
 	// in atomically so SetMetrics is safe while background auto-compaction
@@ -92,12 +113,11 @@ type Set struct {
 // Metrics reports the set's compaction and write-path activity. Fields are
 // optional (obs metric types are nil-safe).
 type Metrics struct {
-	// InsertSeconds is how long an Add (or a replayed one) holds its
-	// shard's write lock inside the index insert — the stall it imposes on
-	// that shard's searches.
+	// InsertSeconds is how long an Add (or a replayed one) holds the write
+	// lock inside the index insert — the stall it imposes on searches.
 	InsertSeconds *obs.Histogram
-	// CompactionRuns counts completed compactions that actually rebuilt a
-	// shard (clean shards short-circuit and are not counted), and the
+	// CompactionRuns counts completed compactions that actually rebuilt the
+	// index (a clean index short-circuits and is not counted), and the
 	// inline repacks of adds that found a tail full.
 	CompactionRuns *obs.Counter
 	// CompactionSeconds is the duration distribution of those rebuilds; an
@@ -112,10 +132,10 @@ func (s *Set) SetMetrics(m Metrics) {
 }
 
 // SetCompactFraction replaces the auto-compaction threshold: a Delete that
-// pushes a shard's tombstoned fraction to f schedules a background rebuild
-// of that shard. 0 disables. Safe to call at any time; a loaded index
-// starts with the policy disabled because the threshold is an operational
-// knob, not part of the persisted state.
+// pushes the tombstoned fraction to f schedules a background rebuild. 0
+// disables. Safe to call at any time; a loaded index starts with the policy
+// disabled because the threshold is an operational knob, not part of the
+// persisted state.
 func (s *Set) SetCompactFraction(f float64) {
 	s.compactFrac.Store(math.Float64bits(f))
 }
@@ -125,290 +145,139 @@ func (s *Set) CompactFraction() float64 {
 	return math.Float64frombits(s.compactFrac.Load())
 }
 
-// state is one shard: a core index plus the id mapping and its lock.
-type state struct {
-	mu sync.RWMutex
-	// compactMu serializes compactions of this shard. It is never taken
-	// while holding mu (compaction acquires mu only in short windows), so a
-	// waiting compaction never blocks traffic.
-	compactMu sync.Mutex
-	idx       *core.Index // dblsh:guardedby mu
-	seed      int64       // this shard's hash seed (base seed + shard offset)
-
-	// globals maps local id → global id in append order. localOf is the
-	// reverse map, materialized lazily: while it is nil the mapping is the
-	// pure stripe local j ↔ global j·S+offset and lookups are arithmetic.
-	// The first out-of-order insert or compaction materializes the map.
-	globals []int       // dblsh:guardedby mu
-	localOf map[int]int // dblsh:guardedby mu
-	offset  int         // this shard's index in the set
-
-	compacting     atomic.Bool // single-flight guard for auto-compaction
-	compactions    int         // dblsh:guardedby mu
-	lastCompaction time.Time   // dblsh:guardedby mu
-}
-
-// local returns the local id of global g, or -1 when g is not resident
-// (never routed here, or compacted away). Callers hold st.mu.
-//
-// dblsh:locked mu
-func (st *state) local(g, stride int) int {
-	if st.localOf != nil {
-		if l, ok := st.localOf[g]; ok {
-			return l
-		}
-		return -1
-	}
-	j := (g - st.offset) / stride
-	if j >= 0 && j < len(st.globals) && st.globals[j] == g {
-		return j
-	}
-	return -1
-}
-
-// materialize builds the explicit reverse map. Callers hold st.mu for
-// writing.
-//
-// dblsh:locked mu
-func (st *state) materialize() {
-	if st.localOf != nil {
-		return
-	}
-	st.localOf = make(map[int]int, len(st.globals))
-	for j, g := range st.globals {
-		st.localOf[g] = j
-	}
-}
-
-// shardSeed derives shard i's hash seed from the set's base seed. Shard 0
-// uses the base seed itself, so a single-shard set is bit-identical to an
-// unsharded core build.
-func shardSeed(base int64, i int) int64 { return base + int64(i) }
-
-// Build constructs a set of `shards` shards over n vectors of dimension dim
-// stored row-major in flat, striping rows round-robin: row g goes to shard
-// g mod S. With shards == 1 the flat slice is wrapped without copying
-// (preserving the library's zero-copy contract); with more shards each
-// shard copies its stripe into a contiguous matrix. The shards build
-// through core.Each, GOMAXPROCS at a time. compactFrac > 0 enables
-// automatic background compaction of a shard once its tombstoned fraction
-// reaches the threshold.
-//
-// dblsh:exclusive the set is under construction and unpublished; the
-// core.Each items partition the shards, so no state is shared
-func Build(flat []float32, n, dim, shards int, compactFrac float64, cfg core.Config) *Set {
-	if n > 0 && shards > n {
-		shards = n // no empty shards when there is data to stripe
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	cfg = cfg.Resolved(n)
-	s := &Set{
-		dim:    dim,
-		cfg:    cfg,
-		shards: make([]*state, shards),
-	}
+// newSet returns the set serving idx, whose local ids map to globals.
+func newSet(dim int, cfg core.Config, compactFrac float64, idx *core.Index, globals []int, nextID int) *Set {
+	s := &Set{dim: dim, cfg: cfg, idx: idx, globals: globals, tailCap: idx.UnpackedCap()}
 	s.SetCompactFraction(compactFrac)
-	s.nextID.Store(int64(n))
-	core.Each(shards, func(i int) error {
-		rows := (n - i + shards - 1) / shards
-		st := &state{seed: shardSeed(cfg.Seed, i), offset: i}
-		st.globals = identityGlobals(rows, i, shards)
-		c := cfg
-		c.Seed = st.seed
-		var m *vec.Matrix
-		if shards == 1 {
-			m = vec.WrapMatrix(flat, n, dim)
-		} else {
-			c.InitialRadius = 0 // estimated per shard from its own stripe
-			m = vec.NewMatrix(rows, dim)
-			for j := 0; j < rows; j++ {
-				g := j*shards + i
-				m.SetRow(j, flat[g*dim:(g+1)*dim])
-			}
-		}
-		st.idx = core.Build(m, c)
-		s.shards[i] = st
-		return nil
-	})
-	s.tailCap = s.shards[0].idx.UnpackedCap()
+	s.nextID.Store(int64(nextID))
 	s.pool.New = func() interface{} { return s.NewSearcher() }
 	return s
 }
 
-func identityGlobals(rows, offset, stride int) []int {
-	g := make([]int, rows)
-	for j := range g {
-		g[j] = j*stride + offset
+// Build constructs the set over n vectors of dimension dim stored row-major
+// in flat, which is wrapped without copying (the library's zero-copy
+// contract): row g has global id g. shards is ignored; it is kept because
+// benchmark/layers.go still passes a stripe count. compactFrac > 0 enables
+// automatic background compaction once the tombstoned fraction reaches the
+// threshold.
+func Build(flat []float32, n, dim, shards int, compactFrac float64, cfg core.Config) *Set {
+	cfg = cfg.Resolved(n)
+	globals := make([]int, n)
+	for g := range globals {
+		globals[g] = g
 	}
-	return g
+	idx := core.Build(vec.WrapMatrix(flat, n, dim), cfg)
+	return newSet(dim, cfg, compactFrac, idx, globals, n)
 }
 
-// Part is one shard's serialized state, used to restore a persisted set.
+// Part is the index's serialized state, used to restore a persisted set.
 type Part struct {
 	Flat    []float32 // rows·dim vector payload, local-id order; read-only
 	Rows    int
-	Globals []int  // local id → global id
+	Globals []int  // local id → global id, ascending
 	Deleted []bool // tombstones by local id; may be nil or short
 	R0      float64
-	// Trees holds the shard's L R*-tree arenas, which Restore loads as they
+	// Trees holds the index's L R*-tree arenas, which Restore loads as they
 	// are.
 	Trees []rstar.Arena
+	// NextID is the global-id-space bound when the part was taken.
+	NextID int
 }
 
-// Restore loads a set from persisted per-shard parts, through core.Each.
-// cfg carries the stored structural parameters and base seed; nextID is the
-// persisted global-id-space bound (ids ≥ nextID have never been allocated).
-// The error is a part's trees failing core.Load's validation.
-//
-// dblsh:exclusive the set is under construction and unpublished; the
-// core.Each items partition the shards, so no state is shared
-func Restore(dim int, nextID int, compactFrac float64, cfg core.Config, parts []Part) (*Set, error) {
-	total := 0
-	for _, p := range parts {
-		total += p.Rows
-	}
-	cfg = cfg.Resolved(total)
-	s := &Set{
-		dim:    dim,
-		cfg:    cfg,
-		shards: make([]*state, len(parts)),
-	}
-	s.SetCompactFraction(compactFrac)
-	s.nextID.Store(int64(nextID))
-	stride := len(parts)
-	err := core.Each(len(parts), func(i int) (err error) {
-		p := parts[i]
-		st := &state{seed: shardSeed(cfg.Seed, i), offset: i}
-		st.globals = append([]int(nil), p.Globals...)
-		for j, g := range st.globals {
-			if g != j*stride+i {
-				st.materialize() // stripe pattern broken pre-persist
-				break
-			}
-		}
-		s.shards[i] = st
-		c := cfg
-		c.Seed = st.seed
-		c.InitialRadius = p.R0
-		data := vec.WrapMatrix(p.Flat, p.Rows, dim)
-		if st.idx, err = core.Load(data, c, p.Trees); err != nil {
-			return err
-		}
-		for local, dead := range p.Deleted {
-			if dead && local < p.Rows {
-				st.idx.Delete(local)
-			}
-		}
-		return nil
-	})
+// Restore loads a set from a persisted part. cfg carries the stored
+// structural parameters and seed; p.NextID is the persisted global-id-space
+// bound (ids ≥ it have never been allocated), and p.Globals must ascend
+// below it. The error is the trees failing core.Load's validation.
+func Restore(dim int, compactFrac float64, cfg core.Config, p Part) (*Set, error) {
+	cfg = cfg.Resolved(p.Rows)
+	c := cfg
+	c.InitialRadius = p.R0
+	idx, err := core.Load(vec.WrapMatrix(p.Flat, p.Rows, dim), c, p.Trees)
 	if err != nil {
 		return nil, err
 	}
-	s.tailCap = s.shards[0].idx.UnpackedCap()
-	s.pool.New = func() interface{} { return s.NewSearcher() }
-	return s, nil
+	for local, dead := range p.Deleted {
+		if dead && local < p.Rows {
+			idx.Delete(local)
+		}
+	}
+	return newSet(dim, cfg, compactFrac, idx, slices.Clone(p.Globals), p.NextID), nil
 }
-
-// Shards returns the number of shards.
-func (s *Set) Shards() int { return len(s.shards) }
 
 // Dim returns the vector dimensionality.
 func (s *Set) Dim() int { return s.dim }
 
-// Params returns the resolved build configuration (base seed).
+// Params returns the resolved build configuration.
 func (s *Set) Params() core.Config { return s.cfg }
 
 // NextID returns the global-id-space bound: every id ever returned by Add
 // (and every build-time id) is below it.
 func (s *Set) NextID() int { return int(s.nextID.Load()) }
 
-// Len returns the number of resident vectors (live + tombstoned) across all
-// shards. It never exceeds NextID but can fall short of it: compaction
-// reclaims tombstoned rows, a snapshot taken while an Add was between id
-// allocation and shard insertion reloads with that id as a hole, and WAL
-// replay skips records whose rows were lost to an unsynced tail — in every
-// case the missing ids stay unallocated forever rather than being reused.
+// Len returns the number of resident vectors (live + tombstoned). It never
+// exceeds NextID but can fall short of it: compaction reclaims tombstoned
+// rows, and WAL replay skips records whose rows were lost to an unsynced
+// tail — in every case the missing ids stay unallocated forever rather than
+// being reused.
 func (s *Set) Len() int {
-	n := 0
-	for _, st := range s.shards {
-		st.mu.RLock()
-		n += st.idx.Size()
-		st.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.Size()
 }
 
-// Deleted returns the number of tombstoned vectors across all shards.
+// Deleted returns the number of tombstoned vectors.
 func (s *Set) Deleted() int {
-	n := 0
-	for _, st := range s.shards {
-		st.mu.RLock()
-		n += st.idx.Deleted()
-		st.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.Deleted()
 }
 
-// Unpacked returns the number of rows in the shards' tails, added since
-// each shard was last packed.
+// Unpacked returns the number of rows in the trees' tails, added since the
+// index was last packed.
 func (s *Set) Unpacked() int {
-	n := 0
-	for _, st := range s.shards {
-		st.mu.RLock()
-		n += st.idx.Unpacked()
-		st.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.Unpacked()
 }
 
-// IndexSizeBytes sums the per-shard tree footprints.
+// IndexSizeBytes returns the trees' footprint.
 func (s *Set) IndexSizeBytes() int64 {
-	var b int64
-	for _, st := range s.shards {
-		st.mu.RLock()
-		b += st.idx.IndexSizeBytes()
-		st.mu.RUnlock()
-	}
-	return b
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.IndexSizeBytes()
 }
 
-// Add inserts a vector and returns its global id. Only the owning shard is
-// write-locked; searches on the other shards proceed untouched.
+// Add inserts a vector and returns its global id, allocated under the
+// write lock.
 func (s *Set) Add(v []float32) int {
 	if len(v) != s.dim {
 		panic(fmt.Sprintf("shard: insert dim %d, index dim %d", len(v), s.dim))
 	}
-	g := int(s.nextID.Add(1)) - 1
-	stride := len(s.shards)
-	st := s.shards[g%stride]
-	st.mu.Lock()
-	st.insert(g, stride, v, s.metrics.Load())
-	size, dead, unpacked := st.debt()
-	st.mu.Unlock()
-	s.maybeAutoCompact(st, size, dead, unpacked)
+	s.mu.Lock()
+	g := s.NextID()
+	s.insert(g, v, s.metrics.Load())
+	owes := s.owesLocked()
+	s.mu.Unlock()
+	if owes {
+		s.schedule()
+	}
 	return g
 }
 
-// insert indexes v in the shard under global id g. Callers hold st.mu for
-// writing, so the time spent in the index insert — a hash and L appends,
-// or an inline repack when the tails are full — is time every search on
-// this shard waits; m.InsertSeconds records it.
+// insert indexes v under global id g, which must exceed every resident id,
+// and moves the id allocator past it. Callers hold s.mu for writing, so the
+// time spent in the index insert — a hash and L appends, or an inline
+// repack when the tails are full — is time every search waits;
+// m.InsertSeconds records it.
 //
 // dblsh:locked mu
-func (st *state) insert(g, stride int, v []float32, m *Metrics) {
-	if st.localOf == nil && g != len(st.globals)*stride+st.offset {
-		// An add with a later id reached the shard first: the stripe pattern
-		// is broken for good, switch to the explicit map.
-		st.materialize()
-	}
+func (s *Set) insert(g int, v []float32, m *Metrics) {
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
-	repacks := st.idx.Unpacked() == st.idx.UnpackedCap()
-	local := st.idx.Insert(v)
+	repacks := s.idx.Unpacked() == s.idx.UnpackedCap()
+	s.idx.Insert(v)
 	if m != nil {
 		d := time.Since(start).Seconds()
 		m.InsertSeconds.Observe(d)
@@ -417,67 +286,48 @@ func (st *state) insert(g, stride int, v []float32, m *Metrics) {
 			m.CompactionSeconds.Observe(d)
 		}
 	}
-	st.globals = append(st.globals, g)
-	if st.localOf != nil {
-		st.localOf[g] = local
-	}
+	s.globals = append(s.globals, g)
+	s.nextID.Store(int64(max(s.NextID(), g+1)))
 }
 
-// advanceNextID raises the id allocator to at least bound; it never lowers
-// it, so concurrent calls commute.
-func (s *Set) advanceNextID(bound int) {
-	for {
-		cur := s.nextID.Load()
-		if cur >= int64(bound) || s.nextID.CompareAndSwap(cur, int64(bound)) {
-			return
-		}
+// local returns the local id of global g, or -1 when g is not resident
+// (never allocated, or compacted away). Callers hold s.mu.
+//
+// dblsh:locked mu
+func (s *Set) local(g int) int {
+	if l, ok := slices.BinarySearch(s.globals, g); ok {
+		return l
 	}
+	return -1
 }
 
-// Replay applies a chunk of logged mutations, in log order. An add lands
-// under the id it was acknowledged with and advances the id allocator past
-// it; applying it again (the record may describe a row a checkpoint already
-// holds) is a no-op, as is a delete of an absent or tombstoned id. No delete
-// schedules a compaction: the caller holds auto-compaction until its last
-// chunk is in and then calls CompactOwed. Records of different shards commute (each
-// touches only its owning shard, and the allocator only ever rises to the
-// largest id seen), so the chunk is split by owning shard and the shards'
-// lists are applied through core.Each, at most GOMAXPROCS at a time; the
-// set that results is the sequential replay's, byte for byte, whatever the
-// scheduler does. The caller has checked the records (an add's row has the
-// set's dimension); Replay keeps no reference to recs.
+// Replay applies a chunk of logged mutations, in log order, under one hold
+// of the write lock. An add lands under the id it was acknowledged with and
+// advances the id allocator past it; an add whose id does not exceed every
+// resident id is skipped, because its row is either resident already (the
+// record describes a row a checkpoint holds) or was deleted and compacted
+// away before the checkpoint was cut. A delete of an absent or tombstoned
+// id is a no-op. Nothing schedules a compaction: the caller holds
+// auto-compaction until its last chunk is in and then calls CompactOwed.
+// The caller has checked the records (an add's row has the set's
+// dimension); Replay keeps no reference to recs.
 func (s *Set) Replay(recs []wal.Record) {
-	stride := len(s.shards)
-	per := make([][]wal.Record, stride)
-	bound := 0
+	m := s.metrics.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, r := range recs {
 		g := int(r.ID)
-		if r.Op == wal.OpAdd {
-			bound = max(bound, g+1)
-		}
-		per[g%stride] = append(per[g%stride], r)
-	}
-	s.advanceNextID(bound)
-	m := s.metrics.Load()
-	core.Each(stride, func(i int) error {
-		if len(per[i]) == 0 {
-			return nil
-		}
-		st := s.shards[i]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		for _, r := range per[i] {
-			g := int(r.ID)
-			l := st.local(g, stride)
-			switch {
-			case r.Op == wal.OpAdd && l < 0:
-				st.insert(g, stride, r.Row, m)
-			case r.Op == wal.OpDelete && l >= 0:
-				st.idx.Delete(l)
+		switch r.Op {
+		case wal.OpAdd:
+			if n := len(s.globals); n == 0 || g > s.globals[n-1] {
+				s.insert(g, r.Row, m)
+			}
+		case wal.OpDelete:
+			if l := s.local(g); l >= 0 {
+				s.idx.Delete(l)
 			}
 		}
-		return nil
-	})
+	}
 }
 
 // Live reports whether global id g is resident and not tombstoned — i.e.
@@ -485,124 +335,114 @@ func (s *Set) Replay(recs []wal.Record) {
 // before logging a Delete record, so the op log never carries records for
 // mutations that were going to be no-ops.
 func (s *Set) Live(g int) bool {
-	if g < 0 || g >= int(s.nextID.Load()) {
-		return false
-	}
-	st := s.shards[g%len(s.shards)]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	l := st.local(g, len(s.shards))
-	return l >= 0 && !st.idx.IsDeleted(l)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	l := s.local(g)
+	return l >= 0 && !s.idx.IsDeleted(l)
 }
 
 // Delete tombstones global id g, returning false when g was never
-// allocated, is already tombstoned, or was reclaimed by a compaction. Only
-// the owning shard is write-locked. When the set was built with a
-// compaction threshold, crossing it schedules a background compaction of
-// the affected shard.
+// allocated, is already tombstoned, or was reclaimed by a compaction. When
+// the set has a compaction threshold, crossing it schedules a background
+// compaction.
 func (s *Set) Delete(g int) bool {
-	if g < 0 || g >= int(s.nextID.Load()) {
-		return false
-	}
-	st := s.shards[g%len(s.shards)]
-	st.mu.Lock()
-	l := st.local(g, len(s.shards))
-	deleted := l >= 0 && st.idx.Delete(l)
-	size, dead, unpacked := st.debt()
-	st.mu.Unlock()
-	if deleted {
-		s.maybeAutoCompact(st, size, dead, unpacked)
+	s.mu.Lock()
+	l := s.local(g)
+	deleted := l >= 0 && s.idx.Delete(l)
+	owes := deleted && s.owesLocked()
+	s.mu.Unlock()
+	if owes {
+		s.schedule()
 	}
 	return deleted
 }
 
-// debt returns what a compaction of the shard would work off: its resident
-// rows, its tombstones, and the rows in its trees' tails. Callers hold
-// st.mu.
+// owesLocked reports whether the index owes a compaction: its tails hold
+// half their capacity, or its tombstoned fraction has reached the threshold
+// (which 0 disables). The tail's half is a fixed share, not an option: far
+// enough from full that the rebuild finishes before an add has to repack
+// inline, and every tail row a query walks costs it about a leaf test in L
+// trees. Callers hold s.mu.
 //
 // dblsh:locked mu
-func (st *state) debt() (size, dead, unpacked int) {
-	return st.idx.Size(), st.idx.Deleted(), st.idx.Unpacked()
-}
-
-// owes reports whether a shard with the given debt owes a compaction: its
-// tails hold half their capacity, or its tombstoned fraction has reached
-// the threshold (which 0 disables). The tail's half is a fixed share, not
-// an option: far enough from full that the rebuild finishes before an add
-// has to repack inline, and every tail row a query walks costs it about a
-// leaf test in L trees.
-func (s *Set) owes(size, dead, unpacked int) bool {
-	if 2*unpacked >= s.tailCap {
+func (s *Set) owesLocked() bool {
+	if 2*s.idx.Unpacked() >= s.tailCap {
 		return true
 	}
-	frac := s.CompactFraction()
-	return frac > 0 && size >= autoCompactMinRows && float64(dead) >= frac*float64(size)
+	size, frac := s.idx.Size(), s.CompactFraction()
+	return frac > 0 && size >= autoCompactMinRows && float64(s.idx.Deleted()) >= frac*float64(size)
 }
 
-// maybeAutoCompact schedules a background compaction of st when it owes
-// one, and reports whether it did.
-func (s *Set) maybeAutoCompact(st *state, size, dead, unpacked int) bool {
-	if !s.owes(size, dead, unpacked) {
+// owes is owesLocked under the read lock.
+func (s *Set) owes() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.owesLocked()
+}
+
+// schedule starts a background compaction unless one is in flight or the
+// set is closed, and reports whether it did.
+func (s *Set) schedule() bool {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	if s.closed || !s.compacting.CompareAndSwap(false, true) {
 		return false
 	}
-	if !st.compacting.CompareAndSwap(false, true) {
-		return false // one compaction of this shard at a time
-	}
+	s.bg.Add(1)
 	go func() {
-		s.compactState(st)
-		st.compacting.Store(false)
+		defer s.bg.Done()
+		s.compact()
+		s.compacting.Store(false)
 		// The mutations that raced the rebuild were replayed onto it, and
 		// those that found this one in flight scheduled nothing: what they
 		// left may owe another.
-		st.mu.RLock()
-		size, dead, unpacked := st.debt()
-		st.mu.RUnlock()
-		s.maybeAutoCompact(st, size, dead, unpacked)
+		if s.owes() {
+			s.schedule()
+		}
 	}()
 	return true
 }
 
-// CompactOwed schedules one background compaction of every shard that owes
-// one — the compactions that the records Replay applied did not schedule —
-// and returns how many it scheduled.
-func (s *Set) CompactOwed() int {
-	n := 0
-	for _, st := range s.shards {
-		st.mu.RLock()
-		size, dead, unpacked := st.debt()
-		st.mu.RUnlock()
-		if s.maybeAutoCompact(st, size, dead, unpacked) {
-			n++
-		}
-	}
-	return n
+// CompactOwed schedules a background compaction when the index owes one —
+// one that the records Replay applied did not schedule — and reports
+// whether it did.
+func (s *Set) CompactOwed() bool {
+	return s.owes() && s.schedule()
 }
 
-// CompactShard rebuilds shard i from its live rows, dropping all tombstones
-// and repacking its tails, while every shard — including i itself — keeps
-// serving. Global ids are preserved. It returns the number of tombstones
-// reclaimed (0 when the shard had none, whether or not it repacked).
+// Close waits for the background compaction in flight, if any, and keeps
+// any from being scheduled after it. The set stays usable: Compact still
+// compacts, and a full tail still repacks inline.
+func (s *Set) Close() {
+	s.bgMu.Lock()
+	s.closed = true
+	s.bgMu.Unlock()
+	s.bg.Wait()
+}
+
+// Compact rebuilds the index from its live rows, dropping all tombstones
+// and repacking its tails, while it keeps serving. Global ids are
+// preserved. It returns the number of tombstones reclaimed (0 when there
+// were none, whether or not it repacked).
 //
 // The rebuild is online: the live rows and their projections are copied
-// under a read lock (searches unaffected, mutations to this shard wait only
-// for the copy), the replacement index is packed with no locks held, and
-// the write lock is taken just long enough to replay the mutations that
-// raced the build and swap the index in. Nothing is hashed: the
-// projections come out of the old trees' leaves (core.Index.Projections),
-// and the new index is core.Build's over the same rows, node for node.
-func (s *Set) CompactShard(i int) int {
-	return s.compactState(s.shards[i])
-}
+// under the read lock (searches unaffected, mutations wait only for the
+// copy), the replacement index is packed with no lock held, and the write
+// lock is taken just long enough to replay the mutations that raced the
+// build and swap the index in. Nothing is hashed: the projections come out
+// of the old trees' leaves (core.Index.Projections), and the new index is
+// core.Build's over the same rows, node for node.
+func (s *Set) Compact() int { return s.compact() }
 
-func (s *Set) compactState(st *state) int {
-	st.compactMu.Lock()
-	defer st.compactMu.Unlock()
+func (s *Set) compact() int {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 
 	// Snapshot the live rows and their projections under the read lock.
-	st.mu.RLock()
-	old := st.idx
+	s.mu.RLock()
+	old := s.idx
 	if old.Deleted() == 0 && old.Unpacked() == 0 {
-		st.mu.RUnlock()
+		s.mu.RUnlock()
 		return 0
 	}
 	start := time.Now()
@@ -616,23 +456,22 @@ func (s *Set) compactState(st *state) int {
 	projected := old.Projections(oldLocals)
 	snapGlobals := make([]int, len(oldLocals))
 	for j, ol := range oldLocals {
-		snapGlobals[j] = st.globals[ol]
+		snapGlobals[j] = s.globals[ol]
 	}
 	snapSize := old.Size()
-	st.mu.RUnlock()
+	s.mu.RUnlock()
 
-	// Rebuild with no locks held; the shard serves reads and writes
-	// throughout. compactMu keeps concurrent compactions of this shard
-	// from racing each other, so old == st.idx still holds at swap time.
+	// Rebuild with no locks held; the index serves reads and writes
+	// throughout. compactMu keeps concurrent compactions from racing each
+	// other, so old == s.idx still holds at swap time.
 	c := s.cfg
-	c.Seed = st.seed
 	c.InitialRadius = 0 // re-estimate from the compacted content
 	fresh := core.Repack(live, projected, c)
 
 	// Swap under the write lock, replaying whatever raced the build: rows
 	// appended after the snapshot, and tombstones laid on snapshot rows.
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for j, ol := range oldLocals {
 		if old.IsDeleted(ol) {
 			fresh.Delete(j)
@@ -641,35 +480,21 @@ func (s *Set) compactState(st *state) int {
 	newGlobals := snapGlobals
 	for local := snapSize; local < old.Size(); local++ {
 		nl := fresh.Insert(old.Data().Row(local))
-		newGlobals = append(newGlobals, st.globals[local])
+		newGlobals = append(newGlobals, s.globals[local])
 		if old.IsDeleted(local) {
 			fresh.Delete(nl)
 		}
 	}
 	reclaimed := old.Size() - fresh.Size()
-	st.idx = fresh
-	st.globals = newGlobals
-	st.localOf = nil
-	st.materialize()
-	st.compactions++
-	st.lastCompaction = time.Now()
+	s.idx = fresh
+	s.globals = newGlobals
+	s.compactions++
+	s.lastCompaction = time.Now()
 	return reclaimed
 }
 
-// Compact compacts every shard in turn and returns the total number of
-// tombstones reclaimed. At most one shard is rebuilding at any moment, and
-// even that shard keeps serving (see CompactShard).
-func (s *Set) Compact() int {
-	total := 0
-	for _, st := range s.shards {
-		total += s.compactState(st)
-	}
-	return total
-}
-
-// Info describes one shard's current state.
+// Info describes the index's current state.
 type Info struct {
-	Shard          int
 	Size           int // resident vectors (live + tombstoned)
 	Live           int
 	Deleted        int
@@ -679,129 +504,108 @@ type Info struct {
 	IndexSizeBytes int64
 }
 
-// Infos reports per-shard statistics.
-func (s *Set) Infos() []Info {
-	out := make([]Info, len(s.shards))
-	for i, st := range s.shards {
-		st.mu.RLock()
-		out[i] = Info{
-			Shard:          i,
-			Size:           st.idx.Size(),
-			Live:           st.idx.Live(),
-			Deleted:        st.idx.Deleted(),
-			Unpacked:       st.idx.Unpacked(),
-			Compactions:    st.compactions,
-			LastCompaction: st.lastCompaction,
-			IndexSizeBytes: st.idx.IndexSizeBytes(),
-		}
-		st.mu.RUnlock()
+// Info reports the index's statistics.
+func (s *Set) Info() Info {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return Info{
+		Size:           s.idx.Size(),
+		Live:           s.idx.Live(),
+		Deleted:        s.idx.Deleted(),
+		Unpacked:       s.idx.Unpacked(),
+		Compactions:    s.compactions,
+		LastCompaction: s.lastCompaction,
+		IndexSizeBytes: s.idx.IndexSizeBytes(),
 	}
-	return out
 }
 
-// SnapshotShard takes shard i's resident rows, their global ids and tombstones
-// and its trees' arenas into a Part, under the shard's read lock, so the part
-// is the shard as it stood at one instant and its trees index exactly its rows.
-// The arenas, ids and tombstones are copied — a memcpy, not a walk: inserts
-// rewrite arenas in place, and deletes lay tombstones. The rows are viewed
-// instead, capacity capped at their length, because a shard's rows are
-// append-only: vec.Matrix.Append, under the write lock, is the one writer of a
-// live index's matrix and writes only past the view; SetRow only fills matrices
-// no index holds yet; compaction swaps in a new matrix and leaves the old one
-// as it was; and NewFromFlat's zero-copy rows are the caller's not to mutate.
-// The cap makes an Append onto a restored copy of the part reallocate rather
-// than write into the live shard's array. Persistence streams a snapshot one
-// shard at a time — each holds only that shard's read lock, briefly, so
-// serializing a large index never stalls traffic index-wide. The shards are
-// therefore taken at different instants: a part may hold ids at or above what
-// NextID returned before the first one (whoever restores the parts takes the
-// largest id they hold as a floor for the allocator), and an Add between id
-// allocation and shard insertion is simply absent, which reads back as a benign
-// id-space hole.
-func (s *Set) SnapshotShard(i int) Part {
-	st := s.shards[i]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	rows := st.idx.Data().Data()
+// Snapshot takes the index's resident rows, their global ids and tombstones,
+// its trees' arenas and the id-space bound into a Part, under the read lock,
+// so the part is the index as it stood at one instant and its trees index
+// exactly its rows. The arenas, ids and tombstones are copied — a memcpy, not
+// a walk: inserts rewrite arenas in place, and deletes lay tombstones. The
+// rows are viewed instead, capacity capped at their length, because the rows
+// are append-only: vec.Matrix.Append, under the write lock, is the one writer
+// of a live index's matrix and writes only past the view; SetRow only fills
+// matrices no index holds yet; compaction swaps in a new matrix and leaves the
+// old one as it was; and NewFromFlat's zero-copy rows are the caller's not to
+// mutate. The cap makes an Append onto a restored copy of the part reallocate
+// rather than write into the live index's array. Persistence streams the part
+// with no lock held, so serializing a large index never stalls traffic.
+func (s *Set) Snapshot() Part {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rows := s.idx.Data().Data()
 	p := Part{
-		Rows:    len(st.globals),
-		R0:      st.idx.InitialRadius(),
+		Rows:    len(s.globals),
+		R0:      s.idx.InitialRadius(),
 		Flat:    rows[:len(rows):len(rows)],
-		Globals: append([]int(nil), st.globals...),
-		Trees:   st.idx.Trees(),
+		Globals: slices.Clone(s.globals),
+		Trees:   s.idx.Trees(),
+		NextID:  s.NextID(),
 	}
-	if st.idx.Deleted() > 0 {
-		p.Deleted = append([]bool(nil), st.idx.DeletedBits()...)
+	if s.idx.Deleted() > 0 {
+		p.Deleted = slices.Clone(s.idx.DeletedBits())
 	}
 	return p
 }
 
-// Searcher is a reusable query context: one core searcher per shard, each
-// running its shard's part of core's round driver. It must be used from one
-// goroutine at a time.
+// Searcher is a reusable query context: a core searcher running the index's
+// part of core's round driver. It must be used from one goroutine at a time.
 type Searcher struct {
-	set   *Set
-	per   []*core.Searcher
-	seen  []*core.Index // which core index each searcher is bound to
-	parts []core.Part
-	last  core.Stats
+	set  *Set
+	cs   *core.Searcher
+	seen *core.Index // which core index cs is bound to
+	part core.Part
+	last core.Stats
 }
 
-// NewSearcher returns a searcher bound to the set. Per-shard core searchers
-// are created lazily and transparently replaced when a compaction swaps a
-// shard's underlying index. An idle searcher (e.g. parked in a pool) keeps
-// the index it last touched reachable until its next use or until the pool
-// is dropped by GC — a deliberate trade: releasing eagerly would need weak
+// NewSearcher returns a searcher bound to the set. The core searcher is
+// created lazily and transparently replaced when a compaction swaps the
+// underlying index. An idle searcher (e.g. parked in a pool) keeps the
+// index it last touched reachable until its next use or until the pool is
+// dropped by GC — a deliberate trade: releasing eagerly would need weak
 // references threaded through the core searcher, and the retention is
 // bounded by two GC cycles for pooled searchers.
 func (s *Set) NewSearcher() *Searcher {
-	sr := &Searcher{
-		set:   s,
-		per:   make([]*core.Searcher, len(s.shards)),
-		seen:  make([]*core.Index, len(s.shards)),
-		parts: make([]core.Part, len(s.shards)),
-	}
-	for i, st := range s.shards {
-		sr.parts[i] = core.Part{Lock: &st.mu, Bind: func() (*core.Searcher, []int) { return sr.bind(i) }}
-	}
+	sr := &Searcher{set: s}
+	sr.part = core.Part{Lock: &s.mu, Bind: sr.bind}
 	return sr
 }
 
-// bind is shard i's core.Part.Bind: the core searcher for the shard's
-// current index — a new one when a compaction has replaced it — and the
-// shard's local→global id map. Callers hold the shard's lock.
+// bind is the part's core.Part.Bind: the core searcher for the current
+// index — a new one when a compaction has replaced it — and the local→global
+// id map. Callers hold the set's lock.
 //
 // dblsh:locked mu
-func (sr *Searcher) bind(i int) (*core.Searcher, []int) {
-	st := sr.set.shards[i]
-	if sr.seen[i] != st.idx {
-		sr.per[i] = st.idx.NewSearcher()
-		sr.seen[i] = st.idx
+func (sr *Searcher) bind() (*core.Searcher, []int) {
+	if sr.seen != sr.set.idx {
+		sr.cs = sr.set.idx.NewSearcher()
+		sr.seen = sr.set.idx
 	}
-	return sr.per[i], st.globals
+	return sr.cs, sr.set.globals
 }
 
-// LastStats reports the most recent query's aggregated statistics:
-// candidates verified across all shards, rounds run, and the final radius
-// of the shared ladder.
+// LastStats reports the most recent query's statistics: candidates
+// verified, rounds run, and the final radius of the ladder.
 func (sr *Searcher) LastStats() core.Stats { return sr.last }
 
-// Search answers a (c,k)-ANN query: core.Search over one part per shard.
-// A non-nil error (context expiry) still comes with the best candidates
-// found before cancellation.
+// Search answers a (c,k)-ANN query: core.Search over the index's part. A
+// non-nil error (context expiry) still comes with the best candidates found
+// before cancellation.
 func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
 	core.CheckQuery(q, sr.set.dim, k)
-	nbs, st, err := core.Search(sr.parts, q, k, p)
+	nbs, st, err := core.Search(&sr.part, q, k, p)
 	sr.last = st
 	return nbs, err
 }
 
 // SearchRadius answers a single (r,c)-NN query (Algorithm 1):
-// core.SearchRadius over one part per shard, one candidate budget of 2tL+1
-// shared by all of them.
+// core.SearchRadius over the index's part, with a candidate budget of
+// 2tL+1.
 func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (vec.Neighbor, bool, error) {
 	core.CheckQuery(q, sr.set.dim, 1)
-	nb, ok, st, err := core.SearchRadius(sr.parts, q, r, p)
+	nb, ok, st, err := core.SearchRadius(&sr.part, q, r, p)
 	sr.last = st
 	return nb, ok, err
 }
@@ -815,7 +619,7 @@ func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (ve
 // near-free. The error of the lowest-index query that erred is returned
 // alongside the queries answered. The queries must pass core.CheckQuery. A
 // query that panics (a Filter's panic) does so after every other query has
-// finished, on the caller's goroutine, with each shard's lock released.
+// finished, on the caller's goroutine, with the lock released.
 func (s *Set) SearchBatch(queries [][]float32, k int, p core.QueryParams) ([][]vec.Neighbor, []core.Stats, error) {
 	n := len(queries)
 	out := make([][]vec.Neighbor, n)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -50,9 +51,9 @@ func corpus(n, d int, seed int64) ([]float32, [][]float32) {
 	return flat, queries
 }
 
-func buildSet(n, d, shards int, seed int64) (*Set, []float32, [][]float32) {
+func buildSet(n, d int, seed int64) (*Set, []float32, [][]float32) {
 	flat, queries := corpus(n, d, seed)
-	s := Build(flat, n, d, shards, 0, core.Config{K: 6, L: 3, T: 40, Seed: seed})
+	s := Build(flat, n, d, 1, 0, core.Config{K: 6, L: 3, T: 40, Seed: seed})
 	return s, flat, queries
 }
 
@@ -89,12 +90,14 @@ func bruteNN(flat []float32, n, d int, q []float32, k int, skip func(int) bool) 
 	return ids
 }
 
+// TestStripedBuildRoutesIDs: a Build asked for stripes builds the one
+// index over the rows in order, so row g comes back under global id g.
 func TestStripedBuildRoutesIDs(t *testing.T) {
-	const n, d, S = 900, 12, 4
-	s, flat, _ := buildSet(n, d, S, 7)
-	if s.Shards() != S || s.Len() != n || s.NextID() != n || s.Dim() != d {
-		t.Fatalf("set shape: shards=%d len=%d next=%d dim=%d",
-			s.Shards(), s.Len(), s.NextID(), s.Dim())
+	const n, d = 900, 12
+	flat, _ := corpus(n, d, 7)
+	s := Build(flat, n, d, 4, 0, core.Config{K: 6, L: 3, T: 40, Seed: 7})
+	if s.Len() != n || s.NextID() != n || s.Dim() != d {
+		t.Fatalf("set shape: len=%d next=%d dim=%d", s.Len(), s.NextID(), s.Dim())
 	}
 	// Every original row must come back under its global id on self-query.
 	for _, g := range []int{0, 1, 2, 3, 5, 123, 877, n - 1} {
@@ -110,8 +113,8 @@ func TestStripedBuildRoutesIDs(t *testing.T) {
 }
 
 func TestAddDeleteRouting(t *testing.T) {
-	const n, d, S = 300, 8, 3
-	s, _, _ := buildSet(n, d, S, 8)
+	const n, d = 300, 8
+	s, _, _ := buildSet(n, d, 8)
 	v := make([]float32, d)
 	for j := range v {
 		v[j] = 500
@@ -124,10 +127,10 @@ func TestAddDeleteRouting(t *testing.T) {
 	if len(nbs) != 1 || nbs[0].ID != id || nbs[0].Dist != 0 {
 		t.Fatalf("added vector not found: %+v", nbs)
 	}
-	if !s.Delete(id) {
+	if !s.Live(id) || !s.Delete(id) {
 		t.Fatal("Delete of fresh id failed")
 	}
-	if s.Delete(id) {
+	if s.Live(id) || s.Delete(id) {
 		t.Fatal("double Delete succeeded")
 	}
 	if s.Delete(-1) || s.Delete(s.NextID()) {
@@ -142,64 +145,33 @@ func TestAddDeleteRouting(t *testing.T) {
 	}
 }
 
-// TestShardMergeMatchesSingleShard is the merge-correctness check: the same
-// corpus indexed with 1 and with 5 shards must agree on exact self-hits and
-// reach comparable recall against brute-force truth.
+// TestShardMergeMatchesSingleShard: the stripe count Build takes is
+// ignored, so a set asked for 5 stripes answers every query exactly as one
+// asked for 1 — ids, distance bits and statistics, node counts included.
 func TestShardMergeMatchesSingleShard(t *testing.T) {
 	const n, d, k = 4000, 24, 10
 	flat, queries := corpus(n, d, 21)
 	cfg := core.Config{K: 8, L: 4, T: 100, Seed: 21}
 	single := Build(flat, n, d, 1, 0, cfg)
-	sharded := Build(flat, n, d, 5, 0, cfg)
-
-	recall := func(s *Set) float64 {
-		total := 0.0
-		for _, q := range queries {
-			truth := map[int]bool{}
-			for _, id := range bruteNN(flat, n, d, q, k, nil) {
-				truth[id] = true
-			}
-			nbs, _, err := search(s, q, k, core.QueryParams{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(nbs) != k {
-				t.Fatalf("%d results, want %d", len(nbs), k)
-			}
-			for i := 1; i < len(nbs); i++ {
-				if nbs[i].Dist < nbs[i-1].Dist {
-					t.Fatal("merged results not sorted")
-				}
-			}
-			hit := 0
-			for _, nb := range nbs {
-				if truth[nb.ID] {
-					hit++
-				}
-			}
-			total += float64(hit) / float64(k)
+	striped := Build(flat, n, d, 5, 0, cfg)
+	for qi, q := range queries {
+		a, as, err := search(single, q, k, core.QueryParams{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return total / float64(len(queries))
-	}
-
-	rs, rm := recall(single), recall(sharded)
-	if rm < rs-0.1 || rm < 0.8 {
-		t.Fatalf("sharded recall %v too far below single-shard %v", rm, rs)
-	}
-	// Exact self-hits must agree bit-for-bit across layouts.
-	for g := 0; g < n; g += 251 {
-		q := flat[g*d : (g+1)*d]
-		a, _, _ := search(single, q, 1, core.QueryParams{})
-		b, _, _ := search(sharded, q, 1, core.QueryParams{})
-		if len(a) != 1 || len(b) != 1 || a[0].ID != b[0].ID || a[0].Dist != 0 || b[0].Dist != 0 {
-			t.Fatalf("self-hit %d diverges: %+v vs %+v", g, a, b)
+		b, bs, err := search(striped, q, k, core.QueryParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, b) || as != bs {
+			t.Fatalf("query %d: 5 stripes answer %v %+v, 1 stripe %v %+v", qi, b, bs, a, as)
 		}
 	}
 }
 
 func TestSearchBatchMatchesSingleQueries(t *testing.T) {
 	const n, d, k = 2000, 16, 5
-	s, _, queries := buildSet(n, d, 4, 31)
+	s, _, queries := buildSet(n, d, 31)
 	batch, stats, err := s.SearchBatch(queries, k, core.QueryParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +195,15 @@ func TestSearchBatchMatchesSingleQueries(t *testing.T) {
 	}
 }
 
+// TestGlobalFilterAcrossShards: a filter sees global ids, also once a
+// compaction has renumbered the local ones.
 func TestGlobalFilterAcrossShards(t *testing.T) {
 	const n, d = 1000, 8
-	s, flat, _ := buildSet(n, d, 4, 41)
+	s, flat, _ := buildSet(n, d, 41)
+	for g := 0; g < n; g += 5 {
+		s.Delete(g)
+	}
+	s.Compact()
 	q := flat[:d]
 	p := core.QueryParams{Filter: func(g int) bool { return g%2 == 1 }}
 	nbs, _, err := search(s, q, 20, p)
@@ -236,16 +214,19 @@ func TestGlobalFilterAcrossShards(t *testing.T) {
 		t.Fatal("filtered search found nothing")
 	}
 	for _, nb := range nbs {
-		if nb.ID%2 != 1 {
+		if nb.ID%2 != 1 || nb.ID%5 == 0 {
 			t.Fatalf("filter leaked global id %d", nb.ID)
+		}
+		if nb.Dist != vec.Dist(q, flat[nb.ID*d:(nb.ID+1)*d]) {
+			t.Fatalf("id %d came back at %v, not its row's distance", nb.ID, nb.Dist)
 		}
 	}
 }
 
 func TestCompactShardPreservesIDs(t *testing.T) {
-	const n, d, S = 1200, 12, 3
-	s, flat, _ := buildSet(n, d, S, 51)
-	// Tombstone every id ≡ 0 (mod 6); they all route to shards 0..2.
+	const n, d = 1200, 12
+	s, flat, _ := buildSet(n, d, 51)
+	// Tombstone every id ≡ 0 (mod 6).
 	var dead []int
 	for g := 0; g < n; g += 6 {
 		if !s.Delete(g) {
@@ -292,67 +273,61 @@ func TestCompactShardPreservesIDs(t *testing.T) {
 	}
 }
 
+// TestCompactEmptiedShard: an index compacted down to no rows keeps its id
+// space, and serves the rows added after.
 func TestCompactEmptiedShard(t *testing.T) {
-	const n, d, S = 90, 6, 3
-	s, _, _ := buildSet(n, d, S, 61)
-	// Kill every vector of shard 1 (ids ≡ 1 mod 3), then compact it empty.
-	for g := 1; g < n; g += 3 {
+	const n, d = 90, 6
+	s, _, _ := buildSet(n, d, 61)
+	for g := 0; g < n; g++ {
 		if !s.Delete(g) {
 			t.Fatalf("Delete(%d) failed", g)
 		}
 	}
-	if got := s.CompactShard(1); got != n/3 {
-		t.Fatalf("reclaimed %d, want %d", got, n/3)
+	if got := s.Compact(); got != n {
+		t.Fatalf("reclaimed %d, want %d", got, n)
 	}
-	if s.Len() != n-n/3 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.Len() != 0 || s.NextID() != n {
+		t.Fatalf("Len = %d, NextID = %d", s.Len(), s.NextID())
 	}
-	// Searches and adds keep working; the next id that routes to the
-	// emptied shard must be findable there. Filler vectors are distinct so
-	// the final self-query has a unique zero-distance answer.
+	// Searches and adds keep working. The added vectors lie far apart, so
+	// only the last one is within c·r of the final self-query.
 	var id int
 	var v []float32
-	for i := 0; ; i++ {
+	for i := 0; i < 3; i++ {
 		v = make([]float32, d)
-		v[0] = 77 + float32(i)
+		v[0] = 77 + 100*float32(i)
 		id = s.Add(v)
-		if id%S == 1 {
-			break
-		}
 	}
 	nbs, _, _ := search(s, v, 1, core.QueryParams{})
-	if len(nbs) != 1 || nbs[0].ID != id || nbs[0].Dist != 0 {
-		t.Fatalf("vector added to emptied shard not found: %+v", nbs)
+	if id != n+2 || len(nbs) != 1 || nbs[0].ID != id || nbs[0].Dist != 0 {
+		t.Fatalf("vector %d added to the emptied index not found: %+v", id, nbs)
 	}
 }
 
 func TestAutoCompaction(t *testing.T) {
-	const n, d, S = 1200, 8, 2
+	const n, d = 1200, 8
 	flat, _ := corpus(n, d, 71)
-	s := Build(flat, n, d, S, 0.4, core.Config{K: 4, L: 2, T: 20, Seed: 71})
-	// Delete 50% of shard 0's rows: crosses the 0.4 threshold.
-	for g := 0; g < n; g += 4 {
+	s := Build(flat, n, d, 1, 0.4, core.Config{K: 4, L: 2, T: 20, Seed: 71})
+	// Delete 50% of the rows: crosses the 0.4 threshold.
+	for g := 0; g < n; g += 2 {
 		s.Delete(g)
 	}
 	// The policy's guarantee is that a background rebuild runs and drives
-	// the shard's tombstoned fraction back below the threshold — not that
-	// it reaches zero: a compaction whose snapshot raced the tail of the
+	// the tombstoned fraction back below the threshold — not that it
+	// reaches zero: a compaction whose snapshot raced the tail of the
 	// delete loop legitimately replays those tombstones onto the fresh
 	// index, and the leftovers sit below the threshold for good.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		infos := s.Infos()
-		if infos[0].Compactions > 0 && !infos[0].LastCompaction.IsZero() &&
-			float64(infos[0].Deleted) < 0.4*float64(infos[0].Size) {
+		in := s.Info()
+		if in.Compactions > 0 && !in.LastCompaction.IsZero() &&
+			float64(in.Deleted) < 0.4*float64(in.Size) {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("auto-compaction never ran; %d tombstones left", s.Deleted())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if infos := s.Infos(); infos[1].Compactions != 0 {
-		t.Fatalf("untouched shard 1 compacted: %+v", infos[1])
 	}
 	// A manual pass reclaims whatever raced the background rebuild.
 	s.Compact()
@@ -362,16 +337,16 @@ func TestAutoCompaction(t *testing.T) {
 }
 
 // TestAddsScheduleRepacks pins the repack policy: with auto-compaction off,
-// adds that fill a shard's tail past half its capacity schedule background
+// adds that fill the tail past half its capacity schedule background
 // rebuilds that drive it back below half, without a tombstone in sight;
 // ids survive the rebuilds, and
 // every added row is found at distance 0. A manual Compact then leaves no
 // row unpacked, and every repack, background or inline, is counted and
 // timed in the compaction metrics.
 func TestAddsScheduleRepacks(t *testing.T) {
-	const n, d, S, added = 400, 8, 2, 3000
+	const n, d, added = 400, 8, 3000
 	flat, _ := corpus(n+added, d, 73)
-	s := Build(flat[:n*d], n, d, S, 0, core.Config{K: 4, L: 2, T: 20, Seed: 73})
+	s := Build(flat[:n*d], n, d, 1, 0, core.Config{K: 4, L: 2, T: 20, Seed: 73})
 	reg := obs.NewRegistry()
 	s.SetMetrics(Metrics{
 		CompactionRuns:    reg.Counter("runs", ""),
@@ -384,15 +359,12 @@ func TestAddsScheduleRepacks(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		owed := false
-		for _, in := range s.Infos() {
-			owed = owed || 2*in.Unpacked >= s.tailCap || in.Compactions == 0
-		}
-		if !owed && !s.shards[0].compacting.Load() && !s.shards[1].compacting.Load() {
+		in := s.Info()
+		if 2*in.Unpacked < s.tailCap && in.Compactions > 0 && !s.compacting.Load() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("repacks never caught up: %+v", s.Infos())
+			t.Fatalf("repacks never caught up: %+v", in)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -413,11 +385,11 @@ func TestAddsScheduleRepacks(t *testing.T) {
 	if runs == 0 || m.CompactionSeconds.Count() != uint64(runs) {
 		t.Fatalf("%d repacks counted, %d timed", runs, m.CompactionSeconds.Count())
 	}
-	// A replayed burst schedules nothing, so a shard's tail fills and the
-	// add that finds it full repacks inline; that repack is observed too.
+	// A replayed burst schedules nothing, so the tail fills and the add
+	// that finds it full repacks inline; that repack is observed too.
 	recs := make([]wal.Record, s.tailCap+1)
 	for j := range recs {
-		recs[j] = wal.Record{Op: wal.OpAdd, ID: uint64(s.NextID() + S*j), Row: flat[:d]}
+		recs[j] = wal.Record{Op: wal.OpAdd, ID: uint64(s.NextID() + j), Row: flat[:d]}
 	}
 	s.Replay(recs)
 	if got := m.CompactionRuns.Value(); got != runs+1 || m.CompactionSeconds.Count() != uint64(got) {
@@ -425,55 +397,66 @@ func TestAddsScheduleRepacks(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsAndSchedulesNone: Close returns once the background repack
+// in flight has finished, and no add after it schedules another — the tail
+// fills towards an inline repack instead.
+func TestCloseWaitsAndSchedulesNone(t *testing.T) {
+	const n, d = 2000, 8
+	s, flat, _ := buildSet(n, d, 161)
+	half := s.tailCap / 2
+	for i := 0; i < half; i++ { // the last add schedules a repack
+		s.Add(flat[i*d : (i+1)*d])
+	}
+	s.Close()
+	if in := s.Info(); s.compacting.Load() || in.Compactions != 1 || in.Unpacked != 0 {
+		t.Fatalf("Close returned before the repack finished: %+v", in)
+	}
+	for i := 0; i < half; i++ {
+		s.Add(flat[i*d : (i+1)*d])
+	}
+	if s.CompactOwed() || s.compacting.Load() || s.Info().Compactions != 1 || s.Unpacked() != half {
+		t.Fatalf("a repack was scheduled after Close: %+v", s.Info())
+	}
+}
+
 func TestSnapshotCoversAllShards(t *testing.T) {
-	const n, d, S = 600, 8, 3
-	s, _, _ := buildSet(n, d, S, 81)
+	const n, d = 600, 8
+	s, _, _ := buildSet(n, d, 81)
 	s.Delete(5)
-	rows, dead := 0, 0
-	for i := 0; i < S; i++ {
-		p := s.SnapshotShard(i)
-		rows += p.Rows
-		if len(p.Globals) != p.Rows || len(p.Flat) != p.Rows*d {
-			t.Fatalf("shard %d: globals/flat/rows mismatch: %d/%d/%d",
-				i, len(p.Globals), len(p.Flat), p.Rows)
-		}
-		if p.R0 <= 0 {
-			t.Fatalf("non-positive r0 %v", p.R0)
-		}
-		for _, b := range p.Deleted {
-			if b {
-				dead++
-			}
+	p := s.Snapshot()
+	if p.Rows != n || len(p.Globals) != n || len(p.Flat) != n*d || p.NextID != n {
+		t.Fatalf("part: %d rows, %d ids, %d floats, bound %d", p.Rows, len(p.Globals), len(p.Flat), p.NextID)
+	}
+	if p.R0 <= 0 || len(p.Trees) != s.Params().L {
+		t.Fatalf("r0 %v, %d trees", p.R0, len(p.Trees))
+	}
+	dead := 0
+	for _, b := range p.Deleted {
+		if b {
+			dead++
 		}
 	}
-	if rows != n || dead != 1 {
-		t.Fatalf("snapshots cover %d rows (%d dead), want %d (1 dead)", rows, dead, n)
+	if dead != 1 || !p.Deleted[5] {
+		t.Fatalf("snapshot holds %d tombstones, want id 5's", dead)
 	}
-	// No id-space cut: a row added after the caller read NextID is in its
-	// shard's part, with the trees that index it.
-	bound := s.NextID()
+	// The part is the index at one instant: a row added after it is in the
+	// next part, with the bound past it and the trees that index it.
 	g := s.Add(make([]float32, d))
-	p := s.SnapshotShard(g % S)
-	if g < bound || p.Globals[p.Rows-1] != g || len(p.Trees) != s.Params().L {
-		t.Fatalf("part after adding id %d (bound was %d): last id %d of %d rows, %d trees",
-			g, bound, p.Globals[p.Rows-1], p.Rows, len(p.Trees))
+	q := s.Snapshot()
+	if q.Globals[q.Rows-1] != g || q.NextID != g+1 || len(p.Globals) != n {
+		t.Fatalf("part after adding id %d: last id %d of %d rows, bound %d", g, q.Globals[q.Rows-1], q.Rows, q.NextID)
 	}
 }
 
 func TestRestoreRoundTrip(t *testing.T) {
-	const n, d, S = 800, 10, 3
-	s, flat, queries := buildSet(n, d, S, 91)
+	const n, d = 800, 10
+	s, flat, queries := buildSet(n, d, 91)
 	s.Delete(10)
+	s.Compact() // id 10's tombstone is reclaimed: local ids shift
 	s.Delete(11)
-	s.CompactShard(10 % S) // id 10's shard loses its tombstone
+	s.Add(flat[:d])
 
-	nextID := s.NextID()
-	parts := make([]Part, S)
-	for i := 0; i < S; i++ {
-		parts[i] = s.SnapshotShard(i)
-	}
-
-	r, err := Restore(d, nextID, 0, s.Params(), parts)
+	r, err := Restore(d, 0, s.Params(), s.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,18 +464,13 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored shape len=%d del=%d next=%d, want len=%d del=%d next=%d",
 			r.Len(), r.Deleted(), r.NextID(), s.Len(), s.Deleted(), s.NextID())
 	}
-	// Identical answers: the restored set loads the same trees, seeds and
-	// per-shard radii.
+	// Identical answers: the restored set loads the same trees, seed and
+	// radius.
 	for _, q := range queries {
-		a, _, _ := search(s, q, 5, core.QueryParams{})
-		b, _, _ := search(r, q, 5, core.QueryParams{})
-		if len(a) != len(b) {
-			t.Fatalf("result counts diverge: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("restored set diverges at rank %d: %+v vs %+v", i, a[i], b[i])
-			}
+		a, as, _ := search(s, q, 5, core.QueryParams{})
+		b, bs, _ := search(r, q, 5, core.QueryParams{})
+		if !slices.Equal(a, b) || as != bs {
+			t.Fatalf("restored set answers %v %+v, saved one %v %+v", b, bs, a, as)
 		}
 	}
 	// Tombstone 11 survived the round-trip.
@@ -503,12 +481,12 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentMutationsAndSearches is the shard-lock regression net: it
+// TestConcurrentMutationsAndSearches is the locking regression net: it
 // must pass under -race.
 func TestConcurrentMutationsAndSearches(t *testing.T) {
-	const n, d, S = 2000, 8, 4
+	const n, d = 2000, 8
 	flat, queries := corpus(n, d, 101)
-	s := Build(flat, n, d, S, 0.45, core.Config{K: 4, L: 2, T: 20, Seed: 101})
+	s := Build(flat, n, d, 1, 0.45, core.Config{K: 4, L: 2, T: 20, Seed: 101})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -597,19 +575,28 @@ type errFor string
 
 func (e errFor) Error() string { return string(e) }
 
+// TestMathSanity guards the id lookup: over an ascending id map with holes,
+// local finds every resident id at its position and nothing else.
 func TestMathSanity(t *testing.T) {
-	// Guard the stripe arithmetic the lazy reverse map relies on.
-	for _, S := range []int{1, 2, 3, 5, 8} {
-		for n := 0; n < 40; n++ {
-			counts := make([]int, S)
-			for g := 0; g < n; g++ {
-				sh := g % S
-				local := g / S
-				if counts[sh] != local {
-					t.Fatalf("S=%d n=%d: id %d expects local %d, shard has %d rows",
-						S, n, g, local, counts[sh])
-				}
-				counts[sh]++
+	s := &Set{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for n := 0; n < 40; n++ {
+		s.globals = s.globals[:0]
+		for g := 0; len(s.globals) < n; g += 1 + g%3 {
+			s.globals = append(s.globals, g)
+		}
+		at := map[int]int{}
+		for j, g := range s.globals {
+			at[g] = j
+		}
+		for g := -2; g < 2*n+4; g++ {
+			want, ok := at[g]
+			if !ok {
+				want = -1
+			}
+			if got := s.local(g); got != want {
+				t.Fatalf("n=%d: local(%d) = %d, want %d", n, g, got, want)
 			}
 		}
 	}

@@ -36,50 +36,48 @@ func TestKernelRowsAnswerIdentically(t *testing.T) {
 	data, extra, qs := draw(n), draw(adds), draw(queries)
 
 	defer vec.SetKernel(vec.KernelName())
-	for _, shards := range []int{1, 3} {
-		var first string
-		var want [2]uint64
-		for _, name := range vec.KernelNames() {
-			if err := vec.SetKernel(name); err != nil {
-				t.Fatal(err)
-			}
-			idx, err := New(data, Options{K: 6, L: 4, T: 5, Seed: 31, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			digest := func() uint64 {
-				h := fnv.New64a()
-				var buf [16]byte
-				s := idx.NewSearcher()
-				for _, q := range qs {
-					res, err := s.SearchOpts(q, k)
-					if err != nil || len(res) != k {
-						t.Fatalf("%s: %d results, err %v", name, len(res), err)
-					}
-					for _, r := range res {
-						binary.LittleEndian.PutUint64(buf[:8], uint64(r.ID))
-						binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(r.Dist))
-						h.Write(buf[:])
-					}
+	var first string
+	var want [2]uint64
+	for _, name := range vec.KernelNames() {
+		if err := vec.SetKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := New(data, Options{K: 6, L: 4, T: 5, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := func() uint64 {
+			h := fnv.New64a()
+			var buf [16]byte
+			s := idx.NewSearcher()
+			for _, q := range qs {
+				res, err := s.SearchOpts(q, k)
+				if err != nil || len(res) != k {
+					t.Fatalf("%s: %d results, err %v", name, len(res), err)
 				}
-				return h.Sum64()
-			}
-			var got [2]uint64
-			got[0] = digest()
-			for _, v := range extra {
-				if _, err := idx.Add(v); err != nil {
-					t.Fatal(err)
+				for _, r := range res {
+					binary.LittleEndian.PutUint64(buf[:8], uint64(r.ID))
+					binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(r.Dist))
+					h.Write(buf[:])
 				}
 			}
-			got[1] = digest()
-			if got[0] == got[1] {
-				t.Fatalf("%s: 300 adds changed no answer", name)
+			return h.Sum64()
+		}
+		var got [2]uint64
+		got[0] = digest()
+		for _, v := range extra {
+			if _, err := idx.Add(v); err != nil {
+				t.Fatal(err)
 			}
-			if first == "" {
-				first, want = name, got
-			} else if got != want {
-				t.Fatalf("shards=%d: kernel %s answers %x, kernel %s %x", shards, name, got, first, want)
-			}
+		}
+		got[1] = digest()
+		if got[0] == got[1] {
+			t.Fatalf("%s: 300 adds changed no answer", name)
+		}
+		if first == "" {
+			first, want = name, got
+		} else if got != want {
+			t.Fatalf("kernel %s answers %x, kernel %s %x", name, got, first, want)
 		}
 	}
 }

@@ -292,7 +292,7 @@ func TestMetricPersistRoundTrip(t *testing.T) {
 	for _, m := range []dblsh.Metric{dblsh.Cosine, dblsh.InnerProduct} {
 		t.Run(m.String(), func(t *testing.T) {
 			data, queries := normalizedData(800, 12, 8, int64(10+m))
-			idx, err := dblsh.New(data, dblsh.Options{Seed: 6, Shards: 3, Metric: m})
+			idx, err := dblsh.New(data, dblsh.Options{Seed: 6, Metric: m})
 			if err != nil {
 				t.Fatal(err)
 			}

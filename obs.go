@@ -1,5 +1,5 @@
-// Observability: Index.Instrument wires every layer of an index — shard
-// set, compaction, and (on a durable index) the WAL and checkpointer —
+// Observability: Index.Instrument wires every layer of an index — the
+// index, compaction, and (on a durable index) the WAL and checkpointer —
 // into an obs.Registry, so a serving process exposes the library's
 // operational state on its /metrics endpoint. The metric catalog lives in
 // the README's "Operations" section; names and bucket layouts are stable
@@ -26,7 +26,7 @@ import (
 // exposition endpoint, not the registry, is the public surface.
 func (idx *Index) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dblsh_vectors_resident",
-		"Resident vectors across all shards, live plus tombstoned.",
+		"Resident vectors, live plus tombstoned.",
 		func() float64 { return float64(idx.set.Len()) })
 	reg.GaugeFunc("dblsh_vectors_deleted",
 		"Tombstoned vectors a compaction would reclaim.",
@@ -34,21 +34,18 @@ func (idx *Index) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dblsh_index_bytes",
 		"Estimated memory held by projections and trees, excluding raw vectors.",
 		func() float64 { return float64(idx.set.IndexSizeBytes()) })
-	reg.GaugeFunc("dblsh_shards",
-		"Number of independently locked index shards.",
-		func() float64 { return float64(idx.set.Shards()) })
 	reg.GaugeFunc("dblsh_shard_unpacked_rows",
-		"Rows added since their shard was last packed, which queries walk in arrival order; summed over the shards (/stats has each shard's).",
+		"Rows added since the index was last packed, which queries walk in arrival order.",
 		func() float64 { return float64(idx.set.Unpacked()) })
 
 	idx.set.SetMetrics(shard.Metrics{
 		InsertSeconds: reg.Histogram("dblsh_shard_insert_seconds",
-			"Time an add holds its shard's write lock inside the index insert (searches on that shard wait this long).",
+			"Time an add holds the index's write lock inside the index insert (searches wait this long).",
 			obs.LatencyBuckets()),
 		CompactionRuns: reg.Counter("dblsh_compactions_total",
-			"Completed shard compactions and repacks (manual, API and auto-triggered)."),
+			"Completed compactions and repacks (manual, API and auto-triggered)."),
 		CompactionSeconds: reg.Histogram("dblsh_compaction_seconds",
-			"Duration of completed shard compactions and repacks.", obs.LatencyBuckets()),
+			"Duration of completed compactions and repacks.", obs.LatencyBuckets()),
 	})
 
 	d := idx.dur

@@ -119,7 +119,7 @@ func WithContext(ctx context.Context) SearchOption {
 // candidate the window queries surface. It must also be safe for
 // concurrent use: SearchBatchOpts invokes it from its parallel workers. If
 // keep panics, the panic reaches the caller's goroutine (a batch's once its
-// other queries have finished) with every shard lock released, and the
+// other queries have finished) with the index's lock released, and the
 // index and its searchers answer the next query as if the panicking one
 // had never run.
 func WithFilter(keep func(id int) bool) SearchOption {
@@ -261,9 +261,9 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 // fails the whole batch with an error naming its index. On context expiry
 // the queries already answered keep their results, the rest are nil, and
 // the context's error is returned. It is safe to run concurrently with Add
-// and DeleteWithError; shard locks are taken per ladder round, so mutations
-// interleave between rounds and a query may observe vectors added while it
-// runs.
+// and DeleteWithError; the read lock is taken per ladder round, so
+// mutations interleave between rounds and a query may observe vectors added
+// while it runs.
 func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOption) ([][]Result, error) {
 	set, err := applySearchOptions(opts, true)
 	if err == nil {

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 	"unsafe"
 
 	"dblsh/internal/core"
@@ -18,9 +17,9 @@ import (
 
 // Index persistence.
 //
-// The file holds the index, not a recipe for it: the configuration, every
-// shard's vectors, id map and tombstones, and every shard's L R*-trees as
-// the flat arenas they live in (internal/rstar). Loading is a read — the
+// The file holds the index, not a recipe for it: the configuration, the
+// vectors, id map and tombstones, and the L R*-trees as the flat arenas
+// they live in (internal/rstar). Loading is a read — the
 // arenas go straight into the slices a tree runs on, and nothing is
 // projected, sorted or packed. A reopened index is therefore the index
 // that was saved, trees grown by Adds included, and answers and grows
@@ -39,19 +38,19 @@ import (
 // before it. An array is its element count as a uint64, then the elements.
 //
 //	magic   [8]byte  "DBLSHv4\n"
-//	shards  uint32
-//	nextID  uint64   global-id-space bound when the write began; a floor
+//	parts   uint32   1 (earlier builds wrote one part per shard)
+//	nextID  uint64   global-id-space bound when the part was copied
 //	dim     uint32   internal dimensionality (user dim + 1 under ip)
 //	metric  uint32   0 euclidean, 1 cosine, 2 inner product
 //	bound   float64  inner-product norm bound M; 0 otherwise
 //	K, L, T uint32
 //	C, W0   float64
-//	seed    int64    base seed (shard i hashes with seed+i)
+//	seed    int64    hash seed
 //	M, m    uint32   R*-tree node capacity and minimum fill
-//	then per shard:
+//	then the part:
 //	  rows    uint64
 //	  r0      float64
-//	  globals rows × uint64   local id → global id
+//	  globals rows × uint64   local id → global id, ascending
 //	  deleted ⌈rows/8⌉ bytes  tombstone bitmap, LSB-first
 //	  data    rows·dim × float32
 //	  trees   uint32          L
@@ -63,20 +62,22 @@ import (
 //	    blocks array of float32  K·stride per slot: the window-test blocks
 //	crc     uint32
 //
-// Each shard is written as it stood at its turn, rows and trees together, so
-// a file written while vectors were being added can hold ids at or above the
-// header's nextID: the id-space bound of the loaded index is the larger of
-// the header's and one past the largest id in the file.
+// The part is copied at one instant under the index's read lock, its id
+// bound included. Files of earlier builds wrote the bound before copying,
+// so they can hold ids at or above it: the id-space bound of the loaded
+// index is the larger of the header's and one past the largest id in the
+// file.
 //
 // A file is outside input and its checksum is not a signature, so a load
 // trusts none of it. Arrays are sized by what has actually been read, never
-// by a count alone; the shape limits, id routing and duplicate-id checks
-// below apply to every shard; and rstar.Load proves every arena a tree over
-// exactly its shard's rows before anything can traverse it.
+// by a count alone; the shape limits and the ascending-id check below
+// apply; and rstar.Load proves every arena a tree over exactly the part's
+// rows before anything can traverse it.
 //
 // This is the one format a build reads. Files of earlier versions (v1–v3,
-// and v4 files whose shards hold no trees) are refused with an error that
-// names the version or the missing trees; an earlier build re-saves them.
+// v4 files whose part holds no trees, and v4 files of more than one part)
+// are refused with an error that names the version, the missing trees or
+// the parts; an earlier build re-saves them.
 
 var magicV4 = [8]byte{'D', 'B', 'L', 'S', 'H', 'v', '4', '\n'}
 
@@ -179,21 +180,21 @@ func (e *encoder) ints(v []int32) {
 func (e *encoder) floatArray(v []float32) { e.u64(uint64(len(v))); e.floats(v) }
 func (e *encoder) intArray(v []int32)     { e.u64(uint64(len(v))); e.ints(v) }
 
-// WriteTo serializes the index in the v4 format: configuration, shard
-// layout, vectors, tombstones and trees. It implements io.WriterTo and is
-// safe to call while the index serves concurrent traffic: each shard is
-// snapshotted under its own read lock, briefly, before being serialized with
-// no locks held — searches and mutations proceed throughout. The file holds
-// every row resident when the call started; rows added and tombstones laid
-// while it runs are included if they reach their shard before its turn.
+// WriteTo serializes the index in the v4 format: configuration, vectors,
+// id map, tombstones and trees. It implements io.WriterTo and is safe to
+// call while the index serves concurrent traffic: the index is copied under
+// its read lock, briefly, and serialized with no lock held — searches and
+// mutations proceed throughout. The file holds the index as it stood at the
+// copy.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	e := &encoder{w: w, buf: make([]byte, 0, ioChunk), raw: nativeLE}
 	cfg := idx.set.Params()
 	tree := cfg.Tree.Resolved()
+	part := idx.set.Snapshot()
 
 	e.bytes(magicV4[:])
-	e.u32(uint32(idx.set.Shards()))
-	e.u64(uint64(idx.set.NextID()))
+	e.u32(1) // one part
+	e.u64(uint64(part.NextID))
 	e.u32(uint32(idx.set.Dim())) // internal dim: the stored rows are transformed
 	e.u32(uint32(cfg.Metric))
 	e.f64(cfg.MetricNormBound)
@@ -205,31 +206,26 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	e.u64(uint64(cfg.Seed))
 	e.u32(uint32(tree.MaxEntries))
 	e.u32(uint32(tree.MinEntries))
-	for s := 0; s < idx.set.Shards() && e.err == nil; s++ {
-		// One shard at a time: the snapshot holds only this shard's read
-		// lock, and the disk writes below hold no lock at all.
-		part := idx.set.SnapshotShard(s)
-		e.u64(uint64(part.Rows))
-		e.f64(part.R0)
-		for _, g := range part.Globals {
-			e.u64(uint64(g))
+	e.u64(uint64(part.Rows))
+	e.f64(part.R0)
+	for _, g := range part.Globals {
+		e.u64(uint64(g))
+	}
+	bitmap := make([]byte, (part.Rows+7)/8)
+	for i, dead := range part.Deleted {
+		if dead && i < part.Rows {
+			bitmap[i/8] |= 1 << (i % 8)
 		}
-		bitmap := make([]byte, (part.Rows+7)/8)
-		for i, dead := range part.Deleted {
-			if dead && i < part.Rows {
-				bitmap[i/8] |= 1 << (i % 8)
-			}
-		}
-		e.bytes(bitmap)
-		e.floats(part.Flat)
-		e.u32(uint32(len(part.Trees)))
-		for _, a := range part.Trees {
-			e.u32(uint32(a.Root))
-			e.intArray(a.Heads)
-			e.intArray(a.Ents)
-			e.floatArray(a.Rects)
-			e.floatArray(a.Blocks)
-		}
+	}
+	e.bytes(bitmap)
+	e.floats(part.Flat)
+	e.u32(uint32(len(part.Trees)))
+	for _, a := range part.Trees {
+		e.u32(uint32(a.Root))
+		e.intArray(a.Heads)
+		e.intArray(a.Ents)
+		e.floatArray(a.Rects)
+		e.floatArray(a.Blocks)
 	}
 	e.flush()
 	crc := e.crc
@@ -259,15 +255,18 @@ func Read(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("dblsh: bad magic %q (not a DB-LSH index file?)", magic)
 	}
 	var (
-		shards, dim, mk, k, l, t uint32
-		maxEntries, minEntries   uint32
-		rows, nextID, seed       uint64
-		r0                       float64
-		cfg                      core.Config
+		parts, dim, mk, k, l, t uint32
+		maxEntries, minEntries  uint32
+		rows, nextID, seed      uint64
+		r0                      float64
+		cfg                     core.Config
 	)
-	d.fixed(&shards, &nextID, &dim, &mk, &cfg.MetricNormBound, &k, &l, &t, &cfg.C, &cfg.W0, &seed, &maxEntries, &minEntries)
+	d.fixed(&parts, &nextID, &dim, &mk, &cfg.MetricNormBound, &k, &l, &t, &cfg.C, &cfg.W0, &seed, &maxEntries, &minEntries)
 	if d.err != nil {
 		return nil, d.err
+	}
+	if parts != 1 {
+		return nil, fmt.Errorf("dblsh: this build reads index files of one part, and this one holds %d, one per shard of an earlier build's index: rebuild it with Options.Shards = 1 in that build and re-save it", parts)
 	}
 	cfg.Tree = rstar.Options{MaxEntries: int(maxEntries), MinEntries: int(minEntries)}
 	// Resolved clamps the capacity to the cursor's 64-entry bitmasks.
@@ -281,7 +280,7 @@ func Read(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("dblsh: implausible layout: %d ids", nextID)
 	}
 	cfg.Metric, cfg.K, cfg.L, cfg.T, cfg.Seed = metric.Kind(mk), int(k), int(l), int(t), int64(seed)
-	if err := checkConfig(int(shards), int(dim), cfg); err != nil {
+	if err := checkConfig(int(dim), cfg); err != nil {
 		return nil, err
 	}
 	met, err := metric.New(cfg.Metric, cfg.MetricNormBound)
@@ -293,32 +292,31 @@ func Read(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("dblsh: internal dim %d leaves no user dimensions under %s", dim, cfg.Metric)
 	}
 
-	parts := make([]shard.Part, shards)
-	var total uint64
-	for i := range parts {
-		part := &parts[i]
-		d.what = "shard header"
-		d.fixed(&rows, &r0)
-		part.Globals = d.globals(rows, i, int(shards))
-		if len(part.Globals) > 0 {
-			// The header's bound was written before the shards were
-			// copied; Adds that landed meanwhile are in the file.
-			nextID = max(nextID, uint64(slices.Max(part.Globals))+1)
-		}
-		part.Deleted = d.tombstones(rows)
-		// The ladder starts every query at r0.
-		if d.err == nil && (!(r0 > 0) || math.IsInf(r0, 1)) { // NaN fails too
-			return nil, fmt.Errorf("dblsh: shard %d of %d rows has initial radius %v", i, rows, r0)
-		}
-		part.Rows, part.R0 = int(rows), r0
-		total += rows
-		d.what = "vectors"
-		part.Flat = d.floats(rows * uint64(dim))
-		d.what = fmt.Sprintf("trees of shard %d", i)
-		part.Trees = d.trees(cfg.L)
-		if d.err != nil {
-			return nil, d.err
-		}
+	var part shard.Part
+	d.what = "part header"
+	d.fixed(&rows, &r0)
+	part.Globals = d.globals(rows)
+	if len(part.Globals) > 0 {
+		// Earlier builds wrote the header's bound before copying the
+		// rows; Adds that landed meanwhile are in the file.
+		nextID = max(nextID, uint64(part.Globals[len(part.Globals)-1])+1)
+	}
+	part.Deleted = d.tombstones(rows)
+	// The ladder starts every query at r0.
+	if d.err == nil && (!(r0 > 0) || math.IsInf(r0, 1)) { // NaN fails too
+		return nil, fmt.Errorf("dblsh: index of %d rows has initial radius %v", rows, r0)
+	}
+	part.Rows, part.R0 = int(rows), r0
+	d.what = "vectors"
+	// Room for a full tail of Adds (no more rows than the file holds), so
+	// that none before the next repack copies every row under the write
+	// lock.
+	tail := uint64(cfg.Tree.MaxEntries * cfg.Tree.MaxEntries)
+	part.Flat = d.floats(rows*uint64(dim), tail*uint64(dim))
+	d.what = "trees"
+	part.Trees = d.trees(cfg.L)
+	if d.err != nil {
+		return nil, d.err
 	}
 	d.what = "checksum"
 	want, got := d.crc, uint32(0)
@@ -328,12 +326,11 @@ func Read(r io.Reader) (*Index, error) {
 	if got != want {
 		return nil, fmt.Errorf("dblsh: checksum mismatch (file corrupted): got %08x want %08x", got, want)
 	}
-	if total > nextID {
-		return nil, fmt.Errorf("dblsh: shard rows exceed the id space (%d > %d)", total, nextID)
-	}
-	// total == 0 is legitimate: an index whose every vector was deleted and
-	// compacted away still round-trips (its id space and layout survive).
-	set, err := shard.Restore(int(dim), int(nextID), 0, cfg, parts)
+	// rows == 0 is legitimate: an index whose every vector was deleted and
+	// compacted away still round-trips (its id space survives). Ascending
+	// ids below nextID cannot outnumber it.
+	part.NextID = int(nextID)
+	set, err := shard.Restore(int(dim), 0, cfg, part)
 	if err != nil {
 		return nil, fmt.Errorf("dblsh: malformed index file: %w", err)
 	}
@@ -344,24 +341,23 @@ func Read(r io.Reader) (*Index, error) {
 const (
 	maxVectors = 1 << 40
 	maxDim     = 1 << 20
-	maxShards  = 1 << 16
 	maxKL      = 64
 	maxT       = 1 << 20
 	minC       = 1.01
 	maxC       = 64
-	maxHash    = 1 << 28 // hash-family coefficients over all shards: 1 GiB of float32
+	maxHash    = 1 << 28 // hash-family coefficients: 1 GiB of float32
 )
 
 // checkConfig is the one plausibility check on an index's shape and
 // resolved structural parameters. newIndex applies it to Options and Read
 // to a file's header, so every file this build writes also loads, and no
-// header word can make a load allocate or a query loop without bound: each
-// shard samples a hash family of L·K·dim floats, and the radius ladder
+// header word can make a load allocate or a query loop without bound: the
+// index samples a hash family of L·K·dim floats, and the radius ladder
 // climbs by a factor of C a round.
-func checkConfig(shards, dim int, cfg core.Config) error {
+func checkConfig(dim int, cfg core.Config) error {
 	switch {
-	case shards < 1 || shards > maxShards || dim < 1 || dim > maxDim:
-		return fmt.Errorf("dblsh: implausible layout: %d shards of dim %d (limits %d, %d)", shards, dim, maxShards, maxDim)
+	case dim < 1 || dim > maxDim:
+		return fmt.Errorf("dblsh: implausible dim %d (limit %d)", dim, maxDim)
 	case cfg.K < 1 || cfg.K > maxKL || cfg.L < 1 || cfg.L > maxKL:
 		return fmt.Errorf("dblsh: K = %d and L = %d must lie in [1, %d]", cfg.K, cfg.L, maxKL)
 	case cfg.T < 1 || cfg.T > maxT:
@@ -370,8 +366,8 @@ func checkConfig(shards, dim int, cfg core.Config) error {
 		return fmt.Errorf("dblsh: approximation ratio C = %v outside [%v, %v]", cfg.C, minC, float64(maxC))
 	case !(cfg.W0 > 0) || math.IsInf(cfg.W0, 1):
 		return fmt.Errorf("dblsh: initial bucket width W0 = %v is not positive and finite", cfg.W0)
-	case uint64(shards)*uint64(cfg.L)*uint64(cfg.K)*uint64(dim) > maxHash:
-		return fmt.Errorf("dblsh: %d shards × L·K·dim = %d·%d·%d hash coefficients exceed %d", shards, cfg.L, cfg.K, dim, maxHash)
+	case uint64(cfg.L)*uint64(cfg.K)*uint64(dim) > maxHash:
+		return fmt.Errorf("dblsh: L·K·dim = %d·%d·%d hash coefficients exceed %d", cfg.L, cfg.K, dim, maxHash)
 	}
 	return nil
 }
@@ -463,20 +459,22 @@ func (d *decoder) fixed(vs ...interface{}) {
 const firstAlloc = 1 << 22
 
 // array reads n elements of size bytes each; fill decodes the bytes of b
-// into dst, one element per size bytes.
-func array[T any](d *decoder, n uint64, size int, fill func(dst []T, b []byte)) []T {
+// into dst, one element per size bytes. The slice returned has room for up
+// to spare more elements, never more than it holds.
+func array[T any](d *decoder, n, spare uint64, size int, fill func(dst []T, b []byte)) []T {
 	room := uint64(firstAlloc)
 	if d.sized {
 		room = d.left / uint64(size)
 	}
-	out := make([]T, 0, min(n, room))
+	alloc := func(c uint64) []T { return make([]T, 0, c+min(c, spare)) }
+	out := alloc(min(n, room))
 	for uint64(len(out)) < n && d.err == nil {
 		if len(out) == cap(out) {
 			if d.sized {
 				d.fail(io.ErrUnexpectedEOF)
 				break
 			}
-			out = append(make([]T, 0, min(n, 16*uint64(cap(out)))), out...)
+			out = append(alloc(min(n, 16*uint64(cap(out)))), out...)
 		}
 		d.take(min(n-uint64(len(out)), uint64(cap(out)-len(out)))*uint64(size), size, func(b []byte) {
 			k := len(out) + len(b)/size
@@ -487,8 +485,9 @@ func array[T any](d *decoder, n uint64, size int, fill func(dst []T, b []byte)) 
 	return out
 }
 
-func (d *decoder) floats(n uint64) []float32 {
-	return array(d, n, 4, func(dst []float32, b []byte) {
+// floats reads n float32s into a slice with room for up to spare more.
+func (d *decoder) floats(n, spare uint64) []float32 {
+	return array(d, n, spare, 4, func(dst []float32, b []byte) {
 		if d.raw {
 			copy(byteView(dst), b)
 			return
@@ -500,7 +499,7 @@ func (d *decoder) floats(n uint64) []float32 {
 }
 
 func (d *decoder) ints(n uint64) []int32 {
-	return array(d, n, 4, func(dst []int32, b []byte) {
+	return array(d, n, 0, 4, func(dst []int32, b []byte) {
 		if d.raw {
 			copy(byteView(dst), b)
 			return
@@ -511,47 +510,36 @@ func (d *decoder) ints(n uint64) []int32 {
 	})
 }
 
-// globals reads shard i's local-id → global-id map. Every id must be one an
+// globals reads the local-id → global-id map. Every id must be one an
 // index can allocate (below maxVectors: the header's nextID is a floor, not
-// a bound), route to the shard that holds it (g mod S == shard; Delete
-// depends on it) and appear once: routing makes ids unique across shards
-// and the check below within one, so a crafted file cannot yield undeletable
-// vectors or duplicate result ids.
-func (d *decoder) globals(rows uint64, i, shards int) []int {
+// a bound), and the ids must ascend: the index finds a global id by binary
+// search, and ascending ids are unique, so a crafted file cannot yield
+// undeletable vectors or duplicate result ids. Ids are handed out in order,
+// so only a file written by an earlier build while Adds raced each other
+// can hold them otherwise.
+func (d *decoder) globals(rows uint64) []int {
 	d.what = "id map"
-	globals := array(d, rows, 8, func(dst []int, b []byte) {
+	globals := array(d, rows, 0, 8, func(dst []int, b []byte) {
 		for j := range dst {
 			// An id past the int range comes out negative and fails below.
 			dst[j] = int(binary.LittleEndian.Uint64(b[8*j:]))
 		}
 	})
-	if d.err != nil {
-		return nil
-	}
-	ascending := true
 	for j, g := range globals {
-		if g < 0 || g >= maxVectors {
-			d.err = fmt.Errorf("dblsh: global id %d outside the id space %d", uint64(g), uint64(maxVectors))
-		} else if g%shards != i {
-			d.err = fmt.Errorf("dblsh: global id %d does not route to shard %d of %d", g, i, shards)
+		if d.err != nil {
+			return nil
 		}
-		ascending = ascending && (j == 0 || globals[j-1] < g)
-	}
-	// Ids are handed out in order, so a shard's map ascends unless Adds
-	// raced each other into it; only then is there anything to search for.
-	if !ascending && d.err == nil {
-		sorted := slices.Clone(globals)
-		slices.Sort(sorted)
-		for j := 1; j < len(sorted); j++ {
-			if sorted[j-1] == sorted[j] {
-				d.err = fmt.Errorf("dblsh: duplicate global id %d in shard %d", sorted[j], i)
-			}
+		switch {
+		case g < 0 || g >= maxVectors:
+			d.err = fmt.Errorf("dblsh: global id %d outside the id space %d", uint64(g), uint64(maxVectors))
+		case j > 0 && globals[j-1] >= g:
+			d.err = fmt.Errorf("dblsh: global id %d follows %d: the id map must ascend (a file an earlier build wrote while adds raced: rebuild it from its vectors)", g, globals[j-1])
 		}
 	}
 	return globals
 }
 
-// tombstones reads a shard's tombstone bitmap; nil when nothing is dead.
+// tombstones reads the tombstone bitmap; nil when nothing is dead.
 func (d *decoder) tombstones(rows uint64) []bool {
 	d.what = "tombstones"
 	var deleted []bool
@@ -572,7 +560,7 @@ func (d *decoder) tombstones(rows uint64) []bool {
 	return deleted
 }
 
-// trees reads a shard's tree arenas, exactly one per projected space.
+// trees reads the tree arenas, exactly one per projected space.
 func (d *decoder) trees(l int) []rstar.Arena {
 	var n uint32
 	d.fixed(&n)
@@ -588,9 +576,9 @@ func (d *decoder) trees(l int) []rstar.Arena {
 		d.fixed(&counts[1])
 		ents := d.ints(counts[1])
 		d.fixed(&counts[2])
-		rects := d.floats(counts[2])
+		rects := d.floats(counts[2], 0)
 		d.fixed(&counts[3])
-		trees = append(trees, rstar.Arena{Root: int32(root), Heads: heads, Ents: ents, Rects: rects, Blocks: d.floats(counts[3])})
+		trees = append(trees, rstar.Arena{Root: int32(root), Heads: heads, Ents: ents, Rects: rects, Blocks: d.floats(counts[3], 0)})
 	}
 	return trees
 }

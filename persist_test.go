@@ -21,7 +21,7 @@ import (
 )
 
 // v4HeaderLen is the size of a v4 file's fixed header, magic included: what
-// precedes the first shard.
+// precedes the part.
 const v4HeaderLen = 8 + 4 + 8 + 4 + 4 + 8 + 3*4 + 2*8 + 8 + 2*4
 
 func buildSmall(t *testing.T) (*Index, [][]float32, [][]float32) {
@@ -289,8 +289,8 @@ func save(t *testing.T, idx *Index) []byte {
 }
 
 // TestLoadedIndexIsTheSavedIndex is the v4 format's contract on an index
-// with a history — sharded, grown by Adds that split and reinserted its
-// trees, tombstoned, one shard compacted and grown again: what Read returns
+// with a history — grown by Adds into its trees' tails, tombstoned,
+// compacted and grown again: what Read returns
 // is not an equivalent index but the same one. Every query does the same
 // work for the same answer, the same further mutations leave the two
 // identical again, and either saves to the same bytes.
@@ -298,7 +298,7 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 	data, queries := clusteredData(3000, 16, 71)
 	more, moreQueries := clusteredData(900, 16, 72)
 	queries = append(queries, moreQueries...)
-	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 71, Shards: 3})
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,14 +313,14 @@ func TestLoadedIndexIsTheSavedIndex(t *testing.T) {
 		}
 	}
 	mutate(idx, more[:600], 7)
-	if _, err := idx.CompactShard(1); err != nil {
-		t.Fatal(err)
-	}
+	// The adds scheduled a background repack, which may not have run yet;
+	// Close waits it out and schedules none after, so nothing but this
+	// test changes the index from here on.
+	idx.Close()
+	idx.Compact()
 	mutate(idx, more[600:750], 11)
-	for _, st := range idx.ShardStats() {
-		if st.Unpacked == 0 {
-			t.Fatalf("shard %d holds no tail: the file must carry tails", st.Shard)
-		}
+	if idx.ShardStats()[0].Unpacked == 0 {
+		t.Fatal("the index holds no tail: the file must carry tails")
 	}
 
 	saved := save(t, idx)
@@ -368,18 +368,16 @@ type writerFunc func(p []byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestWriteToWhileAdding pins what a snapshot taken beside a writer holds:
-// each shard as it stood at its turn, rows and trees together. One vector
-// per shard is added when WriteTo first touches its writer — after shard 0
-// was copied, before the last shard is — so the file holds ids at or above
-// its header's nextID. The loaded index must own them (the header's bound is
-// a floor), and once the adds the early shards missed are replayed the way
-// the op log replays them, it must save to the live index's bytes: the
-// stored trees were loaded and grown, not rebuilt.
+// the index as it stood when WriteTo copied it, rows, trees and id bound
+// together. Vectors are added when WriteTo first touches its writer — after
+// the copy — so the file holds none of them. Once they are replayed the way
+// the op log replays them, the loaded index must save to the live index's
+// bytes: the stored trees were loaded and grown, not rebuilt.
 func TestWriteToWhileAdding(t *testing.T) {
-	const n, dim, S = 8000, 16, 4
+	const n, dim, extras = 8000, 16, 4
 	data, _ := clusteredData(n, dim, 91)
-	extra, _ := clusteredData(S, dim, 92)
-	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 91, Shards: S})
+	extra, _ := clusteredData(extras, dim, 92)
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 91})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +400,8 @@ func TestWriteToWhileAdding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NextID() != n+S || loaded.Len() <= n || loaded.Len() >= n+S {
-		t.Fatalf("loaded NextID %d Len %d: want the bound raised to %d and some, not all, of the %d added rows",
-			loaded.NextID(), loaded.Len(), n+S, S)
+	if loaded.NextID() != n || loaded.Len() != n || idx.NextID() != n+extras {
+		t.Fatalf("loaded NextID %d Len %d: want the index as copied, %d rows", loaded.NextID(), loaded.Len(), n)
 	}
 	for i, v := range extra {
 		loaded.set.Replay([]wal.Record{{Op: wal.OpAdd, ID: uint64(n + i), Row: v}})
@@ -414,32 +411,75 @@ func TestWriteToWhileAdding(t *testing.T) {
 	}
 }
 
+// TestAddsBeforeRepackKeepTheRows: the rows Read loads and the rows a
+// compaction gathers have room for a full tail of adds, so none of the adds
+// before the next repack copies every row under the write lock: the rows'
+// backing array stays where it is. (NewFromFlat's zero-copy rows pay that
+// copy once, at the first Add.)
+func TestAddsBeforeRepackKeepTheRows(t *testing.T) {
+	const n, dim = 3000, 16
+	data, _ := clusteredData(n, dim, 43)
+	more := randVecs(4000, dim, 43)
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(bytes.NewReader(save(t, idx)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := loaded.set.Params().Tree.Resolved().MaxEntries
+	tail := m * m // core.Index.UnpackedCap
+	rows := func() *float32 { return &loaded.set.Snapshot().Flat[0] }
+	// Replayed adds schedule no repack, so nothing but the adds touches the
+	// rows.
+	fill := func(stage string) {
+		t.Helper()
+		before := rows()
+		recs := make([]wal.Record, tail-1)
+		for i := range recs {
+			g := loaded.NextID() + i
+			recs[i] = wal.Record{Op: wal.OpAdd, ID: uint64(g), Row: more[g-n]}
+		}
+		loaded.set.Replay(recs)
+		if loaded.ShardStats()[0].Unpacked != tail-1 || rows() != before {
+			t.Fatalf("%s: %d adds moved the rows", stage, tail-1)
+		}
+	}
+	fill("after Read")
+	loaded.Compact()
+	fill("after Compact")
+}
+
 // TestReadChecksGlobalIDs: the header's nextID is a floor, so an id above it
-// loads and raises the bound — but every id must still be allocatable, route
-// to the shard that holds it and appear once.
+// loads and raises the bound — but every id must still be allocatable and
+// the ids must ascend, so none appears twice.
 func TestReadChecksGlobalIDs(t *testing.T) {
-	data, _ := clusteredData(40, 4, 94)
-	idx, err := New(data, Options{K: 2, L: 1, Seed: 94, Shards: 2})
+	const n = 40
+	data, _ := clusteredData(n, 4, 94)
+	idx, err := New(data, Options{K: 2, L: 1, Seed: 94})
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := save(t, idx)
-	// Shard 0 follows the header: rows, r0, then its ids 0, 2, 4, …
-	second := v4HeaderLen + 8 + 8 + 8
-	if got := binary.LittleEndian.Uint64(raw[second:]); got != 2 {
-		t.Fatalf("shard 0's second id reads %d: the layout this test patches moved", got)
+	// The part follows the header: rows, r0, then its ids 0, 1, 2, …
+	first := v4HeaderLen + 8 + 8
+	last := first + 8*(n-1)
+	if got := binary.LittleEndian.Uint64(raw[last:]); got != n-1 {
+		t.Fatalf("the last id reads %d: the layout this test patches moved", got)
 	}
 	for _, c := range []struct {
+		at   int
 		id   uint64
 		want string // "" loads
 	}{
-		{1000, ""},
-		{maxVectors, "outside the id space"},
-		{3, "does not route to shard 0"},
-		{0, "duplicate global id 0"},
+		{last, 1000, ""},
+		{last, maxVectors, "outside the id space"},
+		{first + 8, 0, "global id 0 follows 0"},
+		{first + 8, 7, "global id 2 follows 7"},
 	} {
 		bad := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint64(bad[second:], c.id)
+		binary.LittleEndian.PutUint64(bad[c.at:], c.id)
 		loaded, err := Read(bytes.NewReader(restamp(bad)))
 		switch {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
@@ -452,7 +492,7 @@ func TestReadChecksGlobalIDs(t *testing.T) {
 
 // TestReadBoundsHeaderWords forges the header words a load used to
 // believe — K, L, T, C, W0, the layout behind the hash family, and a
-// shard's initial radius — re-stamps the checksum, and requires an error
+// part's initial radius — re-stamps the checksum, and requires an error
 // naming the word, not a panic, a runaway allocation or a ladder of 10¹⁵
 // rounds. Values at the limits load and work.
 func TestReadBoundsHeaderWords(t *testing.T) {
@@ -462,8 +502,8 @@ func TestReadBoundsHeaderWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := save(t, idx)
-	// Offsets in the v4 header (see persist.go), then shard 0's r0.
-	const shardsAt, dimAt, kAt, lAt, tAt, cAt, w0At, r0At = 8, 20, 36, 40, 44, 48, 56, v4HeaderLen + 8
+	// Offsets in the v4 header (see persist.go), then the part's r0.
+	const partsAt, dimAt, kAt, lAt, tAt, cAt, w0At, r0At = 8, 20, 36, 40, 44, 48, 56, v4HeaderLen + 8
 	u32 := func(at int, v uint32) func([]byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
 	}
@@ -476,7 +516,8 @@ func TestReadBoundsHeaderWords(t *testing.T) {
 		forge func([]byte)
 		want  string // "" loads
 	}{
-		{"no shards", u32(shardsAt, 0), "layout"},
+		{"no parts", u32(partsAt, 0), "holds 0"},
+		{"dim = 0", u32(dimAt, 0), "implausible dim 0"},
 		{"K = 0", u32(kAt, 0), "K = 0"},
 		{"K = 65", u32(kAt, 65), "K = 65"},
 		{"L = 2³²−1", u32(lAt, math.MaxUint32), "L = 4294967295"},
@@ -540,7 +581,7 @@ func TestOptionsWithinFileLimits(t *testing.T) {
 		{Options{W0: math.NaN()}, "W0"},
 		{Options{W0: math.Inf(1)}, "W0"},
 		{Options{K: 64, L: 1, T: maxT, C: maxC, W0: 1e-3, Seed: 97}, ""},
-		{Options{K: 1, L: 64, T: 1, C: minC, Shards: 3, Seed: 97}, ""},
+		{Options{K: 1, L: 64, T: 1, C: minC, Seed: 97}, ""},
 	} {
 		idx, err := New(data, c.opts)
 		if c.want != "" {
@@ -572,9 +613,9 @@ func TestOptionsWithinFileLimits(t *testing.T) {
 // reload has nothing to keep. A field in neither list is a build-time knob
 // a save would drop without a word.
 func TestOptionsSurviveReload(t *testing.T) {
-	persisted := []string{"C", "W0", "K", "L", "T", "Seed", "Shards", "Metric", "NormBound"}
-	operational := []string{"CompactFraction", "Dim", "Sync", "SyncEvery", "CheckpointEvery", "Parallelism"}
-	opts := Options{C: 2, W0: 7, K: 6, L: 3, T: 20, Seed: 101, Shards: 3, Metric: InnerProduct, NormBound: 1000}
+	persisted := []string{"C", "W0", "K", "L", "T", "Seed", "Metric", "NormBound"}
+	operational := []string{"CompactFraction", "Dim", "Sync", "SyncEvery", "CheckpointEvery", "Parallelism", "Shards"}
+	opts := Options{C: 2, W0: 7, K: 6, L: 3, T: 20, Seed: 101, Metric: InnerProduct, NormBound: 1000}
 	v := reflect.ValueOf(opts)
 	for i := range v.NumField() {
 		switch name := v.Type().Field(i).Name; {
@@ -594,8 +635,8 @@ func TestOptionsSurviveReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Params() != idx.Params() || loaded.Shards() != idx.Shards() {
-		t.Fatalf("reloaded %+v over %d shards, built %+v over %d", loaded.Params(), loaded.Shards(), idx.Params(), idx.Shards())
+	if loaded.Params() != idx.Params() {
+		t.Fatalf("reloaded %+v, built %+v", loaded.Params(), idx.Params())
 	}
 	for _, q := range append(queries, data[:40]...) {
 		if a, b := search(t, idx, q, 10), search(t, loaded, q, 10); !slices.Equal(a, b) {
@@ -614,7 +655,7 @@ func TestReadSizesArraysByBytesPresent(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := save(t, idx)
-	const rowsAt = v4HeaderLen // the only shard's row count
+	const rowsAt = v4HeaderLen // the part's row count
 	headsAt := v4HeaderLen + 16 + 40*8 + 5 + 40*4*4 + 4 + 4
 	for name, at := range map[string]int{"rows": rowsAt, "tree slots": headsAt} {
 		hostile := append([]byte(nil), raw...)
@@ -706,7 +747,7 @@ func TestCodecByteCopyMatchesElementLoops(t *testing.T) {
 				var marker uint32
 				var counts [2]uint64
 				d.fixed(&marker, &counts[0])
-				gotF := d.floats(counts[0])
+				gotF := d.floats(counts[0], 0)
 				d.fixed(&counts[1])
 				gotI := d.ints(counts[1])
 				if d.err != nil || marker != 0xfeedface || d.crc != crcs[0] {

@@ -26,14 +26,13 @@ func writeFrames(t *testing.T, path string, recs []wal.Record) {
 	}
 }
 
-// saveStriped saves an n-row, 4-shard index built from randVecs(n, 6, seed)
-// as the checkpoint of a fresh directory and returns the directory and the
-// rows.
-func saveStriped(t *testing.T, n int, seed int64) (string, [][]float32) {
+// saveIndex saves an n-row index built from randVecs(n, 6, seed) as the
+// checkpoint of a fresh directory and returns the directory and the rows.
+func saveIndex(t *testing.T, n int, seed int64) (string, [][]float32) {
 	t.Helper()
 	dir := t.TempDir()
 	vecs := randVecs(n, 6, seed)
-	mem, err := New(vecs, Options{Seed: seed, Shards: 4})
+	mem, err := New(vecs, Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,25 +42,27 @@ func saveStriped(t *testing.T, n int, seed int64) (string, [][]float32) {
 	return dir, vecs
 }
 
-// TestReplayEqualsSequentialReplay: Open applies the log a chunk at a time,
-// each chunk fanned out by shard. The index it rebuilds must be, byte for
-// byte, the checkpoint with the same records applied one at a time — at any
-// GOMAXPROCS — for a log that spans a rotated and the active segment, ends
-// in a torn tail, holds more than one chunk, and mixes fresh adds, adds the
-// checkpoint already holds, deletes of checkpoint ids and deletes of ids the
-// log itself added.
+// TestReplayEqualsSequentialReplay: Open applies the log a chunk at a time.
+// The index it rebuilds must be, byte for byte, the checkpoint with the same
+// records applied one at a time — at any GOMAXPROCS — for a log that spans a
+// rotated and the active segment, ends in a torn tail, holds more than one
+// chunk, and mixes fresh adds, adds the checkpoint already holds, deletes of
+// checkpoint ids and deletes of ids the log itself added. The fresh adds
+// stay under the half tail that owes a repack: Open would schedule one, and
+// it would change the index while the test reads it.
 func TestReplayEqualsSequentialReplay(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			const n, adds = 400, 900
-			dir, vecs := saveStriped(t, n, 24)
+			const n, adds = 400, 450
+			dir, vecs := saveIndex(t, n, 24)
 			vecs = append(vecs, randVecs(adds+1, 6, 25)...)
 			var recs []wal.Record
 			add := func(id int) { recs = append(recs, wal.Record{Op: wal.OpAdd, ID: uint64(id), Row: vecs[id]}) }
 			del := func(id int) { recs = append(recs, wal.Record{Op: wal.OpDelete, ID: uint64(id)}) }
 			for i := 0; i < adds; i++ {
 				add(n + i)
+				add(i % n) // the checkpoint holds it: skipped
 				switch {
 				case i%3 == 0:
 					del(i % n)
@@ -103,7 +104,7 @@ func TestReplayEqualsSequentialReplay(t *testing.T) {
 			re := mustOpen(t, dir, Options{})
 			defer re.Close()
 			if got, want := serialize(t, re), serialize(t, ref); !bytes.Equal(got, want) {
-				t.Fatal("shard-parallel replay diverges from applying the records one at a time")
+				t.Fatal("the chunked replay diverges from applying the records one at a time")
 			}
 			if st, _ := re.Durability(); st.OpsSinceCheckpoint != 0 {
 				t.Fatalf("the rotated segment was not absorbed: %+v", st)
@@ -112,16 +113,16 @@ func TestReplayEqualsSequentialReplay(t *testing.T) {
 	}
 }
 
-// TestReplayCompactsOnceAfterwards: a log whose deletes push every shard
-// past the compaction threshold twice must leave each shard compacted
-// exactly once, after replay — not once per crossing, each rebuild racing
-// the replay — and the store must hold exactly the ids the log left live.
+// TestReplayCompactsOnceAfterwards: a log whose deletes push the index past
+// the compaction threshold twice must leave it compacted exactly once,
+// after replay — not once per crossing, each rebuild racing the replay —
+// and the store must hold exactly the ids the log left live.
 func TestReplayCompactsOnceAfterwards(t *testing.T) {
-	const n, adds = 1200, 800 // 300 rows a shard, above the auto-compaction floor
-	dir, _ := saveStriped(t, n, 22)
+	const n, adds = 1200, 800 // above the auto-compaction floor
+	dir, _ := saveIndex(t, n, 22)
 	idx := mustOpen(t, dir, Options{Sync: SyncNever})
 	deleted := map[int]bool{}
-	del := func(from, to int) { // the ids whose position in their shard is from..to-1 mod 20
+	del := func(from, to int) { // the ids with (id/4) mod 20 in from..to-1
 		for id := 0; id < n; id++ {
 			if j := (id / 4) % 20; j >= from && j < to {
 				if !del(t, idx, id) {
@@ -131,13 +132,13 @@ func TestReplayCompactsOnceAfterwards(t *testing.T) {
 			}
 		}
 	}
-	del(0, 3) // 45 of every shard's 300 rows: past a 0.12 threshold once...
+	del(0, 3) // 15 % of the rows: past a 0.12 threshold once...
 	for _, v := range randVecs(adds, 6, 26) {
 		if _, err := idx.Add(v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	del(3, 7) // ...and 60 more after 200 adds a shard: past it again
+	del(3, 7) // ...and 20 % more after the adds: past it again
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestReplayCompactsOnceAfterwards(t *testing.T) {
 	}
 	for _, st := range re.ShardStats() {
 		if st.Compactions != 1 {
-			t.Errorf("shard %d compacted %d times, want once", st.Shard, st.Compactions)
+			t.Errorf("compacted %d times, want once", st.Compactions)
 		}
 	}
 	if re.Len() != n+adds-len(deleted) || re.NextID() != n+adds {
@@ -171,21 +172,21 @@ func TestReplayCompactsOnceAfterwards(t *testing.T) {
 	}
 }
 
-// compactionsRunning counts goroutines inside a shard compaction.
+// compactionsRunning counts goroutines inside a compaction.
 func compactionsRunning() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Set).compactState")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Set).compact(")
 }
 
 // TestReplayFailedOpenStartsNoCompaction: deletes that cross the threshold
 // followed by mid-file corruption make Open fail — and the index it throws
 // away must not be left compacting in the background.
 func TestReplayFailedOpenStartsNoCompaction(t *testing.T) {
-	const n = 2400 // 600 rows a shard, and more deletes than one chunk
-	dir, _ := saveStriped(t, n, 23)
+	const n = 2400 // more deletes than one chunk
+	dir, _ := saveIndex(t, n, 23)
 	var recs []wal.Record
 	for id := 0; id < n; id++ {
-		if (id/4)%2 == 0 { // half of every shard
+		if (id/4)%2 == 0 { // half of the rows
 			recs = append(recs, wal.Record{Op: wal.OpDelete, ID: uint64(id)})
 		}
 	}

@@ -1,12 +1,14 @@
 package dblsh
 
-// Public-API coverage of the sharded index: option validation, merge
-// correctness against a single-shard layout, compaction, persistence of the
-// shard layout and tombstones, the refusal of v1 and v2 files, and the
-// concurrent Add/Delete/Search stress that must pass under -race.
+// Public-API coverage of the one index behind the Shards option it ignores:
+// option validation, answers and files equal to an unsharded build's,
+// compaction, persistence of the id space and tombstones, the refusal of
+// files this build no longer reads, and the concurrent Add/Delete/Search
+// stress that must pass under -race.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"sync"
@@ -14,117 +16,117 @@ import (
 	"time"
 )
 
+// TestShardsOptionValidation: CompactFraction is checked; Shards, of any
+// value, is not looked at.
 func TestShardsOptionValidation(t *testing.T) {
 	data, _ := clusteredData(50, 8, 11)
-	if _, err := New(data, Options{Shards: -1}); err == nil {
-		t.Fatal("negative Shards must error")
-	}
 	if _, err := New(data, Options{CompactFraction: -0.1}); err == nil {
 		t.Fatal("negative CompactFraction must error")
 	}
 	if _, err := New(data, Options{CompactFraction: 1}); err == nil {
 		t.Fatal("CompactFraction = 1 must error")
 	}
-	idx, err := New(data, Options{Shards: 4, CompactFraction: 0.5, K: 4, L: 2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Shards() != 4 {
-		t.Fatalf("Shards = %d", idx.Shards())
-	}
-	// More shards than points: capped, never empty shards.
-	small, err := New(data[:3], Options{Shards: 16, K: 4, L: 2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Shards() != 3 {
-		t.Fatalf("Shards = %d for 3 points, want 3", small.Shards())
-	}
-	if idxDefault, err := New(data, Options{K: 4, L: 2, Seed: 11}); err != nil || idxDefault.Shards() != 1 {
-		t.Fatalf("default Shards = %d (err %v), want 1", idxDefault.Shards(), err)
+	for _, shards := range []int{-1, 0, 4, 16} {
+		idx, err := New(data, Options{Shards: shards, CompactFraction: 0.5, K: 4, L: 2, Seed: 11})
+		if err != nil || idx.Len() != len(data) || len(idx.ShardStats()) != 1 {
+			t.Fatalf("Shards = %d: %v", shards, err)
+		}
 	}
 }
 
+// TestShardedSearchMatchesSingleShard: Options.Shards is ignored, so an
+// index asked for 4 shards is the index asked for 1 — the same answers and
+// statistics for every query, single and batched, through adds, deletes
+// and a compaction, and the same bytes from WriteTo.
 func TestShardedSearchMatchesSingleShard(t *testing.T) {
 	data, queries := clusteredData(5000, 24, 12)
-	k := 10
-	single, err := New(data, Options{K: 8, L: 4, T: 100, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := New(data, Options{K: 8, L: 4, T: 100, Seed: 12, Shards: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recall := func(idx *Index) float64 {
-		total := 0.0
-		for _, q := range queries {
-			truth := map[int]bool{}
-			type pair struct {
-				id int
-				d  float64
-			}
-			best := make([]pair, len(data))
-			for i, p := range data {
-				best[i] = pair{i, dist(q, p)}
-			}
-			for i := 0; i < k; i++ {
-				minJ := i
-				for j := i + 1; j < len(best); j++ {
-					if best[j].d < best[minJ].d {
-						minJ = j
-					}
-				}
-				best[i], best[minJ] = best[minJ], best[i]
-				truth[best[i].id] = true
-			}
-			hits := search(t, idx, q, k)
-			if len(hits) != k {
-				t.Fatalf("%d hits, want %d", len(hits), k)
-			}
-			got := 0
-			for _, h := range hits {
-				if truth[h.ID] {
-					got++
-				}
-			}
-			total += float64(got) / float64(k)
-		}
-		return total / float64(len(queries))
-	}
-	rs, rm := recall(single), recall(sharded)
-	if rm < rs-0.1 || rm < 0.8 {
-		t.Fatalf("sharded recall %v vs single-shard %v", rm, rs)
-	}
-	// Batch and single-query paths agree on the sharded index.
-	batch, err := sharded.SearchBatchOpts(queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		one := search(t, sharded, q, k)
-		for j := range one {
-			if one[j] != batch[i][j] {
-				t.Fatalf("batch diverges from single at query %d rank %d", i, j)
-			}
+	more, _ := clusteredData(700, 24, 13)
+	var idx [2]*Index
+	for i, shards := range []int{1, 4} {
+		var err error
+		if idx[i], err = New(data, Options{K: 8, L: 4, T: 100, Seed: 12, Shards: shards}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	same := func(stage string) {
+		t.Helper()
+		for qi, q := range queries {
+			var sa, sb Stats
+			a, err := idx[0].SearchOpts(q, 10, WithStats(&sa))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := idx[1].SearchOpts(q, 10, WithStats(&sb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalResults(a, b) || sa != sb {
+				t.Fatalf("%s, query %d: Shards 4 answers %v %+v, Shards 1 %v %+v", stage, qi, b, sb, a, sa)
+			}
+		}
+		var ba, bb []Stats
+		a, err := idx[0].SearchBatchOpts(queries, 10, WithBatchStats(&ba))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := idx[1].SearchBatchOpts(queries, 10, WithBatchStats(&bb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if !equalResults(a[i], b[i]) || ba[i] != bb[i] {
+				t.Fatalf("%s, batch query %d differs", stage, i)
+			}
+		}
+		if !bytes.Equal(save(t, idx[0]), save(t, idx[1])) {
+			t.Fatalf("%s: Shards 4 and Shards 1 save to different bytes", stage)
+		}
+	}
+	same("built")
+	for _, x := range idx {
+		for _, v := range more {
+			if _, err := x.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g := 0; g < x.NextID(); g += 9 {
+			del(t, x, g)
+		}
+		// The adds scheduled repacks in the background; Close waits them
+		// out, and Compact folds in whatever they left.
+		x.Close()
+		x.Compact()
+	}
+	same("after adds, deletes and a compaction")
+}
+
+// equalResults reports whether two answers are the same, id and distance.
+func equalResults(a, b []Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestShardedOptionsPushdown(t *testing.T) {
 	data, queries := clusteredData(3000, 16, 13)
-	idx, err := New(data, Options{K: 6, L: 3, T: 50, Seed: 13, Shards: 4})
+	idx, err := New(data, Options{K: 6, L: 3, T: 50, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Global-id filter applies across every shard.
+	// The filter sees global ids.
 	var st Stats
 	hits, err := idx.SearchOpts(queries[0], 20, WithFilter(func(id int) bool { return id%3 == 0 }), WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hits) == 0 {
-		t.Fatal("filtered sharded search found nothing")
+		t.Fatal("filtered search found nothing")
 	}
 	for _, h := range hits {
 		if h.ID%3 != 0 {
@@ -132,7 +134,7 @@ func TestShardedOptionsPushdown(t *testing.T) {
 		}
 	}
 	if st.Candidates == 0 || st.Rounds == 0 || st.FinalRadius == 0 {
-		t.Fatalf("aggregated stats not populated: %+v", st)
+		t.Fatalf("stats not populated: %+v", st)
 	}
 	// A searcher survives adds, deletes and compactions.
 	s := idx.NewSearcher()
@@ -144,9 +146,7 @@ func TestShardedOptionsPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	del(t, idx, 0)
-	if _, err := idx.CompactShard(0); err != nil {
-		t.Fatal(err)
-	}
+	idx.Compact()
 	got := search(t, s, queries[1], 1)
 	if len(got) != 1 || got[0].ID != id || got[0].Dist != 0 {
 		t.Fatalf("stale searcher after compaction: %+v", got)
@@ -155,7 +155,7 @@ func TestShardedOptionsPushdown(t *testing.T) {
 
 func TestCompactPublicAPI(t *testing.T) {
 	data, _ := clusteredData(900, 12, 14)
-	idx, err := New(data, Options{K: 6, L: 3, T: 30, Seed: 14, Shards: 3})
+	idx, err := New(data, Options{K: 6, L: 3, T: 30, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +164,6 @@ func TestCompactPublicAPI(t *testing.T) {
 			t.Fatalf("Delete(%d) failed", id)
 		}
 	}
-	if _, err := idx.CompactShard(5); err == nil {
-		t.Fatal("out-of-range CompactShard must error")
-	}
 	if removed := idx.Compact(); removed != 300 {
 		t.Fatalf("Compact reclaimed %d, want 300", removed)
 	}
@@ -174,28 +171,24 @@ func TestCompactPublicAPI(t *testing.T) {
 		t.Fatalf("post-compaction deleted=%d len=%d next=%d", idx.Deleted(), idx.Len(), idx.NextID())
 	}
 	stats := idx.ShardStats()
-	if len(stats) != 3 {
+	if len(stats) != 1 {
 		t.Fatalf("%d shard stats", len(stats))
 	}
-	now := time.Now()
-	for _, st := range stats {
-		if st.Deleted != 0 || st.Live != st.Size || st.Compactions != 1 {
-			t.Fatalf("shard stat %+v", st)
-		}
-		if st.LastCompaction.IsZero() || now.Sub(st.LastCompaction) > time.Minute {
-			t.Fatalf("implausible LastCompaction %v", st.LastCompaction)
-		}
+	st, now := stats[0], time.Now()
+	if st.Deleted != 0 || st.Live != st.Size || st.Size != 600 || st.Compactions != 1 {
+		t.Fatalf("shard stat %+v", st)
+	}
+	if st.LastCompaction.IsZero() || now.Sub(st.LastCompaction) > time.Minute {
+		t.Fatalf("implausible LastCompaction %v", st.LastCompaction)
 	}
 }
 
-// TestShardedBudgetIsGlobal pins the coordinated ladder's contract: the
-// candidate budget 2tL+k bounds total verification across all shards (to
-// within one per-shard remainder), instead of each shard spending the full
-// budget against its stripe.
+// TestShardedBudgetIsGlobal pins the candidate budget through the public
+// API: 2tL+k bounds the exact distances a query computes, whatever
+// Options.Shards asks for.
 func TestShardedBudgetIsGlobal(t *testing.T) {
 	data, queries := clusteredData(4000, 16, 19)
-	const shards = 8
-	idx, err := New(data, Options{K: 6, L: 3, T: 50, Seed: 19, Shards: shards})
+	idx, err := New(data, Options{K: 6, L: 3, T: 50, Seed: 19, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,58 +199,17 @@ func TestShardedBudgetIsGlobal(t *testing.T) {
 		if _, err := idx.SearchOpts(q, k, WithCandidateBudget(tt), WithStats(&st)); err != nil {
 			t.Fatal(err)
 		}
-		if st.Candidates > budget+shards {
-			t.Fatalf("budget %d (+%d shard remainder) exceeded: %d candidates verified",
-				budget, shards, st.Candidates)
-		}
-	}
-}
-
-// TestShardedBudgetFollowsSkew pins the waterfall budget: when the live
-// data concentrates in one shard, that shard may spend the budget the
-// empty shards cannot use, so result quality tracks the single-shard index
-// instead of collapsing to 1/S of the budget.
-func TestShardedBudgetFollowsSkew(t *testing.T) {
-	data, queries := clusteredData(400, 16, 23)
-	single, err := New(data, Options{K: 4, L: 2, T: 20, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := New(data, Options{K: 4, L: 2, T: 20, Seed: 23, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 400; g++ {
-		if g%4 != 0 {
-			del(t, single, g)
-			del(t, sharded, g) // shards 1-3 end up fully tombstoned
-		}
-	}
-	const k, tt = 30, 1
-	for _, q := range queries {
-		a, err := single.SearchOpts(q, k, WithCandidateBudget(tt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sharded.SearchOpts(q, k, WithCandidateBudget(tt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) == 0 || len(b) == 0 {
-			t.Fatalf("skewed search returned %d/%d results", len(a), len(b))
-		}
-		worstA, worstB := a[len(a)-1].Dist, b[len(b)-1].Dist
-		if worstB > worstA*1.5+1e-9 {
-			t.Fatalf("skewed sharded quality collapsed: worst %v vs single-shard %v", worstB, worstA)
+		if st.Candidates > budget {
+			t.Fatalf("budget %d exceeded: %d candidates verified", budget, st.Candidates)
 		}
 	}
 }
 
 // TestPersistEmptyCompactedIndex: a fully deleted and compacted index must
-// round-trip (its id space and shard layout survive) and stay usable.
+// round-trip (its id space survives) and stay usable.
 func TestPersistEmptyCompactedIndex(t *testing.T) {
 	data, _ := clusteredData(300, 8, 24)
-	idx, err := New(data, Options{K: 4, L: 2, T: 20, Seed: 24, Shards: 3})
+	idx, err := New(data, Options{K: 4, L: 2, T: 20, Seed: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +231,8 @@ func TestPersistEmptyCompactedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty compacted index does not round-trip: %v", err)
 	}
-	if loaded.Len() != 0 || loaded.NextID() != 300 || loaded.Shards() != 3 {
-		t.Fatalf("loaded len=%d next=%d shards=%d", loaded.Len(), loaded.NextID(), loaded.Shards())
+	if loaded.Len() != 0 || loaded.NextID() != 300 {
+		t.Fatalf("loaded len=%d next=%d", loaded.Len(), loaded.NextID())
 	}
 	if hits := search(t, loaded, data[0], 5); len(hits) != 0 {
 		t.Fatalf("empty index returned %v", hits)
@@ -300,7 +252,7 @@ func TestPersistEmptyCompactedIndex(t *testing.T) {
 
 func TestSetCompactFractionOnLoadedIndex(t *testing.T) {
 	data, _ := clusteredData(1200, 8, 20)
-	idx, err := New(data, Options{K: 4, L: 2, T: 20, Seed: 20, Shards: 2})
+	idx, err := New(data, Options{K: 4, L: 2, T: 20, Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +271,10 @@ func TestSetCompactFractionOnLoadedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crossing the threshold on a loaded index must now auto-compact. The
-	// deletes empty shard 0; those that land while a rebuild runs are
-	// carried over as tombstones, and once the shard has shrunk below the
-	// policy's 256-row floor it is left alone — so a completed compaction is
-	// guaranteed, zero tombstones is not (under -race the rebuild is slow
-	// enough that most deletes overtake it).
+	// deletes that land while a rebuild runs are carried over as
+	// tombstones — so a completed compaction is guaranteed, zero tombstones
+	// is not (under -race the rebuild is slow enough that most deletes
+	// overtake it).
 	for g := 0; g < 1200; g += 2 {
 		del(t, loaded, g)
 	}
@@ -342,59 +293,54 @@ func TestSetCompactFractionOnLoadedIndex(t *testing.T) {
 // TestPersistKeepsTombstones is the regression test for the v1 bug this PR
 // fixes: deleted vectors must never resurrect across WriteTo/Read.
 func TestPersistKeepsTombstones(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		data, _ := clusteredData(600, 12, 15)
-		idx, err := New(data, Options{K: 6, L: 3, T: 30, Seed: 15, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+	data, _ := clusteredData(600, 12, 15)
+	idx, err := New(data, Options{K: 6, L: 3, T: 30, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := []int{0, 5, 17, 123, 599}
+	for _, id := range deleted {
+		if !del(t, idx, id) {
+			t.Fatalf("Delete(%d) failed", id)
 		}
-		deleted := []int{0, 5, 17, 123, 599}
-		for _, id := range deleted {
-			if !del(t, idx, id) {
-				t.Fatalf("shards=%d: Delete(%d) failed", shards, id)
+	}
+	var buf bytes.Buffer
+	n, err := idx.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(buf.Len()) != n {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Deleted() != len(deleted) || loaded.Len() != 600 {
+		t.Fatalf("loaded deleted=%d len=%d", loaded.Deleted(), loaded.Len())
+	}
+	for _, id := range deleted {
+		hits := search(t, loaded, data[id], 3)
+		for _, h := range hits {
+			if h.ID == id {
+				t.Fatalf("tombstoned id %d resurrected after round-trip", id)
 			}
 		}
-		var buf bytes.Buffer
-		n, err := idx.WriteTo(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(buf.Len()) != n {
-			t.Fatalf("shards=%d: WriteTo reported %d bytes, wrote %d", shards, n, buf.Len())
-		}
-		loaded, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.Shards() != shards || loaded.Deleted() != len(deleted) || loaded.Len() != 600 {
-			t.Fatalf("shards=%d: loaded shards=%d deleted=%d len=%d",
-				shards, loaded.Shards(), loaded.Deleted(), loaded.Len())
-		}
-		for _, id := range deleted {
-			hits := search(t, loaded, data[id], 3)
-			for _, h := range hits {
-				if h.ID == id {
-					t.Fatalf("shards=%d: tombstoned id %d resurrected after round-trip", shards, id)
-				}
-			}
-			if del(t, loaded, id) {
-				t.Fatalf("shards=%d: tombstoned id %d deletable again after round-trip", shards, id)
-			}
+		if del(t, loaded, id) {
+			t.Fatalf("tombstoned id %d deletable again after round-trip", id)
 		}
 	}
 }
 
 func TestShardedPersistRoundTripDeterministic(t *testing.T) {
 	data, queries := clusteredData(1500, 16, 16)
-	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 16, Shards: 4})
+	idx, err := New(data, Options{K: 6, L: 3, T: 40, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	del(t, idx, 3)
+	idx.Compact() // non-trivial id mapping
 	del(t, idx, 44)
-	if _, err := idx.CompactShard(3 % 4); err != nil { // non-trivial id mapping
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -438,9 +384,11 @@ func TestShardedPersistRoundTripDeterministic(t *testing.T) {
 
 // TestReadRefusesOldVersions pins what becomes of a file from a format this
 // build no longer reads: an error that names the version and says how to
-// get a file it does read, whatever follows the magic. A v4 file whose
-// shard holds no trees, as the first v4 writers emitted, is refused for the
-// missing trees rather than rebuilt.
+// get a file it does read, whatever follows the magic. A v4 file whose part
+// holds no trees, as the first v4 writers emitted, is refused for the
+// missing trees rather than rebuilt, and a v4 file of two parts, as an
+// earlier build's sharded index wrote, for its parts — before its checksum
+// is looked at.
 func TestReadRefusesOldVersions(t *testing.T) {
 	for _, v := range []string{"v1", "v2", "v3"} {
 		raw := append([]byte("DBLSH"+v+"\n"), make([]byte, 64)...)
@@ -457,14 +405,23 @@ func TestReadRefusesOldVersions(t *testing.T) {
 	if _, err := Read(bytes.NewReader(treeless(save(t, idx)))); err == nil || !strings.Contains(err.Error(), "0 trees for L = 2") {
 		t.Errorf("v4 file without trees: Read returned %v", err)
 	}
+	// The parts count follows the magic. A file that says two parts and
+	// holds one is what its reader sees of a two-part file before the
+	// second part; the checksum is re-stamped, so only the count is wrong.
+	twoParts := save(t, idx)
+	binary.LittleEndian.PutUint32(twoParts[8:], 2)
+	_, err = Read(bytes.NewReader(restamp(twoParts)))
+	if err == nil || !strings.Contains(err.Error(), "holds 2") || !strings.Contains(err.Error(), "Options.Shards = 1") {
+		t.Errorf("v4 file of two parts: Read returned %v", err)
+	}
 }
 
 // TestConcurrentShardedStress exercises parallel Add/Delete/SearchOpts/
-// SearchBatchOpts/Compact against a sharded index through the public API.
-// Run under -race (the CI race job does) to catch shard-lock regressions.
+// SearchBatchOpts/Compact against an index through the public API. Run
+// under -race (the CI race job does) to catch locking regressions.
 func TestConcurrentShardedStress(t *testing.T) {
 	data, queries := clusteredData(3000, 12, 18)
-	idx, err := New(data, Options{K: 5, L: 3, T: 25, Seed: 18, Shards: 4, CompactFraction: 0.5})
+	idx, err := New(data, Options{K: 5, L: 3, T: 25, Seed: 18, CompactFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

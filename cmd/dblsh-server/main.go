@@ -41,9 +41,10 @@
 // it takes only "t" and "filter_ids" and rejects the ladder-shaping knobs.
 //
 // The index is one DB-LSH index behind one read-write lock: /vectors and
-// /delete take the write lock briefly, a query takes the read lock one
-// ladder round at a time, and /compact rebuilds the index while it keeps
-// serving (only a short swap takes the write lock). Earlier versions
+// /delete take the write lock briefly, a query holds the read lock for its
+// whole ladder and answers from one state of the index, and /compact
+// rebuilds the index while it keeps serving (only a short swap takes the
+// write lock). A write waits for the queries in flight. Earlier versions
 // offered -shards S, striping the rows over S indexes; a query then walked
 // S times the trees: on a clustered 100 000 × 128 corpus at k = 10 (2-vCPU
 // amd64 box), S = 4 visited 330.9 nodes per query against one index's

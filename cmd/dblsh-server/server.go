@@ -19,8 +19,8 @@ import (
 // server routes HTTP requests straight into the index with no lock of its
 // own: dblsh.Index is internally synchronized, so /search, /search_batch,
 // /vectors, /delete and /compact all run concurrently — a query holds the
-// index's read lock one ladder round at a time, so a mutation waits for at
-// most one round of each running query instead of whole queries.
+// index's read lock for its whole ladder, so it answers from one state of
+// the index, and a mutation waits for the queries in flight.
 //
 // Every request passes through the wrap middleware (middleware.go): a
 // wrong method is answered there, the expensive endpoints sit behind the
@@ -353,9 +353,9 @@ func (s *server) searchBatch(w http.ResponseWriter, r *http.Request, req *batchR
 	if err != nil {
 		return nil, err
 	}
-	// No server-side lock: the index's read lock is held per ladder round,
-	// so a batch does not delay writers for longer than one round, and
-	// mutations interleave between rounds and queries.
+	// No server-side lock: each query of the batch holds the index's read
+	// lock for its own ladder, so mutations land between the batch's
+	// queries, never inside one.
 	results, err := s.idx.SearchBatchOpts(req.Vectors, k, opts...)
 	if err != nil {
 		return nil, err

@@ -603,6 +603,27 @@ func TestSearchFilterIDs(t *testing.T) {
 	}
 }
 
+// An allowlist that names no resident id is a defined query: 200, no hits,
+// nothing verified.
+func TestSearchFilterIDsNoneResident(t *testing.T) {
+	ts, idx := testServer(t)
+	q := make([]float32, idx.Dim())
+	resp := postJSON(t, ts.URL+"/search", searchRequest{Vector: q, K: 10,
+		queryOptions: queryOptions{FilterIDs: []int{-1, idx.NextID(), idx.NextID() + 7}}})
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	var sr searchResponse
+	decode(t, resp, &sr)
+	if len(sr.Results) != 0 {
+		t.Fatalf("an allowlist of absent ids returned %+v", sr.Results)
+	}
+	if sr.Stats == nil || sr.Stats.Candidates != 0 {
+		t.Fatalf("stats %+v, want 0 candidates", sr.Stats)
+	}
+}
+
 func TestSearchBatchEndpoint(t *testing.T) {
 	ts, idx := testServer(t)
 	queries := make([][]float32, 5)

@@ -72,13 +72,14 @@
 //
 // An Index is safe for fully concurrent use: searches, Add, DeleteWithError,
 // compaction and WriteTo may all overlap. Internally it is one DB-LSH index
-// guarded by one read-write lock. A search runs the radius ladder one round
-// at a time, taking the read lock for each round and releasing it before
-// the next; an Add or a delete takes the write lock, so it waits for at most
-// one round of each running query, and a query's next round waits for it:
+// guarded by one read-write lock. A search holds the read lock from the
+// first round of its radius ladder to the last, so it answers from one
+// state of the index; an Add, a delete or a compaction swap takes the write
+// lock, so it waits for the searches in flight, and the searches that
+// arrive meanwhile wait for it:
 //
 //	go func() { idx.Add(v) }()          // write-locks the index briefly
-//	hits, err := idx.SearchOpts(q, 10)  // read-locks it one round at a time
+//	hits, err := idx.SearchOpts(q, 10)  // read-locks it for the whole query
 //
 // An Add appends the vector to an append-only tail in each of the L trees,
 // which queries walk in arrival order. A delete only tombstones. Compact
@@ -406,11 +407,10 @@ type Stats struct {
 	// FinalRadius is the search radius at which the query terminated.
 	FinalRadius float64
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// across all projected spaces and rounds: an interior node once
-	// per query, a leaf each time a wider window reaches more of its
-	// entries, and the walk from the root again after a mid-query mutation
-	// re-arms a cursor. A tail leaf holds added vectors in arrival order, so
-	// it straddles every window and is re-entered each round.
+	// across all projected spaces and rounds: an interior node once per
+	// query, and a leaf each time a wider window reaches more of its
+	// entries. A tail leaf holds added vectors in arrival order, so it
+	// straddles every window and is re-entered each round.
 	NodesVisited int
 	// FrontierSize is the number of items still parked in the traversal
 	// cursors when the query finished — the residual work the incremental

@@ -359,9 +359,9 @@ func ExampleWithFilter() {
 
 // Serve searches, adds and deletes from several goroutines at once: each
 // mutation takes the index's write lock briefly, a query holds its read
-// lock for one ladder round at a time, and once the tombstones reach
-// CompactFraction the index rebuilds in the background while it keeps
-// serving. A final Compact reclaims what is left.
+// lock from its first ladder round to its last, and once the tombstones
+// reach CompactFraction the index rebuilds in the background while it
+// keeps serving. A final Compact reclaims what is left.
 func ExampleIndex_Compact() {
 	const n = 4000
 	rng := rand.New(rand.NewSource(3))

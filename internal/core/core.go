@@ -514,10 +514,8 @@ type Stats struct {
 	FinalR     float64 // radius at termination
 
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// summed across trees and rounds: an interior node once per
-	// query, a leaf each time a wider window reaches more of its entries,
-	// and the walk from the root again after a mid-query mutation re-arms a
-	// cursor.
+	// summed across trees and rounds: an interior node once per query, and
+	// a leaf each time a wider window reaches more of its entries.
 	NodesVisited int
 	// Frontier is the number of items (subtrees and points) still parked in
 	// the traversal cursors when the query finished — the residual work the
@@ -618,9 +616,6 @@ type Searcher struct {
 	// touches every tree node at most once instead of re-walking the covered
 	// region every round.
 	cursors []*rstar.Cursor
-	rearms  int // cursor re-arms triggered by mid-query tree mutations
-
-	one *Part // the part a bare index is: this searcher, no lock, identity ids
 }
 
 // blockMeta locates a gathered candidate in its cursor's current shell:
@@ -646,14 +641,8 @@ func newSearcher(idx *Index) *Searcher {
 		s.qhash[i] = make([]float32, idx.cfg.K)
 		s.cursors[i] = rstar.NewCursor(idx.trees[i])
 	}
-	s.one = &Part{Bind: func() (*Searcher, []int) { return s, nil }}
 	return s
 }
-
-// CursorReArms returns how many cursor re-arms mid-query tree mutations have
-// forced since the searcher was created. Test hook for the mutate-during-
-// query interleaving.
-func (s *Searcher) CursorReArms() int { return s.rearms }
 
 // verifyBlockSize is the candidate block the verification path gathers
 // before calling the batch distance kernels: large enough to amortize the
@@ -682,14 +671,14 @@ func (s *Searcher) KANN(q []float32, k int) []vec.Neighbor {
 	return nbs
 }
 
-// KANNParams answers a (c,k)-ANN query — Search over the part a bare index
-// is: no lock, the identity id map. The QueryParams override the
-// build-time knobs for this query only; the zero value is KANN. The
-// returned error is non-nil only when p.Ctx expires, and even then the
-// candidates verified before cancellation are returned.
+// KANNParams answers a (c,k)-ANN query — Search over the searcher's own
+// index with the identity id map. The QueryParams override the build-time
+// knobs for this query only; the zero value is KANN. The returned error is
+// non-nil only when p.Ctx expires, and even then the candidates verified
+// before cancellation are returned.
 func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, error) {
 	CheckQuery(q, s.idx.data.Dim(), k)
-	nbs, st, err := Search(s.one, q, k, p)
+	nbs, st, err := Search(s, nil, q, k, p)
 	s.last = st
 	return nbs, err
 }
@@ -709,67 +698,28 @@ func CheckQuery(q []float32, dim, k int) {
 
 // The round driver.
 //
-// A query runs over a part: a bare Index, or the shard layer's index behind
-// its lock. The part runs the rounds r, c·r, c²·r, … against its trees, and
-// the round driver below is the one place that owns what the paper's
-// algorithms decide — the candidate budget, the initial radius, the
-// per-candidate emit and stop rule, the covering test and sweep, and the
-// statistics. The part's lock is held for one round only; the context is
-// polled between rounds with no lock held.
+// A query runs on one searcher of one index, and maps the index's local ids
+// to the caller's through an id map (nil: the identity). It runs the rounds
+// r, c·r, c²·r, … against the index's trees, and the round driver below is
+// the one place that owns what the paper's algorithms decide — the
+// candidate budget, the initial radius, the per-candidate emit and stop
+// rule, the covering test and sweep, and the statistics. The index must not
+// change from the query's first round to its last: the caller holds off
+// mutations for the whole query (the shard layer holds its read lock
+// around it), so the cursors' frontiers and the visited stamps stay valid
+// from round to round.
 //
-// Candidates flow in verified blocks: the part's cursors gather up to
+// Candidates flow in verified blocks: the cursors gather up to
 // verifyBlockSize ids, the batch kernel verifies the block against the
 // contiguous matrix storage (early-abandoning rows that provably cannot
 // beat the current k-th best), and the emit rule consumes it candidate by
 // candidate, handing an unconsumed tail back to the frontiers.
 
-// A Part is the index a query runs over: a core searcher, the lock that
-// guards its index, and its local→global id map.
-type Part struct {
-	// Lock, when non-nil, is read-locked around each round, and released
-	// between rounds.
-	Lock *sync.RWMutex
-	// Bind returns the searcher that runs the next round and the part's
-	// local→global id map (nil: the identity). It is called under Lock as
-	// the query starts and before every round. A searcher other than the
-	// previous one means the part's index was replaced mid-query (a
-	// compaction swap): the new searcher starts from the roots, and the
-	// points the old one had already stamped are kept out of its stream, so
-	// none is verified twice.
-	Bind func() (*Searcher, []int)
-
-	s   *Searcher        // bound at the part's last round
-	ids []int            // its local→global id map
-	dup map[int]struct{} // global ids discarded searchers stamped; nil until a swap
-}
-
-// retire adds to pt.dup the global id of every point pt's searcher has
-// stamped this query: what the part must not verify again once a
-// compaction swap has discarded that searcher.
-func (pt *Part) retire() {
-	for id, e := range pt.s.visited {
-		if e == pt.s.epoch {
-			if pt.dup == nil {
-				pt.dup = make(map[int]struct{})
-			}
-			pt.dup[pt.global(id)] = struct{}{}
-		}
-	}
-}
-
-// global maps one of the part's local ids to its global id.
-func (pt *Part) global(id int) int {
-	if pt.ids == nil {
-		return id
-	}
-	return pt.ids[id]
-}
-
-// query is one run of the round driver over its part.
+// query is one run of the round driver.
 type query struct {
-	pt     *Part
+	s      *Searcher
+	ids    []int          // local → global id map; nil is the identity
 	filter func(int) bool // over global ids
-	sift   bool           // candidates need admit
 
 	// cand is Algorithm 2's top-k. Algorithm 1 has none: it keeps the
 	// candidate that stopped it in found.
@@ -784,7 +734,8 @@ type query struct {
 	st     Stats
 }
 
-// Search answers a (c,k)-ANN query over pt: Algorithm 2 with the Section
+// Search answers a (c,k)-ANN query on s's index, reporting ids through the
+// local → global map ids (nil: the identity): Algorithm 2 with the Section
 // IV-C (c,k) rules. The radius starts at the index's initial radius and
 // grows r, c·r, c²·r, … up to p.MaxRadius; every candidate lands in one
 // top-k and counts against one budget of 2tL+k (see query.emit). The query
@@ -794,13 +745,13 @@ type query struct {
 // covering sweep of whatever is left. p.Ctx is polled before each round;
 // once it has expired the query returns the best candidates found so far
 // with its error.
-func Search(pt *Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
+func Search(s *Searcher, ids []int, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
 	// Checked before the per-query hashing as well as per round, so the
 	// queries behind a dead context in a large batch are near-free.
 	if p.cancelled() {
 		return nil, Stats{}, p.Ctx.Err()
 	}
-	qr := query{pt: pt, filter: p.Filter}
+	qr := query{s: s, ids: ids, filter: p.Filter}
 	cfg, r, live, resident := qr.start(q)
 	if resident == 0 {
 		return nil, Stats{}, nil
@@ -837,21 +788,21 @@ func Search(pt *Part, q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats,
 	return qr.cand.Results(), qr.st, err
 }
 
-// SearchRadius answers an (r,c)-NN query over pt: Algorithm 1, as one round
-// of the driver at radius r. It returns the first candidate within c·r, or
-// the candidate that spends the budget of 2tL+1, or ok = false when the
-// windows hold neither. The emit rule differs from the ladder's because the
+// SearchRadius answers an (r,c)-NN query on s's index, reporting ids through
+// ids as Search does: Algorithm 1, as one round of the driver at radius r.
+// It returns the first candidate within c·r, or the candidate that spends
+// the budget of 2tL+1, or ok = false when the windows hold neither. The emit rule differs from the ladder's because the
 // contract does: "some point within c·r", not a ranked top-k — so the first
 // qualifying candidate stops the query whatever is still unverified, and
 // the budget-spending candidate is returned as it stands. No early-abandon
 // bound applies, since every distance it might return must be exact.
 // p.EarlyStopFactor and p.MaxRadius do not apply to a fixed-radius query;
 // p.Ctx is checked once, before the round.
-func SearchRadius(pt *Part, q []float32, r float64, p QueryParams) (vec.Neighbor, bool, Stats, error) {
+func SearchRadius(s *Searcher, ids []int, q []float32, r float64, p QueryParams) (vec.Neighbor, bool, Stats, error) {
 	if p.cancelled() {
 		return vec.Neighbor{}, false, Stats{FinalR: r}, p.Ctx.Err()
 	}
-	qr := query{pt: pt, filter: p.Filter}
+	qr := query{s: s, ids: ids, filter: p.Filter}
 	cfg, _, _, _ := qr.start(q)
 	t, _ := p.resolve(cfg)
 	qr.budget = 2*t*cfg.L + 1
@@ -862,81 +813,43 @@ func SearchRadius(pt *Part, q []float32, r float64, p QueryParams) (vec.Neighbor
 	return qr.found, qr.done, qr.st, nil
 }
 
-// start binds the part and begins its searcher on the query, returning the
-// index's configuration and initial radius, and how many of its points are
-// live and resident.
+// start begins the searcher on the query, returning the index's
+// configuration and initial radius, and how many of its points are live and
+// resident.
 func (qr *query) start(q []float32) (cfg Config, r0 float64, live, resident int) {
-	qr.pt.s, qr.pt.dup = nil, nil
-	qr.share(q, func(s *Searcher) {
-		cfg, r0 = s.idx.cfg, s.idx.r0
-		live, resident = s.idx.Live(), s.idx.Size()
-	})
-	return cfg, r0, live, resident
+	idx := qr.s.idx
+	qr.s.begin(q)
+	return idx.cfg, idx.r0, idx.Live(), idx.Size()
 }
 
-// share runs fn on the part's searcher under the part's read lock, once bind
-// has brought the part up to date. The lock is released however fn ends: a
-// Filter that panics leaves no writer of the part blocked.
-func (qr *query) share(q []float32, fn func(s *Searcher)) {
-	if l := qr.pt.Lock; l != nil {
-		l.RLock()
-		defer l.RUnlock()
-	}
-	fn(qr.bind(q))
-}
-
-// bind brings the part up to date (see Part.Bind). Callers hold the part's
-// lock.
-func (qr *query) bind(q []float32) *Searcher {
-	pt := qr.pt
-	s, ids := pt.Bind()
-	if s != pt.s {
-		if pt.s != nil {
-			pt.retire()
-		}
-		s.begin(q)
-		pt.s = s
-	}
-	pt.ids = ids
-	qr.sift = qr.filter != nil || pt.dup != nil
-	return s
-}
-
-// round runs one round at radius r — or, with sweep, the covering sweep —
-// holding the part's lock for it. It reports whether the windows at radius
-// next would contain the whole projected set; that is meaningful only when
-// the query is not done.
+// round runs one round at radius r — or, with sweep, the covering sweep. It
+// reports whether the windows at radius next would contain the whole
+// projected set; that is meaningful only when the query is not done.
 func (qr *query) round(q []float32, r, next float64, sweep bool) (covered bool) {
 	qr.r, qr.sweep = r, sweep
-	qr.share(q, func(s *Searcher) {
-		if sweep {
-			s.sweepRound(q, qr)
-		} else {
-			s.windowRound(q, qr)
-			covered = !qr.done && s.covers(s.idx.cfg.W0*next)
-		}
-	})
-	return covered
+	s := qr.s
+	if sweep {
+		s.sweepRound(q, qr)
+		return false
+	}
+	s.windowRound(q, qr)
+	return !qr.done && s.covers(s.idx.cfg.W0*next)
 }
 
 // finish folds the end-of-query state into the statistics.
 func (qr *query) finish() {
 	qr.st.Candidates = qr.cnt
-	for _, c := range qr.pt.s.cursors {
+	for _, c := range qr.s.cursors {
 		qr.st.Frontier += c.FrontierLen()
 	}
 }
 
-// admit reports whether a local id may be verified: the filter accepts its
-// global id, and no searcher the part discarded this query had stamped it.
-func (qr *query) admit(id int) bool {
-	g := qr.pt.global(id)
-	if qr.pt.dup != nil {
-		if _, seen := qr.pt.dup[g]; seen {
-			return false
-		}
+// global maps one of the index's local ids to its global id.
+func (qr *query) global(id int) int {
+	if qr.ids == nil {
+		return id
 	}
-	return qr.filter == nil || qr.filter(g)
+	return qr.ids[id]
 }
 
 // worst is the early-abandon bound of the next verified block: the k-th
@@ -963,7 +876,7 @@ func (qr *query) worst() float64 {
 func (qr *query) emit(ids []int, dists []float64) (int, bool) {
 	for j, id := range ids {
 		qr.cnt++
-		nb := vec.Neighbor{ID: qr.pt.global(id), Dist: dists[j]}
+		nb := vec.Neighbor{ID: qr.global(id), Dist: dists[j]}
 		if qr.cand == nil {
 			qr.done = qr.cnt >= qr.budget || nb.Dist <= qr.stopC*qr.r
 		} else {
@@ -999,22 +912,13 @@ func (s *Searcher) begin(q []float32) {
 // and growing the stamp array if the index gained points since the searcher
 // was created.
 func (s *Searcher) freshEpoch() {
-	s.ensureStamps()
+	if n := s.idx.data.Rows(); n > len(s.visited) {
+		s.visited = append(s.visited, make([]uint32, n-len(s.visited))...)
+	}
 	s.epoch++
 	if s.epoch == 0 {
 		clear(s.visited)
 		s.epoch = 1
-	}
-}
-
-// ensureStamps grows the visited-stamp array if the index gained points
-// since the previous round (locks are released between rounds, so appends
-// can interleave).
-func (s *Searcher) ensureStamps() {
-	if n := s.idx.data.Rows(); n > len(s.visited) {
-		grown := make([]uint32, n)
-		copy(grown, s.visited)
-		s.visited = grown
 	}
 }
 
@@ -1029,14 +933,11 @@ func (s *Searcher) covers(w float64) bool {
 	return true
 }
 
-// windowRound runs the searcher's share of the round at radius qr.r: every
-// previously-unvisited live point inside the L query-centric buckets of
-// width w0·r that qr admits is verified in blocks and handed to qr.emit.
-// Each cursor widens by one shell instead of re-scanning its window from
-// the root; a tree mutated since the previous round is detected by version
-// and its cursor re-armed, so mid-query inserts are picked up, not missed.
+// windowRound runs the round at radius qr.r: every previously-unvisited
+// live point inside the L query-centric buckets of width w0·r that qr's
+// filter accepts is verified in blocks and handed to qr.emit. Each cursor
+// widens by one shell instead of re-scanning its window from the root.
 func (s *Searcher) windowRound(q []float32, qr *query) {
-	s.ensureStamps()
 	half := s.idx.cfg.W0 * qr.r / 2
 	for i := range s.cursors {
 		if !s.advanceCursor(i, half, q, qr) {
@@ -1050,7 +951,6 @@ func (s *Searcher) windowRound(q []float32, qr *query) {
 // covering round. Every point is in every tree, so draining the first
 // cursor's frontier — everything not yet popped — is enough.
 func (s *Searcher) sweepRound(q []float32, qr *query) {
-	s.ensureStamps()
 	if s.advanceCursor(0, math.Inf(1), q, qr) {
 		s.flushBlock(q, qr)
 	}
@@ -1058,15 +958,10 @@ func (s *Searcher) sweepRound(q []float32, qr *query) {
 
 // advanceCursor widens cursor i's window to Chebyshev half-width half and
 // gathers the newly-exposed shell into the verification block, flushing at
-// full blocks. A stale cursor (tree mutated since it was seeded) is
-// re-armed first. Returns false when a flush stopped the traversal — the
-// unexamined shell remainder stays in the frontier.
+// full blocks. Returns false when a flush stopped the traversal, and with
+// it the query.
 func (s *Searcher) advanceCursor(i int, half float64, q []float32, qr *query) bool {
 	cur := s.cursors[i]
-	if !cur.Synced() {
-		cur.ReArm()
-		s.rearms++
-	}
 	before := cur.NodesVisited()
 	cur.BeginRound(half)
 	base := 0 // emission ordinal of ebuf[0] within this cursor's round
@@ -1083,7 +978,7 @@ outer:
 				continue
 			}
 			s.visited[id] = s.epoch
-			if s.idx.isDeleted(id) || qr.sift && !qr.admit(id) {
+			if s.idx.isDeleted(id) || qr.filter != nil && !qr.filter(qr.global(id)) {
 				continue
 			}
 			s.bids = append(s.bids, id)
@@ -1102,8 +997,6 @@ outer:
 	}
 	if stopped {
 		// The stop ends the query; skip the O(frontier) round teardown.
-		// Were another round driven anyway, the cursor re-arms and the
-		// visited stamps keep the re-walk equivalent to a window re-scan.
 		cur.Abandon()
 	} else {
 		cur.EndRound()

@@ -156,10 +156,10 @@ func TestKANNSmallDatasetExact(t *testing.T) {
 	}
 }
 
-// rnear answers a single (r,c)-NN query on s's index: SearchRadius over the
-// one part a bare index is. Its statistics become s.LastStats().
+// rnear answers a single (r,c)-NN query on s's index: SearchRadius with the
+// identity id map. Its statistics become s.LastStats().
 func rnear(s *Searcher, q []float32, r float64) (vec.Neighbor, bool) {
-	nb, ok, st, _ := SearchRadius(s.one, q, r, QueryParams{})
+	nb, ok, st, _ := SearchRadius(s, nil, q, r, QueryParams{})
 	s.last = st
 	return nb, ok
 }

@@ -302,60 +302,6 @@ func TestRNearBlockedContract(t *testing.T) {
 	}
 }
 
-// TestCursorReArmMidQuery pins the mutate-during-query contract
-// deterministically: a query paused between rounds (where the driver holds
-// no lock) observes points inserted in the pause through the explicit
-// re-arm path, exactly as the reference window re-scan would.
-func TestCursorReArmMidQuery(t *testing.T) {
-	idx, data, _ := ladderIndex(5, 200, 4)
-	q := make([]float32, data.Dim()) // query at the origin
-
-	// Never full and never out of budget: every round emits its whole shell.
-	s := idx.NewSearcher()
-	qr := query{pt: s.one, cand: vec.NewTopK(1000), budget: math.MaxInt}
-	qr.start(q)
-	rl := newRefLadder(idx, q)
-	rseen := map[int]bool{}
-	ref := func(r float64) {
-		rl.windows(r, func(id int) bool {
-			rseen[id] = true
-			return true
-		})
-	}
-	qr.round(q, 1.0, 1.0, false)
-	ref(1.0)
-
-	// Pause: a point lands exactly at the query. Both traversals must pick
-	// it up in the next round.
-	newID := idx.Insert(make([]float32, data.Dim()))
-	if s.CursorReArms() != 0 {
-		t.Fatal("cursor re-armed before any mutation")
-	}
-	qr.round(q, 2.0, 2.0, false)
-	ref(2.0)
-	if s.CursorReArms() != idx.cfg.L {
-		t.Fatalf("expected %d cursor re-arms (one per tree), got %d", idx.cfg.L, s.CursorReArms())
-	}
-	cseen := map[int]bool{}
-	for _, nb := range qr.cand.Results() {
-		cseen[nb.ID] = true
-	}
-	if !cseen[newID] {
-		t.Fatal("cursor ladder missed the point inserted mid-query")
-	}
-	if !rseen[newID] {
-		t.Fatal("re-scan ladder missed the point inserted mid-query")
-	}
-	if len(cseen) != len(rseen) {
-		t.Fatalf("traversals diverged after mid-query insert: cursor saw %d, re-scan %d", len(cseen), len(rseen))
-	}
-	for id := range rseen {
-		if !cseen[id] {
-			t.Fatalf("cursor ladder missed id %d the re-scan reported", id)
-		}
-	}
-}
-
 // TestTraversalZeroAllocs pins the pooling contract: once warm, a query
 // allocates nothing beyond its result — the top-k collector and the sorted
 // copy it hands back — however many rounds its traversal runs, sweep

@@ -58,14 +58,12 @@ import (
 //
 // The frontier starts as the packed root followed by the tail node, so
 // depth-first order is the packed tree's, then the tail's leaves in arrival
-// order. A Cursor pins the tree's node graph as of its last Reset/ReArm. An
-// insert widens a tail leaf a parked item's threshold was computed from,
-// and a repack replaces every node, so after any mutation the cursor must be
-// re-armed before the next round: Synced reports staleness and ReArm
-// re-seeds the frontier, after which the next round re-reports everything
-// inside its window — including points inserted since the original seed —
-// and the caller's visited set restores incrementality. A cursor only reads the tree, so any number may run
-// beside each other; one Cursor is not safe for concurrent use.
+// order. A Cursor holds positions in the tree's node graph as of its Reset,
+// and the tree must not change until its query's last round: an insert
+// widens a tail leaf a parked item's threshold was computed from, and a
+// repack replaces every node. The query layer keeps mutations out for the
+// whole query. A cursor only reads the tree, so any number may run beside
+// each other; one Cursor is not safe for concurrent use.
 type Cursor struct {
 	t      *Tree
 	center []float32
@@ -86,13 +84,11 @@ type Cursor struct {
 	gaps []float32
 
 	// Emission log of the current round, for Unpop. Valid until the next
-	// BeginRound/Reset/ReArm.
+	// BeginRound/Reset.
 	emitted  []emitRec
 	returned []int32 // ascending emission ordinals handed back by Unpop
 
-	version   uint64 // tree version the frontier was seeded against
-	nodes     int    // nodes entered since Reset/ReArm
-	abandoned bool   // round discarded mid-walk; frontier no longer coherent
+	nodes int // nodes entered since Reset
 }
 
 // cItem is one frontier element, 16 bytes: a subtree the rounds so far have
@@ -171,12 +167,6 @@ func (c *Cursor) Reset(center []float32) {
 		}
 	}
 	c.keys = vec.NewGapKeys(maxAbs)
-	c.seed()
-}
-
-// seed arms the frontier at the packed root and the tail node against the
-// tree's current version.
-func (c *Cursor) seed() {
 	c.cur = c.cur[:0]
 	c.next = c.next[:0]
 	c.stack = c.stack[:0]
@@ -184,8 +174,6 @@ func (c *Cursor) seed() {
 	c.returned = c.returned[:0]
 	c.pos = 0
 	c.nodes = 0
-	c.version = c.t.version
-	c.abandoned = false
 	if c.t.heads[c.t.root].count > 0 {
 		c.cur = append(c.cur, cItem{n: c.t.root})
 	}
@@ -193,16 +181,6 @@ func (c *Cursor) seed() {
 		c.cur = append(c.cur, cItem{n: c.t.tail})
 	}
 }
-
-// Synced reports whether the frontier is still coherent: the tree is
-// structurally unchanged since it was seeded and no round was abandoned
-// mid-walk. A false return means the caller must ReArm before the next
-// round.
-func (c *Cursor) Synced() bool { return c.version == c.t.version && !c.abandoned }
-
-// ReArm re-seeds the frontier for the same center — the explicit recovery
-// primitive for mutations that land mid-query.
-func (c *Cursor) ReArm() { c.seed() }
 
 // BeginRound opens a round over the window of half-width half centred at
 // the cursor's center — the float32 rectangle WindowRect(center, 2·half)
@@ -372,14 +350,12 @@ func (c *Cursor) EndRound() {
 
 // Abandon discards the current round without rebuilding the frontier — the
 // O(1) exit for a query that stops mid-round and will not advance this
-// cursor again. It leaves the frontier incoherent, so Synced reports false
-// and the next round (if any caller does continue) re-arms from the root,
-// which the caller's visited set absorbs exactly like a mutation re-arm.
+// cursor again. The frontier is left incoherent: Reset the cursor before
+// its next round.
 func (c *Cursor) Abandon() {
 	c.stack = c.stack[:0]
 	c.emitted = c.emitted[:0]
 	c.returned = c.returned[:0]
-	c.abandoned = true
 	c.pos = len(c.cur) // no further NextBatch
 }
 
@@ -389,7 +365,7 @@ func (c *Cursor) Abandon() {
 // that were gathered into a verification block but not consumed before a
 // stop condition fired: those must remain discoverable, exactly as an
 // aborted window re-scan leaves them unvisited. Valid until the next
-// BeginRound/Reset/ReArm; each ordinal at most once.
+// BeginRound/Reset; each ordinal at most once.
 func (c *Cursor) Unpop(i int) { c.returned = append(c.returned, int32(i)) }
 
 // mergeReturned reconciles the entries handed back by Unpop with the
@@ -442,7 +418,7 @@ func (c *Cursor) mergeReturned() {
 // between rounds.
 func (c *Cursor) FrontierLen() int { return len(c.cur) }
 
-// NodesVisited returns the number of node visits since Reset/ReArm.
+// NodesVisited returns the number of node visits since Reset.
 // Interior nodes are visited once per query; leaves straddling the window
 // boundary are revisited when the window reaches another of their entries
 // until every entry is reported.

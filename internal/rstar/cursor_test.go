@@ -168,61 +168,8 @@ func TestCursorUnpopRediscovery(t *testing.T) {
 	}
 }
 
-// TestCursorReArmOnInsert checks the mutation contract: an Insert makes
-// the cursor stale, ReArm re-seeds it, and the following round reports
-// the new point (and everything else unreported) exactly like a re-scan.
-func TestCursorReArmOnInsert(t *testing.T) {
-	tr, m := cursorTree(t, 7, 500, 4, 0)
-	cur := NewCursor(tr)
-	center := make([]float32, m.Dim())
-	cur.Reset(center)
-
-	reported := map[int32]bool{}
-	for _, id := range drainRound(cur, 5) {
-		reported[id] = true
-	}
-	if !cur.Synced() {
-		t.Fatal("cursor stale before any mutation")
-	}
-
-	// Insert a point right at the center: the next window must report it.
-	origin := make([]float32, m.Dim())
-	id := m.Append(origin)
-	tr.InsertPoint(id, origin)
-	if cur.Synced() {
-		t.Fatal("cursor still synced after Insert")
-	}
-	cur.ReArm()
-
-	want := oracleRound(tr, center, 7.5, reported)
-	got := drainRound(cur, 7.5)
-	// After a re-arm the cursor re-reports everything in the window; the
-	// caller's visited set dedups. Filter the re-reports out first.
-	fresh := got[:0]
-	for _, g := range got {
-		if !reported[g] {
-			fresh = append(fresh, g)
-		}
-	}
-	if len(fresh) != len(want) {
-		t.Fatalf("after re-arm: %d fresh emissions, want %d", len(fresh), len(want))
-	}
-	found := false
-	for i := range fresh {
-		if fresh[i] != want[i] {
-			t.Fatalf("after re-arm: emission %d = %d, want %d", i, fresh[i], want[i])
-		}
-		if int(fresh[i]) == id {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("inserted point not reported after re-arm")
-	}
-}
-
-// TestCursorAbandon checks that abandoning a round mid-walk marks the
-// cursor stale and that a re-arm recovers every unreported point.
+// TestCursorAbandon checks that a cursor whose round was abandoned mid-walk
+// recovers every unreported point once it is Reset.
 func TestCursorAbandon(t *testing.T) {
 	tr, m := cursorTree(t, 9, 400, 3, 0)
 	cur := NewCursor(tr)
@@ -237,10 +184,7 @@ func TestCursorAbandon(t *testing.T) {
 		reported[id] = true
 	}
 	cur.Abandon()
-	if cur.Synced() {
-		t.Fatal("cursor synced after Abandon")
-	}
-	cur.ReArm()
+	cur.Reset(center)
 
 	want := oracleRound(tr, center, 6, reported)
 	got := drainRound(cur, 6)
@@ -251,7 +195,7 @@ func TestCursorAbandon(t *testing.T) {
 		}
 	}
 	if len(fresh) != len(want) {
-		t.Fatalf("after abandon+rearm: %d fresh emissions, want %d", len(fresh), len(want))
+		t.Fatalf("after abandon+reset: %d fresh emissions, want %d", len(fresh), len(want))
 	}
 }
 

@@ -22,7 +22,10 @@
 // tree: every mutation that adds an entry or widens a child's rectangle
 // rewrites the lanes it touched before it returns (the tests'
 // CheckInvariants compares them all), and no query ever writes one, so any
-// number of cursors may read a tree at once.
+// number of cursors may read a tree at once. A cursor keeps its place in the
+// tree from one round of its query to the next, so the tree must not change
+// while a query runs on it: the caller keeps every mutation out from the
+// cursor's Reset to its query's last round.
 //
 // The paper builds its trees once and leaves updates to future work; this
 // package keeps that shape and follows Bentley and Saxe's static-to-dynamic

@@ -80,11 +80,6 @@ type Tree struct {
 	ents   []int32
 	blocks [][]float32
 
-	// version counts mutations. Cursors pin a traversal snapshot of the node
-	// graph; they compare versions to detect that the snapshot went stale and
-	// must be re-armed (see Cursor.Synced).
-	version uint64
-
 	// rows is the matrix BulkLoad was given, which Insert reads a row id's
 	// coordinates from; nil for every other tree. See BulkLoad.
 	rows *vec.Matrix
@@ -185,7 +180,6 @@ func (t *Tree) InsertPoint(id int, p []float32) {
 	t.setBox(t.tail, slot, t.rect(leaf))
 	t.widen(t.tail, point, slot == 0 && j == 0)
 	t.size++
-	t.version++
 }
 
 // widen grows node n's rect to take r, or sets it to r when n held nothing
@@ -202,12 +196,11 @@ func (t *Tree) widen(n int32, r Rect, first bool) {
 // Repack folds the tail into a fresh STR pack of every point the tree holds:
 // the coordinates are gathered out of the leaves (Points) and packed, so
 // the tree becomes the one Pack builds over the same rows, node for node.
-// It counts as a mutation: cursors re-arm.
 func (t *Tree) Repack() {
 	m := vec.NewMatrix(t.size, t.dim)
 	t.Points(m, nil)
 	fresh := Pack(m, t.opts)
-	fresh.version, fresh.rows = t.version+1, t.rows
+	fresh.rows = t.rows
 	*t = *fresh
 }
 

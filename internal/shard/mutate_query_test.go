@@ -12,13 +12,14 @@ import (
 	"dblsh/internal/vec"
 )
 
-// TestMutateDuringQuery hammers the cursor re-arm path: the coordinator
-// releases the lock between ladder rounds, so Adds land mid-query
-// and the per-tree cursors must detect the mutation and re-arm instead of
-// silently missing the appended points. Run under -race this doubles as
-// the memory-safety net for cursors pinning tree snapshots across rounds.
-// The queries start once the writer's first Add is acknowledged, so every
-// run interleaves them with the writes that follow.
+// TestMutateDuringQuery races queries against a steady stream of Adds. A
+// query holds the read lock from its first round to its last, so each one
+// runs on one state of the index while the Adds land between queries; every
+// answer must be non-empty, sorted and name only allocated ids. Run under
+// -race this is the memory-safety net for cursors that keep their place in
+// the trees across rounds while a writer waits. The queries start once the
+// writer's first Add is acknowledged, so every run interleaves them with
+// the writes that follow.
 func TestMutateDuringQuery(t *testing.T) {
 	const dim = 8
 	rng := rand.New(rand.NewSource(31))
@@ -95,9 +96,10 @@ func TestMutateDuringQuery(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMidQueryAddIsFindable pins the observable contract the re-arm
-// exists for: a vector added while queries are in flight is returned by a
-// subsequent search through the same (already-armed) searcher.
+// TestMidQueryAddIsFindable pins that a searcher carries nothing stale from
+// one query to the next: a vector added after a search is returned by the
+// next search through the same searcher, whose cursors and visited stamps
+// were sized for the index before the Add.
 func TestMidQueryAddIsFindable(t *testing.T) {
 	const dim = 6
 	rng := rand.New(rand.NewSource(8))
@@ -125,17 +127,15 @@ func TestMidQueryAddIsFindable(t *testing.T) {
 }
 
 // TestParallelEquivalenceUnderCompaction races queries against compactions
-// that swap the index between — and during — their ladder rounds, while a
-// deleter feeds the compactor tombstones and a writer adds rows. (The name
-// is from when it also drove the per-round fan-out.) Every answer must be
-// sorted and name no id twice: a swapped index re-emits rows the query
-// already verified, and the swap dedup has to absorb them. Every other query is asked under a
-// filter that passes fewer than k rows, none of which the mutators touch, so
-// its ladder runs to the covering sweep and its answer is exact: it must be
-// the answer the quiescent set gave, to the bit, whichever index each round
-// happened to run on. Once the mutators are done, every id must still be
-// found by its global id: the compactions renumbered the local ones while
-// the adds went on.
+// that swap the index between them, while a deleter feeds the compactor
+// tombstones and a writer adds rows. (The name is from when it also drove
+// the per-round fan-out.) Every answer must be sorted and name no id twice.
+// Every other query is asked under a filter that passes fewer than k rows,
+// none of which the mutators touch, so its ladder runs to the covering
+// sweep and its answer is exact: it must be the answer the quiescent set
+// gave, to the bit, whichever index the query happened to run on. Once the
+// mutators are done, every id must still be found by its global id: the
+// compactions renumbered the local ones while the adds went on.
 func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 	const n, d, k = 2000, 8, 60
 	flat, queries := corpus(n, d, 131)
@@ -258,8 +258,8 @@ func TestParallelEquivalenceUnderCompaction(t *testing.T) {
 
 // pollHookCtx is a context double that never expires. Its Done runs hook on
 // poll number at: the round driver polls once before the query and once
-// before each round, with no lock held, so poll 3 falls between
-// rounds 1 and 2.
+// before each round, under the read lock the query holds throughout, so
+// poll 3 falls between rounds 1 and 2.
 type pollHookCtx struct {
 	polls, at int
 	hook      func()
@@ -275,57 +275,78 @@ func (c *pollHookCtx) Done() <-chan struct{} {
 	return nil
 }
 
-// returnsWithin runs f on another goroutine and reports whether it returned
-// within a second.
-func returnsWithin(f func()) bool {
+// goDone runs f on another goroutine and returns a channel closed once f
+// returns.
+func goDone(f func()) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		f()
-		close(done)
 	}()
+	return done
+}
+
+// closedWithin reports whether done is closed within d.
+func closedWithin(done <-chan struct{}, d time.Duration) bool {
 	select {
 	case <-done:
 		return true
-	case <-time.After(time.Second):
+	case <-time.After(d):
 		return false
 	}
 }
 
-// TestSearchReleasesLocksBetweenRounds pins the per-round locking: a query
-// paused between two rounds holds no lock, so an Add issued in the pause
-// returns before the next round, and that round re-arms the cursors of the
-// trees the Add grew.
-func TestSearchReleasesLocksBetweenRounds(t *testing.T) {
+// TestMutationWaitsForQuery pins the read lock's span: a query holds it
+// from its first round to its last, so an Add issued between rounds 1 and 2
+// is still waiting 50 ms later, returns once the query has ended, and the
+// query answers as the quiescent set did.
+func TestMutationWaitsForQuery(t *testing.T) {
+	const k = 20
 	s, _, queries := buildSet(1200, 8, 141)
+	// Fewer than k rows pass, and the added row (id 1200) is not one of
+	// them: the ladder runs on to the covering sweep, and its answer is
+	// exact.
+	p := core.QueryParams{Filter: func(g int) bool { return g%100 == 1 }}
+	want, _, err := search(s, queries[1], k, p)
+	if err != nil || len(want) != 12 {
+		t.Fatalf("quiescent query: %d results, err %v", len(want), err)
+	}
+
 	sr := s.NewSearcher()
-	added := false
-	ctx := &pollHookCtx{at: 3, hook: func() {
-		added = returnsWithin(func() { s.Add(queries[0]) })
+	var added <-chan struct{}
+	early := false
+	p.Ctx = &pollHookCtx{at: 3, hook: func() {
+		added = goDone(func() { s.Add(queries[0]) })
+		early = closedWithin(added, 50*time.Millisecond)
 	}}
-	// Fewer than k rows pass: the ladder runs on to the covering sweep.
-	p := core.QueryParams{Ctx: ctx, Filter: func(g int) bool { return g%100 == 1 }}
-	if _, err := sr.Search(queries[1], 20, p); err != nil {
+	got, err := sr.Search(queries[1], k, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rounds := sr.LastStats().Rounds; rounds < 2 {
 		t.Fatalf("the query ran %d round(s); the test needs a pause between two", rounds)
 	}
-	if !added {
-		t.Fatal("an Add issued between rounds 1 and 2 did not return within 1 s")
+	if early {
+		t.Fatal("an Add issued between rounds 1 and 2 returned before the query ended")
 	}
-	if sr.cs.CursorReArms() == 0 {
-		t.Fatal("the round after the Add re-armed no cursor")
+	if !closedWithin(added, 5*time.Second) {
+		t.Fatal("the Add did not return once the query had ended")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("answered %+v, the quiescent set answered %+v", got, want)
+	}
+	if s.Len() != 1201 {
+		t.Fatalf("%d rows resident after the Add, want 1201", s.Len())
 	}
 }
 
-// TestCompactionSwapMidQuery swaps the index between rounds 1 and 2 of a
-// query. The searcher of the new index restarts from its roots and meets
-// again rows the discarded searcher had verified; the swap dedup has to
-// keep them out. The query passes fewer than k rows through its filter, so
-// its answer is exact: it must be the quiescent answer to the bit, name no
-// id twice, and count as candidates exactly the distinct rows it verified —
-// every row it returns.
-func TestCompactionSwapMidQuery(t *testing.T) {
+// TestCompactionWaitsForQuery starts a compaction between rounds 1 and 2 of
+// a query. The rebuild may run beside the query, but its swap takes the
+// write lock, so it is still waiting 50 ms later and lands once the query
+// has ended. The query passes fewer than k rows through its filter, so its
+// answer is exact: it must be the quiescent answer to the bit, name no id
+// twice, and count as candidates exactly the rows it returns.
+func TestCompactionWaitsForQuery(t *testing.T) {
 	const n, d, k = 1500, 8, 40
 	keep := func(g int) bool { return g%50 == 7 } // 30 rows, 20 of them live
 	flat, _ := corpus(n, d, 151)
@@ -340,16 +361,24 @@ func TestCompactionSwapMidQuery(t *testing.T) {
 	}
 
 	sr := s.NewSearcher()
-	compacted := false
+	var compacted <-chan struct{}
+	early := false
 	ctx := &pollHookCtx{at: 3, hook: func() {
-		compacted = returnsWithin(func() { s.Compact() })
+		compacted = goDone(func() { s.Compact() })
+		early = closedWithin(compacted, 50*time.Millisecond)
 	}}
 	got, err := sr.Search(q, k, core.QueryParams{Filter: keep, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compacted || s.Deleted() != 0 {
-		t.Fatalf("the compaction between rounds 1 and 2 did not finish (%d tombstones left)", s.Deleted())
+	if compacted == nil {
+		t.Fatalf("the query ran %d round(s); the test needs a pause between two", sr.LastStats().Rounds)
+	}
+	if early {
+		t.Fatal("a compaction started between rounds 1 and 2 swapped before the query ended")
+	}
+	if !closedWithin(compacted, 5*time.Second) || s.Deleted() != 0 {
+		t.Fatalf("the compaction did not finish once the query had ended (%d tombstones left)", s.Deleted())
 	}
 	seen := map[int]bool{}
 	for _, nb := range got {

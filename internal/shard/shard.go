@@ -6,11 +6,11 @@
 // # Queries
 //
 // A query is core's round driver (core.Search, core.SearchRadius) over the
-// one part the index is. This package supplies only what the part needs:
-// the read lock, taken for one round and released between rounds (so a
-// mutation waits for at most one round of each running query, and a query
-// for at most one mutation per round), the core searcher for the current
-// index, and the local→global id map.
+// index. This package supplies what the driver needs: the core searcher for
+// the current index, the local→global id map, and the read lock, held from
+// the query's first round to its last. A query answers from one state of
+// the index; an add, a delete or a compaction swap waits for the queries in
+// flight, and a query for the mutation holding the write lock.
 //
 // The package once striped the rows over S independent indexes. A query
 // then walked S·L trees per round for the same candidates: on a clustered
@@ -550,13 +550,13 @@ func (s *Set) Snapshot() Part {
 	return p
 }
 
-// Searcher is a reusable query context: a core searcher running the index's
-// part of core's round driver. It must be used from one goroutine at a time.
+// Searcher is a reusable query context: a core searcher running core's
+// round driver over the index. It must be used from one goroutine at a
+// time.
 type Searcher struct {
 	set  *Set
 	cs   *core.Searcher
 	seen *core.Index // which core index cs is bound to
-	part core.Part
 	last core.Stats
 }
 
@@ -567,45 +567,46 @@ type Searcher struct {
 // dropped by GC — a deliberate trade: releasing eagerly would need weak
 // references threaded through the core searcher, and the retention is
 // bounded by two GC cycles for pooled searchers.
-func (s *Set) NewSearcher() *Searcher {
-	sr := &Searcher{set: s}
-	sr.part = core.Part{Lock: &s.mu, Bind: sr.bind}
-	return sr
-}
+func (s *Set) NewSearcher() *Searcher { return &Searcher{set: s} }
 
-// bind is the part's core.Part.Bind: the core searcher for the current
-// index — a new one when a compaction has replaced it — and the local→global
-// id map. Callers hold the set's lock.
+// searcher returns the core searcher for the current index: a new one when a
+// compaction has replaced it. Callers hold the set's lock.
 //
 // dblsh:locked mu
-func (sr *Searcher) bind() (*core.Searcher, []int) {
+func (sr *Searcher) searcher() *core.Searcher {
 	if sr.seen != sr.set.idx {
 		sr.cs = sr.set.idx.NewSearcher()
 		sr.seen = sr.set.idx
 	}
-	return sr.cs, sr.set.globals
+	return sr.cs
 }
 
 // LastStats reports the most recent query's statistics: candidates
 // verified, rounds run, and the final radius of the ladder.
 func (sr *Searcher) LastStats() core.Stats { return sr.last }
 
-// Search answers a (c,k)-ANN query: core.Search over the index's part. A
-// non-nil error (context expiry) still comes with the best candidates found
-// before cancellation.
+// Search answers a (c,k)-ANN query: core.Search over the index, under the
+// read lock from its first round to its last. The lock is released however
+// the query ends: a Filter that panics leaves no writer blocked. A non-nil
+// error (context expiry) still comes with the best candidates found before
+// cancellation.
 func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
 	core.CheckQuery(q, sr.set.dim, k)
-	nbs, st, err := core.Search(&sr.part, q, k, p)
+	sr.set.mu.RLock()
+	defer sr.set.mu.RUnlock()
+	nbs, st, err := core.Search(sr.searcher(), sr.set.globals, q, k, p)
 	sr.last = st
 	return nbs, err
 }
 
 // SearchRadius answers a single (r,c)-NN query (Algorithm 1):
-// core.SearchRadius over the index's part, with a candidate budget of
-// 2tL+1.
+// core.SearchRadius over the index, under the read lock as Search holds
+// it, with a candidate budget of 2tL+1.
 func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (vec.Neighbor, bool, error) {
 	core.CheckQuery(q, sr.set.dim, 1)
-	nb, ok, st, err := core.SearchRadius(&sr.part, q, r, p)
+	sr.set.mu.RLock()
+	defer sr.set.mu.RUnlock()
+	nb, ok, st, err := core.SearchRadius(sr.searcher(), sr.set.globals, q, r, p)
 	sr.last = st
 	return nb, ok, err
 }

@@ -121,7 +121,10 @@ func WithContext(ctx context.Context) SearchOption {
 // keep panics, the panic reaches the caller's goroutine (a batch's once its
 // other queries have finished) with the index's lock released, and the
 // index and its searchers answer the next query as if the panicking one
-// had never run.
+// had never run. keep runs under the index's read lock, so it must not call
+// the index: an Add or a delete from inside it deadlocks at once, and a
+// nested search deadlocks as soon as a writer is waiting, because Go's
+// sync.RWMutex forbids recursive read locking.
 func WithFilter(keep func(id int) bool) SearchOption {
 	return func(s *searchSettings) {
 		if keep == nil {
@@ -261,9 +264,9 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 // fails the whole batch with an error naming its index. On context expiry
 // the queries already answered keep their results, the rest are nil, and
 // the context's error is returned. It is safe to run concurrently with Add
-// and DeleteWithError; the read lock is taken per ladder round, so
-// mutations interleave between rounds and a query may observe vectors added
-// while it runs.
+// and DeleteWithError: each query holds the read lock from its first round
+// to its last and answers from one state of the index, so mutations land
+// between the batch's queries, never inside one.
 func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOption) ([][]Result, error) {
 	set, err := applySearchOptions(opts, true)
 	if err == nil {

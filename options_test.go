@@ -140,6 +140,32 @@ func TestWithFilterExcludesIDs(t *testing.T) {
 	}
 }
 
+// A filter that rejects every id is a defined query, not an error: no
+// results, a nil error, and no exact distance computed, alone and in a
+// batch. Such a query runs its ladder on to the covering sweep, which makes
+// it the longest a query holds the index's read lock.
+func TestWithFilterRejectingAll(t *testing.T) {
+	idx, probes := optsIndex(t)
+	none := dblsh.WithFilter(func(int) bool { return false })
+	for i, q := range probes {
+		var st dblsh.Stats
+		res, err := idx.SearchOpts(q, 10, none, dblsh.WithStats(&st))
+		if err != nil || len(res) != 0 || st.Candidates != 0 {
+			t.Fatalf("probe %d: %d results, err %v, %d candidates; want none, nil, 0", i, len(res), err, st.Candidates)
+		}
+	}
+	var per []dblsh.Stats
+	res, err := idx.SearchBatchOpts(probes, 10, none, dblsh.WithBatchStats(&per))
+	if err != nil || len(res) != len(probes) || len(per) != len(probes) {
+		t.Fatalf("batch: %d results, %d stats, err %v", len(res), len(per), err)
+	}
+	for i := range probes {
+		if len(res[i]) != 0 || per[i].Candidates != 0 {
+			t.Fatalf("batch query %d: %d results, %d candidates; want none", i, len(res[i]), per[i].Candidates)
+		}
+	}
+}
+
 func TestWithContextCancellation(t *testing.T) {
 	idx, probes := optsIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())

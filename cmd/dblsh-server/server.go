@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -90,13 +89,21 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// jsonEndpoint adapts fn to HTTP: it decodes at most limit bytes of body
-// into a Req (an empty body is the zero Req), calls fn, and answers with
-// fn's Resp as JSON, or with fn's error at the status errStatus gives it.
-func jsonEndpoint[Req, Resp any](limit int64, fn func(http.ResponseWriter, *http.Request, *Req) (Resp, error)) http.HandlerFunc {
+// jsonEndpoint adapts fn to HTTP: it decodes a body of at most limit bytes
+// into a Req (decode.go: an empty body is the zero Req, anything else must
+// be exactly one JSON value), calls fn, and answers with fn's Resp as JSON,
+// or with fn's error at the status errStatus gives it.
+func jsonEndpoint[Req any, PReq interface {
+	*Req
+	request
+}, Resp any](limit int64, fn func(http.ResponseWriter, *http.Request, *Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		body, err := readBody(w, r, limit)
+		if err == nil {
+			err = decodeBody(body, PReq(&req))
+		}
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 			return
 		}
@@ -217,6 +224,13 @@ type queryOptions struct {
 	FilterIDs []int   `json:"filter_ids"`
 }
 
+func (o *queryOptions) field(d *walker, key []byte) bool {
+	return d.is(key, "t", func() { number(d, &o.T) }) ||
+		d.is(key, "early_stop", func() { number(d, &o.EarlyStop) }) ||
+		d.is(key, "max_radius", func() { number(d, &o.MaxRadius) }) ||
+		d.is(key, "filter_ids", func() { slice(d, &o.FilterIDs, number[int]) })
+}
+
 // searchOptions converts the request knobs into library options, after
 // the stats option given. The request context rides along so client
 // disconnects and deadlines cancel the radius ladder. Zero values mean
@@ -268,6 +282,13 @@ type searchRequest struct {
 	K      int       `json:"k"`
 	Radius float64   `json:"radius"`
 	queryOptions
+}
+
+func (r *searchRequest) field(d *walker, key []byte) bool {
+	return d.is(key, "vector", func() { slice(d, &r.Vector, number[float32]) }) ||
+		d.is(key, "k", func() { number(d, &r.K) }) ||
+		d.is(key, "radius", func() { number(d, &r.Radius) }) ||
+		r.queryOptions.field(d, key)
 }
 
 type searchHit struct {
@@ -330,6 +351,12 @@ type batchRequest struct {
 	Vectors [][]float32 `json:"vectors"`
 	K       int         `json:"k"`
 	queryOptions
+}
+
+func (r *batchRequest) field(d *walker, key []byte) bool {
+	return d.is(key, "vectors", func() {
+		slice(d, &r.Vectors, func(d *walker, v *[]float32) { slice(d, v, number[float32]) })
+	}) || d.is(key, "k", func() { number(d, &r.K) }) || r.queryOptions.field(d, key)
 }
 
 type batchResponse struct {
@@ -420,6 +447,15 @@ type deleteRequest struct {
 	ID *int `json:"id"`
 }
 
+func (r *deleteRequest) field(d *walker, key []byte) bool {
+	return d.is(key, "id", func() {
+		if r.ID = nil; !d.null() {
+			r.ID = new(int)
+			number(d, r.ID)
+		}
+	})
+}
+
 type deleteResponse struct {
 	Deleted bool `json:"deleted"`
 }
@@ -436,11 +472,17 @@ func (s *server) delete(_ http.ResponseWriter, _ *http.Request, req *deleteReque
 	return deleteResponse{Deleted: deleted}, err
 }
 
+// emptyRequest is the body of /compact and /checkpoint: an object whose
+// keys are all ignored, or nothing.
+type emptyRequest struct{}
+
+func (*emptyRequest) field(*walker, []byte) bool { return false }
+
 type compactResponse struct {
 	Removed int `json:"removed"`
 }
 
-func (s *server) compact(_ http.ResponseWriter, _ *http.Request, _ *struct{}) (compactResponse, error) {
+func (s *server) compact(_ http.ResponseWriter, _ *http.Request, _ *emptyRequest) (compactResponse, error) {
 	return compactResponse{Removed: s.idx.Compact()}, nil
 }
 
@@ -449,7 +491,7 @@ func (s *server) compact(_ http.ResponseWriter, _ *http.Request, _ *struct{}) (c
 // when -checkpoint-every is disabled. The index keeps serving throughout
 // (the snapshot is copied under the read lock and streamed without it). The
 // response reports the post-checkpoint durability state.
-func (s *server) checkpoint(_ http.ResponseWriter, _ *http.Request, _ *struct{}) (*durabilityJSON, error) {
+func (s *server) checkpoint(_ http.ResponseWriter, _ *http.Request, _ *emptyRequest) (*durabilityJSON, error) {
 	if _, durable := s.idx.Durability(); !durable {
 		return nil, errors.New("server is not durable (start it with -data-dir)")
 	}

@@ -21,6 +21,12 @@ import (
 
 func testIndex(t *testing.T) *dblsh.Index {
 	t.Helper()
+	return testIndexMetric(t, dblsh.Euclidean)
+}
+
+// testIndexMetric is testIndex's 1 000 × 16 corpus under metric m.
+func testIndexMetric(t *testing.T, m dblsh.Metric) *dblsh.Index {
+	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	data := make([][]float32, 1000)
 	for i := range data {
@@ -30,7 +36,7 @@ func testIndex(t *testing.T) *dblsh.Index {
 		}
 		data[i] = v
 	}
-	idx, err := dblsh.New(data, dblsh.Options{K: 6, L: 3, T: 20, Seed: 4})
+	idx, err := dblsh.New(data, dblsh.Options{K: 6, L: 3, T: 20, Seed: 4, Metric: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -954,5 +960,72 @@ func TestLoadIndexDurableLifecycle(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 301 || re.NextID() != id+1 {
 		t.Fatalf("reopened store: Len=%d NextID=%d, want 301/%d", re.Len(), re.NextID(), id+1)
+	}
+}
+
+// postRaw posts body as it is, so a test can send what json.Marshal never
+// writes.
+func postRaw(t *testing.T, url, body string) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// A body is exactly one JSON value: a second value after it is a 400, not
+// a request answered from the first and the rest dropped; trailing
+// whitespace is still fine.
+func TestBodyIsOneValue(t *testing.T) {
+	ts, idx := testServer(t)
+	v, err := json.Marshal(searchRequest{Vector: make([]float32, idx.Dim()), K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/search", "/vectors"} {
+		for tail, want := range map[string]int{
+			`{"k":2}`: http.StatusBadRequest,
+			" \t\r\n": http.StatusOK,
+		} {
+			resp := postRaw(t, ts.URL+path, string(v)+tail)
+			var e errorResponse
+			decode(t, resp, &e)
+			if resp.StatusCode != want || (want == http.StatusBadRequest) != strings.HasPrefix(e.Error, "bad JSON: ") {
+				t.Errorf("%s with %q after the body: status %d %q, want %d", path, tail, resp.StatusCode, e.Error, want)
+			}
+		}
+	}
+}
+
+// The zero vector under cosine has no direction: /vectors refuses to index
+// it, and each query endpoint answers it with a 200.
+func TestCosineZeroVector(t *testing.T) {
+	idx := testIndexMetric(t, dblsh.Cosine)
+	ts := httptest.NewServer(newServer(idx, serverConfig{}).handler())
+	t.Cleanup(ts.Close)
+	zero := make([]float32, idx.Dim())
+	for _, c := range []struct {
+		path string
+		body interface{}
+		want int
+	}{
+		{"/vectors", searchRequest{Vector: zero}, http.StatusBadRequest},
+		{"/search", searchRequest{Vector: zero, K: 3}, http.StatusOK},
+		{"/search_radius", searchRequest{Vector: zero, Radius: 1}, http.StatusOK},
+		{"/search_batch", batchRequest{Vectors: [][]float32{zero, zero}, K: 3}, http.StatusOK},
+	} {
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		var e errorResponse
+		decode(t, resp, &e)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%q), want %d", c.path, resp.StatusCode, e.Error, c.want)
+		}
+		if c.want == http.StatusBadRequest && !strings.Contains(e.Error, "cosine cannot index the zero vector") {
+			t.Errorf("%s: error %q does not name the zero vector", c.path, e.Error)
+		}
+	}
+	if idx.Len() != 1000 {
+		t.Fatalf("index holds %d vectors after a refused add, want 1000", idx.Len())
 	}
 }
